@@ -10,7 +10,7 @@ For u = a(-1)|0> the operator acts on a module vector v in three stages:
   3. the diagonalizable factor x^(-s(0)), s the semisimple part of a,
      applied by expanding every tensor factor of a monomial in the
      ad-eigenbasis of s and shifting the exponent by minus the eigenvalue
-     sum.
+     sum.  For s = 0 this stage is the identity and is skipped.
 
 The result is a finite, exact LogSeries of PBWVectors.  A legacy sign
 convention (kept only so its failure is demonstrable) flips the outer
@@ -179,6 +179,10 @@ def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
     staged = _exp_current_stage(delta, v)
     logged = _log_stage(delta, staged)
     out = LogSeries()
+    if delta.s.is_zero():
+        for (e, k), vec in logged.items():
+            out.add_term(e, k, vec)
+        return out
     sign = 1 if delta.legacy else -1
     for (e, k), vec in logged.items():
         for mono, coeff in vec.c.items():
@@ -186,6 +190,8 @@ def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
                 res = coeff * expanded
                 if res.is_zero() and not res.truncated:
                     continue
+                # the expansion restarts from the vacuum; keep the input's flag
+                res.truncated = res.truncated or vec.truncated
                 out.add_term(e + sign * lamsum, k, res)
     return out
 

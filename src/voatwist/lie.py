@@ -3,9 +3,10 @@
 The algebra sl(n+1) is realized by traceless (n+1)-by-(n+1) rational
 matrices.  The stored basis is a Chevalley basis: root vectors E_ij for
 every ordered pair (named e1, e12, ..., f1, ...) and the simple coroots
-h_k = E_kk - E_(k+1)(k+1).  Brackets are matrix commutators; the invariant
-form is the defining-representation trace form, which for type A is
-already normalized (long roots have squared length 2).
+h_k = E_kk - E_(k+1)(k+1).  The structure constants are tabulated once, on
+first use, from the matrix commutators of the basis, and the invariant form
+from the defining-representation trace form, which for type A is already
+normalized (long roots have squared length 2).
 
 Other families are not implemented and raise UnsupportedAlgebra.
 """
@@ -78,16 +79,6 @@ class LieElt:
     def is_zero(self):
         return not any(self.coords)
 
-    def matrix(self):
-        n1 = self.algebra.rank + 1
-        m = [[_0] * n1 for _ in range(n1)]
-        for c, bm in zip(self.coords, self.algebra.basis_mats):
-            if c:
-                for i in range(n1):
-                    for j in range(n1):
-                        m[i][j] += c * bm[i][j]
-        return tuple(tuple(r) for r in m)
-
     def bracket(self, other):
         return self.algebra.bracket(self, other)
 
@@ -148,8 +139,12 @@ class LieAlgebra:
         self.dim = len(mats)
         self.index = {n: i for i, n in enumerate(names)}
         self._cartan_start = 2 * len(pos_pairs)
+        self._basis = None
+        self._struct = None
+        self._gram = None
         self._ad_cache = {}
         self._eigen_cache = {}
+        self._jc_cache = {}
 
     def _unit(self, i, j):
         n1 = self.rank + 1
@@ -193,13 +188,49 @@ class LieAlgebra:
 
     # -- structure ------------------------------------------------------
 
+    def _tables(self):
+        """Structure constants and Gram matrix of the basis, built on first
+        use: _struct[i][j] lists the nonzero (k, c) of [b_i, b_j] and
+        _gram[i][j] is the trace form (b_i, b_j)."""
+        if self._struct is None:
+            mats = self.basis_mats
+            prods = [[mat_mul(x, y) for y in mats] for x in mats]
+            n1 = self.rank + 1
+            self._gram = tuple(
+                tuple(sum(p[k][k] for k in range(n1)) for p in row)
+                for row in prods)
+
+            def commutator(i, j):
+                br = self.from_matrix(mat_sub(prods[i][j], prods[j][i]))
+                return tuple((k, c) for k, c in enumerate(br.coords) if c)
+
+            self._struct = tuple(tuple(commutator(i, j) for j in range(self.dim))
+                                 for i in range(self.dim))
+        return self._struct, self._gram
+
     def bracket(self, a: LieElt, b: LieElt) -> LieElt:
-        ma, mb = a.matrix(), b.matrix()
-        return self.from_matrix(mat_sub(mat_mul(ma, mb), mat_mul(mb, ma)))
+        struct, _gram = self._tables()
+        out = [_0] * self.dim
+        for i, ca in enumerate(a.coords):
+            if ca:
+                row = struct[i]
+                for j, cb in enumerate(b.coords):
+                    if cb:
+                        cab = ca * cb
+                        for k, c in row[j]:
+                            out[k] += cab * c
+        return LieElt(self, out)
 
     def form(self, a: LieElt, b: LieElt) -> Fraction:
-        m = mat_mul(a.matrix(), b.matrix())
-        return sum(m[i][i] for i in range(self.rank + 1))
+        _struct, gram = self._tables()
+        total = _0
+        for i, ca in enumerate(a.coords):
+            if ca:
+                row = gram[i]
+                for j, cb in enumerate(b.coords):
+                    if cb and row[j]:
+                        total += ca * cb * row[j]
+        return total
 
     def ad_matrix(self, a: LieElt):
         """Matrix of ad(a) on the Chevalley basis (columns are images)."""
@@ -207,27 +238,23 @@ class LieAlgebra:
         hit = self._ad_cache.get(key)
         if hit is not None:
             return hit
-        cols = []
-        for i in range(self.dim):
-            basis_elt = LieElt(self, [_1 if j == i else _0 for j in range(self.dim)])
-            cols.append(self.bracket(a, basis_elt).coords)
+        cols = [self.bracket(a, self._basis_elt(i)).coords for i in range(self.dim)]
         m = tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
         self._ad_cache[key] = m
         return m
 
     def dual_basis(self):
         """Basis dual to the Chevalley basis with respect to the form."""
-        gram = tuple(
-            tuple(self.form(self._basis_elt(i), self._basis_elt(j))
-                  for j in range(self.dim))
-            for i in range(self.dim)
-        )
+        _struct, gram = self._tables()
         inv = mat_inverse(gram)
         return [LieElt(self, mat_vec(inv, [_1 if k == i else _0 for k in range(self.dim)]))
                 for i in range(self.dim)]
 
     def _basis_elt(self, i):
-        return LieElt(self, [_1 if j == i else _0 for j in range(self.dim)])
+        if self._basis is None:
+            self._basis = [LieElt(self, [_1 if j == k else _0 for j in range(self.dim)])
+                           for k in range(self.dim)]
+        return self._basis[i]
 
     def basis(self):
         return [self._basis_elt(i) for i in range(self.dim)]
@@ -276,7 +303,17 @@ class LieAlgebra:
     def jordan_chevalley(self, x: LieElt):
         """Split x = s + n with ad(s) semisimple (rational spectrum), ad(n)
         nilpotent, [s, n] = 0.  Newton iteration on the squarefree part of
-        the characteristic polynomial of ad(x)."""
+        the characteristic polynomial of ad(x).  Splits are memoized per
+        x; failures are not, so they raise again on every call."""
+        key = x.coords
+        hit = self._jc_cache.get(key)
+        if hit is not None:
+            return hit
+        split = self._jordan_chevalley(x)
+        self._jc_cache[key] = split
+        return split
+
+    def _jordan_chevalley(self, x: LieElt):
         a = self.ad_matrix(x)
         p = charpoly(a)
         psf = squarefree_part(p)
@@ -339,6 +376,7 @@ class EigenData:
         p = tuple(tuple(cols[j][i] for j in range(algebra.dim))
                   for i in range(algebra.dim))
         self._p_inv = mat_inverse(p)
+        self._decomp_cache = {}
 
     def eigenvalue_of(self, elt: LieElt):
         """The single eigenvalue of an eigenvector (None if mixed)."""
@@ -351,7 +389,13 @@ class EigenData:
         return None
 
     def decompose(self, elt: LieElt) -> dict:
-        """Split elt into its ad(s)-eigencomponents, keyed by eigenvalue."""
+        """Split elt into its ad(s)-eigencomponents, keyed by eigenvalue.
+
+        The dict is memoized per elt and shared between callers, who must
+        not mutate it."""
+        hit = self._decomp_cache.get(elt.coords)
+        if hit is not None:
+            return hit
         weights = mat_vec(self._p_inv, elt.coords)
         out = {}
         idx = 0
@@ -363,6 +407,7 @@ class EigenData:
                 idx += 1
             if not acc.is_zero():
                 out[lam] = acc
+        self._decomp_cache[elt.coords] = out
         return out
 
 

@@ -94,9 +94,13 @@ class TwistedModule:
         return ser
 
     def vertex_series(self, v: PBWVector, w: PBWVector, ceiling) -> LogSeries:
+        return self._series_over_chain(self.chain_transform(v), w, ceiling)
+
+    def _series_over_chain(self, chain: LogSeries, w: PBWVector, ceiling) -> LogSeries:
+        """Y_new(v, x) w given chain = chain_transform(v)."""
         ceiling = F(ceiling)
         out = LogSeries(ceiling=ceiling)
-        for (e1, k1), vec1 in self.chain_transform(v).terms.items():
+        for (e1, k1), vec1 in chain.terms.items():
             sub_ceiling = floor(ceiling - e1)
             base_ser = self.base.vertex_series(vec1, w, sub_ceiling)
             for (e2, _k2), vec2 in base_ser.terms.items():
@@ -105,11 +109,18 @@ class TwistedModule:
         return out
 
     def mode(self, v: PBWVector, m, l: int = 0):
-        """The (m, l) mode of Y_new(v, x): coefficient of x^(-m-1) log^l."""
+        """The (m, l) mode of Y_new(v, x): coefficient of x^(-m-1) log^l.
+
+        The returned operator transforms v along the chain on its first
+        call and reuses that series for every later target."""
         e = -F(m) - 1
+        chain = None
 
         def op(w: PBWVector) -> PBWVector:
-            ser = self.vertex_series(v, w, ceiling=e)
+            nonlocal chain
+            if chain is None:
+                chain = self.chain_transform(v)
+            ser = self._series_over_chain(chain, w, ceiling=e)
             got = ser.terms.get((e, int(l)))
             return got if got is not None else PBWVector()
 
@@ -262,6 +273,10 @@ def make_twisted(target, u: PBWVector,
     if not delta.is_identity:
         image = target.automorphism_apply(u)
         diff = image - u
+        if diff.truncated:
+            raise DomainError(
+                "the automorphism image of the current vector is truncated; "
+                "raise the module cutoff")
         if not diff.is_zero():
             raise NotFixed(
                 "the current vector is not fixed by the attached automorphism")

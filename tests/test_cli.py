@@ -148,6 +148,13 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, diagram)]) == 13
     capsys.readouterr()
 
+    # the automorphism image of the current is cut off at cutoff 0: that is
+    # a window too small to decide, not a current the automorphism moves
+    shallow = base_config(algebra={"type": "A", "rank": 2},
+                          module={"lambda": 0, "cutoff": 0})
+    assert main(["run", write_config(tmp_path, shallow)]) == 19
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "DomainError"
+
 
 def test_main_config_errors(tmp_path, capsys):
     bad = tmp_path / "broken.json"

@@ -151,3 +151,17 @@ def test_weights_are_respected():
     state = MOD.apply_mode("e1", -1, MOD.current("f1"))
     for (_e, _k), term in delta_apply(DS, state).terms.items():
         assert max(term.weight_components()) <= 2
+
+
+@pytest.mark.parametrize("d", [DS, DN], ids=["semisimple", "nilpotent"])
+def test_truncated_input_keeps_its_flag(d):
+    from voatwist.fock import PBWVector
+
+    quadratic = MOD.apply_mode("e1", -1, MOD.current("f1"))
+    for state in (MOD.current("f1"), MOD.current("h1"), quadratic):
+        exact = delta_apply(d, state)
+        got = delta_apply(d, PBWVector(state.c, truncated=True))
+        assert set(got.terms) == set(exact.terms)
+        for key, term in got.terms.items():
+            assert term.truncated, key
+            assert (term - exact.terms[key]).is_zero()

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from voatwist.errors import InvalidSymmetry, NeedsFieldExtension, UnsupportedAlgebra
@@ -94,8 +95,10 @@ def test_jordan_chevalley_mixed_commuting_pair():
 
 
 def test_jordan_chevalley_irrational_spectrum():
-    with pytest.raises(NeedsFieldExtension):
-        sl2.jordan_chevalley(sl2.generator("e1") - sl2.generator("f1"))
+    # only successful splits are memoized: a failure raises on every call
+    for _ in range(2):
+        with pytest.raises(NeedsFieldExtension):
+            sl2.jordan_chevalley(sl2.generator("e1") - sl2.generator("f1"))
 
 
 def test_diagram_flip_of_rank_two():
@@ -136,3 +139,79 @@ def test_element_round_trip():
     assert sl3.element_from_coords(x.coords) == x
     with pytest.raises(UnsupportedAlgebra):
         sl3.element({"nope": F(1)})
+
+
+# -- oracles for the tabulated structure data and the memos -----------------
+
+ALGEBRAS = {rank: build_simple_lie("A", rank) for rank in (1, 2, 3)}
+rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def elements(draw, count, borel=False, ranks=(1, 2, 3)):
+    """(algebra, [coords] * count) over the given ranks of type A.
+
+    With borel=True the coordinates live on the positive root vectors and,
+    with small integer values, on the Cartan.  Then ad has a small rational
+    spectrum and every Jordan-Chevalley split exists and is cheap to find.
+    """
+    alg = ALGEBRAS[draw(st.sampled_from(ranks))]
+    npos = len(alg.pos_pairs)
+    out = []
+    for _ in range(count):
+        coords = draw(st.lists(rational, min_size=alg.dim, max_size=alg.dim))
+        if borel:
+            coords[npos:2 * npos] = [F(0)] * npos
+            coords[2 * npos:] = [F(draw(st.integers(-1, 1)))
+                                 for _ in range(alg.rank)]
+        out.append(coords)
+    return alg, out
+
+
+def sym_rational(c):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def sym_matrix(alg, coords):
+    m = sympy.zeros(alg.rank + 1, alg.rank + 1)
+    for c, bm in zip(coords, alg.basis_mats):
+        m += sym_rational(c) * sympy.Matrix([[sym_rational(x) for x in row] for row in bm])
+    return m
+
+
+def to_fractions(m):
+    return [[F(int(x.p), int(x.q)) for x in row] for row in m.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements(2))
+def test_tables_match_matrix_commutators(drawn):
+    alg, (a, b) = drawn
+    x, y = alg.element_from_coords(a), alg.element_from_coords(b)
+    ma, mb = sym_matrix(alg, a), sym_matrix(alg, b)
+    assert alg.bracket(x, y) == alg.from_matrix(to_fractions(ma * mb - mb * ma))
+    trace = (ma * mb).trace()
+    assert alg.form(x, y) == F(int(trace.p), int(trace.q))
+
+
+# a rank-3 split takes seconds in exact arithmetic, so this test stays at
+# ranks 1 and 2
+@settings(max_examples=25, deadline=None)
+@given(elements(2, borel=True, ranks=(1, 2)))
+def test_memoized_splits_match_a_fresh_algebra(drawn):
+    alg, (a, b) = drawn
+    fresh = build_simple_lie("A", alg.rank)
+    x = alg.element_from_coords(a)
+    s, n = alg.jordan_chevalley(x)
+    fs, fn = fresh.jordan_chevalley(fresh.element_from_coords(a))
+    assert (s.coords, n.coords) == (fs.coords, fn.coords)
+    again = alg.jordan_chevalley(alg.element_from_coords(a))
+    assert (again[0].coords, again[1].coords) == (s.coords, n.coords)
+    eig, fresh_eig = alg.ad_eigendata(s), fresh.ad_eigendata(fs)
+    for coords in (b, *(g.coords for g in alg.basis())):
+        got = eig.decompose(alg.element_from_coords(coords))
+        assert eig.decompose(alg.element_from_coords(coords)) is got
+        want = fresh_eig.decompose(fresh.element_from_coords(coords))
+        assert {lam: part.coords for lam, part in got.items()} == \
+            {lam: part.coords for lam, part in want.items()}
+
