@@ -42,7 +42,6 @@ from .lie import (
 from .fock import (
     InducedModule,
     PBWVector,
-    QuotientModule,
     build_module,
     monomial_weight,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "NotSemisimple",
     "NotUnipotent",
     "PBWVector",
-    "QuotientModule",
     "TwistedModule",
     "Unsupported",
     "UnsupportedAlgebra",

@@ -49,7 +49,8 @@ from .scalars import fmt_rational, parse_rational
 from .twist import (
     TwistedModule,
     make_twisted,
-    mode_table_entry,
+    mode_candidates,
+    mode_table_rows,
     transport_tau,
     untwisted_as_twisted,
 )
@@ -356,8 +357,7 @@ class BuiltRun:
                     if prev.aut.diagram_part is not None:
                         raise Unsupported("only one diagram factor per chain")
                     tw = TwistedModule(prev.base, prev.steps,
-                                       replace(prev.aut, diagram_part=tau),
-                                       prev.conjugator)
+                                       replace(prev.aut, diagram_part=tau))
                 else:
                     tw = transport_tau(prev, tau)
                 entry["permutation"] = list(data["permutation"])
@@ -535,39 +535,13 @@ def _graded_dimension_rows(run: BuiltRun, window: int):
     ]
 
 
-def _mode_table_rows(run: BuiltRun, span: int, log_max: int):
-    alg = run.algebra
-    order = lcm(run.twisted.branch_order(), run.diagram_order)
-    rows = []
-    for gi in range(alg.dim):
-        for t in range(-span * order, span * order + 1):
-            m = F(t, order)
-            for l in range(log_max + 1):
-                ops, scalar = mode_table_entry(run.twisted, alg._basis_elt(gi),
-                                               m, l)
-                if not ops and scalar == 0:
-                    continue
-                rows.append({
-                    "generator": alg.names[gi],
-                    "mode": fmt_rational(m),
-                    "logPower": l,
-                    "ops": [
-                        {"generator": alg.names[gj],
-                         "mode": fmt_rational(F(mm)),
-                         "coefficient": fmt_rational(c)}
-                        for (gj, mm), c in sorted(ops.items())
-                    ],
-                    "scalar": fmt_rational(scalar),
-                })
-    return rows
-
-
-def build_report(run: BuiltRun, reports, with_tables: bool) -> dict:
+def build_report(run: BuiltRun, reports) -> dict:
     config = run.config
     out = config["output"]
     notices = []
     alg = run.algebra
 
+    order = lcm(run.twisted.branch_order(), run.diagram_order)
     report = {
         "schemaVersion": 1,
         "config": config,
@@ -578,7 +552,7 @@ def build_report(run: BuiltRun, reports, with_tables: bool) -> dict:
             "dualCoxeterNumber": fmt_rational(F(alg.dual_coxeter())),
         },
         "level": fmt_rational(run.level),
-        "branchOrder": lcm(run.twisted.branch_order(), run.diagram_order),
+        "branchOrder": order,
         "chain": run.chain_echo,
     }
     try:
@@ -602,18 +576,16 @@ def build_report(run: BuiltRun, reports, with_tables: bool) -> dict:
             notices.append(f"graded dimensions omitted: {exc}")
             report["gradedDimensions"] = None
 
-    if with_tables:
-        if run.twisted.conjugator is not None:
-            notices.append("mode tables omitted: the chain ends in a "
-                           "transported (conjugated) module")
-            report["modeTables"] = []
-        else:
-            span = out.get("modeSpan", 2)
-            log_max = out.get("logMax", verify.chain_log_bound(run.twisted))
-            report["modeTables"] = _mode_table_rows(run, span, log_max)
-            report["modeTableWindow"] = {"modeSpan": span, "logMax": log_max}
-    else:
+    if run.twisted.conjugator is not None:
+        notices.append("mode tables omitted: the chain ends in a "
+                       "transported (conjugated) module")
         report["modeTables"] = []
+    else:
+        span = out.get("modeSpan", 2)
+        log_max = out.get("logMax", verify.chain_log_bound(run.twisted))
+        report["modeTables"] = mode_table_rows(
+            run.twisted, mode_candidates(span, order), log_max)
+        report["modeTableWindow"] = {"modeSpan": span, "logMax": log_max}
 
     report["checks"] = [r.to_dict() for r in reports]
     statuses = [r.status for r in reports]
@@ -706,7 +678,7 @@ def run_config(config: dict, with_checks: bool) -> tuple[dict, int]:
     """Build, check, and report.  Returns (report, exit status)."""
     run = build_chain(config)
     reports = run_checks(run) if with_checks else []
-    report = build_report(run, reports, with_tables=True)
+    report = build_report(run, reports)
     return report, exit_status(reports)
 
 

@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .errors import DomainError, NotQuasiPrimary
 from .fock import InducedModule, PBWVector
-from .scalars import scalar_is_zero
 from .series import LogSeries
 
 __all__ = ["DeltaOperator", "make_delta", "delta_apply", "delta_apply_series"]
@@ -172,10 +171,7 @@ def _eigen_expand(delta: DeltaOperator, mono):
 def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
     """Apply the operator to a module vector.  Exact, finite output."""
     if delta.is_identity:
-        out = LogSeries()
-        if not v.is_zero() or v.truncated:
-            out.add_term(F(0), 0, v)
-        return out
+        return LogSeries({(F(0), 0): v})
     staged = _exp_current_stage(delta, v)
     logged = _log_stage(delta, staged)
     out = LogSeries()
@@ -185,6 +181,10 @@ def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
         return out
     sign = 1 if delta.legacy else -1
     for (e, k), vec in logged.items():
+        if vec.is_zero():
+            # truncated with no known monomials: nothing to expand, so the
+            # flag stays at the unshifted key
+            out.add_term(e, k, vec)
         for mono, coeff in vec.c.items():
             for lamsum, expanded in _eigen_expand(delta, mono):
                 res = coeff * expanded

@@ -30,11 +30,7 @@ from .series import LogSeries
 __all__ = [
     "InducedModule",
     "PBWVector",
-    "QuotientModule",
     "build_module",
-    "apply_mode",
-    "sugawara_mode",
-    "vertex_operator_mode",
 ]
 
 F = Fraction
@@ -430,76 +426,7 @@ class InducedModule:
         return mode
 
 
-class QuotientModule:
-    """A vacuum module modulo the submodule generated by given vectors.
-
-    The span is kept per weight as triangular rows with pairwise distinct
-    leading monomials, in insertion order: every new row is reduced against
-    the existing ones before it joins, so membership testing by sequential
-    elimination is exact.
-    """
-
-    def __init__(self, parent: InducedModule, relations):
-        self.parent = parent
-        self.relations = list(relations)
-        self._span = {}
-        self._close()
-
-    def _insert(self, vec: PBWVector) -> bool:
-        changed = False
-        for w, comp in vec.weight_components().items():
-            rows = self._span.setdefault(w, [])
-            cur = comp
-            for lead, row in rows:
-                if lead in cur.c:
-                    cur = cur - (cur.c[lead] / row.c[lead]) * row
-            if not cur.is_zero():
-                rows.append((max(cur.c), cur))
-                changed = True
-        return changed
-
-    def _close(self):
-        alg = self.parent.algebra
-        frontier = [v for v in self.relations if self._insert(v)]
-        while frontier:
-            new_frontier = []
-            for vec in frontier:
-                top = int(self.parent.cutoff - vec.depth())
-                for gi in range(alg.dim):
-                    for m in range(0, -top - 1, -1):
-                        nxt = self.parent.apply_mode(alg._basis_elt(gi), m, vec)
-                        if not nxt.is_zero() and self._insert(nxt):
-                            new_frontier.append(nxt)
-            frontier = new_frontier
-
-    def reduce(self, vec: PBWVector) -> PBWVector:
-        """Canonical representative of vec modulo the submodule."""
-        out = PBWVector({}, vec.truncated)
-        for w, comp in vec.weight_components().items():
-            cur = comp
-            for lead, row in self._span.get(w, []):
-                if lead in cur.c:
-                    cur = cur - (cur.c[lead] / row.c[lead]) * row
-            out = out + cur
-        return out
-
-    def graded_dimension(self, weight) -> int:
-        full = self.parent.graded_dimension(weight)
-        return full - len(self._span.get(int(weight), []))
-
-
 def build_module(algebra: LieAlgebra, level, cutoff, lam=0) -> InducedModule:
     """Public constructor for the level-``level`` vacuum module."""
     return InducedModule(algebra, level, cutoff, lam)
 
-
-def apply_mode(module: InducedModule, x, m, vec: PBWVector) -> PBWVector:
-    return module.apply_mode(x, m, vec)
-
-
-def sugawara_mode(module: InducedModule, n: int):
-    return module.sugawara_mode(n)
-
-
-def vertex_operator_mode(module: InducedModule, v: PBWVector, n):
-    return module.vertex_operator_mode(v, n)

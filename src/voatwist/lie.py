@@ -20,7 +20,6 @@ from .errors import (
     InvalidSymmetry,
     NeedsFieldExtension,
     NotSemisimple,
-    NotUnipotent,
     UnsupportedAlgebra,
 )
 from .linalg import (
@@ -49,7 +48,6 @@ __all__ = [
     "LieElt",
     "build_simple_lie",
     "diagram_automorphism",
-    "unipotent_log",
 ]
 
 F = Fraction
@@ -78,12 +76,6 @@ class LieElt:
 
     def is_zero(self):
         return not any(self.coords)
-
-    def bracket(self, other):
-        return self.algebra.bracket(self, other)
-
-    def form(self, other):
-        return self.algebra.form(self, other)
 
     def __add__(self, other):
         return LieElt(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
@@ -421,15 +413,8 @@ class GAutomorphism:
         self.matrix = matrix
         self.label = label
 
-    @staticmethod
-    def identity(algebra, label="id"):
-        return GAutomorphism(algebra, identity(algebra.dim), label)
-
     def __call__(self, elt: LieElt) -> LieElt:
         return LieElt(self.algebra, mat_vec(self.matrix, elt.coords))
-
-    def is_identity(self):
-        return mat_eq(self.matrix, identity(self.algebra.dim))
 
     def compose(self, other: "GAutomorphism") -> "GAutomorphism":
         return GAutomorphism(self.algebra, mat_mul(self.matrix, other.matrix),
@@ -507,38 +492,6 @@ def diagram_automorphism(algebra: LieAlgebra, perm) -> GAutomorphism:
     return out
 
 
-def unipotent_log(matrix, dim=None):
-    """Exact logarithm of a unipotent matrix, with an exp round-trip check.
-
-    Uses the alternating series log(1 + N) = N - N^2/2 + ...; raises
-    NotUnipotent if the input minus the identity is not nilpotent.
-    """
-    n = len(matrix)
-    nil = mat_sub(matrix, identity(n))
-    powers = [identity(n), nil]
-    k = 1
-    while not mat_eq(powers[-1], zeros(n, n)):
-        if k > n:
-            raise NotUnipotent("matrix minus identity is not nilpotent")
-        powers.append(mat_mul(powers[-1], nil))
-        k += 1
-    log = zeros(n, n)
-    for j in range(1, len(powers)):
-        sign = _1 if j % 2 == 1 else -_1
-        log = tuple(tuple(x + sign / j * y for x, y in zip(r1, r2))
-                    for r1, r2 in zip(log, powers[j]))
-    # exp back, term by term; the series is finite
-    acc = identity(n)
-    term = identity(n)
-    for j in range(1, len(powers) + 1):
-        term = mat_scale(mat_mul(term, log), F(1, j))
-        acc = tuple(tuple(x + y for x, y in zip(r1, r2))
-                    for r1, r2 in zip(acc, term))
-    if not mat_eq(acc, matrix):
-        raise NotUnipotent("exponential of the computed log does not return the input")
-    return log
-
-
 @dataclass
 class AutomorphismData:
     """Canonical description of the automorphism a twisted module carries.
@@ -559,12 +512,3 @@ class AutomorphismData:
     @staticmethod
     def identity(algebra):
         return AutomorphismData(algebra)
-
-    def is_identity(self):
-        return (
-            (self.diagram_part is None or self.diagram_part.is_identity())
-            and (self.inner_semisimple_part is None
-                 or self.inner_semisimple_part.is_zero())
-            and (self.inner_nilpotent_part is None
-                 or self.inner_nilpotent_part.is_zero())
-        )

@@ -6,17 +6,16 @@ exact; no pivoting heuristics, no floats.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "charpoly",
+    "divisors",
     "identity",
     "kernel_basis",
-    "mat_add",
     "mat_eq",
     "mat_inverse",
     "mat_mul",
-    "mat_pow",
     "mat_scale",
     "mat_sub",
     "mat_vec",
@@ -24,7 +23,6 @@ __all__ = [
     "poly_divmod",
     "poly_eval_mat",
     "poly_eval",
-    "poly_gcd",
     "poly_mul",
     "poly_trim",
     "poly_xgcd",
@@ -50,10 +48,6 @@ def identity(n):
     return tuple(tuple(_1 if i == j else _0 for j in range(n)) for i in range(n))
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -72,14 +66,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def mat_pow(a, k):
-    n = len(a)
-    out = identity(n)
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
 
 
 def mat_eq(a, b):
@@ -215,18 +201,6 @@ def poly_divmod(a, b):
     return poly_trim(q), poly_trim(r)
 
 
-def poly_gcd(a, b):
-    """Monic gcd."""
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
 def poly_xgcd(a, b):
     """Extended gcd: returns (g, u, v) monic g with u a + v b = g."""
     r0, r1 = poly_trim(a), poly_trim(b)
@@ -298,7 +272,6 @@ def rational_roots(p):
     roots = []
     # clear denominators to get integer coefficients
     while True:
-        changed = False
         den = 1
         for c in p:
             den = lcm(den, c.denominator)
@@ -315,28 +288,24 @@ def rational_roots(p):
             continue
         if len(ip) <= 1:
             break
-        for num in _signed_divisors(ip[0]):
-            for den2 in _divisors_pos(ip[-1]):
-                cand = F(num, den2)
-                if poly_eval(p, cand) == 0:
-                    roots.append(cand)
-                    p, _ = poly_divmod(p, [-cand, _1])
-                    changed = True
-                    break
-            if changed:
-                break
-        if not changed:
+        lead_divs = divisors(ip[-1])
+        candidates = (F(sign * num, q) for num in divisors(ip[0])
+                      for sign in (1, -1) for q in lead_divs)
+        root = next((c for c in candidates if poly_eval(p, c) == 0), None)
+        if root is None:
             break
+        roots.append(root)
+        p, _ = poly_divmod(p, [-root, _1])
     return roots, poly_trim(p)
 
 
-def _divisors_pos(n):
+def divisors(n):
+    """Positive divisors of |n| in ascending order (none for n = 0)."""
     n = abs(n)
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _signed_divisors(n):
-    out = []
-    for d in _divisors_pos(n):
-        out.extend([d, -d])
-    return out
+    small, large = [], []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+    return small + large[::-1]

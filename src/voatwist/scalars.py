@@ -18,6 +18,8 @@ import functools
 import math
 from fractions import Fraction
 
+from .linalg import divisors, poly_divmod
+
 __all__ = [
     "Cyc",
     "binom",
@@ -66,25 +68,6 @@ def binom(e, i: int) -> Fraction:
     return num / den
 
 
-def _divisors(n: int):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _poly_divmod_exact(a, b):
-    # both lists of Fractions, ascending powers; b monic; remainder must be 0
-    a = list(a)
-    q = [ZERO] * (len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1]
-        q[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    if any(a[: len(b) - 1]):
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(d: int) -> tuple:
     """Coefficients (ascending) of the d-th cyclotomic polynomial, monic over Q."""
@@ -92,9 +75,11 @@ def cyclotomic_poly(d: int) -> tuple:
         raise ValueError("order must be positive")
     p = [ZERO] * (d + 1)
     p[0], p[d] = -ONE, ONE
-    for e in _divisors(d):
+    for e in divisors(d):
         if e < d:
-            p = _poly_divmod_exact(p, cyclotomic_poly(e))
+            p, r = poly_divmod(p, cyclotomic_poly(e))
+            if r:
+                raise ArithmeticError("inexact polynomial division")
     return tuple(p)
 
 
@@ -138,15 +123,11 @@ class Cyc:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def of(value, order: int = 1) -> "Cyc":
+    def of(value) -> "Cyc":
         """Embed a rational (or pass a Cyc through)."""
         if isinstance(value, Cyc):
             return value
-        q = Fraction(value)
-        deg = len(cyclotomic_poly(order)) - 1
-        vec = [ZERO] * deg
-        vec[0] = q
-        return Cyc(order, {0: tuple(vec)})
+        return Cyc(1, {0: (Fraction(value),)})
 
     @staticmethod
     def zeta(order: int, power) -> "Cyc":
@@ -158,12 +139,9 @@ class Cyc:
         return Cyc(order, {0: _vec_reduce(vec, order)})
 
     @staticmethod
-    def t_power(k: int, order: int = 1) -> "Cyc":
+    def t_power(k: int) -> "Cyc":
         """T**k."""
-        deg = len(cyclotomic_poly(order)) - 1
-        vec = [ZERO] * deg
-        vec[0] = ONE
-        return Cyc(order, {k: tuple(vec)})
+        return Cyc(1, {k: (ONE,)})
 
     # -- structure ------------------------------------------------------
 
@@ -201,14 +179,9 @@ class Cyc:
             out[t] = tuple(acc)
         return out
 
-    def promoted(self, order: int) -> "Cyc":
-        """The same element expressed at a (multiple) cyclotomic order."""
-        return Cyc(order, self._coeffs_at(order))
-
     @staticmethod
-    def _scale(x: "Cyc", c: Fraction, tshift: int = 0) -> "Cyc":
-        return Cyc(x.order, {t + tshift: tuple(c * a for a in vec)
-                             for t, vec in x.coeffs.items()})
+    def _scale(x: "Cyc", c: Fraction) -> "Cyc":
+        return Cyc(x.order, {t: tuple(c * a for a in vec) for t, vec in x.coeffs.items()})
 
     # -- ring operations ------------------------------------------------
 

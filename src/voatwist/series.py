@@ -16,11 +16,10 @@ truth there.  Arithmetic propagates bounds pessimistically: a sum is
 trusted only where both inputs are.  Comparisons must stay inside the
 trusted window; ``series_eq`` enforces that.
 
-The four core operations the rest of the package relies on are
-``series_combine`` (add or scale), ``series_derivative`` (d/dx),
-``formal_integral_0_to_x`` (the formal antiderivative with no constant
-term), and ``branch_shift`` (log x -> log x + T, x^e -> zeta^(D e) x^e,
-the formal substitution that moves between analytic branches).
+The three core operations the rest of the package relies on are
+``series_combine`` (add or scale), ``series_derivative`` (d/dx), and
+``branch_shift`` (log x -> log x + T, x^e -> zeta^(D e) x^e, the formal
+substitution that moves between analytic branches).
 """
 
 from __future__ import annotations
@@ -28,12 +27,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .scalars import Cyc, binom, scalar_is_zero
+from .scalars import Cyc, binom
 
 __all__ = [
     "LogSeries",
     "branch_shift",
-    "formal_integral_0_to_x",
     "series_combine",
     "series_derivative",
     "series_eq",
@@ -41,9 +39,12 @@ __all__ = [
 
 
 def value_is_zero(v) -> bool:
-    """Zero test that works for scalars and module vectors alike."""
+    """Zero test that works for scalars and module vectors alike.
+
+    A vector flagged as truncated is never zero: its flag says that part
+    of it lies beyond the module cutoff, so a series must keep it."""
     if hasattr(v, "is_zero"):
-        return v.is_zero()
+        return v.is_zero() and not getattr(v, "truncated", False)
     return v == 0
 
 
@@ -76,14 +77,6 @@ class LogSeries:
                     self.terms[(Fraction(e), int(k))] = v
         self.floor = floor
         self.ceiling = ceiling
-
-    @staticmethod
-    def single(value, e=0, k=0) -> "LogSeries":
-        """The one-term series value * x^e (log x)^k."""
-        return LogSeries({(Fraction(e), int(k)): value})
-
-    def copy(self) -> "LogSeries":
-        return LogSeries(dict(self.terms), self.floor, self.ceiling)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -121,22 +114,9 @@ class LogSeries:
                 out.terms[key] = w
         return out
 
-    def clipped(self, floor=None, ceiling=None) -> "LogSeries":
-        """Restrict storage and the trusted window to [floor, ceiling]."""
-        nf = _max_floor(self.floor, floor)
-        nc = _min_ceiling(self.ceiling, ceiling)
-        out = LogSeries(floor=nf, ceiling=nc)
-        for (e, k), v in self.terms.items():
-            if (nf is None or e >= nf) and (nc is None or e <= nc):
-                out.terms[(e, k)] = v
-        return out
-
     def sorted_items(self):
         """Terms in deterministic (e, k) order."""
         return sorted(self.terms.items(), key=lambda it: (it[0][0], it[0][1]))
-
-    def support(self):
-        return set(self.terms)
 
     def __repr__(self):
         parts = [f"x^{e}" + (f"*log^{k}" if k else "") for (e, k), _ in self.sorted_items()]
@@ -169,9 +149,7 @@ def series_combine(a: LogSeries, b=None, mode: str = "add", scalar=None,
         shift_c = None if a.ceiling is None else a.ceiling + eshift
         out = LogSeries(floor=shift_f, ceiling=shift_c)
         for (e, k), v in a.terms.items():
-            w = scalar * v if not isinstance(v, (int, Fraction)) else scalar * v
-            if not value_is_zero(w):
-                out.add_term(e + eshift, k + kshift, w)
+            out.add_term(e + eshift, k + kshift, scalar * v)
         return out
     raise DomainError(f"unknown combine mode {mode!r}")
 
@@ -187,26 +165,6 @@ def series_derivative(a: LogSeries) -> LogSeries:
             out.add_term(e - 1, k, e * v if isinstance(v, (int, Fraction)) else v * e)
         if k:
             out.add_term(e - 1, k - 1, Fraction(k) * v if isinstance(v, (int, Fraction)) else v * Fraction(k))
-    return out
-
-
-def formal_integral_0_to_x(a: LogSeries) -> LogSeries:
-    """Formal antiderivative with zero constant term: x^e -> x^(e+1)/(e+1).
-
-    Only log-free series are integrable here, and the exponent -1 has no
-    formal antiderivative in this ring; both raise DomainError.
-    """
-    out = LogSeries(
-        floor=None if a.floor is None else a.floor + 1,
-        ceiling=None if a.ceiling is None else a.ceiling + 1,
-    )
-    for (e, k), v in a.terms.items():
-        if k:
-            raise DomainError("cannot integrate a log term")
-        if e == -1:
-            raise DomainError("x^-1 has no antiderivative in this ring")
-        c = Fraction(1) / (e + 1)
-        out.add_term(e + 1, k, c * v if isinstance(v, (int, Fraction)) else v * c)
     return out
 
 
@@ -237,13 +195,13 @@ def branch_shift(a: LogSeries, steps: int, order: int) -> LogSeries:
     return out
 
 
-def series_eq(a: LogSeries, b: LogSeries, floor=None, ceiling=None):
-    """Exact comparison inside the common trusted window and [floor, ceiling].
+def series_eq(a: LogSeries, b: LogSeries, ceiling=None):
+    """Exact comparison inside the common trusted window, up to ceiling.
 
     Returns None when equal, else a witness tuple (e, k, left, right) for
     the first mismatch in (e, k) order.
     """
-    lo = _max_floor(_max_floor(a.floor, b.floor), floor)
+    lo = _max_floor(a.floor, b.floor)
     hi = _min_ceiling(_min_ceiling(a.ceiling, b.ceiling), ceiling)
     keys = set(a.terms) | set(b.terms)
     for (e, k) in sorted(keys, key=lambda t: (t[0], t[1])):

@@ -25,9 +25,9 @@ from math import floor, lcm
 
 from .delta import DeltaOperator, delta_apply_series, make_delta
 from .errors import DomainError, NotFixed, NotIntertwining, Unsupported
-from .fock import InducedModule, PBWVector, monomial_weight
-from .lie import AutomorphismData, GAutomorphism, LieElt
-from .scalars import Cyc, fmt_rational, parse_rational, scalar_is_zero, scalars_equal
+from .fock import InducedModule, PBWVector, build_module, monomial_weight
+from .lie import AutomorphismData, GAutomorphism, LieElt, build_simple_lie
+from .scalars import Cyc, fmt_rational, parse_rational, scalar_is_zero
 from .series import LogSeries
 
 __all__ = [
@@ -56,13 +56,15 @@ def _factorial(k):
 class TwistedModule:
     """A chain of shift operators over an untwisted vacuum module."""
 
-    def __init__(self, base: InducedModule, steps=(), aut: AutomorphismData = None,
-                 conjugator: GAutomorphism = None):
+    def __init__(self, base: InducedModule, steps, aut: AutomorphismData):
         self.base = base
         self.steps = tuple(steps)
-        self.aut = aut if aut is not None else AutomorphismData.identity(base.algebra)
-        self.conjugator = conjugator
+        self.aut = aut
         self._coord_matrix_cache = None
+
+    @property
+    def conjugator(self):
+        return self.aut.conjugator
 
     @property
     def algebra(self):
@@ -84,11 +86,9 @@ class TwistedModule:
 
     def chain_transform(self, v: PBWVector) -> LogSeries:
         """The full shift-chain image of v, an exact finite LogSeries."""
-        ser = LogSeries()
         if self.conjugator is not None:
             v = apply_lie_matrix(self.base, self.conjugator.inverse().matrix, v)
-        if not v.is_zero() or v.truncated:
-            ser.add_term(F(0), 0, v)
+        ser = LogSeries({(F(0), 0): v})
         for step in reversed(self.steps):
             ser = delta_apply_series(step, ser)
         return ser
@@ -210,7 +210,7 @@ def _aut_coord_matrix(alg, aut: AutomorphismData, order: int):
             if nil is not None and not nil.is_zero():
                 cur, k = comp, 0
                 while not cur.is_zero():
-                    tfac = Cyc.t_power(k, 1) * F((-1) ** k, _factorial(k))
+                    tfac = Cyc.t_power(k) * F((-1) ** k, _factorial(k))
                     expanded.append((scale * tfac, cur))
                     cur = alg.bracket(nil, cur)
                     k += 1
@@ -282,8 +282,7 @@ def make_twisted(target, u: PBWVector,
                 "the current vector is not fixed by the attached automorphism")
 
     aut = _merge_aut(target.algebra, target.aut, delta)
-    return TwistedModule(target.base, target.steps + (delta,), aut,
-                         target.conjugator)
+    return TwistedModule(target.base, target.steps + (delta,), aut)
 
 
 def _merge_aut(alg, aut: AutomorphismData, delta: DeltaOperator) -> AutomorphismData:
@@ -324,8 +323,8 @@ def transport_tau(twisted: TwistedModule, tau: GAutomorphism) -> TwistedModule:
         twisted = untwisted_as_twisted(twisted)
     old = twisted.conjugator
     new_conj = tau if old is None else tau.compose(old)
-    aut = replace(twisted.aut, conjugator=new_conj)
-    return TwistedModule(twisted.base, twisted.steps, aut, new_conj)
+    return TwistedModule(twisted.base, twisted.steps,
+                         replace(twisted.aut, conjugator=new_conj))
 
 
 # -- graded module maps and their transport --------------------------------
@@ -348,9 +347,6 @@ class ModuleMap:
             out = out + self.scalar_at(w) * comp
         return out
 
-    def is_identity(self):
-        return self.default == 1 and all(v == 1 for v in self.weight_scalars.values())
-
 
 def functor_on_map(source: TwistedModule, target: TwistedModule, mapping: ModuleMap,
                    probe_weight: int = 2, ceiling: int = 2) -> ModuleMap:
@@ -368,10 +364,7 @@ def functor_on_map(source: TwistedModule, target: TwistedModule, mapping: Module
             for mono in source.base.basis(w):
                 bv = PBWVector({mono: F(1)})
                 left = source.vertex_series(v, mapping.apply(bv), ceiling)
-                right = target.vertex_series(v, bv, ceiling)
-                mapped = LogSeries(floor=right.floor, ceiling=right.ceiling)
-                for key, vec in right.terms.items():
-                    mapped.add_term(key[0], key[1], mapping.apply(vec))
+                mapped = target.vertex_series(v, bv, ceiling).map_values(mapping.apply)
                 for key in set(left.terms) | set(mapped.terms):
                     a = left.terms.get(key, PBWVector())
                     b = mapped.terms.get(key, PBWVector())
@@ -439,6 +432,37 @@ def apply_table_entry(module: InducedModule, entry, vec: PBWVector) -> PBWVector
     return out
 
 
+def mode_candidates(span: int, order: int):
+    """Every mode on the 1/order lattice in [-span, span], ascending."""
+    return [F(t, order) for t in range(-int(span) * order, int(span) * order + 1)]
+
+
+def mode_table_rows(twisted: TwistedModule, modes, l_max: int) -> list:
+    """JSON rows of the nonzero closed-form mode tables of every generator
+    over the given modes and log powers 0..l_max."""
+    alg = twisted.algebra
+    rows = []
+    for gi in range(alg.dim):
+        for m in modes:
+            for l in range(l_max + 1):
+                ops, scalar = mode_table_entry(twisted, alg._basis_elt(gi), F(m), l)
+                if not ops and scalar == 0:
+                    continue
+                rows.append({
+                    "generator": alg.names[gi],
+                    "mode": fmt_rational(F(m)),
+                    "logPower": l,
+                    "ops": [
+                        {"generator": alg.names[gj],
+                         "mode": fmt_rational(F(mm)),
+                         "coefficient": fmt_rational(c)}
+                        for (gj, mm), c in sorted(ops.items())
+                    ],
+                    "scalar": fmt_rational(scalar),
+                })
+    return rows
+
+
 # -- external JSON-facing form ----------------------------------------------
 
 
@@ -469,40 +493,23 @@ def export_twisted(twisted: TwistedModule, mode_window=None) -> dict:
     }
     if mode_window is not None:
         modes, l_max = mode_window
-        tables = []
-        for gi in range(alg.dim):
-            for m in modes:
-                for l in range(l_max + 1):
-                    ops, scalar = mode_table_entry(twisted, alg._basis_elt(gi),
-                                                   F(m), l)
-                    if not ops and scalar == 0:
-                        continue
-                    tables.append({
-                        "generator": alg.names[gi],
-                        "mode": fmt_rational(F(m)),
-                        "logPower": l,
-                        "ops": [
-                            {"generator": alg.names[gj],
-                             "mode": fmt_rational(F(mm)),
-                             "coefficient": fmt_rational(c)}
-                            for (gj, mm), c in sorted(ops.items())
-                        ],
-                        "scalar": fmt_rational(scalar),
-                    })
-        data["modeTables"] = tables
+        data["modeTables"] = mode_table_rows(twisted, modes, l_max)
     return data
 
 
-def load_twisted(data: dict, build_module_fn=None) -> TwistedModule:
-    """Rebuild a twisted module by replaying the serialized chain."""
-    from .fock import build_module
-    from .lie import build_simple_lie
-
+def _module_from_data(data: dict) -> InducedModule:
+    """The untwisted module a serialized construction is built over."""
     if data.get("schemaVersion") != 1:
         raise DomainError("unknown schema version")
     alg = build_simple_lie(data["algebra"]["family"], data["algebra"]["rank"])
-    module = (build_module_fn or build_module)(
-        alg, parse_rational(data["level"]), parse_rational(data["cutoff"]))
+    return build_module(alg, parse_rational(data["level"]),
+                        parse_rational(data["cutoff"]))
+
+
+def load_twisted(data: dict) -> TwistedModule:
+    """Rebuild a twisted module by replaying the serialized chain."""
+    module = _module_from_data(data)
+    alg = module.algebra
     twisted = untwisted_as_twisted(module)
     for entry in data["chain"]:
         coords = {name: parse_rational(c) for name, c in entry["current"].items()}
@@ -520,17 +527,10 @@ class ExternalTwistedModule:
     """
 
     def __init__(self, data: dict):
-        from .fock import build_module
-        from .lie import build_simple_lie
-
-        if data.get("schemaVersion") != 1:
-            raise DomainError("unknown schema version")
+        self.module = _module_from_data(data)
         if "modeTables" not in data:
             raise DomainError("serialized form carries no mode tables")
-        self.algebra = build_simple_lie(data["algebra"]["family"],
-                                        data["algebra"]["rank"])
-        self.module = build_module(self.algebra, parse_rational(data["level"]),
-                                   parse_rational(data["cutoff"]))
+        self.algebra = self.module.algebra
         self.branch_order = int(data["branchOrder"])
         self.tables = {}
         for row in data["modeTables"]:
@@ -564,7 +564,5 @@ class ExternalTwistedModule:
             for name, coeff in names:
                 if name != gen:
                     continue
-                res = coeff * apply_table_entry(self.module, entry, w)
-                if not res.is_zero() or res.truncated:
-                    out.add_term(e, l, res)
+                out.add_term(e, l, coeff * apply_table_entry(self.module, entry, w))
         return out

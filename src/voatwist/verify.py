@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import lcm
 
 from .delta import delta_apply, delta_apply_series, make_delta
-from .errors import DomainError, NotIntertwining, Unsupported
-from .fock import InducedModule, PBWVector, monomial_weight
+from .errors import DomainError, NotIntertwining
+from .fock import InducedModule, PBWVector
 from .scalars import binom, fmt_rational, fmt_scalar
 from .series import (
     LogSeries,
@@ -35,8 +35,8 @@ from .twist import (
     apply_table_entry,
     functor_on_map,
     make_twisted,
+    mode_candidates,
     mode_table_entry,
-    untwisted_as_twisted,
 )
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "chain_log_bound",
     "check_shift_finiteness",
     "check_shift_conjugation",
-    "check_commuting_states",
     "check_weight_bracket",
     "check_translation_bracket",
     "check_group_laws",
@@ -82,10 +81,6 @@ class CheckReport:
     status: str
     witness: dict | None = None
     details: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
     def to_dict(self) -> dict:
         return {
@@ -135,13 +130,6 @@ def _series_exact(ser: LogSeries, context: str):
     return ser
 
 
-def _series_map(ser: LogSeries, fn) -> LogSeries:
-    out = LogSeries(floor=ser.floor, ceiling=ser.ceiling)
-    for (e, k), vec in ser.terms.items():
-        out.add_term(e, k, fn(vec))
-    return out
-
-
 def _series_sub(a: LogSeries, b: LogSeries) -> LogSeries:
     return series_combine(a, series_combine(b, mode="scale", scalar=F(-1)),
                           mode="add")
@@ -177,7 +165,7 @@ def _nilpotency_index(alg, n) -> int:
 
 
 def check_shift_finiteness(module: InducedModule, u: PBWVector, states,
-                           legacy=False, name="shift-finiteness") -> CheckReport:
+                           name="shift-finiteness") -> CheckReport:
     """The shift of every state is a finite series with bounded shape.
 
     Checked per state: coefficients never exceed the state's weight, log
@@ -185,7 +173,7 @@ def check_shift_finiteness(module: InducedModule, u: PBWVector, states,
     tensor factor), and exponents live on the 1/q lattice cut out by the
     semisimple eigenvalues.
     """
-    delta = make_delta(module, u, legacy_sign_convention=legacy)
+    delta = make_delta(module, u)
     alg = module.algebra
     nil_index = _nilpotency_index(alg, delta.n)
     lattice = 1
@@ -270,14 +258,11 @@ def _substitute_shifted(delta, v: PBWVector, ceiling: int):
     return {key: vec for key, vec in out.items() if not vec.is_zero()}
 
 
-def _conjugated_sides(delta, v: PBWVector, w: PBWVector, ceiling: int,
-                      shift_argument=True):
+def _conjugated_sides(delta, v: PBWVector, w: PBWVector, ceiling: int):
     """Both sides of D(x) Y(v, y) w = Y(D(x+y) v, y) D(x) w.
 
     Returned as {(e, k, j): PBWVector} keyed by x^e (log x)^k y^j, exact
-    for y-exponents j <= ceiling.  With shift_argument False the argument
-    state is left alone, giving the commuting form Y(v, y) D(x) w on the
-    right instead.
+    for y-exponents j <= ceiling.
     """
     module = delta.module
     ceiling = int(ceiling)
@@ -292,16 +277,13 @@ def _conjugated_sides(delta, v: PBWVector, w: PBWVector, ceiling: int,
             lhs[key] = vec if cur is None else cur + vec
 
     rhs = {}
-    if shift_argument:
-        # the inner operator reaches y-exponents as low as minus the total
-        # weight, so substitution terms that far above the ceiling still
-        # land inside the window and must be kept
-        vw = v.weight_components()
-        ww = w.weight_components()
-        reach = (max(vw) if vw else 0) + (max(ww) if ww else 0)
-        shifted = _substitute_shifted(delta, v, ceiling + reach)
-    else:
-        shifted = {(F(0), 0, 0): v}
+    # the inner operator reaches y-exponents as low as minus the total
+    # weight, so substitution terms that far above the ceiling still land
+    # inside the window and must be kept
+    vw = v.weight_components()
+    ww = w.weight_components()
+    reach = (max(vw) if vw else 0) + (max(ww) if ww else 0)
+    shifted = _substitute_shifted(delta, v, ceiling + reach)
     dw = delta_apply(delta, w)
     for (e1, k1, j1), vecv in shifted.items():
         for (ew, kw), vecw in dw.terms.items():
@@ -366,54 +348,22 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
     })
 
 
-def check_commuting_states(module: InducedModule, u: PBWVector, states,
-                           target_states, inner_ceiling=2,
-                           name="commuting-states") -> CheckReport:
-    """States the shift fixes commute with it inside vertex operators.
-
-    Precondition (checked, DomainError if violated): D(x) v = v exactly.
-    Then D(x) Y(v, y) w must equal Y(v, y) D(x) w with no re-centering.
-    """
-    delta = make_delta(module, u)
-    alg = module.algebra
-    checked = 0
-    for v, vlabel in states:
-        ident = LogSeries({(F(0), 0): v})
-        if series_eq(delta_apply(delta, v), ident) is not None:
-            raise DomainError(
-                f"commuting-states precondition: the shift moves {vlabel}")
-        for w, wlabel in target_states:
-            lhs, rhs = _conjugated_sides(delta, v, w, inner_ceiling,
-                                         shift_argument=False)
-            wit = _compare_bivariate(alg, lhs, rhs, inner_ceiling)
-            checked += 1
-            if wit is not None:
-                wit["argument"] = vlabel
-                wit["target"] = wlabel
-                return CheckReport(name, "fail", witness=wit,
-                                   details={"pairsChecked": checked})
-    return CheckReport(name, "pass", details={
-        "pairsChecked": checked,
-        "innerCeiling": int(inner_ceiling),
-    })
-
-
 # -- derivation brackets -----------------------------------------------------
 
 
 def check_weight_bracket(module: InducedModule, u: PBWVector, states,
-                         legacy=False, name="weight-bracket") -> CheckReport:
+                         name="weight-bracket") -> CheckReport:
     """[L(0), D(x)] = x d/dx D(x) + u_0 D(x), state by state."""
-    delta = make_delta(module, u, legacy_sign_convention=legacy)
+    delta = make_delta(module, u)
     alg = module.algebra
     l0 = module.sugawara_mode(0)
     checked = 0
     for v, label in states:
         dv = _series_exact(delta_apply(delta, v), name)
-        left = _series_sub(_series_map(dv, l0), delta_apply(delta, l0(v)))
+        left = _series_sub(dv.map_values(l0), delta_apply(delta, l0(v)))
         right = series_combine(series_derivative(dv), mode="scale", eshift=1)
         right = series_combine(
-            right, _series_map(dv, lambda vec: module.apply_mode(delta.a, 0, vec)),
+            right, dv.map_values(lambda vec: module.apply_mode(delta.a, 0, vec)),
             mode="add")
         wit = series_eq(left, right)
         checked += 1
@@ -425,17 +375,16 @@ def check_weight_bracket(module: InducedModule, u: PBWVector, states,
 
 
 def check_translation_bracket(module: InducedModule, u: PBWVector, states,
-                              legacy=False,
                               name="translation-bracket") -> CheckReport:
     """[L(-1), D(x)] = -d/dx D(x), state by state."""
-    delta = make_delta(module, u, legacy_sign_convention=legacy)
+    delta = make_delta(module, u)
     alg = module.algebra
     lm1 = module.sugawara_mode(-1)
     checked = 0
     for v, label in states:
         dv = _series_exact(delta_apply(delta, v), name)
         moved = _ensure_exact(lm1(v), name)
-        left = _series_sub(_series_map(dv, lambda vec: _ensure_exact(lm1(vec), name)),
+        left = _series_sub(dv.map_values(lambda vec: _ensure_exact(lm1(vec), name)),
                            delta_apply(delta, moved))
         right = series_combine(series_derivative(dv), mode="scale", scalar=F(-1))
         wit = series_eq(left, right)
@@ -477,13 +426,13 @@ def check_group_laws(module: InducedModule, u: PBWVector, states,
 
 
 def check_additivity(module: InducedModule, s_state: PBWVector,
-                     n_state: PBWVector, states,
-                     name="shift-additivity") -> CheckReport:
+                     n_state: PBWVector, states) -> CheckReport:
     """Shifts by commuting, pairing-orthogonal currents compose additively.
 
     The preconditions are recomputed here rather than assumed: the two
     underlying algebra elements must commute and pair to zero.
     """
+    name = "shift-additivity"
     alg = module.algebra
     ds = make_delta(module, s_state)
     dn = make_delta(module, n_state)
@@ -520,16 +469,8 @@ def chain_log_bound(twisted: TwistedModule) -> int:
     return total
 
 
-def _mode_candidates(span: int, order: int):
-    out = []
-    for t in range(-int(span) * order, int(span) * order + 1):
-        out.append(F(t, order))
-    return out
-
-
-def check_mode_tables(twisted: TwistedModule, generators=None, mode_span=3,
-                      weight=3, log_max=None,
-                      name="mode-tables") -> CheckReport:
+def check_mode_tables(twisted: TwistedModule, mode_span=3, weight=3,
+                      log_max=None) -> CheckReport:
     """Closed-form mode tables agree with series-extracted twisted modes.
 
     Every candidate mode on the 1/D lattice is compared on the whole PBW
@@ -538,20 +479,19 @@ def check_mode_tables(twisted: TwistedModule, generators=None, mode_span=3,
     semisimple step the eigenvalue-relabeling formula is recomputed inline
     as a third, independent route.
     """
+    name = "mode-tables"
     module = twisted.base
     alg = twisted.algebra
     order = twisted.branch_order()
-    if generators is None:
-        generators = list(alg.names)
     if log_max is None:
         log_max = chain_log_bound(twisted)
     states = basis_states(module, weight)
     single_semisimple = (len(twisted.steps) == 1
                          and twisted.steps[0].n.is_zero())
     compared = 0
-    for b in generators:
+    for b in alg.names:
         belt = alg.generator(b)
-        for m in _mode_candidates(mode_span, order):
+        for m in mode_candidates(mode_span, order):
             for l in range(0, int(log_max) + 2):
                 entry = mode_table_entry(twisted, b, m, l)
                 op = twisted.gen_mode(b, m, l)
@@ -626,8 +566,7 @@ def _fmt_table_entry(alg, entry) -> str:
 
 
 def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
-                              weight=3,
-                              name="twisted-commutators") -> CheckReport:
+                              weight=3) -> CheckReport:
     """Twisted mode commutators reproduce the shifted current relations.
 
     [b_(m), c_(n)] applied through series-extracted modes must equal the
@@ -638,6 +577,7 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
     scalar inside the bracket's own table is excluded because scalars
     never survive a commutator.
     """
+    name = "twisted-commutators"
     module = twisted.base
     alg = twisted.algebra
     level = twisted.level
@@ -711,8 +651,8 @@ def _class_shift(twisted: TwistedModule, elt):
 # -- the conformal regrade ---------------------------------------------------
 
 
-def check_conformal_shift(prev: TwistedModule, new: TwistedModule, weight=4,
-                          name="conformal-shift") -> CheckReport:
+def check_conformal_shift(prev: TwistedModule, new: TwistedModule,
+                          weight=4) -> CheckReport:
     """The regraded Virasoro modes shift by the current's modes.
 
     With D the last step's shift operator (current u, self-pairing kappa):
@@ -721,6 +661,7 @@ def check_conformal_shift(prev: TwistedModule, new: TwistedModule, weight=4,
     both read off the x^(-2) and x^(-1) coefficients of the conformal
     state's twisted operator, with no log admixture allowed there.
     """
+    name = "conformal-shift"
     if not new.steps:
         raise DomainError("the regrade check needs at least one shift step")
     step = new.steps[-1]
@@ -762,13 +703,13 @@ def check_conformal_shift(prev: TwistedModule, new: TwistedModule, weight=4,
     })
 
 
-def check_regraded_weights(twisted: TwistedModule, expectations,
-                           name="regraded-weights") -> CheckReport:
+def check_regraded_weights(twisted: TwistedModule, expectations) -> CheckReport:
     """Monomial weights in the regraded module match stated values.
 
     expectations: iterable of (monomial, expected weight).  Weights are
     pure arithmetic on the chain data, so this needs no module cutoff.
     """
+    name = "regraded-weights"
     alg = twisted.algebra
     checked = 0
     for mono, want in expectations:
@@ -783,8 +724,8 @@ def check_regraded_weights(twisted: TwistedModule, expectations,
     return CheckReport(name, "pass", details={"monomialsChecked": checked})
 
 
-def check_grading_restriction(twisted: TwistedModule, coset_classes=True,
-                              name="grading-restriction") -> CheckReport:
+def check_grading_restriction(twisted: TwistedModule,
+                              coset_classes=True) -> CheckReport:
     """Certify or refute the grading restriction on the regraded module.
 
     With coset_classes True the grading classes are read modulo 1.  A
@@ -800,6 +741,7 @@ def check_grading_restriction(twisted: TwistedModule, coset_classes=True,
     into distinct classes, so neither argument applies once a shift
     exceeds 1; the report is then uncertifiable rather than a claim.
     """
+    name = "grading-restriction"
     alg = twisted.algebra
     shifts = {}
     for gi, gname in enumerate(alg.names):
@@ -848,8 +790,7 @@ def check_grading_restriction(twisted: TwistedModule, coset_classes=True,
     return CheckReport(name, "uncertifiable", details=details)
 
 
-def check_zero_mode_nilpotency(twisted: TwistedModule, b, weight=3,
-                               name="zero-mode-nilpotency") -> CheckReport:
+def check_zero_mode_nilpotency(twisted: TwistedModule, b, weight=3) -> CheckReport:
     """Nilpotency certificate for a twisted zero mode, relative to a window.
 
     Applies the (0, 0) twisted mode of the current b repeatedly to every
@@ -866,6 +807,7 @@ def check_zero_mode_nilpotency(twisted: TwistedModule, b, weight=3,
                       invariant subspace of that dimension, so the mode is
                       certifiably not nilpotent on it.
     """
+    name = "zero-mode-nilpotency"
     module = twisted.base
     alg = twisted.algebra
     weight = int(weight)
@@ -919,13 +861,14 @@ def check_zero_mode_nilpotency(twisted: TwistedModule, b, weight=3,
 
 
 def check_twisted_axioms(twisted: TwistedModule, states, target_states,
-                         ceiling=2, name="twisted-axioms") -> CheckReport:
+                         ceiling=2) -> CheckReport:
     """Vacuum, lattice support, and the derivative rule for the chain.
 
     The vacuum state's twisted operator must be the identity; exponents
     must stay on the 1/D lattice; and the underlying translation operator
     must differentiate the series.
     """
+    name = "twisted-axioms"
     module = twisted.base
     alg = twisted.algebra
     order = twisted.branch_order()
@@ -974,19 +917,19 @@ def check_twisted_axioms(twisted: TwistedModule, states, target_states,
     })
 
 
-def check_equivariance(twisted: TwistedModule, states=None, target_states=None,
-                       ceiling=1, name="equivariance") -> CheckReport:
+def check_equivariance(twisted: TwistedModule, target_states=None,
+                       ceiling=1) -> CheckReport:
     """Moving one analytic branch matches acting by the automorphism.
 
     branch_shift(Y_new(v, x) w, one step) must equal Y_new(g v, x) w with
     g the attached automorphism; the comparison runs over cyclotomic
     coefficients, so root-of-unity and formal-log factors are both exact.
     """
+    name = "equivariance"
     module = twisted.base
     alg = twisted.algebra
     order = twisted.branch_order()
-    if states is None:
-        states = [(module.current(nm), f"{nm}(-1) |0>") for nm in alg.names]
+    states = [(module.current(nm), f"{nm}(-1) |0>") for nm in alg.names]
     if target_states is None:
         target_states = basis_states(module, 2)
     checked = 0
@@ -1015,8 +958,7 @@ def check_equivariance(twisted: TwistedModule, states=None, target_states=None,
 
 
 def check_functor_transport(module: InducedModule, u: PBWVector,
-                            probe_weight=2, ceiling=2,
-                            name="functor-transport") -> CheckReport:
+                            probe_weight=2, ceiling=2) -> CheckReport:
     """Module maps transport through the construction and back.
 
     Identity, scalar, and zero maps must stay intertwining after the
@@ -1024,6 +966,7 @@ def check_functor_transport(module: InducedModule, u: PBWVector,
     by -u must reproduce the untwisted vertex structure coefficient by
     coefficient.
     """
+    name = "functor-transport"
     alg = module.algebra
     tw = make_twisted(module, u)
     good = [

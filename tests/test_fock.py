@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voatwist.errors import CriticalLevel, Unsupported
-from voatwist.fock import PBWVector, QuotientModule, build_module
+from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
 
 sl2 = build_simple_lie("A", 1)
@@ -134,20 +134,3 @@ def test_truncation_is_flagged_not_silent():
 def test_nonvacuum_highest_weight_unsupported():
     with pytest.raises(Unsupported):
         build_module(sl2, F(2), cutoff=2, lam=1)
-
-
-def test_quotient_by_singular_vector():
-    # at level 2 the cube of the raising current on the vacuum is
-    # singular; the quotient graded dimensions drop accordingly
-    parent = build_module(sl2, F(2), cutoff=5)
-    sing = parent.apply_mode(
-        "e1", -1, parent.apply_mode("e1", -1, parent.current("e1"))
-    )
-    assert parent.sugawara_mode(0)(sing) == F(3) * sing
-    for name in ("e1", "f1", "h1"):
-        for m in (1, 2, 3):
-            assert parent.apply_mode(name, m, sing).is_zero()
-    quo = QuotientModule(parent, [sing])
-    assert [quo.graded_dimension(w) for w in range(5)] == [1, 3, 9, 15, 30]
-    assert quo.reduce(sing).is_zero()
-    assert not quo.reduce(parent.current("h1")).is_zero()

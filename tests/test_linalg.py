@@ -10,12 +10,10 @@ from voatwist.linalg import (
     mat_eq,
     mat_inverse,
     mat_mul,
-    mat_pow,
     mat_vec,
     poly_divmod,
     poly_eval,
     poly_eval_mat,
-    poly_gcd,
     poly_mul,
     rational_roots,
     rref,
@@ -83,13 +81,6 @@ def test_poly_divmod_exact():
     assert all(c == 0 for c in r)
 
 
-def test_poly_gcd_common_factor():
-    g = poly_gcd((F(-1), F(0), F(1)), (F(-1), F(1)))
-    # normalize leading coefficient before comparing
-    lead = g[-1]
-    assert tuple(c / lead for c in g) == (F(-1), F(1))
-
-
 def test_squarefree_part_drops_multiplicity():
     # (x - 1)^2 (x + 2) -> (x - 1)(x + 2) up to scale
     p = poly_mul(poly_mul((F(-1), F(1)), (F(-1), F(1))), (F(2), F(1)))
@@ -108,7 +99,13 @@ def test_rational_roots_with_fractional_root():
     assert len(leftover) == 1
 
 
-def test_mat_pow_matches_repeated_product():
-    a = ((F(1), F(1)), (F(0), F(1)))
-    assert mat_pow(a, 5)[0][1] == 5
-    assert mat_eq(mat_pow(a, 0), identity(2))
+def test_rational_roots_with_many_divisors():
+    # constant term 223092870 = 2*3*5*...*23 has 512 divisors; listing them
+    # must not trial-divide every integer up to the constant
+    p = (F(1), F(0), F(1))
+    for prime in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        p = poly_mul(p, (F(prime), F(1)))
+    assert p[0] == 223092870
+    roots, leftover = rational_roots(p)
+    assert sorted(roots) == [F(-q) for q in (23, 19, 17, 13, 11, 7, 5, 3, 2)]
+    assert leftover == [F(1), F(0), F(1)]

@@ -7,7 +7,6 @@ from voatwist.scalars import Cyc
 from voatwist.series import (
     LogSeries,
     branch_shift,
-    formal_integral_0_to_x,
     series_combine,
     series_derivative,
     series_eq,
@@ -51,19 +50,6 @@ def test_derivative_mixes_log_down():
     d = series_derivative(s)
     assert d.terms[(F(-3, 2), 2)] == F(-1, 2)
     assert d.terms[(F(-3, 2), 1)] == 2
-
-
-def test_integral_inverts_derivative_away_from_log():
-    s = LogSeries({(F(2), 0): F(5), (F(-3), 0): F(1)})
-    back = series_derivative(formal_integral_0_to_x(s))
-    assert series_eq(back, s) is None
-
-
-def test_integral_refuses_logs_and_minus_one():
-    with pytest.raises(DomainError):
-        formal_integral_0_to_x(LogSeries({(F(0), 1): F(1)}))
-    with pytest.raises(DomainError):
-        formal_integral_0_to_x(LogSeries({(F(-1), 0): F(1)}))
 
 
 def test_coefficient_outside_window_raises():

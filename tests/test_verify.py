@@ -12,7 +12,6 @@ from voatwist.verify import (
     basis_states,
     chain_log_bound,
     check_additivity,
-    check_commuting_states,
     check_grading_restriction,
     check_regraded_weights,
     check_shift_conjugation,
@@ -45,12 +44,6 @@ def test_legacy_sign_fails_with_witness():
                 "innerExponent", "outerExponent"):
         assert key in wit
     assert wit["left"] != wit["right"]
-
-
-def test_commuting_states_precondition():
-    # e is moved by the half-h shift, so the commuting variant must refuse
-    with pytest.raises(DomainError):
-        check_commuting_states(MOD, U_S, ARGS, TARGETS)
 
 
 def test_grading_restriction_trichotomy():
