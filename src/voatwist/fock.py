@@ -15,7 +15,9 @@ iterate reconstruction
     Y(a(m)v, x) = sum_i C(m,i) [ (-x)^i a(m-i) Y(v,x) - (-x)^(m-i) Y(v,x) a(i) ]
 
 down to Y(1, x) = id, and come back as LogSeries whose ceiling marks the
-last exactly-known exponent.
+last exactly-known exponent.  Each monomial pair is expanded once, at the
+largest ceiling asked for, and a mode reads its single coefficient straight
+from that expansion (coefficient_at) without building a series.
 """
 
 from __future__ import annotations
@@ -332,15 +334,20 @@ class InducedModule:
     # -- vertex operators ---------------------------------------------------
 
     def _vs_mono(self, mv, mw, ceiling):
-        """Exact series dict {exponent: {mono: coeff}} for Y(mv, x) mw,
-        complete for exponents <= ceiling."""
-        key = (mv, mw, ceiling)
+        """Series dict {int exponent: {mono: coeff}} for Y(mv, x) mw, exact
+        for exponents <= ceiling.
+
+        A coefficient does not depend on the ceiling it was computed at, so
+        each pair keeps one memo entry, at the largest ceiling asked for so
+        far.  The dict may therefore hold exponents above ceiling: every
+        reader drops them."""
+        key = (mv, mw)
         hit = self._vs_cache.get(key)
-        if hit is not None:
-            return hit
+        if hit is not None and hit[0] >= ceiling:
+            return hit[1]
         if not mv:
-            res = {F(0): {mw: _1}} if ceiling >= 0 else {}
-            self._vs_cache[key] = res
+            res = {0: {mw: _1}}
+            self._vs_cache[key] = (ceiling, res)
             return res
         (gi, m), rest = mv[0], mv[1:]
         acc = {}
@@ -357,7 +364,7 @@ class InducedModule:
         # sum 1: C(m,i) (-x)^i a(m-i) applied to Y(rest, x) mw
         sub = self._vs_mono(rest, mw, ceiling)
         for e2, vec in sub.items():
-            i_max = ceiling - e2
+            i_max = ceiling - e2  # negative above the ceiling
             i = 0
             while i <= i_max:
                 coeff = binom(m, i) * (_1 if i % 2 == 0 else -_1)
@@ -385,7 +392,7 @@ class InducedModule:
                     for mono3, c3 in vec.items():
                         add(e, mono3, coeff * c2 * c3)
         res = {e: bucket for e, bucket in acc.items() if bucket and e <= ceiling}
-        self._vs_cache[key] = res
+        self._vs_cache[key] = (ceiling, res)
         return res
 
     def apply_mode_dict(self, gi, m, vec_dict):
@@ -411,19 +418,36 @@ class InducedModule:
             for mw, cw in w.c.items():
                 sub = self._vs_mono(mv, mw, int(ceiling))
                 for e, vec in sub.items():
-                    out.add_term(e, 0, (cv * cw) * PBWVector(dict(vec)))
+                    if e <= ceiling:
+                        out.add_term(e, 0, (cv * cw) * PBWVector(dict(vec)))
         return out
+
+    def coefficient_at(self, v: PBWVector, w: PBWVector, e) -> PBWVector:
+        """The x^e coefficient of Y(v, x) w, read without building the series."""
+        e = F(e)
+        if e.denominator != 1:
+            raise DomainError("untwisted vertex operators live on integer exponents")
+        e = int(e)
+        out = {}
+        for mv, cv in v.c.items():
+            for mw, cw in w.c.items():
+                vec = self._vs_mono(mv, mw, e).get(e)
+                if vec is None:
+                    continue
+                scale = cv * cw
+                for mono, c in vec.items():
+                    cur = out.get(mono)
+                    s = scale * c if cur is None else cur + scale * c
+                    if scalar_is_zero(s):
+                        out.pop(mono, None)
+                    else:
+                        out[mono] = s
+        return PBWVector(out)
 
     def vertex_operator_mode(self, v: PBWVector, n):
         """The mode v_(n): w -> coefficient of x^(-n-1) in Y(v, x) w."""
         e = -F(n) - 1
-
-        def mode(w: PBWVector) -> PBWVector:
-            series = self.vertex_series(v, w, ceiling=e)
-            got = series.terms.get((e, 0))
-            return got if got is not None else PBWVector()
-
-        return mode
+        return lambda w: self.coefficient_at(v, w, e)
 
 
 def build_module(algebra: LieAlgebra, level, cutoff, lam=0) -> InducedModule:

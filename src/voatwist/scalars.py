@@ -28,7 +28,6 @@ __all__ = [
     "fmt_scalar",
     "parse_rational",
     "scalar_is_zero",
-    "scalars_equal",
 ]
 
 ZERO = Fraction(0)
@@ -299,13 +298,6 @@ def scalar_is_zero(c) -> bool:
     if isinstance(c, Cyc):
         return c.is_zero()
     return c == 0
-
-
-def scalars_equal(a, b) -> bool:
-    """Exact equality across the Fraction/Cyc divide."""
-    if isinstance(a, Cyc) or isinstance(b, Cyc):
-        return Cyc.of(a) == Cyc.of(b)
-    return Fraction(a) == Fraction(b)
 
 
 def fmt_scalar(c) -> str:

@@ -8,7 +8,9 @@ one applied to the chain-transformed state:
 
 with the most recent operator acting on v first.  Everything stays exact:
 series come back as LogSeries of PBWVectors trusted up to an explicit
-ceiling, and mode extraction reads single coefficients out of those.
+ceiling.  A mode is read as one coefficient: for each chain term of the
+wanted log power, the base coefficient at the exponent left over, so no
+whole series is built per target.
 
 The attached automorphism is tracked as structured data (semisimple part,
 nilpotent part, optional diagram factor and conjugator).  Its action on
@@ -94,35 +96,34 @@ class TwistedModule:
         return ser
 
     def vertex_series(self, v: PBWVector, w: PBWVector, ceiling) -> LogSeries:
-        return self._series_over_chain(self.chain_transform(v), w, ceiling)
-
-    def _series_over_chain(self, chain: LogSeries, w: PBWVector, ceiling) -> LogSeries:
-        """Y_new(v, x) w given chain = chain_transform(v)."""
         ceiling = F(ceiling)
         out = LogSeries(ceiling=ceiling)
-        for (e1, k1), vec1 in chain.terms.items():
-            sub_ceiling = floor(ceiling - e1)
-            base_ser = self.base.vertex_series(vec1, w, sub_ceiling)
+        for (e1, k1), vec1 in self.chain_transform(v).terms.items():
+            base_ser = self.base.vertex_series(vec1, w, floor(ceiling - e1))
             for (e2, _k2), vec2 in base_ser.terms.items():
-                if e1 + e2 <= ceiling:
-                    out.add_term(e1 + e2, k1, vec2)
+                out.add_term(e1 + e2, k1, vec2)
         return out
 
     def mode(self, v: PBWVector, m, l: int = 0):
         """The (m, l) mode of Y_new(v, x): coefficient of x^(-m-1) log^l.
 
         The returned operator transforms v along the chain on its first
-        call and reuses that series for every later target."""
+        call.  For each target it reads one base coefficient per chain term
+        of log power l, at the integer exponent left over, and never builds
+        a series."""
         e = -F(m) - 1
-        chain = None
+        reads = None
 
         def op(w: PBWVector) -> PBWVector:
-            nonlocal chain
-            if chain is None:
-                chain = self.chain_transform(v)
-            ser = self._series_over_chain(chain, w, ceiling=e)
-            got = ser.terms.get((e, int(l)))
-            return got if got is not None else PBWVector()
+            nonlocal reads
+            if reads is None:
+                reads = [(vec1, e - e1)
+                         for (e1, k1), vec1 in self.chain_transform(v).terms.items()
+                         if k1 == l and (e - e1).denominator == 1]
+            out = PBWVector()
+            for vec1, e2 in reads:
+                out = out + self.base.coefficient_at(vec1, w, e2)
+            return out
 
         return op
 

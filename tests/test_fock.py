@@ -3,9 +3,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voatwist.errors import CriticalLevel, Unsupported
+from voatwist.errors import CriticalLevel, DomainError, Unsupported
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
+from voatwist.verify import basis_states
 
 sl2 = build_simple_lie("A", 1)
 MOD = build_module(sl2, F(2), cutoff=8)
@@ -134,3 +135,47 @@ def test_truncation_is_flagged_not_silent():
 def test_nonvacuum_highest_weight_unsupported():
     with pytest.raises(Unsupported):
         build_module(sl2, F(2), cutoff=2, lam=1)
+
+
+def test_modes_match_series_coefficients():
+    # the coefficient reader against the whole series of a separate module
+    reader = build_module(sl2, F(2), cutoff=6)
+    oracle = build_module(sl2, F(2), cutoff=6)
+    targets = [w for w, _label in basis_states(reader, 2)]
+    states = [reader.current(n) for n in sl2.names] + [reader.conformal_vector()]
+    for v in states + targets[4:7]:
+        for n in range(-3, 4):
+            e = F(-n - 1)
+            op = reader.vertex_operator_mode(v, n)
+            for w in targets:
+                got = oracle.vertex_series(v, w, e).terms.get((e, 0), PBWVector())
+                assert (op(w) - got).is_zero()
+
+
+def test_fractional_untwisted_mode_is_a_domain_error():
+    op = MOD.vertex_operator_mode(MOD.current("e1"), F(1, 2))
+    with pytest.raises(DomainError):
+        op(MOD.vacuum())
+
+
+def _upto(series_dict, ceiling):
+    # a memo entry may hold exponents above the ceiling it was asked for
+    return {e: v for e, v in series_dict.items() if e <= ceiling}
+
+
+def test_series_memo_is_independent_of_ceiling_order():
+    monos = [m for w in range(3) for m in MOD.basis(w)]
+    pairs = [(mv, mw) for mv in monos[1:] for mw in monos]
+    ceilings = [-3, -2, -1, 0, 1, 2]
+    fresh = {}
+    for c in ceilings:
+        ref = build_module(sl2, F(2), cutoff=4)
+        fresh[c] = [ref._vs_mono(mv, mw, c) for mv, mw in pairs]
+    for order in (ceilings, ceilings[::-1], [0, -3, 2, -1, 1, -2, 0, 2, -3]):
+        mod = build_module(sl2, F(2), cutoff=4)
+        for c in order:
+            for (mv, mw), want in zip(pairs, fresh[c]):
+                got = mod._vs_mono(mv, mw, c)
+                assert _upto(got, c) == _upto(want, c)
+                ser = mod.vertex_series(PBWVector({mv: F(1)}), PBWVector({mw: F(1)}), c)
+                assert all(e <= c for e, _k in ser.terms)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from voatwist.errors import NotFixed, NotIntertwining, Unsupported
-from voatwist.fock import PBWVector, build_module
+from voatwist.fock import InducedModule, PBWVector, build_module
 from voatwist.lie import build_simple_lie, diagram_automorphism
 from voatwist.series import branch_shift, series_eq
 from voatwist.twist import (
@@ -15,10 +15,12 @@ from voatwist.twist import (
     functor_on_map,
     load_twisted,
     make_twisted,
+    mode_candidates,
     mode_table_entry,
     transport_tau,
     untwisted_as_twisted,
 )
+from voatwist.verify import basis_states, chain_log_bound
 
 sl2 = build_simple_lie("A", 1)
 MOD = build_module(sl2, F(2), cutoff=8)
@@ -182,3 +184,53 @@ def test_untwisted_wrapper_is_plain_module():
     assert plain.weight_of(()) == 0
     v = MOD.current("h1")
     assert (plain.gen_mode("h1", -1)(MOD.vacuum()) - v).is_zero()
+
+
+def _oracle_chain(module, steps):
+    tw = module
+    for coords in steps:
+        tw = make_twisted(tw, module.current(sl2.element(coords)))
+    return tw
+
+
+ORACLE_CHAINS = {
+    "h1=1/2": [{"h1": F(1, 2)}],
+    "e1": [{"e1": F(1)}],
+    "h1=1/3": [{"h1": F(1, 3)}],
+    "h1=1/2,e1": [{"h1": F(1, 2)}, {"e1": F(1)}],
+}
+
+
+@pytest.mark.parametrize("chain", sorted(ORACLE_CHAINS))
+def test_twisted_modes_match_series_coefficients(chain):
+    # the coefficient route against the whole series of a separate module
+    tw = _oracle_chain(build_module(sl2, F(2), cutoff=6), ORACLE_CHAINS[chain])
+    oracle = _oracle_chain(build_module(sl2, F(2), cutoff=6), ORACLE_CHAINS[chain])
+    mod = tw.base
+    states = [mod.current(n) for n in sl2.names] + [mod.conformal_vector()]
+    targets = [w for w, _label in basis_states(mod, 2)]
+    for v in states:
+        for m in mode_candidates(2, tw.branch_order()):
+            e = -m - 1
+            for l in range(chain_log_bound(tw) + 2):
+                op = tw.mode(v, m, l)
+                for w in targets:
+                    ser = oracle.vertex_series(v, w, e)
+                    want = ser.terms.get((e, l), PBWVector())
+                    assert (op(w) - want).is_zero()
+
+
+def test_modes_build_no_series(monkeypatch):
+    def whole_series(*_args, **_kwargs):
+        raise AssertionError("a mode read a whole series")
+
+    tw = _oracle_chain(build_module(sl2, F(2), cutoff=6),
+                       ORACLE_CHAINS["h1=1/2,e1"])
+    mod = tw.base
+    monkeypatch.setattr(InducedModule, "vertex_series", whole_series)
+    omega = mod.conformal_vector()
+    for w, _label in basis_states(mod, 2):
+        for m in (-1, 0, 1):
+            tw.gen_mode("e1", m, 1)(w)
+            tw.mode(omega, m, 2)(w)
+            mod.vertex_operator_mode(omega, m)(w)
