@@ -12,11 +12,14 @@ For u = a(-1)|0> the operator acts on a module vector v in three stages:
      ad-eigenbasis of s and shifting the exponent by minus the eigenvalue
      sum.  For s = 0 this stage is the identity and is skipped.
 
-The result is a finite, exact LogSeries of PBWVectors.  A legacy sign
-convention (kept only so its failure is demonstrable) flips the outer
-x^(s(0)) and log factors and drops the (-1)^m inside the exponential;
-the two agree on the m = 1 term, which is why the difference is easy to
-miss on small examples.
+The result is a finite, exact LogSeries of PBWVectors.  Integral exponents
+and scalars stay ints through all three stages, and a Fraction appears
+only where a denominator does.  The self-pairing scalar kappa is always
+stored as a Fraction, since callers halve it.  A legacy sign convention
+(kept only so its failure is demonstrable) flips the outer x^(s(0)) and
+log factors and drops the (-1)^m inside the exponential; the two agree on
+the m = 1 term, which is why the difference is easy to miss on small
+examples.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from fractions import Fraction
 
 from .errors import DomainError, NotQuasiPrimary
 from .fock import InducedModule, PBWVector
+from .scalars import Cyc, int_if_integral
 from .series import LogSeries
 
 __all__ = ["DeltaOperator", "make_delta", "delta_apply", "delta_apply_series"]
@@ -96,15 +100,15 @@ def make_delta(module: InducedModule, u: PBWVector,
     for mono, coeff in y1.c.items():
         if mono != ():
             raise DomainError("u_(1) u is not a vacuum multiple")
-        kappa = coeff
+        kappa = F(coeff.rational_value() if isinstance(coeff, Cyc) else coeff)
     return DeltaOperator(module, a, s, n, eig, kappa, legacy_sign_convention)
 
 
 def _exp_current_stage(delta: DeltaOperator, v: PBWVector):
     """Stage 1: exp of the positive-mode sum.  Returns {exponent: vector}."""
     module = delta.module
-    total = {F(0): v}
-    cur = {F(0): v}
+    total = {0: v}
+    cur = {0: v}
     k = 1
     while cur:
         nxt = {}
@@ -118,7 +122,7 @@ def _exp_current_stage(delta: DeltaOperator, v: PBWVector):
                 if moved.is_zero() and not moved.truncated:
                     continue
                 key = e - m
-                add = (c / k) * moved
+                add = int_if_integral(c / k) * moved
                 got = nxt.get(key)
                 nxt[key] = add if got is None else got + add
         cur = {e: vec for e, vec in nxt.items()
@@ -143,7 +147,7 @@ def _log_stage(delta: DeltaOperator, staged):
             out[(e, j)] = cur if got is None else got + cur
             nxt = module.apply_mode(delta.n, 0, cur)
             sign = F(1) if delta.legacy else F(-1)
-            cur = (sign / (j + 1)) * nxt
+            cur = int_if_integral(sign / (j + 1)) * nxt
             j += 1
     return out
 
@@ -153,7 +157,7 @@ def _eigen_expand(delta: DeltaOperator, mono):
     choices for every tensor factor."""
     module = delta.module
     if not mono:
-        return [(F(0), module.vacuum())]
+        return [(0, module.vacuum())]
     (gi, m), rest = mono[0], mono[1:]
     comps = delta.eig.decompose(module.algebra._basis_elt(gi))
     out = {}
@@ -171,7 +175,7 @@ def _eigen_expand(delta: DeltaOperator, mono):
 def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
     """Apply the operator to a module vector.  Exact, finite output."""
     if delta.is_identity:
-        return LogSeries({(F(0), 0): v})
+        return LogSeries({(0, 0): v})
     staged = _exp_current_stage(delta, v)
     logged = _log_stage(delta, staged)
     out = LogSeries()

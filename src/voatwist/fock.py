@@ -4,8 +4,10 @@ A monomial is a tuple of (generator index, mode) pairs acting on the
 highest-weight vector, kept in canonical order: modes weakly decreasing
 left to right (so a(-1) before b(-2)), ties broken by generator index.
 A PBWVector is a finite linear combination of such monomials; its
-coefficients are Fractions, or Cyc scalars once an automorphism or branch
-shift has acted.
+coefficients are ints where integral and Fractions otherwise, or Cyc
+scalars once an automorphism or branch shift has acted.  Mode actions keep
+integral structure constants and central terms as ints, so the common
+integral case never pays for Fraction arithmetic.
 
 The module tracks a weight cutoff.  Results that would need monomials
 beyond the cutoff get their ``truncated`` flag set; everything below the
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 from .errors import CriticalLevel, DomainError, Unsupported
 from .lie import LieAlgebra, LieElt
-from .scalars import binom, scalar_is_zero
+from .scalars import binom, int_if_integral
 from .series import LogSeries
 
 __all__ = [
@@ -36,8 +38,6 @@ __all__ = [
 ]
 
 F = Fraction
-_0 = F(0)
-_1 = F(1)
 
 
 def monomial_weight(mono) -> int:
@@ -57,7 +57,7 @@ class PBWVector:
         self.c = {}
         if c:
             for mono, coeff in c.items():
-                if not scalar_is_zero(coeff):
+                if coeff:
                     self.c[mono] = coeff
         self.truncated = truncated
 
@@ -71,7 +71,7 @@ class PBWVector:
         for mono, coeff in other.c.items():
             cur = out.get(mono)
             s = coeff if cur is None else cur + coeff
-            if scalar_is_zero(s):
+            if not s:
                 out.pop(mono, None)
             else:
                 out[mono] = s
@@ -86,7 +86,7 @@ class PBWVector:
         return (-1) * self
 
     def __rmul__(self, scalar):
-        if scalar_is_zero(scalar):
+        if not scalar:
             return PBWVector({}, self.truncated)
         return PBWVector({m: scalar * coeff for m, coeff in self.c.items()},
                          self.truncated)
@@ -144,7 +144,7 @@ class InducedModule:
     # -- basic vectors --------------------------------------------------
 
     def vacuum(self) -> PBWVector:
-        return PBWVector({(): _1})
+        return PBWVector({(): 1})
 
     def current(self, name_or_elt) -> PBWVector:
         """The weight-one vector a(-1)|0> for a in the algebra."""
@@ -204,7 +204,7 @@ class InducedModule:
                 if -m > self.cutoff:
                     res = ({}, True)
                 else:
-                    res = ({((gi, m),): _1}, False)
+                    res = ({((gi, m),): 1}, False)
             else:
                 res = ({}, False)
         else:
@@ -214,7 +214,7 @@ class InducedModule:
                 if monomial_weight(new) > self.cutoff:
                     res = ({}, True)
                 else:
-                    res = ({new: _1}, False)
+                    res = ({new: 1}, False)
             else:
                 rest = mono[1:]
                 acc = {}
@@ -223,7 +223,7 @@ class InducedModule:
                 def add(mono2, coeff):
                     cur = acc.get(mono2)
                     s = coeff if cur is None else cur + coeff
-                    if scalar_is_zero(s):
+                    if not s:
                         acc.pop(mono2, None)
                     else:
                         acc[mono2] = s
@@ -239,6 +239,7 @@ class InducedModule:
                                           self.algebra._basis_elt(g1))
                 for k, ck in enumerate(br.coords):
                     if ck:
+                        ck = int_if_integral(ck)
                         sub, t3 = self._act(k, m + m1, rest)
                         trunc = trunc or t3
                         for mono2, c2 in sub.items():
@@ -246,7 +247,7 @@ class InducedModule:
                 if m + m1 == 0 and m:
                     pair = self.algebra.form(self.algebra._basis_elt(gi),
                                              self.algebra._basis_elt(g1))
-                    c = F(m) * pair * self.level
+                    c = int_if_integral(m * pair * self.level)
                     if c:
                         add(rest, c)
                 res = (acc, trunc)
@@ -255,20 +256,20 @@ class InducedModule:
 
     def apply_mode(self, x, m: int, vec: PBWVector) -> PBWVector:
         """x(m) vec for x in the algebra (name, LieElt) and integer mode m."""
-        elt = self._as_elt(x)
+        coords = [(gi, int_if_integral(cg))
+                  for gi, cg in enumerate(self._as_elt(x).coords) if cg]
+        m = int(m)
         out = {}
         trunc = vec.truncated
 
         for mono, coeff in vec.c.items():
-            for gi, cg in enumerate(elt.coords):
-                if not cg:
-                    continue
-                sub, t = self._act(gi, int(m), mono)
+            for gi, cg in coords:
+                sub, t = self._act(gi, m, mono)
                 trunc = trunc or t
                 for mono2, c2 in sub.items():
                     cur = out.get(mono2)
                     s = (cg * c2) * coeff if cur is None else cur + (cg * c2) * coeff
-                    if scalar_is_zero(s):
+                    if not s:
                         out.pop(mono2, None)
                     else:
                         out[mono2] = s
@@ -346,7 +347,7 @@ class InducedModule:
         if hit is not None and hit[0] >= ceiling:
             return hit[1]
         if not mv:
-            res = {0: {mw: _1}}
+            res = {0: {mw: 1}}
             self._vs_cache[key] = (ceiling, res)
             return res
         (gi, m), rest = mv[0], mv[1:]
@@ -356,7 +357,7 @@ class InducedModule:
             bucket = acc.setdefault(e, {})
             cur = bucket.get(mono)
             s = coeff if cur is None else cur + coeff
-            if scalar_is_zero(s):
+            if not s:
                 bucket.pop(mono, None)
             else:
                 bucket[mono] = s
@@ -367,7 +368,7 @@ class InducedModule:
             i_max = ceiling - e2  # negative above the ceiling
             i = 0
             while i <= i_max:
-                coeff = binom(m, i) * (_1 if i % 2 == 0 else -_1)
+                coeff = binom(m, i) if i % 2 == 0 else -binom(m, i)
                 if coeff:
                     moved = self.apply_mode_dict(gi, m - i, vec)
                     for mono2, c2 in moved.items():
@@ -376,11 +377,10 @@ class InducedModule:
         # sum 2: -C(m,i) (-x)^(m-i) Y(rest, x) (a(i) mw)
         dw = monomial_weight(mw)
         for i in range(0, dw + 1):
-            moved = self.apply_mode_dict(gi, i, {mw: _1})
+            moved = self.apply_mode_dict(gi, i, {mw: 1})
             if not moved:
                 continue
-            sign = _1 if (m - i) % 2 == 0 else -_1
-            coeff = -binom(m, i) * sign
+            coeff = -binom(m, i) if (m - i) % 2 == 0 else binom(m, i)
             if not coeff:
                 continue
             for mono2, c2 in moved.items():
@@ -402,7 +402,7 @@ class InducedModule:
             for mono2, c2 in sub.items():
                 cur = out.get(mono2)
                 s = c2 * coeff if cur is None else cur + c2 * coeff
-                if scalar_is_zero(s):
+                if not s:
                     out.pop(mono2, None)
                 else:
                     out[mono2] = s
@@ -438,7 +438,7 @@ class InducedModule:
                 for mono, c in vec.items():
                     cur = out.get(mono)
                     s = scale * c if cur is None else cur + scale * c
-                    if scalar_is_zero(s):
+                    if not s:
                         out.pop(mono, None)
                     else:
                         out[mono] = s

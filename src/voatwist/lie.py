@@ -263,7 +263,7 @@ class LieAlgebra:
         scalar = cas[0][0]
         if not mat_eq(cas, mat_scale(identity(self.dim), scalar)):
             raise NotSemisimple("adjoint Casimir is not scalar")
-        return scalar / 2
+        return F(scalar, 2)
 
     # -- spectral data ----------------------------------------------------
 

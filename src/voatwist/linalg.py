@@ -84,7 +84,7 @@ def rref(a):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
+        inv = _1 / rows[r][c]
         rows[r] = [inv * x for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
@@ -157,7 +157,7 @@ def charpoly(a):
         )
         am = mat_mul(a, m)
         tr = sum(am[i][i] for i in range(n))
-        coeffs[n - k] = -tr / k
+        coeffs[n - k] = F(-tr, k)
     return coeffs
 
 
@@ -192,7 +192,7 @@ def poly_divmod(a, b):
         r = poly_trim(r)
         if len(r) < len(b):
             break
-        c = r[-1] / b[-1]
+        c = F(r[-1], b[-1])
         d = len(r) - len(b)
         q[d] = c
         for j in range(len(b)):
@@ -214,7 +214,7 @@ def poly_xgcd(a, b):
     if not r0:
         return [], [], []
     lead = r0[-1]
-    inv = 1 / lead
+    inv = _1 / lead
     return ([inv * c for c in r0], [inv * c for c in s0], [inv * c for c in t0])
 
 
@@ -258,7 +258,7 @@ def squarefree_part(p):
     if r:
         raise ArithmeticError("gcd does not divide")
     lead = q[-1]
-    return [c / lead for c in q]
+    return [F(c, lead) for c in q]
 
 
 def rational_roots(p):

@@ -1,6 +1,8 @@
 """Exact scalar arithmetic: rationals and the ring Q(zeta_D)[T].
 
-Rationals are plain fractions.Fraction throughout the package.  The class
+Rationals are ints when integral (exact and much cheaper) and
+fractions.Fraction otherwise; a division that could see two ints is written
+with an explicit Fraction, so no float ever appears.  The class
 Cyc models elements of Q(zeta_D)[T], polynomials in a formal variable T
 whose coefficients live in the cyclotomic field of order D.  T is the
 formal stand-in for the branch constant 2*pi*i: a branch shift replaces
@@ -26,6 +28,7 @@ __all__ = [
     "cyclotomic_poly",
     "fmt_rational",
     "fmt_scalar",
+    "int_if_integral",
     "parse_rational",
     "scalar_is_zero",
 ]
@@ -53,18 +56,27 @@ def fmt_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def binom(e, i: int) -> Fraction:
-    """Generalized binomial coefficient C(e, i) for rational e, integer i >= 0."""
+def int_if_integral(q):
+    """An int or Fraction q as an int when it is integral, else unchanged."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def binom(e, i: int):
+    """Generalized binomial coefficient C(e, i) for rational e, integer i.
+
+    Zero for i < 0.  An int when e is integral, else a Fraction."""
     if i < 0:
-        return ZERO
+        return 0
+    if e.denominator == 1:
+        e = e.numerator
+        if e >= 0:
+            return math.comb(e, i)
+        # C(-n, i) = (-1)^i C(n + i - 1, i)
+        return (-1) ** i * math.comb(i - e - 1, i)
     num = ONE
-    e = Fraction(e)
     for j in range(i):
         num *= e - j
-    den = 1
-    for j in range(2, i + 1):
-        den *= j
-    return num / den
+    return num / math.factorial(i)
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,10 +306,8 @@ class Cyc:
 
 
 def scalar_is_zero(c) -> bool:
-    """Exact zero test for Fraction/int/Cyc coefficients."""
-    if isinstance(c, Cyc):
-        return c.is_zero()
-    return c == 0
+    """Exact zero test for int/Fraction/Cyc coefficients."""
+    return not c
 
 
 def fmt_scalar(c) -> str:

@@ -1,7 +1,9 @@
 """Finite formal series in x^e (log x)^k with exact rational exponents.
 
 A LogSeries is a finite sum sum_{(e,k)} c_{e,k} x^e (log x)^k where the
-exponents e are Fractions, the log powers k are nonnegative integers, and
+exponents e are rationals (stored as ints when integral, Fractions
+otherwise, so an integral key costs no Fraction hashing), the log powers k
+are nonnegative integers, and
 the coefficients c_{e,k} live in any abelian group with scalar action
 (rationals, cyclotomic-with-T scalars, or module vectors).  Series are
 stored sparsely as a dict keyed by (e, k).
@@ -27,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .scalars import Cyc, binom
+from .scalars import Cyc, binom, int_if_integral
 
 __all__ = [
     "LogSeries",
@@ -74,7 +76,7 @@ class LogSeries:
         if terms:
             for (e, k), v in terms.items():
                 if not value_is_zero(v):
-                    self.terms[(Fraction(e), int(k))] = v
+                    self.terms[(int_if_integral(e), int(k))] = v
         self.floor = floor
         self.ceiling = ceiling
 
@@ -97,7 +99,7 @@ class LogSeries:
         return self.terms.get((e, int(k)), 0)
 
     def add_term(self, e, k, value):
-        key = (Fraction(e), int(k))
+        key = (int_if_integral(e), int(k))
         cur = self.terms.get(key)
         new = value if cur is None else cur + value
         if value_is_zero(new):
@@ -143,7 +145,7 @@ def series_combine(a: LogSeries, b=None, mode: str = "add", scalar=None,
         return out
     if mode == "scale":
         if scalar is None:
-            scalar = Fraction(1)
+            scalar = 1
         eshift = Fraction(eshift)
         shift_f = None if a.floor is None else a.floor + eshift
         shift_c = None if a.ceiling is None else a.ceiling + eshift
@@ -162,9 +164,9 @@ def series_derivative(a: LogSeries) -> LogSeries:
     )
     for (e, k), v in a.terms.items():
         if e:
-            out.add_term(e - 1, k, e * v if isinstance(v, (int, Fraction)) else v * e)
+            out.add_term(e - 1, k, e * v)
         if k:
-            out.add_term(e - 1, k - 1, Fraction(k) * v if isinstance(v, (int, Fraction)) else v * Fraction(k))
+            out.add_term(e - 1, k - 1, k * v)
     return out
 
 

@@ -155,7 +155,7 @@ class TwistedModule:
             beta = -self._zero_mode_shift(j)
             for gi, _m in mono:
                 beta += self._step_eigenvalue(j, gi)
-            w = w - beta + self.steps[j].kappa / 2
+            w = w - beta + F(self.steps[j].kappa, 2)
         return w
 
     def class_of(self, mono) -> Fraction:

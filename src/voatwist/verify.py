@@ -113,7 +113,7 @@ def basis_states(module: InducedModule, max_weight: int):
     out = [(module.vacuum(), "|0>")]
     for w in range(1, int(max_weight) + 1):
         for mono in module.basis(w):
-            out.append((PBWVector({mono: F(1)}), format_monomial(module.algebra, mono)))
+            out.append((PBWVector({mono: 1}), format_monomial(module.algebra, mono)))
     return out
 
 
@@ -220,84 +220,75 @@ def _log_shift_powers(max_power: int, ceiling: int):
     # powers of log(x+y) - log(x) = sum_{i>=1} (-1)^(i+1) (y/x)^i / i,
     # each stored as {y-exponent: coefficient}; the x-exponent is minus
     # the y-exponent throughout
-    powers = [{0: F(1)}]
+    powers = [{0: 1}]
     base = {i: F((-1) ** (i + 1), i) for i in range(1, max(int(ceiling), 0) + 1)}
     for _p in range(max_power):
         prev, nxt = powers[-1], {}
         for i1, c1 in prev.items():
             for i2, c2 in base.items():
                 if i1 + i2 <= ceiling:
-                    nxt[i1 + i2] = nxt.get(i1 + i2, F(0)) + c1 * c2
+                    nxt[i1 + i2] = nxt.get(i1 + i2, 0) + c1 * c2
         powers.append(nxt)
     return powers
 
 
-def _substitute_shifted(delta, v: PBWVector, ceiling: int):
-    """The shift series of v with x replaced by x + y.
+def _expand_at_sum(e, k, lpow, max_p):
+    """x^e (log x)^k with x replaced by x + y.
 
-    Returns {(e, k, j): PBWVector} for x^e (log x)^k y^j, exact for
-    j <= ceiling.  Binomial expansion handles x^e, the alternating series
-    for log(x+y) - log(x) handles the log powers.
+    Returns {(j, p): scalar} for x^(e - p) (log x)^j y^p, exact for
+    p <= max_p.  Binomial expansion handles x^e, the alternating series
+    for log(x+y) - log(x) (lpow, from _log_shift_powers) handles the log
+    powers.
     """
-    ser = delta_apply(delta, v)
-    max_k = max((k for (_e, k) in ser.terms), default=0)
-    lpow = _log_shift_powers(max_k, ceiling)
     out = {}
-    for (e, k), vec in ser.terms.items():
-        for j in range(k + 1):
-            ckj = binom(k, j)
-            for il, cl in lpow[k - j].items():
-                for i in range(0, ceiling - il + 1):
-                    c = ckj * cl * binom(e, i)
-                    if not c:
-                        continue
-                    key = (e - i - il, j, i + il)
-                    val = c * vec
-                    cur = out.get(key)
-                    out[key] = val if cur is None else cur + val
-    return {key: vec for key, vec in out.items() if not vec.is_zero()}
+    for j in range(k + 1):
+        ckj = binom(k, j)
+        for il, cl in lpow[k - j].items():
+            for i in range(0, max_p - il + 1):
+                c = ckj * cl * binom(e, i)
+                if c:
+                    out[(j, i + il)] = out.get((j, i + il), 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
-def _conjugated_sides(delta, v: PBWVector, w: PBWVector, ceiling: int):
+def _accumulate(side, key, scale, coeffs):
+    bucket = side.setdefault(key, {})
+    for mono, c in coeffs.items():
+        cur = bucket.get(mono)
+        total = scale * c if cur is None else cur + scale * c
+        if total:
+            bucket[mono] = total
+        else:
+            bucket.pop(mono, None)
+
+
+def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw: LogSeries,
+                      ceiling: int):
     """Both sides of D(x) Y(v, y) w = Y(D(x+y) v, y) D(x) w.
 
-    Returned as {(e, k, j): PBWVector} keyed by x^e (log x)^k y^j, exact
-    for y-exponents j <= ceiling.
+    shifted lists (e, D(v) coefficient, _expand_at_sum table) for every
+    term of D(v), and dw is D(w).  Returned as {(e, k, j): {mono: coeff}}
+    keyed by x^e (log x)^k y^j, exact for y-exponents j <= ceiling.
     """
     module = delta.module
-    ceiling = int(ceiling)
 
     lhs = {}
     base = module.vertex_series(v, w, ceiling)
     for (ey, _k0), vecy in base.terms.items():
         _ensure_exact(vecy, "conjugation check")
         for (e, k), vec in delta_apply(delta, vecy).terms.items():
-            key = (e, k, ey)
-            cur = lhs.get(key)
-            lhs[key] = vec if cur is None else cur + vec
+            _accumulate(lhs, (e, k, ey), 1, vec.c)
 
     rhs = {}
-    # the inner operator reaches y-exponents as low as minus the total
-    # weight, so substitution terms that far above the ceiling still land
-    # inside the window and must be kept
-    vw = v.weight_components()
-    ww = w.weight_components()
-    reach = (max(vw) if vw else 0) + (max(ww) if ww else 0)
-    shifted = _substitute_shifted(delta, v, ceiling + reach)
-    dw = delta_apply(delta, w)
-    for (e1, k1, j1), vecv in shifted.items():
+    for e1, vecv, table in shifted:
         for (ew, kw), vecw in dw.terms.items():
-            sub = module.vertex_series(vecv, vecw, ceiling - j1)
-            for (ey, _k0), vecy in sub.terms.items():
-                if j1 + ey > ceiling:
-                    continue
+            sub = module.vertex_series(vecv, vecw, ceiling).terms.items()
+            for (_ey, _k0), vecy in sub:
                 _ensure_exact(vecy, "conjugation check")
-                key = (e1 + ew, k1 + kw, j1 + ey)
-                cur = rhs.get(key)
-                rhs[key] = vecy if cur is None else cur + vecy
-
-    lhs = {key: vec for key, vec in lhs.items() if not vec.is_zero()}
-    rhs = {key: vec for key, vec in rhs.items() if not vec.is_zero()}
+            for (j1, p1), c in table.items():
+                for (ey, _k0), vecy in sub:
+                    if p1 + ey <= ceiling:
+                        _accumulate(rhs, (e1 - p1 + ew, j1 + kw, p1 + ey), c, vecy.c)
     return lhs, rhs
 
 
@@ -306,16 +297,16 @@ def _compare_bivariate(alg, lhs, rhs, ceiling):
     for key in keys:
         if key[2] > ceiling:
             continue
-        a = lhs.get(key, PBWVector())
-        b = rhs.get(key, PBWVector())
-        if not (a - b).is_zero():
+        a = lhs.get(key, {})
+        b = rhs.get(key, {})
+        if a != b:
             e, k, j = key
             return {
                 "outerExponent": fmt_rational(F(e)),
                 "logPower": int(k),
                 "innerExponent": fmt_rational(F(j)),
-                "left": format_vector(alg, a),
-                "right": format_vector(alg, b),
+                "left": format_vector(alg, PBWVector(a)),
+                "right": format_vector(alg, PBWVector(b)),
             }
     return None
 
@@ -326,25 +317,37 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
     """Conjugating a vertex operator by the shift re-centers its argument.
 
     Compares D(x) Y(v, y) w against Y(D(x+y) v, y) D(x) w coefficient by
-    coefficient in both variables, exactly up to the inner ceiling.
+    coefficient in both variables, exactly up to the inner ceiling.  D(w)
+    is computed once per target and D(x+y) v once per argument.
     """
     delta = make_delta(module, u, legacy_sign_convention=legacy)
     alg = module.algebra
+    ceiling = int(inner_ceiling)
+    targets = [(w, wlabel, delta_apply(delta, w)) for w, wlabel in target_states]
+    reach_w = max((w.depth() for w, _wl, _dw in targets), default=0)
     checked = 0
     for v, vlabel in arg_states:
-        for w, wlabel in target_states:
-            lhs, rhs = _conjugated_sides(delta, v, w, inner_ceiling)
-            wit = _compare_bivariate(alg, lhs, rhs, inner_ceiling)
+        dv = delta_apply(delta, v)
+        # the inner operator reaches y-exponents as low as minus the total
+        # weight, so substitution terms that far above the ceiling still
+        # land inside the window and must be kept
+        max_p = ceiling + v.depth() + reach_w
+        lpow = _log_shift_powers(max((k for (_e, k) in dv.terms), default=0), max_p)
+        shifted = [(e, vec, _expand_at_sum(e, k, lpow, max_p))
+                   for (e, k), vec in dv.terms.items()]
+        for w, wlabel, dw in targets:
+            lhs, rhs = _conjugated_sides(delta, v, w, shifted, dw, ceiling)
+            wit = _compare_bivariate(alg, lhs, rhs, ceiling)
             checked += 1
             if wit is not None:
                 wit["argument"] = vlabel
                 wit["target"] = wlabel
                 return CheckReport(name, "fail", witness=wit,
                                    details={"pairsChecked": checked,
-                                            "innerCeiling": int(inner_ceiling)})
+                                            "innerCeiling": ceiling})
     return CheckReport(name, "pass", details={
         "pairsChecked": checked,
-        "innerCeiling": int(inner_ceiling),
+        "innerCeiling": ceiling,
     })
 
 
@@ -584,6 +587,14 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
     if pairs is None:
         pairs = [(b, c) for b in alg.names for c in alg.names]
     states = basis_states(module, weight)
+    modes = {}  # (generator, mode) -> (operator, table ops), shared by all pairs
+
+    def gen_mode(gname, m):
+        if (gname, m) not in modes:
+            modes[gname, m] = (twisted.gen_mode(gname, m),
+                               mode_table_entry(twisted, gname, m)[0])
+        return modes[gname, m]
+
     compared = 0
     for bname, cname in pairs:
         belt, celt = alg.generator(bname), alg.generator(cname)
@@ -599,15 +610,13 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
             m = mi + lam_b
             if abs(m) > mode_span:
                 continue
-            bop = twisted.gen_mode(bname, m)
+            bop, bops = gen_mode(bname, m)
             for ni in range(-int(mode_span), int(mode_span) + 1):
                 n = ni + lam_c
                 if abs(n) > mode_span:
                     continue
-                cop = twisted.gen_mode(cname, n)
+                cop, cops = gen_mode(cname, n)
                 entry_ops, _scalar = mode_table_entry(twisted, bracket, m + n)
-                bops, _bs = mode_table_entry(twisted, belt, m)
-                cops, _cs = mode_table_entry(twisted, celt, n)
                 central = F(0)
                 for (gi, p), bco in bops.items():
                     for (gj, q), cco in cops.items():
@@ -682,7 +691,7 @@ def check_conformal_shift(prev: TwistedModule, new: TwistedModule,
             }, details={"statesChecked": checked})
         got0 = new.mode(omega, 1)(w)
         want0 = (prev.mode(omega, 1)(w) - prev.mode(uvec, 0)(w)
-                 + (kappa / 2) * w)
+                 + F(kappa, 2) * w)
         got1 = new.mode(omega, 0)(w)
         want1 = prev.mode(omega, 0)(w) - prev.mode(uvec, -1)(w)
         for tag, got, want in [("weight-mode", got0, want0),

@@ -1,0 +1,82 @@
+"""No float ever enters a coefficient or an exponent.
+
+Integral scalars and series exponents are kept as ints, so a division of
+two of them would quietly produce a float and end exact arithmetic.  These
+tests watch every PBW coefficient and every series term that full CLI runs
+create, and the chain scalars that get halved.
+"""
+
+import contextlib
+import io
+import pathlib
+from fractions import Fraction as F
+
+import pytest
+
+from voatwist import cli
+from voatwist.fock import PBWVector, build_module
+from voatwist.lie import build_simple_lie
+from voatwist.scalars import Cyc
+from voatwist.series import LogSeries
+from voatwist.twist import make_twisted
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json")) + [
+    ROOT / "perfbench" / "configs" / "sl2_branch3.json"]
+
+
+def _has_float(value) -> bool:
+    if isinstance(value, Cyc):
+        return any(isinstance(c, float)
+                   for vec in value.coeffs.values() for c in vec)
+    return isinstance(value, float)
+
+
+@pytest.fixture
+def float_scan(monkeypatch):
+    """Record every float coefficient or exponent; count what was watched."""
+    scan = {"watched": 0, "floats": []}
+    init = PBWVector.__init__
+    add_term = LogSeries.add_term
+
+    def watched_init(self, c=None, truncated=False):
+        for mono, coeff in (c or {}).items():
+            scan["watched"] += 1
+            if _has_float(coeff):
+                scan["floats"].append(("coefficient", mono, coeff))
+        init(self, c, truncated)
+
+    def watched_add_term(self, e, k, value):
+        scan["watched"] += 1
+        if _has_float(e) or _has_float(k) or _has_float(value):
+            scan["floats"].append(("term", e, k, value))
+        add_term(self, e, k, value)
+
+    monkeypatch.setattr(PBWVector, "__init__", watched_init)
+    monkeypatch.setattr(LogSeries, "add_term", watched_add_term)
+    return scan
+
+
+@pytest.mark.parametrize("command", ["run", "tables"])
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_cli_creates_no_float(float_scan, tmp_path, command, config):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([command, str(config), "--output",
+                         str(tmp_path / "report")])
+    if code == 0:
+        assert float_scan["watched"] > 0
+    assert float_scan["floats"] == []
+
+
+@pytest.mark.parametrize("name,coeff", [("h1", F(1, 2)), ("e1", 1), ("h1", F(1, 3)),
+                                        ("h1", 1)],
+                         ids=["h1=1/2", "e1", "h1=1/3", "h1=int 1"])
+def test_halved_chain_scalars_are_exact(name, coeff):
+    # kappa is halved in weight_of and in the conformal check; an int
+    # coefficient makes the module compute an int kappa
+    alg = build_simple_lie("A", 1)
+    mod = build_module(alg, F(2), 4)
+    tw = make_twisted(mod, PBWVector({((alg.index[name], -1),): coeff}))
+    assert type(tw.steps[-1].kappa) in (int, F)
+    assert type(tw.weight_of(())) in (int, F)

@@ -1,7 +1,9 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from voatwist.scalars import (
@@ -45,6 +47,18 @@ def test_binom_fractional_argument():
     assert binom(F(-1, 2), 2) == F(3, 8)
     assert binom(F(1, 3), 1) == F(1, 3)
     assert binom(F(5, 2), 0) == 1
+
+
+def test_binom_matches_sympy_and_stays_int_on_integral_arguments():
+    args = list(range(-7, 8)) + [F(n) for n in range(-7, 8)] \
+        + [F(1, 2), F(-1, 3), F(5, 2)]
+    for e in args:
+        for i in range(8):
+            got = binom(e, i)
+            want = sympy.binomial(sympy.Rational(e.numerator, e.denominator), i)
+            assert got == F(int(want.p), int(want.q))
+            assert isinstance(got, int) == (e.denominator == 1)
+        assert binom(e, -1) == 0
 
 
 def test_cyclotomic_small_cases():
@@ -109,6 +123,39 @@ def test_zeta_identity_rebases_to_rational():
     # zeta_5^0 should canonicalize down to the order-1 representation
     assert Cyc.zeta(5, 0) == Cyc.of(1)
     assert Cyc.zeta(5, 5).is_rational()
+
+
+def test_cyc_int_operands_match_fraction_operands():
+    # ints reach Cyc arithmetic, e.g. an integral binomial in branch_shift
+    z = Cyc.zeta(3, 1) * Cyc.t_power(1) + Cyc.zeta(3, 2) * F(1, 2)
+    for n in (-3, 0, 1, 5):
+        q = F(n)
+        assert z + n == z + q and n + z == q + z
+        assert z - n == z - q and n - z == q - z
+        assert z * n == z * q and n * z == q * z
+        assert Cyc.of(n) == n and Cyc.of(q) == n and n == Cyc.of(q)
+        assert (z == n) is False
+        assert (Cyc.zeta(6, 2) * n) * Cyc.zeta(6, 4) == Cyc.of(q)
+
+
+@pytest.mark.parametrize("order", [3, 4, 6])
+def test_cyc_products_match_sympy_remainder(order):
+    x = sympy.symbols("x")
+    phi = sympy.cyclotomic_poly(order, x)
+    deg = int(sympy.degree(phi, x))
+    rng = random.Random(order)
+    for _ in range(25):
+        # int and Fraction coefficients on every power of zeta, unreduced
+        a = [rng.randint(-4, 4) for _ in range(order)]
+        b = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(order)]
+        ca = sum((Cyc.zeta(order, k) * c for k, c in enumerate(a)), Cyc.of(0))
+        cb = sum((Cyc.zeta(order, k) * c for k, c in enumerate(b)), Cyc.of(0))
+        pa = sum(c * x ** k for k, c in enumerate(a))
+        pb = sum(sympy.Rational(c.numerator, c.denominator) * x ** k
+                 for k, c in enumerate(b))
+        rem = sympy.Poly(sympy.rem(sympy.expand(pa * pb), phi, x), x)
+        want = [rem.coeff_monomial(x ** j) for j in range(deg)]
+        assert ca * cb == Cyc(order, {0: [F(int(c.p), int(c.q)) for c in want]})
 
 
 def test_scalar_helpers_accept_mixed_types():
