@@ -30,6 +30,7 @@ from .series import (
     series_combine,
     series_derivative,
     series_eq,
+    series_scale,
 )
 from .lie import (
     AutomorphismData,
@@ -47,12 +48,9 @@ from .fock import (
 )
 from .delta import DeltaOperator, delta_apply, delta_apply_series, make_delta
 from .twist import (
-    ExternalTwistedModule,
     ModuleMap,
     TwistedModule,
-    export_twisted,
     functor_on_map,
-    load_twisted,
     make_twisted,
     mode_table_entry,
     transport_tau,
@@ -70,7 +68,6 @@ __all__ = [
     "Cyc",
     "DeltaOperator",
     "DomainError",
-    "ExternalTwistedModule",
     "GAutomorphism",
     "InducedModule",
     "InvalidSymmetry",
@@ -95,13 +92,11 @@ __all__ = [
     "delta_apply",
     "delta_apply_series",
     "diagram_automorphism",
-    "export_twisted",
     "fmt_rational",
     "fmt_scalar",
     "format_monomial",
     "format_vector",
     "functor_on_map",
-    "load_twisted",
     "make_delta",
     "make_twisted",
     "mode_table_entry",
@@ -110,6 +105,7 @@ __all__ = [
     "series_combine",
     "series_derivative",
     "series_eq",
+    "series_scale",
     "transport_tau",
     "untwisted_as_twisted",
     "__version__",

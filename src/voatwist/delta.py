@@ -203,11 +203,11 @@ def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
 def delta_apply_series(delta: DeltaOperator, series: LogSeries) -> LogSeries:
     """Apply the operator termwise to an exact LogSeries of PBWVectors.
 
-    Only exact inputs (no trusted-window bounds) are accepted; the shift
-    operator moves exponents both ways, so a partial window would need
-    conservative re-clipping that no caller wants.
+    Only exact inputs (no ceiling) are accepted; the shift operator moves
+    exponents both ways, so a partial window would need conservative
+    re-clipping that no caller wants.
     """
-    if series.floor is not None or series.ceiling is not None:
+    if series.ceiling is not None:
         raise DomainError("termwise application needs an exact series")
     out = LogSeries()
     for (e, k), vec in series.terms.items():

@@ -30,7 +30,6 @@ __all__ = [
     "fmt_scalar",
     "int_if_integral",
     "parse_rational",
-    "scalar_is_zero",
 ]
 
 ZERO = Fraction(0)
@@ -303,11 +302,6 @@ class Cyc:
                     factors.append(f"T^{t}")
                 parts.append("*".join(factors))
         return " + ".join(parts)
-
-
-def scalar_is_zero(c) -> bool:
-    """Exact zero test for int/Fraction/Cyc coefficients."""
-    return not c
 
 
 def fmt_scalar(c) -> str:

@@ -8,18 +8,14 @@ the coefficients c_{e,k} live in any abelian group with scalar action
 (rationals, cyclotomic-with-T scalars, or module vectors).  Series are
 stored sparsely as a dict keyed by (e, k).
 
-Two optional bounds record what part of the series is trusted:
+A series may carry a ``ceiling``: coefficients at e > ceiling are unknown
+(dropped, not zero).  ``None`` means the stored terms are the whole truth.
+A sum is trusted only below both ceilings, and ``series_eq`` compares
+only inside the common ceiling.
 
-* ``floor``: coefficients at e < floor are unknown (dropped, not zero);
-* ``ceiling``: coefficients at e > ceiling are unknown.
-
-``None`` means unbounded on that side, i.e. the stored terms are the whole
-truth there.  Arithmetic propagates bounds pessimistically: a sum is
-trusted only where both inputs are.  Comparisons must stay inside the
-trusted window; ``series_eq`` enforces that.
-
-The three core operations the rest of the package relies on are
-``series_combine`` (add or scale), ``series_derivative`` (d/dx), and
+The core operations the rest of the package relies on are
+``series_combine`` (add), ``series_scale`` (scalar times a power of x),
+``series_derivative`` (d/dx), and
 ``branch_shift`` (log x -> log x + T, x^e -> zeta^(D e) x^e, the formal
 substitution that moves between analytic branches).
 """
@@ -37,6 +33,7 @@ __all__ = [
     "series_combine",
     "series_derivative",
     "series_eq",
+    "series_scale",
 ]
 
 
@@ -50,14 +47,6 @@ def value_is_zero(v) -> bool:
     return v == 0
 
 
-def _max_floor(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
-
-
 def _min_ceiling(a, b):
     if a is None:
         return b
@@ -67,36 +56,20 @@ def _min_ceiling(a, b):
 
 
 class LogSeries:
-    """A finite x^e (log x)^k series with trusted-window bookkeeping."""
+    """A finite x^e (log x)^k series trusted up to an optional ceiling."""
 
-    __slots__ = ("terms", "floor", "ceiling")
+    __slots__ = ("terms", "ceiling")
 
-    def __init__(self, terms=None, floor=None, ceiling=None):
+    def __init__(self, terms=None, ceiling=None):
         self.terms = {}
         if terms:
             for (e, k), v in terms.items():
                 if not value_is_zero(v):
                     self.terms[(int_if_integral(e), int(k))] = v
-        self.floor = floor
         self.ceiling = ceiling
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def in_window(self, e) -> bool:
-        """Whether the coefficient at exponent e is trusted."""
-        if self.floor is not None and e < self.floor:
-            return False
-        if self.ceiling is not None and e > self.ceiling:
-            return False
-        return True
-
-    def coefficient(self, e, k=0):
-        """Trusted coefficient at (e, k); DomainError outside the window."""
-        e = Fraction(e)
-        if not self.in_window(e):
-            raise DomainError(f"coefficient at x^{e} is outside the trusted window")
-        return self.terms.get((e, int(k)), 0)
 
     def add_term(self, e, k, value):
         key = (int_if_integral(e), int(k))
@@ -109,7 +82,7 @@ class LogSeries:
 
     def map_values(self, fn) -> "LogSeries":
         """Apply fn to every coefficient (dropping zero results)."""
-        out = LogSeries(floor=self.floor, ceiling=self.ceiling)
+        out = LogSeries(ceiling=self.ceiling)
         for key, v in self.terms.items():
             w = fn(v)
             if not value_is_zero(w):
@@ -122,46 +95,31 @@ class LogSeries:
 
     def __repr__(self):
         parts = [f"x^{e}" + (f"*log^{k}" if k else "") for (e, k), _ in self.sorted_items()]
-        win = f" floor={self.floor} ceiling={self.ceiling}"
+        win = f" ceiling={self.ceiling}"
         return f"LogSeries({len(self.terms)} terms: {', '.join(parts[:6])}...{win})"
 
 
-def series_combine(a: LogSeries, b=None, mode: str = "add", scalar=None,
-                   eshift=0, kshift=0) -> LogSeries:
-    """Combine series: mode "add" sums two series, "scale" multiplies one
-    by a scalar times x^eshift (log x)^kshift.
+def series_combine(a: LogSeries, b: LogSeries) -> LogSeries:
+    """The sum of two series, trusted below both ceilings."""
+    out = LogSeries(ceiling=_min_ceiling(a.ceiling, b.ceiling))
+    for key, v in a.terms.items():
+        out.add_term(key[0], key[1], v)
+    for key, v in b.terms.items():
+        out.add_term(key[0], key[1], v)
+    return out
 
-    Addition intersects the trusted windows.  Scaling shifts them by eshift.
-    """
-    if mode == "add":
-        if b is None:
-            raise DomainError("add mode needs a second series")
-        out = LogSeries(floor=_max_floor(a.floor, b.floor),
-                        ceiling=_min_ceiling(a.ceiling, b.ceiling))
-        for key, v in a.terms.items():
-            out.add_term(key[0], key[1], v)
-        for key, v in b.terms.items():
-            out.add_term(key[0], key[1], v)
-        return out
-    if mode == "scale":
-        if scalar is None:
-            scalar = 1
-        eshift = Fraction(eshift)
-        shift_f = None if a.floor is None else a.floor + eshift
-        shift_c = None if a.ceiling is None else a.ceiling + eshift
-        out = LogSeries(floor=shift_f, ceiling=shift_c)
-        for (e, k), v in a.terms.items():
-            out.add_term(e + eshift, k + kshift, scalar * v)
-        return out
-    raise DomainError(f"unknown combine mode {mode!r}")
+
+def series_scale(a: LogSeries, scalar=1, eshift=0) -> LogSeries:
+    """scalar * x^eshift * a; the ceiling moves up by eshift."""
+    out = LogSeries(ceiling=None if a.ceiling is None else a.ceiling + eshift)
+    for (e, k), v in a.terms.items():
+        out.add_term(e + eshift, k, scalar * v)
+    return out
 
 
 def series_derivative(a: LogSeries) -> LogSeries:
     """Formal d/dx: x^e log^k -> e x^(e-1) log^k + k x^(e-1) log^(k-1)."""
-    out = LogSeries(
-        floor=None if a.floor is None else a.floor - 1,
-        ceiling=None if a.ceiling is None else a.ceiling - 1,
-    )
+    out = LogSeries(ceiling=None if a.ceiling is None else a.ceiling - 1)
     for (e, k), v in a.terms.items():
         if e:
             out.add_term(e - 1, k, e * v)
@@ -178,7 +136,7 @@ def branch_shift(a: LogSeries, steps: int, order: int) -> LogSeries:
     the (1/order)-lattice, otherwise the declared order is wrong and a
     DomainError is raised.
     """
-    out = LogSeries(floor=a.floor, ceiling=a.ceiling)
+    out = LogSeries(ceiling=a.ceiling)
     for (e, k), v in a.terms.items():
         scaled = e * order
         if scaled.denominator != 1:
@@ -198,17 +156,14 @@ def branch_shift(a: LogSeries, steps: int, order: int) -> LogSeries:
 
 
 def series_eq(a: LogSeries, b: LogSeries, ceiling=None):
-    """Exact comparison inside the common trusted window, up to ceiling.
+    """Exact comparison inside the common ceiling, and up to ceiling.
 
     Returns None when equal, else a witness tuple (e, k, left, right) for
     the first mismatch in (e, k) order.
     """
-    lo = _max_floor(a.floor, b.floor)
     hi = _min_ceiling(_min_ceiling(a.ceiling, b.ceiling), ceiling)
     keys = set(a.terms) | set(b.terms)
     for (e, k) in sorted(keys, key=lambda t: (t[0], t[1])):
-        if lo is not None and e < lo:
-            continue
         if hi is not None and e > hi:
             continue
         va = a.terms.get((e, k), 0)

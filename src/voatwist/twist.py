@@ -23,36 +23,26 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from math import floor, lcm
+from math import factorial, floor, lcm
 
 from .delta import DeltaOperator, delta_apply_series, make_delta
 from .errors import DomainError, NotFixed, NotIntertwining, Unsupported
-from .fock import InducedModule, PBWVector, build_module, monomial_weight
-from .lie import AutomorphismData, GAutomorphism, LieElt, build_simple_lie
-from .scalars import Cyc, fmt_rational, parse_rational, scalar_is_zero
+from .fock import InducedModule, PBWVector, monomial_weight
+from .lie import AutomorphismData, GAutomorphism, LieElt
+from .scalars import Cyc, fmt_rational
 from .series import LogSeries
 
 __all__ = [
     "TwistedModule",
     "ModuleMap",
-    "ExternalTwistedModule",
     "untwisted_as_twisted",
     "make_twisted",
     "transport_tau",
     "functor_on_map",
     "mode_table_entry",
-    "export_twisted",
-    "load_twisted",
 ]
 
 F = Fraction
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 class TwistedModule:
@@ -211,7 +201,7 @@ def _aut_coord_matrix(alg, aut: AutomorphismData, order: int):
             if nil is not None and not nil.is_zero():
                 cur, k = comp, 0
                 while not cur.is_zero():
-                    tfac = Cyc.t_power(k) * F((-1) ** k, _factorial(k))
+                    tfac = Cyc.t_power(k) * F((-1) ** k, factorial(k))
                     expanded.append((scale * tfac, cur))
                     cur = alg.bracket(nil, cur)
                     k += 1
@@ -244,7 +234,7 @@ def apply_lie_matrix(module: InducedModule, matrix, vec: PBWVector) -> PBWVector
         out = PBWVector({}, tail.truncated)
         for gj in range(dim):
             c = matrix[gj][gi]
-            if scalar_is_zero(c):
+            if not c:
                 continue
             moved = module.apply_mode(module.algebra._basis_elt(gj), m, tail)
             if moved.is_zero() and not moved.truncated:
@@ -320,8 +310,6 @@ def transport_tau(twisted: TwistedModule, tau: GAutomorphism) -> TwistedModule:
     The transported vertex operator feeds tau^(-1) v into the original one;
     the attached automorphism is conjugated accordingly.
     """
-    if isinstance(twisted, InducedModule):
-        twisted = untwisted_as_twisted(twisted)
     old = twisted.conjugator
     new_conj = tau if old is None else tau.compose(old)
     return TwistedModule(twisted.base, twisted.steps,
@@ -334,8 +322,7 @@ def transport_tau(twisted: TwistedModule, tau: GAutomorphism) -> TwistedModule:
 class ModuleMap:
     """A weight-diagonal linear map of the underlying space."""
 
-    def __init__(self, module: InducedModule, default=F(1), weight_scalars=None):
-        self.module = module
+    def __init__(self, default=F(1), weight_scalars=None):
         self.default = default
         self.weight_scalars = dict(weight_scalars or {})
 
@@ -349,30 +336,29 @@ class ModuleMap:
         return out
 
 
-def functor_on_map(source: TwistedModule, target: TwistedModule, mapping: ModuleMap,
-                   probe_weight: int = 2, ceiling: int = 2) -> ModuleMap:
+def functor_on_map(twisted: TwistedModule, mapping: ModuleMap,
+                   probe_weight: int = 2, ceiling: int = 2) -> None:
     """Transport a graded map along the twisting functor.
 
     The underlying space does not change, so the transported map is the
     same assignment; what needs checking is that it still intertwines the
-    twisted actions.  Probes run over current vectors against the basis up
+    twisted action.  Probes run over current vectors against the basis up
     to probe_weight; a violation raises NotIntertwining.
     """
-    alg = source.base.algebra
-    probes = [source.base.current(alg._basis_elt(gi)) for gi in range(alg.dim)]
+    base, alg = twisted.base, twisted.algebra
+    probes = [base.current(alg._basis_elt(gi)) for gi in range(alg.dim)]
     for v in probes:
         for w in range(probe_weight + 1):
-            for mono in source.base.basis(w):
+            for mono in base.basis(w):
                 bv = PBWVector({mono: F(1)})
-                left = source.vertex_series(v, mapping.apply(bv), ceiling)
-                mapped = target.vertex_series(v, bv, ceiling).map_values(mapping.apply)
+                left = twisted.vertex_series(v, mapping.apply(bv), ceiling)
+                mapped = twisted.vertex_series(v, bv, ceiling).map_values(mapping.apply)
                 for key in set(left.terms) | set(mapped.terms):
                     a = left.terms.get(key, PBWVector())
                     b = mapped.terms.get(key, PBWVector())
                     if not (a - b).is_zero():
                         raise NotIntertwining(
                             f"map fails to intertwine at series key {key}")
-    return ModuleMap(target.base, mapping.default, mapping.weight_scalars)
 
 
 # -- closed-form mode tables ------------------------------------------------
@@ -408,12 +394,12 @@ def _fold_mode(twisted: TwistedModule, j: int, elt: LieElt, m, l: int):
         for lp in range(0, l + 1):
             if cur.is_zero():
                 break
-            c = F((-1) ** lp, _factorial(lp))
+            c = F((-1) ** lp, factorial(lp))
             sub_ops, sub_scalar = _fold_mode(twisted, j - 1, cur, F(m) - lam, l - lp)
             for key, val in sub_ops.items():
                 got = ops_total.get(key)
                 tot = c * val if got is None else got + c * val
-                if scalar_is_zero(tot):
+                if not tot:
                     ops_total.pop(key, None)
                 else:
                     ops_total[key] = tot
@@ -462,108 +448,3 @@ def mode_table_rows(twisted: TwistedModule, modes, l_max: int) -> list:
                     "scalar": fmt_rational(scalar),
                 })
     return rows
-
-
-# -- external JSON-facing form ----------------------------------------------
-
-
-def export_twisted(twisted: TwistedModule, mode_window=None) -> dict:
-    """Serialize the construction to plain JSON data (rationals as "p/q").
-
-    If mode_window = (modes, l_max) is given, closed-form mode tables for
-    every generator over those modes are included, which is what the
-    detached ExternalTwistedModule consumes.
-    """
-    alg = twisted.algebra
-    if twisted.conjugator is not None:
-        raise Unsupported("conjugated constructions are not serialized")
-    data = {
-        "schemaVersion": 1,
-        "algebra": {"family": alg.family, "rank": alg.rank},
-        "level": fmt_rational(twisted.level),
-        "cutoff": fmt_rational(twisted.base.cutoff),
-        "branchOrder": twisted.branch_order(),
-        "chain": [
-            {
-                "current": {alg.names[gi]: fmt_rational(c)
-                            for gi, c in enumerate(step.a.coords) if c},
-                "legacySign": bool(step.legacy),
-            }
-            for step in twisted.steps
-        ],
-    }
-    if mode_window is not None:
-        modes, l_max = mode_window
-        data["modeTables"] = mode_table_rows(twisted, modes, l_max)
-    return data
-
-
-def _module_from_data(data: dict) -> InducedModule:
-    """The untwisted module a serialized construction is built over."""
-    if data.get("schemaVersion") != 1:
-        raise DomainError("unknown schema version")
-    alg = build_simple_lie(data["algebra"]["family"], data["algebra"]["rank"])
-    return build_module(alg, parse_rational(data["level"]),
-                        parse_rational(data["cutoff"]))
-
-
-def load_twisted(data: dict) -> TwistedModule:
-    """Rebuild a twisted module by replaying the serialized chain."""
-    module = _module_from_data(data)
-    alg = module.algebra
-    twisted = untwisted_as_twisted(module)
-    for entry in data["chain"]:
-        coords = {name: parse_rational(c) for name, c in entry["current"].items()}
-        u = module.current(alg.element(coords))
-        twisted = make_twisted(twisted, u, entry.get("legacySign", False))
-    return twisted
-
-
-class ExternalTwistedModule:
-    """A twisted module reconstituted from serialized mode tables only.
-
-    It can apply the serialized twisted modes and evaluate vertex operators
-    of current vectors (depth one); anything deeper needs the shift-chain
-    machinery it deliberately does not carry, so that raises Unsupported.
-    """
-
-    def __init__(self, data: dict):
-        self.module = _module_from_data(data)
-        if "modeTables" not in data:
-            raise DomainError("serialized form carries no mode tables")
-        self.algebra = self.module.algebra
-        self.branch_order = int(data["branchOrder"])
-        self.tables = {}
-        for row in data["modeTables"]:
-            key = (row["generator"], parse_rational(row["mode"]), row["logPower"])
-            ops = {(self.algebra.index[op["generator"]],
-                    int(parse_rational(op["mode"]))): parse_rational(op["coefficient"])
-                   for op in row["ops"]}
-            self.tables[key] = (ops, parse_rational(row["scalar"]))
-
-    def mode(self, gen_name: str, m, l: int = 0):
-        entry = self.tables.get((gen_name, F(m), int(l)), ({}, F(0)))
-
-        def op(w: PBWVector) -> PBWVector:
-            return apply_table_entry(self.module, entry, w)
-
-        return op
-
-    def vertex_series(self, v: PBWVector, w: PBWVector, ceiling) -> LogSeries:
-        names = []
-        for mono, coeff in v.c.items():
-            if len(mono) != 1 or mono[0][1] != -1:
-                raise Unsupported(
-                    "the detached form only evaluates depth-one state vectors")
-            names.append((self.algebra.names[mono[0][0]], coeff))
-        ceiling = F(ceiling)
-        out = LogSeries(ceiling=ceiling)
-        for (gen, m, l), entry in self.tables.items():
-            e = -F(m) - 1
-            if e > ceiling:
-                continue
-            for name, coeff in names:
-                if name != gen:
-                    continue
-                out.add_term(e, l, coeff * apply_table_entry(self.module, entry, w))
-        return out

@@ -28,6 +28,7 @@ from .series import (
     series_combine,
     series_derivative,
     series_eq,
+    series_scale,
 )
 from .twist import (
     ModuleMap,
@@ -131,8 +132,7 @@ def _series_exact(ser: LogSeries, context: str):
 
 
 def _series_sub(a: LogSeries, b: LogSeries) -> LogSeries:
-    return series_combine(a, series_combine(b, mode="scale", scalar=F(-1)),
-                          mode="add")
+    return series_combine(a, series_scale(b, scalar=F(-1)))
 
 
 def _series_witness(alg, wit, **extra) -> dict:
@@ -364,10 +364,9 @@ def check_weight_bracket(module: InducedModule, u: PBWVector, states,
     for v, label in states:
         dv = _series_exact(delta_apply(delta, v), name)
         left = _series_sub(dv.map_values(l0), delta_apply(delta, l0(v)))
-        right = series_combine(series_derivative(dv), mode="scale", eshift=1)
         right = series_combine(
-            right, dv.map_values(lambda vec: module.apply_mode(delta.a, 0, vec)),
-            mode="add")
+            series_scale(series_derivative(dv), eshift=1),
+            dv.map_values(lambda vec: module.apply_mode(delta.a, 0, vec)))
         wit = series_eq(left, right)
         checked += 1
         if wit is not None:
@@ -389,7 +388,7 @@ def check_translation_bracket(module: InducedModule, u: PBWVector, states,
         moved = _ensure_exact(lm1(v), name)
         left = _series_sub(dv.map_values(lambda vec: _ensure_exact(lm1(vec), name)),
                            delta_apply(delta, moved))
-        right = series_combine(series_derivative(dv), mode="scale", scalar=F(-1))
+        right = series_scale(series_derivative(dv), scalar=F(-1))
         wit = series_eq(left, right)
         checked += 1
         if wit is not None:
@@ -595,6 +594,7 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
                                mode_table_entry(twisted, gname, m)[0])
         return modes[gname, m]
 
+    brackets = {}  # (generator pair, m + n) -> bracket table ops
     compared = 0
     for bname, cname in pairs:
         belt, celt = alg.generator(bname), alg.generator(cname)
@@ -616,7 +616,10 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
                 if abs(n) > mode_span:
                     continue
                 cop, cops = gen_mode(cname, n)
-                entry_ops, _scalar = mode_table_entry(twisted, bracket, m + n)
+                key = (bname, cname, m + n)
+                if key not in brackets:
+                    brackets[key] = mode_table_entry(twisted, bracket, m + n)[0]
+                entry_ops = brackets[key]
                 central = F(0)
                 for (gi, p), bco in bops.items():
                     for (gj, q), cco in cops.items():
@@ -979,23 +982,21 @@ def check_functor_transport(module: InducedModule, u: PBWVector,
     alg = module.algebra
     tw = make_twisted(module, u)
     good = [
-        ("identity", ModuleMap(module)),
-        ("scalar", ModuleMap(module, default=F(3))),
-        ("zero", ModuleMap(module, default=F(0))),
+        ("identity", ModuleMap()),
+        ("scalar", ModuleMap(default=F(3))),
+        ("zero", ModuleMap(default=F(0))),
     ]
     for label, mp in good:
         try:
-            functor_on_map(tw, tw, mp, probe_weight=probe_weight,
-                           ceiling=ceiling)
+            functor_on_map(tw, mp, probe_weight=probe_weight, ceiling=ceiling)
         except NotIntertwining as exc:
             return CheckReport(name, "fail", witness={
                 "map": label,
                 "reason": f"rejected: {exc}",
             }, details={})
-    skew = ModuleMap(module, weight_scalars={2: F(5)})
+    skew = ModuleMap(weight_scalars={2: F(5)})
     try:
-        functor_on_map(tw, tw, skew, probe_weight=probe_weight,
-                       ceiling=ceiling)
+        functor_on_map(tw, skew, probe_weight=probe_weight, ceiling=ceiling)
         return CheckReport(name, "fail", witness={
             "map": "weight-skewed",
             "reason": "a non-intertwining map was accepted",

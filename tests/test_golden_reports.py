@@ -1,8 +1,18 @@
-"""Byte-identity gate: `voatwist run` on every file in configs/.
+"""Byte-identity gate for the command line.
 
-Each config's exit code, stdout and report bytes are compared with the
-files recorded under tests/golden/.  Performance work must leave all three
-unchanged.  After an intended change of output, re-record them with
+Two sets of recordings under tests/golden/ are compared:
+
+* `voatwist run CONFIG --output FILE` on every file in configs/: exit
+  code, stdout and report bytes (`<stem>.stdout`, `<stem>.report`,
+  `exit_codes.json`);
+* `voatwist run` and `voatwist tables`, each with `--format json` and
+  `--format csv`, printing to stdout, on every file in configs/, the
+  order-3 config perfbench/configs/sl2_branch3.json and every file in
+  tests/configs/: exit code and stdout bytes (`<stem>.<command>.<format>`,
+  `cli_exit_codes.json`).
+
+Performance work must leave all of them unchanged.  After an intended
+change of output, re-record them with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -17,9 +27,26 @@ import pytest
 
 from voatwist.cli import main
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+HERE = pathlib.Path(__file__).resolve().parent
+ROOT = HERE.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+GOLDEN = HERE / "golden"
+CLI_CONFIGS = (CONFIGS + [ROOT / "perfbench" / "configs" / "sl2_branch3.json"]
+               + sorted((HERE / "configs").glob("*.json")))
+CLI_CASES = [(cfg, cmd, fmt) for cfg in CLI_CONFIGS
+             for cmd in ("run", "tables") for fmt in ("json", "csv")]
+
+
+def _case_name(cfg, cmd, fmt):
+    return f"{cfg.stem}.{cmd}.{fmt}"
+
+
+def _main_bytes(argv):
+    """(exit code, stdout bytes) of one CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue().encode("utf-8")
 
 
 def run_config_file(cfg, tmp_dir):
@@ -27,11 +54,9 @@ def run_config_file(cfg, tmp_dir):
     report = pathlib.Path(tmp_dir) / "report.out"
     if report.exists():
         report.unlink()
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["run", str(cfg), "--output", str(report)])
+    code, stdout = _main_bytes(["run", str(cfg), "--output", str(report)])
     body = report.read_bytes() if report.exists() else None
-    return code, out.getvalue().encode("utf-8"), body
+    return code, stdout, body
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=[c.stem for c in CONFIGS])
@@ -47,9 +72,23 @@ def test_report_matches_golden(cfg, tmp_path):
         assert report == recorded.read_bytes()
 
 
+@pytest.mark.parametrize("cfg,cmd,fmt", CLI_CASES,
+                         ids=[_case_name(*case) for case in CLI_CASES])
+def test_cli_output_matches_golden(cfg, cmd, fmt):
+    name = _case_name(cfg, cmd, fmt)
+    code, stdout = _main_bytes([cmd, str(cfg), "--format", fmt])
+    codes = json.loads((GOLDEN / "cli_exit_codes.json").read_text(encoding="utf-8"))
+    assert code == codes[name]
+    assert stdout == (GOLDEN / name).read_bytes()
+
+
 def test_every_config_has_golden_files():
     codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     assert sorted(codes) == [c.stem for c in CONFIGS]
+    cli_codes = json.loads((GOLDEN / "cli_exit_codes.json").read_text(encoding="utf-8"))
+    names = sorted(_case_name(*case) for case in CLI_CASES)
+    assert sorted(cli_codes) == names
+    assert len(set(names)) == len(CLI_CASES)
 
 
 def record(tmp_dir):
@@ -66,6 +105,13 @@ def record(tmp_dir):
             recorded.write_bytes(report)
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    cli_codes = {}
+    for cfg, cmd, fmt in CLI_CASES:
+        name = _case_name(cfg, cmd, fmt)
+        cli_codes[name], stdout = _main_bytes([cmd, str(cfg), "--format", fmt])
+        (GOLDEN / name).write_bytes(stdout)
+    (GOLDEN / "cli_exit_codes.json").write_text(
+        json.dumps(cli_codes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from voatwist.series import (
     series_combine,
     series_derivative,
     series_eq,
+    series_scale,
 )
 
 
@@ -24,17 +25,18 @@ def test_add_term_accumulates_and_cancels():
 
 
 def test_combine_add_intersects_windows():
-    a = LogSeries({(F(0), 0): F(1)}, floor=F(-2), ceiling=F(3))
-    b = LogSeries({(F(1), 0): F(1)}, floor=F(-1), ceiling=F(5))
+    a = LogSeries({(F(0), 0): F(1)}, ceiling=F(3))
+    b = LogSeries({(F(1), 0): F(1)}, ceiling=F(5))
     out = series_combine(a, b)
-    assert out.floor == F(-1) and out.ceiling == F(3)
+    assert out.ceiling == F(3)
+    assert series_combine(b, LogSeries()).ceiling == F(5)
     assert out.terms[(F(0), 0)] == 1 and out.terms[(F(1), 0)] == 1
 
 
 def test_combine_scale_shifts_window():
     a = LogSeries({(F(2), 1): F(3)}, ceiling=F(4))
-    out = series_combine(a, mode="scale", scalar=F(2), eshift=F(-1), kshift=1)
-    assert out.terms == {(F(1), 2): F(6)}
+    out = series_scale(a, scalar=F(2), eshift=F(-1))
+    assert out.terms == {(F(1), 1): F(6)}
     assert out.ceiling == F(3)
 
 
@@ -50,13 +52,6 @@ def test_derivative_mixes_log_down():
     d = series_derivative(s)
     assert d.terms[(F(-3, 2), 2)] == F(-1, 2)
     assert d.terms[(F(-3, 2), 1)] == 2
-
-
-def test_coefficient_outside_window_raises():
-    s = LogSeries({(F(0), 0): F(1)}, ceiling=F(2))
-    assert s.coefficient(0) == 1
-    with pytest.raises(DomainError):
-        s.coefficient(3)
 
 
 def test_branch_shift_scales_fractional_powers():

@@ -2,18 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from voatwist.errors import NotFixed, NotIntertwining, Unsupported
+from voatwist.errors import NotFixed, NotIntertwining
 from voatwist.fock import InducedModule, PBWVector, build_module
 from voatwist.lie import build_simple_lie, diagram_automorphism
 from voatwist.series import branch_shift, series_eq
 from voatwist.twist import (
-    ExternalTwistedModule,
     ModuleMap,
     apply_lie_matrix,
     apply_table_entry,
-    export_twisted,
     functor_on_map,
-    load_twisted,
     make_twisted,
     mode_candidates,
     mode_table_entry,
@@ -133,49 +130,17 @@ def test_transport_by_diagram_flip():
     v = mod3.current("e1")
     pre = apply_lie_matrix(mod3, tau.inverse().matrix, v)
     assert series_eq(moved.chain_transform(v), tw3.chain_transform(pre)) is None
-    with pytest.raises(Unsupported):
-        export_twisted(moved)
 
 
 def test_functor_transports_scalar_maps():
-    out = functor_on_map(TW, TW, ModuleMap(MOD, default=F(3)), probe_weight=2)
-    assert out.default == 3
+    # a scalar map commutes with every vertex operator, so no probe fails
+    functor_on_map(TW, ModuleMap(default=F(3)), probe_weight=2)
 
 
 def test_functor_rejects_skew_map():
-    skew = ModuleMap(MOD, weight_scalars={2: F(5)})
+    skew = ModuleMap(weight_scalars={2: F(5)})
     with pytest.raises(NotIntertwining):
-        functor_on_map(TW, TW, skew, probe_weight=2)
-
-
-def test_export_reload_round_trip():
-    data = export_twisted(TW)
-    back = load_twisted(data)
-    assert back.branch_order() == TW.branch_order()
-    assert back.weight_of(()) == TW.weight_of(())
-    for name in ("e1", "f1", "h1"):
-        a = mode_table_entry(TW, sl2.generator(name), F(0))
-        b = mode_table_entry(back, sl2.generator(name), F(0))
-        assert a == b
-
-
-def test_detached_form_applies_serialized_modes():
-    modes = [F(m) for m in (-2, -1, 0, 1, 2)]
-    data = export_twisted(TW, mode_window=(modes, 0))
-    ext = ExternalTwistedModule(data)
-    for name in ("e1", "f1", "h1"):
-        for m in modes:
-            for w in (MOD.vacuum(), state("f1", -1)):
-                got = ext.mode(name, m)(w)
-                want = TW.gen_mode(name, m)(w)
-                assert (got - want).is_zero()
-
-
-def test_detached_form_refuses_deep_states():
-    data = export_twisted(TW, mode_window=([F(0)], 0))
-    ext = ExternalTwistedModule(data)
-    with pytest.raises(Unsupported):
-        ext.vertex_series(state("e1", -2), MOD.vacuum(), F(0))
+        functor_on_map(TW, skew, probe_weight=2)
 
 
 def test_untwisted_wrapper_is_plain_module():
