@@ -13,7 +13,7 @@ Subcommands:
 Exit status: 0 all checks passed, 2 at least one check failed, 3 no
 failures but at least one check was uncertifiable at the configured
 cutoff.  Library errors map to dedicated codes (see EXIT_CODES); bad
-configs and bad command lines exit 64.
+configs, bad command lines and report paths that cannot be written exit 64.
 """
 
 from __future__ import annotations
@@ -286,11 +286,11 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     try:
         raw = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)
 
@@ -644,8 +644,11 @@ def render_csv(report: dict) -> str:
 
 def _emit(text: str, path):
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report: {exc}") from exc
     else:
         sys.stdout.write(text)
 

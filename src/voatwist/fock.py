@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .errors import CriticalLevel, DomainError, Unsupported
 from .lie import LieAlgebra, LieElt
+from .linalg import memo
 from .scalars import binom, int_if_integral
 from .series import LogSeries
 
@@ -135,11 +136,10 @@ class InducedModule:
         if F(lam) != 0:
             raise Unsupported("only the vacuum highest weight (lambda = 0) is built")
         self.lam = F(0)
+        # memo fills _act_cache; it is created here so that its size can be
+        # read on a module that never acted
         self._act_cache = {}
         self._vs_cache = {}
-        self._basis_cache = {}
-        self._dual_pairs = None
-        self._omega = None
 
     # -- basic vectors --------------------------------------------------
 
@@ -160,12 +160,10 @@ class InducedModule:
             return x
         return self.algebra.generator(x)
 
+    @memo
     def basis(self, weight) -> list:
         """All canonical monomials of the given weight, deterministic order."""
         weight = int(weight)
-        hit = self._basis_cache.get(weight)
-        if hit is not None:
-            return hit
         letters = []
         for m in range(-1, -weight - 1, -1):
             for gi in range(self.algebra.dim):
@@ -185,7 +183,6 @@ class InducedModule:
                     prefix.pop()
 
         rec([], 0, weight)
-        self._basis_cache[weight] = out
         return out
 
     def graded_dimension(self, weight) -> int:
@@ -193,66 +190,54 @@ class InducedModule:
 
     # -- mode action ------------------------------------------------------
 
+    @memo
     def _act(self, gi: int, m: int, mono):
         """b_gi(m) applied to one monomial: (dict mono->coeff, truncated)."""
-        key = (gi, m, mono)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
         if not mono:
-            if m < 0:
-                if -m > self.cutoff:
-                    res = ({}, True)
-                else:
-                    res = ({((gi, m),): 1}, False)
-            else:
-                res = ({}, False)
-        else:
-            g1, m1 = mono[0]
-            if m < 0 and _canonical_key(gi, m) <= _canonical_key(g1, m1):
-                new = ((gi, m),) + mono
-                if monomial_weight(new) > self.cutoff:
-                    res = ({}, True)
-                else:
-                    res = ({new: 1}, False)
-            else:
-                rest = mono[1:]
-                acc = {}
-                trunc = False
+            if m >= 0:
+                return {}, False
+            return ({}, True) if -m > self.cutoff else ({((gi, m),): 1}, False)
+        g1, m1 = mono[0]
+        if m < 0 and _canonical_key(gi, m) <= _canonical_key(g1, m1):
+            new = ((gi, m),) + mono
+            if monomial_weight(new) > self.cutoff:
+                return {}, True
+            return {new: 1}, False
+        rest = mono[1:]
+        acc = {}
+        trunc = False
 
-                def add(mono2, coeff):
-                    cur = acc.get(mono2)
-                    s = coeff if cur is None else cur + coeff
-                    if not s:
-                        acc.pop(mono2, None)
-                    else:
-                        acc[mono2] = s
+        def add(mono2, coeff):
+            cur = acc.get(mono2)
+            s = coeff if cur is None else cur + coeff
+            if not s:
+                acc.pop(mono2, None)
+            else:
+                acc[mono2] = s
 
-                inner, t1 = self._act(gi, m, rest)
-                trunc = trunc or t1
-                for mono2, c2 in inner.items():
-                    sub, t2 = self._act(g1, m1, mono2)
-                    trunc = trunc or t2
-                    for mono3, c3 in sub.items():
-                        add(mono3, c2 * c3)
-                br = self.algebra.bracket(self.algebra._basis_elt(gi),
-                                          self.algebra._basis_elt(g1))
-                for k, ck in enumerate(br.coords):
-                    if ck:
-                        ck = int_if_integral(ck)
-                        sub, t3 = self._act(k, m + m1, rest)
-                        trunc = trunc or t3
-                        for mono2, c2 in sub.items():
-                            add(mono2, ck * c2)
-                if m + m1 == 0 and m:
-                    pair = self.algebra.form(self.algebra._basis_elt(gi),
-                                             self.algebra._basis_elt(g1))
-                    c = int_if_integral(m * pair * self.level)
-                    if c:
-                        add(rest, c)
-                res = (acc, trunc)
-        self._act_cache[key] = res
-        return res
+        inner, t1 = self._act(gi, m, rest)
+        trunc = trunc or t1
+        for mono2, c2 in inner.items():
+            sub, t2 = self._act(g1, m1, mono2)
+            trunc = trunc or t2
+            for mono3, c3 in sub.items():
+                add(mono3, c2 * c3)
+        br = self.algebra.bracket(self.algebra._basis_elt(gi),
+                                  self.algebra._basis_elt(g1))
+        for k, ck in enumerate(br.coords):
+            if ck:
+                ck = int_if_integral(ck)
+                sub, t3 = self._act(k, m + m1, rest)
+                trunc = trunc or t3
+                for mono2, c2 in sub.items():
+                    add(mono2, ck * c2)
+        if m + m1 == 0 and m:
+            pair = self.algebra.form(self.algebra._basis_elt(gi),
+                                     self.algebra._basis_elt(g1))
+            c = int_if_integral(m * pair * self.level)
+            if c:
+                add(rest, c)
+        return acc, trunc
 
     def apply_mode(self, x, m: int, vec: PBWVector) -> PBWVector:
         """x(m) vec for x in the algebra (name, LieElt) and integer mode m."""
@@ -277,16 +262,15 @@ class InducedModule:
 
     # -- Sugawara Virasoro ------------------------------------------------
 
+    @memo
     def _sugawara_pairs(self):
-        if self._dual_pairs is None:
-            h_vee = self.algebra.dual_coxeter()
-            if self.level == -h_vee:
-                raise CriticalLevel(
-                    f"level {self.level} equals minus the dual Coxeter number")
-            dual = self.algebra.dual_basis()
-            self._dual_pairs = (list(zip(self.algebra.basis(), dual)),
-                                F(1) / (2 * (self.level + h_vee)))
-        return self._dual_pairs
+        h_vee = self.algebra.dual_coxeter()
+        if self.level == -h_vee:
+            raise CriticalLevel(
+                f"level {self.level} equals minus the dual Coxeter number")
+        dual = self.algebra.dual_basis()
+        return (list(zip(self.algebra.basis(), dual)),
+                F(1) / (2 * (self.level + h_vee)))
 
     def sugawara_mode(self, n: int):
         """The Virasoro operator L(n) as a callable on PBWVectors."""
@@ -323,14 +307,13 @@ class InducedModule:
             raise CriticalLevel("no conformal structure at the critical level")
         return self.level * self.algebra.dim / (self.level + h_vee)
 
+    @memo
     def conformal_vector(self) -> PBWVector:
-        if self._omega is None:
-            pairs, scale = self._sugawara_pairs()
-            acc = PBWVector()
-            for ui, udi in pairs:
-                acc = acc + self.apply_mode(ui, -1, self.apply_mode(udi, -1, self.vacuum()))
-            self._omega = scale * acc
-        return self._omega
+        pairs, scale = self._sugawara_pairs()
+        acc = PBWVector()
+        for ui, udi in pairs:
+            acc = acc + self.apply_mode(ui, -1, self.apply_mode(udi, -1, self.vacuum()))
+        return scale * acc
 
     # -- vertex operators ---------------------------------------------------
 

@@ -6,7 +6,8 @@ every ordered pair (named e1, e12, ..., f1, ...) and the simple coroots
 h_k = E_kk - E_(k+1)(k+1).  The structure constants are tabulated once, on
 first use, from the matrix commutators of the basis, and the invariant form
 from the defining-representation trace form, which for type A is already
-normalized (long roots have squared length 2).
+normalized (long roots have squared length 2).  Tables, ad matrices,
+eigendata and Jordan-Chevalley splits are memoized per algebra (``memo``).
 
 Other families are not implemented and raise UnsupportedAlgebra.
 """
@@ -32,6 +33,7 @@ from .linalg import (
     mat_scale,
     mat_sub,
     mat_vec,
+    memo,
     poly_deriv,
     poly_eval_mat,
     poly_xgcd,
@@ -131,12 +133,6 @@ class LieAlgebra:
         self.dim = len(mats)
         self.index = {n: i for i, n in enumerate(names)}
         self._cartan_start = 2 * len(pos_pairs)
-        self._basis = None
-        self._struct = None
-        self._gram = None
-        self._ad_cache = {}
-        self._eigen_cache = {}
-        self._jc_cache = {}
 
     def _unit(self, i, j):
         n1 = self.rank + 1
@@ -180,25 +176,23 @@ class LieAlgebra:
 
     # -- structure ------------------------------------------------------
 
+    @memo
     def _tables(self):
-        """Structure constants and Gram matrix of the basis, built on first
-        use: _struct[i][j] lists the nonzero (k, c) of [b_i, b_j] and
-        _gram[i][j] is the trace form (b_i, b_j)."""
-        if self._struct is None:
-            mats = self.basis_mats
-            prods = [[mat_mul(x, y) for y in mats] for x in mats]
-            n1 = self.rank + 1
-            self._gram = tuple(
-                tuple(sum(p[k][k] for k in range(n1)) for p in row)
-                for row in prods)
+        """(struct, gram) of the basis: struct[i][j] lists the nonzero
+        (k, c) of [b_i, b_j] and gram[i][j] is the trace form (b_i, b_j)."""
+        mats = self.basis_mats
+        prods = [[mat_mul(x, y) for y in mats] for x in mats]
+        n1 = self.rank + 1
+        gram = tuple(tuple(sum(p[k][k] for k in range(n1)) for p in row)
+                     for row in prods)
 
-            def commutator(i, j):
-                br = self.from_matrix(mat_sub(prods[i][j], prods[j][i]))
-                return tuple((k, c) for k, c in enumerate(br.coords) if c)
+        def commutator(i, j):
+            br = self.from_matrix(mat_sub(prods[i][j], prods[j][i]))
+            return tuple((k, c) for k, c in enumerate(br.coords) if c)
 
-            self._struct = tuple(tuple(commutator(i, j) for j in range(self.dim))
-                                 for i in range(self.dim))
-        return self._struct, self._gram
+        struct = tuple(tuple(commutator(i, j) for j in range(self.dim))
+                       for i in range(self.dim))
+        return struct, gram
 
     def bracket(self, a: LieElt, b: LieElt) -> LieElt:
         struct, _gram = self._tables()
@@ -224,16 +218,11 @@ class LieAlgebra:
                         total += ca * cb * row[j]
         return total
 
+    @memo
     def ad_matrix(self, a: LieElt):
         """Matrix of ad(a) on the Chevalley basis (columns are images)."""
-        key = a.coords
-        hit = self._ad_cache.get(key)
-        if hit is not None:
-            return hit
         cols = [self.bracket(a, self._basis_elt(i)).coords for i in range(self.dim)]
-        m = tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
-        self._ad_cache[key] = m
-        return m
+        return tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
 
     def dual_basis(self):
         """Basis dual to the Chevalley basis with respect to the form."""
@@ -242,11 +231,9 @@ class LieAlgebra:
         return [LieElt(self, mat_vec(inv, [_1 if k == i else _0 for k in range(self.dim)]))
                 for i in range(self.dim)]
 
+    @memo
     def _basis_elt(self, i):
-        if self._basis is None:
-            self._basis = [LieElt(self, [_1 if j == k else _0 for j in range(self.dim)])
-                           for k in range(self.dim)]
-        return self._basis[i]
+        return LieElt(self, [_1 if j == i else _0 for j in range(self.dim)])
 
     def basis(self):
         return [self._basis_elt(i) for i in range(self.dim)]
@@ -267,13 +254,10 @@ class LieAlgebra:
 
     # -- spectral data ----------------------------------------------------
 
+    @memo
     def ad_eigendata(self, s: LieElt) -> "EigenData":
         """Eigenvalues and eigenbasis of ad(s); s must act semisimply with
         rational spectrum (NotSemisimple / NeedsFieldExtension otherwise)."""
-        key = s.coords
-        hit = self._eigen_cache.get(key)
-        if hit is not None:
-            return hit
         a = self.ad_matrix(s)
         p = charpoly(a)
         psf = squarefree_part(p)
@@ -288,24 +272,13 @@ class LieAlgebra:
             shifted = mat_sub(a, mat_scale(identity(self.dim), lam))
             vecs = kernel_basis(shifted)
             spaces[lam] = [LieElt(self, v) for v in vecs]
-        data = EigenData(self, s, spaces)
-        self._eigen_cache[key] = data
-        return data
+        return EigenData(self, s, spaces)
 
+    @memo
     def jordan_chevalley(self, x: LieElt):
         """Split x = s + n with ad(s) semisimple (rational spectrum), ad(n)
         nilpotent, [s, n] = 0.  Newton iteration on the squarefree part of
-        the characteristic polynomial of ad(x).  Splits are memoized per
-        x; failures are not, so they raise again on every call."""
-        key = x.coords
-        hit = self._jc_cache.get(key)
-        if hit is not None:
-            return hit
-        split = self._jordan_chevalley(x)
-        self._jc_cache[key] = split
-        return split
-
-    def _jordan_chevalley(self, x: LieElt):
+        the characteristic polynomial of ad(x)."""
         a = self.ad_matrix(x)
         p = charpoly(a)
         psf = squarefree_part(p)
@@ -368,7 +341,6 @@ class EigenData:
         p = tuple(tuple(cols[j][i] for j in range(algebra.dim))
                   for i in range(algebra.dim))
         self._p_inv = mat_inverse(p)
-        self._decomp_cache = {}
 
     def eigenvalue_of(self, elt: LieElt):
         """The single eigenvalue of an eigenvector (None if mixed)."""
@@ -380,14 +352,11 @@ class EigenData:
             return F(0)
         return None
 
+    @memo
     def decompose(self, elt: LieElt) -> dict:
         """Split elt into its ad(s)-eigencomponents, keyed by eigenvalue.
 
-        The dict is memoized per elt and shared between callers, who must
-        not mutate it."""
-        hit = self._decomp_cache.get(elt.coords)
-        if hit is not None:
-            return hit
+        The dict is shared between callers, who must not mutate it."""
         weights = mat_vec(self._p_inv, elt.coords)
         out = {}
         idx = 0
@@ -399,7 +368,6 @@ class EigenData:
                 idx += 1
             if not acc.is_zero():
                 out[lam] = acc
-        self._decomp_cache[elt.coords] = out
         return out
 
 

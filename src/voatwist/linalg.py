@@ -2,10 +2,12 @@
 
 Matrices are tuples of tuples of Fractions (rows).  Polynomials are lists
 or tuples of Fractions in ascending powers.  Everything here is small and
-exact; no pivoting heuristics, no floats.
+exact; no pivoting heuristics, no floats.  The ``memo`` method decorator
+lives here too, below every class whose results it caches.
 """
 
 from fractions import Fraction
+from functools import wraps
 from math import gcd, isqrt, lcm
 
 __all__ = [
@@ -19,6 +21,7 @@ __all__ = [
     "mat_scale",
     "mat_sub",
     "mat_vec",
+    "memo",
     "poly_deriv",
     "poly_divmod",
     "poly_eval_mat",
@@ -309,3 +312,27 @@ def divisors(n):
             if d != n // d:
                 large.append(n // d)
     return small + large[::-1]
+
+
+def memo(method):
+    """Memoize a method per instance, keyed by its positional arguments.
+
+    Results live in the instance's own ``_<name>_cache`` dict (leading
+    underscores of the name dropped), so they die with the instance and two
+    instances share nothing.  A call that raises stores nothing, so it
+    raises again next time.  Results are shared: callers must not mutate
+    them.
+    """
+    attr = f"_{method.__name__.lstrip('_')}_cache"
+
+    @wraps(method)
+    def cached(self, *args):
+        try:
+            return self.__dict__[attr][args]
+        except KeyError:
+            pass
+        out = method(self, *args)
+        self.__dict__.setdefault(attr, {})[args] = out
+        return out
+
+    return cached

@@ -29,6 +29,7 @@ from .delta import DeltaOperator, delta_apply_series, make_delta
 from .errors import DomainError, NotFixed, NotIntertwining, Unsupported
 from .fock import InducedModule, PBWVector, monomial_weight
 from .lie import AutomorphismData, GAutomorphism, LieElt
+from .linalg import memo
 from .scalars import Cyc, fmt_rational
 from .series import LogSeries
 
@@ -52,7 +53,6 @@ class TwistedModule:
         self.base = base
         self.steps = tuple(steps)
         self.aut = aut
-        self._coord_matrix_cache = None
 
     @property
     def conjugator(self):
@@ -159,16 +159,49 @@ class TwistedModule:
 
     # -- the attached automorphism ----------------------------------------
 
+    @memo
     def automorphism_matrix(self):
         """Coordinate matrix of the attached automorphism, with Cyc entries
         wherever a root of unity or the formal 2*pi*i symbol is needed."""
-        if self._coord_matrix_cache is None:
-            self._coord_matrix_cache = _aut_coord_matrix(self.algebra, self.aut,
-                                                         self.branch_order())
-        return self._coord_matrix_cache
+        return _aut_coord_matrix(self.algebra, self.aut, self.branch_order())
 
     def automorphism_apply(self, vec: PBWVector) -> PBWVector:
         return apply_lie_matrix(self.base, self.automorphism_matrix(), vec)
+
+    # -- closed-form mode tables ------------------------------------------
+
+    @memo
+    def _fold_mode(self, j: int, elt: LieElt, m, l: int):
+        """mode_table_entry of elt_(m, l) through the first j steps."""
+        alg = self.algebra
+        if elt.is_zero():
+            return {}, F(0)
+        if j == 0:
+            if l != 0 or m.denominator != 1:
+                return {}, F(0)
+            return {(gi, int(m)): c for gi, c in enumerate(elt.coords) if c}, F(0)
+        step = self.steps[j - 1]
+        ops_total = {}
+        scalar_total = F(0)
+        for lam, comp in step.eig.decompose(elt).items():
+            cur = comp
+            for lp in range(0, l + 1):
+                if cur.is_zero():
+                    break
+                c = F((-1) ** lp, factorial(lp))
+                sub_ops, sub_scalar = self._fold_mode(j - 1, cur, m - lam, l - lp)
+                for key, val in sub_ops.items():
+                    got = ops_total.get(key)
+                    tot = c * val if got is None else got + c * val
+                    if not tot:
+                        ops_total.pop(key, None)
+                    else:
+                        ops_total[key] = tot
+                scalar_total += c * sub_scalar
+                cur = alg.bracket(step.n, cur)
+        if m == 0 and l == 0:
+            scalar_total -= alg.form(step.a, elt) * self.level
+        return ops_total, scalar_total
 
 
 def untwisted_as_twisted(module: InducedModule) -> TwistedModule:
@@ -373,41 +406,7 @@ def mode_table_entry(twisted: TwistedModule, b, m, l: int = 0):
         b_(m, l)  =  sum ops[gi, mode] * b_gi(mode)  +  scalar * Id.
     """
     elt = twisted.base._as_elt(b)
-    ops, scalar = _fold_mode(twisted, len(twisted.steps), elt, F(m), int(l))
-    return ops, scalar
-
-
-def _fold_mode(twisted: TwistedModule, j: int, elt: LieElt, m, l: int):
-    alg = twisted.algebra
-    if elt.is_zero():
-        return {}, F(0)
-    if j == 0:
-        if l != 0 or F(m).denominator != 1:
-            return {}, F(0)
-        ops = {(gi, int(m)): c for gi, c in enumerate(elt.coords) if c}
-        return ops, F(0)
-    step = twisted.steps[j - 1]
-    ops_total = {}
-    scalar_total = F(0)
-    for lam, comp in step.eig.decompose(elt).items():
-        cur = comp
-        for lp in range(0, l + 1):
-            if cur.is_zero():
-                break
-            c = F((-1) ** lp, factorial(lp))
-            sub_ops, sub_scalar = _fold_mode(twisted, j - 1, cur, F(m) - lam, l - lp)
-            for key, val in sub_ops.items():
-                got = ops_total.get(key)
-                tot = c * val if got is None else got + c * val
-                if not tot:
-                    ops_total.pop(key, None)
-                else:
-                    ops_total[key] = tot
-            scalar_total += c * sub_scalar
-            cur = alg.bracket(step.n, cur)
-    if F(m) == 0 and l == 0:
-        scalar_total -= alg.form(step.a, elt) * twisted.level
-    return ops_total, scalar_total
+    return twisted._fold_mode(len(twisted.steps), elt, F(m), int(l))
 
 
 def apply_table_entry(module: InducedModule, entry, vec: PBWVector) -> PBWVector:

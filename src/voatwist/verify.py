@@ -147,6 +147,23 @@ def _series_witness(alg, wit, **extra) -> dict:
     return out
 
 
+def _series_check(name, alg, cases, count_key, **pass_details) -> CheckReport:
+    """Compare each (left, right, witness fields) series pair in turn.
+
+    cases is consumed lazily, so nothing past the first mismatch is
+    computed; the report counts comparisons under count_key.
+    """
+    checked = 0
+    for left, right, fields in cases:
+        wit = series_eq(left, right)
+        checked += 1
+        if wit is not None:
+            return CheckReport(name, "fail",
+                               witness=_series_witness(alg, wit, **fields),
+                               details={count_key: checked})
+    return CheckReport(name, "pass", details={count_key: checked, **pass_details})
+
+
 def _nilpotency_index(alg, n) -> int:
     """Smallest p with ad(n)^p = 0 (0 for n = 0)."""
     if n is None or n.is_zero():
@@ -358,44 +375,36 @@ def check_weight_bracket(module: InducedModule, u: PBWVector, states,
                          name="weight-bracket") -> CheckReport:
     """[L(0), D(x)] = x d/dx D(x) + u_0 D(x), state by state."""
     delta = make_delta(module, u)
-    alg = module.algebra
     l0 = module.sugawara_mode(0)
-    checked = 0
-    for v, label in states:
-        dv = _series_exact(delta_apply(delta, v), name)
-        left = _series_sub(dv.map_values(l0), delta_apply(delta, l0(v)))
-        right = series_combine(
-            series_scale(series_derivative(dv), eshift=1),
-            dv.map_values(lambda vec: module.apply_mode(delta.a, 0, vec)))
-        wit = series_eq(left, right)
-        checked += 1
-        if wit is not None:
-            return CheckReport(name, "fail",
-                               witness=_series_witness(alg, wit, state=label),
-                               details={"statesChecked": checked})
-    return CheckReport(name, "pass", details={"statesChecked": checked})
+
+    def cases():
+        for v, label in states:
+            dv = _series_exact(delta_apply(delta, v), name)
+            left = _series_sub(dv.map_values(l0), delta_apply(delta, l0(v)))
+            right = series_combine(
+                series_scale(series_derivative(dv), eshift=1),
+                dv.map_values(lambda vec: module.apply_mode(delta.a, 0, vec)))
+            yield left, right, {"state": label}
+
+    return _series_check(name, module.algebra, cases(), "statesChecked")
 
 
 def check_translation_bracket(module: InducedModule, u: PBWVector, states,
                               name="translation-bracket") -> CheckReport:
     """[L(-1), D(x)] = -d/dx D(x), state by state."""
     delta = make_delta(module, u)
-    alg = module.algebra
     lm1 = module.sugawara_mode(-1)
-    checked = 0
-    for v, label in states:
-        dv = _series_exact(delta_apply(delta, v), name)
-        moved = _ensure_exact(lm1(v), name)
-        left = _series_sub(dv.map_values(lambda vec: _ensure_exact(lm1(vec), name)),
-                           delta_apply(delta, moved))
-        right = series_scale(series_derivative(dv), scalar=F(-1))
-        wit = series_eq(left, right)
-        checked += 1
-        if wit is not None:
-            return CheckReport(name, "fail",
-                               witness=_series_witness(alg, wit, state=label),
-                               details={"statesChecked": checked})
-    return CheckReport(name, "pass", details={"statesChecked": checked})
+
+    def cases():
+        for v, label in states:
+            dv = _series_exact(delta_apply(delta, v), name)
+            moved = _ensure_exact(lm1(v), name)
+            left = _series_sub(dv.map_values(lambda vec: _ensure_exact(lm1(vec), name)),
+                               delta_apply(delta, moved))
+            right = series_scale(series_derivative(dv), scalar=F(-1))
+            yield left, right, {"state": label}
+
+    return _series_check(name, module.algebra, cases(), "statesChecked")
 
 
 # -- group laws --------------------------------------------------------------
@@ -404,27 +413,22 @@ def check_translation_bracket(module: InducedModule, u: PBWVector, states,
 def check_group_laws(module: InducedModule, u: PBWVector, states,
                      name="group-laws") -> CheckReport:
     """The zero shift is the identity and opposite currents invert."""
-    alg = module.algebra
     d = make_delta(module, u)
     dinv = make_delta(module, F(-1) * u)
     dzero = make_delta(module, PBWVector())
-    checked = 0
-    for v, label in states:
-        expect = LogSeries({(F(0), 0): v})
-        laws = [
-            ("zero-is-identity", delta_apply(dzero, v)),
-            ("inverse-right", delta_apply_series(d, delta_apply(dinv, v))),
-            ("inverse-left", delta_apply_series(dinv, delta_apply(d, v))),
-        ]
-        for law, got in laws:
-            wit = series_eq(got, expect)
-            checked += 1
-            if wit is not None:
-                return CheckReport(name, "fail",
-                                   witness=_series_witness(alg, wit, state=label,
-                                                           law=law),
-                                   details={"comparisons": checked})
-    return CheckReport(name, "pass", details={"comparisons": checked})
+
+    def cases():
+        for v, label in states:
+            expect = LogSeries({(F(0), 0): v})
+            laws = [
+                ("zero-is-identity", delta_apply(dzero, v)),
+                ("inverse-right", delta_apply_series(d, delta_apply(dinv, v))),
+                ("inverse-left", delta_apply_series(dinv, delta_apply(d, v))),
+            ]
+            for law, got in laws:
+                yield got, expect, {"state": label, "law": law}
+
+    return _series_check(name, module.algebra, cases(), "comparisons")
 
 
 def check_additivity(module: InducedModule, s_state: PBWVector,
@@ -443,21 +447,17 @@ def check_additivity(module: InducedModule, s_state: PBWVector,
         raise DomainError("additivity needs commuting current parts")
     if alg.form(ds.a, dn.a) != 0:
         raise DomainError("additivity needs pairing-orthogonal current parts")
-    checked = 0
-    for v, label in states:
-        want = delta_apply(dsum, v)
-        for order, got in [
-            ("semisimple-last", delta_apply_series(ds, delta_apply(dn, v))),
-            ("nilpotent-last", delta_apply_series(dn, delta_apply(ds, v))),
-        ]:
-            wit = series_eq(got, want)
-            checked += 1
-            if wit is not None:
-                return CheckReport(name, "fail",
-                                   witness=_series_witness(alg, wit, state=label,
-                                                           order=order),
-                                   details={"comparisons": checked})
-    return CheckReport(name, "pass", details={"comparisons": checked})
+
+    def cases():
+        for v, label in states:
+            want = delta_apply(dsum, v)
+            for order, got in [
+                ("semisimple-last", delta_apply_series(ds, delta_apply(dn, v))),
+                ("nilpotent-last", delta_apply_series(dn, delta_apply(ds, v))),
+            ]:
+                yield got, want, {"state": label, "order": order}
+
+    return _series_check(name, alg, cases(), "comparisons")
 
 
 # -- twisted mode structure --------------------------------------------------
@@ -586,15 +586,15 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
     if pairs is None:
         pairs = [(b, c) for b in alg.names for c in alg.names]
     states = basis_states(module, weight)
-    modes = {}  # (generator, mode) -> (operator, table ops), shared by all pairs
+    # operators are local, not memoized on the module: each keeps its
+    # chain-transformed state alive for as long as it is held
+    operators = {}
 
     def gen_mode(gname, m):
-        if (gname, m) not in modes:
-            modes[gname, m] = (twisted.gen_mode(gname, m),
-                               mode_table_entry(twisted, gname, m)[0])
-        return modes[gname, m]
+        if (gname, m) not in operators:
+            operators[gname, m] = twisted.gen_mode(gname, m)
+        return operators[gname, m], mode_table_entry(twisted, gname, m)[0]
 
-    brackets = {}  # (generator pair, m + n) -> bracket table ops
     compared = 0
     for bname, cname in pairs:
         belt, celt = alg.generator(bname), alg.generator(cname)
@@ -616,10 +616,7 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
                 if abs(n) > mode_span:
                     continue
                 cop, cops = gen_mode(cname, n)
-                key = (bname, cname, m + n)
-                if key not in brackets:
-                    brackets[key] = mode_table_entry(twisted, bracket, m + n)[0]
-                entry_ops = brackets[key]
+                entry_ops = mode_table_entry(twisted, bracket, m + n)[0]
                 central = F(0)
                 for (gi, p), bco in bops.items():
                     for (gj, q), cco in cops.items():
@@ -937,33 +934,24 @@ def check_equivariance(twisted: TwistedModule, target_states=None,
     g the attached automorphism; the comparison runs over cyclotomic
     coefficients, so root-of-unity and formal-log factors are both exact.
     """
-    name = "equivariance"
     module = twisted.base
     alg = twisted.algebra
     order = twisted.branch_order()
     states = [(module.current(nm), f"{nm}(-1) |0>") for nm in alg.names]
     if target_states is None:
         target_states = basis_states(module, 2)
-    checked = 0
-    for v, vlabel in states:
-        gv = twisted.automorphism_apply(v)
-        for w, wlabel in target_states:
-            ser = twisted.vertex_series(v, w, ceiling)
-            shifted = branch_shift(ser, 1, order)
-            direct = twisted.vertex_series(gv, w, ceiling)
-            wit = series_eq(shifted, direct)
-            checked += 1
-            if wit is not None:
-                return CheckReport(name, "fail",
-                                   witness=_series_witness(alg, wit,
-                                                           argument=vlabel,
-                                                           target=wlabel),
-                                   details={"comparisons": checked})
-    return CheckReport(name, "pass", details={
-        "comparisons": checked,
-        "branchOrder": order,
-        "ceiling": int(F(ceiling)) if F(ceiling).denominator == 1 else fmt_rational(F(ceiling)),
-    })
+
+    def cases():
+        for v, vlabel in states:
+            gv = twisted.automorphism_apply(v)
+            for w, wlabel in target_states:
+                shifted = branch_shift(twisted.vertex_series(v, w, ceiling), 1, order)
+                direct = twisted.vertex_series(gv, w, ceiling)
+                yield shifted, direct, {"argument": vlabel, "target": wlabel}
+
+    return _series_check(
+        "equivariance", alg, cases(), "comparisons", branchOrder=order,
+        ceiling=int(F(ceiling)) if F(ceiling).denominator == 1 else fmt_rational(F(ceiling)))
 
 
 # -- transport of module maps ------------------------------------------------
@@ -1007,21 +995,9 @@ def check_functor_transport(module: InducedModule, u: PBWVector,
     states = [(module.current(nm), f"{nm}(-1) |0>") for nm in alg.names]
     states.append((module.conformal_vector(), "conformal state"))
     targets = basis_states(module, probe_weight + 1)
-    checked = 0
-    for v, vlabel in states:
-        for w, wlabel in targets:
-            wit = series_eq(round_trip.vertex_series(v, w, ceiling),
-                            module.vertex_series(v, w, ceiling))
-            checked += 1
-            if wit is not None:
-                return CheckReport(name, "fail",
-                                   witness=_series_witness(alg, wit,
-                                                           argument=vlabel,
-                                                           target=wlabel,
-                                                           law="round-trip"),
-                                   details={"roundTripComparisons": checked})
-    return CheckReport(name, "pass", details={
-        "mapsTransported": len(good),
-        "skewRejected": True,
-        "roundTripComparisons": checked,
-    })
+    cases = ((round_trip.vertex_series(v, w, ceiling),
+              module.vertex_series(v, w, ceiling),
+              {"argument": vlabel, "target": wlabel, "law": "round-trip"})
+             for v, vlabel in states for w, wlabel in targets)
+    return _series_check(name, alg, cases, "roundTripComparisons",
+                         mapsTransported=len(good), skewRejected=True)

@@ -167,6 +167,24 @@ def test_main_config_errors(tmp_path, capsys):
     assert main([]) == EXIT_CODES[ConfigError]
     capsys.readouterr()
 
+    def error_code(argv):
+        status = main(argv)
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "ConfigError"
+        return status
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"level": "\xe9"}')
+    assert error_code(["run", str(latin1)]) == EXIT_CODES[ConfigError]
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    assert error_code(["run", str(deep)]) == EXIT_CODES[ConfigError]
+    good = write_config(tmp_path, base_config())
+    for dest in (tmp_path / "missing" / "report.json", tmp_path):
+        assert error_code(["tables", good, "--output", str(dest)]) == 64
+        in_config = write_config(tmp_path, base_config(
+            output={"format": "json", "path": str(dest)}), name="out.json")
+        assert error_code(["tables", in_config]) == 64
+
 
 def test_output_file_and_format_override(tmp_path, capsys):
     cfg = base_config(module={"lambda": 0, "cutoff": 3})

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -179,3 +181,23 @@ def test_series_memo_is_independent_of_ceiling_order():
                 assert _upto(got, c) == _upto(want, c)
                 ser = mod.vertex_series(PBWVector({mv: F(1)}), PBWVector({mw: F(1)}), c)
                 assert all(e <= c for e, _k in ser.terms)
+
+
+def test_memo_entries_stay_with_their_module():
+    one, two = (build_module(sl2, F(2), cutoff=3) for _ in range(2))
+    one.apply_mode("e1", 0, one.current("f1"))
+    one.basis(2)
+    assert one._act_cache and one._basis_cache
+    assert two._act_cache == {}
+    assert "_basis_cache" not in vars(two)
+
+
+def test_module_is_collected_after_del():
+    # memo entries live on the instance, so nothing outside keeps it alive
+    mod = build_module(sl2, F(2), cutoff=3)
+    mod.conformal_vector()
+    mod.vertex_series(mod.current("e1"), mod.current("f1"), 0)
+    ref = weakref.ref(mod)
+    del mod
+    gc.collect()
+    assert ref() is None

@@ -95,10 +95,13 @@ def test_jordan_chevalley_mixed_commuting_pair():
 
 
 def test_jordan_chevalley_irrational_spectrum():
-    # only successful splits are memoized: a failure raises on every call
+    # only successful calls are memoized: a failure raises on every call
+    x = sl2.generator("e1") - sl2.generator("f1")
     for _ in range(2):
         with pytest.raises(NeedsFieldExtension):
-            sl2.jordan_chevalley(sl2.generator("e1") - sl2.generator("f1"))
+            sl2.jordan_chevalley(x)
+        with pytest.raises(NeedsFieldExtension):
+            sl2.ad_eigendata(x)
 
 
 def test_diagram_flip_of_rank_two():

@@ -3,18 +3,23 @@ from fractions import Fraction as F
 
 import pytest
 
+from voatwist import verify
+from voatwist.delta import make_delta
 from voatwist.errors import DomainError
 from voatwist.fock import build_module
-from voatwist.lie import build_simple_lie
-from voatwist.twist import make_twisted, untwisted_as_twisted
+from voatwist.lie import AutomorphismData, build_simple_lie
+from voatwist.twist import TwistedModule, make_twisted, untwisted_as_twisted
 from voatwist.verify import (
     CheckReport,
     basis_states,
     chain_log_bound,
     check_additivity,
+    check_equivariance,
     check_grading_restriction,
     check_regraded_weights,
     check_shift_conjugation,
+    check_translation_bracket,
+    check_weight_bracket,
     check_zero_mode_nilpotency,
 )
 
@@ -136,3 +141,43 @@ def test_report_dict_is_order_independent():
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
     keys = list(a.to_dict()["witness"])
     assert keys == sorted(keys)
+
+
+def _fail(name, count_key, count, **witness):
+    return {"name": name, "status": "fail", "witness": witness,
+            "details": {count_key: count}}
+
+
+def test_equivariance_fail_report():
+    # the chain keeps its h1 = 1/3 step but forgets its automorphism
+    mod = build_module(sl2, F(2), cutoff=6)
+    tw = make_twisted(mod, mod.current(sl2.element({"h1": F(1, 3)})))
+    wrong = TwistedModule(tw.base, tw.steps, AutomorphismData(sl2))
+    assert check_equivariance(wrong).to_dict() == _fail(
+        "equivariance", "comparisons", 1, argument="e1(-1) |0>",
+        exponent="-2/3", left="(1*z3^1) e1(-1) |0>", logPower=0,
+        right="(1) e1(-1) |0>", target="|0>")
+
+
+@pytest.mark.parametrize("check, current, want", [
+    (check_weight_bracket, {"h1": F(1, 2)}, _fail(
+        "weight-bracket", "statesChecked", 2, exponent="1", left="0",
+        logPower=0, right="(2) e1(-1) |0>", state="e1(-1) |0>")),
+    (check_translation_bracket, {"h1": F(1, 2)}, _fail(
+        "translation-bracket", "statesChecked", 2, exponent="0",
+        left="(1) e1(-1) |0>", logPower=0, right="(-1) e1(-1) |0>",
+        state="e1(-1) |0>")),
+    (check_weight_bracket, {"e1": 1}, _fail(
+        "weight-bracket", "statesChecked", 3, exponent="0", left="0",
+        logPower=0, right="(2) h1(-1) |0>", state="f1(-1) |0>")),
+    (check_translation_bracket, {"e1": 1}, _fail(
+        "translation-bracket", "statesChecked", 3, exponent="-2",
+        left="(2) |0>", logPower=0, right="(-2) |0>", state="f1(-1) |0>")),
+])
+def test_bracket_fail_reports(monkeypatch, check, current, want):
+    # the legacy exponent sign breaks both derivation brackets
+    monkeypatch.setattr(verify, "make_delta",
+                        lambda module, u: make_delta(module, u, True))
+    mod = build_module(sl2, F(2), cutoff=6)
+    u = mod.current(sl2.element(current))
+    assert check(mod, u, basis_states(mod, 2)).to_dict() == want
