@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -642,6 +643,15 @@ def render_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+def _check_report_path(path):
+    """Refuse a report path that cannot be opened before any work is done."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write the report: {path} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write the report: no directory {parent}")
+
+
 def _emit(text: str, path):
     if path:
         try:
@@ -693,10 +703,12 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.format:
             config["output"]["format"] = args.format
+        path = args.output or config["output"].get("path")
+        if path:
+            _check_report_path(path)
         report, status = run_config(config, with_checks=(args.command == "run"))
         fmt = config["output"]["format"]
         text = render_json(report) if fmt == "json" else render_csv(report)
-        path = args.output or config["output"].get("path")
         _emit(text, path)
     except VoatwistError as exc:
         payload = {"schemaVersion": 1,

@@ -59,16 +59,11 @@ class DeltaOperator:
         return f"DeltaOperator(a={self.a!r}{tag})"
 
 
-def make_delta(module: InducedModule, u: PBWVector,
-               legacy_sign_convention: bool = False) -> DeltaOperator:
-    """Validate the current vector u = a(-1)|0> and build its operator.
+def current_element(module: InducedModule, u: PBWVector):
+    """The Lie algebra element a of a current vector u = a(-1)|0>.
 
-    Raises DomainError if u is not a weight-one current vector,
-    NotQuasiPrimary if L(1)u != 0 (the Sugawara L(1) is used, so
-    CriticalLevel propagates from there at level -h_vee), and
-    NeedsFieldExtension or NotSemisimple from the Jordan decomposition
-    of the underlying Lie algebra element.
-    """
+    Raises DomainError if u is not a weight-one current vector with
+    rational coefficients."""
     alg = module.algebra
     coords = [F(0)] * alg.dim
     for mono, coeff in u.c.items():
@@ -81,7 +76,21 @@ def make_delta(module: InducedModule, u: PBWVector,
             else:
                 raise DomainError("current coefficients must be rational")
         coords[gi] = coords[gi] + F(coeff)
-    a = alg.element_from_coords(coords)
+    return alg.element_from_coords(coords)
+
+
+def make_delta(module: InducedModule, u: PBWVector,
+               legacy_sign_convention: bool = False) -> DeltaOperator:
+    """Validate the current vector u = a(-1)|0> and build its operator.
+
+    Raises DomainError if u is not a weight-one current vector,
+    NotQuasiPrimary if L(1)u != 0 (the Sugawara L(1) is used, so
+    CriticalLevel propagates from there at level -h_vee), and
+    NeedsFieldExtension or NotSemisimple from the Jordan decomposition
+    of the underlying Lie algebra element.
+    """
+    alg = module.algebra
+    a = current_element(module, u)
     if a.is_zero():
         eig = alg.ad_eigendata(alg.zero())
         return DeltaOperator(module, a, alg.zero(), alg.zero(), eig, F(0),

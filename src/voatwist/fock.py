@@ -81,7 +81,17 @@ class PBWVector:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-1) * other
+        if isinstance(other, int) and other == 0:
+            return self
+        out = dict(self.c)
+        for mono, coeff in other.c.items():
+            cur = out.get(mono)
+            s = -coeff if cur is None else cur - coeff
+            if not s:
+                out.pop(mono, None)
+            else:
+                out[mono] = s
+        return PBWVector(out, self.truncated or other.truncated)
 
     def __neg__(self):
         return (-1) * self
@@ -262,15 +272,18 @@ class InducedModule:
 
     # -- Sugawara Virasoro ------------------------------------------------
 
-    @memo
-    def _sugawara_pairs(self):
-        h_vee = self.algebra.dual_coxeter()
-        if self.level == -h_vee:
+    def require_noncritical(self):
+        """Raise CriticalLevel at level -h_vee, where no Sugawara field exists."""
+        if self.level == -self.algebra.dual_coxeter():
             raise CriticalLevel(
                 f"level {self.level} equals minus the dual Coxeter number")
+
+    @memo
+    def _sugawara_pairs(self):
+        self.require_noncritical()
         dual = self.algebra.dual_basis()
         return (list(zip(self.algebra.basis(), dual)),
-                F(1) / (2 * (self.level + h_vee)))
+                F(1) / (2 * (self.level + self.algebra.dual_coxeter())))
 
     def sugawara_mode(self, n: int):
         """The Virasoro operator L(n) as a callable on PBWVectors."""

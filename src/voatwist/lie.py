@@ -238,6 +238,7 @@ class LieAlgebra:
     def basis(self):
         return [self._basis_elt(i) for i in range(self.dim)]
 
+    @memo
     def dual_coxeter(self) -> Fraction:
         """Dual Coxeter number, read off the Casimir acting on the adjoint."""
         dual = self.dual_basis()

@@ -25,7 +25,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import factorial, floor, lcm
 
-from .delta import DeltaOperator, delta_apply_series, make_delta
+from .delta import DeltaOperator, current_element, delta_apply_series, make_delta
 from .errors import DomainError, NotFixed, NotIntertwining, Unsupported
 from .fock import InducedModule, PBWVector, monomial_weight
 from .lie import AutomorphismData, GAutomorphism, LieElt
@@ -77,10 +77,29 @@ class TwistedModule:
     # -- vertex operators ------------------------------------------------
 
     def chain_transform(self, v: PBWVector) -> LogSeries:
-        """The full shift-chain image of v, an exact finite LogSeries."""
+        """The full shift-chain image of v, an exact finite LogSeries.
+
+        The chain is linear, so this sums the memoized images of v's
+        monomials.  A flagged v flags every term, and a flagged zero comes
+        back as its own (0, 0) term."""
+        if v.is_zero():
+            return LogSeries({(0, 0): v})
+        out = LogSeries()
+        for mono, c in v.c.items():
+            for (e, k), vec in self._chain_image(mono).terms.items():
+                term = c * vec
+                term.truncated = term.truncated or v.truncated
+                out.add_term(e, k, term)
+        return out
+
+    @memo
+    def _chain_image(self, mono) -> LogSeries:
+        """chain_transform of one monomial: the conjugator, then every step
+        from the most recent one."""
+        v = PBWVector({mono: 1})
         if self.conjugator is not None:
             v = apply_lie_matrix(self.base, self.conjugator.inverse().matrix, v)
-        ser = LogSeries({(F(0), 0): v})
+        ser = LogSeries({(0, 0): v})
         for step in reversed(self.steps):
             ser = delta_apply_series(step, ser)
         return ser
@@ -98,22 +117,40 @@ class TwistedModule:
         """The (m, l) mode of Y_new(v, x): coefficient of x^(-m-1) log^l.
 
         The returned operator transforms v along the chain on its first
-        call.  For each target it reads one base coefficient per chain term
-        of log power l, at the integer exponent left over, and never builds
-        a series."""
+        call.  It is linear in the target, so it keeps the image of every
+        target monomial it has met, for as long as the operator is held: an
+        image reads one base coefficient per chain term of log power l, at
+        the integer exponent left over, and never builds a series."""
         e = -F(m) - 1
         reads = None
+        images = {}
 
-        def op(w: PBWVector) -> PBWVector:
+        def image(mono):
             nonlocal reads
             if reads is None:
                 reads = [(vec1, e - e1)
                          for (e1, k1), vec1 in self.chain_transform(v).terms.items()
                          if k1 == l and (e - e1).denominator == 1]
+            w = PBWVector({mono: 1})
             out = PBWVector()
             for vec1, e2 in reads:
                 out = out + self.base.coefficient_at(vec1, w, e2)
-            return out
+            return out.c
+
+        def op(w: PBWVector) -> PBWVector:
+            out = {}
+            for mono, cw in w.c.items():
+                img = images.get(mono)
+                if img is None:
+                    img = images[mono] = image(mono)
+                for mono2, c in img.items():
+                    cur = out.get(mono2)
+                    s = cw * c if cur is None else cur + cw * c
+                    if not s:
+                        out.pop(mono2, None)
+                    else:
+                        out[mono2] = s
+            return PBWVector(out)
 
         return op
 
@@ -292,9 +329,11 @@ def make_twisted(target, u: PBWVector,
     """
     if isinstance(target, InducedModule):
         target = untwisted_as_twisted(target)
-    delta = make_delta(target.base, u, legacy_sign_convention)
-
-    if not delta.is_identity:
+    # the cheap rejections come before the Jordan decomposition and the
+    # self-pairing that make_delta computes, in the order it would raise
+    # them: the shape of u, the critical level, then fixedness
+    if not current_element(target.base, u).is_zero():
+        target.base.require_noncritical()
         image = target.automorphism_apply(u)
         diff = image - u
         if diff.truncated:
@@ -304,7 +343,7 @@ def make_twisted(target, u: PBWVector,
         if not diff.is_zero():
             raise NotFixed(
                 "the current vector is not fixed by the attached automorphism")
-
+    delta = make_delta(target.base, u, legacy_sign_convention)
     aut = _merge_aut(target.algebra, target.aut, delta)
     return TwistedModule(target.base, target.steps + (delta,), aut)
 
@@ -369,29 +408,38 @@ class ModuleMap:
         return out
 
 
-def functor_on_map(twisted: TwistedModule, mapping: ModuleMap,
-                   probe_weight: int = 2, ceiling: int = 2) -> None:
-    """Transport a graded map along the twisting functor.
+def functor_on_map(twisted: TwistedModule, mappings,
+                   probe_weight: int = 2, ceiling: int = 2) -> list:
+    """Transport graded maps along the twisting functor.
 
-    The underlying space does not change, so the transported map is the
+    The underlying space does not change, so a transported map is the
     same assignment; what needs checking is that it still intertwines the
     twisted action.  Probes run over current vectors against the basis up
-    to probe_weight; a violation raises NotIntertwining.
+    to probe_weight, and the unmapped side of each probe is computed once
+    for all the maps.  Returns one entry per map: None if it intertwines,
+    else the NotIntertwining error naming its first failing series key.
     """
     base, alg = twisted.base, twisted.algebra
     probes = [base.current(alg._basis_elt(gi)) for gi in range(alg.dim)]
+    failures = [None] * len(mappings)
     for v in probes:
         for w in range(probe_weight + 1):
             for mono in base.basis(w):
                 bv = PBWVector({mono: F(1)})
-                left = twisted.vertex_series(v, mapping.apply(bv), ceiling)
-                mapped = twisted.vertex_series(v, bv, ceiling).map_values(mapping.apply)
-                for key in set(left.terms) | set(mapped.terms):
-                    a = left.terms.get(key, PBWVector())
-                    b = mapped.terms.get(key, PBWVector())
-                    if not (a - b).is_zero():
-                        raise NotIntertwining(
-                            f"map fails to intertwine at series key {key}")
+                unmapped = twisted.vertex_series(v, bv, ceiling)
+                for i, mapping in enumerate(mappings):
+                    if failures[i] is not None:
+                        continue
+                    left = twisted.vertex_series(v, mapping.apply(bv), ceiling)
+                    mapped = unmapped.map_values(mapping.apply)
+                    for key in set(left.terms) | set(mapped.terms):
+                        a = left.terms.get(key, PBWVector())
+                        b = mapped.terms.get(key, PBWVector())
+                        if not (a - b).is_zero():
+                            failures[i] = NotIntertwining(
+                                f"map fails to intertwine at series key {key}")
+                            break
+    return failures
 
 
 # -- closed-form mode tables ------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .delta import delta_apply, delta_apply_series, make_delta
-from .errors import DomainError, NotIntertwining
+from .errors import DomainError
 from .fock import InducedModule, PBWVector
 from .scalars import binom, fmt_rational, fmt_scalar
 from .series import (
@@ -680,20 +680,23 @@ def check_conformal_shift(prev: TwistedModule, new: TwistedModule,
     uvec = module.current(step.a)
     kappa = step.kappa
     states = basis_states(module, weight)
+    new_log, new_l0, new_lm1 = (new.mode(omega, 1, 1), new.mode(omega, 1),
+                                new.mode(omega, 0))
+    prev_l0, prev_lm1 = prev.mode(omega, 1), prev.mode(omega, 0)
+    prev_u0, prev_um1 = prev.mode(uvec, 0), prev.mode(uvec, -1)
     checked = 0
     for w, label in states:
-        logpart = new.mode(omega, 1, 1)(w)
+        logpart = new_log(w)
         if not logpart.is_zero():
             return CheckReport(name, "fail", witness={
                 "state": label,
                 "reason": "log admixture at the conformal weight mode",
                 "left": format_vector(alg, logpart),
             }, details={"statesChecked": checked})
-        got0 = new.mode(omega, 1)(w)
-        want0 = (prev.mode(omega, 1)(w) - prev.mode(uvec, 0)(w)
-                 + F(kappa, 2) * w)
-        got1 = new.mode(omega, 0)(w)
-        want1 = prev.mode(omega, 0)(w) - prev.mode(uvec, -1)(w)
+        got0 = new_l0(w)
+        want0 = prev_l0(w) - prev_u0(w) + F(kappa, 2) * w
+        got1 = new_lm1(w)
+        want1 = prev_lm1(w) - prev_um1(w)
         for tag, got, want in [("weight-mode", got0, want0),
                                ("translation-mode", got1, want1)]:
             _ensure_exact(got, name)
@@ -974,23 +977,21 @@ def check_functor_transport(module: InducedModule, u: PBWVector,
         ("scalar", ModuleMap(default=F(3))),
         ("zero", ModuleMap(default=F(0))),
     ]
-    for label, mp in good:
-        try:
-            functor_on_map(tw, mp, probe_weight=probe_weight, ceiling=ceiling)
-        except NotIntertwining as exc:
+    skew = ModuleMap(weight_scalars={2: F(5)})
+    *rejected, skew_rejected = functor_on_map(
+        tw, [mp for _label, mp in good] + [skew],
+        probe_weight=probe_weight, ceiling=ceiling)
+    for (label, _mp), exc in zip(good, rejected):
+        if exc is not None:
             return CheckReport(name, "fail", witness={
                 "map": label,
                 "reason": f"rejected: {exc}",
             }, details={})
-    skew = ModuleMap(weight_scalars={2: F(5)})
-    try:
-        functor_on_map(tw, skew, probe_weight=probe_weight, ceiling=ceiling)
+    if skew_rejected is None:
         return CheckReport(name, "fail", witness={
             "map": "weight-skewed",
             "reason": "a non-intertwining map was accepted",
         }, details={})
-    except NotIntertwining:
-        pass
     round_trip = make_twisted(tw, F(-1) * u)
     states = [(module.current(nm), f"{nm}(-1) |0>") for nm in alg.names]
     states.append((module.conformal_vector(), "conformal state"))

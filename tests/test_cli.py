@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from voatwist import cli
 from voatwist.cli import (
     EXIT_CODES,
     _perm_order,
@@ -184,6 +185,32 @@ def test_main_config_errors(tmp_path, capsys):
         in_config = write_config(tmp_path, base_config(
             output={"format": "json", "path": str(dest)}), name="out.json")
         assert error_code(["tables", in_config]) == 64
+
+
+def test_critical_level_outranks_an_unfixed_current(tmp_path, capsys):
+    # the fixedness test runs before the shift operator is built, but a
+    # critical level is still reported first
+    cfg = json.loads((CONFIG_DIR / "not_fixed.json").read_text(encoding="utf-8"))
+    cfg["level"] = "-3"
+    assert main(["run", write_config(tmp_path, cfg)]) == 10
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "CriticalLevel"
+
+
+def test_report_path_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(_config):
+        raise AssertionError("the chain was built before the report path was checked")
+
+    monkeypatch.setattr(cli, "build_chain", no_work)
+    good = write_config(tmp_path, base_config())
+    for dest in (tmp_path / "missing" / "report.json", tmp_path):
+        for argv in (["run", good, "--output", str(dest)],
+                     ["tables", write_config(tmp_path, base_config(
+                         output={"format": "json", "path": str(dest)}),
+                         name="out.json")]):
+            assert main(argv) == 64
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error["code"] == "ConfigError"
+            assert "cannot write the report" in error["message"]
 
 
 def test_output_file_and_format_override(tmp_path, capsys):

@@ -201,3 +201,18 @@ def test_module_is_collected_after_del():
     del mod
     gc.collect()
     assert ref() is None
+
+
+def test_subtraction_is_one_pass_and_keeps_flags():
+    v = 2 * MOD.current("e1") + F(1, 3) * MOD.current("h1")
+    assert v - 0 is v
+    assert (v - v).is_zero() and not (v - v).truncated
+    w = MOD.current("h1")
+    diff = v - w
+    assert diff.c == {((0, -1),): 2, ((2, -1),): F(-2, 3)}
+    assert (w - v).c == {mono: -c for mono, c in diff.c.items()}
+    flagged = PBWVector(w.c, truncated=True)
+    assert (v - flagged).truncated
+    assert (flagged - v).truncated
+    assert (flagged - flagged).is_zero() and (flagged - flagged).truncated
+    assert not (v - w).truncated

@@ -1,11 +1,17 @@
+import gc
+import weakref
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
+from voatwist.delta import delta_apply_series
 from voatwist.errors import NotFixed, NotIntertwining
 from voatwist.fock import InducedModule, PBWVector, build_module
 from voatwist.lie import build_simple_lie, diagram_automorphism
-from voatwist.series import branch_shift, series_eq
+from voatwist.scalars import Cyc
+from voatwist.series import LogSeries, branch_shift, series_eq
 from voatwist.twist import (
     ModuleMap,
     apply_lie_matrix,
@@ -134,13 +140,18 @@ def test_transport_by_diagram_flip():
 
 def test_functor_transports_scalar_maps():
     # a scalar map commutes with every vertex operator, so no probe fails
-    functor_on_map(TW, ModuleMap(default=F(3)), probe_weight=2)
+    assert functor_on_map(TW, [ModuleMap(default=F(3))], probe_weight=2) == [None]
 
 
 def test_functor_rejects_skew_map():
     skew = ModuleMap(weight_scalars={2: F(5)})
-    with pytest.raises(NotIntertwining):
-        functor_on_map(TW, skew, probe_weight=2)
+    alone = functor_on_map(TW, [skew], probe_weight=2)
+    assert isinstance(alone[0], NotIntertwining)
+    # the maps are judged independently: a passing map beside the skewed
+    # one still passes, and the skewed one fails at the same series key
+    both = functor_on_map(TW, [ModuleMap(), skew], probe_weight=2)
+    assert both[0] is None
+    assert str(both[1]) == str(alone[0])
 
 
 def test_untwisted_wrapper_is_plain_module():
@@ -199,3 +210,127 @@ def test_modes_build_no_series(monkeypatch):
             tw.gen_mode("e1", m, 1)(w)
             tw.mode(omega, m, 2)(w)
             mod.vertex_operator_mode(omega, m)(w)
+
+
+# -- linearity: chain images per monomial, mode images per target monomial --
+
+
+def _direct_chain_transform(tw, v):
+    """The chain image of v by the whole-vector pipeline, with no memo."""
+    if tw.conjugator is not None:
+        v = apply_lie_matrix(tw.base, tw.conjugator.inverse().matrix, v)
+    ser = LogSeries({(0, 0): v})
+    for step in reversed(tw.steps):
+        ser = delta_apply_series(step, ser)
+    return ser
+
+
+def _oracle_mode(tw, v, m, l, w):
+    """The x^(-m-1) log^l coefficient of Y_new(v, x) w, read off whole base
+    series of the directly transformed state."""
+    e = -F(m) - 1
+    out = PBWVector()
+    for (e1, k1), vec1 in _direct_chain_transform(tw, v).terms.items():
+        if k1 == l and (e - e1).denominator == 1:
+            ser = tw.base.vertex_series(vec1, w, e - e1)
+            out = out + ser.terms.get((e - e1, 0), PBWVector())
+    return out
+
+
+def _transported_chain(module):
+    sl3 = module.algebra
+    tw = make_twisted(module, module.current(sl3.element({"h1": F(1, 2)})))
+    return transport_tau(tw, diagram_automorphism(sl3, [2, 1]))
+
+
+IMAGE_CHAINS = sorted(ORACLE_CHAINS) + ["h1=1/2 moved by the A2 flip"]
+
+
+@lru_cache(maxsize=None)
+def _image_chain(name):
+    """(twisted module, oracle twin on a separate base) for a chain name."""
+    if name in ORACLE_CHAINS:
+        return tuple(_oracle_chain(build_module(sl2, F(2), cutoff=5),
+                                   ORACLE_CHAINS[name]) for _ in range(2))
+    sl3 = build_simple_lie("A", 2)
+    return tuple(_transported_chain(build_module(sl3, F(2), cutoff=3))
+                 for _ in range(2))
+
+
+nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3])
+scalars_mixed = st.one_of(
+    nonzero,
+    st.builds(F, nonzero, st.integers(2, 5)),
+    st.builds(lambda k, c: Cyc.zeta(3, k) * c, st.integers(0, 2),
+              st.integers(1, 3)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_mode_images_match_oracle_coefficients(data):
+    tw, oracle = _image_chain(data.draw(st.sampled_from(IMAGE_CHAINS)))
+    mod = tw.base
+    states = ([mod.current(n) for n in tw.algebra.names]
+              + [mod.conformal_vector()])
+    v = data.draw(st.sampled_from(states))
+    monos = [mono for w in range(3) for mono in mod.basis(w)]
+    targets = [PBWVector(c) for c in data.draw(st.lists(
+        st.dictionaries(st.sampled_from(monos), scalars_mixed,
+                        min_size=1, max_size=4),
+        min_size=1, max_size=3))]
+    nonzero_reads = 0
+    for m in mode_candidates(1, tw.branch_order()):
+        for l in range(chain_log_bound(tw) + 2):
+            # one operator for every target, so later targets read the
+            # images that earlier ones left
+            op = tw.mode(v, m, l)
+            for w in targets:
+                got = op(w)
+                assert not got.truncated
+                assert (got - _oracle_mode(oracle, v, m, l, w)).is_zero()
+                nonzero_reads += bool(got.c)
+    event("some image nonzero" if nonzero_reads else "every image zero")
+
+
+@pytest.mark.parametrize("chain", IMAGE_CHAINS)
+def test_chain_transform_sums_monomial_images(chain):
+    tw, _oracle = _image_chain(chain)
+    mod = tw.base
+    names = tw.algebra.names
+    inputs = [mod.current(n) for n in names] + [mod.conformal_vector()]
+    inputs.append(F(1, 2) * mod.current(names[0]) - 3 * mod.current(names[-1]))
+    # the automorphism image carries Cyc coefficients
+    inputs.append(tw.automorphism_apply(mod.current(names[0])))
+    for v in inputs:
+        got = tw.chain_transform(v)
+        want = _direct_chain_transform(tw, v)
+        assert series_eq(got, want) is None
+        assert not any(vec.truncated for vec in got.terms.values())
+        # a flagged input flags every term, with the same values.  Flagged
+        # zeros may sit at different keys: the whole-vector pipeline keeps
+        # one where a mode killed all of v that is known, and the sum of
+        # monomial images keeps one where the images cancel.
+        flagged = PBWVector(v.c, truncated=True)
+        got = tw.chain_transform(flagged)
+        want = _direct_chain_transform(tw, flagged)
+        assert got.terms and all(vec.truncated for vec in got.terms.values())
+        for key in set(got.terms) | set(want.terms):
+            diff = got.terms.get(key, PBWVector()) - want.terms.get(key, PBWVector())
+            assert diff.is_zero()
+    flagged_zero = tw.chain_transform(PBWVector({}, truncated=True))
+    assert list(flagged_zero.terms) == [(0, 0)]
+    assert flagged_zero.terms[(0, 0)].truncated
+    assert tw.chain_transform(PBWVector()).is_zero()
+
+
+def test_twisted_module_with_chain_memo_is_collected():
+    mod = build_module(sl2, F(2), cutoff=4)
+    tw = make_twisted(mod, mod.current(sl2.element({"h1": F(1, 2)})))
+    tw.gen_mode("e1", 0)(mod.current("f1"))
+    tw.vertex_series(mod.conformal_vector(), mod.vacuum(), 1)
+    assert tw._chain_image_cache
+    ref = weakref.ref(tw)
+    del tw
+    gc.collect()
+    assert ref() is None
