@@ -4,10 +4,11 @@ Run from the repository root:
 
     python3 scripts/bench_pairs.py --parent <rev> --pairs 5 --out BENCH_<n>.json
 
-The parent revision is exported with ``git archive`` into a temporary
-directory outside the repository; the change is the repository's working
-tree as it stands.  For every workload listed in BENCHMARK.json, pair i
-runs
+The parent revision and the change, HEAD, are each exported with ``git
+archive`` into a fresh temporary directory outside the repository, so
+both sides run committed files from the same kind of place and nothing
+left in the working tree (edits, caches, earlier outputs) takes part.
+For every workload listed in BENCHMARK.json, pair i runs
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
@@ -103,15 +104,16 @@ def main() -> int:
         bench = json.load(fh)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    parent_rev = _git("rev-parse", args.parent)
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tree:
-        _export(parent_rev, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+    revs = {"parent": _git("rev-parse", args.parent),
+            "change": _git("rev-parse", "HEAD")}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        trees = {}
+        for side, rev in revs.items():
+            trees[side] = os.path.join(scratch, side)
+            os.mkdir(trees[side])
+            _export(rev, trees[side])
         report = {
-            "parent": parent_rev,
-            "change": _git("rev-parse", "HEAD"),
-            "change_has_uncommitted_edits": bool(
-                _git("status", "--porcelain", "--untracked-files=no")),
+            **revs,
             "pairs": args.pairs,
             "seconds": args.seconds,
             "host": {"nproc": os.cpu_count(), "python": platform.python_version()},
