@@ -106,10 +106,10 @@ def main() -> int:
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     revs = {"parent": _git("rev-parse", args.parent),
             "change": _git("rev-parse", "HEAD")}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {}
         for side, rev in revs.items():
-            trees[side] = os.path.join(scratch, side)
+            trees[side] = os.path.join(tmp, side)
             os.mkdir(trees[side])
             _export(rev, trees[side])
         report = {
