@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 scripts/bench_pairs.py --parent <rev> --pairs 5 --out BENCH_<n>.json
+    python3 scripts/bench_pairs.py --parent <rev> --out BENCH_<n>.json
 
 The parent revision and the change, HEAD, are each exported with ``git
 archive`` into a fresh temporary directory outside the repository, so
@@ -12,8 +12,10 @@ For every workload listed in BENCHMARK.json, pair i runs
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
-once in each tree, the parent first in odd pairs and the change first in
-even ones, so that a drift in host speed does not favour one side.  The
+with S the run_seconds of BENCHMARK.json, once in each tree, the parent
+first in odd pairs and the change first in even ones, so that a drift in
+host speed does not favour one side.  Ten pairs are the default, the
+fewest that back a claimed gain.  The
 output holds every run's end-to-end metrics and fail rate, and per side
 the median and quartiles of each metric, the largest fail rate, and the
 number of pairs in which the change was better by the metric's declared
@@ -37,11 +39,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _args():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
-    p.add_argument("--pairs", type=int, default=5)
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--workload", action="append",
-                   help="limit to this workload (repeatable); default: all "
-                        "BENCHMARK.json workloads")
+    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--out", required=True, help="JSON file to write")
     return p.parse_args()
 
@@ -102,7 +100,7 @@ def main() -> int:
     args = _args()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     revs = {"parent": _git("rev-parse", args.parent),
             "change": _git("rev-parse", "HEAD")}
@@ -115,16 +113,16 @@ def main() -> int:
         report = {
             **revs,
             "pairs": args.pairs,
-            "seconds": args.seconds,
+            "seconds": seconds,
             "host": {"nproc": os.cpu_count(), "python": platform.python_version()},
             "workloads": {},
         }
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = []
             for pair in range(1, args.pairs + 1):
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
                 for side in order:
-                    run = _run(trees[side], workload, pair, args.seconds)
+                    run = _run(trees[side], workload, pair, seconds)
                     runs.append({"pair": pair, "side": side, **run})
                     print(f"{workload} pair {pair} {side}: "
                           f"ops_per_s {run['metrics']['ops_per_s']:.3f}",

@@ -49,6 +49,21 @@ def _canonical_key(gen, mode):
     return (-mode, gen)
 
 
+def accumulate(out: dict, terms: dict, scale=None) -> None:
+    """Add scale * terms (terms itself if scale is None) into the
+    monomial-to-coefficient dict out, dropping the coefficients that cancel."""
+    for mono, c in terms.items():
+        if scale is not None:
+            c = scale * c
+        cur = out.get(mono)
+        if cur is not None:
+            c = cur + c
+        if c:
+            out[mono] = c
+        else:
+            out.pop(mono, None)
+
+
 class PBWVector:
     """Linear combination of canonical PBW monomials."""
 
@@ -65,33 +80,20 @@ class PBWVector:
     def is_zero(self):
         return not self.c
 
-    def __add__(self, other):
+    def _plus(self, other, scale):
         if isinstance(other, int) and other == 0:
             return self
         out = dict(self.c)
-        for mono, coeff in other.c.items():
-            cur = out.get(mono)
-            s = coeff if cur is None else cur + coeff
-            if not s:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+        accumulate(out, other.c, scale)
         return PBWVector(out, self.truncated or other.truncated)
+
+    def __add__(self, other):
+        return self._plus(other, None)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int) and other == 0:
-            return self
-        out = dict(self.c)
-        for mono, coeff in other.c.items():
-            cur = out.get(mono)
-            s = -coeff if cur is None else cur - coeff
-            if not s:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return PBWVector(out, self.truncated or other.truncated)
+        return self._plus(other, -1)
 
     def __neg__(self):
         return (-1) * self
@@ -395,13 +397,7 @@ class InducedModule:
         out = {}
         for mono, coeff in vec_dict.items():
             sub, _t = self._act(gi, int(m), mono)
-            for mono2, c2 in sub.items():
-                cur = out.get(mono2)
-                s = c2 * coeff if cur is None else cur + c2 * coeff
-                if not s:
-                    out.pop(mono2, None)
-                else:
-                    out[mono2] = s
+            accumulate(out, sub, coeff)
         return out
 
     def vertex_series(self, v: PBWVector, w: PBWVector, ceiling) -> LogSeries:
@@ -430,14 +426,7 @@ class InducedModule:
                 vec = self._vs_mono(mv, mw, e).get(e)
                 if vec is None:
                     continue
-                scale = cv * cw
-                for mono, c in vec.items():
-                    cur = out.get(mono)
-                    s = scale * c if cur is None else cur + scale * c
-                    if not s:
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = s
+                accumulate(out, vec, cv * cw)
         return PBWVector(out)
 
     def vertex_operator_mode(self, v: PBWVector, n):

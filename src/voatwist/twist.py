@@ -27,7 +27,7 @@ from math import factorial, floor, lcm
 
 from .delta import DeltaOperator, current_element, delta_apply_series, make_delta
 from .errors import DomainError, NotFixed, NotIntertwining, Unsupported
-from .fock import InducedModule, PBWVector, monomial_weight
+from .fock import InducedModule, PBWVector, accumulate, monomial_weight
 from .lie import AutomorphismData, GAutomorphism, LieElt
 from .linalg import memo
 from .scalars import Cyc, fmt_rational
@@ -79,24 +79,24 @@ class TwistedModule:
     def chain_transform(self, v: PBWVector) -> LogSeries:
         """The full shift-chain image of v, an exact finite LogSeries.
 
-        The chain is linear, so this sums the memoized images of v's
-        monomials.  A flagged v flags every term, and a flagged zero comes
-        back as its own (0, 0) term."""
-        if v.is_zero():
-            return LogSeries({(0, 0): v})
+        The chain is linear, so an exact nonzero v sums the memoized images
+        of its monomials.  A flagged or zero v goes through the chain whole:
+        the flagged zeros that delta_apply keeps depend on how its input is
+        split into monomials, and a sum of images would lose them."""
+        if v.truncated or not v.c:
+            return self._transform_whole(v)
         out = LogSeries()
         for mono, c in v.c.items():
             for (e, k), vec in self._chain_image(mono).terms.items():
-                term = c * vec
-                term.truncated = term.truncated or v.truncated
-                out.add_term(e, k, term)
+                out.add_term(e, k, c * vec)
         return out
 
     @memo
     def _chain_image(self, mono) -> LogSeries:
-        """chain_transform of one monomial: the conjugator, then every step
-        from the most recent one."""
-        v = PBWVector({mono: 1})
+        return self._transform_whole(PBWVector({mono: 1}))
+
+    def _transform_whole(self, v: PBWVector) -> LogSeries:
+        """The conjugator, then every step from the most recent one."""
         if self.conjugator is not None:
             v = apply_lie_matrix(self.base, self.conjugator.inverse().matrix, v)
         ser = LogSeries({(0, 0): v})
@@ -132,10 +132,10 @@ class TwistedModule:
                          for (e1, k1), vec1 in self.chain_transform(v).terms.items()
                          if k1 == l and (e - e1).denominator == 1]
             w = PBWVector({mono: 1})
-            out = PBWVector()
+            out = {}
             for vec1, e2 in reads:
-                out = out + self.base.coefficient_at(vec1, w, e2)
-            return out.c
+                accumulate(out, self.base.coefficient_at(vec1, w, e2).c)
+            return out
 
         def op(w: PBWVector) -> PBWVector:
             out = {}
@@ -143,13 +143,7 @@ class TwistedModule:
                 img = images.get(mono)
                 if img is None:
                     img = images[mono] = image(mono)
-                for mono2, c in img.items():
-                    cur = out.get(mono2)
-                    s = cw * c if cur is None else cur + cw * c
-                    if not s:
-                        out.pop(mono2, None)
-                    else:
-                        out[mono2] = s
+                accumulate(out, img, cw)
             return PBWVector(out)
 
         return op
@@ -227,13 +221,7 @@ class TwistedModule:
                     break
                 c = F((-1) ** lp, factorial(lp))
                 sub_ops, sub_scalar = self._fold_mode(j - 1, cur, m - lam, l - lp)
-                for key, val in sub_ops.items():
-                    got = ops_total.get(key)
-                    tot = c * val if got is None else got + c * val
-                    if not tot:
-                        ops_total.pop(key, None)
-                    else:
-                        ops_total[key] = tot
+                accumulate(ops_total, sub_ops, c)
                 scalar_total += c * sub_scalar
                 cur = alg.bracket(step.n, cur)
         if m == 0 and l == 0:
@@ -329,9 +317,11 @@ def make_twisted(target, u: PBWVector,
     """
     if isinstance(target, InducedModule):
         target = untwisted_as_twisted(target)
-    # the cheap rejections come before the Jordan decomposition and the
-    # self-pairing that make_delta computes, in the order it would raise
-    # them: the shape of u, the critical level, then fixedness
+    # the cheap rejections run first: the shape of u (DomainError), the
+    # critical level, then fixedness (DomainError if the image is truncated,
+    # else NotFixed).  The errors of make_delta's Jordan decomposition and
+    # self-pairing (NeedsFieldExtension, NotSemisimple, DomainError) come
+    # after them, so a current that is neither fixed nor split raises NotFixed
     if not current_element(target.base, u).is_zero():
         target.base.require_noncritical()
         image = target.automorphism_apply(u)

@@ -20,7 +20,7 @@ from math import lcm
 
 from .delta import delta_apply, delta_apply_series, make_delta
 from .errors import DomainError
-from .fock import InducedModule, PBWVector
+from .fock import InducedModule, PBWVector, accumulate
 from .scalars import binom, fmt_rational, fmt_scalar
 from .series import (
     LogSeries,
@@ -268,17 +268,6 @@ def _expand_at_sum(e, k, lpow, max_p):
     return {key: c for key, c in out.items() if c}
 
 
-def _accumulate(side, key, scale, coeffs):
-    bucket = side.setdefault(key, {})
-    for mono, c in coeffs.items():
-        cur = bucket.get(mono)
-        total = scale * c if cur is None else cur + scale * c
-        if total:
-            bucket[mono] = total
-        else:
-            bucket.pop(mono, None)
-
-
 def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw: LogSeries,
                       ceiling: int):
     """Both sides of D(x) Y(v, y) w = Y(D(x+y) v, y) D(x) w.
@@ -294,7 +283,7 @@ def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw: LogSeries,
     for (ey, _k0), vecy in base.terms.items():
         _ensure_exact(vecy, "conjugation check")
         for (e, k), vec in delta_apply(delta, vecy).terms.items():
-            _accumulate(lhs, (e, k, ey), 1, vec.c)
+            accumulate(lhs.setdefault((e, k, ey), {}), vec.c)
 
     rhs = {}
     for e1, vecv, table in shifted:
@@ -305,7 +294,8 @@ def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw: LogSeries,
             for (j1, p1), c in table.items():
                 for (ey, _k0), vecy in sub:
                     if p1 + ey <= ceiling:
-                        _accumulate(rhs, (e1 - p1 + ew, j1 + kw, p1 + ey), c, vecy.c)
+                        key = (e1 - p1 + ew, j1 + kw, p1 + ey)
+                        accumulate(rhs.setdefault(key, {}), vecy.c, c)
     return lhs, rhs
 
 

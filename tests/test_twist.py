@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from voatwist.delta import delta_apply_series
-from voatwist.errors import NotFixed, NotIntertwining
+from voatwist.errors import NeedsFieldExtension, NotFixed, NotIntertwining
 from voatwist.fock import InducedModule, PBWVector, build_module
 from voatwist.lie import build_simple_lie, diagram_automorphism
 from voatwist.scalars import Cyc
@@ -109,6 +109,17 @@ def test_unfixed_current_is_rejected():
     third = make_twisted(MOD, MOD.current(sl2.element({"h1": F(1, 3)})))
     with pytest.raises(NotFixed):
         make_twisted(third, MOD.current("e1"))
+
+
+def test_fixedness_is_tested_before_the_jordan_decomposition():
+    # e1 - f1 needs a field extension to split, and the h1=1/4 chain moves
+    # e1 to -e1; make_twisted rejects it as not fixed before it splits it
+    quarter = make_twisted(MOD, MOD.current(sl2.element({"h1": F(1, 4)})))
+    u = MOD.current("e1") - MOD.current("f1")
+    with pytest.raises(NeedsFieldExtension):
+        make_twisted(MOD, u)
+    with pytest.raises(NotFixed):
+        make_twisted(quarter, u)
 
 
 def test_chain_on_fixed_current_extends():
@@ -225,6 +236,14 @@ def _direct_chain_transform(tw, v):
     return ser
 
 
+def assert_same_terms(got, want):
+    """The same keys, values and truncation flags, term by term."""
+    assert set(got.terms) == set(want.terms)
+    for key, vec in got.terms.items():
+        assert (vec - want.terms[key]).is_zero(), key
+        assert vec.truncated == want.terms[key].truncated, key
+
+
 def _oracle_mode(tw, v, m, l, w):
     """The x^(-m-1) log^l coefficient of Y_new(v, x) w, read off whole base
     series of the directly transformed state."""
@@ -305,19 +324,14 @@ def test_chain_transform_sums_monomial_images(chain):
     for v in inputs:
         got = tw.chain_transform(v)
         want = _direct_chain_transform(tw, v)
-        assert series_eq(got, want) is None
+        assert_same_terms(got, want)
         assert not any(vec.truncated for vec in got.terms.values())
-        # a flagged input flags every term, with the same values.  Flagged
-        # zeros may sit at different keys: the whole-vector pipeline keeps
-        # one where a mode killed all of v that is known, and the sum of
-        # monomial images keeps one where the images cancel.
+        # a flagged input flags every term, and keeps the flagged zeros of
+        # the whole-vector pipeline
         flagged = PBWVector(v.c, truncated=True)
         got = tw.chain_transform(flagged)
-        want = _direct_chain_transform(tw, flagged)
+        assert_same_terms(got, _direct_chain_transform(tw, flagged))
         assert got.terms and all(vec.truncated for vec in got.terms.values())
-        for key in set(got.terms) | set(want.terms):
-            diff = got.terms.get(key, PBWVector()) - want.terms.get(key, PBWVector())
-            assert diff.is_zero()
     flagged_zero = tw.chain_transform(PBWVector({}, truncated=True))
     assert list(flagged_zero.terms) == [(0, 0)]
     assert flagged_zero.terms[(0, 0)].truncated
