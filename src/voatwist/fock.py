@@ -49,12 +49,15 @@ def _canonical_key(gen, mode):
     return (-mode, gen)
 
 
-def accumulate(out: dict, terms: dict, scale=None) -> None:
-    """Add scale * terms (terms itself if scale is None) into the
-    monomial-to-coefficient dict out, dropping the coefficients that cancel."""
+def accumulate(out: dict, terms: dict, scale=None, negate=False) -> None:
+    """Add scale * terms (terms itself if scale is None, -terms if negate)
+    into the monomial-to-coefficient dict out, dropping the coefficients
+    that cancel."""
     for mono, c in terms.items():
         if scale is not None:
             c = scale * c
+        elif negate:
+            c = -c
         cur = out.get(mono)
         if cur is not None:
             c = cur + c
@@ -80,20 +83,20 @@ class PBWVector:
     def is_zero(self):
         return not self.c
 
-    def _plus(self, other, scale):
+    def _plus(self, other, negate):
         if isinstance(other, int) and other == 0:
             return self
         out = dict(self.c)
-        accumulate(out, other.c, scale)
+        accumulate(out, other.c, negate=negate)
         return PBWVector(out, self.truncated or other.truncated)
 
     def __add__(self, other):
-        return self._plus(other, None)
+        return self._plus(other, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._plus(other, -1)
+        return self._plus(other, True)
 
     def __neg__(self):
         return (-1) * self
