@@ -359,11 +359,11 @@ class BuiltRun:
                         raise Unsupported("only one diagram factor per chain")
                     tw = TwistedModule(prev.base, prev.steps,
                                        replace(prev.aut, diagram_part=tau))
+                    self.diagram_order = _perm_order(data["permutation"])
                 else:
+                    # conjugating by tau leaves the automorphism's order alone
                     tw = transport_tau(prev, tau)
                 entry["permutation"] = list(data["permutation"])
-                self.diagram_order = lcm(self.diagram_order,
-                                         _perm_order(data["permutation"]))
             self.chain_echo.append(entry)
             self.stages.append(tw)
         self.twisted = self.stages[-1]

@@ -1,25 +1,27 @@
 """Shift operators attached to weight-one current vectors.
 
-For u = a(-1)|0> the operator acts on a module vector v in three stages:
+For u = a(-1)|0> the operator acts on a module vector v in three stages,
+each a LogSeries of PBWVectors built with add_term, so what cancels drops
+and a flagged zero stays by the one rule of series.value_is_zero:
 
   1. an exponential of positive current modes,
          exp( sum_{m>=1} (1/m) (-1)^m a(m) x^(-m) ),
-     which terminates because each a(m) lowers the weight;
+     which terminates because each a(m) lowers the weight (log-free);
   2. the unipotent zero-mode factor exp(-n(0) log x), n the nilpotent
-     part of a, producing the log powers;
-  3. the diagonalizable factor x^(-s(0)), s the semisimple part of a,
-     applied by expanding every tensor factor of a monomial in the
-     ad-eigenbasis of s and shifting the exponent by minus the eigenvalue
-     sum.  For s = 0 this stage is the identity and is skipped.
+     part of a: the j-th power of n(0) on a stage-1 term lands at log
+     power j.  For s = 0 this series is the result;
+  3. the diagonalizable factor x^(-s(0)), s the semisimple part of a:
+     InducedModule.expand_monomial splits every factor of a monomial into
+     ad-eigencomponents of s, and each piece moves by minus its
+     eigenvalue sum.
 
-The result is a finite, exact LogSeries of PBWVectors.  Integral exponents
-and scalars stay ints through all three stages, and a Fraction appears
-only where a denominator does.  The self-pairing scalar kappa is always
-stored as a Fraction, since callers halve it.  A legacy sign convention
-(kept only so its failure is demonstrable) flips the outer x^(s(0)) and
-log factors and drops the (-1)^m inside the exponential; the two agree on
-the m = 1 term, which is why the difference is easy to miss on small
-examples.
+Integral exponents and scalars stay ints through all three stages, and a
+Fraction appears only where a denominator does.  The self-pairing scalar
+kappa is always stored as a Fraction, since callers halve it.  A legacy
+sign convention (kept only so its failure is demonstrable) flips the
+outer x^(s(0)) and log factors and drops the (-1)^m inside the
+exponential; the two agree on the m = 1 term, which is why the
+difference is easy to miss on small examples.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from .errors import DomainError, NotQuasiPrimary
 from .fock import InducedModule, PBWVector
 from .scalars import Cyc, int_if_integral
-from .series import LogSeries
+from .series import LogSeries, value_is_zero
 
 __all__ = ["DeltaOperator", "make_delta", "delta_apply", "delta_apply_series"]
 
@@ -113,96 +115,63 @@ def make_delta(module: InducedModule, u: PBWVector,
     return DeltaOperator(module, a, s, n, eig, kappa, legacy_sign_convention)
 
 
-def _exp_current_stage(delta: DeltaOperator, v: PBWVector):
-    """Stage 1: exp of the positive-mode sum.  Returns {exponent: vector}."""
+def _exp_current_stage(delta: DeltaOperator, v: PBWVector) -> LogSeries:
+    """Stage 1: exp of the positive-mode sum, a log-free series."""
     module = delta.module
-    total = {0: v}
-    cur = {0: v}
+    total = cur = LogSeries({(0, 0): v})
     k = 1
-    while cur:
-        nxt = {}
-        for e, vec in cur.items():
+    while cur.terms:
+        nxt = LogSeries()
+        for (e, _k), vec in cur.terms.items():
             for m in range(1, vec.depth() + 1):
-                if delta.legacy:
-                    c = F(-1, m)
-                else:
-                    c = F(1, m) if m % 2 == 0 else F(-1, m)
                 moved = module.apply_mode(delta.a, m, vec)
-                if moved.is_zero() and not moved.truncated:
+                if value_is_zero(moved):
                     continue
-                key = e - m
-                add = int_if_integral(c / k) * moved
-                got = nxt.get(key)
-                nxt[key] = add if got is None else got + add
-        cur = {e: vec for e, vec in nxt.items()
-               if not vec.is_zero() or vec.truncated}
-        for e, vec in cur.items():
-            got = total.get(e)
-            total[e] = vec if got is None else got + vec
+                c = F(1, m) if m % 2 == 0 and not delta.legacy else F(-1, m)
+                nxt.add_term(e - m, 0, int_if_integral(c / k) * moved)
+        for (e, _k), vec in nxt.terms.items():
+            total.add_term(e, 0, vec)
+        cur = nxt
         k += 1
-    return {e: vec for e, vec in total.items()
-            if not vec.is_zero() or vec.truncated}
+    return total
 
 
-def _log_stage(delta: DeltaOperator, staged):
-    """Stage 2: the unipotent zero-mode factor.  {(e, k): vector}."""
+def _log_stage(delta: DeltaOperator, staged: LogSeries) -> LogSeries:
+    """Stage 2: the unipotent zero-mode factor, applied until it gives 0."""
     module = delta.module
-    out = {}
-    for e, vec in staged.items():
-        cur = vec
+    sign = 1 if delta.legacy else -1
+    out = LogSeries()
+    for (e, _k), cur in staged.terms.items():
         j = 0
-        while not cur.is_zero() or (j == 0 and cur.truncated):
-            got = out.get((e, j))
-            out[(e, j)] = cur if got is None else got + cur
-            nxt = module.apply_mode(delta.n, 0, cur)
-            sign = F(1) if delta.legacy else F(-1)
-            cur = int_if_integral(sign / (j + 1)) * nxt
+        while j == 0 or not cur.is_zero():
+            out.add_term(e, j, cur)
             j += 1
+            cur = int_if_integral(F(sign, j)) * module.apply_mode(delta.n, 0, cur)
     return out
-
-
-def _eigen_expand(delta: DeltaOperator, mono):
-    """Stage 3 per monomial: [(eigenvalue sum, vector)] over eigencomponent
-    choices for every tensor factor."""
-    module = delta.module
-    if not mono:
-        return [(0, module.vacuum())]
-    (gi, m), rest = mono[0], mono[1:]
-    comps = delta.eig.decompose(module.algebra._basis_elt(gi))
-    out = {}
-    for lamsum, vec in _eigen_expand(delta, rest):
-        for lam, celt in comps.items():
-            moved = module.apply_mode(celt, m, vec)
-            if moved.is_zero() and not moved.truncated:
-                continue
-            key = lamsum + lam
-            got = out.get(key)
-            out[key] = moved if got is None else got + moved
-    return list(out.items())
 
 
 def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
     """Apply the operator to a module vector.  Exact, finite output."""
     if delta.is_identity:
         return LogSeries({(0, 0): v})
-    staged = _exp_current_stage(delta, v)
-    logged = _log_stage(delta, staged)
-    out = LogSeries()
+    logged = _log_stage(delta, _exp_current_stage(delta, v))
     if delta.s.is_zero():
-        for (e, k), vec in logged.items():
-            out.add_term(e, k, vec)
-        return out
+        return logged
+    module = delta.module
+    decompose, basis_elt = delta.eig.decompose, module.algebra._basis_elt
+
+    def split(gi):
+        return [(lam, None, comp) for lam, comp in decompose(basis_elt(gi)).items()]
+
     sign = 1 if delta.legacy else -1
-    for (e, k), vec in logged.items():
-        if vec.is_zero():
-            # truncated with no known monomials: nothing to expand, so the
-            # flag stays at the unshifted key
+    out = LogSeries()
+    for (e, k), vec in logged.terms.items():
+        if not vec.c:
+            # a flagged zero has nothing to expand: it stays where it is
             out.add_term(e, k, vec)
         for mono, coeff in vec.c.items():
-            for lamsum, expanded in _eigen_expand(delta, mono):
+            for lamsum, expanded in module.expand_monomial(mono, split).items():
                 res = coeff * expanded
-                if res.is_zero() and not res.truncated:
-                    continue
                 # the expansion restarts from the vacuum; keep the input's flag
                 res.truncated = res.truncated or vec.truncated
                 out.add_term(e + sign * lamsum, k, res)

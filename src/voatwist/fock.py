@@ -30,7 +30,7 @@ from .errors import CriticalLevel, DomainError, Unsupported
 from .lie import LieAlgebra, LieElt
 from .linalg import memo
 from .scalars import binom, int_if_integral
-from .series import LogSeries
+from .series import LogSeries, value_is_zero
 
 __all__ = [
     "InducedModule",
@@ -164,11 +164,7 @@ class InducedModule:
     def current(self, name_or_elt) -> PBWVector:
         """The weight-one vector a(-1)|0> for a in the algebra."""
         elt = self._as_elt(name_or_elt)
-        out = PBWVector()
-        for gi, c in enumerate(elt.coords):
-            if c:
-                out = out + PBWVector({((gi, -1),): c})
-        return out
+        return PBWVector({((gi, -1),): c for gi, c in enumerate(elt.coords)})
 
     def _as_elt(self, x) -> LieElt:
         if isinstance(x, LieElt):
@@ -220,38 +216,22 @@ class InducedModule:
             return {new: 1}, False
         rest = mono[1:]
         acc = {}
-        trunc = False
-
-        def add(mono2, coeff):
-            cur = acc.get(mono2)
-            s = coeff if cur is None else cur + coeff
-            if not s:
-                acc.pop(mono2, None)
-            else:
-                acc[mono2] = s
-
-        inner, t1 = self._act(gi, m, rest)
-        trunc = trunc or t1
+        inner, trunc = self._act(gi, m, rest)
         for mono2, c2 in inner.items():
             sub, t2 = self._act(g1, m1, mono2)
             trunc = trunc or t2
-            for mono3, c3 in sub.items():
-                add(mono3, c2 * c3)
+            accumulate(acc, sub, c2)
         br = self.algebra.bracket(self.algebra._basis_elt(gi),
                                   self.algebra._basis_elt(g1))
         for k, ck in enumerate(br.coords):
             if ck:
-                ck = int_if_integral(ck)
                 sub, t3 = self._act(k, m + m1, rest)
                 trunc = trunc or t3
-                for mono2, c2 in sub.items():
-                    add(mono2, ck * c2)
+                accumulate(acc, sub, int_if_integral(ck))
         if m + m1 == 0 and m:
             pair = self.algebra.form(self.algebra._basis_elt(gi),
                                      self.algebra._basis_elt(g1))
-            c = int_if_integral(m * pair * self.level)
-            if c:
-                add(rest, c)
+            accumulate(acc, {rest: int_if_integral(m * pair * self.level)})
         return acc, trunc
 
     def apply_mode(self, x, m: int, vec: PBWVector) -> PBWVector:
@@ -261,7 +241,8 @@ class InducedModule:
         m = int(m)
         out = {}
         trunc = vec.truncated
-
+        # summed inline, not through accumulate: the innermost loop of every
+        # check, where a call per term adds 6% to the calls of a pass
         for mono, coeff in vec.c.items():
             for gi, cg in coords:
                 sub, t = self._act(gi, m, mono)
@@ -274,6 +255,27 @@ class InducedModule:
                     else:
                         out[mono2] = s
         return PBWVector(out, trunc)
+
+    def expand_monomial(self, mono, split) -> dict:
+        """Rebuild mono from the vacuum, rightmost factor first, with each
+        factor (gi, m) replaced by the sum of scalar * x(m) over split(gi), a
+        list of (key, scalar or None, x).  Returns {sum of keys: vector},
+        without the keys whose vector cancels to an exact zero."""
+        if not mono:
+            return {0: self.vacuum()}
+        (gi, m), rest = mono[0], mono[1:]
+        parts = split(gi)
+        out = {}
+        for key, vec in self.expand_monomial(rest, split).items():
+            for k2, scalar, x in parts:
+                moved = self.apply_mode(x, m, vec)
+                if value_is_zero(moved):
+                    continue
+                if scalar is not None:
+                    moved = scalar * moved
+                k = key + k2
+                out[k] = out[k] + moved if k in out else moved
+        return {key: vec for key, vec in out.items() if not value_is_zero(vec)}
 
     # -- Sugawara Virasoro ------------------------------------------------
 
@@ -310,7 +312,7 @@ class InducedModule:
                         else:
                             inner, im, outer, om = ui, p, udi, q
                         tmp = self.apply_mode(inner, im, one)
-                        if tmp.is_zero() and not tmp.truncated:
+                        if value_is_zero(tmp):
                             continue
                         tmp = self.apply_mode(outer, om, tmp)
                         acc = acc + tmp
@@ -353,28 +355,15 @@ class InducedModule:
             return res
         (gi, m), rest = mv[0], mv[1:]
         acc = {}
-
-        def add(e, mono, coeff):
-            bucket = acc.setdefault(e, {})
-            cur = bucket.get(mono)
-            s = coeff if cur is None else cur + coeff
-            if not s:
-                bucket.pop(mono, None)
-            else:
-                bucket[mono] = s
-
         # sum 1: C(m,i) (-x)^i a(m-i) applied to Y(rest, x) mw
         sub = self._vs_mono(rest, mw, ceiling)
         for e2, vec in sub.items():
-            i_max = ceiling - e2  # negative above the ceiling
-            i = 0
-            while i <= i_max:
+            for i in range(ceiling - e2 + 1):  # empty above the ceiling
                 coeff = binom(m, i) if i % 2 == 0 else -binom(m, i)
                 if coeff:
                     moved = self.apply_mode_dict(gi, m - i, vec)
-                    for mono2, c2 in moved.items():
-                        add(e2 + i, mono2, coeff * c2)
-                i += 1
+                    if moved:
+                        accumulate(acc.setdefault(e2 + i, {}), moved, coeff)
         # sum 2: -C(m,i) (-x)^(m-i) Y(rest, x) (a(i) mw)
         dw = monomial_weight(mw)
         for i in range(0, dw + 1):
@@ -390,8 +379,7 @@ class InducedModule:
                     e = e2 + (m - i)
                     if e > ceiling:
                         continue
-                    for mono3, c3 in vec.items():
-                        add(e, mono3, coeff * c2 * c3)
+                    accumulate(acc.setdefault(e, {}), vec, coeff * c2)
         res = {e: bucket for e, bucket in acc.items() if bucket and e <= ceiling}
         self._vs_cache[key] = (ceiling, res)
         return res
@@ -418,7 +406,9 @@ class InducedModule:
         return out
 
     def coefficient_at(self, v: PBWVector, w: PBWVector, e) -> PBWVector:
-        """The x^e coefficient of Y(v, x) w, read without building the series."""
+        """The x^e coefficient of Y(v, x) w, read without building the series;
+        flagged when its weight, up to depth(v) + depth(w) + e, passes the
+        cutoff, since the modes that build it lose what lies above."""
         e = F(e)
         if e.denominator != 1:
             raise DomainError("untwisted vertex operators live on integer exponents")
@@ -430,7 +420,8 @@ class InducedModule:
                 if vec is None:
                     continue
                 accumulate(out, vec, cv * cw)
-        return PBWVector(out)
+        deep = bool(v.c and w.c) and v.depth() + w.depth() + e > self.cutoff
+        return PBWVector(out, deep or v.truncated or w.truncated)
 
     def vertex_operator_mode(self, v: PBWVector, n):
         """The mode v_(n): w -> coefficient of x^(-n-1) in Y(v, x) w."""

@@ -41,10 +41,12 @@ def value_is_zero(v) -> bool:
     """Zero test that works for scalars and module vectors alike.
 
     A vector flagged as truncated is never zero: its flag says that part
-    of it lies beyond the module cutoff, so a series must keep it."""
-    if hasattr(v, "is_zero"):
-        return v.is_zero() and not getattr(v, "truncated", False)
-    return v == 0
+    of it lies beyond the module cutoff, so a series must keep it.  This
+    is the one place that decides whether a flagged zero is kept."""
+    is_zero = getattr(v, "is_zero", None)
+    if is_zero is None:
+        return v == 0
+    return is_zero() and not getattr(v, "truncated", False)
 
 
 def _min_ceiling(a, b):

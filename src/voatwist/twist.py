@@ -117,10 +117,10 @@ class TwistedModule:
         """The (m, l) mode of Y_new(v, x): coefficient of x^(-m-1) log^l.
 
         The returned operator transforms v along the chain on its first
-        call.  It is linear in the target, so it keeps the image of every
-        target monomial it has met, for as long as the operator is held: an
-        image reads one base coefficient per chain term of log power l, at
-        the integer exponent left over, and never builds a series."""
+        call.  Linear in the target, it keeps the image of each target
+        monomial it has met while held: one base coefficient per chain term
+        of log power l at the integer exponent left over, never a series.
+        Outputs carry the flags of the coefficients read and of the target."""
         e = -F(m) - 1
         reads = None
         images = {}
@@ -132,19 +132,19 @@ class TwistedModule:
                          for (e1, k1), vec1 in self.chain_transform(v).terms.items()
                          if k1 == l and (e - e1).denominator == 1]
             w = PBWVector({mono: 1})
-            out = {}
-            for vec1, e2 in reads:
-                accumulate(out, self.base.coefficient_at(vec1, w, e2).c)
-            return out
+            return sum((self.base.coefficient_at(vec1, w, e2)
+                        for vec1, e2 in reads), PBWVector())
 
         def op(w: PBWVector) -> PBWVector:
             out = {}
+            trunc = w.truncated
             for mono, cw in w.c.items():
                 img = images.get(mono)
                 if img is None:
                     img = images[mono] = image(mono)
-                accumulate(out, img, cw)
-            return PBWVector(out)
+                accumulate(out, img.c, cw)
+                trunc = trunc or img.truncated
+            return PBWVector(out, trunc)
 
         return op
 
@@ -282,27 +282,16 @@ def _aut_coord_matrix(alg, aut: AutomorphismData, order: int):
 
 def apply_lie_matrix(module: InducedModule, matrix, vec: PBWVector) -> PBWVector:
     """Extend a generator-level linear map multiplicatively over monomials."""
-    dim = module.algebra.dim
+    alg = module.algebra
 
-    def expand(mono):
-        if not mono:
-            return module.vacuum()
-        (gi, m), rest = mono[0], mono[1:]
-        tail = expand(rest)
-        out = PBWVector({}, tail.truncated)
-        for gj in range(dim):
-            c = matrix[gj][gi]
-            if not c:
-                continue
-            moved = module.apply_mode(module.algebra._basis_elt(gj), m, tail)
-            if moved.is_zero() and not moved.truncated:
-                continue
-            out = out + c * moved
-        return out
+    def split(gi):
+        return [(0, matrix[gj][gi], alg._basis_elt(gj))
+                for gj in range(alg.dim) if matrix[gj][gi]]
 
     total = PBWVector({}, vec.truncated)
     for mono, coeff in vec.c.items():
-        total = total + coeff * expand(mono)
+        for image in module.expand_monomial(mono, split).values():
+            total = total + coeff * image
     return total
 
 
@@ -392,10 +381,8 @@ class ModuleMap:
         return self.weight_scalars.get(int(weight), self.default)
 
     def apply(self, vec: PBWVector) -> PBWVector:
-        out = PBWVector({}, vec.truncated)
-        for w, comp in vec.weight_components().items():
-            out = out + self.scalar_at(w) * comp
-        return out
+        return PBWVector({mono: self.scalar_at(monomial_weight(mono)) * c
+                          for mono, c in vec.c.items()}, vec.truncated)
 
 
 def functor_on_map(twisted: TwistedModule, mappings,

@@ -133,6 +133,24 @@ def test_report_echoes_canonical_config():
     assert report["branchOrder"] == 1
 
 
+def test_transport_alone_keeps_branch_order_one():
+    # tau id tau^-1 = id: conjugating by the flip adds no diagram factor
+    cfg = parse_config(base_config(
+        algebra={"type": "A", "rank": 2}, module={"lambda": 0, "cutoff": 2},
+        twistChain=[{"kind": "transportTau", "data": {"permutation": [2, 1]}}]))
+    report, _ = run_config(cfg, with_checks=False)
+    assert report["branchOrder"] == 1
+
+
+def test_commutators_past_the_cutoff_are_a_window_error(tmp_path, capsys):
+    # at cutoff 3, e1(-2) applied to a weight-2 state reaches weight 4: the
+    # mode output is truncated, so the check must not report a failure
+    cfg = base_config(module={"lambda": 0, "cutoff": 3}, twistChain=[],
+                      checks=["commutator"])
+    assert main(["run", write_config(tmp_path, cfg)]) == 19
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "DomainError"
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", str(CONFIG_DIR / "critical_level.json")]) == 10
     out = capsys.readouterr().out

@@ -256,6 +256,15 @@ def _oracle_mode(tw, v, m, l, w):
     return out
 
 
+def _reads_past_cutoff(tw, v, m, l, w):
+    """Whether the (m, l) mode of v on w reads a base coefficient whose
+    weight, chain term depth + target depth + exponent, passes the cutoff."""
+    e = -F(m) - 1
+    return any(vec1.depth() + w.depth() + (e - e1) > tw.base.cutoff
+               for (e1, k1), vec1 in tw.chain_transform(v).terms.items()
+               if k1 == l and (e - e1).denominator == 1)
+
+
 def _transported_chain(module):
     sl3 = module.algebra
     tw = make_twisted(module, module.current(sl3.element({"h1": F(1, 2)})))
@@ -306,7 +315,10 @@ def test_mode_images_match_oracle_coefficients(data):
             op = tw.mode(v, m, l)
             for w in targets:
                 got = op(w)
-                assert not got.truncated
+                # flagged exactly when a base coefficient it reads can have
+                # weight past the cutoff (the A2 chain reaches weight 4 at
+                # cutoff 3)
+                assert got.truncated == _reads_past_cutoff(tw, v, m, l, w)
                 assert (got - _oracle_mode(oracle, v, m, l, w)).is_zero()
                 nonzero_reads += bool(got.c)
     event("some image nonzero" if nonzero_reads else "every image zero")
