@@ -85,10 +85,8 @@ class LogSeries:
     def map_values(self, fn) -> "LogSeries":
         """Apply fn to every coefficient (dropping zero results)."""
         out = LogSeries(ceiling=self.ceiling)
-        for key, v in self.terms.items():
-            w = fn(v)
-            if not value_is_zero(w):
-                out.terms[key] = w
+        for (e, k), v in self.terms.items():
+            out.add_term(e, k, fn(v))
         return out
 
     def sorted_items(self):
@@ -151,9 +149,8 @@ def branch_shift(a: LogSeries, steps: int, order: int) -> LogSeries:
             for _ in range(k - j):
                 tpart = tpart * Cyc.t_power(1) * Fraction(steps)
             coeff = zfac * binom(k, j) * tpart
-            w = v * coeff if not isinstance(v, (int, Fraction)) else coeff * v
-            if not value_is_zero(w):
-                out.add_term(e, j, w)
+            out.add_term(e, j, v * coeff if not isinstance(v, (int, Fraction))
+                         else coeff * v)
     return out
 
 

@@ -132,8 +132,12 @@ class TwistedModule:
                          for (e1, k1), vec1 in self.chain_transform(v).terms.items()
                          if k1 == l and (e - e1).denominator == 1]
             w = PBWVector({mono: 1})
-            return sum((self.base.coefficient_at(vec1, w, e2)
-                        for vec1, e2 in reads), PBWVector())
+            out, trunc = {}, False
+            for vec1, e2 in reads:
+                coeff = self.base.coefficient_at(vec1, w, e2)
+                accumulate(out, coeff.c)
+                trunc = trunc or coeff.truncated
+            return PBWVector(out, trunc)
 
         def op(w: PBWVector) -> PBWVector:
             out = {}
