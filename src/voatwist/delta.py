@@ -9,11 +9,12 @@ and a flagged zero stays by the one rule of series.value_is_zero:
      which terminates because each a(m) lowers the weight (log-free);
   2. the unipotent zero-mode factor exp(-n(0) log x), n the nilpotent
      part of a: the j-th power of n(0) on a stage-1 term lands at log
-     power j.  For s = 0 this series is the result;
-  3. the diagonalizable factor x^(-s(0)), s the semisimple part of a:
-     InducedModule.expand_monomial splits every factor of a monomial into
-     ad-eigencomponents of s, and each piece moves by minus its
-     eigenvalue sum.
+     power j (nothing to do for n = 0).  For s = 0 this is the result;
+  3. the diagonalizable factor x^(-s(0)), s the semisimple part of a,
+     which moves each ad(s)-eigenpiece by minus its eigenvalue sum.  A
+     monomial of eigenvectors inside the cutoff is relabeled; any other
+     is rebuilt by InducedModule.expand_monomial, which splits every
+     factor into ad-eigencomponents of s.
 
 Integral exponents and scalars stay ints through all three stages, and a
 Fraction appears only where a denominator does.  The self-pairing scalar
@@ -29,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, NotQuasiPrimary
-from .fock import InducedModule, PBWVector
+from .fock import InducedModule, PBWVector, monomial_weight
 from .scalars import Cyc, int_if_integral
 from .series import LogSeries, value_is_zero
 
@@ -41,7 +42,7 @@ F = Fraction
 class DeltaOperator:
     """A validated shift operator for one module and one current vector."""
 
-    __slots__ = ("module", "a", "s", "n", "eig", "kappa", "legacy")
+    __slots__ = ("module", "a", "s", "n", "eig", "kappa", "legacy", "eigvals")
 
     def __init__(self, module, a, s, n, eig, kappa, legacy):
         self.module = module
@@ -51,6 +52,10 @@ class DeltaOperator:
         self.eig = eig
         self.kappa = kappa
         self.legacy = legacy
+        # ad(s)-eigenvalue of each generator, an int where integral, None if mixed
+        lams = [eig.eigenvalue_of(module.algebra._basis_elt(gi))
+                for gi in range(module.algebra.dim)]
+        self.eigvals = [lam if lam is None else int_if_integral(lam) for lam in lams]
 
     @property
     def is_identity(self):
@@ -138,6 +143,8 @@ def _exp_current_stage(delta: DeltaOperator, v: PBWVector) -> LogSeries:
 
 def _log_stage(delta: DeltaOperator, staged: LogSeries) -> LogSeries:
     """Stage 2: the unipotent zero-mode factor, applied until it gives 0."""
+    if delta.n.is_zero():
+        return staged
     module = delta.module
     sign = 1 if delta.legacy else -1
     out = LogSeries()
@@ -170,6 +177,12 @@ def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
             # a flagged zero has nothing to expand: it stays where it is
             out.add_term(e, k, vec)
         for mono, coeff in vec.c.items():
+            # inside the cutoff, a monomial of eigenvectors is relabeled
+            lams = [delta.eigvals[gi] for gi, _m in reversed(mono)]
+            if None not in lams and monomial_weight(mono) <= module.cutoff:
+                out.add_term(e + sign * sum(lams), k,
+                             PBWVector({mono: coeff}, vec.truncated))
+                continue
             for lamsum, expanded in module.expand_monomial(mono, split).items():
                 res = coeff * expanded
                 # the expansion restarts from the vacuum; keep the input's flag

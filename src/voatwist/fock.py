@@ -5,9 +5,10 @@ highest-weight vector, kept in canonical order: modes weakly decreasing
 left to right (so a(-1) before b(-2)), ties broken by generator index.
 A PBWVector is a finite linear combination of such monomials; its
 coefficients are ints where integral and Fractions otherwise, or Cyc
-scalars once an automorphism or branch shift has acted.  Mode actions keep
-integral structure constants and central terms as ints, so the common
-integral case never pays for Fraction arithmetic.
+scalars once an automorphism or branch shift has acted.  Mode actions read
+the algebra's structure table and keep integral structure constants and
+central terms as ints, so the common integral case never pays for Fraction
+arithmetic.
 
 The module tracks a weight cutoff.  Results that would need monomials
 beyond the cutoff get their ``truncated`` flag set; everything below the
@@ -221,23 +222,18 @@ class InducedModule:
             sub, t2 = self._act(g1, m1, mono2)
             trunc = trunc or t2
             accumulate(acc, sub, c2)
-        br = self.algebra.bracket(self.algebra._basis_elt(gi),
-                                  self.algebra._basis_elt(g1))
-        for k, ck in enumerate(br.coords):
-            if ck:
-                sub, t3 = self._act(k, m + m1, rest)
-                trunc = trunc or t3
-                accumulate(acc, sub, int_if_integral(ck))
-        if m + m1 == 0 and m:
-            pair = self.algebra.form(self.algebra._basis_elt(gi),
-                                     self.algebra._basis_elt(g1))
-            accumulate(acc, {rest: int_if_integral(m * pair * self.level)})
+        struct, gram = self.algebra._tables()
+        for k, ck in struct[gi][g1]:
+            sub, t3 = self._act(k, m + m1, rest)
+            trunc = trunc or t3
+            accumulate(acc, sub, int_if_integral(ck))
+        if m + m1 == 0 and m and gram[gi][g1]:
+            accumulate(acc, {rest: int_if_integral(m * gram[gi][g1] * self.level)})
         return acc, trunc
 
     def apply_mode(self, x, m: int, vec: PBWVector) -> PBWVector:
         """x(m) vec for x in the algebra (name, LieElt) and integer mode m."""
-        coords = [(gi, int_if_integral(cg))
-                  for gi, cg in enumerate(self._as_elt(x).coords) if cg]
+        coords = self._as_elt(x).terms()
         m = int(m)
         out = {}
         trunc = vec.truncated

@@ -42,6 +42,7 @@ from .linalg import (
     squarefree_part,
     zeros,
 )
+from .scalars import int_if_integral
 
 __all__ = [
     "AutomorphismData",
@@ -70,14 +71,23 @@ def build_simple_lie(family: str, rank: int) -> "LieAlgebra":
 class LieElt:
     """An element of a LieAlgebra, stored as Chevalley-basis coordinates."""
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra", "coords", "_terms")
 
     def __init__(self, algebra, coords):
         self.algebra = algebra
         self.coords = tuple(F(c) for c in coords)
+        self._terms = None
 
     def is_zero(self):
         return not any(self.coords)
+
+    def terms(self):
+        """The nonzero (index, coordinate) pairs, integral coordinates as
+        ints; computed on first use and kept, since an element never changes."""
+        if self._terms is None:
+            self._terms = tuple((i, int_if_integral(c))
+                                for i, c in enumerate(self.coords) if c)
+        return self._terms
 
     def __add__(self, other):
         return LieElt(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])

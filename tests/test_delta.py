@@ -179,3 +179,51 @@ def test_truncated_zero_input_keeps_its_flag():
     got = delta_apply(d, PBWVector({}, truncated=True))
     assert got.terms
     assert all(term.truncated for term in got.terms.values())
+
+
+@pytest.mark.parametrize("rank, coeffs", [
+    (1, {"h1": F(1, 2)}),
+    (1, {"h1": F(1, 3)}),
+    (2, {"h1": F(1, 3), "h2": F(2, 3)}),
+], ids=["sl2 h1=1/2", "sl2 h1=1/3", "A2 h1=1/3,h2=2/3"])
+def test_eigen_monomials_expand_to_themselves(rank, coeffs):
+    # the invariant behind stage 3's relabeling: rebuilding a monomial of
+    # ad(s)-eigenvectors gives back the monomial, moved by its eigenvalues
+    alg = build_simple_lie("A", rank)
+    mod = build_module(alg, F(2), cutoff=3)
+    d = make_delta(mod, mod.current(alg.element(coeffs)))
+
+    def split(gi):
+        parts = d.eig.decompose(alg._basis_elt(gi)).items()
+        return [(lam, None, comp) for lam, comp in parts]
+
+    for weight in range(4):
+        for mono in mod.basis(weight):
+            lamsum = 0
+            for gi, _m in reversed(mono):
+                lamsum += d.eig.eigenvalue_of(alg._basis_elt(gi))
+            got = mod.expand_monomial(mono, split)
+            assert [(k, type(k)) for k in got] == [(lamsum, type(lamsum))], mono
+            vec = got[lamsum]
+            assert vec.c == {mono: 1} and type(vec.c[mono]) is int, mono
+            assert not vec.truncated, mono
+
+
+def test_mixed_generators_keep_the_rebuild():
+    # tests/data/shift_chain.json pins h1=1/2+e1, where f1 is mixed, so the
+    # golden digests cover stage 3's rebuild path as well as its relabeling
+    d = make_delta(MOD, MOD.current(sl2.element({"h1": F(1, 2), "e1": F(1)})))
+    assert d.eig.eigenvalue_of(sl2.generator("f1")) is None
+    assert d.eigvals[sl2.index["f1"]] is None
+
+
+def test_relabeling_stops_at_the_cutoff():
+    # a monomial past the cutoff is rebuilt, so it comes back as a flagged
+    # zero just as every factor past the cutoff does, not as an exact term
+    from voatwist.fock import PBWVector
+
+    small = build_module(sl2, F(2), cutoff=3)
+    d = make_delta(small, small.current(sl2.element({"h1": F(1, 2)})))
+    deep = PBWVector({mono(("e1", -2), ("e1", -2)): 1})
+    moved = delta_apply(d, deep).terms[(-2, 0)]
+    assert moved.is_zero() and moved.truncated

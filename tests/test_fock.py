@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from voatwist.errors import CriticalLevel, DomainError, Unsupported
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
+from voatwist.scalars import int_if_integral
 from voatwist.verify import basis_states
 
 sl2 = build_simple_lie("A", 1)
@@ -228,3 +229,44 @@ def test_subtraction_is_one_pass_and_keeps_flags():
     assert (flagged - v).truncated
     assert (flagged - flagged).is_zero() and (flagged - flagged).truncated
     assert not (v - w).truncated
+
+
+def _typed(terms):
+    return {mono: (c, type(c)) for mono, c in terms.items()}
+
+
+def _act_through_bracket(mod, gi, m, g1, m1):
+    """b_gi(m) on the one-factor monomial ((g1, m1),), with the structure
+    constant and the pairing computed through alg.bracket and alg.form."""
+    alg = mod.algebra
+    if m < 0 and (-m, gi) <= (-m1, g1):
+        return {((gi, m), (g1, m1)): 1}
+    acc = {}
+    if m < 0:
+        acc = dict(mod._act(g1, m1, ((gi, m),))[0])
+    br = alg.bracket(alg._basis_elt(gi), alg._basis_elt(g1))
+    for k, ck in enumerate(br.coords):
+        if ck:
+            for mono2, c2 in mod._act(k, m + m1, ())[0].items():
+                c = acc.get(mono2, 0) + int_if_integral(ck) * c2
+                acc[mono2] = c
+    if m + m1 == 0 and m:
+        pair = alg.form(alg._basis_elt(gi), alg._basis_elt(g1))
+        c = acc.get((), 0) + int_if_integral(m * pair * mod.level)
+        acc[()] = c
+    return {mono: c for mono, c in acc.items() if c}
+
+
+@pytest.mark.parametrize("level", [F(2), F(1, 2)], ids=["level 2", "level 1/2"])
+def test_mode_action_reads_the_structure_table(level):
+    sl3 = build_simple_lie("A", 2)
+    mod = build_module(sl3, level, cutoff=8)
+    modes = range(-2, 3)
+    for gi in range(sl3.dim):
+        for g1 in range(sl3.dim):
+            for m in modes:
+                for m1 in modes:
+                    got, trunc = mod._act(gi, m, ((g1, m1),))
+                    want = _act_through_bracket(mod, gi, m, g1, m1)
+                    assert _typed(got) == _typed(want), (gi, m, g1, m1)
+                    assert not trunc
