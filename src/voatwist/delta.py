@@ -10,11 +10,10 @@ and a flagged zero stays by the one rule of series.value_is_zero:
   2. the unipotent zero-mode factor exp(-n(0) log x), n the nilpotent
      part of a: the j-th power of n(0) on a stage-1 term lands at log
      power j (nothing to do for n = 0).  For s = 0 this is the result;
-  3. the diagonalizable factor x^(-s(0)), s the semisimple part of a,
-     which moves each ad(s)-eigenpiece by minus its eigenvalue sum.  A
-     monomial of eigenvectors inside the cutoff is relabeled; any other
-     is rebuilt by InducedModule.expand_monomial, which splits every
-     factor into ad-eigencomponents of s.
+  3. the diagonalizable factor x^(-s(0)), s the semisimple part of a: a
+     monomial of ad(s)-eigenvectors inside the cutoff is relabeled by
+     minus its eigenvalue sum; any other goes through expand_monomial,
+     and each of its ad(s)-eigenpieces moves by minus its eigenvalue sum.
 
 Integral exponents and scalars stay ints through all three stages, and a
 Fraction appears only where a denominator does.  The self-pairing scalar
@@ -42,7 +41,7 @@ F = Fraction
 class DeltaOperator:
     """A validated shift operator for one module and one current vector."""
 
-    __slots__ = ("module", "a", "s", "n", "eig", "kappa", "legacy", "eigvals")
+    __slots__ = ("module", "a", "s", "n", "eig", "kappa", "legacy")
 
     def __init__(self, module, a, s, n, eig, kappa, legacy):
         self.module = module
@@ -52,10 +51,6 @@ class DeltaOperator:
         self.eig = eig
         self.kappa = kappa
         self.legacy = legacy
-        # ad(s)-eigenvalue of each generator, an int where integral, None if mixed
-        lams = [eig.eigenvalue_of(module.algebra._basis_elt(gi))
-                for gi in range(module.algebra.dim)]
-        self.eigvals = [lam if lam is None else int_if_integral(lam) for lam in lams]
 
     @property
     def is_identity(self):
@@ -171,6 +166,7 @@ def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
         return [(lam, None, comp) for lam, comp in decompose(basis_elt(gi)).items()]
 
     sign = 1 if delta.legacy else -1
+    eigvals = delta.eig.generator_eigenvalues()
     out = LogSeries()
     for (e, k), vec in logged.terms.items():
         if not vec.c:
@@ -178,7 +174,7 @@ def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
             out.add_term(e, k, vec)
         for mono, coeff in vec.c.items():
             # inside the cutoff, a monomial of eigenvectors is relabeled
-            lams = [delta.eigvals[gi] for gi, _m in reversed(mono)]
+            lams = [eigvals[gi] for gi, _m in reversed(mono)]
             if None not in lams and monomial_weight(mono) <= module.cutoff:
                 out.add_term(e + sign * sum(lams), k,
                              PBWVector({mono: coeff}, vec.truncated))

@@ -7,8 +7,7 @@ A PBWVector is a finite linear combination of such monomials; its
 coefficients are ints where integral and Fractions otherwise, or Cyc
 scalars once an automorphism or branch shift has acted.  Mode actions read
 the algebra's structure table and keep integral structure constants and
-central terms as ints, so the common integral case never pays for Fraction
-arithmetic.
+central terms as ints, so the integral case pays for no Fraction product.
 
 The module tracks a weight cutoff.  Results that would need monomials
 beyond the cutoff get their ``truncated`` flag set; everything below the

@@ -364,6 +364,12 @@ class EigenData:
         return None
 
     @memo
+    def generator_eigenvalues(self) -> list:
+        """eigenvalue_of each basis generator (None if mixed), ints where integral."""
+        lams = map(self.eigenvalue_of, self.algebra.basis())
+        return [lam if lam is None else int_if_integral(lam) for lam in lams]
+
+    @memo
     def decompose(self, elt: LieElt) -> dict:
         """Split elt into its ad(s)-eigencomponents, keyed by eigenvalue.
 

@@ -158,7 +158,7 @@ class TwistedModule:
     # -- grading ----------------------------------------------------------
 
     def _step_eigenvalue(self, j: int, gi: int) -> Fraction:
-        lam = self.steps[j].eig.eigenvalue_of(self.algebra._basis_elt(gi))
+        lam = self.steps[j].eig.generator_eigenvalues()[gi]
         if lam is None:
             raise Unsupported(
                 "grading needs every generator to be an eigenvector of each "

@@ -214,7 +214,7 @@ def test_mixed_generators_keep_the_rebuild():
     # golden digests cover stage 3's rebuild path as well as its relabeling
     d = make_delta(MOD, MOD.current(sl2.element({"h1": F(1, 2), "e1": F(1)})))
     assert d.eig.eigenvalue_of(sl2.generator("f1")) is None
-    assert d.eigvals[sl2.index["f1"]] is None
+    assert d.eig.generator_eigenvalues()[sl2.index["f1"]] is None
 
 
 def test_relabeling_stops_at_the_cutoff():
