@@ -248,12 +248,10 @@ def _act_through_bracket(mod, gi, m, g1, m1):
     for k, ck in enumerate(br.coords):
         if ck:
             for mono2, c2 in mod._act(k, m + m1, ())[0].items():
-                c = acc.get(mono2, 0) + int_if_integral(ck) * c2
-                acc[mono2] = c
+                acc[mono2] = acc.get(mono2, 0) + int_if_integral(ck) * c2
     if m + m1 == 0 and m:
         pair = alg.form(alg._basis_elt(gi), alg._basis_elt(g1))
-        c = acc.get((), 0) + int_if_integral(m * pair * mod.level)
-        acc[()] = c
+        acc[()] = acc.get((), 0) + int_if_integral(m * pair * mod.level)
     return {mono: c for mono, c in acc.items() if c}
 
 
