@@ -103,10 +103,8 @@ def format_vector(alg, vec) -> str:
     """Deterministic human-readable form of a PBW vector."""
     if vec is None or vec.is_zero():
         return "0"
-    parts = []
-    for mono, c in vec.sorted_items():
-        parts.append(f"({fmt_scalar(c)}) {format_monomial(alg, mono)}")
-    return " + ".join(parts)
+    return " + ".join(f"({fmt_scalar(c)}) {format_monomial(alg, mono)}"
+                      for mono, c in vec.sorted_items())
 
 
 def basis_states(module: InducedModule, max_weight: int):
@@ -135,33 +133,46 @@ def _series_sub(a: LogSeries, b: LogSeries) -> LogSeries:
     return series_combine(a, series_scale(b, scalar=F(-1)))
 
 
-def _series_witness(alg, wit, **extra) -> dict:
-    e, k, left, right = wit
-    out = {
+def _run_cases(name, cases, count_key, pass_details=None,
+               fail_details=None) -> CheckReport:
+    """Run (counted, witness-or-None) cases lazily up to the first witness.
+
+    Counted cases add to details[count_key]; an uncounted one is a side
+    probe.  pass_details is read after the last case, so a generator may
+    fill it in while it runs."""
+    checked = 0
+    for counted, witness in cases:
+        checked += counted
+        if witness is not None:
+            return CheckReport(name, "fail", witness=witness,
+                               details={count_key: checked, **(fail_details or {})})
+    return CheckReport(name, "pass",
+                       details={count_key: checked, **(pass_details or {})})
+
+
+def _series_case(alg, left, right, **fields):
+    """A counted series comparison; a witness names the first (e, k) apart."""
+    wit = series_eq(left, right)
+    if wit is None:
+        return True, None
+    e, k, a, b = wit
+    return True, {
+        **fields,
         "exponent": fmt_rational(F(e)),
         "logPower": int(k),
-        "left": format_vector(alg, left if not isinstance(left, int) else None),
-        "right": format_vector(alg, right if not isinstance(right, int) else None),
+        "left": format_vector(alg, a if not isinstance(a, int) else None),
+        "right": format_vector(alg, b if not isinstance(b, int) else None),
     }
-    out.update(extra)
-    return out
 
 
-def _series_check(name, alg, cases, count_key, **pass_details) -> CheckReport:
-    """Compare each (left, right, witness fields) series pair in turn.
-
-    cases is consumed lazily, so nothing past the first mismatch is
-    computed; the report counts comparisons under count_key.
-    """
-    checked = 0
-    for left, right, fields in cases:
-        wit = series_eq(left, right)
-        checked += 1
-        if wit is not None:
-            return CheckReport(name, "fail",
-                               witness=_series_witness(alg, wit, **fields),
-                               details={count_key: checked})
-    return CheckReport(name, "pass", details={count_key: checked, **pass_details})
+def _vector_case(alg, left, right, context, keys=("left", "right"), **fields):
+    """A counted comparison of two exact vectors, named by keys in a witness."""
+    _ensure_exact(left, context)
+    _ensure_exact(right, context)
+    if (left - right).is_zero():
+        return True, None
+    return True, {**fields, keys[0]: format_vector(alg, left),
+                  keys[1]: format_vector(alg, right)}
 
 
 def _nilpotency_index(alg, n) -> int:
@@ -196,38 +207,40 @@ def check_shift_finiteness(module: InducedModule, u: PBWVector, states,
     lattice = 1
     for lam in delta.eig.values:
         lattice = lcm(lattice, F(lam).denominator)
-    checked = 0
-    largest = 0
-    for v, label in states:
-        ser = _series_exact(delta_apply(delta, v), name)
-        weights = v.weight_components()
-        vw = max(weights) if weights else 0
-        vd = v.depth()
-        log_bound = max(0, (nil_index - 1)) * vd
-        for (e, k), vec in ser.sorted_items():
-            bad = None
-            if any(w > vw for w in vec.weight_components()):
-                bad = "a coefficient outweighs the input state"
-            elif k > log_bound:
-                bad = "log power exceeds the unipotent bound"
-            elif (F(e) * lattice).denominator != 1:
-                bad = "exponent leaves the eigenvalue lattice"
-            if bad is not None:
-                return CheckReport(name, "fail", witness={
+    details = {
+        "largestSupport": 0,
+        "logPowerBoundPerFactor": max(0, nil_index - 1),
+        "exponentLattice": f"1/{lattice}",
+    }
+
+    def cases():
+        # a state counts once all of its terms are in shape
+        for v, label in states:
+            ser = _series_exact(delta_apply(delta, v), name)
+            weights = v.weight_components()
+            vw = max(weights) if weights else 0
+            log_bound = max(0, nil_index - 1) * v.depth()
+            for (e, k), vec in ser.sorted_items():
+                if any(w > vw for w in vec.weight_components()):
+                    bad = "a coefficient outweighs the input state"
+                elif k > log_bound:
+                    bad = "log power exceeds the unipotent bound"
+                elif (F(e) * lattice).denominator != 1:
+                    bad = "exponent leaves the eigenvalue lattice"
+                else:
+                    continue
+                yield False, {
                     "state": label,
                     "exponent": fmt_rational(F(e)),
                     "logPower": int(k),
                     "reason": bad,
                     "coefficient": format_vector(alg, vec),
-                }, details={"statesChecked": checked})
-        checked += 1
-        largest = max(largest, len(ser.terms))
-    return CheckReport(name, "pass", details={
-        "statesChecked": checked,
-        "largestSupport": largest,
-        "logPowerBoundPerFactor": max(0, nil_index - 1),
-        "exponentLattice": f"1/{lattice}",
-    })
+                }
+            details["largestSupport"] = max(details["largestSupport"],
+                                            len(ser.terms))
+            yield True, None
+
+    return _run_cases(name, cases(), "statesChecked", details)
 
 
 # -- the conjugation identity in two variables ------------------------------
@@ -299,7 +312,7 @@ def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw: LogSeries,
     return lhs, rhs
 
 
-def _compare_bivariate(alg, lhs, rhs, ceiling):
+def _compare_bivariate(alg, lhs, rhs, ceiling, **fields):
     keys = sorted(set(lhs) | set(rhs), key=lambda t: (t[2], t[0], t[1]))
     for key in keys:
         if key[2] > ceiling:
@@ -309,6 +322,7 @@ def _compare_bivariate(alg, lhs, rhs, ceiling):
         if a != b:
             e, k, j = key
             return {
+                **fields,
                 "outerExponent": fmt_rational(F(e)),
                 "logPower": int(k),
                 "innerExponent": fmt_rational(F(j)),
@@ -332,30 +346,25 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
     ceiling = int(inner_ceiling)
     targets = [(w, wlabel, delta_apply(delta, w)) for w, wlabel in target_states]
     reach_w = max((w.depth() for w, _wl, _dw in targets), default=0)
-    checked = 0
-    for v, vlabel in arg_states:
-        dv = delta_apply(delta, v)
-        # the inner operator reaches y-exponents as low as minus the total
-        # weight, so substitution terms that far above the ceiling still
-        # land inside the window and must be kept
-        max_p = ceiling + v.depth() + reach_w
-        lpow = _log_shift_powers(max((k for (_e, k) in dv.terms), default=0), max_p)
-        shifted = [(e, vec, _expand_at_sum(e, k, lpow, max_p))
-                   for (e, k), vec in dv.terms.items()]
-        for w, wlabel, dw in targets:
-            lhs, rhs = _conjugated_sides(delta, v, w, shifted, dw, ceiling)
-            wit = _compare_bivariate(alg, lhs, rhs, ceiling)
-            checked += 1
-            if wit is not None:
-                wit["argument"] = vlabel
-                wit["target"] = wlabel
-                return CheckReport(name, "fail", witness=wit,
-                                   details={"pairsChecked": checked,
-                                            "innerCeiling": ceiling})
-    return CheckReport(name, "pass", details={
-        "pairsChecked": checked,
-        "innerCeiling": ceiling,
-    })
+
+    def cases():
+        for v, vlabel in arg_states:
+            dv = delta_apply(delta, v)
+            # the inner operator reaches y-exponents as low as minus the
+            # total weight, so substitution terms that far above the ceiling
+            # still land inside the window and must be kept
+            max_p = ceiling + v.depth() + reach_w
+            lpow = _log_shift_powers(max((k for (_e, k) in dv.terms), default=0),
+                                     max_p)
+            shifted = [(e, vec, _expand_at_sum(e, k, lpow, max_p))
+                       for (e, k), vec in dv.terms.items()]
+            for w, wlabel, dw in targets:
+                lhs, rhs = _conjugated_sides(delta, v, w, shifted, dw, ceiling)
+                yield True, _compare_bivariate(alg, lhs, rhs, ceiling,
+                                               argument=vlabel, target=wlabel)
+
+    window = {"innerCeiling": ceiling}
+    return _run_cases(name, cases(), "pairsChecked", window, window)
 
 
 # -- derivation brackets -----------------------------------------------------
@@ -374,9 +383,9 @@ def check_weight_bracket(module: InducedModule, u: PBWVector, states,
             right = series_combine(
                 series_scale(series_derivative(dv), eshift=1),
                 dv.map_values(lambda vec: module.apply_mode(delta.a, 0, vec)))
-            yield left, right, {"state": label}
+            yield _series_case(module.algebra, left, right, state=label)
 
-    return _series_check(name, module.algebra, cases(), "statesChecked")
+    return _run_cases(name, cases(), "statesChecked")
 
 
 def check_translation_bracket(module: InducedModule, u: PBWVector, states,
@@ -392,9 +401,9 @@ def check_translation_bracket(module: InducedModule, u: PBWVector, states,
             left = _series_sub(dv.map_values(lambda vec: _ensure_exact(lm1(vec), name)),
                                delta_apply(delta, moved))
             right = series_scale(series_derivative(dv), scalar=F(-1))
-            yield left, right, {"state": label}
+            yield _series_case(module.algebra, left, right, state=label)
 
-    return _series_check(name, module.algebra, cases(), "statesChecked")
+    return _run_cases(name, cases(), "statesChecked")
 
 
 # -- group laws --------------------------------------------------------------
@@ -416,9 +425,10 @@ def check_group_laws(module: InducedModule, u: PBWVector, states,
                 ("inverse-left", delta_apply_series(dinv, delta_apply(d, v))),
             ]
             for law, got in laws:
-                yield got, expect, {"state": label, "law": law}
+                yield _series_case(module.algebra, got, expect, state=label,
+                                   law=law)
 
-    return _series_check(name, module.algebra, cases(), "comparisons")
+    return _run_cases(name, cases(), "comparisons")
 
 
 def check_additivity(module: InducedModule, s_state: PBWVector,
@@ -445,20 +455,17 @@ def check_additivity(module: InducedModule, s_state: PBWVector,
                 ("semisimple-last", delta_apply_series(ds, delta_apply(dn, v))),
                 ("nilpotent-last", delta_apply_series(dn, delta_apply(ds, v))),
             ]:
-                yield got, want, {"state": label, "order": order}
+                yield _series_case(alg, got, want, state=label, order=order)
 
-    return _series_check(name, alg, cases(), "comparisons")
+    return _run_cases(name, cases(), "comparisons")
 
 
 # -- twisted mode structure --------------------------------------------------
 
 
 def chain_log_bound(twisted: TwistedModule) -> int:
-    alg = twisted.algebra
-    total = 0
-    for step in twisted.steps:
-        total += max(0, _nilpotency_index(alg, step.n) - 1)
-    return total
+    return sum(max(0, _nilpotency_index(twisted.algebra, step.n) - 1)
+               for step in twisted.steps)
 
 
 def check_mode_tables(twisted: TwistedModule, mode_span=3, weight=3,
@@ -480,33 +487,25 @@ def check_mode_tables(twisted: TwistedModule, mode_span=3, weight=3,
     states = basis_states(module, weight)
     single_semisimple = (len(twisted.steps) == 1
                          and twisted.steps[0].n.is_zero())
-    compared = 0
-    for b in alg.names:
-        belt = alg.generator(b)
-        for m in mode_candidates(mode_span, order):
-            for l in range(0, int(log_max) + 2):
-                entry = mode_table_entry(twisted, b, m, l)
-                op = twisted.gen_mode(b, m, l)
-                for w, wlabel in states:
-                    via_table = _ensure_exact(apply_table_entry(module, entry, w), name)
-                    via_series = _ensure_exact(op(w), name)
-                    compared += 1
-                    if not (via_table - via_series).is_zero():
-                        return CheckReport(name, "fail", witness={
-                            "generator": b,
-                            "mode": fmt_rational(m),
-                            "logPower": l,
-                            "state": wlabel,
-                            "table": format_vector(alg, via_table),
-                            "series": format_vector(alg, via_series),
-                        }, details={"comparisons": compared})
-                if single_semisimple and l == 0:
-                    wit = _single_step_mismatch(twisted, belt, b, m, entry)
-                    if wit is not None:
-                        return CheckReport(name, "fail", witness=wit,
-                                           details={"comparisons": compared})
-    return CheckReport(name, "pass", details={
-        "comparisons": compared,
+
+    def cases():
+        for b in alg.names:
+            belt = alg.generator(b)
+            for m in mode_candidates(mode_span, order):
+                mode = fmt_rational(m)
+                for l in range(0, int(log_max) + 2):
+                    entry = mode_table_entry(twisted, b, m, l)
+                    op = twisted.gen_mode(b, m, l)
+                    for w, wlabel in states:
+                        yield _vector_case(alg, apply_table_entry(module, entry, w),
+                                           op(w), name, ("table", "series"),
+                                           generator=b, mode=mode, logPower=l,
+                                           state=wlabel)
+                    if single_semisimple and l == 0:
+                        yield False, _single_step_mismatch(twisted, belt, b, m,
+                                                           entry)
+
+    return _run_cases(name, cases(), "comparisons", {
         "modeSpan": int(mode_span),
         "branchOrder": order,
         "logPowersChecked": int(log_max) + 1,
@@ -548,13 +547,9 @@ def _fmt_table_entry(alg, entry) -> str:
     ops, scalar = entry
     parts = [f"({fmt_scalar(c)}) {alg.names[gi]}({mode})"
              for (gi, mode), c in sorted(ops.items())]
-    if parts and scalar:
-        return " + ".join(parts) + f" + ({fmt_scalar(scalar)}) Id"
-    if parts:
-        return " + ".join(parts)
     if scalar:
-        return f"({fmt_scalar(scalar)}) Id"
-    return "0"
+        parts.append(f"({fmt_scalar(scalar)}) Id")
+    return " + ".join(parts) or "0"
 
 
 def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
@@ -585,55 +580,52 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
             operators[gname, m] = twisted.gen_mode(gname, m)
         return operators[gname, m], mode_table_entry(twisted, gname, m)[0]
 
-    compared = 0
-    for bname, cname in pairs:
-        belt, celt = alg.generator(bname), alg.generator(cname)
-        lam_b = _class_shift(twisted, belt)
-        lam_c = _class_shift(twisted, celt)
-        if lam_b is None or lam_c is None:
-            return CheckReport(name, "uncertifiable", details={
-                "reason": "a probed generator is not an eigenvector of the chain",
-                "generatorPair": f"{bname},{cname}",
-            })
-        bracket = alg.bracket(belt, celt)
-        for mi in range(-int(mode_span), int(mode_span) + 1):
-            m = mi + lam_b
-            if abs(m) > mode_span:
-                continue
-            bop, bops = gen_mode(bname, m)
-            for ni in range(-int(mode_span), int(mode_span) + 1):
-                n = ni + lam_c
-                if abs(n) > mode_span:
+    blocked = {}
+
+    def cases():
+        for bname, cname in pairs:
+            pair = f"{bname},{cname}"
+            belt, celt = alg.generator(bname), alg.generator(cname)
+            lam_b = _class_shift(twisted, belt)
+            lam_c = _class_shift(twisted, celt)
+            if lam_b is None or lam_c is None:
+                blocked.update(reason=("a probed generator is not an "
+                                       "eigenvector of the chain"),
+                               generatorPair=pair)
+                return
+            bracket = alg.bracket(belt, celt)
+            for mi in range(-int(mode_span), int(mode_span) + 1):
+                m = mi + lam_b
+                if abs(m) > mode_span:
                     continue
-                cop, cops = gen_mode(cname, n)
-                entry_ops = mode_table_entry(twisted, bracket, m + n)[0]
-                central = F(0)
-                for (gi, p), bco in bops.items():
-                    for (gj, q), cco in cops.items():
-                        if p + q == 0:
-                            pairing = alg.form(alg._basis_elt(gi),
-                                               alg._basis_elt(gj))
-                            central += bco * cco * p * pairing * level
-                for w, wlabel in states:
-                    lhs = bop(cop(w)) - cop(bop(w))
-                    rhs = apply_table_entry(module, (entry_ops, F(0)), w)
-                    rhs = rhs + central * w
-                    _ensure_exact(lhs, name)
-                    _ensure_exact(rhs, name)
-                    compared += 1
-                    if not (lhs - rhs).is_zero():
-                        return CheckReport(name, "fail", witness={
-                            "generatorPair": f"{bname},{cname}",
-                            "modes": f"{fmt_rational(m)},{fmt_rational(n)}",
-                            "state": wlabel,
-                            "left": format_vector(alg, lhs),
-                            "right": format_vector(alg, rhs),
-                        }, details={"comparisons": compared})
-    return CheckReport(name, "pass", details={
-        "comparisons": compared,
-        "modeSpan": int(mode_span),
-        "pairs": len(pairs),
-    })
+                bop, bops = gen_mode(bname, m)
+                for ni in range(-int(mode_span), int(mode_span) + 1):
+                    n = ni + lam_c
+                    if abs(n) > mode_span:
+                        continue
+                    cop, cops = gen_mode(cname, n)
+                    entry_ops = mode_table_entry(twisted, bracket, m + n)[0]
+                    central = F(0)
+                    for (gi, p), bco in bops.items():
+                        for (gj, q), cco in cops.items():
+                            if p + q == 0:
+                                pairing = alg.form(alg._basis_elt(gi),
+                                                   alg._basis_elt(gj))
+                                central += bco * cco * p * pairing * level
+                    modes = f"{fmt_rational(m)},{fmt_rational(n)}"
+                    for w, wlabel in states:
+                        lhs = bop(cop(w)) - cop(bop(w))
+                        rhs = (apply_table_entry(module, (entry_ops, F(0)), w)
+                               + central * w)
+                        yield _vector_case(alg, lhs, rhs, name, generatorPair=pair,
+                                           modes=modes, state=wlabel)
+
+    # a pair that cannot be certified ends the run unless an earlier one failed
+    report = _run_cases(name, cases(), "comparisons",
+                        {"modeSpan": int(mode_span), "pairs": len(pairs)})
+    if blocked:
+        return CheckReport(name, "uncertifiable", details=blocked)
+    return report
 
 
 def _class_shift(twisted: TwistedModule, elt):
@@ -674,35 +666,23 @@ def check_conformal_shift(prev: TwistedModule, new: TwistedModule,
                                 new.mode(omega, 0))
     prev_l0, prev_lm1 = prev.mode(omega, 1), prev.mode(omega, 0)
     prev_u0, prev_um1 = prev.mode(uvec, 0), prev.mode(uvec, -1)
-    checked = 0
-    for w, label in states:
-        logpart = new_log(w)
-        if not logpart.is_zero():
-            return CheckReport(name, "fail", witness={
+
+    def cases():
+        for w, label in states:
+            logpart = new_log(w)
+            yield False, None if logpart.is_zero() else {
                 "state": label,
                 "reason": "log admixture at the conformal weight mode",
                 "left": format_vector(alg, logpart),
-            }, details={"statesChecked": checked})
-        got0 = new_l0(w)
-        want0 = prev_l0(w) - prev_u0(w) + F(kappa, 2) * w
-        got1 = new_lm1(w)
-        want1 = prev_lm1(w) - prev_um1(w)
-        for tag, got, want in [("weight-mode", got0, want0),
-                               ("translation-mode", got1, want1)]:
-            _ensure_exact(got, name)
-            _ensure_exact(want, name)
-            checked += 1
-            if not (got - want).is_zero():
-                return CheckReport(name, "fail", witness={
-                    "state": label,
-                    "mode": tag,
-                    "left": format_vector(alg, got),
-                    "right": format_vector(alg, want),
-                }, details={"statesChecked": checked})
-    return CheckReport(name, "pass", details={
-        "statesChecked": checked,
-        "selfPairingScalar": fmt_rational(kappa),
-    })
+            }
+            yield _vector_case(alg, new_l0(w),
+                               prev_l0(w) - prev_u0(w) + F(kappa, 2) * w,
+                               name, state=label, mode="weight-mode")
+            yield _vector_case(alg, new_lm1(w), prev_lm1(w) - prev_um1(w),
+                               name, state=label, mode="translation-mode")
+
+    return _run_cases(name, cases(), "statesChecked",
+                      {"selfPairingScalar": fmt_rational(kappa)})
 
 
 def check_regraded_weights(twisted: TwistedModule, expectations) -> CheckReport:
@@ -711,19 +691,17 @@ def check_regraded_weights(twisted: TwistedModule, expectations) -> CheckReport:
     expectations: iterable of (monomial, expected weight).  Weights are
     pure arithmetic on the chain data, so this needs no module cutoff.
     """
-    name = "regraded-weights"
-    alg = twisted.algebra
-    checked = 0
-    for mono, want in expectations:
-        got = twisted.weight_of(mono)
-        checked += 1
-        if got != F(want):
-            return CheckReport(name, "fail", witness={
-                "monomial": format_monomial(alg, mono),
+
+    def cases():
+        for mono, want in expectations:
+            got = twisted.weight_of(mono)
+            yield True, None if got == F(want) else {
+                "monomial": format_monomial(twisted.algebra, mono),
                 "got": fmt_rational(got),
                 "expected": fmt_rational(F(want)),
-            }, details={"monomialsChecked": checked})
-    return CheckReport(name, "pass", details={"monomialsChecked": checked})
+            }
+
+    return _run_cases("regraded-weights", cases(), "monomialsChecked")
 
 
 def check_grading_restriction(twisted: TwistedModule,
@@ -761,23 +739,20 @@ def check_grading_restriction(twisted: TwistedModule,
     if coset_classes:
         for gname, lam in sorted(shifts.items()):
             if lam >= 1 and lam.denominator == 1:
-                j = int(lam)
-                return CheckReport(name, "fail", witness={
-                    "generator": gname,
-                    "shift": fmt_rational(lam),
-                    "family": f"{gname}(-{j})^k |0>",
-                    "reason": ("every member shares one weight and one "
-                               "mod-1 class: an infinite graded piece"),
-                }, details=details)
-            if lam > 1:
-                q = lam.denominator
-                return CheckReport(name, "fail", witness={
-                    "generator": gname,
-                    "shift": fmt_rational(lam),
-                    "family": f"{gname}(-1)^({q}k) |0>",
-                    "reason": ("weights fall without bound inside a single "
-                               "mod-1 class"),
-                }, details=details)
+                family = f"{gname}(-{int(lam)})^k |0>"
+                reason = ("every member shares one weight and one mod-1 "
+                          "class: an infinite graded piece")
+            elif lam > 1:
+                family = f"{gname}(-1)^({lam.denominator}k) |0>"
+                reason = "weights fall without bound inside a single mod-1 class"
+            else:
+                continue
+            return CheckReport(name, "fail", witness={
+                "generator": gname,
+                "shift": fmt_rational(lam),
+                "family": family,
+                "reason": reason,
+            }, details=details)
         margins = {g: fmt_rational(1 - s) for g, s in sorted(shifts.items())}
         details["weightMarginPerFactor"] = margins
         return CheckReport(name, "pass", details=details)
@@ -843,7 +818,7 @@ def check_zero_mode_nilpotency(twisted: TwistedModule, b, weight=3) -> CheckRepo
             power += 1
         worst = max(worst, power)
     if escapes:
-        details = {
+        return CheckReport(name, "uncertifiable", details={
             "inspectedWeight": weight,
             "escapingOrbits": escapes,
             "firstEscape": escaped_at,
@@ -851,8 +826,7 @@ def check_zero_mode_nilpotency(twisted: TwistedModule, b, weight=3) -> CheckRepo
                                        "every survivor raises the weight "
                                        "out of it"),
             "cutoffRelative": True,
-        }
-        return CheckReport(name, "uncertifiable", details=details)
+        })
     return CheckReport(name, "pass", details={
         "inspectedWeight": weight,
         "largestPowerNeeded": worst,
@@ -879,44 +853,30 @@ def check_twisted_axioms(twisted: TwistedModule, states, target_states,
     if ceiling < 0:
         raise DomainError("the axiom check needs a nonnegative ceiling")
     vac = module.vacuum()
-    checked = 0
-    for w, wlabel in target_states:
-        ser = twisted.vertex_series(vac, w, ceiling)
-        wit = series_eq(ser, LogSeries({(F(0), 0): w}))
-        checked += 1
-        if wit is not None:
-            return CheckReport(name, "fail",
-                               witness=_series_witness(alg, wit, state=wlabel,
-                                                       axiom="vacuum"),
-                               details={"comparisons": checked})
-    for v, vlabel in states:
-        moved = _ensure_exact(lm1(v), name)
+
+    def cases():
         for w, wlabel in target_states:
-            ser = _series_exact(twisted.vertex_series(v, w, ceiling), name)
-            for (e, _k), _vec in ser.terms.items():
-                if (F(e) * order).denominator != 1:
-                    return CheckReport(name, "fail", witness={
-                        "argument": vlabel,
-                        "target": wlabel,
-                        "axiom": "lattice",
-                        "exponent": fmt_rational(F(e)),
-                    }, details={"comparisons": checked})
-            lhs = twisted.vertex_series(moved, w, ceiling - 1)
-            rhs = series_derivative(ser)
-            wit = series_eq(lhs, rhs)
-            checked += 1
-            if wit is not None:
-                return CheckReport(name, "fail",
-                                   witness=_series_witness(alg, wit,
-                                                           argument=vlabel,
-                                                           target=wlabel,
-                                                           axiom="derivative"),
-                                   details={"comparisons": checked})
-    return CheckReport(name, "pass", details={
-        "comparisons": checked,
-        "ceiling": ceiling,
-        "branchOrder": order,
-    })
+            yield _series_case(alg, twisted.vertex_series(vac, w, ceiling),
+                               LogSeries({(F(0), 0): w}), state=wlabel,
+                               axiom="vacuum")
+        for v, vlabel in states:
+            moved = _ensure_exact(lm1(v), name)
+            for w, wlabel in target_states:
+                ser = _series_exact(twisted.vertex_series(v, w, ceiling), name)
+                off = next((e for (e, _k) in ser.terms
+                            if (F(e) * order).denominator != 1), None)
+                yield False, None if off is None else {
+                    "argument": vlabel,
+                    "target": wlabel,
+                    "axiom": "lattice",
+                    "exponent": fmt_rational(F(off)),
+                }
+                yield _series_case(alg, twisted.vertex_series(moved, w, ceiling - 1),
+                                   series_derivative(ser), argument=vlabel,
+                                   target=wlabel, axiom="derivative")
+
+    return _run_cases(name, cases(), "comparisons",
+                      {"ceiling": ceiling, "branchOrder": order})
 
 
 def check_equivariance(twisted: TwistedModule, target_states=None,
@@ -940,11 +900,11 @@ def check_equivariance(twisted: TwistedModule, target_states=None,
             for w, wlabel in target_states:
                 shifted = branch_shift(twisted.vertex_series(v, w, ceiling), 1, order)
                 direct = twisted.vertex_series(gv, w, ceiling)
-                yield shifted, direct, {"argument": vlabel, "target": wlabel}
+                yield _series_case(alg, shifted, direct, argument=vlabel,
+                                   target=wlabel)
 
-    return _series_check(
-        "equivariance", alg, cases(), "comparisons", branchOrder=order,
-        ceiling=int(F(ceiling)) if F(ceiling).denominator == 1 else fmt_rational(F(ceiling)))
+    return _run_cases("equivariance", cases(), "comparisons",
+                      {"branchOrder": order, "ceiling": int(ceiling)})
 
 
 # -- transport of module maps ------------------------------------------------
@@ -986,9 +946,9 @@ def check_functor_transport(module: InducedModule, u: PBWVector,
     states = [(module.current(nm), f"{nm}(-1) |0>") for nm in alg.names]
     states.append((module.conformal_vector(), "conformal state"))
     targets = basis_states(module, probe_weight + 1)
-    cases = ((round_trip.vertex_series(v, w, ceiling),
-              module.vertex_series(v, w, ceiling),
-              {"argument": vlabel, "target": wlabel, "law": "round-trip"})
+    cases = (_series_case(alg, round_trip.vertex_series(v, w, ceiling),
+                          module.vertex_series(v, w, ceiling), argument=vlabel,
+                          target=wlabel, law="round-trip")
              for v, vlabel in states for w, wlabel in targets)
-    return _series_check(name, alg, cases, "roundTripComparisons",
-                         mapsTransported=len(good), skewRejected=True)
+    return _run_cases(name, cases, "roundTripComparisons",
+                      {"mapsTransported": len(good), "skewRejected": True})
