@@ -21,7 +21,7 @@ from math import lcm
 from .delta import delta_apply, delta_apply_series, make_delta
 from .errors import DomainError
 from .fock import InducedModule, PBWVector, accumulate
-from .scalars import binom, fmt_rational, fmt_scalar
+from .scalars import Cyc, binom, fmt_rational, fmt_scalar
 from .series import (
     LogSeries,
     branch_shift,
@@ -281,13 +281,23 @@ def _expand_at_sum(e, k, lpow, max_p):
     return {key: c for key, c in out.items() if c}
 
 
-def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw: LogSeries,
+def _cleared(dicts):
+    """The {mono: coeff} dicts times the lcm of their denominators (a Cyc
+    counts as 1), with that lcm; rational coefficients come back as ints."""
+    scale = lcm(*(getattr(c, "denominator", 1) for d in dicts for c in d.values()))
+    return [{m: c * scale if isinstance(c, Cyc)
+             else c.numerator * (scale // c.denominator) for m, c in d.items()}
+            for d in dicts], scale
+
+
+def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw,
                       ceiling: int):
     """Both sides of D(x) Y(v, y) w = Y(D(x+y) v, y) D(x) w.
 
     shifted lists (e, D(v) coefficient, _expand_at_sum table) for every
-    term of D(v), and dw is D(w).  Returned as {(e, k, j): {mono: coeff}}
-    keyed by x^e (log x)^k y^j, exact for y-exponents j <= ceiling.
+    term of D(v), and dw the ((e, k), coefficient) terms of D(w), all three
+    scaled by the caller to clear denominators.  Returned as {(e, k, j):
+    {mono: coeff}} keyed by x^e (log x)^k y^j, exact for j <= ceiling.
     """
     module = delta.module
 
@@ -300,7 +310,7 @@ def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw: LogSeries,
 
     rhs = {}
     for e1, vecv, table in shifted:
-        for (ew, kw), vecw in dw.terms.items():
+        for (ew, kw), vecw in dw:
             sub = module.vertex_series(vecv, vecw, ceiling).terms.items()
             for (_ey, _k0), vecy in sub:
                 _ensure_exact(vecy, "conjugation check")
@@ -312,14 +322,23 @@ def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw: LogSeries,
     return lhs, rhs
 
 
-def _compare_bivariate(alg, lhs, rhs, ceiling, **fields):
+def _scaled_eq(a: dict, scale: int, b: dict) -> bool:
+    """scale * a == b, cross-multiplied so that no Fraction is made."""
+    return a.keys() == b.keys() and all(
+        c * scale == b[m] if isinstance(c, Cyc)
+        else c.numerator * scale == b[m] * c.denominator for m, c in a.items())
+
+
+def _compare_bivariate(alg, lhs, rhs, scale, ceiling, **fields):
+    """The first (e, k, j) key, in (j, e, k) order, where rhs is not scale
+    times lhs, as a witness that shows rhs divided by scale."""
     keys = sorted(set(lhs) | set(rhs), key=lambda t: (t[2], t[0], t[1]))
     for key in keys:
         if key[2] > ceiling:
             continue
         a = lhs.get(key, {})
         b = rhs.get(key, {})
-        if a != b:
+        if not _scaled_eq(a, scale, b):
             e, k, j = key
             return {
                 **fields,
@@ -327,7 +346,9 @@ def _compare_bivariate(alg, lhs, rhs, ceiling, **fields):
                 "logPower": int(k),
                 "innerExponent": fmt_rational(F(j)),
                 "left": format_vector(alg, PBWVector(a)),
-                "right": format_vector(alg, PBWVector(b)),
+                "right": format_vector(alg, PBWVector(
+                    {m: c / scale if isinstance(c, Cyc) else F(c, scale)
+                     for m, c in b.items()})),
             }
     return None
 
@@ -339,13 +360,20 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
 
     Compares D(x) Y(v, y) w against Y(D(x+y) v, y) D(x) w coefficient by
     coefficient in both variables, exactly up to the inner ceiling.  D(w)
-    is computed once per target and D(x+y) v once per argument.
+    is computed once per target and D(x+y) v once per argument, each with
+    its denominators cleared, so the right side is summed in ints and
+    compared with the left side times the common denominator.
     """
     delta = make_delta(module, u, legacy_sign_convention=legacy)
     alg = module.algebra
     ceiling = int(inner_ceiling)
-    targets = [(w, wlabel, delta_apply(delta, w)) for w, wlabel in target_states]
-    reach_w = max((w.depth() for w, _wl, _dw in targets), default=0)
+    targets = []
+    for w, wlabel in target_states:
+        dw = delta_apply(delta, w)
+        coeffs, w_scale = _cleared([vec.c for vec in dw.terms.values()])
+        targets.append((w, wlabel, list(zip(dw.terms, map(PBWVector, coeffs))),
+                        w_scale))
+    reach_w = max((w.depth() for w, *_rest in targets), default=0)
 
     def cases():
         for v, vlabel in arg_states:
@@ -356,12 +384,17 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
             max_p = ceiling + v.depth() + reach_w
             lpow = _log_shift_powers(max((k for (_e, k) in dv.terms), default=0),
                                      max_p)
-            shifted = [(e, vec, _expand_at_sum(e, k, lpow, max_p))
-                       for (e, k), vec in dv.terms.items()]
-            for w, wlabel, dw in targets:
-                lhs, rhs = _conjugated_sides(delta, v, w, shifted, dw, ceiling)
-                yield True, _compare_bivariate(alg, lhs, rhs, ceiling,
-                                               argument=vlabel, target=wlabel)
+            coeffs, v_scale = _cleared([vec.c for vec in dv.terms.values()])
+            tables, t_scale = _cleared([_expand_at_sum(e, k, lpow, max_p)
+                                        for (e, k) in dv.terms])
+            shifted = [(e, PBWVector(c), table) for (e, _k), c, table
+                       in zip(dv.terms, coeffs, tables)]
+            for w, wlabel, dw_terms, w_scale in targets:
+                lhs, rhs = _conjugated_sides(delta, v, w, shifted, dw_terms,
+                                             ceiling)
+                yield True, _compare_bivariate(
+                    alg, lhs, rhs, v_scale * t_scale * w_scale, ceiling,
+                    argument=vlabel, target=wlabel)
 
     window = {"innerCeiling": ceiling}
     return _run_cases(name, cases(), "pairsChecked", window, window)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -203,6 +204,22 @@ def test_main_config_errors(tmp_path, capsys):
         in_config = write_config(tmp_path, base_config(
             output={"format": "json", "path": str(dest)}), name="out.json")
         assert error_code(["tables", in_config]) == 64
+
+
+def test_rank_above_the_limit_exits_64_before_any_work(tmp_path, capsys,
+                                                      monkeypatch):
+    assert parse_config(base_config(
+        algebra={"type": "A", "rank": cli.MAX_RANK}))["algebra"]["rank"] == 4
+    monkeypatch.setattr(cli, "build_chain", lambda _config: pytest.fail(
+        "the chain was built for a rank above the limit"))
+    for rank in (cli.MAX_RANK + 1, 10000):
+        cfg = base_config(algebra={"type": "A", "rank": rank}, twistChain=[])
+        started = time.monotonic()
+        assert main(["run", write_config(tmp_path, cfg)]) == 64
+        assert time.monotonic() - started < 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"code": "ConfigError",
+                         "message": "config.algebra.rank must be 1 to 4"}
 
 
 def test_critical_level_outranks_an_unfixed_current(tmp_path, capsys):

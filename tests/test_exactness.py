@@ -3,7 +3,8 @@
 Integral scalars and series exponents are kept as ints, so a division of
 two of them would quietly produce a float and end exact arithmetic.  These
 tests watch every PBW coefficient and every series term that full CLI runs
-create, and the chain scalars that get halved.
+create, both sides of every shift-conjugation comparison and its int
+scale, and the chain scalars that get halved.
 """
 
 import contextlib
@@ -13,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from voatwist import cli
+from voatwist import cli, verify
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc
@@ -35,9 +36,10 @@ def _has_float(value) -> bool:
 @pytest.fixture
 def float_scan(monkeypatch):
     """Record every float coefficient or exponent; count what was watched."""
-    scan = {"watched": 0, "floats": []}
+    scan = {"watched": 0, "compared": 0, "floats": []}
     init = PBWVector.__init__
     add_term = LogSeries.add_term
+    compare = verify._compare_bivariate
 
     def watched_init(self, c=None, truncated=False):
         for mono, coeff in (c or {}).items():
@@ -52,8 +54,21 @@ def float_scan(monkeypatch):
             scan["floats"].append(("term", e, k, value))
         add_term(self, e, k, value)
 
+    def watched_compare(alg, lhs, rhs, scale, ceiling, **fields):
+        # shift-conjugation sums both sides in plain dicts that no
+        # PBWVector or LogSeries sees, and scales the right one by an int
+        scan["compared"] += 1
+        if type(scale) is not int:
+            scan["floats"].append(("scale", scale))
+        for side in (lhs, rhs):
+            for key, bucket in side.items():
+                if any(map(_has_float, key)) or any(map(_has_float, bucket.values())):
+                    scan["floats"].append(("conjugation", key, bucket))
+        return compare(alg, lhs, rhs, scale, ceiling, **fields)
+
     monkeypatch.setattr(PBWVector, "__init__", watched_init)
     monkeypatch.setattr(LogSeries, "add_term", watched_add_term)
+    monkeypatch.setattr(verify, "_compare_bivariate", watched_compare)
     return scan
 
 
@@ -66,6 +81,8 @@ def test_cli_creates_no_float(float_scan, tmp_path, command, config):
                          str(tmp_path / "report")])
     if code == 0:
         assert float_scan["watched"] > 0
+        if command == "run" and '"delta"' in config.read_text(encoding="utf-8"):
+            assert float_scan["compared"] > 0
     assert float_scan["floats"] == []
 
 

@@ -94,9 +94,31 @@ def finiteness_lattice():
 # -- shift-conjugation and the brackets --------------------------------------
 
 
-def conjugation_legacy():
-    return verify.check_shift_conjugation(MOD, current({"h1": F(1, 2)}), ARGS,
-                                          TARGETS, inner_ceiling=2, legacy=True)
+def conjugation_legacy(coords, args=ARGS):
+    def run():
+        return verify.check_shift_conjugation(MOD, current(coords), args,
+                                              TARGETS, inner_ceiling=2,
+                                              legacy=True)
+    return run
+
+
+def conjugation_legacy_target_shift():
+    # a consistent legacy operator first fails at log power 0, since both
+    # sides carry the same x^(+-n(0)) factor; shifting only the targets with
+    # it moves the first mismatch to a log power above 0
+    legacy = make_delta(MOD, current({"e1": 1}), True)
+    targets = [w for w, _label in TARGETS]
+
+    def shift(delta, v):
+        return delta_apply(legacy if any(v is w for w in targets) else delta, v)
+
+    with mock.patch.object(verify, "delta_apply", shift):
+        return verify.check_shift_conjugation(MOD, current({"e1": 1}), ARGS,
+                                              TARGETS, inner_ceiling=2)
+
+
+FRACTION_ARGS = [(F(1, 2) * MOD.current("e1") - F(2, 3) * MOD.current("h1"),
+                  "(1/2) e1(-1) |0> + (-2/3) h1(-1) |0>")]
 
 
 def bracket(check, coords):
@@ -300,7 +322,11 @@ DRIVERS = {
     "shift-finiteness/log-bound": finiteness_log_bound,
     "shift-finiteness/outweighs": finiteness_outweighs,
     "shift-finiteness/lattice": finiteness_lattice,
-    "shift-conjugation/legacy": conjugation_legacy,
+    "shift-conjugation/legacy": conjugation_legacy({"h1": F(1, 2)}),
+    "shift-conjugation/legacy-thirds": conjugation_legacy({"h1": F(1, 3)}),
+    "shift-conjugation/legacy-fraction-argument": conjugation_legacy(
+        {"h1": F(1, 2)}, FRACTION_ARGS),
+    "shift-conjugation/legacy-target-shift": conjugation_legacy_target_shift,
     "weight-bracket/semisimple": bracket(verify.check_weight_bracket,
                                          {"h1": F(1, 2)}),
     "weight-bracket/nilpotent": bracket(verify.check_weight_bracket, {"e1": 1}),
