@@ -104,7 +104,8 @@ _REQUIRED_PARAMS = {
 _NEEDS_INNER_STEP = {"delta", "conformal", "functor", "group-laws"}
 # The dual Coxeter number comes from a dense Casimir whose cost grows like
 # dim^4: with no chain and no checks a run takes 2.5 s at rank 4, 8.6 s at
-# rank 5 and about 40 s at rank 6, so larger ranks are refused unbuilt.
+# rank 5 and 40 s at rank 6 (2-core x86, Python 3.11), so larger ranks are
+# refused before anything is built.
 MAX_RANK = 4
 
 

@@ -103,9 +103,9 @@ def conjugation_legacy(coords, args=ARGS):
 
 
 def conjugation_legacy_target_shift():
-    # a consistent legacy operator first fails at log power 0, since both
-    # sides carry the same x^(+-n(0)) factor; shifting only the targets with
-    # it moves the first mismatch to a log power above 0
+    # a legacy operator on both sides first fails at log power 0: both sides
+    # then carry its x^(n(0)) factor, so higher log powers agree wherever
+    # log power 0 does; shifting only the targets with it breaks that
     legacy = make_delta(MOD, current({"e1": 1}), True)
     targets = [w for w, _label in TARGETS]
 
