@@ -102,10 +102,11 @@ _REQUIRED_PARAMS = {
 }
 # Checks that only make sense once the chain has at least one inner step.
 _NEEDS_INNER_STEP = {"delta", "conformal", "functor", "group-laws"}
-# The dual Coxeter number comes from a dense Casimir whose cost grows like
-# dim^4: with no chain and no checks a run takes 2.5 s at rank 4, 8.6 s at
-# rank 5 and 40 s at rank 6 (2-core x86, Python 3.11), so larger ranks are
-# refused before anything is built.
+# Larger ranks are refused before anything is built.  With no chain and no
+# checks a run takes 0.02 s at ranks 4 and 5 and 0.04 s at rank 6 (2-core
+# x86, Python 3.11; the dual Coxeter number is now the closed form rank + 1),
+# but what chains and checks cost above rank 4 is unmeasured, and a higher
+# cap would change which configs are accepted.
 MAX_RANK = 4
 
 

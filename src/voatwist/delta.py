@@ -15,13 +15,22 @@ and a flagged zero stays by the one rule of series.value_is_zero:
      minus its eigenvalue sum; any other goes through expand_monomial,
      and each of its ad(s)-eigenpieces moves by minus its eigenvalue sum.
 
-Integral exponents and scalars stay ints through all three stages, and a
-Fraction appears only where a denominator does.  The self-pairing scalar
-kappa is always stored as a Fraction, since callers halve it.  A legacy
-sign convention (kept only so its failure is demonstrable) flips the
-outer x^(s(0)) and log factors and drops the (-1)^m inside the
-exponential; the two agree on the m = 1 term, which is why the
-difference is easy to miss on small examples.
+Integral exponents stay ints through all three stages.  A coefficient
+reached by a non-integral scalar (the 1/j of stages 1 and 2 for j >= 2, a
+fractional coordinate) stays a Fraction even where its value is integral,
+as in 127 of the 262 coefficients of D(b) for e1 on sl2 at level 2, b a
+basis state up to weight 3; ``tests/test_shift_golden.py`` pins every
+type.  The self-pairing scalar kappa is always stored as a Fraction, since
+callers halve it.  A legacy sign convention (kept only so its failure is
+demonstrable) flips the outer x^(s(0)) and log factors and drops the
+(-1)^m inside the exponential; the two agree on the m = 1 term, which is
+why the difference is easy to miss on small examples.
+
+make_delta builds one record per module, current and sign convention, kept
+on the module but never referring to it, so a dropped module is freed at
+once.  It holds D(b) for each exact basis input b = {mono: 1} (an int 1,
+unflagged); other inputs are computed afresh, since a whole-vector key is
+unsafe (Cyc is unhashable, and 1 == Fraction(1)).
 """
 
 from __future__ import annotations
@@ -29,9 +38,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, NotQuasiPrimary
-from .fock import InducedModule, PBWVector, monomial_weight
-from .scalars import Cyc, int_if_integral
-from .series import LogSeries, value_is_zero
+from .fock import InducedModule, PBWVector, accumulate, monomial_weight
+from .linalg import memo
+from .scalars import int_if_integral
+from .series import LogSeries
 
 __all__ = ["DeltaOperator", "make_delta", "delta_apply", "delta_apply_series"]
 
@@ -39,11 +49,12 @@ F = Fraction
 
 
 class DeltaOperator:
-    """A validated shift operator for one module and one current vector."""
+    """A validated shift operator for one module and one current vector;
+    all but the module comes from the module's record (see make_delta)."""
 
-    __slots__ = ("module", "a", "s", "n", "eig", "kappa", "legacy")
+    __slots__ = ("module", "a", "s", "n", "eig", "kappa", "legacy", "images")
 
-    def __init__(self, module, a, s, n, eig, kappa, legacy):
+    def __init__(self, module, a, s, n, eig, kappa, legacy, images):
         self.module = module
         self.a = a
         self.s = s
@@ -51,6 +62,7 @@ class DeltaOperator:
         self.eig = eig
         self.kappa = kappa
         self.legacy = legacy
+        self.images = images
 
     @property
     def is_identity(self):
@@ -91,13 +103,19 @@ def make_delta(module: InducedModule, u: PBWVector,
     NeedsFieldExtension or NotSemisimple from the Jordan decomposition
     of the underlying Lie algebra element.
     """
-    alg = module.algebra
     a = current_element(module, u)
+    return DeltaOperator(module, *_shift_record(module, a, bool(legacy_sign_convention)))
+
+
+@memo
+def _shift_record(module: InducedModule, a, legacy):
+    """(a, s, n, eig, kappa, legacy, images), none referring to the module."""
+    alg = module.algebra
     if a.is_zero():
         eig = alg.ad_eigendata(alg.zero())
-        return DeltaOperator(module, a, alg.zero(), alg.zero(), eig, F(0),
-                             legacy_sign_convention)
+        return a, alg.zero(), alg.zero(), eig, F(0), legacy, {}
 
+    u = module.current(a)
     l1u = module.sugawara_mode(1)(u)
     if not l1u.is_zero():
         raise NotQuasiPrimary("L(1) does not annihilate the current vector")
@@ -111,29 +129,30 @@ def make_delta(module: InducedModule, u: PBWVector,
     for mono, coeff in y1.c.items():
         if mono != ():
             raise DomainError("u_(1) u is not a vacuum multiple")
-        kappa = F(coeff.rational_value() if isinstance(coeff, Cyc) else coeff)
-    return DeltaOperator(module, a, s, n, eig, kappa, legacy_sign_convention)
+        kappa = F(coeff)
+    return a, s, n, eig, kappa, legacy, {}
 
 
 def _exp_current_stage(delta: DeltaOperator, v: PBWVector) -> LogSeries:
-    """Stage 1: exp of the positive-mode sum, a log-free series."""
+    """Stage 1: exp of the positive-mode sum, a log-free series.
+
+    The modes a(m) commute, so the x^(-j) term is T_j = (1/j) sum_{m<=j}
+    m c_m a(m) T_(j-m) with T_0 = v and m c_m = (-1)^m (-1 under the
+    legacy convention); T_j vanishes past the depth of v."""
     module = delta.module
-    total = cur = LogSeries({(0, 0): v})
-    k = 1
-    while cur.terms:
-        nxt = LogSeries()
-        for (e, _k), vec in cur.terms.items():
-            for m in range(1, vec.depth() + 1):
-                moved = module.apply_mode(delta.a, m, vec)
-                if value_is_zero(moved):
-                    continue
-                c = F(1, m) if m % 2 == 0 and not delta.legacy else F(-1, m)
-                nxt.add_term(e - m, 0, int_if_integral(c / k) * moved)
-        for (e, _k), vec in nxt.terms.items():
-            total.add_term(e, 0, vec)
-        cur = nxt
-        k += 1
-    return total
+    out = LogSeries({(0, 0): v})
+    terms = [v]
+    for j in range(1, v.depth() + 1):
+        acc, trunc = {}, False
+        for m in range(1, j + 1):
+            if terms[j - m].c:
+                moved = module.apply_mode(delta.a, m, terms[j - m])
+                trunc = trunc or moved.truncated
+                accumulate(acc, moved.c, negate=delta.legacy or m % 2 == 1)
+        cur = PBWVector(acc, trunc)
+        terms.append(cur if j == 1 else F(1, j) * cur)
+        out.add_term(-j, 0, terms[-1])
+    return out
 
 
 def _log_stage(delta: DeltaOperator, staged: LogSeries) -> LogSeries:
@@ -153,9 +172,23 @@ def _log_stage(delta: DeltaOperator, staged: LogSeries) -> LogSeries:
 
 
 def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
-    """Apply the operator to a module vector.  Exact, finite output."""
+    """Apply the operator to a module vector.  Exact, finite output; the
+    image of a basis input is shared with later callers, so never mutate
+    a result."""
     if delta.is_identity:
         return LogSeries({(0, 0): v})
+    if len(v.c) == 1 and not v.truncated:
+        [(mono, c)] = v.c.items()
+        if type(c) is int and c == 1:
+            hit = delta.images.get(mono)
+            if hit is None:
+                hit = delta.images[mono] = _shift(delta, v)
+            return hit
+    return _shift(delta, v)
+
+
+def _shift(delta: DeltaOperator, v: PBWVector) -> LogSeries:
+    """The three stages of a non-identity operator."""
     logged = _log_stage(delta, _exp_current_stage(delta, v))
     if delta.s.is_zero():
         return logged

@@ -391,14 +391,14 @@ class InducedModule:
         ceiling = F(ceiling)
         if ceiling.denominator != 1:
             raise DomainError("untwisted vertex operators live on integer exponents")
-        out = LogSeries(ceiling=ceiling)
+        acc = {}
         for mv, cv in v.c.items():
             for mw, cw in w.c.items():
-                sub = self._vs_mono(mv, mw, int(ceiling))
-                for e, vec in sub.items():
+                scale = cv * cw
+                for e, vec in self._vs_mono(mv, mw, int(ceiling)).items():
                     if e <= ceiling:
-                        out.add_term(e, 0, (cv * cw) * PBWVector(dict(vec)))
-        return out
+                        accumulate(acc.setdefault(e, {}), vec, scale)
+        return LogSeries({(e, 0): PBWVector(d) for e, d in acc.items()}, ceiling)
 
     def coefficient_at(self, v: PBWVector, w: PBWVector, e) -> PBWVector:
         """The x^e coefficient of Y(v, x) w, read without building the series;

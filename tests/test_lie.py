@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from voatwist.errors import InvalidSymmetry, NeedsFieldExtension, UnsupportedAlgebra
 from voatwist.lie import build_simple_lie, diagram_automorphism
+from voatwist.linalg import identity, mat_eq, mat_mul, mat_scale, zeros
 
 sl2 = build_simple_lie("A", 1)
 sl3 = build_simple_lie("A", 2)
@@ -33,9 +34,17 @@ def test_form_normalization():
 
 
 def test_dual_coxeter_number():
-    assert sl2.dual_coxeter() == 2
-    assert sl3.dual_coxeter() == 3
-    assert build_simple_lie("A", 3).dual_coxeter() == 4
+    # oracle: the Casimir sum_i ad(x_i) ad(x^i) over dual bases acts on the
+    # adjoint representation as twice the dual Coxeter number
+    for rank in (1, 2, 3):
+        alg = build_simple_lie("A", rank)
+        cas = zeros(alg.dim, alg.dim)
+        for x, xd in zip(alg.basis(), alg.dual_basis()):
+            prod = mat_mul(alg.ad_matrix(x), alg.ad_matrix(xd))
+            cas = tuple(tuple(a + b for a, b in zip(r1, r2))
+                        for r1, r2 in zip(cas, prod))
+        assert alg.dual_coxeter() == rank + 1
+        assert mat_eq(cas, mat_scale(identity(alg.dim), 2 * alg.dual_coxeter()))
 
 
 def test_unknown_family_rejected():

@@ -8,6 +8,9 @@ canonical form that keeps every key, value, coefficient type and
 truncation flag.  The outputs are hashed in groups (one function, one
 current or chain, all states) and each digest is compared with the
 recorded one, so a refactor of these layers has to reproduce them exactly.
+On the same probes, stage 1 of ``delta_apply`` (a recursion in the
+x-exponent) is compared with its first form, powers of the positive-mode
+sum, kept here as the oracle.
 
 Re-record (only when an output is meant to change) with
 
@@ -21,10 +24,11 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
-from voatwist.delta import delta_apply, make_delta
+from voatwist.delta import _exp_current_stage, delta_apply, make_delta
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie, diagram_automorphism
-from voatwist.scalars import Cyc
+from voatwist.scalars import Cyc, int_if_integral
+from voatwist.series import LogSeries, value_is_zero
 from voatwist.twist import make_twisted, transport_tau
 from voatwist.verify import basis_states
 
@@ -116,11 +120,14 @@ def _a2_setup():
     return alg, mod, chains
 
 
+# (tag, setup, currents, probe weight, probe seed)
+PROBES = (("sl2", _sl2_setup, SL2_CURRENTS, 4, 1),
+          ("a2", _a2_setup, A2_CURRENTS, 3, 2))
+
+
 def probe_outputs():
     """Yield (group, state label, canonical output) for every probe."""
-    for tag, setup, currents, weight, seed in (
-            ("sl2", _sl2_setup, SL2_CURRENTS, 4, 1),
-            ("a2", _a2_setup, A2_CURRENTS, 3, 2)):
+    for tag, setup, currents, weight, seed in PROBES:
         alg, mod, chains = setup()
         states = probe_states(mod, weight, seed)
         for cname, coords in currents.items():
@@ -157,6 +164,42 @@ def test_shift_and_chain_outputs_match_recording():
     assert sorted(got) == sorted(want), "the probe set changed"
     changed = [group for group in want if got[group] != want[group]]
     assert not changed, f"outputs changed in {changed}"
+
+
+def powers_of_the_sum(delta, v):
+    """Stage 1 of delta_apply as first written, kept as the oracle of its
+    recursion: the k-th power of sum_m c_m a(m) x^(-m), over k!, summed
+    term by term until a power vanishes."""
+    total = cur = LogSeries({(0, 0): v})
+    k = 1
+    while cur.terms:
+        nxt = LogSeries()
+        for (e, _k), vec in cur.terms.items():
+            for m in range(1, vec.depth() + 1):
+                moved = delta.module.apply_mode(delta.a, m, vec)
+                if value_is_zero(moved):
+                    continue
+                c = F(1, m) if m % 2 == 0 and not delta.legacy else F(-1, m)
+                nxt.add_term(e - m, 0, int_if_integral(c / k) * moved)
+        for (e, _k), vec in nxt.terms.items():
+            total.add_term(e, 0, vec)
+        cur = nxt
+        k += 1
+    return total
+
+
+def test_stage_one_recursion_matches_the_powers_of_the_sum():
+    for _tag, setup, currents, weight, seed in PROBES:
+        alg, mod, _chains = setup()
+        states = probe_states(mod, weight, seed)
+        for cname, coords in currents.items():
+            u = mod.current(alg.element(coords))
+            for legacy in (False, True):
+                delta = make_delta(mod, u, legacy)
+                for label, v in states:
+                    got = fmt_series(_exp_current_stage(delta, v))
+                    want = fmt_series(powers_of_the_sum(delta, v))
+                    assert got == want, (cname, legacy, label)
 
 
 if __name__ == "__main__":

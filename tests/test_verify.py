@@ -197,3 +197,26 @@ def test_report_dict_is_order_independent():
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
     keys = list(a.to_dict()["witness"])
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("e", [0, 1, -2, F(1, 2), F(-1, 3)], ids=str)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_substitution_tables_match_sympy_series(e, k):
+    # oracle: sympy's series of (x+y)^e log(x+y)^k in y, each y^p
+    # coefficient read as a polynomial in log x times x^(e-p)
+    import sympy
+
+    x, y, logx = sympy.symbols("x y logx", positive=True)
+    max_p = 4
+    se = sympy.Rational(e.numerator, e.denominator) if isinstance(e, F) else e
+    ser = sympy.series((x + y) ** se * sympy.log(x + y) ** k, y, 0, max_p + 1)
+    ser = sympy.expand(ser.removeO())
+    want = {}
+    for p in range(max_p + 1):
+        coeff = sympy.expand(ser.coeff(y, p) * x ** (p - se))
+        coeff = sympy.expand(coeff.subs(sympy.log(x), logx))
+        for (j,), c in sympy.Poly(coeff, logx).terms():
+            if c:
+                assert c.is_Rational, (p, j, c)
+                want[(j, p)] = F(int(c.p), int(c.q))
+    assert verify._expand_at_sum(e, k, max_p) == want
