@@ -28,9 +28,13 @@ why the difference is easy to miss on small examples.
 
 make_delta builds one record per module, current and sign convention, kept
 on the module but never referring to it, so a dropped module is freed at
-once.  It holds D(b) for each exact basis input b = {mono: 1} (an int 1,
-unflagged); other inputs are computed afresh, since a whole-vector key is
-unsafe (Cyc is unhashable, and 1 == Fraction(1)).
+once.  It holds D(b) for each basis monomial b = {mono: 1} it has met, and
+an unflagged single monomial c b with c an int or a Fraction is served as
+c D(b), which the operator's linearity makes equal in keys, values,
+coefficient types and flags to the image computed afresh
+(``tests/test_delta.py`` checks this).  Other inputs, Cyc multiples
+among them, are computed afresh, since a whole-vector key is unsafe (Cyc
+is unhashable, and 1 == Fraction(1)).
 """
 
 from __future__ import annotations
@@ -179,11 +183,13 @@ def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
         return LogSeries({(0, 0): v})
     if len(v.c) == 1 and not v.truncated:
         [(mono, c)] = v.c.items()
-        if type(c) is int and c == 1:
+        if type(c) in (int, Fraction):
             hit = delta.images.get(mono)
             if hit is None:
-                hit = delta.images[mono] = _shift(delta, v)
-            return hit
+                hit = delta.images[mono] = _shift(delta, PBWVector({mono: 1}))
+            if type(c) is int and c == 1:
+                return hit
+            return hit.map_values(lambda vec: c * vec)
     return _shift(delta, v)
 
 

@@ -19,7 +19,9 @@ iterate reconstruction
 down to Y(1, x) = id, and come back as LogSeries whose ceiling marks the
 last exactly-known exponent.  Each monomial pair is expanded once, at the
 largest ceiling asked for, and a mode reads its single coefficient straight
-from that expansion (coefficient_at) without building a series.
+from that expansion (coefficient_at) without building a series.  The
+Sugawara L(n) is linear too: it sums the memoized image of each monomial,
+scaled by its coefficient.
 """
 
 from __future__ import annotations
@@ -288,33 +290,40 @@ class InducedModule:
                 F(1) / (2 * (self.level + self.algebra.dual_coxeter())))
 
     def sugawara_mode(self, n: int):
-        """The Virasoro operator L(n) as a callable on PBWVectors."""
-        pairs, scale = self._sugawara_pairs()
+        """The Virasoro operator L(n) as a callable on PBWVectors: the sum
+        of the coefficients times the memoized images of the monomials."""
+        self._sugawara_pairs()
 
         def act(vec: PBWVector) -> PBWVector:
             total = PBWVector({}, vec.truncated)
             for mono, coeff in vec.c.items():
-                d = monomial_weight(mono)
-                one = PBWVector({mono: coeff})
-                acc = PBWVector()
-                for j in range(n - d, d + 1):
-                    p, q = j, n - j
-                    for ui, udi in pairs:
-                        # normal order: smaller mode on the left, so the
-                        # larger-mode factor acts first
-                        if p <= q:
-                            inner, im, outer, om = udi, q, ui, p
-                        else:
-                            inner, im, outer, om = ui, p, udi, q
-                        tmp = self.apply_mode(inner, im, one)
-                        if value_is_zero(tmp):
-                            continue
-                        tmp = self.apply_mode(outer, om, tmp)
-                        acc = acc + tmp
-                total = total + scale * acc
+                total = total + coeff * self._sugawara_image(n, mono)
             return total
 
         return act
+
+    @memo
+    def _sugawara_image(self, n, mono) -> PBWVector:
+        """L(n) of one monomial: the scaled sum of the normally ordered
+        products u_i(p) u^i(n - p) over the modes that can act on it."""
+        pairs, scale = self._sugawara_pairs()
+        one = PBWVector({mono: 1})
+        d = monomial_weight(mono)
+        acc = PBWVector()
+        for j in range(n - d, d + 1):
+            p, q = j, n - j
+            for ui, udi in pairs:
+                # normal order: smaller mode on the left, so the
+                # larger-mode factor acts first
+                if p <= q:
+                    inner, im, outer, om = udi, q, ui, p
+                else:
+                    inner, im, outer, om = ui, p, udi, q
+                tmp = self.apply_mode(inner, im, one)
+                if value_is_zero(tmp):
+                    continue
+                acc = acc + self.apply_mode(outer, om, tmp)
+        return scale * acc
 
     def central_charge(self) -> Fraction:
         h_vee = self.algebra.dual_coxeter()
@@ -388,14 +397,12 @@ class InducedModule:
 
     def vertex_series(self, v: PBWVector, w: PBWVector, ceiling) -> LogSeries:
         """Y(v, x) w as a log-free LogSeries of PBWVectors, exact to ceiling."""
-        ceiling = F(ceiling)
-        if ceiling.denominator != 1:
-            raise DomainError("untwisted vertex operators live on integer exponents")
+        ceiling = _integer_exponent(ceiling)
         acc = {}
         for mv, cv in v.c.items():
             for mw, cw in w.c.items():
                 scale = cv * cw
-                for e, vec in self._vs_mono(mv, mw, int(ceiling)).items():
+                for e, vec in self._vs_mono(mv, mw, ceiling).items():
                     if e <= ceiling:
                         accumulate(acc.setdefault(e, {}), vec, scale)
         return LogSeries({(e, 0): PBWVector(d) for e, d in acc.items()}, ceiling)
@@ -404,10 +411,7 @@ class InducedModule:
         """The x^e coefficient of Y(v, x) w, read without building the series;
         flagged when its weight, up to depth(v) + depth(w) + e, passes the
         cutoff, since the modes that build it lose what lies above."""
-        e = F(e)
-        if e.denominator != 1:
-            raise DomainError("untwisted vertex operators live on integer exponents")
-        e = int(e)
+        e = _integer_exponent(e)
         out = {}
         for mv, cv in v.c.items():
             for mw, cw in w.c.items():
@@ -422,6 +426,16 @@ class InducedModule:
         """The mode v_(n): w -> coefficient of x^(-n-1) in Y(v, x) w."""
         e = -F(n) - 1
         return lambda w: self.coefficient_at(v, w, e)
+
+
+def _integer_exponent(x) -> int:
+    """x as an int, built through a Fraction only if x is not an int."""
+    if type(x) is not int:
+        x = F(x)
+        if x.denominator != 1:
+            raise DomainError("untwisted vertex operators live on integer exponents")
+        x = x.numerator
+    return x
 
 
 def build_module(algebra: LieAlgebra, level, cutoff, lam=0) -> InducedModule:

@@ -2,8 +2,10 @@
 
 Matrices are tuples of tuples of Fractions (rows).  Polynomials are lists
 or tuples of Fractions in ascending powers.  Everything here is small and
-exact; no pivoting heuristics, no floats.  The ``memo`` method decorator
-lives here too, below every class whose results it caches.
+exact; no pivoting heuristics, no floats.  Products skip zero entries, as
+ad-matrices are mostly zeros, and still return Fractions.  The ``memo``
+method decorator lives here too, below every class whose results it
+caches.
 """
 
 from fractions import Fraction
@@ -62,13 +64,12 @@ def mat_scale(a, c):
 
 def mat_mul(a, b):
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum((x * y for x, y in zip(row, col) if x and y), _0)
+                       for col in bt) for row in a)
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum((x * y for x, y in zip(row, v) if x and y), _0) for row in a)
 
 
 def mat_eq(a, b):

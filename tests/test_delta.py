@@ -7,11 +7,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from voatwist import cli
+from voatwist import cli, delta
 from voatwist.delta import delta_apply, delta_apply_series, make_delta
 from voatwist.errors import DomainError, NeedsFieldExtension
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
+from voatwist.scalars import Cyc
 from voatwist.series import LogSeries, series_eq
 from voatwist.verify import basis_states, check_shift_conjugation
 
@@ -290,3 +291,57 @@ def test_filled_records_do_not_keep_their_module_alive():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# -- linearity: a scaled basis input is served from the stored D(b) ---------
+
+LINEAR_CURRENTS = [
+    (1, 3, {"h1": F(1, 2)}),
+    (1, 3, {"h1": F(1, 3)}),
+    (1, 3, {"e1": F(1)}),
+    (1, 3, {"f1": F(-2)}),
+    (1, 3, {"h1": F(1, 2), "e1": F(1)}),
+    (2, 2, {"h1": F(1, 3), "h2": F(2, 3)}),
+    (2, 2, {"e1": F(1), "e2": F(1)}),
+    (2, 2, {"h1": F(1, 2), "e1": F(1)}),
+]
+LINEAR_SCALARS = [2, -3, 7, F(1, 2), F(2), F(-3, 4), F(1)]
+# the cutoffs of tests/test_shift_golden.py
+LINEAR_MODULES = {rank: build_module(build_simple_lie("A", rank), F(2), cutoff)
+                  for rank, cutoff in ((1, 5), (2, 3))}
+
+
+@pytest.mark.parametrize("legacy", [False, True], ids=["sign", "legacy sign"])
+@pytest.mark.parametrize("rank, max_weight, coords", LINEAR_CURRENTS,
+                         ids=[f"A{r} {c}" for r, _w, c in LINEAR_CURRENTS])
+def test_scaled_basis_inputs_match_fresh_images(rank, max_weight, coords, legacy):
+    mod = LINEAR_MODULES[rank]
+    d = make_delta(mod, mod.current(mod.algebra.element(coords)), legacy)
+    for v, label in basis_states(mod, max_weight):
+        [mono] = v.c
+        for c in LINEAR_SCALARS:
+            scaled = PBWVector({mono: c})
+            got = delta_apply(d, scaled)
+            assert canonical(got) == canonical(delta._shift(d, scaled)), (label, c)
+        assert mono in d.images
+
+
+def test_other_inputs_are_computed_afresh(monkeypatch):
+    reached = []
+    real = delta._shift
+
+    def recording(d, v):
+        reached.append(v)
+        return real(d, v)
+
+    monkeypatch.setattr(delta, "_shift", recording)
+    b = MOD.current("f1")
+    inputs = [Cyc.zeta(3, 1) * b, Cyc.of(2) * b,
+              PBWVector(b.c, truncated=True),
+              PBWVector({mono(("f1", -1)): F(1, 2)}, truncated=True),
+              b + MOD.current("h1")]
+    for d in (DS, DN):
+        for v in inputs:
+            reached.clear()
+            delta_apply(d, v)
+            assert reached == [v]

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voatwist.errors import CriticalLevel, DomainError, Unsupported
-from voatwist.fock import PBWVector, build_module
+from voatwist.fock import PBWVector, build_module, monomial_weight
 from voatwist.lie import build_simple_lie
-from voatwist.scalars import int_if_integral
+from voatwist.scalars import Cyc, int_if_integral
+from voatwist.series import value_is_zero
 from voatwist.verify import basis_states
 
 sl2 = build_simple_lie("A", 1)
@@ -268,3 +269,52 @@ def test_mode_action_reads_the_structure_table(level):
                     want = _act_through_bracket(mod, gi, m, g1, m1)
                     assert _typed(got) == _typed(want), (gi, m, g1, m1)
                     assert not trunc
+
+
+def _sugawara_loop(mod, n, vec):
+    """L(n) vec by the per-vector loop that preceded the memoized monomial
+    images, kept as their oracle."""
+    pairs, scale = mod._sugawara_pairs()
+    total = PBWVector({}, vec.truncated)
+    for mono, coeff in vec.c.items():
+        d = monomial_weight(mono)
+        one = PBWVector({mono: coeff})
+        acc = PBWVector()
+        for j in range(n - d, d + 1):
+            p, q = j, n - j
+            for ui, udi in pairs:
+                if p <= q:
+                    inner, im, outer, om = udi, q, ui, p
+                else:
+                    inner, im, outer, om = ui, p, udi, q
+                tmp = mod.apply_mode(inner, im, one)
+                if value_is_zero(tmp):
+                    continue
+                acc = acc + mod.apply_mode(outer, om, tmp)
+        total = total + scale * acc
+    return total
+
+
+def _canonical_vector(vec):
+    return vec.truncated, [(m, type(c), c) for m, c in vec.sorted_items()]
+
+
+def test_sugawara_images_match_the_vector_loop():
+    small = build_module(sl2, F(2), cutoff=4)
+    monos = [mono for w in range(5) for mono in small.basis(w)]
+    scalars = [1, -2, F(1, 3), F(4), Cyc.of(1), Cyc.zeta(3, 1), 2 * Cyc.t_power(1)]
+    vectors = [PBWVector({mono: 1}) for mono in monos]
+    for i in range(0, len(monos) - 2, 3):
+        vectors.append(PBWVector({monos[i + j]: scalars[(i + j) % len(scalars)]
+                                  for j in range(3)}))
+    vectors += [PBWVector(v.c, truncated=True) for v in vectors[::7]]
+    vectors += [PBWVector(), PBWVector({}, truncated=True)]
+    assert any(type(c) is Cyc for v in vectors for c in v.c.values())
+    for n in range(-1, 3):
+        ln = small.sugawara_mode(n)
+        for v in vectors:
+            got = ln(v)
+            assert _canonical_vector(got) == \
+                _canonical_vector(_sugawara_loop(small, n, v)), (n, v)
+    # L(-1) of a monomial at the cutoff loses its image to the cutoff
+    assert small.sugawara_mode(-1)(vectors[len(monos) - 1]).truncated

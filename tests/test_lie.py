@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from voatwist.errors import InvalidSymmetry, NeedsFieldExtension, UnsupportedAlgebra
 from voatwist.lie import build_simple_lie, diagram_automorphism
-from voatwist.linalg import identity, mat_eq, mat_mul, mat_scale, zeros
+from voatwist.linalg import charpoly, identity, mat_eq, mat_mul, mat_scale, zeros
 
 sl2 = build_simple_lie("A", 1)
 sl3 = build_simple_lie("A", 2)
@@ -227,3 +227,48 @@ def test_memoized_splits_match_a_fresh_algebra(drawn):
         assert {lam: part.coords for lam, part in got.items()} == \
             {lam: part.coords for lam, part in want.items()}
 
+
+
+# -- the linear algebra behind the splits, against sympy ---------------------
+
+
+def sym_ad(alg, coords):
+    """ad(x) on the Chevalley basis, computed in sympy from the defining
+    representation: column j holds the coordinates of [x, b_j]."""
+    basis = [sympy.Matrix([[sym_rational(c) for c in row] for row in bm])
+             for bm in alg.basis_mats]
+    flat = sympy.Matrix.hstack(*(b.reshape(len(b), 1) for b in basis))
+    x = sym_matrix(alg, coords)
+    cols = []
+    for b in basis:
+        br = x * b - b * x
+        sol, params = flat.gauss_jordan_solve(br.reshape(len(br), 1))
+        assert not params.free_symbols
+        cols.append(sol)
+    return sympy.Matrix.hstack(*cols)
+
+
+@settings(max_examples=20, deadline=None)
+@given(elements(1, ranks=(1, 2)))
+def test_charpoly_matches_sympy_on_ad_matrices(drawn):
+    alg, (coords,) = drawn
+    ad = alg.ad_matrix(alg.element_from_coords(coords))
+    want = sym_ad(alg, coords)
+    assert sympy.Matrix(ad) == want
+    lam = sympy.Symbol("lam")
+    sym_coeffs = want.charpoly(lam).all_coeffs()[::-1]
+    assert charpoly(ad) == [F(int(c.p), int(c.q)) for c in sym_coeffs]
+
+
+@settings(max_examples=15, deadline=None)
+@given(elements(1, borel=True, ranks=(1, 2)))
+def test_jordan_chevalley_parts_in_sympy(drawn):
+    alg, (coords,) = drawn
+    x = alg.element_from_coords(coords)
+    s, n = alg.jordan_chevalley(x)
+    assert s + n == x
+    ms, mn = sym_matrix(alg, s.coords), sym_matrix(alg, n.coords)
+    assert ms * mn == mn * ms
+    ad_s, ad_n = sym_ad(alg, s.coords), sym_ad(alg, n.coords)
+    assert ad_s.is_diagonalizable()
+    assert ad_n ** alg.dim == sympy.zeros(alg.dim, alg.dim)

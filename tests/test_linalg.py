@@ -109,3 +109,39 @@ def test_rational_roots_with_many_divisors():
     roots, leftover = rational_roots(p)
     assert sorted(roots) == [F(-q) for q in (23, 19, 17, 13, 11, 7, 5, 3, 2)]
     assert leftover == [F(1), F(0), F(1)]
+
+
+# -- zero-skipping products against a dense reference ----------------------
+
+sparse_entries = st.one_of(
+    st.just(F(0)), st.just(F(0)), st.just(F(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def sparse_product(draw):
+    """(a, b, v) with a n-by-k, b k-by-m and v of length k, mostly zeros."""
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return tuple(tuple(draw(sparse_entries) for _ in range(cols))
+                     for _ in range(rows))
+
+    return matrix(n, k), matrix(k, m), matrix(1, k)[0]
+
+
+def dense_mul(a, b):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), F(0))
+                       for col in zip(*b)) for row in a)
+
+
+@given(sparse_product())
+def test_zero_skipping_products_match_dense_ones(drawn):
+    a, b, v = drawn
+    prod = mat_mul(a, b)
+    assert prod == dense_mul(a, b)
+    image = mat_vec(a, v)
+    assert image == tuple(row[0] for row in dense_mul(a, tuple((x,) for x in v)))
+    assert all(type(x) is F for row in prod for x in row)
+    assert all(type(x) is F for x in image)

@@ -8,7 +8,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from voatwist.delta import delta_apply_series
 from voatwist.errors import NeedsFieldExtension, NotFixed, NotIntertwining
-from voatwist.fock import InducedModule, PBWVector, build_module
+from voatwist.fock import InducedModule, PBWVector, accumulate, build_module
 from voatwist.lie import build_simple_lie, diagram_automorphism
 from voatwist.scalars import Cyc
 from voatwist.series import LogSeries, branch_shift, series_eq
@@ -360,3 +360,43 @@ def test_twisted_module_with_chain_memo_is_collected():
     del tw
     gc.collect()
     assert ref() is None
+
+
+def _stored_coefficient_sum(tw, v, m, l, w):
+    """The (m, l) mode of v on w summed from the chain image's terms with
+    their coefficients as stored, integral Fractions included."""
+    e = -F(m) - 1
+    out, trunc = {}, w.truncated
+    for (e1, k1), vec1 in tw.chain_transform(v).terms.items():
+        if k1 == l and (e - e1).denominator == 1:
+            coeff = tw.base.coefficient_at(vec1, w, e - e1)
+            accumulate(out, coeff.c)
+            trunc = trunc or coeff.truncated
+    return PBWVector(out, trunc)
+
+
+@pytest.mark.parametrize("chain", ["h1=1/2", "e1", "h1=1/3"])
+def test_mode_outputs_match_the_stored_chain_coefficients(chain):
+    # the operator reads the chain terms with integral Fractions as ints:
+    # that changes no value and no flag
+    # at cutoff 4 some reads pass the cutoff, so outputs are flagged too
+    tw = _oracle_chain(build_module(sl2, F(2), cutoff=4), ORACLE_CHAINS[chain])
+    mod = tw.base
+    states = [mod.current(n) for n in sl2.names] + [mod.conformal_vector()]
+    targets = [w for w, _label in basis_states(mod, 2)]
+    targets.append(PBWVector(targets[-1].c, truncated=True))
+    stored_fractions = flagged = 0
+    for v in states:
+        stored_fractions += sum(type(c) is F and c.denominator == 1
+                                for vec in tw.chain_transform(v).terms.values()
+                                for c in vec.c.values())
+        for m in mode_candidates(2, tw.branch_order()):
+            for l in range(chain_log_bound(tw) + 2):
+                op = tw.mode(v, m, l)
+                for w in targets:
+                    got = op(w)
+                    want = _stored_coefficient_sum(tw, v, m, l, w)
+                    assert (got - want).is_zero(), (v, m, l, w)
+                    assert got.truncated == want.truncated, (v, m, l, w)
+                    flagged += got.truncated and not w.truncated
+    assert stored_fractions and flagged
