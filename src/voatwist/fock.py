@@ -292,7 +292,7 @@ class InducedModule:
     def sugawara_mode(self, n: int):
         """The Virasoro operator L(n) as a callable on PBWVectors: the sum
         of the coefficients times the memoized images of the monomials."""
-        self._sugawara_pairs()
+        self._sugawara_pairs()  # at the critical level, raise here
 
         def act(vec: PBWVector) -> PBWVector:
             total = PBWVector({}, vec.truncated)
@@ -429,9 +429,10 @@ class InducedModule:
 
 
 def _integer_exponent(x) -> int:
-    """x as an int, built through a Fraction only if x is not an int."""
+    """x as an int, building a Fraction only for an argument that is
+    neither an int nor a Fraction."""
     if type(x) is not int:
-        x = F(x)
+        x = x if type(x) is Fraction else F(x)
         if x.denominator != 1:
             raise DomainError("untwisted vertex operators live on integer exponents")
         x = x.numerator
