@@ -284,3 +284,87 @@ def test_exit_status_tiers():
     assert exit_status([ok, ok]) == 0
     assert exit_status([ok, shaky]) == 3
     assert exit_status([ok, shaky, broken]) == 2
+
+
+_GRADING = {"name": "grading"}
+_ADD = {"name": "additivity", "semisimpleCurrent": {"h1": 1},
+        "nilpotentCurrent": {"e1": 1}}
+_WHERE = "config.checks[0]"
+_NOT_RATIONAL = "must be a rational like \"-1/2\" or an integer"
+_NOT_INT = "must be a non-negative integer"
+_KNOWN = ("additivity, axioms, commutator, conformal, delta, equivariance, "
+          "functor, grading, group-laws, tables, weights, zero-mode")
+CHECK_CONFIG_ERRORS = [
+    ("unknown-check", {"checks": [{"name": "borcherds"}]},
+     f"{_WHERE}.name 'borcherds' is not a check (known: {_KNOWN})"),
+    ("unknown-key", {"checks": [{"name": "grading", "weigth": 2}]},
+     f"unknown keys in {_WHERE}: weigth"),
+    ("weights-no-generator", {"checks": [{"name": "weights", "expected": "1"}]},
+     f"{_WHERE} needs 'generator'"),
+    ("weights-no-expected", {"checks": [{"name": "weights", "generator": "e1"}]},
+     f"{_WHERE} needs 'expected'"),
+    ("zero-mode-no-generator", {"checks": [{"name": "zero-mode"}]},
+     f"{_WHERE} needs 'generator'"),
+    ("additivity-no-nilpotent",
+     {"checks": [{"name": "additivity", "semisimpleCurrent": {"h1": 1}}]},
+     f"{_WHERE} needs 'nilpotentCurrent'"),
+    ("additivity-no-semisimple",
+     {"checks": [{"name": "additivity", "nilpotentCurrent": {"e1": 1}}]},
+     f"{_WHERE} needs 'semisimpleCurrent'"),
+    ("additivity-no-currents", {"checks": [{"name": "additivity"}]},
+     f"{_WHERE} needs 'semisimpleCurrent'"),
+    ("negative-int", {"checks": [{"name": "axioms", "weight": -1}]},
+     f"{_WHERE}.weight {_NOT_INT}"),
+    ("bool-int", {"checks": [{"name": "axioms", "ceiling": True}]},
+     f"{_WHERE}.ceiling {_NOT_INT}"),
+    ("string-int", {"checks": [{"name": "tables", "logMax": "2"}]},
+     f"{_WHERE}.logMax {_NOT_INT}"),
+    ("non-string-generator", {"checks": [{"name": "zero-mode", "generator": 1}]},
+     f"{_WHERE}.generator must be a string"),
+    ("non-rational-expected",
+     {"checks": [{"name": "weights", "generator": "e1", "expected": "half"}]},
+     f"{_WHERE}.expected {_NOT_RATIONAL}"),
+    ("float-expected",
+     {"checks": [{"name": "weights", "generator": "e1", "expected": 0.5}]},
+     f"{_WHERE}.expected {_NOT_RATIONAL}"),
+    ("empty-coefficients", {"checks": [dict(_ADD, semisimpleCurrent={})]},
+     f"{_WHERE}.semisimpleCurrent must map generator names to rationals"),
+    ("non-dict-coefficients", {"checks": [dict(_ADD, nilpotentCurrent=["e1"])]},
+     f"{_WHERE}.nilpotentCurrent must map generator names to rationals"),
+    ("non-rational-coefficient",
+     {"checks": [dict(_ADD, semisimpleCurrent={"h1": "x"})]},
+     f"{_WHERE}.semisimpleCurrent.h1 {_NOT_RATIONAL}"),
+    ("bad-class-convention",
+     {"checks": [{"name": "grading", "classConvention": "modular"}]},
+     f"{_WHERE}.classConvention must be \"mod-1\" or \"exact\""),
+] + [
+    (f"{name}-without-inner-step", {"twistChain": [], "checks": [name]},
+     f"check '{name}' needs at least one inner twist step in config.twistChain")
+    for name in ("delta", "conformal", "functor", "group-laws")
+] + [
+    ("weights-unknown-generator",
+     {"checks": [_GRADING, {"name": "weights", "generator": "x1",
+                            "expected": "1"}]},
+     "weights check: unknown generator 'x1'"),
+    ("zero-mode-unknown-generator",
+     {"checks": [_GRADING, {"name": "zero-mode", "generator": "x1"}]},
+     "zero-mode check: unknown generator 'x1'"),
+    ("additivity-unknown-semisimple",
+     {"checks": [_GRADING, dict(_ADD, semisimpleCurrent={"x1": 1})]},
+     "additivity check: no generator named 'x1'"),
+    ("additivity-unknown-nilpotent",
+     {"checks": [_GRADING, dict(_ADD, nilpotentCurrent={"y1": 1})]},
+     "additivity check: no generator named 'y1'"),
+    ("twist-step-unknown-generator",
+     {"twistChain": [{"kind": "innerSemisimple",
+                      "data": {"current": {"x1": "1/2"}}}]},
+     "twist step current names an unknown generator: no generator named 'x1'"),
+]
+
+
+@pytest.mark.parametrize("over,message", [case[1:] for case in CHECK_CONFIG_ERRORS],
+                         ids=[case[0] for case in CHECK_CONFIG_ERRORS])
+def test_check_config_error_messages(tmp_path, capsys, over, message):
+    assert main(["run", write_config(tmp_path, base_config(**over))]) == 64
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"code": "ConfigError", "message": message}
