@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction as F
 from math import floor, lcm
@@ -77,31 +78,6 @@ EXIT_CODES = {
 
 _STEP_KINDS = ("innerSemisimple", "innerNilpotent", "diagramData", "transportTau")
 
-# Per-check recognized parameters; every value is validated as a
-# non-negative int unless listed in _STR_PARAMS / _DICT_PARAMS below.
-_CHECK_PARAMS = {
-    "axioms": {"weight", "ceiling"},
-    "delta": {"weight", "innerCeiling", "targetWeight"},
-    "tables": {"modeSpan", "weight", "logMax"},
-    "commutator": {"modeSpan", "weight"},
-    "conformal": {"weight"},
-    "weights": {"generator", "count", "expected"},
-    "grading": {"classConvention"},
-    "equivariance": {"ceiling", "weight"},
-    "functor": {"probeWeight", "ceiling"},
-    "zero-mode": {"generator", "weight"},
-    "group-laws": {"weight"},
-    "additivity": {"semisimpleCurrent", "nilpotentCurrent", "weight"},
-}
-_STR_PARAMS = {"generator", "expected", "classConvention"}
-_DICT_PARAMS = {"semisimpleCurrent", "nilpotentCurrent"}
-_REQUIRED_PARAMS = {
-    "weights": ("generator", "expected"),
-    "zero-mode": ("generator",),
-    "additivity": ("semisimpleCurrent", "nilpotentCurrent"),
-}
-# Checks that only make sense once the chain has at least one inner step.
-_NEEDS_INNER_STEP = {"delta", "conformal", "functor", "group-laws"}
 # Larger ranks are refused before anything is built.  With no chain and no
 # checks a run takes 0.02 s at ranks 4 and 5 and 0.04 s at rank 6 (2-core
 # x86, Python 3.11; the dual Coxeter number is now the closed form rank + 1),
@@ -127,13 +103,14 @@ def _no_extras(mapping, allowed, where):
         raise ConfigError(f"unknown keys in {where}: {', '.join(extras)}")
 
 def _rational(value, where):
+    """The canonical "p/q" form of a rational config value."""
     try:
         if isinstance(value, bool):
             raise ValueError
         if isinstance(value, int):
-            return F(value)
+            return fmt_rational(value)
         if isinstance(value, str):
-            return parse_rational(value)
+            return fmt_rational(parse_rational(value))
     except (ValueError, ZeroDivisionError):
         pass
     raise ConfigError(f"{where} must be a rational like \"-1/2\" or an integer")
@@ -143,10 +120,21 @@ def _nonneg_int(value, where):
         raise ConfigError(f"{where} must be a non-negative integer")
     return value
 
-def _coeff_dict(value, where):
+def _string(value, where):
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string")
+    return value
+
+def _class_convention(value, where):
+    if value not in ("mod-1", "exact"):
+        raise ConfigError(f"{where} must be \"mod-1\" or \"exact\"")
+    return value
+
+def _coeff_table(value, where):
+    """A generator -> rational table in canonical form: sorted names, p/q values."""
     if not isinstance(value, dict) or not value:
         raise ConfigError(f"{where} must map generator names to rationals")
-    return {name: _rational(c, f"{where}.{name}") for name, c in value.items()}
+    return {name: _rational(c, f"{where}.{name}") for name, c in sorted(value.items())}
 
 
 def _canon_step(step, where):
@@ -159,9 +147,8 @@ def _canon_step(step, where):
     _no_extras(step, ("kind", "data"), where)
     if kind in ("innerSemisimple", "innerNilpotent"):
         _no_extras(data, ("current",), f"{where}.data")
-        coeffs = _coeff_dict(_want(data, "current", dict, f"{where}.data"),
-                             f"{where}.data.current")
-        canon = {"current": {n: fmt_rational(c) for n, c in sorted(coeffs.items())}}
+        canon = {"current": _coeff_table(_want(data, "current", dict, f"{where}.data"),
+                                         f"{where}.data.current")}
     else:
         _no_extras(data, ("permutation",), f"{where}.data")
         perm = _want(data, "permutation", list, f"{where}.data")
@@ -179,34 +166,17 @@ def _canon_check(entry, where):
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be a check name or an object")
     name = _want(entry, "name", str, where)
-    if name not in _CHECK_PARAMS:
-        known = ", ".join(sorted(_CHECK_PARAMS))
+    if name not in _CHECKS:
+        known = ", ".join(sorted(_CHECKS))
         raise ConfigError(f"{where}.name '{name}' is not a check (known: {known})")
-    allowed = _CHECK_PARAMS[name]
-    _no_extras(entry, {"name"} | allowed, where)
+    params = _CHECKS[name].params
+    _no_extras(entry, {"name", *params}, where)
     canon = {"name": name}
-    for key in sorted(allowed):
-        if key not in entry:
-            continue
-        val = entry[key]
-        if key in _DICT_PARAMS:
-            coeffs = _coeff_dict(val, f"{where}.{key}")
-            canon[key] = {n: fmt_rational(c) for n, c in sorted(coeffs.items())}
-        elif key == "classConvention":
-            if val not in ("mod-1", "exact"):
-                raise ConfigError(f"{where}.classConvention must be "
-                                  "\"mod-1\" or \"exact\"")
-            canon[key] = val
-        elif key == "expected":
-            canon[key] = fmt_rational(_rational(val, f"{where}.{key}"))
-        elif key in _STR_PARAMS:
-            if not isinstance(val, str):
-                raise ConfigError(f"{where}.{key} must be a string")
-            canon[key] = val
-        else:
-            canon[key] = _nonneg_int(val, f"{where}.{key}")
-    for key in _REQUIRED_PARAMS.get(name, ()):
-        if key not in canon:
+    for key in sorted(params):
+        if key in entry:
+            canon[key] = params[key].canon(entry[key], f"{where}.{key}")
+    for key, param in params.items():
+        if param.default is _REQUIRED and key not in canon:
             raise ConfigError(f"{where} needs '{key}'")
     return canon
 
@@ -256,7 +226,7 @@ def parse_config(raw) -> dict:
     checks = [_canon_check(c, f"config.checks[{i}]")
               for i, c in enumerate(checks_raw)]
     for c in checks:
-        if c["name"] in _NEEDS_INNER_STEP and inner_steps == 0:
+        if _CHECKS[c["name"]].inner_step and inner_steps == 0:
             raise ConfigError(f"check '{c['name']}' needs at least one inner "
                               "twist step in config.twistChain")
 
@@ -281,8 +251,8 @@ def parse_config(raw) -> dict:
     return {
         "schemaVersion": 1,
         "algebra": {"type": alg_type, "rank": rank},
-        "level": fmt_rational(level),
-        "module": {"lambda": fmt_rational(lam), "cutoff": cutoff},
+        "level": level,
+        "module": {"lambda": lam, "cutoff": cutoff},
         "twistChain": chain,
         "checks": checks,
         "output": out,
@@ -303,6 +273,15 @@ def load_config(path: str) -> dict:
 
 
 # -- chain construction ------------------------------------------------------
+
+
+def _lie_element(alg, table, prefix):
+    """The element of a canonical coefficient table; an unknown generator
+    is a ConfigError whose message starts with `prefix`."""
+    try:
+        return alg.element({n: parse_rational(c) for n, c in table.items()})
+    except UnsupportedAlgebra as exc:
+        raise ConfigError(f"{prefix}: {exc}") from exc
 
 
 def _perm_order(perm) -> int:
@@ -331,20 +310,17 @@ class BuiltRun:
         self.module = build_module(alg, self.level,
                                    config["module"]["cutoff"],
                                    parse_rational(config["module"]["lambda"]))
-        self.stages = [untwisted_as_twisted(self.module)]
+        self.twisted = untwisted_as_twisted(self.module)
         self.currents = []          # inner-step currents, in order
+        self._last_inner = None     # (previous, new) modules around the last inner step
         self.chain_echo = []
         self.diagram_order = 1
         for step in config["twistChain"]:
             kind, data = step["kind"], step["data"]
             entry = {"kind": kind}
             if kind in ("innerSemisimple", "innerNilpotent"):
-                coeffs = {n: parse_rational(c) for n, c in data["current"].items()}
-                try:
-                    elt = alg.element(coeffs)
-                except UnsupportedAlgebra as exc:
-                    raise ConfigError(f"twist step current names an unknown "
-                                      f"generator: {exc}") from exc
+                elt = _lie_element(alg, data["current"], "twist step current "
+                                   "names an unknown generator")
                 s_part, n_part = alg.jordan_chevalley(elt)
                 if kind == "innerSemisimple" and not n_part.is_zero():
                     raise NotSemisimple(
@@ -353,13 +329,14 @@ class BuiltRun:
                     raise NotUnipotent(
                         "the declared nilpotent step carries a semisimple part")
                 u = self.module.current(elt)
-                tw = make_twisted(self.stages[-1], u)
+                tw = make_twisted(self.twisted, u)
                 self.currents.append(u)
+                self._last_inner = (self.twisted, tw)
                 entry["current"] = dict(data["current"])
                 entry["selfPairingScalar"] = fmt_rational(tw.steps[-1].kappa)
             else:
                 tau = diagram_automorphism(alg, data["permutation"])
-                prev = self.stages[-1]
+                prev = self.twisted
                 if kind == "diagramData":
                     if prev.aut.diagram_part is not None:
                         raise Unsupported("only one diagram factor per chain")
@@ -371,8 +348,7 @@ class BuiltRun:
                     tw = transport_tau(prev, tau)
                 entry["permutation"] = list(data["permutation"])
             self.chain_echo.append(entry)
-            self.stages.append(tw)
-        self.twisted = self.stages[-1]
+            self.twisted = tw
 
     @property
     def has_diagram_part(self):
@@ -380,13 +356,9 @@ class BuiltRun:
 
     def last_inner_boundary(self):
         """(previous, new) twisted modules around the last inner step."""
-        idx = None
-        for i, step in enumerate(self.config["twistChain"]):
-            if step["kind"] in ("innerSemisimple", "innerNilpotent"):
-                idx = i
-        if idx is None:
+        if self._last_inner is None:
             raise ConfigError("no inner twist step in the chain")
-        return self.stages[idx], self.stages[idx + 1]
+        return self._last_inner
 
 
 def build_chain(config) -> BuiltRun:
@@ -400,20 +372,18 @@ def _gen_current_states(module):
     return [(module.current(name), name) for name in module.algebra.names]
 
 
-def _run_axioms(entry, run):
-    targets = basis_states(run.module, entry.get("weight", 2))
+def _run_axioms(run, p):
+    targets = basis_states(run.module, p["weight"])
     return [verify.check_twisted_axioms(run.twisted,
                                         _gen_current_states(run.module),
-                                        targets,
-                                        ceiling=entry.get("ceiling", 2))]
+                                        targets, ceiling=p["ceiling"])]
 
-def _run_delta(entry, run):
+def _run_delta(run, p):
     module = run.module
-    states = basis_states(module, entry.get("weight", 3))
+    states = basis_states(module, p["weight"])
     args = _gen_current_states(module)
     args.append((module.conformal_vector(), "conformal"))
-    targets = basis_states(module, entry.get("targetWeight", 2))
-    inner_ceiling = entry.get("innerCeiling", 2)
+    targets = basis_states(module, p["targetWeight"])
     reports = []
     for i, u in enumerate(run.currents, start=1):
         tag = f":step{i}" if len(run.currents) > 1 else ""
@@ -426,88 +396,111 @@ def _run_delta(entry, run):
         reports.append(verify.check_group_laws(
             module, u, states, name=f"group-laws{tag}"))
         reports.append(verify.check_shift_conjugation(
-            module, u, args, targets, inner_ceiling=inner_ceiling,
+            module, u, args, targets, inner_ceiling=p["innerCeiling"],
             name=f"shift-conjugation{tag}"))
     return reports
 
-def _run_tables(entry, run):
-    return [verify.check_mode_tables(run.twisted,
-                                     mode_span=entry.get("modeSpan", 2),
-                                     weight=entry.get("weight", 2),
-                                     log_max=entry.get("logMax"))]
+def _run_tables(run, p):
+    return [verify.check_mode_tables(run.twisted, mode_span=p["modeSpan"],
+                                     weight=p["weight"], log_max=p["logMax"])]
 
-def _run_commutator(entry, run):
-    return [verify.check_twisted_commutators(run.twisted,
-                                             mode_span=entry.get("modeSpan", 2),
-                                             weight=entry.get("weight", 2))]
+def _run_commutator(run, p):
+    return [verify.check_twisted_commutators(run.twisted, mode_span=p["modeSpan"],
+                                             weight=p["weight"])]
 
-def _run_conformal(entry, run):
+def _run_conformal(run, p):
     prev, new = run.last_inner_boundary()
-    return [verify.check_conformal_shift(prev, new,
-                                         weight=entry.get("weight", 3))]
+    return [verify.check_conformal_shift(prev, new, weight=p["weight"])]
 
-def _run_weights(entry, run):
-    alg = run.algebra
-    name = entry["generator"]
-    if name not in alg.names:
-        raise ConfigError(f"weights check: unknown generator '{name}'")
-    gi = alg.names.index(name)
-    want = parse_rational(entry["expected"])
-    count = entry.get("count", 6)
-    expectations = [(((gi, -1),) * k, want) for k in range(count + 1)]
+def _run_weights(run, p):
+    gi = run.algebra.names.index(p["generator"])
+    want = parse_rational(p["expected"])
+    expectations = [(((gi, -1),) * k, want) for k in range(p["count"] + 1)]
     return [verify.check_regraded_weights(run.twisted, expectations)]
 
-def _run_grading(entry, run):
-    coset = entry.get("classConvention", "mod-1") == "mod-1"
+def _run_grading(run, p):
+    coset = p["classConvention"] == "mod-1"
     return [verify.check_grading_restriction(run.twisted, coset_classes=coset)]
 
-def _run_equivariance(entry, run):
-    targets = basis_states(run.module, entry.get("weight", 2))
+def _run_equivariance(run, p):
+    targets = basis_states(run.module, p["weight"])
     return [verify.check_equivariance(run.twisted, target_states=targets,
-                                      ceiling=entry.get("ceiling", 1))]
+                                      ceiling=p["ceiling"])]
 
-def _run_functor(entry, run):
+def _run_functor(run, p):
     return [verify.check_functor_transport(run.module, run.currents[-1],
-                                           probe_weight=entry.get("probeWeight", 2),
-                                           ceiling=entry.get("ceiling", 2))]
+                                           probe_weight=p["probeWeight"],
+                                           ceiling=p["ceiling"])]
 
-def _run_zero_mode(entry, run):
-    name = entry["generator"]
-    if name not in run.algebra.names:
-        raise ConfigError(f"zero-mode check: unknown generator '{name}'")
-    return [verify.check_zero_mode_nilpotency(run.twisted, name,
-                                              weight=entry.get("weight", 2))]
+def _run_zero_mode(run, p):
+    return [verify.check_zero_mode_nilpotency(run.twisted, p["generator"],
+                                              weight=p["weight"])]
 
-def _run_group_laws(entry, run):
-    states = basis_states(run.module, entry.get("weight", 3))
+def _run_group_laws(run, p):
+    states = basis_states(run.module, p["weight"])
     return [verify.check_group_laws(run.module, run.currents[-1], states)]
 
-def _run_additivity(entry, run):
-    alg = run.algebra
-    def vec(key):
-        coeffs = {n: parse_rational(c) for n, c in entry[key].items()}
-        try:
-            return run.module.current(alg.element(coeffs))
-        except UnsupportedAlgebra as exc:
-            raise ConfigError(f"additivity check: {exc}") from exc
-    states = basis_states(run.module, entry.get("weight", 2))
-    return [verify.check_additivity(run.module, vec("semisimpleCurrent"),
-                                    vec("nilpotentCurrent"), states)]
+def _run_additivity(run, p):
+    states = basis_states(run.module, p["weight"])
+    return [verify.check_additivity(run.module, p["semisimpleCurrent"],
+                                    p["nilpotentCurrent"], states)]
 
-_CHECK_RUNNERS = {
-    "axioms": _run_axioms,
-    "delta": _run_delta,
-    "tables": _run_tables,
-    "commutator": _run_commutator,
-    "conformal": _run_conformal,
-    "weights": _run_weights,
-    "grading": _run_grading,
-    "equivariance": _run_equivariance,
-    "functor": _run_functor,
-    "zero-mode": _run_zero_mode,
-    "group-laws": _run_group_laws,
-    "additivity": _run_additivity,
+
+def _known_generator(name, run, check):
+    if name not in run.algebra.names:
+        raise ConfigError(f"{check} check: unknown generator '{name}'")
+    return name
+
+def _current_vector(table, run, check):
+    return run.module.current(_lie_element(run.algebra, table, f"{check} check"))
+
+
+_REQUIRED = object()    # the default of a parameter every entry must give
+
+# A parameter's `canon(config value, where)` validates it and returns its
+# canonical echo; `resolve(canonical value, run, check name)` turns that into
+# the runner's argument once the chain is built, before any check runs.
+_Param = namedtuple("_Param", "canon default resolve",
+                    defaults=(_REQUIRED, lambda value, _run, _check: value))
+# A check's `run(run, parameters)` returns its reports; `params` maps each
+# config key to a _Param, with required keys in the order they are asked for.
+_Check = namedtuple("_Check", "run params inner_step", defaults=(False,))
+
+
+def _ints(**defaults):
+    return {key: _Param(_nonneg_int, d) for key, d in defaults.items()}
+
+_GENERATOR = _Param(_string, _REQUIRED, _known_generator)
+_CURRENT = _Param(_coeff_table, _REQUIRED, _current_vector)
+
+# The one declaration of every check: what a config entry may give, the
+# defaults of what it leaves out, and whether it needs an inner twist step.
+_CHECKS = {
+    "axioms": _Check(_run_axioms, _ints(weight=2, ceiling=2)),
+    "delta": _Check(_run_delta, _ints(weight=3, innerCeiling=2, targetWeight=2),
+                    inner_step=True),
+    "tables": _Check(_run_tables, _ints(modeSpan=2, weight=2, logMax=None)),
+    "commutator": _Check(_run_commutator, _ints(modeSpan=2, weight=2)),
+    "conformal": _Check(_run_conformal, _ints(weight=3), inner_step=True),
+    "weights": _Check(_run_weights, {"generator": _GENERATOR,
+                                     "expected": _Param(_rational),
+                                     **_ints(count=6)}),
+    "grading": _Check(_run_grading,
+                      {"classConvention": _Param(_class_convention, "mod-1")}),
+    "equivariance": _Check(_run_equivariance, _ints(ceiling=1, weight=2)),
+    "functor": _Check(_run_functor, _ints(probeWeight=2, ceiling=2), inner_step=True),
+    "zero-mode": _Check(_run_zero_mode, {"generator": _GENERATOR, **_ints(weight=2)}),
+    "group-laws": _Check(_run_group_laws, _ints(weight=3), inner_step=True),
+    "additivity": _Check(_run_additivity, {"semisimpleCurrent": _CURRENT,
+                                           "nilpotentCurrent": _CURRENT,
+                                           **_ints(weight=2)}),
 }
+
+
+def _check_params(entry, run):
+    """The runner's parameters for one canonical check entry."""
+    return {key: param.resolve(entry.get(key, param.default), run, entry["name"])
+            for key, param in _CHECKS[entry["name"]].params.items()}
 
 
 def run_checks(run: BuiltRun):
@@ -515,9 +508,13 @@ def run_checks(run: BuiltRun):
         raise Unsupported(
             "checks need series arithmetic, which is not defined over a "
             "diagram-twisted base; such bases enter only as exported tables")
+    # every entry is resolved before the first check runs, so a bad
+    # generator name is reported without spending any check time
+    calls = [(_CHECKS[entry["name"]].run, _check_params(entry, run))
+             for entry in run.config["checks"]]
     reports = []
-    for entry in run.config["checks"]:
-        reports.extend(_CHECK_RUNNERS[entry["name"]](entry, run))
+    for runner, params in calls:
+        reports.extend(runner(run, params))
     return reports
 
 

@@ -75,7 +75,7 @@ class LieElt:
 
     def __init__(self, algebra, coords):
         self.algebra = algebra
-        self.coords = tuple(F(c) for c in coords)
+        self.coords = tuple(c if isinstance(c, F) else F(c) for c in coords)
         self._terms = None
 
     def is_zero(self):
@@ -99,7 +99,6 @@ class LieElt:
         return LieElt(self.algebra, [-a for a in self.coords])
 
     def __rmul__(self, c):
-        c = F(c)
         return LieElt(self.algebra, [c * a for a in self.coords])
 
     def __eq__(self, other):
@@ -165,11 +164,11 @@ class LieAlgebra:
         for name, c in named_coords.items():
             if name not in self.index:
                 raise UnsupportedAlgebra(f"no generator named {name!r}")
-            coords[self.index[name]] = F(c)
+            coords[self.index[name]] = c
         return LieElt(self, coords)
 
     def element_from_coords(self, coords) -> LieElt:
-        return LieElt(self, [F(c) for c in coords])
+        return LieElt(self, coords)
 
     def from_matrix(self, m) -> LieElt:
         """Coordinates of a traceless matrix in the Chevalley basis."""

@@ -368,3 +368,30 @@ def test_check_config_error_messages(tmp_path, capsys, over, message):
     assert main(["run", write_config(tmp_path, base_config(**over))]) == 64
     error = json.loads(capsys.readouterr().out)["error"]
     assert error == {"code": "ConfigError", "message": message}
+
+
+_UNKNOWN_GENERATOR_CASES = [case for case in CHECK_CONFIG_ERRORS if case[0] in (
+    "weights-unknown-generator", "zero-mode-unknown-generator",
+    "additivity-unknown-semisimple", "additivity-unknown-nilpotent")]
+
+
+@pytest.mark.parametrize("over,message", [case[1:] for case in _UNKNOWN_GENERATOR_CASES],
+                         ids=[case[0] for case in _UNKNOWN_GENERATOR_CASES])
+def test_check_generators_are_checked_before_any_check(tmp_path, capsys,
+                                                       monkeypatch, over, message):
+    # commutator at cutoff 3 raises DomainError (exit 19) when it runs, so
+    # a bad generator in a later entry must be found before it runs
+    cfg = base_config(module={"lambda": 0, "cutoff": 3}, twistChain=[],
+                      checks=["commutator", *over["checks"]])
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path]) == 64
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == message
+
+    def no_check(*_args, **_kwargs):
+        raise AssertionError("a check ran before every generator name was checked")
+
+    for name in dir(cli.verify):
+        if name.startswith("check_"):
+            monkeypatch.setattr(cli.verify, name, no_check)
+    assert main(["run", path]) == 64
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == message
