@@ -503,15 +503,8 @@ def _check_params(entry, run):
             for key, param in _CHECKS[entry["name"]].params.items()}
 
 
-def run_checks(run: BuiltRun):
-    if run.config["checks"] and run.has_diagram_part:
-        raise Unsupported(
-            "checks need series arithmetic, which is not defined over a "
-            "diagram-twisted base; such bases enter only as exported tables")
-    # every entry is resolved before the first check runs, so a bad
-    # generator name is reported without spending any check time
-    calls = [(_CHECKS[entry["name"]].run, _check_params(entry, run))
-             for entry in run.config["checks"]]
+def run_checks(run: BuiltRun, calls):
+    """The reports of the resolved (runner, parameters) calls, in order."""
     reports = []
     for runner, params in calls:
         reports.extend(runner(run, params))
@@ -691,9 +684,19 @@ def _build_parser():
 
 
 def run_config(config: dict, with_checks: bool) -> tuple[dict, int]:
-    """Build, check, and report.  Returns (report, exit status)."""
+    """Build, check, and report.  Returns (report, exit status).  Both
+    commands resolve the check entries, so `tables` refuses the entries
+    that `run` refuses, though it runs no check."""
     run = build_chain(config)
-    reports = run_checks(run) if with_checks else []
+    if with_checks and config["checks"] and run.has_diagram_part:
+        raise Unsupported(
+            "checks need series arithmetic, which is not defined over a "
+            "diagram-twisted base; such bases enter only as exported tables")
+    # every entry is resolved before the first check runs, so a bad
+    # generator name is reported without spending any check time
+    calls = [(_CHECKS[entry["name"]].run, _check_params(entry, run))
+             for entry in config["checks"]]
+    reports = run_checks(run, calls) if with_checks else []
     report = build_report(run, reports)
     return report, exit_status(reports)
 

@@ -15,12 +15,9 @@ and a flagged zero stays by the one rule of series.value_is_zero:
      minus its eigenvalue sum; any other goes through expand_monomial,
      and each of its ad(s)-eigenpieces moves by minus its eigenvalue sum.
 
-Integral exponents stay ints through all three stages.  A coefficient
-reached by a non-integral scalar (the 1/j of stages 1 and 2 for j >= 2, a
-fractional coordinate) stays a Fraction even where its value is integral,
-as in 127 of the 262 coefficients of D(b) for e1 on sl2 at level 2, b a
-basis state up to weight 3; ``tests/test_shift_golden.py`` pins every
-type.  The self-pairing scalar kappa is always stored as a Fraction, since
+Exponents and coefficients follow the one scalar rule: an integral value
+is an int, in all three stages (``tests/test_shift_golden.py`` pins every
+type).  The self-pairing scalar kappa is always stored as a Fraction, since
 callers halve it.  A legacy sign convention (kept only so its failure is
 demonstrable) flips the outer x^(s(0)) and log factors and drops the
 (-1)^m inside the exponential; the two agree on the m = 1 term, which is
@@ -44,7 +41,6 @@ from fractions import Fraction
 from .errors import DomainError, NotQuasiPrimary
 from .fock import InducedModule, PBWVector, accumulate, monomial_weight
 from .linalg import memo
-from .scalars import int_if_integral
 from .series import LogSeries
 
 __all__ = ["DeltaOperator", "make_delta", "delta_apply", "delta_apply_series"]
@@ -171,7 +167,7 @@ def _log_stage(delta: DeltaOperator, staged: LogSeries) -> LogSeries:
         while j == 0 or not cur.is_zero():
             out.add_term(e, j, cur)
             j += 1
-            cur = int_if_integral(F(sign, j)) * module.apply_mode(delta.n, 0, cur)
+            cur = F(sign, j) * module.apply_mode(delta.n, 0, cur)
     return out
 
 

@@ -4,10 +4,11 @@ A monomial is a tuple of (generator index, mode) pairs acting on the
 highest-weight vector, kept in canonical order: modes weakly decreasing
 left to right (so a(-1) before b(-2)), ties broken by generator index.
 A PBWVector is a finite linear combination of such monomials; its
-coefficients are ints where integral and Fractions otherwise, or Cyc
-scalars once an automorphism or branch shift has acted.  Mode actions read
-the algebra's structure table and keep integral structure constants and
-central terms as ints, so the integral case pays for no Fraction product.
+constructor stores each rational coefficient as an int where integral and
+a Fraction otherwise, and Cyc scalars once an automorphism or branch shift
+has acted.  Mode actions read the algebra's structure table, whose integral
+structure constants and central terms are ints, so the integral case pays
+for no Fraction product.
 
 The module tracks a weight cutoff.  Results that would need monomials
 beyond the cutoff get their ``truncated`` flag set; everything below the
@@ -79,7 +80,7 @@ class PBWVector:
         if c:
             for mono, coeff in c.items():
                 if coeff:
-                    self.c[mono] = coeff
+                    self.c[mono] = int_if_integral(coeff)
         self.truncated = truncated
 
     def is_zero(self):
@@ -227,7 +228,7 @@ class InducedModule:
         for k, ck in struct[gi][g1]:
             sub, t3 = self._act(k, m + m1, rest)
             trunc = trunc or t3
-            accumulate(acc, sub, int_if_integral(ck))
+            accumulate(acc, sub, ck)
         if m + m1 == 0 and m and gram[gi][g1]:
             accumulate(acc, {rest: int_if_integral(m * gram[gi][g1] * self.level)})
         return acc, trunc

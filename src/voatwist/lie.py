@@ -75,18 +75,18 @@ class LieElt:
 
     def __init__(self, algebra, coords):
         self.algebra = algebra
-        self.coords = tuple(c if isinstance(c, F) else F(c) for c in coords)
+        self.coords = tuple(int_if_integral(c if isinstance(c, (int, F)) else F(c))
+                            for c in coords)
         self._terms = None
 
     def is_zero(self):
         return not any(self.coords)
 
     def terms(self):
-        """The nonzero (index, coordinate) pairs, integral coordinates as
-        ints; computed on first use and kept, since an element never changes."""
+        """The nonzero (index, coordinate) pairs; computed on first use and
+        kept, since an element never changes."""
         if self._terms is None:
-            self._terms = tuple((i, int_if_integral(c))
-                                for i, c in enumerate(self.coords) if c)
+            self._terms = tuple((i, c) for i, c in enumerate(self.coords) if c)
         return self._terms
 
     def __add__(self, other):
@@ -354,8 +354,7 @@ class EigenData:
     @memo
     def generator_eigenvalues(self) -> list:
         """eigenvalue_of each basis generator (None if mixed), ints where integral."""
-        lams = map(self.eigenvalue_of, self.algebra.basis())
-        return [lam if lam is None else int_if_integral(lam) for lam in lams]
+        return [int_if_integral(self.eigenvalue_of(b)) for b in self.algebra.basis()]
 
     @memo
     def decompose(self, elt: LieElt) -> dict:

@@ -1,8 +1,10 @@
 """Exact scalar arithmetic: rationals and the ring Q(zeta_D)[T].
 
 Rationals are ints when integral (exact and much cheaper) and
-fractions.Fraction otherwise; a division that could see two ints is written
-with an explicit Fraction, so no float ever appears.  The class
+fractions.Fraction otherwise; int_if_integral applies that rule where PBW
+coefficients, Lie coordinates and series exponents are stored.  A division
+that could see two ints is written with an explicit Fraction, so no float
+ever appears.  The class
 Cyc models elements of Q(zeta_D)[T], polynomials in a formal variable T
 whose coefficients live in the cyclotomic field of order D.  T is the
 formal stand-in for the branch constant 2*pi*i: a branch shift replaces
@@ -56,8 +58,9 @@ def fmt_rational(q: Fraction) -> str:
 
 
 def int_if_integral(q):
-    """An int or Fraction q as an int when it is integral, else unchanged."""
-    return q.numerator if q.denominator == 1 else q
+    """q as an int when it is an integral Fraction, else unchanged: the one
+    place that decides an integral rational is held as an int."""
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
 
 
 def binom(e, i: int):

@@ -30,7 +30,7 @@ from .errors import DomainError, NotFixed, NotIntertwining, Unsupported
 from .fock import InducedModule, PBWVector, accumulate, monomial_weight
 from .lie import AutomorphismData, GAutomorphism, LieElt
 from .linalg import memo
-from .scalars import Cyc, fmt_rational, int_if_integral
+from .scalars import Cyc, fmt_rational
 from .series import LogSeries
 
 __all__ = [
@@ -105,13 +105,11 @@ class TwistedModule:
         return ser
 
     def vertex_series(self, v: PBWVector, w: PBWVector, ceiling) -> LogSeries:
-        """Y_new(v, x) w, exact to ceiling.  Like a mode, it reads the chain
-        terms with integral Fractions as ints, so an integral coefficient
-        may be an int."""
+        """Y_new(v, x) w, exact to ceiling."""
         ceiling = F(ceiling)
         out = LogSeries(ceiling=ceiling)
         for (e1, k1), vec1 in self.chain_transform(v).terms.items():
-            base_ser = self.base.vertex_series(_integral_ints(vec1), w,
+            base_ser = self.base.vertex_series(vec1, w,
                                                floor(ceiling - e1))
             for (e2, _k2), vec2 in base_ser.terms.items():
                 out.add_term(e1 + e2, k1, vec2)
@@ -124,10 +122,8 @@ class TwistedModule:
         call.  Linear in the target, it keeps the image of each target
         monomial it has met while held: one base coefficient per chain term
         of log power l at the integer exponent left over, never a series.
-        The chain terms are read with their integral Fractions as ints, so
-        an integral output coefficient may be an int where the chain image
-        holds a Fraction.  Outputs carry the flags of the coefficients read
-        and of the target."""
+        Outputs carry the flags of the coefficients read and of the
+        target."""
         e = -F(m) - 1
         reads = None
         images = {}
@@ -135,7 +131,7 @@ class TwistedModule:
         def image(mono):
             nonlocal reads
             if reads is None:
-                reads = [(_integral_ints(vec1), e - e1)
+                reads = [(vec1, e - e1)
                          for (e1, k1), vec1 in self.chain_transform(v).terms.items()
                          if k1 == l and (e - e1).denominator == 1]
             w = PBWVector({mono: 1})
@@ -238,13 +234,6 @@ class TwistedModule:
         if m == 0 and l == 0:
             scalar_total -= alg.form(step.a, elt) * self.level
         return ops_total, scalar_total
-
-
-def _integral_ints(vec: PBWVector) -> PBWVector:
-    """vec with its integral Fraction coefficients as ints, so the base
-    sums that read it run on ints; other coefficients are kept."""
-    return PBWVector({mono: int_if_integral(c) if type(c) is Fraction else c
-                      for mono, c in vec.c.items()}, vec.truncated)
 
 
 def untwisted_as_twisted(module: InducedModule) -> TwistedModule:

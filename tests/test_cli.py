@@ -395,3 +395,15 @@ def test_check_generators_are_checked_before_any_check(tmp_path, capsys,
             monkeypatch.setattr(cli.verify, name, no_check)
     assert main(["run", path]) == 64
     assert json.loads(capsys.readouterr().out)["error"]["message"] == message
+
+
+def test_tables_refuses_the_check_entries_that_run_refuses(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "sl2_semisimple.json").read_text(encoding="utf-8"))
+    cfg["checks"].append({"name": "zero-mode", "generator": "x1"})
+    path = write_config(tmp_path, cfg)
+    errors = []
+    for command in ("run", "tables"):
+        assert main([command, path]) == 64
+        errors.append(json.loads(capsys.readouterr().out)["error"])
+    assert errors == [{"code": "ConfigError",
+                       "message": "zero-mode check: unknown generator 'x1'"}] * 2

@@ -1,10 +1,13 @@
-"""No float ever enters a coefficient or an exponent.
+"""No float ever enters a coefficient or an exponent, and no integral
+rational is stored as a Fraction.
 
 Integral scalars and series exponents are kept as ints, so a division of
 two of them would quietly produce a float and end exact arithmetic.  These
 tests watch every PBW coefficient and every series term that full CLI runs
 create, both sides of every shift-conjugation comparison and its int
-scale, and the chain scalars that get halved.
+scale, and the chain scalars that get halved.  They also read what every
+PBWVector and LieElt stores once built, over the CLI runs and the shift
+probes, for a Fraction whose value is integral.
 """
 
 import contextlib
@@ -13,10 +16,11 @@ import pathlib
 from fractions import Fraction as F
 
 import pytest
+from test_shift_golden import probe_outputs
 
 from voatwist import cli, verify
 from voatwist.fock import PBWVector, build_module
-from voatwist.lie import build_simple_lie
+from voatwist.lie import LieElt, build_simple_lie
 from voatwist.scalars import Cyc
 from voatwist.series import LogSeries
 from voatwist.twist import make_twisted
@@ -24,6 +28,7 @@ from voatwist.twist import make_twisted
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json")) + [
     ROOT / "perfbench" / "configs" / "sl2_branch3.json"]
+ALL_CONFIGS = CONFIGS + sorted((ROOT / "tests" / "configs").glob("*.json"))
 
 
 def _has_float(value) -> bool:
@@ -97,3 +102,50 @@ def test_halved_chain_scalars_are_exact(name, coeff):
     tw = make_twisted(mod, PBWVector({((alg.index[name], -1),): coeff}))
     assert type(tw.steps[-1].kappa) in (int, F)
     assert type(tw.weight_of(())) in (int, F)
+
+
+def _integral_fraction(value) -> bool:
+    return type(value) is F and value.denominator == 1
+
+
+@pytest.fixture
+def fraction_scan(monkeypatch):
+    """Record every integral Fraction that a built PBWVector or LieElt
+    stores; count the stored values read."""
+    scan = {"read": 0, "found": []}
+    pbw_init = PBWVector.__init__
+    lie_init = LieElt.__init__
+
+    def watched_pbw_init(self, c=None, truncated=False):
+        pbw_init(self, c, truncated)
+        scan["read"] += len(self.c)
+        scan["found"].extend(("coefficient", mono, coeff)
+                             for mono, coeff in self.c.items()
+                             if _integral_fraction(coeff))
+
+    def watched_lie_init(self, algebra, coords):
+        lie_init(self, algebra, coords)
+        scan["read"] += len(self.coords)
+        scan["found"].extend(("coordinate", self.coords)
+                             for c in self.coords if _integral_fraction(c))
+
+    monkeypatch.setattr(PBWVector, "__init__", watched_pbw_init)
+    monkeypatch.setattr(LieElt, "__init__", watched_lie_init)
+    return scan
+
+
+@pytest.mark.parametrize("command", ["run", "tables"])
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda p: p.stem)
+def test_cli_stores_no_integral_fraction(fraction_scan, tmp_path, command, config):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        cli.main([command, str(config), "--output", str(tmp_path / "report")])
+    assert fraction_scan["read"] > 0
+    assert fraction_scan["found"] == []
+
+
+def test_shift_probes_store_no_integral_fraction(fraction_scan):
+    for _output in probe_outputs():
+        pass
+    assert fraction_scan["read"] > 0
+    assert fraction_scan["found"] == []
