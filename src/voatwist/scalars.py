@@ -4,12 +4,11 @@ Rationals are ints when integral (exact and much cheaper) and
 fractions.Fraction otherwise; int_if_integral applies that rule where PBW
 coefficients, Lie coordinates and series exponents are stored.  A division
 that could see two ints is written with an explicit Fraction, so no float
-ever appears.  The class
-Cyc models elements of Q(zeta_D)[T], polynomials in a formal variable T
-whose coefficients live in the cyclotomic field of order D.  T is the
-formal stand-in for the branch constant 2*pi*i: a branch shift replaces
-log x by log x + T, and equality of two expressions "identically in
-zeta_D and T" is plain equality in this ring.
+ever appears.  The class Cyc models elements of Q(zeta_D)[T], polynomials
+in a formal variable T whose coefficients live in the cyclotomic field of
+order D.  T is the formal stand-in for the branch constant 2*pi*i: a branch
+shift replaces log x by log x + T, and equality of two expressions
+"identically in zeta_D and T" is plain equality in this ring.
 
 Only ring operations are provided (add, sub, mul, scalar division);
 division by a general cyclotomic is never needed here.  Elements are kept

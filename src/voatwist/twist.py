@@ -109,8 +109,7 @@ class TwistedModule:
         ceiling = F(ceiling)
         out = LogSeries(ceiling=ceiling)
         for (e1, k1), vec1 in self.chain_transform(v).terms.items():
-            base_ser = self.base.vertex_series(vec1, w,
-                                               floor(ceiling - e1))
+            base_ser = self.base.vertex_series(vec1, w, floor(ceiling - e1))
             for (e2, _k2), vec2 in base_ser.terms.items():
                 out.add_term(e1 + e2, k1, vec2)
         return out

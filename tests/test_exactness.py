@@ -126,8 +126,8 @@ def fraction_scan(monkeypatch):
     def watched_lie_init(self, algebra, coords):
         lie_init(self, algebra, coords)
         scan["read"] += len(self.coords)
-        scan["found"].extend(("coordinate", self.coords)
-                             for c in self.coords if _integral_fraction(c))
+        if any(map(_integral_fraction, self.coords)):
+            scan["found"].append(("coordinates", self.coords))
 
     monkeypatch.setattr(PBWVector, "__init__", watched_pbw_init)
     monkeypatch.setattr(LieElt, "__init__", watched_lie_init)
