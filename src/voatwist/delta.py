@@ -1,8 +1,6 @@
 """Shift operators attached to weight-one current vectors.
 
-For u = a(-1)|0> the operator acts on a module vector v in three stages,
-each a LogSeries of PBWVectors built with add_term, so what cancels drops
-and a flagged zero stays by the one rule of series.value_is_zero:
+For u = a(-1)|0> the operator acts on a module vector v in three stages:
 
   1. an exponential of positive current modes,
          exp( sum_{m>=1} (1/m) (-1)^m a(m) x^(-m) ),
@@ -15,13 +13,19 @@ and a flagged zero stays by the one rule of series.value_is_zero:
      minus its eigenvalue sum; any other goes through expand_monomial,
      and each of its ad(s)-eigenpieces moves by minus its eigenvalue sum.
 
-Exponents and coefficients follow the one scalar rule: an integral value
-is an int, in all three stages (``tests/test_shift_golden.py`` pins every
-type).  The self-pairing scalar kappa is always stored as a Fraction, since
-callers halve it.  A legacy sign convention (kept only so its failure is
-demonstrable) flips the outer x^(s(0)) and log factors and drops the
-(-1)^m inside the exponential; the two agree on the m = 1 term, which is
-why the difference is easy to miss on small examples.
+Stages 1 and 2 run in integers: a and n act as b/d and n'/d_n with b and
+n' integral (kept on the record), v is scaled by the lcm of its
+denominators, and each term is an integral vector over one int
+denominator.  Each output coefficient is divided once, so the output
+follows the one scalar rule: an integral value is an int
+(``tests/test_shift_golden.py`` pins every type, and checks stages 1 and 2
+against their first forms in Fractions).  Stage 3 sums into one dict per
+output key; what cancels drops and a flagged zero stays, as by the rule of
+series.value_is_zero.  The self-pairing scalar kappa is always stored as
+a Fraction, since callers halve it.  A legacy sign convention (kept only
+so its failure is demonstrable) flips the outer x^(s(0)) and log factors
+and drops the (-1)^m inside the exponential; the two agree on the m = 1
+term, which is why the difference is easy to miss on small examples.
 
 make_delta builds one record per module, current and sign convention, kept
 on the module but never referring to it, so a dropped module is freed at
@@ -37,11 +41,13 @@ is unhashable, and 1 == Fraction(1)).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 
 from .errors import DomainError, NotQuasiPrimary
 from .fock import InducedModule, PBWVector, accumulate, monomial_weight
 from .linalg import memo
-from .series import LogSeries
+from .scalars import clear_denominators, int_if_integral
+from .series import LogSeries, value_is_zero
 
 __all__ = ["DeltaOperator", "make_delta", "delta_apply", "delta_apply_series"]
 
@@ -52,13 +58,16 @@ class DeltaOperator:
     """A validated shift operator for one module and one current vector;
     all but the module comes from the module's record (see make_delta)."""
 
-    __slots__ = ("module", "a", "s", "n", "eig", "kappa", "legacy", "images")
+    __slots__ = ("module", "a", "a_int", "s", "n", "n_int", "eig", "kappa",
+                 "legacy", "images")
 
-    def __init__(self, module, a, s, n, eig, kappa, legacy, images):
+    def __init__(self, module, a, a_int, s, n, n_int, eig, kappa, legacy, images):
         self.module = module
         self.a = a
+        self.a_int = a_int  # (b, d) with a = b/d and b integral
         self.s = s
         self.n = n
+        self.n_int = n_int  # the same for n
         self.eig = eig
         self.kappa = kappa
         self.legacy = legacy
@@ -79,7 +88,7 @@ def current_element(module: InducedModule, u: PBWVector):
     Raises DomainError if u is not a weight-one current vector with
     rational coefficients."""
     alg = module.algebra
-    coords = [F(0)] * alg.dim
+    coords = [0] * alg.dim
     for mono, coeff in u.c.items():
         if len(mono) != 1 or mono[0][1] != -1:
             raise DomainError("expected a weight-one current vector a(-1)|0>")
@@ -89,7 +98,7 @@ def current_element(module: InducedModule, u: PBWVector):
                 coeff = coeff.rational_value()
             else:
                 raise DomainError("current coefficients must be rational")
-        coords[gi] = coords[gi] + F(coeff)
+        coords[gi] += coeff
     return alg.element_from_coords(coords)
 
 
@@ -107,13 +116,20 @@ def make_delta(module: InducedModule, u: PBWVector,
     return DeltaOperator(module, *_shift_record(module, a, bool(legacy_sign_convention)))
 
 
+def _integral(alg, elt):
+    """(b, d) with elt = b/d, d a positive int and b of integral coordinates."""
+    [coords], d = clear_denominators([dict(elt.terms())])
+    return alg.element_from_coords([coords.get(i, 0) for i in range(alg.dim)]), d
+
+
 @memo
 def _shift_record(module: InducedModule, a, legacy):
-    """(a, s, n, eig, kappa, legacy, images), none referring to the module."""
+    """(a, a_int, s, n, n_int, eig, kappa, legacy, images), none referring
+    to the module."""
     alg = module.algebra
     if a.is_zero():
         eig = alg.ad_eigendata(alg.zero())
-        return a, alg.zero(), alg.zero(), eig, F(0), legacy, {}
+        return a, (a, 1), alg.zero(), alg.zero(), (a, 1), eig, F(0), legacy, {}
 
     u = module.current(a)
     l1u = module.sugawara_mode(1)(u)
@@ -130,44 +146,78 @@ def _shift_record(module: InducedModule, a, legacy):
         if mono != ():
             raise DomainError("u_(1) u is not a vacuum multiple")
         kappa = F(coeff)
-    return a, s, n, eig, kappa, legacy, {}
+    return (a, _integral(alg, a), s, n, _integral(alg, n), eig, kappa, legacy,
+            {})
 
 
-def _exp_current_stage(delta: DeltaOperator, v: PBWVector) -> LogSeries:
-    """Stage 1: exp of the positive-mode sum, a log-free series.
+def _exp_current_stage(delta: DeltaOperator, v: PBWVector) -> list:
+    """Stage 1: exp of the positive-mode sum, log-free, as [(e, 0, vec,
+    den)] with vec/den the x^e term, vec integral (or Cyc) and den an int.
 
     The modes a(m) commute, so the x^(-j) term is T_j = (1/j) sum_{m<=j}
-    m c_m a(m) T_(j-m) with T_0 = v and m c_m = (-1)^m (-1 under the
-    legacy convention); T_j vanishes past the depth of v."""
+    s_m a(m) T_(j-m) with T_0 = v and s_m = (-1)^m (-1 under the legacy
+    convention); T_j vanishes past the depth of v.  With a = b/d, b
+    integral, and D the lcm of v's denominators, S_j = j! d^j D T_j is
+    integral:  S_0 = D v,
+        S_j = sum_{m<=j} s_m ((j-1)!/(j-m)!) d^(m-1) b(m) S_(j-m)."""
     module = delta.module
-    out = LogSeries({(0, 0): v})
-    terms = [v]
+    b, d = delta.a_int
+    [cleared], den = clear_denominators([v.c])
+    terms = [PBWVector(cleared, v.truncated)]
+    out = [(0, 0, terms[0], den)]
     for j in range(1, v.depth() + 1):
         acc, trunc = {}, False
         for m in range(1, j + 1):
             if terms[j - m].c:
-                moved = module.apply_mode(delta.a, m, terms[j - m])
+                moved = module.apply_mode(b, m, terms[j - m])
                 trunc = trunc or moved.truncated
-                accumulate(acc, moved.c, negate=delta.legacy or m % 2 == 1)
-        cur = PBWVector(acc, trunc)
-        terms.append(cur if j == 1 else F(1, j) * cur)
-        out.add_term(-j, 0, terms[-1])
-    return out
+                k = perm(j - 1, m - 1) * d ** (m - 1)
+                accumulate(acc, moved.c, -k if delta.legacy or m % 2 else k)
+        terms.append(PBWVector(acc, trunc))
+        den *= j * d
+        out.append((-j, 0, terms[-1], den))
+    return [term for term in out if not value_is_zero(term[2])]
 
 
-def _log_stage(delta: DeltaOperator, staged: LogSeries) -> LogSeries:
-    """Stage 2: the unipotent zero-mode factor, applied until it gives 0."""
+def _log_stage(delta: DeltaOperator, staged: list) -> list:
+    """Stage 2: the unipotent zero-mode factor, applied until it gives 0,
+    as [(e, k, vec, den)].  With n = n'/d_n, n' integral, the log^i term
+    of vec/den is n'(0)^i vec / (den i! (sign d_n)^i), the sign going into
+    the denominator."""
     if delta.n.is_zero():
         return staged
     module = delta.module
-    sign = 1 if delta.legacy else -1
-    out = LogSeries()
-    for (e, _k), cur in staged.terms.items():
-        j = 0
-        while j == 0 or not cur.is_zero():
-            out.add_term(e, j, cur)
-            j += 1
-            cur = F(sign, j) * module.apply_mode(delta.n, 0, cur)
+    n, dn = delta.n_int
+    step = dn if delta.legacy else -dn
+    out = []
+    for e, _k, cur, den in staged:
+        i = 0
+        while i == 0 or cur.c:
+            out.append((e, i, cur, den))
+            i += 1
+            cur = module.apply_mode(n, 0, cur)
+            den *= i * step
+    return out
+
+
+def _series(staged: list) -> LogSeries:
+    """The LogSeries of a stage's [(e, k, vec, den)] terms."""
+    return LogSeries({(e, k): PBWVector(_divided(vec, den), vec.truncated)
+                      for e, k, vec, den in staged})
+
+
+def _divided(vec: PBWVector, den: int) -> dict:
+    """The coefficients of vec/den under the scalar rule: an int where den
+    divides, else a Fraction; a Cyc is scaled."""
+    if den == 1:
+        return vec.c
+    out = {}
+    for mono, c in vec.c.items():
+        if type(c) is int:
+            q, r = divmod(c, den)
+            out[mono] = F(c, den) if r else q
+        else:
+            out[mono] = int_if_integral(c / den)
     return out
 
 
@@ -191,35 +241,47 @@ def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
 
 def _shift(delta: DeltaOperator, v: PBWVector) -> LogSeries:
     """The three stages of a non-identity operator."""
-    logged = _log_stage(delta, _exp_current_stage(delta, v))
+    staged = _log_stage(delta, _exp_current_stage(delta, v))
     if delta.s.is_zero():
-        return logged
+        return _series(staged)
     module = delta.module
     decompose, basis_elt = delta.eig.decompose, module.algebra._basis_elt
 
     def split(gi):
         return [(lam, None, comp) for lam, comp in decompose(basis_elt(gi)).items()]
 
+    # one [coefficients, flag] per output key; a key whose sum cancels to
+    # an unflagged zero is dropped, and comes back last if hit again
+    out = {}
+
+    def add(e, k, terms, scale, trunc):
+        key = (int_if_integral(e), k)
+        slot = out.get(key)
+        if slot is None:
+            slot = out[key] = [{}, trunc]
+        elif trunc:
+            slot[1] = True
+        accumulate(slot[0], terms, scale)
+        if not slot[0] and not slot[1]:
+            del out[key]
+
     sign = 1 if delta.legacy else -1
     eigvals = delta.eig.generator_eigenvalues()
-    out = LogSeries()
-    for (e, k), vec in logged.terms.items():
+    for e, k, vec, den in staged:
         if not vec.c:
             # a flagged zero has nothing to expand: it stays where it is
-            out.add_term(e, k, vec)
-        for mono, coeff in vec.c.items():
+            add(e, k, {}, None, vec.truncated)
+        for mono, coeff in _divided(vec, den).items():
             # inside the cutoff, a monomial of eigenvectors is relabeled
             lams = [eigvals[gi] for gi, _m in reversed(mono)]
             if None not in lams and monomial_weight(mono) <= module.cutoff:
-                out.add_term(e + sign * sum(lams), k,
-                             PBWVector({mono: coeff}, vec.truncated))
+                add(e + sign * sum(lams), k, {mono: coeff}, None, vec.truncated)
                 continue
             for lamsum, expanded in module.expand_monomial(mono, split).items():
-                res = coeff * expanded
                 # the expansion restarts from the vacuum; keep the input's flag
-                res.truncated = res.truncated or vec.truncated
-                out.add_term(e + sign * lamsum, k, res)
-    return out
+                add(e + sign * lamsum, k, expanded.c, coeff,
+                    expanded.truncated or vec.truncated)
+    return LogSeries({key: PBWVector(*slot) for key, slot in out.items()})
 
 
 def delta_apply_series(delta: DeltaOperator, series: LogSeries) -> LogSeries:

@@ -296,10 +296,12 @@ class InducedModule:
         self._sugawara_pairs()  # at the critical level, raise here
 
         def act(vec: PBWVector) -> PBWVector:
-            total = PBWVector({}, vec.truncated)
+            out, trunc = {}, vec.truncated
             for mono, coeff in vec.c.items():
-                total = total + coeff * self._sugawara_image(n, mono)
-            return total
+                image = self._sugawara_image(n, mono)
+                accumulate(out, image.c, coeff)
+                trunc = trunc or image.truncated
+            return PBWVector(out, trunc)
 
         return act
 

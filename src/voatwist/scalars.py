@@ -26,6 +26,7 @@ from .linalg import divisors, poly_divmod
 __all__ = [
     "Cyc",
     "binom",
+    "clear_denominators",
     "cyclotomic_poly",
     "fmt_rational",
     "fmt_scalar",
@@ -60,6 +61,15 @@ def int_if_integral(q):
     """q as an int when it is an integral Fraction, else unchanged: the one
     place that decides an integral rational is held as an int."""
     return q.numerator if type(q) is Fraction and q.denominator == 1 else q
+
+
+def clear_denominators(dicts):
+    """The {key: coeff} dicts times the lcm of their denominators (a Cyc
+    counts as 1), with that lcm; rational coefficients come back as ints."""
+    scale = math.lcm(*(getattr(c, "denominator", 1) for d in dicts for c in d.values()))
+    return [{m: c * scale if isinstance(c, Cyc)
+             else c.numerator * (scale // c.denominator) for m, c in d.items()}
+            for d in dicts], scale
 
 
 def binom(e, i: int):

@@ -30,7 +30,7 @@ from .errors import DomainError, NotFixed, NotIntertwining, Unsupported
 from .fock import InducedModule, PBWVector, accumulate, monomial_weight
 from .lie import AutomorphismData, GAutomorphism, LieElt
 from .linalg import memo
-from .scalars import Cyc, fmt_rational
+from .scalars import Cyc, fmt_rational, int_if_integral
 from .series import LogSeries
 
 __all__ = [
@@ -209,17 +209,18 @@ class TwistedModule:
 
     @memo
     def _fold_mode(self, j: int, elt: LieElt, m, l: int):
-        """mode_table_entry of elt_(m, l) through the first j steps."""
+        """mode_table_entry of elt_(m, l) through the first j steps, its
+        integral values ints."""
         alg = self.algebra
         if elt.is_zero():
-            return {}, F(0)
+            return {}, 0
         if j == 0:
             if l != 0 or m.denominator != 1:
-                return {}, F(0)
-            return {(gi, int(m)): c for gi, c in enumerate(elt.coords) if c}, F(0)
+                return {}, 0
+            return {(gi, int(m)): c for gi, c in elt.terms()}, 0
         step = self.steps[j - 1]
         ops_total = {}
-        scalar_total = F(0)
+        scalar_total = 0
         for lam, comp in step.eig.decompose(elt).items():
             cur = comp
             for lp in range(0, l + 1):
@@ -232,7 +233,8 @@ class TwistedModule:
                 cur = alg.bracket(step.n, cur)
         if m == 0 and l == 0:
             scalar_total -= alg.form(step.a, elt) * self.level
-        return ops_total, scalar_total
+        return ({key: int_if_integral(c) for key, c in ops_total.items()},
+                int_if_integral(scalar_total))
 
 
 def untwisted_as_twisted(module: InducedModule) -> TwistedModule:
@@ -442,11 +444,15 @@ def mode_table_entry(twisted: TwistedModule, b, m, l: int = 0):
 
 def apply_table_entry(module: InducedModule, entry, vec: PBWVector) -> PBWVector:
     ops, scalar = entry
-    out = scalar * vec
+    out = {}
+    if scalar:
+        accumulate(out, vec.c, scalar)
+    trunc = vec.truncated
     for (gi, mode), coeff in ops.items():
-        out = out + coeff * module.apply_mode(module.algebra._basis_elt(gi),
-                                              mode, vec)
-    return out
+        moved = module.apply_mode(module.algebra._basis_elt(gi), mode, vec)
+        accumulate(out, moved.c, coeff)
+        trunc = trunc or moved.truncated
+    return PBWVector(out, trunc)
 
 
 def mode_candidates(span: int, order: int):

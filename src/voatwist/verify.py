@@ -22,7 +22,7 @@ from math import lcm
 from .delta import delta_apply, delta_apply_series, make_delta
 from .errors import DomainError
 from .fock import InducedModule, PBWVector, accumulate
-from .scalars import Cyc, binom, fmt_rational, fmt_scalar
+from .scalars import Cyc, binom, clear_denominators, fmt_rational, fmt_scalar
 from .series import (
     LogSeries,
     branch_shift,
@@ -285,15 +285,6 @@ def _expand_at_sum(e, k, max_p):
     return {key: c for key, c in out.items() if c}
 
 
-def _cleared(dicts):
-    """The {mono: coeff} dicts times the lcm of their denominators (a Cyc
-    counts as 1), with that lcm; rational coefficients come back as ints."""
-    scale = lcm(*(getattr(c, "denominator", 1) for d in dicts for c in d.values()))
-    return [{m: c * scale if isinstance(c, Cyc)
-             else c.numerator * (scale // c.denominator) for m, c in d.items()}
-            for d in dicts], scale
-
-
 def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw,
                       ceiling: int):
     """Both sides of D(x) Y(v, y) w = Y(D(x+y) v, y) D(x) w.
@@ -374,7 +365,7 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
     targets = []
     for w, wlabel in target_states:
         dw = delta_apply(delta, w)
-        coeffs, w_scale = _cleared([vec.c for vec in dw.terms.values()])
+        coeffs, w_scale = clear_denominators([vec.c for vec in dw.terms.values()])
         targets.append((w, wlabel, list(zip(dw.terms, map(PBWVector, coeffs))),
                         w_scale))
     reach_w = max((w.depth() for w, *_rest in targets), default=0)
@@ -386,9 +377,9 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
             # total weight, so substitution terms that far above the ceiling
             # still land inside the window and must be kept
             max_p = ceiling + v.depth() + reach_w
-            coeffs, v_scale = _cleared([vec.c for vec in dv.terms.values()])
-            tables, t_scale = _cleared([_expand_at_sum(e, k, max_p)
-                                        for (e, k) in dv.terms])
+            coeffs, v_scale = clear_denominators([vec.c for vec in dv.terms.values()])
+            tables, t_scale = clear_denominators([_expand_at_sum(e, k, max_p)
+                                                  for (e, k) in dv.terms])
             shifted = [(e, PBWVector(c), table) for (e, _k), c, table
                        in zip(dv.terms, coeffs, tables)]
             for w, wlabel, dw_terms, w_scale in targets:

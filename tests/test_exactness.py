@@ -7,7 +7,8 @@ tests watch every PBW coefficient and every series term that full CLI runs
 create, both sides of every shift-conjugation comparison and its int
 scale, and the chain scalars that get halved.  They also read what every
 PBWVector and LieElt stores once built, over the CLI runs and the shift
-probes, for a Fraction whose value is integral.
+probes, and every mode-table entry that ``tables`` builds, for a Fraction
+whose value is integral.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from fractions import Fraction as F
 import pytest
 from test_shift_golden import probe_outputs
 
-from voatwist import cli, verify
+from voatwist import cli, twist, verify
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import LieElt, build_simple_lie
 from voatwist.scalars import Cyc
@@ -149,3 +150,24 @@ def test_shift_probes_store_no_integral_fraction(fraction_scan):
         pass
     assert fraction_scan["read"] > 0
     assert fraction_scan["found"] == []
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_mode_table_entries_hold_no_integral_fraction(monkeypatch, tmp_path, config):
+    read, found = [], []
+    real = twist.mode_table_entry
+
+    def watched(*args, **kwargs):
+        ops, scalar = entry = real(*args, **kwargs)
+        read.append(entry)
+        found.extend(c for c in [*ops.values(), scalar] if _integral_fraction(c))
+        return entry
+
+    monkeypatch.setattr(twist, "mode_table_entry", watched)
+    monkeypatch.setattr(verify, "mode_table_entry", watched)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["tables", str(config), "--output", str(tmp_path / "report")])
+    if code == 0:
+        assert read
+    assert found == []

@@ -8,9 +8,10 @@ canonical form that keeps every key, value, coefficient type and
 truncation flag.  The outputs are hashed in groups (one function, one
 current or chain, all states) and each digest is compared with the
 recorded one, so a refactor of these layers has to reproduce them exactly.
-On the same probes, stage 1 of ``delta_apply`` (a recursion in the
-x-exponent) is compared with its first form, powers of the positive-mode
-sum, kept here as the oracle.
+On the same probes, stages 1 and 2 of ``delta_apply`` (integer
+recursions over one denominator per term) are compared with their first
+forms in Fractions, kept here as the oracles: powers of the positive-mode
+sum, and repeated (sign/j) n(0) on each of its terms.
 
 Re-record (only when an output is meant to change) with
 
@@ -24,7 +25,13 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
-from voatwist.delta import _exp_current_stage, delta_apply, make_delta
+from voatwist.delta import (
+    _exp_current_stage,
+    _log_stage,
+    _series,
+    delta_apply,
+    make_delta,
+)
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie, diagram_automorphism
 from voatwist.scalars import Cyc, int_if_integral
@@ -197,9 +204,43 @@ def test_stage_one_recursion_matches_the_powers_of_the_sum():
             for legacy in (False, True):
                 delta = make_delta(mod, u, legacy)
                 for label, v in states:
-                    got = fmt_series(_exp_current_stage(delta, v))
+                    got = fmt_series(_series(_exp_current_stage(delta, v)))
                     want = fmt_series(powers_of_the_sum(delta, v))
                     assert got == want, (cname, legacy, label)
+
+
+def zero_mode_powers(delta, staged):
+    """Stage 2 of delta_apply as first written, kept as the oracle of its
+    integer form: on each stage-1 term, cur_j = (sign/j) n(0) cur_(j-1) in
+    Fractions, at log power j, until cur_j vanishes."""
+    sign = 1 if delta.legacy else -1
+    out = LogSeries()
+    for (e, _k), cur in staged.terms.items():
+        j = 0
+        while j == 0 or not cur.is_zero():
+            out.add_term(e, j, cur)
+            j += 1
+            cur = F(sign, j) * delta.module.apply_mode(delta.n, 0, cur)
+    return out
+
+
+def test_stage_two_matches_the_zero_mode_powers():
+    compared = 0
+    for _tag, setup, currents, weight, seed in PROBES:
+        alg, mod, _chains = setup()
+        states = probe_states(mod, weight, seed)
+        for cname, coords in currents.items():
+            u = mod.current(alg.element(coords))
+            for legacy in (False, True):
+                delta = make_delta(mod, u, legacy)
+                if delta.is_identity or delta.n.is_zero():
+                    continue
+                for label, v in states:
+                    got = _series(_log_stage(delta, _exp_current_stage(delta, v)))
+                    want = zero_mode_powers(delta, powers_of_the_sum(delta, v))
+                    assert fmt_series(got) == fmt_series(want), (cname, legacy, label)
+                    compared += 1
+    assert compared
 
 
 if __name__ == "__main__":
