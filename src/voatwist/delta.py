@@ -152,7 +152,8 @@ def _shift_record(module: InducedModule, a, legacy):
 
 def _exp_current_stage(delta: DeltaOperator, v: PBWVector) -> list:
     """Stage 1: exp of the positive-mode sum, log-free, as [(e, 0, vec,
-    den)] with vec/den the x^e term, vec integral (or Cyc) and den an int.
+    den)]: the x^e term is vec/den, den an int and vec integral (a Cyc,
+    or a Fraction from a non-integral level, is kept as it is).
 
     The modes a(m) commute, so the x^(-j) term is T_j = (1/j) sum_{m<=j}
     s_m a(m) T_(j-m) with T_0 = v and s_m = (-1)^m (-1 under the legacy
@@ -208,7 +209,7 @@ def _series(staged: list) -> LogSeries:
 
 def _divided(vec: PBWVector, den: int) -> dict:
     """The coefficients of vec/den under the scalar rule: an int where den
-    divides, else a Fraction; a Cyc is scaled."""
+    divides, else a Fraction; a Cyc or a Fraction is divided as it is."""
     if den == 1:
         return vec.c
     out = {}

@@ -631,7 +631,7 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
                         continue
                     cop, cops = gen_mode(cname, n)
                     entry_ops = mode_table_entry(twisted, bracket, m + n)[0]
-                    central = F(0)
+                    central = 0
                     for (gi, p), bco in bops.items():
                         for (gj, q), cco in cops.items():
                             if p + q == 0:
@@ -641,8 +641,7 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
                     modes = f"{fmt_rational(m)},{fmt_rational(n)}"
                     for w, wlabel in states:
                         lhs = bop(cop(w)) - cop(bop(w))
-                        rhs = (apply_table_entry(module, (entry_ops, F(0)), w)
-                               + central * w)
+                        rhs = apply_table_entry(module, (entry_ops, central), w)
                         yield _vector_case(alg, lhs, rhs, name, generatorPair=pair,
                                            modes=modes, state=wlabel)
 
