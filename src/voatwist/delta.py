@@ -19,13 +19,15 @@ denominators, and each term is an integral vector over one int
 denominator.  Each output coefficient is divided once, so the output
 follows the one scalar rule: an integral value is an int
 (``tests/test_shift_golden.py`` pins every type, and checks stages 1 and 2
-against their first forms in Fractions).  Stage 3 sums into one dict per
-output key; what cancels drops and a flagged zero stays, as by the rule of
-series.value_is_zero.  The self-pairing scalar kappa is always stored as
-a Fraction, since callers halve it.  A legacy sign convention (kept only
-so its failure is demonstrable) flips the outer x^(s(0)) and log factors
-and drops the (-1)^m inside the exponential; the two agree on the m = 1
-term, which is why the difference is easy to miss on small examples.
+against their first forms in Fractions).  Stage 3 sums its terms per
+output key with fock.series_sum, like every series built from module
+vectors, so a key that cancels drops and a flagged zero stays, by the one
+rule of series.value_is_zero.  The self-pairing scalar kappa is always
+stored as a Fraction, since callers halve it.  A legacy sign convention
+(kept only so its failure is demonstrable) flips the outer x^(s(0)) and
+log factors and drops the (-1)^m inside the exponential; the two agree on
+the m = 1 term, which is why the difference is easy to miss on small
+examples.
 
 make_delta builds one record per module, current and sign convention, kept
 on the module but never referring to it, so a dropped module is freed at
@@ -44,7 +46,7 @@ from fractions import Fraction
 from math import perm
 
 from .errors import DomainError, NotQuasiPrimary
-from .fock import InducedModule, PBWVector, accumulate, monomial_weight
+from .fock import InducedModule, PBWVector, accumulate, monomial_weight, series_sum
 from .linalg import memo
 from .scalars import clear_denominators, int_if_integral
 from .series import LogSeries, value_is_zero
@@ -251,38 +253,25 @@ def _shift(delta: DeltaOperator, v: PBWVector) -> LogSeries:
     def split(gi):
         return [(lam, None, comp) for lam, comp in decompose(basis_elt(gi)).items()]
 
-    # one [coefficients, flag] per output key; a key whose sum cancels to
-    # an unflagged zero is dropped, and comes back last if hit again
-    out = {}
-
-    def add(e, k, terms, scale, trunc):
-        key = (int_if_integral(e), k)
-        slot = out.get(key)
-        if slot is None:
-            slot = out[key] = [{}, trunc]
-        elif trunc:
-            slot[1] = True
-        accumulate(slot[0], terms, scale)
-        if not slot[0] and not slot[1]:
-            del out[key]
-
     sign = 1 if delta.legacy else -1
     eigvals = delta.eig.generator_eigenvalues()
+    items = []
     for e, k, vec, den in staged:
         if not vec.c:
             # a flagged zero has nothing to expand: it stays where it is
-            add(e, k, {}, None, vec.truncated)
+            items.append((e, k, {}, None, vec.truncated))
         for mono, coeff in _divided(vec, den).items():
             # inside the cutoff, a monomial of eigenvectors is relabeled
             lams = [eigvals[gi] for gi, _m in reversed(mono)]
             if None not in lams and monomial_weight(mono) <= module.cutoff:
-                add(e + sign * sum(lams), k, {mono: coeff}, None, vec.truncated)
+                items.append((e + sign * sum(lams), k, {mono: coeff}, None,
+                              vec.truncated))
                 continue
             for lamsum, expanded in module.expand_monomial(mono, split).items():
                 # the expansion restarts from the vacuum; keep the input's flag
-                add(e + sign * lamsum, k, expanded.c, coeff,
-                    expanded.truncated or vec.truncated)
-    return LogSeries({key: PBWVector(*slot) for key, slot in out.items()})
+                items.append((e + sign * lamsum, k, expanded.c, coeff,
+                              expanded.truncated or vec.truncated))
+    return series_sum(items)
 
 
 def delta_apply_series(delta: DeltaOperator, series: LogSeries) -> LogSeries:
@@ -294,9 +283,6 @@ def delta_apply_series(delta: DeltaOperator, series: LogSeries) -> LogSeries:
     """
     if series.ceiling is not None:
         raise DomainError("termwise application needs an exact series")
-    out = LogSeries()
-    for (e, k), vec in series.terms.items():
-        sub = delta_apply(delta, vec)
-        for (e2, k2), vec2 in sub.terms.items():
-            out.add_term(e + e2, k + k2, vec2)
-    return out
+    return series_sum((e + e2, k + k2, vec2.c, None, vec2.truncated)
+                      for (e, k), vec in series.terms.items()
+                      for (e2, k2), vec2 in delta_apply(delta, vec).terms.items())

@@ -70,6 +70,29 @@ def accumulate(out: dict, terms: dict, scale=None, negate=False) -> None:
             out.pop(mono, None)
 
 
+def series_sum(items, ceiling=None) -> LogSeries:
+    """The LogSeries of (e, k, terms, scale, flag) items: the x^e log^k
+    coefficient is the accumulate sum of scale * terms over its items,
+    flagged if any of them is.  A key whose sum value_is_zero drops is
+    removed, and comes back last if hit again."""
+    out = LogSeries(ceiling=ceiling)
+    sums = out.terms
+    for e, k, terms, scale, flag in items:
+        key = (int_if_integral(e), k)
+        vec = sums.get(key)
+        if vec is None:
+            vec = sums[key] = PBWVector(None, flag)
+        elif flag:
+            vec.truncated = True
+        accumulate(vec.c, terms, scale)
+        if value_is_zero(vec):
+            del sums[key]
+    for vec in sums.values():
+        # accumulate keeps integral Fractions; store the sums by the scalar rule
+        vec.c = {mono: int_if_integral(c) for mono, c in vec.c.items()}
+    return out
+
+
 class PBWVector:
     """Linear combination of canonical PBW monomials."""
 
@@ -87,16 +110,12 @@ class PBWVector:
         return not self.c
 
     def _plus(self, other, negate):
-        if isinstance(other, int) and other == 0:
-            return self
         out = dict(self.c)
         accumulate(out, other.c, negate=negate)
         return PBWVector(out, self.truncated or other.truncated)
 
     def __add__(self, other):
         return self._plus(other, False)
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         return self._plus(other, True)
@@ -113,8 +132,6 @@ class PBWVector:
     __mul__ = __rmul__
 
     def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return self.is_zero()
         if not isinstance(other, PBWVector):
             return NotImplemented
         return (self - other).is_zero()
@@ -401,14 +418,14 @@ class InducedModule:
     def vertex_series(self, v: PBWVector, w: PBWVector, ceiling) -> LogSeries:
         """Y(v, x) w as a log-free LogSeries of PBWVectors, exact to ceiling."""
         ceiling = _integer_exponent(ceiling)
-        acc = {}
+        items = []
         for mv, cv in v.c.items():
             for mw, cw in w.c.items():
                 scale = cv * cw
-                for e, vec in self._vs_mono(mv, mw, ceiling).items():
-                    if e <= ceiling:
-                        accumulate(acc.setdefault(e, {}), vec, scale)
-        return LogSeries({(e, 0): PBWVector(d) for e, d in acc.items()}, ceiling)
+                items.extend((e, 0, vec, scale, False)
+                             for e, vec in self._vs_mono(mv, mw, ceiling).items()
+                             if e <= ceiling)
+        return series_sum(items, ceiling)
 
     def coefficient_at(self, v: PBWVector, w: PBWVector, e) -> PBWVector:
         """The x^e coefficient of Y(v, x) w, read without building the series;

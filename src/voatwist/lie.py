@@ -38,7 +38,6 @@ from .linalg import (
     poly_eval_mat,
     poly_xgcd,
     rational_roots,
-    solve,
     squarefree_part,
     zeros,
 )
@@ -183,6 +182,12 @@ class LieAlgebra:
             coords[self._cartan_start + k - 1] = partial
         return LieElt(self, coords)
 
+    def to_matrix(self, x: LieElt):
+        """The traceless matrix of x (from_matrix inverts it)."""
+        n1, mats = self.rank + 1, self.basis_mats
+        return tuple(tuple(sum((c * mats[i][r][k] for i, c in x.terms()), _0)
+                           for k in range(n1)) for r in range(n1))
+
     # -- structure ------------------------------------------------------
 
     @memo
@@ -277,22 +282,24 @@ class LieAlgebra:
     def jordan_chevalley(self, x: LieElt):
         """Split x = s + n with ad(s) semisimple (rational spectrum), ad(n)
         nilpotent, [s, n] = 0.  Newton iteration on the squarefree part of
-        the characteristic polynomial of ad(x)."""
-        a = self.ad_matrix(x)
+        the characteristic polynomial of the defining matrix X of x; X is
+        traceless, so ad(x) has rational spectrum exactly when X has, and
+        the split of X is that of x."""
+        a = self.to_matrix(x)
         p = charpoly(a)
         psf = squarefree_part(p)
         _roots, rem = rational_roots(psf)
         if len(rem) > 1:
             raise NeedsFieldExtension(
                 "semisimple part would have irrational spectrum")
-        zero = zeros(self.dim, self.dim)
+        zero = zeros(len(a), len(a))
         if mat_eq(poly_eval_mat(psf, a), zero):
             return x, self.zero()
         g, _u, v = poly_xgcd(psf, poly_deriv(psf))
         if len(g) != 1:
             raise NotSemisimple("squarefree part is not separable")
         z = a
-        for _ in range(self.dim + 1):
+        for _ in range(len(a) + 1):
             pz = poly_eval_mat(psf, z)
             if mat_eq(pz, zero):
                 break
@@ -300,25 +307,11 @@ class LieAlgebra:
             z = mat_sub(z, correction)
         else:
             raise NotSemisimple("Newton iteration failed to converge")
-        s = self.derivation_to_element(z)
+        s = self.from_matrix(z)
         n = x - s
         if not self.bracket(s, n).is_zero():
             raise NotSemisimple("split parts fail to commute")
         return s, n
-
-    def derivation_to_element(self, d):
-        """Solve ad(elt) = d for elt (every derivation here is inner)."""
-        cols = [self.ad_matrix(self._basis_elt(i)) for i in range(self.dim)]
-        rows = []
-        rhs = []
-        for r in range(self.dim):
-            for c in range(self.dim):
-                rows.append(tuple(cols[k][r][c] for k in range(self.dim)))
-                rhs.append(d[r][c])
-        sol = solve(rows, rhs)
-        if sol is None:
-            raise NotSemisimple("matrix is not an inner derivation")
-        return LieElt(self, sol)
 
 
 class EigenData:

@@ -33,7 +33,6 @@ __all__ = [
     "poly_xgcd",
     "rational_roots",
     "rref",
-    "solve",
     "squarefree_part",
     "zeros",
 ]
@@ -116,24 +115,6 @@ def kernel_basis(a):
             v[pc] = -rows[r][fc]
         basis.append(tuple(v))
     return basis
-
-
-def solve(a, b):
-    """One solution x of a x = b, or None if the system is inconsistent."""
-    if not a:
-        return None
-    n, m = len(a), len(a[0])
-    aug = [list(map(F, row)) + [F(bi)] for row, bi in zip(a, b)]
-    rows, pivots = rref(aug)
-    for row in rows:
-        if row[-1] and not any(row[:-1]):
-            return None
-    x = [_0] * m
-    for r, pc in enumerate(pivots):
-        if pc == m:
-            return None
-        x[pc] = rows[r][-1]
-    return tuple(x)
 
 
 def mat_inverse(a):

@@ -202,7 +202,7 @@ class Cyc:
         return out
 
     @staticmethod
-    def _scale(x: "Cyc", c: Fraction) -> "Cyc":
+    def _scale(x: "Cyc", c: int | Fraction) -> "Cyc":
         return Cyc(x.order, {t: tuple(c * a for a in vec) for t, vec in x.coeffs.items()})
 
     # -- ring operations ------------------------------------------------
@@ -241,7 +241,7 @@ class Cyc:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyc._scale(self, Fraction(other))
+            return Cyc._scale(self, other)
         if not isinstance(other, Cyc):
             return NotImplemented
         order = math.lcm(self.order, other.order)

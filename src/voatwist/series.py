@@ -3,10 +3,11 @@
 A LogSeries is a finite sum sum_{(e,k)} c_{e,k} x^e (log x)^k where the
 exponents e are rationals (stored as ints when integral, Fractions
 otherwise, so an integral key costs no Fraction hashing), the log powers k
-are nonnegative integers, and
-the coefficients c_{e,k} live in any abelian group with scalar action
-(rationals, cyclotomic-with-T scalars, or module vectors).  Series are
-stored sparsely as a dict keyed by (e, k).
+are nonnegative integers, and the coefficients c_{e,k} are module vectors
+(fock.PBWVector: an ``is_zero`` test, a ``truncated`` flag and scalar
+action by rationals and cyclotomic-with-T scalars).  Series are stored
+sparsely as a dict keyed by (e, k); fock.series_sum builds one from
+per-key sums of coefficient dicts.
 
 A series may carry a ``ceiling``: coefficients at e > ceiling are unknown
 (dropped, not zero).  ``None`` means the stored terms are the whole truth.
@@ -22,8 +23,6 @@ substitution that moves between analytic branches).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError
 from .scalars import Cyc, binom, int_if_integral
 
@@ -38,15 +37,12 @@ __all__ = [
 
 
 def value_is_zero(v) -> bool:
-    """Zero test that works for scalars and module vectors alike.
+    """Whether a series drops the module vector v as a zero term.
 
     A vector flagged as truncated is never zero: its flag says that part
     of it lies beyond the module cutoff, so a series must keep it.  This
     is the one place that decides whether a flagged zero is kept."""
-    is_zero = getattr(v, "is_zero", None)
-    if is_zero is None:
-        return v == 0
-    return is_zero() and not getattr(v, "truncated", False)
+    return v.is_zero() and not v.truncated
 
 
 def _min_ceiling(a, b):
@@ -147,10 +143,9 @@ def branch_shift(a: LogSeries, steps: int, order: int) -> LogSeries:
             # (log x + steps*T)^k: keep j log-powers, k-j copies of steps*T
             tpart = Cyc.of(1)
             for _ in range(k - j):
-                tpart = tpart * Cyc.t_power(1) * Fraction(steps)
+                tpart = tpart * Cyc.t_power(1) * steps
             coeff = zfac * binom(k, j) * tpart
-            out.add_term(e, j, v * coeff if not isinstance(v, (int, Fraction))
-                         else coeff * v)
+            out.add_term(e, j, v * coeff)
     return out
 
 
@@ -158,16 +153,16 @@ def series_eq(a: LogSeries, b: LogSeries, ceiling=None):
     """Exact comparison inside the common ceiling, and up to ceiling.
 
     Returns None when equal, else a witness tuple (e, k, left, right) for
-    the first mismatch in (e, k) order.
+    the first mismatch in (e, k) order, None standing for a missing term
+    (a stored term is never an unflagged zero, so it mismatches).
     """
     hi = _min_ceiling(_min_ceiling(a.ceiling, b.ceiling), ceiling)
     keys = set(a.terms) | set(b.terms)
     for (e, k) in sorted(keys, key=lambda t: (t[0], t[1])):
         if hi is not None and e > hi:
             continue
-        va = a.terms.get((e, k), 0)
-        vb = b.terms.get((e, k), 0)
-        diff = va - vb if not isinstance(va, int) else vb - va
-        if not value_is_zero(diff):
+        va = a.terms.get((e, k))
+        vb = b.terms.get((e, k))
+        if va is None or vb is None or not value_is_zero(va - vb):
             return (e, k, va, vb)
     return None

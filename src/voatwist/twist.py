@@ -27,7 +27,7 @@ from math import factorial, floor, lcm
 
 from .delta import DeltaOperator, current_element, delta_apply_series, make_delta
 from .errors import DomainError, NotFixed, NotIntertwining, Unsupported
-from .fock import InducedModule, PBWVector, accumulate, monomial_weight
+from .fock import InducedModule, PBWVector, accumulate, monomial_weight, series_sum
 from .lie import AutomorphismData, GAutomorphism, LieElt
 from .linalg import memo
 from .scalars import Cyc, fmt_rational, int_if_integral
@@ -85,11 +85,9 @@ class TwistedModule:
         split into monomials, and a sum of images would lose them."""
         if v.truncated or not v.c:
             return self._transform_whole(v)
-        out = LogSeries()
-        for mono, c in v.c.items():
-            for (e, k), vec in self._chain_image(mono).terms.items():
-                out.add_term(e, k, c * vec)
-        return out
+        return series_sum((e, k, vec.c, c, vec.truncated)
+                          for mono, c in v.c.items()
+                          for (e, k), vec in self._chain_image(mono).terms.items())
 
     @memo
     def _chain_image(self, mono) -> LogSeries:
@@ -107,12 +105,12 @@ class TwistedModule:
     def vertex_series(self, v: PBWVector, w: PBWVector, ceiling) -> LogSeries:
         """Y_new(v, x) w, exact to ceiling."""
         ceiling = F(ceiling)
-        out = LogSeries(ceiling=ceiling)
+        items = []
         for (e1, k1), vec1 in self.chain_transform(v).terms.items():
             base_ser = self.base.vertex_series(vec1, w, floor(ceiling - e1))
-            for (e2, _k2), vec2 in base_ser.terms.items():
-                out.add_term(e1 + e2, k1, vec2)
-        return out
+            items.extend((e1 + e2, k1, vec2.c, None, vec2.truncated)
+                         for (e2, _k2), vec2 in base_ser.terms.items())
+        return series_sum(items, ceiling)
 
     def mode(self, v: PBWVector, m, l: int = 0):
         """The (m, l) mode of Y_new(v, x): coefficient of x^(-m-1) log^l.
@@ -177,13 +175,8 @@ class TwistedModule:
 
     def weight_of(self, mono) -> Fraction:
         """Conformal weight of a monomial in the fully twisted grading."""
-        w = F(monomial_weight(mono))
-        for j in range(len(self.steps)):
-            beta = -self._zero_mode_shift(j)
-            for gi, _m in mono:
-                beta += self._step_eigenvalue(j, gi)
-            w = w - beta + F(self.steps[j].kappa, 2)
-        return w
+        return (monomial_weight(mono) - self.class_of(mono)
+                + sum(F(step.kappa, 2) for step in self.steps))
 
     def class_of(self, mono) -> Fraction:
         """Accumulated grading-class offset of a monomial (exact, not mod 1)."""

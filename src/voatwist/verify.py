@@ -161,8 +161,8 @@ def _series_case(alg, left, right, **fields):
         **fields,
         "exponent": fmt_rational(F(e)),
         "logPower": int(k),
-        "left": format_vector(alg, a if not isinstance(a, int) else None),
-        "right": format_vector(alg, b if not isinstance(b, int) else None),
+        "left": format_vector(alg, a),
+        "right": format_vector(alg, b),
     }
 
 

@@ -17,7 +17,6 @@ from voatwist.linalg import (
     poly_mul,
     rational_roots,
     rref,
-    solve,
     squarefree_part,
 )
 
@@ -28,17 +27,6 @@ def small_matrix(n, m):
     return st.lists(
         st.lists(small_entries, min_size=m, max_size=m), min_size=n, max_size=n
     ).map(lambda rows: tuple(tuple(F(x) for x in r) for r in rows))
-
-
-def test_solve_known_system():
-    a = ((F(2), F(1)), (F(1), F(-1)))
-    x = solve(a, (F(4), F(-1)))
-    assert x == (F(1), F(2))
-
-
-def test_solve_inconsistent_returns_none():
-    a = ((F(1), F(1)), (F(2), F(2)))
-    assert solve(a, (F(1), F(3))) is None
 
 
 def test_inverse_round_trip():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from voatwist.errors import DomainError
+from voatwist.fock import PBWVector, series_sum
 from voatwist.scalars import Cyc
 from voatwist.series import (
     LogSeries,
@@ -13,76 +14,114 @@ from voatwist.series import (
     series_scale,
 )
 
+# two weight-one monomials, e(-1)|0> and f(-1)|0> of sl2; no module is needed
+A = ((0, -1),)
+B = ((1, -1),)
+
+
+def vec(c, mono=A, truncated=False):
+    return PBWVector({mono: c}, truncated)
+
 
 def test_add_term_accumulates_and_cancels():
     s = LogSeries()
-    s.add_term(F(1, 2), 0, F(3))
-    s.add_term(F(1, 2), 0, F(-3))
+    s.add_term(F(1, 2), 0, vec(3))
+    s.add_term(F(1, 2), 0, vec(-3))
     assert s.is_zero()
-    s.add_term(0, 1, F(2))
-    s.add_term(0, 1, F(5))
-    assert s.terms[(F(0), 1)] == 7
+    s.add_term(0, 1, vec(2))
+    s.add_term(0, 1, vec(5))
+    assert s.terms[(F(0), 1)].c == {A: 7}
+    # a sum that cancels to a flagged zero stays, flagged
+    s.add_term(1, 0, vec(1))
+    s.add_term(1, 0, vec(-1, truncated=True))
+    assert s.terms[(1, 0)].is_zero() and s.terms[(1, 0)].truncated
 
 
 def test_combine_add_intersects_windows():
-    a = LogSeries({(F(0), 0): F(1)}, ceiling=F(3))
-    b = LogSeries({(F(1), 0): F(1)}, ceiling=F(5))
+    a = LogSeries({(F(0), 0): vec(1)}, ceiling=F(3))
+    b = LogSeries({(F(1), 0): vec(1, B)}, ceiling=F(5))
     out = series_combine(a, b)
     assert out.ceiling == F(3)
     assert series_combine(b, LogSeries()).ceiling == F(5)
-    assert out.terms[(F(0), 0)] == 1 and out.terms[(F(1), 0)] == 1
+    assert out.terms[(F(0), 0)] == vec(1) and out.terms[(F(1), 0)] == vec(1, B)
 
 
 def test_combine_scale_shifts_window():
-    a = LogSeries({(F(2), 1): F(3)}, ceiling=F(4))
+    a = LogSeries({(F(2), 1): vec(3)}, ceiling=F(4))
     out = series_scale(a, scalar=F(2), eshift=F(-1))
-    assert out.terms == {(F(1), 1): F(6)}
+    assert out.terms == {(F(1), 1): vec(6)}
+    assert type(out.terms[(1, 1)].c[A]) is int
     assert out.ceiling == F(3)
 
 
 def test_derivative_of_pure_power():
-    s = LogSeries({(F(3), 0): F(1)})
+    s = LogSeries({(F(3), 0): vec(1)})
     d = series_derivative(s)
-    assert d.terms == {(F(2), 0): F(3)}
+    assert d.terms == {(F(2), 0): vec(3)}
 
 
 def test_derivative_mixes_log_down():
     # d/dx x^e log^2 x = e x^(e-1) log^2 x + 2 x^(e-1) log x
-    s = LogSeries({(F(-1, 2), 2): F(1)})
+    s = LogSeries({(F(-1, 2), 2): vec(1)})
     d = series_derivative(s)
-    assert d.terms[(F(-3, 2), 2)] == F(-1, 2)
-    assert d.terms[(F(-3, 2), 1)] == 2
+    assert d.terms[(F(-3, 2), 2)].c == {A: F(-1, 2)}
+    assert d.terms[(F(-3, 2), 1)].c == {A: 2}
 
 
 def test_branch_shift_scales_fractional_powers():
-    s = LogSeries({(F(1, 3), 0): F(1)})
+    s = LogSeries({(F(1, 3), 0): vec(1)})
     out = branch_shift(s, 1, 3)
-    assert out.terms[(F(1, 3), 0)] == Cyc.zeta(3, 1)
+    assert out.terms[(F(1, 3), 0)].c[A] == Cyc.zeta(3, 1)
     # three branch steps return to the start
     assert series_eq(branch_shift(s, 3, 3), s) is None
 
 
 def test_branch_shift_turns_log_into_log_plus_t():
-    s = LogSeries({(F(0), 1): F(1)})
+    s = LogSeries({(F(0), 1): vec(1)})
     out = branch_shift(s, 1, 1)
-    assert out.terms[(F(0), 1)] == Cyc.of(1)
-    assert out.terms[(F(0), 0)] == Cyc.t_power(1)
+    assert out.terms[(F(0), 1)].c[A] == Cyc.of(1)
+    assert out.terms[(F(0), 0)].c[A] == Cyc.t_power(1)
 
 
 def test_branch_shift_rejects_off_lattice_exponent():
     with pytest.raises(DomainError):
-        branch_shift(LogSeries({(F(1, 2), 0): F(1)}), 1, 3)
+        branch_shift(LogSeries({(F(1, 2), 0): vec(1)}), 1, 3)
 
 
 def test_series_eq_reports_first_mismatch():
-    a = LogSeries({(F(0), 0): F(1), (F(1), 0): F(2)})
-    b = LogSeries({(F(0), 0): F(1), (F(1), 0): F(3)})
-    wit = series_eq(a, b)
-    assert wit == (F(1), 0, F(2), F(3))
+    a = LogSeries({(F(0), 0): vec(1), (F(1), 0): vec(2)})
+    b = LogSeries({(F(0), 0): vec(1), (F(1), 0): vec(3)})
+    assert series_eq(a, b) == (F(1), 0, vec(2), vec(3))
+    # a missing term reads as None and never matches, not even a flagged zero
+    assert series_eq(a, LogSeries({(F(0), 0): vec(1)})) == (F(1), 0, vec(2), None)
+    flagged_zero = LogSeries({(F(0), 0): PBWVector({}, truncated=True)})
+    assert series_eq(LogSeries(), flagged_zero)[:2] == (F(0), 0)
 
 
 def test_series_eq_ignores_untrusted_region():
-    a = LogSeries({(F(5), 0): F(9)}, ceiling=F(2))
+    a = LogSeries({(F(5), 0): vec(9)}, ceiling=F(2))
     b = LogSeries({}, ceiling=F(2))
     assert series_eq(a, b) is None
     assert series_eq(a, b, ceiling=F(1)) is None
+
+
+def test_series_sum_drops_cancelled_keys_and_keeps_flagged_zeros():
+    ser = series_sum([
+        (0, 0, {A: 1}, None, False),
+        (-1, 0, {A: 2}, None, False),
+        (1, 0, {A: F(1, 2)}, None, False),
+        (0, 0, {A: 1}, -1, False),           # cancels: (0, 0) is dropped
+        (-1, 0, {A: 1}, -2, False),          # cancels and is never hit again
+        (F(2), 1, {}, None, True),           # a flagged zero is kept
+        (3, 0, {A: 1}, None, False),
+        (3, 0, {A: 1}, -1, True),            # cancelled by a flagged item: kept
+        (1, 0, {A: F(1, 2)}, None, False),   # 1/2 + 1/2 is stored as an int
+        (0, 0, {B: 3}, None, False),         # a re-hit key comes back last
+    ], ceiling=4)
+    assert list(ser.terms) == [(1, 0), (2, 1), (3, 0), (0, 0)]
+    assert all(type(e) is int for e, _k in ser.terms)
+    assert ser.terms[(1, 0)].c == {A: 1} and type(ser.terms[(1, 0)].c[A]) is int
+    for key in ((2, 1), (3, 0)):
+        assert ser.terms[key].is_zero() and ser.terms[key].truncated
+    assert ser.terms[(0, 0)].c == {B: 3} and not ser.terms[(0, 0)].truncated
+    assert ser.ceiling == 4
