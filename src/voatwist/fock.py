@@ -132,9 +132,11 @@ class PBWVector:
     __mul__ = __rmul__
 
     def __eq__(self, other):
+        # every stored coefficient is nonzero, so equal dicts mean a zero
+        # difference; flags are not compared
         if not isinstance(other, PBWVector):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.c == other.c
 
     def depth(self):
         """Largest monomial weight present."""

@@ -132,9 +132,9 @@ class LieAlgebra:
             mats.append(self._unit(j, i))
         for k in range(1, n1):
             names.append(f"h{k}")
-            m = [[_0] * n1 for _ in range(n1)]
-            m[k - 1][k - 1] = _1
-            m[k][k] = -_1
+            m = [[0] * n1 for _ in range(n1)]
+            m[k - 1][k - 1] = 1
+            m[k][k] = -1
             mats.append(tuple(tuple(r) for r in m))
         self.names = names
         self.basis_mats = mats
@@ -144,8 +144,8 @@ class LieAlgebra:
 
     def _unit(self, i, j):
         n1 = self.rank + 1
-        m = [[_0] * n1 for _ in range(n1)]
-        m[i][j] = _1
+        m = [[0] * n1 for _ in range(n1)]
+        m[i][j] = 1
         return tuple(tuple(r) for r in m)
 
     # -- element constructors -----------------------------------------
@@ -176,7 +176,7 @@ class LieAlgebra:
         for idx, (i, j) in enumerate(self.pos_pairs):
             coords[idx] = m[i][j]
             coords[idx + len(self.pos_pairs)] = m[j][i]
-        partial = _0
+        partial = 0
         for k in range(1, n1):
             partial += m[k - 1][k - 1]
             coords[self._cartan_start + k - 1] = partial
@@ -193,9 +193,11 @@ class LieAlgebra:
     @memo
     def _tables(self):
         """(struct, gram) of the basis: struct[i][j] lists the nonzero
-        (k, c) of [b_i, b_j] and gram[i][j] is the trace form (b_i, b_j)."""
+        (k, c) of [b_i, b_j] and gram[i][j] is the trace form (b_i, b_j).
+        The basis matrices hold int entries, multiplied here in ints."""
         mats = self.basis_mats
-        prods = [[mat_mul(x, y) for y in mats] for x in mats]
+        prods = [[tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*y))
+                        for row in x) for y in mats] for x in mats]
         n1 = self.rank + 1
         gram = tuple(tuple(sum(p[k][k] for k in range(n1)) for p in row)
                      for row in prods)

@@ -2,9 +2,9 @@
 
 Rationals are ints when integral (exact and much cheaper) and
 fractions.Fraction otherwise; int_if_integral applies that rule where PBW
-coefficients, Lie coordinates and series exponents are stored.  A division
-that could see two ints is written with an explicit Fraction, so no float
-ever appears.  The class Cyc models elements of Q(zeta_D)[T], polynomials
+coefficients, Lie and Cyc coordinates and series exponents are stored.  A
+division that could see two ints is written with an explicit Fraction, so
+no float ever appears.  The class Cyc models elements of Q(zeta_D)[T], polynomials
 in a formal variable T whose coefficients live in the cyclotomic field of
 order D.  T is the formal stand-in for the branch constant 2*pi*i: a branch
 shift replaces log x by log x + T, and equality of two expressions
@@ -12,7 +12,8 @@ shift replaces log x by log x + T, and equality of two expressions
 
 Only ring operations are provided (add, sub, mul, scalar division);
 division by a general cyclotomic is never needed here.  Elements are kept
-in a canonical reduced form, so == is exact and hash-safe.
+in a canonical reduced form, unique at a given order, so == at one order
+compares coordinates.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ __all__ = [
     "parse_rational",
 ]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
 def parse_rational(text) -> Fraction:
     """Parse "p/q" or "n" (or an int) into an exact Fraction."""
     if isinstance(text, Fraction):
@@ -50,7 +47,9 @@ def parse_rational(text) -> Fraction:
 
 
 def fmt_rational(q: Fraction) -> str:
-    """Format a Fraction as "p/q", or "n" when the denominator is 1."""
+    """Format a rational as "p/q", or "n" when the denominator is 1."""
+    if type(q) is int:
+        return str(q)
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
@@ -84,7 +83,7 @@ def binom(e, i: int):
             return math.comb(e, i)
         # C(-n, i) = (-1)^i C(n + i - 1, i)
         return (-1) ** i * math.comb(i - e - 1, i)
-    num = ONE
+    num = Fraction(1)
     for j in range(i):
         num *= e - j
     return num / math.factorial(i)
@@ -92,28 +91,29 @@ def binom(e, i: int):
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(d: int) -> tuple:
-    """Coefficients (ascending) of the d-th cyclotomic polynomial, monic over Q."""
+    """Coefficients (ascending) of the d-th cyclotomic polynomial, monic
+    with integer coefficients, held as ints."""
     if d < 1:
         raise ValueError("order must be positive")
-    p = [ZERO] * (d + 1)
-    p[0], p[d] = -ONE, ONE
+    p = [0] * (d + 1)
+    p[0], p[d] = -1, 1
     for e in divisors(d):
         if e < d:
             p, r = poly_divmod(p, cyclotomic_poly(e))
             if r:
                 raise ArithmeticError("inexact polynomial division")
-    return tuple(p)
+    return tuple(map(int_if_integral, p))
 
 
 def _vec_reduce(vec, d: int):
     """Reduce a coefficient list in x (ascending) mod Phi_d to length deg Phi_d."""
     phi = cyclotomic_poly(d)
     deg = len(phi) - 1
-    out = list(vec) + [ZERO] * max(0, deg - len(vec))
+    out = list(vec) + [0] * max(0, deg - len(vec))
     for k in range(len(out) - 1, deg - 1, -1):
         c = out[k]
         if c:
-            out[k] = ZERO
+            out[k] = 0
             for j in range(deg):
                 out[k - deg + j] -= c * phi[j]
     return tuple(out[:deg])
@@ -123,9 +123,10 @@ class Cyc:
     """An element of Q(zeta_D)[T] in canonical reduced form.
 
     Internal form: ``order`` D and ``coeffs`` mapping T-power -> tuple of
-    Fractions of length deg Phi_D (the zeta-coordinate vector, reduced mod
-    Phi_D).  Zero vectors are dropped; a purely rational element is stored
-    at order 1.  Mixed-order arithmetic promotes to the lcm order.
+    rationals of length deg Phi_D (the zeta-coordinate vector, reduced mod
+    Phi_D), each an int when integral.  Zero vectors are dropped; a purely
+    rational element is stored at order 1.  The form at a given order is
+    unique; mixed-order arithmetic promotes to the lcm order.
     """
 
     __slots__ = ("order", "coeffs")
@@ -134,7 +135,7 @@ class Cyc:
         clean = {}
         for t, vec in coeffs.items():
             if any(vec):
-                clean[t] = tuple(vec)
+                clean[t] = tuple(map(int_if_integral, vec))
         # rebase to order 1 when only the zeta^0 coordinate survives
         if order > 1 and all(not any(v[1:]) for v in clean.values()):
             clean = {t: (v[0],) for t, v in clean.items()}
@@ -149,21 +150,21 @@ class Cyc:
         """Embed a rational (or pass a Cyc through)."""
         if isinstance(value, Cyc):
             return value
-        return Cyc(1, {0: (Fraction(value),)})
+        return Cyc(1, {0: (value if isinstance(value, int) else Fraction(value),)})
 
     @staticmethod
     def zeta(order: int, power) -> "Cyc":
         """zeta_order ** power, power an integer (negatives reduced mod order)."""
         k = int(power) % order
         deg = len(cyclotomic_poly(order)) - 1
-        vec = [ZERO] * max(k + 1, deg)
-        vec[k] = ONE
+        vec = [0] * max(k + 1, deg)
+        vec[k] = 1
         return Cyc(order, {0: _vec_reduce(vec, order)})
 
     @staticmethod
     def t_power(k: int) -> "Cyc":
         """T**k."""
-        return Cyc(1, {k: (ONE,)})
+        return Cyc(1, {k: (1,)})
 
     # -- structure ------------------------------------------------------
 
@@ -173,28 +174,29 @@ class Cyc:
     def is_rational(self) -> bool:
         return self.order == 1 and set(self.coeffs) <= {0}
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self):
         if not self.coeffs:
-            return ZERO
+            return 0
         if not self.is_rational():
             raise ValueError("not a rational element")
         return self.coeffs[0][0]
 
     def _coeffs_at(self, order: int) -> dict:
-        """Raw coefficient dict at a multiple order (no canonical rebase)."""
+        """Raw coefficient dict at a multiple order (no canonical rebase);
+        at the element's own order its own dict, which must not be mutated."""
+        if order == self.order:
+            return self.coeffs
         if order % self.order:
             raise ValueError("can only promote to a multiple order")
-        if order == self.order:
-            return {t: tuple(vec) for t, vec in self.coeffs.items()}
         step = order // self.order
         deg = len(cyclotomic_poly(order)) - 1
         out = {}
         for t, vec in self.coeffs.items():
-            acc = [ZERO] * deg
+            acc = [0] * deg
             for k, c in enumerate(vec):
                 if c:
-                    unit = [ZERO] * (k * step + 1)
-                    unit[k * step] = ONE
+                    unit = [0] * (k * step + 1)
+                    unit[k * step] = 1
                     red = _vec_reduce(unit, order)
                     for j in range(deg):
                         acc[j] += c * red[j]
@@ -203,7 +205,14 @@ class Cyc:
 
     @staticmethod
     def _scale(x: "Cyc", c: int | Fraction) -> "Cyc":
-        return Cyc(x.order, {t: tuple(c * a for a in vec) for t, vec in x.coeffs.items()})
+        """x times a rational c.  A nonzero c keeps every zero coordinate
+        zero and every other one nonzero, so the form stays canonical and
+        the constructor is not needed."""
+        out = object.__new__(Cyc)
+        out.order, out.coeffs = (x.order, {
+            t: tuple(int_if_integral(c * a) if a else 0 for a in vec)
+            for t, vec in x.coeffs.items()}) if c else (1, {})
+        return out
 
     # -- ring operations ------------------------------------------------
 
@@ -213,21 +222,17 @@ class Cyc:
         if not isinstance(other, Cyc):
             return NotImplemented
         order = math.lcm(self.order, other.order)
-        a = self._coeffs_at(order)
-        b = other._coeffs_at(order)
-        deg = len(cyclotomic_poly(order)) - 1
-        out = dict(a)
-        for t, vec in b.items():
-            cur = out.get(t, (ZERO,) * deg)
-            out[t] = tuple(x + y for x, y in zip(cur, vec))
+        out = dict(self._coeffs_at(order))
+        for t, vec in other._coeffs_at(order).items():
+            cur = out.get(t)
+            out[t] = vec if cur is None else tuple(x + y for x, y in zip(cur, vec))
         return Cyc(order, out)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Cyc(self.order, {t: tuple(-c for c in vec)
-                                for t, vec in self.coeffs.items()})
+        return Cyc._scale(self, -1)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -251,7 +256,7 @@ class Cyc:
         out = {}
         for t1, v1 in a.items():
             for t2, v2 in b.items():
-                prod = [ZERO] * (2 * deg - 1 if deg > 1 else 1)
+                prod = [0] * (2 * deg - 1 if deg > 1 else 1)
                 for i, c1 in enumerate(v1):
                     if not c1:
                         continue
@@ -280,12 +285,12 @@ class Cyc:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyc.of(other)
+            return self.order == 1 and self.coeffs == ({0: (other,)} if other else {})
         if not isinstance(other, Cyc):
             return NotImplemented
+        # at equal orders this compares the two coefficient dicts themselves
         order = math.lcm(self.order, other.order)
-        return Cyc(order, self._coeffs_at(order)).coeffs == \
-            Cyc(order, other._coeffs_at(order)).coeffs
+        return self._coeffs_at(order) == other._coeffs_at(order)
 
     # no __hash__: equal elements can be stored at different orders, so
     # hashing would need subfield detection; Cyc values are never dict keys

@@ -139,6 +139,9 @@ def branch_shift(a: LogSeries, steps: int, order: int) -> LogSeries:
             raise DomainError(
                 f"exponent {e} is not on the 1/{order} lattice")
         zfac = Cyc.zeta(order, int(scaled) * steps)
+        if not k:
+            out.add_term(e, 0, v * zfac)
+            continue
         for j in range(k + 1):
             # (log x + steps*T)^k: keep j log-powers, k-j copies of steps*T
             tpart = Cyc.of(1)
@@ -154,7 +157,8 @@ def series_eq(a: LogSeries, b: LogSeries, ceiling=None):
 
     Returns None when equal, else a witness tuple (e, k, left, right) for
     the first mismatch in (e, k) order, None standing for a missing term
-    (a stored term is never an unflagged zero, so it mismatches).
+    (a stored term is never an unflagged zero, so it mismatches).  Terms
+    agree when neither is flagged and their canonical dicts are equal.
     """
     hi = _min_ceiling(_min_ceiling(a.ceiling, b.ceiling), ceiling)
     keys = set(a.terms) | set(b.terms)
@@ -163,6 +167,7 @@ def series_eq(a: LogSeries, b: LogSeries, ceiling=None):
             continue
         va = a.terms.get((e, k))
         vb = b.terms.get((e, k))
-        if va is None or vb is None or not value_is_zero(va - vb):
+        if va is None or vb is None or va.truncated or vb.truncated \
+                or va.c != vb.c:
             return (e, k, va, vb)
     return None

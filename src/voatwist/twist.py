@@ -119,18 +119,13 @@ class TwistedModule:
         call.  Linear in the target, it keeps the image of each target
         monomial it has met while held: one base coefficient per chain term
         of log power l at the integer exponent left over, never a series.
-        Outputs carry the flags of the coefficients read and of the
-        target."""
+        With no such chain term it is zero.  Outputs carry the flags of the
+        coefficients read and of the target."""
         e = -F(m) - 1
         reads = None
         images = {}
 
         def image(mono):
-            nonlocal reads
-            if reads is None:
-                reads = [(vec1, e - e1)
-                         for (e1, k1), vec1 in self.chain_transform(v).terms.items()
-                         if k1 == l and (e - e1).denominator == 1]
             w = PBWVector({mono: 1})
             out, trunc = {}, False
             for vec1, e2 in reads:
@@ -140,6 +135,13 @@ class TwistedModule:
             return PBWVector(out, trunc)
 
         def op(w: PBWVector) -> PBWVector:
+            nonlocal reads
+            if reads is None:
+                reads = [(vec1, e - e1)
+                         for (e1, k1), vec1 in self.chain_transform(v).terms.items()
+                         if k1 == l and (e - e1).denominator == 1]
+            if not reads:
+                return PBWVector(None, w.truncated)
             out = {}
             trunc = w.truncated
             for mono, cw in w.c.items():
@@ -157,34 +159,36 @@ class TwistedModule:
 
     # -- grading ----------------------------------------------------------
 
-    def _step_eigenvalue(self, j: int, gi: int) -> Fraction:
-        lam = self.steps[j].eig.generator_eigenvalues()[gi]
-        if lam is None:
-            raise Unsupported(
-                "grading needs every generator to be an eigenvector of each "
-                "step's semisimple part")
-        return lam
-
-    def _zero_mode_shift(self, j: int) -> Fraction:
-        """Scalar part of s_j(0) accumulated from the earlier steps."""
-        s_j = self.steps[j].s
-        total = F(0)
-        for i in range(j):
-            total += self.algebra.form(self.steps[i].a, s_j) * self.level
-        return total
+    @memo
+    def _grading(self):
+        """(offsets, zero_mode, half_kappa): each generator's class offset,
+        its eigenvalues summed over the steps (None unless it is an
+        eigenvector of every step); the scalar parts of the steps' zero
+        modes s_j(0), each summed from the earlier steps; and sum kappa/2."""
+        steps, alg = self.steps, self.algebra
+        zero_mode = sum((alg.form(earlier.a, step.s) * self.level
+                         for j, step in enumerate(steps) for earlier in steps[:j]), F(0))
+        offsets = []
+        for gi in range(alg.dim):
+            lams = [step.eig.generator_eigenvalues()[gi] for step in steps]
+            offsets.append(None if None in lams else sum(lams, F(0)))
+        return offsets, zero_mode, sum(F(step.kappa, 2) for step in steps)
 
     def weight_of(self, mono) -> Fraction:
         """Conformal weight of a monomial in the fully twisted grading."""
-        return (monomial_weight(mono) - self.class_of(mono)
-                + sum(F(step.kappa, 2) for step in self.steps))
+        return monomial_weight(mono) - self.class_of(mono) + self._grading()[2]
 
     def class_of(self, mono) -> Fraction:
         """Accumulated grading-class offset of a monomial (exact, not mod 1)."""
-        cls = F(0)
-        for j in range(len(self.steps)):
-            cls -= self._zero_mode_shift(j)
-            for gi, _m in mono:
-                cls += self._step_eigenvalue(j, gi)
+        offsets, zero_mode, _half_kappa = self._grading()
+        cls = -zero_mode
+        for gi, _m in mono:
+            lam = offsets[gi]
+            if lam is None:
+                raise Unsupported(
+                    "grading needs every generator to be an eigenvector of each "
+                    "step's semisimple part")
+            cls += lam
         return cls
 
     # -- the attached automorphism ----------------------------------------
@@ -413,7 +417,7 @@ def functor_on_map(twisted: TwistedModule, mappings,
                     for key in set(left.terms) | set(mapped.terms):
                         a = left.terms.get(key, PBWVector())
                         b = mapped.terms.get(key, PBWVector())
-                        if not (a - b).is_zero():
+                        if a.c != b.c:
                             failures[i] = NotIntertwining(
                                 f"map fails to intertwine at series key {key}")
                             break

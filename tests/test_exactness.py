@@ -8,7 +8,7 @@ create, both sides of every shift-conjugation comparison and its int
 scale, and the chain scalars that get halved.  They also read what every
 PBWVector and LieElt stores once built, over the CLI runs and the shift
 probes, and every mode-table entry that ``tables`` builds, for a Fraction
-whose value is integral.
+whose value is integral, also as a coordinate of a Cyc coefficient.
 """
 
 import contextlib
@@ -106,6 +106,10 @@ def test_halved_chain_scalars_are_exact(name, coeff):
 
 
 def _integral_fraction(value) -> bool:
+    """An integral Fraction, alone or as a coordinate of a Cyc."""
+    if isinstance(value, Cyc):
+        return any(map(_integral_fraction,
+                       (c for vec in value.coeffs.values() for c in vec)))
     return type(value) is F and value.denominator == 1
 
 

@@ -178,3 +178,24 @@ def test_cyc_ring_laws_on_zeta6_span(a, b, c):
     assert x + y == y + x
     assert x * y == y * x
     assert x * (y + w) == x * y + x * w
+
+
+zeta_vectors = st.lists(st.lists(rationals, min_size=1, max_size=4),
+                        min_size=1, max_size=3)
+
+
+@given(st.integers(1, 6), zeta_vectors, rationals.filter(bool))
+def test_rational_multiple_keeps_the_canonical_form(order, vectors, q):
+    """x * q, scaled without the constructor, equals x rebuilt through
+    Cyc(order, coeffs) with scaled coordinates: same order, same coeffs,
+    the same coordinate types, and no integral Fraction."""
+    x = sum((Cyc.zeta(order, k) * c * Cyc.t_power(t)
+             for t, vec in enumerate(vectors) for k, c in enumerate(vec)), Cyc.of(0))
+    for scalar in (q, int(q) or 1, F(int(q) or 1)):
+        got = x * scalar
+        want = Cyc(x.order, {t: [scalar * a for a in vec] for t, vec in x.coeffs.items()})
+        assert (got.order, got.coeffs) == (want.order, want.coeffs)
+        assert [type(a) for vec in got.coeffs.values() for a in vec] == \
+            [type(a) for vec in want.coeffs.values() for a in vec]
+        assert not any(type(a) is F and a.denominator == 1
+                       for vec in got.coeffs.values() for a in vec)

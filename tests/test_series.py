@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voatwist.errors import DomainError
 from voatwist.fock import PBWVector, series_sum
@@ -12,6 +13,7 @@ from voatwist.series import (
     series_derivative,
     series_eq,
     series_scale,
+    value_is_zero,
 )
 
 # two weight-one monomials, e(-1)|0> and f(-1)|0> of sl2; no module is needed
@@ -125,3 +127,45 @@ def test_series_sum_drops_cancelled_keys_and_keeps_flagged_zeros():
         assert ser.terms[key].is_zero() and ser.terms[key].truncated
     assert ser.terms[(0, 0)].c == {B: 3} and not ser.terms[(0, 0)].truncated
     assert ser.ceiling == 4
+
+
+# each row holds one value written in several ways: int, integral Fraction,
+# rational Cyc, zeta_6^2 against zeta_3, -1 as a root of unity, T powers
+EQUAL_FORMS = [
+    [3, F(3), Cyc.of(3), Cyc.of(F(3))],
+    [F(-1, 2), Cyc.of(F(-1, 2))],
+    [-1, Cyc.zeta(2, 1), Cyc.zeta(4, 2), Cyc.zeta(6, 3)],
+    [Cyc.zeta(3, 1), Cyc.zeta(6, 2), Cyc.zeta(6, 1) - 1],
+    [Cyc.zeta(3, 2) * F(2, 3), Cyc.zeta(6, 4) * F(2, 3)],
+    [Cyc.t_power(1), Cyc.t_power(1) * Cyc.zeta(5, 0)],
+    [Cyc.t_power(2) * Cyc.zeta(4, 1) + 1, 1 + Cyc.zeta(4, 1) * Cyc.t_power(2)],
+]
+MONOS = [A, B, ((2, -1),), ((0, -2),), ((0, -1), (1, -1))]
+classes = st.lists(st.integers(-1, len(EQUAL_FORMS) - 1),
+                   min_size=len(MONOS), max_size=len(MONOS))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_vector_equality_is_a_zero_difference(data):
+    """a == b, read off the coefficient dicts, holds exactly when a - b is
+    zero, over coefficients that are equal in different representations;
+    series_eq agrees with the subtraction rule, flags included."""
+    left = data.draw(classes)
+    right = list(left)
+    for _ in range(data.draw(st.integers(0, 2))):
+        right[data.draw(st.integers(0, len(MONOS) - 1))] = \
+            data.draw(st.integers(-1, len(EQUAL_FORMS) - 1))
+
+    def draw_vector(picks):
+        return PBWVector({mono: data.draw(st.sampled_from(EQUAL_FORMS[k]))
+                          for mono, k in zip(MONOS, picks) if k >= 0},
+                         data.draw(st.booleans()))
+
+    a, b = draw_vector(left), draw_vector(right)
+    assert (a == b) == (a - b).is_zero() == (left == right)
+    sa, sb = LogSeries({(0, 0): a}), LogSeries({(0, 0): b})
+    va, vb = sa.terms.get((0, 0)), sb.terms.get((0, 0))
+    agree = (va is None and vb is None) or (
+        va is not None and vb is not None and value_is_zero(va - vb))
+    assert (series_eq(sa, sb) is None) == agree

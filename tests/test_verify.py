@@ -1,10 +1,11 @@
 import json
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 
-from voatwist import verify
-from voatwist.errors import DomainError
+from voatwist import cli, verify
+from voatwist.errors import DomainError, VoatwistError
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc
@@ -220,3 +221,35 @@ def test_substitution_tables_match_sympy_series(e, k):
                 assert c.is_Rational, (p, j, c)
                 want[(j, p)] = F(int(c.p), int(c.q))
     assert verify._expand_at_sum(e, k, max_p) == want
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CHAIN_CONFIGS = (sorted((ROOT / "configs").glob("*.json"))
+                 + sorted((ROOT / "tests" / "configs").glob("*.json"))
+                 + [ROOT / "perfbench" / "configs" / "sl2_branch3.json"])
+
+
+def test_equivariance_sums_equal_the_direct_series():
+    """The monomial sums check_equivariance compares equal
+    twisted.vertex_series(g v, w, ceiling) in keys, values and flags, on
+    every chain that the shipped and test configs build."""
+    built = []
+    for path in CHAIN_CONFIGS:
+        try:
+            run = cli.build_chain(cli.load_config(str(path)))
+        except VoatwistError:
+            continue
+        built.append(path.stem)
+        tw, module = run.twisted, run.module
+        for w, _label in basis_states(module, 2):
+            known = {}
+            for name in module.algebra.names:
+                gv = tw.automorphism_apply(module.current(name))
+                got = verify._monomial_sum_series(tw, gv, w, 1, known)
+                want = tw.vertex_series(gv, w, 1)
+                assert set(got.terms) == set(want.terms), (path.stem, name)
+                for key, vec in want.terms.items():
+                    assert got.terms[key].c == vec.c, (path.stem, name, key)
+                    assert got.terms[key].truncated == vec.truncated
+    assert built == ["sl2_nilpotent", "sl2_semisimple", "a2_diagram",
+                     "a2_two_inner_steps", "sl2_branch3"]
