@@ -26,7 +26,9 @@ from .errors import (
 from .scalars import Cyc, fmt_rational, fmt_scalar, parse_rational
 from .series import (
     LogSeries,
+    PBWVector,
     branch_shift,
+    monomial_weight,
     series_combine,
     series_derivative,
     series_eq,
@@ -40,12 +42,7 @@ from .lie import (
     build_simple_lie,
     diagram_automorphism,
 )
-from .fock import (
-    InducedModule,
-    PBWVector,
-    build_module,
-    monomial_weight,
-)
+from .fock import InducedModule, build_module
 from .delta import DeltaOperator, delta_apply, delta_apply_series, make_delta
 from .twist import (
     ModuleMap,

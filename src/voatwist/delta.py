@@ -20,7 +20,7 @@ denominator.  Each output coefficient is divided once, so the output
 follows the one scalar rule: an integral value is an int
 (``tests/test_shift_golden.py`` pins every type, and checks stages 1 and 2
 against their first forms in Fractions).  Stage 3 sums its terms per
-output key with fock.series_sum, like every series built from module
+output key with series.series_sum, like every series built from module
 vectors, so a key that cancels drops and a flagged zero stays, by the one
 rule of series.value_is_zero.  The self-pairing scalar kappa is always
 stored as a Fraction, since callers halve it.  A legacy sign convention
@@ -46,10 +46,11 @@ from fractions import Fraction
 from math import perm
 
 from .errors import DomainError, NotQuasiPrimary
-from .fock import InducedModule, PBWVector, accumulate, monomial_weight, series_sum
+from .fock import InducedModule
 from .linalg import memo
 from .scalars import clear_denominators, int_if_integral
-from .series import LogSeries, value_is_zero
+from .series import (LogSeries, PBWVector, accumulate, monomial_weight, series_sum,
+                     value_is_zero)
 
 __all__ = ["DeltaOperator", "make_delta", "delta_apply", "delta_apply_series"]
 

@@ -3,8 +3,8 @@
 A monomial is a tuple of (generator index, mode) pairs acting on the
 highest-weight vector, kept in canonical order: modes weakly decreasing
 left to right (so a(-1) before b(-2)), ties broken by generator index.
-A PBWVector is a finite linear combination of such monomials; its
-constructor stores each rational coefficient as an int where integral and
+A PBWVector (series.py, beside the series it is the coefficient of) is a
+finite linear combination of such monomials; its constructor stores each rational coefficient as an int where integral and
 a Fraction otherwise, and Cyc scalars once an automorphism or branch shift
 has acted.  Mode actions read the algebra's structure table, whose integral
 structure constants and central terms are ints, so the integral case pays
@@ -33,134 +33,19 @@ from .errors import CriticalLevel, DomainError, Unsupported
 from .lie import LieAlgebra, LieElt
 from .linalg import memo
 from .scalars import binom, int_if_integral
-from .series import LogSeries, value_is_zero
+from .series import (LogSeries, PBWVector, accumulate, monomial_weight, series_sum,
+                     value_is_zero)
 
 __all__ = [
     "InducedModule",
-    "PBWVector",
     "build_module",
 ]
 
 F = Fraction
 
 
-def monomial_weight(mono) -> int:
-    return -sum(m for _g, m in mono)
-
-
 def _canonical_key(gen, mode):
     return (-mode, gen)
-
-
-def accumulate(out: dict, terms: dict, scale=None, negate=False) -> None:
-    """Add scale * terms (terms itself if scale is None, -terms if negate)
-    into the monomial-to-coefficient dict out, dropping the coefficients
-    that cancel."""
-    for mono, c in terms.items():
-        if scale is not None:
-            c = scale * c
-        elif negate:
-            c = -c
-        cur = out.get(mono)
-        if cur is not None:
-            c = cur + c
-        if c:
-            out[mono] = c
-        else:
-            out.pop(mono, None)
-
-
-def series_sum(items, ceiling=None) -> LogSeries:
-    """The LogSeries of (e, k, terms, scale, flag) items: the x^e log^k
-    coefficient is the accumulate sum of scale * terms over its items,
-    flagged if any of them is.  A key whose sum value_is_zero drops is
-    removed, and comes back last if hit again."""
-    out = LogSeries(ceiling=ceiling)
-    sums = out.terms
-    for e, k, terms, scale, flag in items:
-        key = (int_if_integral(e), k)
-        vec = sums.get(key)
-        if vec is None:
-            vec = sums[key] = PBWVector(None, flag)
-        elif flag:
-            vec.truncated = True
-        accumulate(vec.c, terms, scale)
-        if value_is_zero(vec):
-            del sums[key]
-    for vec in sums.values():
-        # accumulate keeps integral Fractions; store the sums by the scalar rule
-        vec.c = {mono: int_if_integral(c) for mono, c in vec.c.items()}
-    return out
-
-
-class PBWVector:
-    """Linear combination of canonical PBW monomials."""
-
-    __slots__ = ("c", "truncated")
-
-    def __init__(self, c=None, truncated=False):
-        self.c = {}
-        if c:
-            for mono, coeff in c.items():
-                if coeff:
-                    self.c[mono] = int_if_integral(coeff)
-        self.truncated = truncated
-
-    def is_zero(self):
-        return not self.c
-
-    def _plus(self, other, negate):
-        out = dict(self.c)
-        accumulate(out, other.c, negate=negate)
-        return PBWVector(out, self.truncated or other.truncated)
-
-    def __add__(self, other):
-        return self._plus(other, False)
-
-    def __sub__(self, other):
-        return self._plus(other, True)
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scalar):
-        if not scalar:
-            return PBWVector({}, self.truncated)
-        return PBWVector({m: scalar * coeff for m, coeff in self.c.items()},
-                         self.truncated)
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other):
-        # every stored coefficient is nonzero, so equal dicts mean a zero
-        # difference; flags are not compared
-        if not isinstance(other, PBWVector):
-            return NotImplemented
-        return self.c == other.c
-
-    def depth(self):
-        """Largest monomial weight present."""
-        return max((monomial_weight(m) for m in self.c), default=0)
-
-    def weight_components(self):
-        out = {}
-        for mono, coeff in self.c.items():
-            w = monomial_weight(mono)
-            out.setdefault(w, {})[mono] = coeff
-        return {w: PBWVector(d, self.truncated) for w, d in sorted(out.items())}
-
-    def sorted_items(self):
-        return sorted(self.c.items())
-
-    def __repr__(self):
-        if not self.c:
-            return "PBW(0)"
-        bits = []
-        for mono, coeff in self.sorted_items()[:6]:
-            body = "".join(f"[{g}:{m}]" for g, m in mono) or "vac"
-            bits.append(f"{coeff}*{body}")
-        flag = " (truncated)" if self.truncated else ""
-        return "PBW(" + " + ".join(bits) + (" ..." if len(self.c) > 6 else "") + f"){flag}"
 
 
 class InducedModule:
@@ -172,7 +57,6 @@ class InducedModule:
         self.cutoff = F(cutoff)
         if F(lam) != 0:
             raise Unsupported("only the vacuum highest weight (lambda = 0) is built")
-        self.lam = F(0)
         # memo fills _act_cache; it is created here so that its size can be
         # read on a module that never acted
         self._act_cache = {}

@@ -1,24 +1,26 @@
-"""Finite formal series in x^e (log x)^k with exact rational exponents.
+"""Finite formal series in x^e (log x)^k of module vectors.
 
 A LogSeries is a finite sum sum_{(e,k)} c_{e,k} x^e (log x)^k where the
 exponents e are rationals (stored as ints when integral, Fractions
 otherwise, so an integral key costs no Fraction hashing), the log powers k
-are nonnegative integers, and the coefficients c_{e,k} are module vectors
-(fock.PBWVector: an ``is_zero`` test, a ``truncated`` flag and scalar
-action by rationals and cyclotomic-with-T scalars).  Series are stored
-sparsely as a dict keyed by (e, k); fock.series_sum builds one from
-per-key sums of coefficient dicts.
+are nonnegative integers, and the coefficients c_{e,k} are PBWVectors:
+finite combinations of PBW monomials with an ``is_zero`` test, a
+``truncated`` flag and scalar action by rationals and cyclotomic-with-T
+scalars.  Series are stored sparsely as a dict keyed by (e, k).
+
+Every series is built by one per-key sum: ``series_sum`` runs
+``LogSeries.add_term`` on a stream of (e, k, coefficient dict, scale,
+flag) items, and ``accumulate`` is the one sum of coefficient dicts under
+it.  ``series_combine`` (add), ``series_scale`` (scalar times a power of
+x), ``series_derivative`` (d/dx), ``LogSeries.map_values`` and
+``branch_shift`` (log x -> log x + T, x^e -> zeta^(D e) x^e, the formal
+substitution that moves between analytic branches) are item streams into
+it.
 
 A series may carry a ``ceiling``: coefficients at e > ceiling are unknown
 (dropped, not zero).  ``None`` means the stored terms are the whole truth.
 A sum is trusted only below both ceilings, and ``series_eq`` compares
 only inside the common ceiling.
-
-The core operations the rest of the package relies on are
-``series_combine`` (add), ``series_scale`` (scalar times a power of x),
-``series_derivative`` (d/dx), and
-``branch_shift`` (log x -> log x + T, x^e -> zeta^(D e) x^e, the formal
-substitution that moves between analytic branches).
 """
 
 from __future__ import annotations
@@ -28,12 +30,108 @@ from .scalars import Cyc, binom, int_if_integral
 
 __all__ = [
     "LogSeries",
+    "PBWVector",
     "branch_shift",
+    "monomial_weight",
     "series_combine",
     "series_derivative",
     "series_eq",
     "series_scale",
+    "series_sum",
 ]
+
+
+def monomial_weight(mono) -> int:
+    return -sum(m for _g, m in mono)
+
+
+def accumulate(out: dict, terms: dict, scale=None) -> None:
+    """Add scale * terms (terms itself if scale is None) into the
+    monomial-to-coefficient dict out, dropping the coefficients that
+    cancel."""
+    for mono, c in terms.items():
+        if scale is not None:
+            c = scale * c
+        cur = out.get(mono)
+        if cur is not None:
+            c = cur + c
+        if c:
+            out[mono] = c
+        else:
+            out.pop(mono, None)
+
+
+class PBWVector:
+    """Linear combination of canonical PBW monomials: a tuple of
+    (generator index, mode) pairs acting on the highest-weight vector.
+    The constructor stores each coefficient nonzero, and a rational one as
+    an int where integral."""
+
+    __slots__ = ("c", "truncated")
+
+    def __init__(self, c=None, truncated=False):
+        self.c = {}
+        if c:
+            for mono, coeff in c.items():
+                if coeff:
+                    self.c[mono] = int_if_integral(coeff)
+        self.truncated = truncated
+
+    def is_zero(self):
+        return not self.c
+
+    def _plus(self, other, scale):
+        out = dict(self.c)
+        accumulate(out, other.c, scale)
+        return PBWVector(out, self.truncated or other.truncated)
+
+    def __add__(self, other):
+        return self._plus(other, None)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __rmul__(self, scalar):
+        if not scalar:
+            return PBWVector({}, self.truncated)
+        return PBWVector({m: scalar * coeff for m, coeff in self.c.items()},
+                         self.truncated)
+
+    __mul__ = __rmul__
+
+    def __eq__(self, other):
+        # every stored coefficient is nonzero, so equal dicts mean a zero
+        # difference; flags are not compared
+        if not isinstance(other, PBWVector):
+            return NotImplemented
+        return self.c == other.c
+
+    def depth(self):
+        """Largest monomial weight present."""
+        return max((monomial_weight(m) for m in self.c), default=0)
+
+    def weight_components(self):
+        out = {}
+        for mono, coeff in self.c.items():
+            w = monomial_weight(mono)
+            out.setdefault(w, {})[mono] = coeff
+        return {w: PBWVector(d, self.truncated) for w, d in sorted(out.items())}
+
+    def sorted_items(self):
+        return sorted(self.c.items())
+
+    def __repr__(self):
+        if not self.c:
+            return "PBW(0)"
+        bits = []
+        for mono, coeff in self.sorted_items()[:6]:
+            body = "".join(f"[{g}:{m}]" for g, m in mono) or "vac"
+            bits.append(f"{coeff}*{body}")
+        flag = " (truncated)" if self.truncated else ""
+        return "PBW(" + " + ".join(bits) + (" ..." if len(self.c) > 6 else "") + f"){flag}"
 
 
 def value_is_zero(v) -> bool:
@@ -60,30 +158,34 @@ class LogSeries:
 
     def __init__(self, terms=None, ceiling=None):
         self.terms = {}
-        if terms:
-            for (e, k), v in terms.items():
-                if not value_is_zero(v):
-                    self.terms[(int_if_integral(e), int(k))] = v
         self.ceiling = ceiling
+        for (e, k), v in (terms or {}).items():
+            self.add_term(e, k, v.c, None, v.truncated)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def add_term(self, e, k, value):
-        key = (int_if_integral(e), int(k))
-        cur = self.terms.get(key)
-        new = value if cur is None else cur + value
-        if value_is_zero(new):
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+    def add_term(self, e, k, terms, scale=None, flag=False):
+        """Add scale * terms, a monomial-to-coefficient dict, into the
+        x^e log^k coefficient, a vector the series owns; flag it if flag
+        is set.  A key whose sum value_is_zero drops is removed, and comes
+        back last if hit again.  Sums may hold integral Fractions until
+        series_sum applies the scalar rule."""
+        key = (int_if_integral(e), k)
+        vec = self.terms.get(key)
+        if vec is None:
+            vec = self.terms[key] = PBWVector(None, flag)
+        elif flag:
+            vec.truncated = True
+        accumulate(vec.c, terms, scale)
+        if value_is_zero(vec):
+            del self.terms[key]
 
     def map_values(self, fn) -> "LogSeries":
         """Apply fn to every coefficient (dropping zero results)."""
-        out = LogSeries(ceiling=self.ceiling)
-        for (e, k), v in self.terms.items():
-            out.add_term(e, k, fn(v))
-        return out
+        images = ((key, fn(v)) for key, v in self.terms.items())
+        return series_sum(((e, k, w.c, None, w.truncated) for (e, k), w in images),
+                          self.ceiling)
 
     def sorted_items(self):
         """Terms in deterministic (e, k) order."""
@@ -95,33 +197,45 @@ class LogSeries:
         return f"LogSeries({len(self.terms)} terms: {', '.join(parts[:6])}...{win})"
 
 
+def series_sum(items, ceiling=None) -> LogSeries:
+    """The LogSeries of (e, k, terms, scale, flag) items, each added by
+    LogSeries.add_term, with the scalar rule applied to the sums at the
+    end."""
+    out = LogSeries(ceiling=ceiling)
+    add = out.add_term
+    for item in items:
+        add(*item)
+    for vec in out.terms.values():
+        vec.c = {mono: int_if_integral(c) for mono, c in vec.c.items()}
+    return out
+
+
+def _items(a: LogSeries, scale=None, eshift=0):
+    """a's terms as series_sum items, scaled and moved by x^eshift."""
+    return ((e + eshift, k, v.c, scale, v.truncated) for (e, k), v in a.terms.items())
+
+
 def series_combine(a: LogSeries, b: LogSeries) -> LogSeries:
     """The sum of two series, trusted below both ceilings."""
-    out = LogSeries(ceiling=_min_ceiling(a.ceiling, b.ceiling))
-    for key, v in a.terms.items():
-        out.add_term(key[0], key[1], v)
-    for key, v in b.terms.items():
-        out.add_term(key[0], key[1], v)
-    return out
+    return series_sum((*_items(a), *_items(b)), _min_ceiling(a.ceiling, b.ceiling))
 
 
 def series_scale(a: LogSeries, scalar=1, eshift=0) -> LogSeries:
     """scalar * x^eshift * a; the ceiling moves up by eshift."""
-    out = LogSeries(ceiling=None if a.ceiling is None else a.ceiling + eshift)
-    for (e, k), v in a.terms.items():
-        out.add_term(e + eshift, k, scalar * v)
-    return out
+    return series_sum(_items(a, scalar, eshift),
+                      None if a.ceiling is None else a.ceiling + eshift)
 
 
 def series_derivative(a: LogSeries) -> LogSeries:
     """Formal d/dx: x^e log^k -> e x^(e-1) log^k + k x^(e-1) log^(k-1)."""
-    out = LogSeries(ceiling=None if a.ceiling is None else a.ceiling - 1)
-    for (e, k), v in a.terms.items():
-        if e:
-            out.add_term(e - 1, k, e * v)
-        if k:
-            out.add_term(e - 1, k - 1, k * v)
-    return out
+    def items():
+        for (e, k), v in a.terms.items():
+            if e:
+                yield e - 1, k, v.c, e, v.truncated
+            if k:
+                yield e - 1, k - 1, v.c, k, v.truncated
+
+    return series_sum(items(), None if a.ceiling is None else a.ceiling - 1)
 
 
 def branch_shift(a: LogSeries, steps: int, order: int) -> LogSeries:
@@ -132,35 +246,35 @@ def branch_shift(a: LogSeries, steps: int, order: int) -> LogSeries:
     the (1/order)-lattice, otherwise the declared order is wrong and a
     DomainError is raised.
     """
-    out = LogSeries(ceiling=a.ceiling)
-    for (e, k), v in a.terms.items():
-        scaled = e * order
-        if scaled.denominator != 1:
-            raise DomainError(
-                f"exponent {e} is not on the 1/{order} lattice")
-        zfac = Cyc.zeta(order, int(scaled) * steps)
-        if not k:
-            out.add_term(e, 0, v * zfac)
-            continue
-        for j in range(k + 1):
-            # (log x + steps*T)^k: keep j log-powers, k-j copies of steps*T
-            tpart = Cyc.of(1)
-            for _ in range(k - j):
-                tpart = tpart * Cyc.t_power(1) * steps
-            coeff = zfac * binom(k, j) * tpart
-            out.add_term(e, j, v * coeff)
-    return out
+    def items():
+        for (e, k), v in a.terms.items():
+            scaled = e * order
+            if scaled.denominator != 1:
+                raise DomainError(
+                    f"exponent {e} is not on the 1/{order} lattice")
+            zfac = Cyc.zeta(order, int(scaled) * steps)
+            if not k:
+                yield e, 0, v.c, zfac, v.truncated
+                continue
+            for j in range(k + 1):
+                # (log x + steps*T)^k: keep j log-powers, k-j copies of steps*T
+                tpart = Cyc.of(1)
+                for _ in range(k - j):
+                    tpart = tpart * Cyc.t_power(1) * steps
+                yield e, j, v.c, zfac * binom(k, j) * tpart, v.truncated
+
+    return series_sum(items(), a.ceiling)
 
 
-def series_eq(a: LogSeries, b: LogSeries, ceiling=None):
-    """Exact comparison inside the common ceiling, and up to ceiling.
+def series_eq(a: LogSeries, b: LogSeries):
+    """Exact comparison inside the common ceiling.
 
     Returns None when equal, else a witness tuple (e, k, left, right) for
     the first mismatch in (e, k) order, None standing for a missing term
     (a stored term is never an unflagged zero, so it mismatches).  Terms
     agree when neither is flagged and their canonical dicts are equal.
     """
-    hi = _min_ceiling(_min_ceiling(a.ceiling, b.ceiling), ceiling)
+    hi = _min_ceiling(a.ceiling, b.ceiling)
     keys = set(a.terms) | set(b.terms)
     for (e, k) in sorted(keys, key=lambda t: (t[0], t[1])):
         if hi is not None and e > hi:

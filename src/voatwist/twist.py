@@ -27,11 +27,11 @@ from math import factorial, floor, lcm
 
 from .delta import DeltaOperator, current_element, delta_apply_series, make_delta
 from .errors import DomainError, NotFixed, NotIntertwining, Unsupported
-from .fock import InducedModule, PBWVector, accumulate, monomial_weight, series_sum
+from .fock import InducedModule
 from .lie import AutomorphismData, GAutomorphism, LieElt
 from .linalg import memo
 from .scalars import Cyc, fmt_rational, int_if_integral
-from .series import LogSeries
+from .series import LogSeries, PBWVector, accumulate, monomial_weight, series_eq, series_sum
 
 __all__ = [
     "TwistedModule",
@@ -160,7 +160,7 @@ class TwistedModule:
     # -- grading ----------------------------------------------------------
 
     @memo
-    def _grading(self):
+    def grading(self):
         """(offsets, zero_mode, half_kappa): each generator's class offset,
         its eigenvalues summed over the steps (None unless it is an
         eigenvector of every step); the scalar parts of the steps' zero
@@ -176,11 +176,11 @@ class TwistedModule:
 
     def weight_of(self, mono) -> Fraction:
         """Conformal weight of a monomial in the fully twisted grading."""
-        return monomial_weight(mono) - self.class_of(mono) + self._grading()[2]
+        return monomial_weight(mono) - self.class_of(mono) + self.grading()[2]
 
     def class_of(self, mono) -> Fraction:
         """Accumulated grading-class offset of a monomial (exact, not mod 1)."""
-        offsets, zero_mode, _half_kappa = self._grading()
+        offsets, zero_mode, _half_kappa = self.grading()
         cls = -zero_mode
         for gi, _m in mono:
             lam = offsets[gi]
@@ -413,14 +413,10 @@ def functor_on_map(twisted: TwistedModule, mappings,
                     if failures[i] is not None:
                         continue
                     left = twisted.vertex_series(v, mapping.apply(bv), ceiling)
-                    mapped = unmapped.map_values(mapping.apply)
-                    for key in set(left.terms) | set(mapped.terms):
-                        a = left.terms.get(key, PBWVector())
-                        b = mapped.terms.get(key, PBWVector())
-                        if a.c != b.c:
-                            failures[i] = NotIntertwining(
-                                f"map fails to intertwine at series key {key}")
-                            break
+                    witness = series_eq(left, unmapped.map_values(mapping.apply))
+                    if witness is not None:
+                        failures[i] = NotIntertwining(
+                            f"map fails to intertwine at series key {witness[:2]}")
     return failures
 
 

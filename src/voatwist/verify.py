@@ -21,15 +21,18 @@ from math import lcm
 
 from .delta import delta_apply, delta_apply_series, make_delta
 from .errors import DomainError
-from .fock import InducedModule, PBWVector, accumulate, series_sum
+from .fock import InducedModule
 from .scalars import Cyc, binom, clear_denominators, fmt_rational, fmt_scalar
 from .series import (
     LogSeries,
+    PBWVector,
+    accumulate,
     branch_shift,
     series_combine,
     series_derivative,
     series_eq,
     series_scale,
+    series_sum,
 )
 from .twist import (
     ModuleMap,
@@ -607,13 +610,13 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
         return operators[gname, m], mode_table_entry(twisted, gname, m)[0]
 
     blocked = {}
+    offsets = twisted.grading()[0]
 
     def cases():
         for bname, cname in pairs:
             pair = f"{bname},{cname}"
             belt, celt = alg.generator(bname), alg.generator(cname)
-            lam_b = _class_shift(twisted, belt)
-            lam_c = _class_shift(twisted, celt)
+            lam_b, lam_c = offsets[alg.index[bname]], offsets[alg.index[cname]]
             if lam_b is None or lam_c is None:
                 blocked.update(reason=("a probed generator is not an "
                                        "eigenvector of the chain"),
@@ -651,17 +654,6 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
     if blocked:
         return CheckReport(name, "uncertifiable", details=blocked)
     return report
-
-
-def _class_shift(twisted: TwistedModule, elt):
-    """Total grading-class shift of a current, None if not an eigenvector."""
-    total = F(0)
-    for step in twisted.steps:
-        lam = step.eig.eigenvalue_of(elt)
-        if lam is None:
-            return None
-        total += lam
-    return total
 
 
 # -- the conformal regrade ---------------------------------------------------
@@ -749,8 +741,7 @@ def check_grading_restriction(twisted: TwistedModule,
     name = "grading-restriction"
     alg = twisted.algebra
     shifts = {}
-    for gi, gname in enumerate(alg.names):
-        lam = _class_shift(twisted, alg.generator(gname))
+    for gname, lam in zip(alg.names, twisted.grading()[0]):
         if lam is None:
             return CheckReport(name, "uncertifiable", details={
                 "reason": "a generator is not an eigenvector of the chain",

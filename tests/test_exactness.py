@@ -20,7 +20,7 @@ import pytest
 from test_shift_golden import probe_outputs
 
 from voatwist import cli, twist, verify
-from voatwist.fock import PBWVector, build_module
+from voatwist.fock import PBWVector, build_module, series_sum
 from voatwist.lie import LieElt, build_simple_lie
 from voatwist.scalars import Cyc
 from voatwist.series import LogSeries
@@ -54,11 +54,12 @@ def float_scan(monkeypatch):
                 scan["floats"].append(("coefficient", mono, coeff))
         init(self, c, truncated)
 
-    def watched_add_term(self, e, k, value):
+    def watched_add_term(self, e, k, terms, scale=None, flag=False):
+        # every series term passes here: series_sum adds each of its items
         scan["watched"] += 1
-        if _has_float(e) or _has_float(k) or _has_float(value):
-            scan["floats"].append(("term", e, k, value))
-        add_term(self, e, k, value)
+        if any(map(_has_float, (e, k, scale, *terms.values()))):
+            scan["floats"].append(("term", e, k, terms, scale))
+        add_term(self, e, k, terms, scale, flag)
 
     def watched_compare(alg, lhs, rhs, scale, ceiling, **fields):
         # shift-conjugation sums both sides in plain dicts that no
@@ -90,6 +91,16 @@ def test_cli_creates_no_float(float_scan, tmp_path, command, config):
         if command == "run" and '"delta"' in config.read_text(encoding="utf-8"):
             assert float_scan["compared"] > 0
     assert float_scan["floats"] == []
+
+
+def test_float_scan_sees_every_series_term(float_scan):
+    # a float exponent, coefficient or scale in any series_sum item is seen
+    mono = ((0, -1),)
+    items = [(0.5, 0, {mono: 1}, None, False), (0, 0, {mono: 0.25}, None, False),
+             (1, 0, {mono: 1}, 2.0, False)]
+    series_sum(items)
+    assert float_scan["floats"] == [("term", e, k, terms, scale)
+                                    for e, k, terms, scale, _flag in items]
 
 
 @pytest.mark.parametrize("name,coeff", [("h1", F(1, 2)), ("e1", 1), ("h1", F(1, 3)),

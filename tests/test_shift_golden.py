@@ -35,7 +35,7 @@ from voatwist.delta import (
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie, diagram_automorphism
 from voatwist.scalars import Cyc, int_if_integral
-from voatwist.series import LogSeries, value_is_zero
+from voatwist.series import LogSeries, series_sum, value_is_zero
 from voatwist.twist import make_twisted, transport_tau
 from voatwist.verify import basis_states
 
@@ -177,7 +177,8 @@ def powers_of_the_sum(delta, v):
     """Stage 1 of delta_apply as first written, kept as the oracle of its
     recursion: the k-th power of sum_m c_m a(m) x^(-m), over k!, summed
     term by term until a power vanishes."""
-    total = cur = LogSeries({(0, 0): v})
+    cur = LogSeries({(0, 0): v})
+    powers = [(0, 0, v.c, None, v.truncated)]
     k = 1
     while cur.terms:
         nxt = LogSeries()
@@ -187,12 +188,14 @@ def powers_of_the_sum(delta, v):
                 if value_is_zero(moved):
                     continue
                 c = F(1, m) if m % 2 == 0 and not delta.legacy else F(-1, m)
-                nxt.add_term(e - m, 0, int_if_integral(c / k) * moved)
-        for (e, _k), vec in nxt.terms.items():
-            total.add_term(e, 0, vec)
+                nxt.add_term(e - m, 0, moved.c, int_if_integral(c / k), moved.truncated)
+        powers.extend((e, 0, vec.c, None, vec.truncated)
+                      for (e, _k), vec in nxt.terms.items())
         cur = nxt
         k += 1
-    return total
+    # series_sum adds the terms of every power and stores the sums by the
+    # scalar rule
+    return series_sum(powers)
 
 
 def test_stage_one_recursion_matches_the_powers_of_the_sum():
@@ -218,7 +221,7 @@ def zero_mode_powers(delta, staged):
     for (e, _k), cur in staged.terms.items():
         j = 0
         while j == 0 or not cur.is_zero():
-            out.add_term(e, j, cur)
+            out.add_term(e, j, cur.c, None, cur.truncated)
             j += 1
             cur = F(sign, j) * delta.module.apply_mode(delta.n, 0, cur)
     return out
