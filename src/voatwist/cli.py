@@ -48,6 +48,7 @@ from .errors import (
 from .fock import build_module
 from .lie import diagram_automorphism, build_simple_lie
 from .scalars import fmt_rational, parse_rational
+from .series import monomial_weight
 from .twist import (
     TwistedModule,
     make_twisted,
@@ -519,12 +520,12 @@ def _graded_dimension_rows(run: BuiltRun, window: int):
     monos = [()]
     for w in range(1, window + 1):
         monos.extend(module.basis(w))
+    half_kappa = run.twisted.grading()[2]
     counts = {}
     for mono in monos:
-        wt = run.twisted.weight_of(mono)
+        # TwistedModule.weight_of, reusing the class
         cls = run.twisted.class_of(mono)
-        cls -= floor(cls)
-        key = (wt, cls)
+        key = (monomial_weight(mono) - cls + half_kappa, cls - floor(cls))
         counts[key] = counts.get(key, 0) + 1
     return [
         {"weight": fmt_rational(w), "class": fmt_rational(c), "dimension": n}

@@ -6,8 +6,13 @@ every ordered pair (named e1, e12, ..., f1, ...) and the simple coroots
 h_k = E_kk - E_(k+1)(k+1).  The structure constants are tabulated once, on
 first use, from the matrix commutators of the basis, and the invariant form
 from the defining-representation trace form, which for type A is already
-normalized (long roots have squared length 2).  Tables, ad matrices,
-eigendata and Jordan-Chevalley splits are memoized per algebra (``memo``).
+normalized (long roots have squared length 2).
+
+The spectral data of an element comes from one generalized eigenbasis of
+its defining matrix: the Jordan-Chevalley split reads the semisimple part
+off it, and the ad-eigenbasis of a semisimple s is conjugated from the
+matrix units, with no ad matrix built.  Tables, spectra, eigendata and
+splits are memoized per algebra (``memo``).
 
 Other families are not implemented and raise UnsupportedAlgebra.
 """
@@ -25,21 +30,13 @@ from .errors import (
 )
 from .linalg import (
     charpoly,
-    identity,
     kernel_basis,
-    mat_eq,
     mat_inverse,
     mat_mul,
-    mat_scale,
     mat_sub,
     mat_vec,
     memo,
-    poly_deriv,
-    poly_eval_mat,
-    poly_xgcd,
     rational_roots,
-    squarefree_part,
-    zeros,
 )
 from .scalars import int_if_integral
 
@@ -234,12 +231,6 @@ class LieAlgebra:
                         total += ca * cb * row[j]
         return total
 
-    @memo
-    def ad_matrix(self, a: LieElt):
-        """Matrix of ad(a) on the Chevalley basis (columns are images)."""
-        cols = [self.bracket(a, self._basis_elt(i)).coords for i in range(self.dim)]
-        return tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
-
     def dual_basis(self):
         """Basis dual to the Chevalley basis with respect to the form."""
         _struct, gram = self._tables()
@@ -261,59 +252,67 @@ class LieAlgebra:
     # -- spectral data ----------------------------------------------------
 
     @memo
-    def ad_eigendata(self, s: LieElt) -> "EigenData":
-        """Eigenvalues and eigenbasis of ad(s); s must act semisimply with
-        rational spectrum (NotSemisimple / NeedsFieldExtension otherwise)."""
-        a = self.ad_matrix(s)
-        p = charpoly(a)
-        psf = squarefree_part(p)
-        roots, rem = rational_roots(psf)
+    def _spectrum(self, x: LieElt):
+        """(P, P^-1, mus): the columns of P are generalized eigenvectors of
+        the defining matrix X of x, grouped by eigenvalue in ascending
+        order, and mus lists the eigenvalue of each column.  X is traceless,
+        so ad(x) has rational spectrum exactly when X has
+        (NeedsFieldExtension otherwise)."""
+        a = self.to_matrix(x)
+        roots, rem = rational_roots(charpoly(a))
         if len(rem) > 1:
             raise NeedsFieldExtension(
-                "ad spectrum is irrational; refusing to leave the rationals")
-        if not mat_eq(poly_eval_mat(psf, a), zeros(self.dim, self.dim)):
-            raise NotSemisimple("element does not act semisimply on the algebra")
-        spaces = {}
-        for lam in sorted(set(roots)):
-            shifted = mat_sub(a, mat_scale(identity(self.dim), lam))
-            vecs = kernel_basis(shifted)
-            spaces[lam] = [LieElt(self, v) for v in vecs]
-        return EigenData(self, s, spaces)
+                "semisimple part would have irrational spectrum")
+        cols, mus = [], []
+        for mu in sorted(set(roots)):
+            shifted = tuple(tuple(c - mu if r == k else c for k, c in enumerate(row))
+                            for r, row in enumerate(a))
+            power = shifted
+            for _ in range(roots.count(mu) - 1):
+                power = mat_mul(power, shifted)
+            vecs = kernel_basis(power)
+            cols.extend(vecs)
+            mus.extend([mu] * len(vecs))
+        p = tuple(zip(*cols))
+        return p, mat_inverse(p), mus
 
     @memo
     def jordan_chevalley(self, x: LieElt):
         """Split x = s + n with ad(s) semisimple (rational spectrum), ad(n)
-        nilpotent, [s, n] = 0.  Newton iteration on the squarefree part of
-        the characteristic polynomial of the defining matrix X of x; X is
-        traceless, so ad(x) has rational spectrum exactly when X has, and
-        the split of X is that of x."""
-        a = self.to_matrix(x)
-        p = charpoly(a)
-        psf = squarefree_part(p)
-        _roots, rem = rational_roots(psf)
-        if len(rem) > 1:
-            raise NeedsFieldExtension(
-                "semisimple part would have irrational spectrum")
-        zero = zeros(len(a), len(a))
-        if mat_eq(poly_eval_mat(psf, a), zero):
-            return x, self.zero()
-        g, _u, v = poly_xgcd(psf, poly_deriv(psf))
-        if len(g) != 1:
-            raise NotSemisimple("squarefree part is not separable")
-        z = a
-        for _ in range(len(a) + 1):
-            pz = poly_eval_mat(psf, z)
-            if mat_eq(pz, zero):
-                break
-            correction = mat_mul(poly_eval_mat(v, z), pz)
-            z = mat_sub(z, correction)
-        else:
-            raise NotSemisimple("Newton iteration failed to converge")
-        s = self.from_matrix(z)
-        n = x - s
-        if not self.bracket(s, n).is_zero():
-            raise NotSemisimple("split parts fail to commute")
-        return s, n
+        nilpotent, [s, n] = 0: S = P diag(mus) P^-1 on the generalized
+        eigenbasis of the defining matrix X of x.  S is a polynomial in X,
+        and the split of X is that of x."""
+        p, p_inv, mus = self._spectrum(x)
+        scaled = tuple(tuple(c * mu for c, mu in zip(row, mus)) for row in p)
+        s = self.from_matrix(mat_mul(scaled, p_inv))
+        return s, x - s
+
+    @memo
+    def ad_eigendata(self, s: LieElt) -> "EigenData":
+        """Eigenvalues and eigenbasis of ad(s); s must act semisimply with
+        rational spectrum (NotSemisimple / NeedsFieldExtension otherwise).
+        With S = P diag(mus) P^-1, ad(s) sends P E_ij P^-1 to
+        (mu_i - mu_j) P E_ij P^-1, and the P (E_kk - E_(k+1)(k+1)) P^-1
+        span the rest of its kernel."""
+        if not self.jordan_chevalley(s)[1].is_zero():
+            raise NotSemisimple("element does not act semisimply on the algebra")
+        p, p_inv, mus = self._spectrum(s)
+        n1 = len(mus)
+
+        def outer(i, j):
+            # P E_ij P^-1
+            return tuple(tuple(p[r][i] * p_inv[j][c] for c in range(n1)) for r in range(n1))
+
+        spaces = {}
+        for i in range(n1):
+            for j in range(n1):
+                if i != j:
+                    spaces.setdefault(mus[i] - mus[j], []).append(
+                        self.from_matrix(outer(i, j)))
+        for k in range(n1 - 1):
+            spaces.setdefault(_0, []).append(
+                self.from_matrix(mat_sub(outer(k, k), outer(k + 1, k + 1))))
+        return EigenData(self, s, spaces)
 
 
 class EigenData:
@@ -324,14 +323,7 @@ class EigenData:
         self.s = s
         self.spaces = spaces
         self.values = sorted(spaces)
-        cols = []
-        self.slots = []  # parallel: which eigenvalue each column carries
-        for lam in self.values:
-            for v in spaces[lam]:
-                cols.append(v.coords)
-                self.slots.append(lam)
-        if len(cols) != algebra.dim:
-            raise NotSemisimple("eigenspaces do not span the algebra")
+        cols = [v.coords for lam in self.values for v in spaces[lam]]
         p = tuple(tuple(cols[j][i] for j in range(algebra.dim))
                   for i in range(algebra.dim))
         self._p_inv = mat_inverse(p)

@@ -2,8 +2,11 @@
 
 Matrices are tuples of tuples of Fractions (rows).  Polynomials are lists
 or tuples of Fractions in ascending powers.  Everything here is small and
-exact; no pivoting heuristics, no floats.  Products skip zero entries, as
-ad-matrices are mostly zeros, and still return Fractions.  The ``memo``
+exact; no pivoting heuristics, no floats.  The Lie layer needs row
+reduction (kernels, inverses), characteristic polynomials and their
+rational roots; scalars needs polynomial division and divisors.  Products
+skip zero entries, as automorphism matrices and inverse eigenbases on Lie
+coordinates are mostly zeros, and still return Fractions.  The ``memo``
 method decorator lives here too, below every class whose results it
 caches.
 """
@@ -15,25 +18,17 @@ from math import gcd, isqrt, lcm
 __all__ = [
     "charpoly",
     "divisors",
-    "identity",
     "kernel_basis",
-    "mat_eq",
     "mat_inverse",
     "mat_mul",
-    "mat_scale",
     "mat_sub",
     "mat_vec",
     "memo",
-    "poly_deriv",
     "poly_divmod",
-    "poly_eval_mat",
     "poly_eval",
-    "poly_mul",
     "poly_trim",
-    "poly_xgcd",
     "rational_roots",
     "rref",
-    "squarefree_part",
     "zeros",
 ]
 
@@ -47,18 +42,8 @@ def zeros(n, m):
     return tuple(tuple(_0 for _ in range(m)) for _ in range(n))
 
 
-def identity(n):
-    """n-by-n identity matrix."""
-    return tuple(tuple(_1 if i == j else _0 for j in range(n)) for i in range(n))
-
-
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a, c):
-    c = F(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_mul(a, b):
@@ -69,10 +54,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum((x * y for x, y in zip(row, v) if x and y), _0) for row in a)
-
-
-def mat_eq(a, b):
-    return all(all(x == y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def rref(a):
@@ -153,18 +134,6 @@ def poly_trim(p):
     return p
 
 
-def poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [_0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return poly_trim(out)
-
-
 def poly_divmod(a, b):
     """Quotient and remainder of polynomial division."""
     a = poly_trim(a)
@@ -186,64 +155,11 @@ def poly_divmod(a, b):
     return poly_trim(q), poly_trim(r)
 
 
-def poly_xgcd(a, b):
-    """Extended gcd: returns (g, u, v) monic g with u a + v b = g."""
-    r0, r1 = poly_trim(a), poly_trim(b)
-    s0, s1 = [_1], []
-    t0, t1 = [], [_1]
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_trim([x - y for x, y in _zip_pad(s0, poly_mul(q, s1))])
-        t0, t1 = t1, poly_trim([x - y for x, y in _zip_pad(t0, poly_mul(q, t1))])
-    if not r0:
-        return [], [], []
-    lead = r0[-1]
-    inv = _1 / lead
-    return ([inv * c for c in r0], [inv * c for c in s0], [inv * c for c in t0])
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_0] * (n - len(a))
-    b = list(b) + [_0] * (n - len(b))
-    return zip(a, b)
-
-
-def poly_deriv(p):
-    return [F(i) * c for i, c in enumerate(p)][1:]
-
-
 def poly_eval(p, x):
     acc = _0
     for c in reversed(poly_trim(p)):
         acc = acc * x + c
     return acc
-
-
-def poly_eval_mat(p, a):
-    """Evaluate a polynomial at a square matrix."""
-    n = len(a)
-    acc = zeros(n, n)
-    for c in reversed(poly_trim(p)):
-        acc = mat_mul(acc, a)
-        acc = tuple(
-            tuple(acc[i][j] + (c if i == j else _0) for j in range(n))
-            for i in range(n)
-        )
-    return acc
-
-
-def squarefree_part(p):
-    """p / gcd(p, p'), monic."""
-    g, _, _ = poly_xgcd(p, poly_deriv(p))
-    if not g:
-        return poly_trim(p)
-    q, r = poly_divmod(p, g)
-    if r:
-        raise ArithmeticError("gcd does not divide")
-    lead = q[-1]
-    return [F(c, lead) for c in q]
 
 
 def rational_roots(p):

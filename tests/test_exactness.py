@@ -19,7 +19,7 @@ from fractions import Fraction as F
 import pytest
 from test_shift_golden import probe_outputs
 
-from voatwist import cli, twist, verify
+from voatwist import cli, delta, fock, series, twist, verify
 from voatwist.fock import PBWVector, build_module, series_sum
 from voatwist.lie import LieElt, build_simple_lie
 from voatwist.scalars import Cyc
@@ -124,20 +124,35 @@ def _integral_fraction(value) -> bool:
     return type(value) is F and value.denominator == 1
 
 
+# every module that binds series_sum by name, series itself included
+SERIES_SUM_USERS = (series, fock, delta, twist, verify)
+
+
 @pytest.fixture
 def fraction_scan(monkeypatch):
-    """Record every integral Fraction that a built PBWVector or LieElt
-    stores; count the stored values read."""
+    """Record every integral Fraction that a built PBWVector or LieElt, or
+    a series_sum result, stores; count the stored values read."""
     scan = {"read": 0, "found": []}
     pbw_init = PBWVector.__init__
     lie_init = LieElt.__init__
+    summed = series.series_sum
+
+    def read_pbw(vec):
+        scan["read"] += len(vec.c)
+        scan["found"].extend(("coefficient", mono, coeff)
+                             for mono, coeff in vec.c.items()
+                             if _integral_fraction(coeff))
 
     def watched_pbw_init(self, c=None, truncated=False):
         pbw_init(self, c, truncated)
-        scan["read"] += len(self.c)
-        scan["found"].extend(("coefficient", mono, coeff)
-                             for mono, coeff in self.c.items()
-                             if _integral_fraction(coeff))
+        read_pbw(self)
+
+    def watched_series_sum(items, ceiling=None):
+        # series_sum fills its vectors after PBWVector.__init__ has run
+        out = summed(items, ceiling)
+        for vec in out.terms.values():
+            read_pbw(vec)
+        return out
 
     def watched_lie_init(self, algebra, coords):
         lie_init(self, algebra, coords)
@@ -147,7 +162,23 @@ def fraction_scan(monkeypatch):
 
     monkeypatch.setattr(PBWVector, "__init__", watched_pbw_init)
     monkeypatch.setattr(LieElt, "__init__", watched_lie_init)
+    for module in SERIES_SUM_USERS:
+        monkeypatch.setattr(module, "series_sum", watched_series_sum)
     return scan
+
+
+@pytest.mark.parametrize("module", SERIES_SUM_USERS, ids=lambda m: m.__name__)
+def test_fraction_scan_reads_every_series_sum(fraction_scan, module):
+    # a series_sum whose output holds n coefficients raises read by n or more
+    mono, other = ((0, -1),), ((1, -1),)
+    items = [(0, 0, {mono: 1, other: F(1, 2)}, None, False),
+             (1, 0, {mono: F(3, 2)}, 2, False)]
+    before = fraction_scan["read"]
+    out = module.series_sum(items)
+    held = sum(len(vec.c) for vec in out.terms.values())
+    assert held == 3
+    assert fraction_scan["read"] - before >= held
+    assert fraction_scan["found"] == []
 
 
 @pytest.mark.parametrize("command", ["run", "tables"])

@@ -4,9 +4,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from voatwist.errors import InvalidSymmetry, NeedsFieldExtension, UnsupportedAlgebra
+from voatwist.errors import (InvalidSymmetry, NeedsFieldExtension, NotSemisimple,
+                             UnsupportedAlgebra)
 from voatwist.lie import build_simple_lie, diagram_automorphism
-from voatwist.linalg import charpoly, identity, mat_eq, mat_mul, mat_scale, zeros
+from voatwist.linalg import charpoly
 
 sl2 = build_simple_lie("A", 1)
 sl3 = build_simple_lie("A", 2)
@@ -38,13 +39,11 @@ def test_dual_coxeter_number():
     # adjoint representation as twice the dual Coxeter number
     for rank in (1, 2, 3):
         alg = build_simple_lie("A", rank)
-        cas = zeros(alg.dim, alg.dim)
+        cas = sympy.zeros(alg.dim, alg.dim)
         for x, xd in zip(alg.basis(), alg.dual_basis()):
-            prod = mat_mul(alg.ad_matrix(x), alg.ad_matrix(xd))
-            cas = tuple(tuple(a + b for a, b in zip(r1, r2))
-                        for r1, r2 in zip(cas, prod))
+            cas += sym_ad(alg, x.coords) * sym_ad(alg, xd.coords)
         assert alg.dual_coxeter() == rank + 1
-        assert mat_eq(cas, mat_scale(identity(alg.dim), 2 * alg.dual_coxeter()))
+        assert cas == 2 * alg.dual_coxeter() * sympy.eye(alg.dim)
 
 
 def test_unknown_family_rejected():
@@ -111,6 +110,13 @@ def test_jordan_chevalley_irrational_spectrum():
             sl2.jordan_chevalley(x)
         with pytest.raises(NeedsFieldExtension):
             sl2.ad_eigendata(x)
+
+
+def test_ad_eigendata_refuses_a_nilpotent_element():
+    # only successful calls are memoized: a failure raises on every call
+    for _ in range(2):
+        with pytest.raises(NotSemisimple):
+            sl2.ad_eigendata(sl2.generator("e1"))
 
 
 def test_diagram_flip_of_rank_two():
@@ -206,10 +212,8 @@ def test_tables_match_matrix_commutators(drawn):
     assert alg.form(x, y) == F(int(trace.p), int(trace.q))
 
 
-# a rank-3 split takes seconds in exact arithmetic, so this test stays at
-# ranks 1 and 2
 @settings(max_examples=25, deadline=None)
-@given(elements(2, borel=True, ranks=(1, 2)))
+@given(elements(2, borel=True))
 def test_memoized_splits_match_a_fresh_algebra(drawn):
     alg, (a, b) = drawn
     fresh = build_simple_lie("A", alg.rank)
@@ -252,12 +256,10 @@ def sym_ad(alg, coords):
 @given(elements(1, ranks=(1, 2)))
 def test_charpoly_matches_sympy_on_ad_matrices(drawn):
     alg, (coords,) = drawn
-    ad = alg.ad_matrix(alg.element_from_coords(coords))
-    want = sym_ad(alg, coords)
-    assert sympy.Matrix(ad) == want
+    ad = sym_ad(alg, coords)
     lam = sympy.Symbol("lam")
-    sym_coeffs = want.charpoly(lam).all_coeffs()[::-1]
-    assert charpoly(ad) == [F(int(c.p), int(c.q)) for c in sym_coeffs]
+    sym_coeffs = ad.charpoly(lam).all_coeffs()[::-1]
+    assert charpoly(to_fractions(ad)) == [F(int(c.p), int(c.q)) for c in sym_coeffs]
 
 
 @settings(max_examples=15, deadline=None)
@@ -272,3 +274,22 @@ def test_jordan_chevalley_parts_in_sympy(drawn):
     ad_s, ad_n = sym_ad(alg, s.coords), sym_ad(alg, n.coords)
     assert ad_s.is_diagonalizable()
     assert ad_n ** alg.dim == sympy.zeros(alg.dim, alg.dim)
+
+
+@settings(max_examples=25, deadline=None)
+@given(elements(2, borel=True))
+def test_eigen_decomposition_against_sympy(drawn):
+    # the parts of decompose(y) sum to y and are ad(s)-eigenvectors of their
+    # eigenvalue, and the eigenvalues are sympy's, with their multiplicities
+    alg, (a, b) = drawn
+    s, _n = alg.jordan_chevalley(alg.element_from_coords(a))
+    eig = alg.ad_eigendata(s)
+    y = alg.element_from_coords(b)
+    parts = eig.decompose(y)
+    assert sum(parts.values(), alg.zero()) == y
+    for lam, part in parts.items():
+        assert alg.bracket(s, part) == lam * part
+    want = {F(int(v.p), int(v.q)): mult
+            for v, mult in sym_ad(alg, s.coords).eigenvals().items()}
+    assert eig.values == sorted(want)
+    assert {lam: len(eig.spaces[lam]) for lam in eig.values} == want
