@@ -48,9 +48,9 @@ from math import perm
 from .errors import DomainError, NotQuasiPrimary
 from .fock import InducedModule
 from .linalg import memo
-from .scalars import clear_denominators, int_if_integral
-from .series import (LogSeries, PBWVector, accumulate, monomial_weight, series_sum,
-                     value_is_zero)
+from .scalars import clear_denominators
+from .series import (LogSeries, PBWVector, accumulate, divided, monomial_weight,
+                     series_sum, value_is_zero)
 
 __all__ = ["DeltaOperator", "make_delta", "delta_apply", "delta_apply_series"]
 
@@ -206,23 +206,8 @@ def _log_stage(delta: DeltaOperator, staged: list) -> list:
 
 def _series(staged: list) -> LogSeries:
     """The LogSeries of a stage's [(e, k, vec, den)] terms."""
-    return LogSeries({(e, k): PBWVector(_divided(vec, den), vec.truncated)
+    return LogSeries({(e, k): PBWVector(divided(vec.c, den), vec.truncated)
                       for e, k, vec, den in staged})
-
-
-def _divided(vec: PBWVector, den: int) -> dict:
-    """The coefficients of vec/den under the scalar rule: an int where den
-    divides, else a Fraction; a Cyc or a Fraction is divided as it is."""
-    if den == 1:
-        return vec.c
-    out = {}
-    for mono, c in vec.c.items():
-        if type(c) is int:
-            q, r = divmod(c, den)
-            out[mono] = F(c, den) if r else q
-        else:
-            out[mono] = int_if_integral(c / den)
-    return out
 
 
 def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
@@ -261,7 +246,7 @@ def _shift(delta: DeltaOperator, v: PBWVector) -> LogSeries:
         if not vec.c:
             # a flagged zero has nothing to expand: it stays where it is
             items.append((e, k, {}, None, vec.truncated))
-        for mono, coeff in _divided(vec, den).items():
+        for mono, coeff in divided(vec.c, den).items():
             # inside the cutoff, a monomial of eigenvectors is relabeled
             lams = [eigvals[gi] for gi, _m in reversed(mono)]
             if None not in lams and monomial_weight(mono) <= module.cutoff:

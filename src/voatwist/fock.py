@@ -4,11 +4,11 @@ A monomial is a tuple of (generator index, mode) pairs acting on the
 highest-weight vector, kept in canonical order: modes weakly decreasing
 left to right (so a(-1) before b(-2)), ties broken by generator index.
 A PBWVector (series.py, beside the series it is the coefficient of) is a
-finite linear combination of such monomials; its constructor stores each rational coefficient as an int where integral and
-a Fraction otherwise, and Cyc scalars once an automorphism or branch shift
-has acted.  Mode actions read the algebra's structure table, whose integral
-structure constants and central terms are ints, so the integral case pays
-for no Fraction product.
+finite linear combination of such monomials; it stores each rational
+coefficient as an int where integral and a Fraction otherwise, and Cyc
+scalars once an automorphism or branch shift has acted.  Mode actions read
+the algebra's structure table, whose integral structure constants and
+central terms are ints, so the integral case pays for no Fraction product.
 
 The module tracks a weight cutoff.  Results that would need monomials
 beyond the cutoff get their ``truncated`` flag set; everything below the
@@ -20,9 +20,16 @@ iterate reconstruction
 down to Y(1, x) = id, and come back as LogSeries whose ceiling marks the
 last exactly-known exponent.  Each monomial pair is expanded once, at the
 largest ceiling asked for, and a mode reads its single coefficient straight
-from that expansion (coefficient_at) without building a series.  The
-Sugawara L(n) is linear too: it sums the memoized image of each monomial,
-scaled by its coefficient.
+from that expansion (coefficient_at) without building a series.
+
+Both reads are integer sums: v and w are scaled by the lcm of their
+denominators (no work when every coefficient is an int), the memoized
+buckets are summed per exponent with int scales, and each sum is divided
+once at the end, so the stored coefficients follow the scalar rule and are
+kept without a copy (PBWVector.adopt, LogSeries.from_sums).  The buckets
+are shared by every read, which never mutates them.  The Sugawara L(n) is
+linear too: it sums the memoized image of each monomial, scaled by its
+coefficient.
 """
 
 from __future__ import annotations
@@ -32,9 +39,8 @@ from fractions import Fraction
 from .errors import CriticalLevel, DomainError, Unsupported
 from .lie import LieAlgebra, LieElt
 from .linalg import memo
-from .scalars import binom, int_if_integral
-from .series import (LogSeries, PBWVector, accumulate, monomial_weight, series_sum,
-                     value_is_zero)
+from .scalars import binom, clear_denominators, int_if_integral
+from .series import LogSeries, PBWVector, accumulate, divided, monomial_weight, value_is_zero
 
 __all__ = [
     "InducedModule",
@@ -54,7 +60,7 @@ class InducedModule:
     def __init__(self, algebra: LieAlgebra, level, cutoff, lam=0):
         self.algebra = algebra
         self.level = F(level)
-        self.cutoff = F(cutoff)
+        self.cutoff = int_if_integral(F(cutoff))
         if F(lam) != 0:
             raise Unsupported("only the vacuum highest weight (lambda = 0) is built")
         # memo fills _act_cache; it is created here so that its size can be
@@ -155,7 +161,7 @@ class InducedModule:
                         out.pop(mono2, None)
                     else:
                         out[mono2] = s
-        return PBWVector(out, trunc)
+        return PBWVector.adopt(out, trunc)
 
     def expand_monomial(self, mono, split) -> dict:
         """Rebuild mono from the vacuum, rightmost factor first, with each
@@ -204,7 +210,7 @@ class InducedModule:
                 image = self._sugawara_image(n, mono)
                 accumulate(out, image.c, coeff)
                 trunc = trunc or image.truncated
-            return PBWVector(out, trunc)
+            return PBWVector.adopt(out, trunc)
 
         return act
 
@@ -302,31 +308,45 @@ class InducedModule:
         return out
 
     def vertex_series(self, v: PBWVector, w: PBWVector, ceiling) -> LogSeries:
-        """Y(v, x) w as a log-free LogSeries of PBWVectors, exact to ceiling."""
+        """Y(v, x) w as a log-free LogSeries of PBWVectors, exact to ceiling.
+
+        The buckets of each exponent are summed in one dict with the int
+        scales of v and w cleared of denominators, in the order and with
+        the drops of a per-key sum, and divided once at the end."""
         ceiling = _integer_exponent(ceiling)
-        items = []
-        for mv, cv in v.c.items():
-            for mw, cw in w.c.items():
+        (vc,), dv = clear_denominators((v.c,))
+        (wc,), dw = clear_denominators((w.c,))
+        sums = {}
+        for mv, cv in vc.items():
+            for mw, cw in wc.items():
                 scale = cv * cw
-                items.extend((e, 0, vec, scale, False)
-                             for e, vec in self._vs_mono(mv, mw, ceiling).items()
-                             if e <= ceiling)
-        return series_sum(items, ceiling)
+                for e, bucket in self._vs_mono(mv, mw, ceiling).items():
+                    if e > ceiling:
+                        continue
+                    acc = sums.get(e)
+                    if acc is None:
+                        acc = sums[e] = {}
+                    accumulate(acc, bucket, scale)
+                    if not acc:
+                        del sums[e]
+        return LogSeries.from_sums(sums, dv * dw, ceiling)
 
     def coefficient_at(self, v: PBWVector, w: PBWVector, e) -> PBWVector:
-        """The x^e coefficient of Y(v, x) w, read without building the series;
-        flagged when its weight, up to depth(v) + depth(w) + e, passes the
-        cutoff, since the modes that build it lose what lies above."""
+        """The x^e coefficient of Y(v, x) w, read without building the series
+        and summed over cleared denominators as in vertex_series; flagged
+        when its weight, up to depth(v) + depth(w) + e, passes the cutoff,
+        since the modes that build it lose what lies above."""
         e = _integer_exponent(e)
+        (vc,), dv = clear_denominators((v.c,))
+        (wc,), dw = clear_denominators((w.c,))
         out = {}
-        for mv, cv in v.c.items():
-            for mw, cw in w.c.items():
+        for mv, cv in vc.items():
+            for mw, cw in wc.items():
                 vec = self._vs_mono(mv, mw, e).get(e)
-                if vec is None:
-                    continue
-                accumulate(out, vec, cv * cw)
-        deep = bool(v.c and w.c) and v.depth() + w.depth() + e > self.cutoff
-        return PBWVector(out, deep or v.truncated or w.truncated)
+                if vec is not None:
+                    accumulate(out, vec, cv * cw)
+        deep = bool(vc and wc) and v.depth() + w.depth() + e > self.cutoff
+        return PBWVector.adopt(divided(out, dv * dw), deep or v.truncated or w.truncated)
 
     def vertex_operator_mode(self, v: PBWVector, n):
         """The mode v_(n): w -> coefficient of x^(-n-1) in Y(v, x) w."""

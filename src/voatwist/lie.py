@@ -293,7 +293,11 @@ class LieAlgebra:
         rational spectrum (NotSemisimple / NeedsFieldExtension otherwise).
         With S = P diag(mus) P^-1, ad(s) sends P E_ij P^-1 to
         (mu_i - mu_j) P E_ij P^-1, and the P (E_kk - E_(k+1)(k+1)) P^-1
-        span the rest of its kernel."""
+        span the rest of its kernel.  Any y is sum_ij Y'_ij P E_ij P^-1 with
+        Y' = P^-1 Y P, so its weight on P E_ij P^-1 is Y'_ij, and on the
+        k-th kernel vector (Y is traceless) the sum of Y'_tt over t <= k:
+        the inverse of the eigenbasis is read off P^-1 B P for each basis
+        matrix B, with no dim-square inversion."""
         if not self.jordan_chevalley(s)[1].is_zero():
             raise NotSemisimple("element does not act semisimply on the algebra")
         p, p_inv, mus = self._spectrum(s)
@@ -303,30 +307,36 @@ class LieAlgebra:
             # P E_ij P^-1
             return tuple(tuple(p[r][i] * p_inv[j][c] for c in range(n1)) for r in range(n1))
 
-        spaces = {}
+        # (i, j) labels the vector P E_ij P^-1, (k, None) the k-th kernel one
+        slots = {}
         for i in range(n1):
             for j in range(n1):
                 if i != j:
-                    spaces.setdefault(mus[i] - mus[j], []).append(
-                        self.from_matrix(outer(i, j)))
-        for k in range(n1 - 1):
-            spaces.setdefault(_0, []).append(
-                self.from_matrix(mat_sub(outer(k, k), outer(k + 1, k + 1))))
-        return EigenData(self, s, spaces)
+                    slots.setdefault(mus[i] - mus[j], []).append((i, j))
+        slots.setdefault(_0, []).extend((k, None) for k in range(n1 - 1))
+        spaces = {lam: [self.from_matrix(outer(i, j)) if j is not None else
+                        self.from_matrix(mat_sub(outer(i, i), outer(i + 1, i + 1)))
+                        for i, j in labels]
+                  for lam, labels in slots.items()}
+        reads = [mat_mul(mat_mul(p_inv, b), p) for b in self.basis_mats]
+        inverse = tuple(tuple(y[i][j] if j is not None else sum(y[t][t] for t in range(i + 1))
+                              for y in reads)
+                        for lam in sorted(slots) for i, j in slots[lam])
+        return EigenData(self, s, spaces, inverse)
 
 
 class EigenData:
     """Rational eigen-decomposition of ad(s) with exact projections."""
 
-    def __init__(self, algebra, s, spaces):
+    def __init__(self, algebra, s, spaces, p_inv):
+        """spaces maps each eigenvalue to its eigenvectors; p_inv is the
+        inverse of the matrix whose columns are their coordinates, taken
+        in ascending eigenvalue order."""
         self.algebra = algebra
         self.s = s
         self.spaces = spaces
         self.values = sorted(spaces)
-        cols = [v.coords for lam in self.values for v in spaces[lam]]
-        p = tuple(tuple(cols[j][i] for j in range(algebra.dim))
-                  for i in range(algebra.dim))
-        self._p_inv = mat_inverse(p)
+        self._p_inv = p_inv
 
     def eigenvalue_of(self, elt: LieElt):
         """The single eigenvalue of an eigenvector (None if mixed)."""

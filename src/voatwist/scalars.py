@@ -64,8 +64,15 @@ def int_if_integral(q):
 
 def clear_denominators(dicts):
     """The {key: coeff} dicts times the lcm of their denominators (a Cyc
-    counts as 1), with that lcm; rational coefficients come back as ints."""
-    scale = math.lcm(*(getattr(c, "denominator", 1) for d in dicts for c in d.values()))
+    counts as 1), with that lcm; rational coefficients come back as ints.
+    At lcm 1 the list of dicts itself comes back, shared with the caller."""
+    scale = 1
+    for d in dicts:
+        for c in d.values():
+            if type(c) is Fraction:
+                scale = math.lcm(scale, c.denominator)
+    if scale == 1:
+        return dicts, 1
     return [{m: c * scale if isinstance(c, Cyc)
              else c.numerator * (scale // c.denominator) for m, c in d.items()}
             for d in dicts], scale

@@ -15,7 +15,10 @@ it.  ``series_combine`` (add), ``series_scale`` (scalar times a power of
 x), ``series_derivative`` (d/dx), ``LogSeries.map_values`` and
 ``branch_shift`` (log x -> log x + T, x^e -> zeta^(D e) x^e, the formal
 substitution that moves between analytic branches) are item streams into
-it.
+it.  The one exception is ``LogSeries.from_sums``, for a log-free series
+whose per-key sums are already made over one int denominator: it divides
+each once (``divided``) and keeps it without a copy (``PBWVector.adopt``,
+which also keeps a vector sum built outside a series).
 
 A series may carry a ``ceiling``: coefficients at e > ceiling are unknown
 (dropped, not zero).  ``None`` means the stored terms are the whole truth.
@@ -25,6 +28,8 @@ only inside the common ceiling.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import DomainError
 from .scalars import Cyc, binom, int_if_integral
 
@@ -32,6 +37,7 @@ __all__ = [
     "LogSeries",
     "PBWVector",
     "branch_shift",
+    "divided",
     "monomial_weight",
     "series_combine",
     "series_derivative",
@@ -77,13 +83,26 @@ class PBWVector:
                     self.c[mono] = int_if_integral(coeff)
         self.truncated = truncated
 
+    @classmethod
+    def adopt(cls, c, truncated=False):
+        """The vector whose dict is c itself, with no copy: c holds no zero
+        and is given up by the caller, who has just summed it.  Its integral
+        Fractions become ints in place, so it follows the scalar rule."""
+        for mono, coeff in c.items():
+            if type(coeff) is Fraction and coeff.denominator == 1:
+                c[mono] = coeff.numerator
+        vec = cls.__new__(cls)
+        vec.c = c
+        vec.truncated = truncated
+        return vec
+
     def is_zero(self):
         return not self.c
 
     def _plus(self, other, scale):
         out = dict(self.c)
         accumulate(out, other.c, scale)
-        return PBWVector(out, self.truncated or other.truncated)
+        return PBWVector.adopt(out, self.truncated or other.truncated)
 
     def __add__(self, other):
         return self._plus(other, None)
@@ -134,6 +153,22 @@ class PBWVector:
         return "PBW(" + " + ".join(bits) + (" ..." if len(self.c) > 6 else "") + f"){flag}"
 
 
+def divided(terms: dict, den: int) -> dict:
+    """The coefficients of terms/den under the scalar rule: an int where
+    den divides, else a Fraction; a Cyc or a Fraction is divided as it is.
+    At den 1 terms itself is returned."""
+    if den == 1:
+        return terms
+    out = {}
+    for mono, c in terms.items():
+        if type(c) is int:
+            q, r = divmod(c, den)
+            out[mono] = Fraction(c, den) if r else q
+        else:
+            out[mono] = int_if_integral(c / den)
+    return out
+
+
 def value_is_zero(v) -> bool:
     """Whether a series drops the module vector v as a zero term.
 
@@ -180,6 +215,16 @@ class LogSeries:
         accumulate(vec.c, terms, scale)
         if value_is_zero(vec):
             del self.terms[key]
+
+    @classmethod
+    def from_sums(cls, sums: dict, den: int, ceiling=None) -> "LogSeries":
+        """The log-free series sum_e (sums[e]/den) x^e, e an int: each
+        sums[e] is a nonempty coefficient dict that the caller gives up,
+        divided by den under the scalar rule and held without a copy."""
+        out = cls(ceiling=ceiling)
+        for e, terms in sums.items():
+            out.terms[e, 0] = PBWVector.adopt(divided(terms, den))
+        return out
 
     def map_values(self, fn) -> "LogSeries":
         """Apply fn to every coefficient (dropping zero results)."""

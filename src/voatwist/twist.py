@@ -12,6 +12,12 @@ ceiling.  A mode is read as one coefficient: for each chain term of the
 wanted log power, the base coefficient at the exponent left over, so no
 whole series is built per target.
 
+The chain image of a basis monomial and a mode operator's image of a basis
+target are memoized, and a basis input with coefficient int 1 gets that
+image itself: shared and read-only, as delta_apply serves D(b), so no
+caller may mutate what these reads return.  The grading offsets and the
+modes built from them are ints where integral.
+
 The attached automorphism is tracked as structured data (semisimple part,
 nilpotent part, optional diagram factor and conjugator).  Its action on
 module vectors uses cyclotomic scalars: an eigencomponent of eigenvalue
@@ -80,11 +86,17 @@ class TwistedModule:
         """The full shift-chain image of v, an exact finite LogSeries.
 
         The chain is linear, so an exact nonzero v sums the memoized images
-        of its monomials.  A flagged or zero v goes through the chain whole:
-        the flagged zeros that delta_apply keeps depend on how its input is
+        of its monomials, and a basis monomial with coefficient int 1 gets
+        its memoized image itself, shared and read-only as delta_apply
+        serves D(b).  A flagged or zero v goes through the chain whole: the
+        flagged zeros that delta_apply keeps depend on how its input is
         split into monomials, and a sum of images would lose them."""
         if v.truncated or not v.c:
             return self._transform_whole(v)
+        if len(v.c) == 1:
+            [(mono, c)] = v.c.items()
+            if type(c) is int and c == 1:
+                return self._chain_image(mono)
         return series_sum((e, k, vec.c, c, vec.truncated)
                           for mono, c in v.c.items()
                           for (e, k), vec in self._chain_image(mono).terms.items())
@@ -103,14 +115,15 @@ class TwistedModule:
         return ser
 
     def vertex_series(self, v: PBWVector, w: PBWVector, ceiling) -> LogSeries:
-        """Y_new(v, x) w, exact to ceiling."""
-        ceiling = F(ceiling)
-        items = []
-        for (e1, k1), vec1 in self.chain_transform(v).terms.items():
-            base_ser = self.base.vertex_series(vec1, w, floor(ceiling - e1))
-            items.extend((e1 + e2, k1, vec2.c, None, vec2.truncated)
-                         for (e2, _k2), vec2 in base_ser.terms.items())
-        return series_sum(items, ceiling)
+        """Y_new(v, x) w, exact to ceiling: the base series of each chain
+        term, summed per key."""
+        ceiling = int_if_integral(ceiling)
+        base = self.base
+        return series_sum(((e1 + e2, k1, vec2.c, None, vec2.truncated)
+                           for (e1, k1), vec1 in self.chain_transform(v).terms.items()
+                           for (e2, _k2), vec2 in base.vertex_series(
+                               vec1, w, floor(ceiling - e1)).terms.items()),
+                          ceiling)
 
     def mode(self, v: PBWVector, m, l: int = 0):
         """The (m, l) mode of Y_new(v, x): coefficient of x^(-m-1) log^l.
@@ -119,20 +132,24 @@ class TwistedModule:
         call.  Linear in the target, it keeps the image of each target
         monomial it has met while held: one base coefficient per chain term
         of log power l at the integer exponent left over, never a series.
-        With no such chain term it is zero.  Outputs carry the flags of the
-        coefficients read and of the target."""
-        e = -F(m) - 1
+        A basis target with coefficient int 1 gets that image itself,
+        shared and read-only.  With no such chain term it is zero.  Outputs
+        carry the flags of the coefficients read and of the target."""
+        e = -int_if_integral(m) - 1
         reads = None
         images = {}
 
         def image(mono):
             w = PBWVector({mono: 1})
+            if len(reads) == 1:
+                [(vec1, e2)] = reads
+                return self.base.coefficient_at(vec1, w, e2)
             out, trunc = {}, False
             for vec1, e2 in reads:
                 coeff = self.base.coefficient_at(vec1, w, e2)
                 accumulate(out, coeff.c)
                 trunc = trunc or coeff.truncated
-            return PBWVector(out, trunc)
+            return PBWVector.adopt(out, trunc)
 
         def op(w: PBWVector) -> PBWVector:
             nonlocal reads
@@ -142,6 +159,13 @@ class TwistedModule:
                          if k1 == l and (e - e1).denominator == 1]
             if not reads:
                 return PBWVector(None, w.truncated)
+            if len(w.c) == 1 and not w.truncated:
+                [(mono, cw)] = w.c.items()
+                if type(cw) is int and cw == 1:
+                    img = images.get(mono)
+                    if img is None:
+                        img = images[mono] = image(mono)
+                    return img
             out = {}
             trunc = w.truncated
             for mono, cw in w.c.items():
@@ -150,7 +174,7 @@ class TwistedModule:
                     img = images[mono] = image(mono)
                 accumulate(out, img.c, cw)
                 trunc = trunc or img.truncated
-            return PBWVector(out, trunc)
+            return PBWVector.adopt(out, trunc)
 
         return op
 
@@ -164,15 +188,17 @@ class TwistedModule:
         """(offsets, zero_mode, half_kappa): each generator's class offset,
         its eigenvalues summed over the steps (None unless it is an
         eigenvector of every step); the scalar parts of the steps' zero
-        modes s_j(0), each summed from the earlier steps; and sum kappa/2."""
+        modes s_j(0), each summed from the earlier steps; and sum kappa/2.
+        Each value is an int where integral."""
         steps, alg = self.steps, self.algebra
-        zero_mode = sum((alg.form(earlier.a, step.s) * self.level
-                         for j, step in enumerate(steps) for earlier in steps[:j]), F(0))
+        zero_mode = sum(alg.form(earlier.a, step.s) * self.level
+                        for j, step in enumerate(steps) for earlier in steps[:j])
         offsets = []
         for gi in range(alg.dim):
             lams = [step.eig.generator_eigenvalues()[gi] for step in steps]
-            offsets.append(None if None in lams else sum(lams, F(0)))
-        return offsets, zero_mode, sum(F(step.kappa, 2) for step in steps)
+            offsets.append(None if None in lams else int_if_integral(sum(lams)))
+        return (offsets, int_if_integral(zero_mode),
+                int_if_integral(sum(F(step.kappa, 2) for step in steps)))
 
     def weight_of(self, mono) -> Fraction:
         """Conformal weight of a monomial in the fully twisted grading."""
@@ -432,7 +458,7 @@ def mode_table_entry(twisted: TwistedModule, b, m, l: int = 0):
         b_(m, l)  =  sum ops[gi, mode] * b_gi(mode)  +  scalar * Id.
     """
     elt = twisted.base._as_elt(b)
-    return twisted._fold_mode(len(twisted.steps), elt, F(m), int(l))
+    return twisted._fold_mode(len(twisted.steps), elt, int_if_integral(m), int(l))
 
 
 def apply_table_entry(module: InducedModule, entry, vec: PBWVector) -> PBWVector:
@@ -445,12 +471,14 @@ def apply_table_entry(module: InducedModule, entry, vec: PBWVector) -> PBWVector
         moved = module.apply_mode(module.algebra._basis_elt(gi), mode, vec)
         accumulate(out, moved.c, coeff)
         trunc = trunc or moved.truncated
-    return PBWVector(out, trunc)
+    return PBWVector.adopt(out, trunc)
 
 
 def mode_candidates(span: int, order: int):
-    """Every mode on the 1/order lattice in [-span, span], ascending."""
-    return [F(t, order) for t in range(-int(span) * order, int(span) * order + 1)]
+    """Every mode on the 1/order lattice in [-span, span], ascending, ints
+    where integral."""
+    return [t // order if t % order == 0 else F(t, order)
+            for t in range(-int(span) * order, int(span) * order + 1)]
 
 
 def mode_table_rows(twisted: TwistedModule, modes, l_max: int) -> list:
@@ -461,12 +489,12 @@ def mode_table_rows(twisted: TwistedModule, modes, l_max: int) -> list:
     for gi in range(alg.dim):
         for m in modes:
             for l in range(l_max + 1):
-                ops, scalar = mode_table_entry(twisted, alg._basis_elt(gi), F(m), l)
+                ops, scalar = mode_table_entry(twisted, alg._basis_elt(gi), m, l)
                 if not ops and scalar == 0:
                     continue
                 rows.append({
                     "generator": alg.names[gi],
-                    "mode": fmt_rational(F(m)),
+                    "mode": fmt_rational(m),
                     "logPower": l,
                     "ops": [
                         {"generator": alg.names[gj],

@@ -22,7 +22,7 @@ from math import lcm
 from .delta import delta_apply, delta_apply_series, make_delta
 from .errors import DomainError
 from .fock import InducedModule
-from .scalars import Cyc, binom, clear_denominators, fmt_rational, fmt_scalar
+from .scalars import Cyc, binom, clear_denominators, fmt_rational, fmt_scalar, int_if_integral
 from .series import (
     LogSeries,
     PBWVector,
@@ -285,7 +285,7 @@ def _expand_at_sum(e, k, max_p):
                 c = ckj * cl * binom(e, i)
                 if c:
                     out[(j, i + il)] = out.get((j, i + il), 0) + c
-    return {key: c for key, c in out.items() if c}
+    return {key: int_if_integral(c) for key, c in out.items() if c}
 
 
 def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw,
@@ -299,12 +299,13 @@ def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw,
     """
     module = delta.module
 
+    # each (e, k, ey) key comes once, so D(Y(v, y) w) is read by reference:
+    # its dicts may be images that delta_apply shares, never mutated here
     lhs = {}
-    base = module.vertex_series(v, w, ceiling)
-    for (ey, _k0), vecy in base.terms.items():
+    for (ey, _k0), vecy in module.vertex_series(v, w, ceiling).terms.items():
         _ensure_exact(vecy, "conjugation check")
         for (e, k), vec in delta_apply(delta, vecy).terms.items():
-            accumulate(lhs.setdefault((e, k, ey), {}), vec.c)
+            lhs[e, k, ey] = vec.c
 
     rhs = {}
     for e1, vecv, table in shifted:
@@ -552,18 +553,18 @@ def _single_step_mismatch(twisted, belt, bname, m, entry):
     if lam is None:
         return None
     expected_ops = {}
-    if (F(m) - lam).denominator == 1:
+    if (m - lam).denominator == 1:
         for gi, c in enumerate(belt.coords):
             if c:
-                expected_ops[(gi, int(F(m) - lam))] = c
-    expected_scalar = F(0)
-    if F(m) == 0:
+                expected_ops[(gi, int(m - lam))] = c
+    expected_scalar = 0
+    if m == 0:
         expected_scalar = -alg.form(step.a, belt) * twisted.level
     ops, scalar = entry
     if ops != expected_ops or scalar != expected_scalar:
         return {
             "generator": bname,
-            "mode": fmt_rational(F(m)),
+            "mode": fmt_rational(m),
             "logPower": 0,
             "table": _fmt_table_entry(alg, entry),
             "relabelingFormula": _fmt_table_entry(alg, (expected_ops,
@@ -905,7 +906,7 @@ def _monomial_sum_series(twisted: TwistedModule, v: PBWVector, w: PBWVector,
         if ser is None:
             ser = known[mono] = twisted.vertex_series(PBWVector({mono: 1}), w, ceiling)
         items.extend((e, k, vec.c, c, vec.truncated) for (e, k), vec in ser.terms.items())
-    return series_sum(items, F(ceiling))
+    return series_sum(items, ceiling)
 
 
 def check_equivariance(twisted: TwistedModule, target_states=None,

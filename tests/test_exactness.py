@@ -9,6 +9,13 @@ scale, and the chain scalars that get halved.  They also read what every
 PBWVector and LieElt stores once built, over the CLI runs and the shift
 probes, and every mode-table entry that ``tables`` builds, for a Fraction
 whose value is integral, also as a coordinate of a Cyc coefficient.
+
+Besides ``PBWVector.__init__`` and ``series_sum`` (through
+``LogSeries.add_term``), coefficients are stored by ``PBWVector.adopt``,
+which keeps a freshly summed dict without a copy (the untwisted
+vertex-operator reads, vector sums, mode actions and the twisted mode
+operators), and series terms by ``LogSeries.from_sums``; both scans hook
+those too.
 """
 
 import contextlib
@@ -19,11 +26,11 @@ from fractions import Fraction as F
 import pytest
 from test_shift_golden import probe_outputs
 
-from voatwist import cli, delta, fock, series, twist, verify
-from voatwist.fock import PBWVector, build_module, series_sum
+from voatwist import cli, delta, series, twist, verify
+from voatwist.fock import build_module
 from voatwist.lie import LieElt, build_simple_lie
 from voatwist.scalars import Cyc
-from voatwist.series import LogSeries
+from voatwist.series import LogSeries, PBWVector, series_sum
 from voatwist.twist import make_twisted
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -44,7 +51,9 @@ def float_scan(monkeypatch):
     """Record every float coefficient or exponent; count what was watched."""
     scan = {"watched": 0, "compared": 0, "floats": []}
     init = PBWVector.__init__
+    adopt = PBWVector.adopt
     add_term = LogSeries.add_term
+    from_sums = LogSeries.from_sums
     compare = verify._compare_bivariate
 
     def watched_init(self, c=None, truncated=False):
@@ -53,6 +62,23 @@ def float_scan(monkeypatch):
             if _has_float(coeff):
                 scan["floats"].append(("coefficient", mono, coeff))
         init(self, c, truncated)
+
+    def watched_adopt(c, truncated=False):
+        # sums kept without __init__
+        for mono, coeff in c.items():
+            scan["watched"] += 1
+            if _has_float(coeff):
+                scan["floats"].append(("coefficient", mono, coeff))
+        return adopt(c, truncated)
+
+    def watched_from_sums(sums, den, ceiling=None):
+        # the exponents of the log-free series that bypass add_term; their
+        # coefficients go through adopt
+        for e in sums:
+            scan["watched"] += 1
+            if _has_float(e) or _has_float(den):
+                scan["floats"].append(("exponent", e, den))
+        return from_sums(sums, den, ceiling)
 
     def watched_add_term(self, e, k, terms, scale=None, flag=False):
         # every series term passes here: series_sum adds each of its items
@@ -74,7 +100,9 @@ def float_scan(monkeypatch):
         return compare(alg, lhs, rhs, scale, ceiling, **fields)
 
     monkeypatch.setattr(PBWVector, "__init__", watched_init)
+    monkeypatch.setattr(PBWVector, "adopt", staticmethod(watched_adopt))
     monkeypatch.setattr(LogSeries, "add_term", watched_add_term)
+    monkeypatch.setattr(LogSeries, "from_sums", staticmethod(watched_from_sums))
     monkeypatch.setattr(verify, "_compare_bivariate", watched_compare)
     return scan
 
@@ -103,6 +131,28 @@ def test_float_scan_sees_every_series_term(float_scan):
                                     for e, k, terms, scale, _flag in items]
 
 
+def test_float_scan_sees_the_untwisted_reads(float_scan):
+    # a float exponent of a summed series, or a float coefficient that a
+    # read keeps by adopting its dict, is seen
+    mono = ((0, -1),)
+    LogSeries.from_sums({0.5: {mono: 1}}, 1)
+    PBWVector.adopt({mono: 0.25})
+    assert float_scan["floats"] == [("exponent", 0.5, 1), ("coefficient", mono, 0.25)]
+
+
+def test_float_scan_watches_the_untwisted_reads(float_scan):
+    # vertex_series and coefficient_at store through the hooked points
+    alg = build_simple_lie("A", 1)
+    mod = build_module(alg, F(2), 4)
+    v = PBWVector({((0, -1),): F(1, 2)})
+    w = PBWVector({((1, -1),): 1})
+    mod.vertex_series(v, w, 1)
+    seen = float_scan["watched"]
+    mod.coefficient_at(v, w, -1)
+    assert seen > 0 and float_scan["watched"] > seen
+    assert float_scan["floats"] == []
+
+
 @pytest.mark.parametrize("name,coeff", [("h1", F(1, 2)), ("e1", 1), ("h1", F(1, 3)),
                                         ("h1", 1)],
                          ids=["h1=1/2", "e1", "h1=1/3", "h1=int 1"])
@@ -125,7 +175,7 @@ def _integral_fraction(value) -> bool:
 
 
 # every module that binds series_sum by name, series itself included
-SERIES_SUM_USERS = (series, fock, delta, twist, verify)
+SERIES_SUM_USERS = (series, delta, twist, verify)
 
 
 @pytest.fixture
@@ -134,6 +184,7 @@ def fraction_scan(monkeypatch):
     a series_sum result, stores; count the stored values read."""
     scan = {"read": 0, "found": []}
     pbw_init = PBWVector.__init__
+    pbw_adopt = PBWVector.adopt
     lie_init = LieElt.__init__
     summed = series.series_sum
 
@@ -146,6 +197,12 @@ def fraction_scan(monkeypatch):
     def watched_pbw_init(self, c=None, truncated=False):
         pbw_init(self, c, truncated)
         read_pbw(self)
+
+    def watched_pbw_adopt(c, truncated=False):
+        # sums kept without __init__
+        vec = pbw_adopt(c, truncated)
+        read_pbw(vec)
+        return vec
 
     def watched_series_sum(items, ceiling=None):
         # series_sum fills its vectors after PBWVector.__init__ has run
@@ -161,6 +218,7 @@ def fraction_scan(monkeypatch):
             scan["found"].append(("coordinates", self.coords))
 
     monkeypatch.setattr(PBWVector, "__init__", watched_pbw_init)
+    monkeypatch.setattr(PBWVector, "adopt", staticmethod(watched_pbw_adopt))
     monkeypatch.setattr(LieElt, "__init__", watched_lie_init)
     for module in SERIES_SUM_USERS:
         monkeypatch.setattr(module, "series_sum", watched_series_sum)
@@ -178,6 +236,33 @@ def test_fraction_scan_reads_every_series_sum(fraction_scan, module):
     held = sum(len(vec.c) for vec in out.terms.values())
     assert held == 3
     assert fraction_scan["read"] - before >= held
+    assert fraction_scan["found"] == []
+
+
+def test_fraction_scan_reads_the_untwisted_reads(fraction_scan):
+    # every coefficient that vertex_series and coefficient_at keep is read,
+    # also at a non-integral level, where the summed buckets are Fractions;
+    # both keep their sums through PBWVector.adopt
+    alg = build_simple_lie("A", 1)
+    mono = ((0, -1),)
+    for level in (F(2), F(1, 2)):
+        mod = build_module(alg, level, 4)
+        v = PBWVector({((0, -1),): F(1, 2), ((1, -1),): 3})
+        w = PBWVector({((1, -1),): F(2, 3)})
+        before = fraction_scan["read"]
+        ser = mod.vertex_series(v, w, 1)
+        held = sum(len(vec.c) for vec in ser.terms.values())
+        coeff = mod.coefficient_at(v, w, -1)
+        assert held > 0 and coeff.c
+        assert fraction_scan["read"] - before >= held + len(coeff.c)
+    assert fraction_scan["found"] == []
+    # adopt keeps the dict it is given, with an integral Fraction made an int
+    before = fraction_scan["read"]
+    terms = {mono: F(2), ((1, -1),): F(1, 2)}
+    vec = PBWVector.adopt(terms)
+    assert vec.c is terms and terms == {mono: 2, ((1, -1),): F(1, 2)}
+    assert type(terms[mono]) is int
+    assert fraction_scan["read"] - before == 2
     assert fraction_scan["found"] == []
 
 

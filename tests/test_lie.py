@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from voatwist.errors import (InvalidSymmetry, NeedsFieldExtension, NotSemisimple,
                              UnsupportedAlgebra)
 from voatwist.lie import build_simple_lie, diagram_automorphism
-from voatwist.linalg import charpoly
+from voatwist.linalg import charpoly, mat_inverse
 
 sl2 = build_simple_lie("A", 1)
 sl3 = build_simple_lie("A", 2)
@@ -161,7 +161,7 @@ def test_element_round_trip():
 
 # -- oracles for the tabulated structure data and the memos -----------------
 
-ALGEBRAS = {rank: build_simple_lie("A", rank) for rank in (1, 2, 3)}
+ALGEBRAS = {rank: build_simple_lie("A", rank) for rank in (1, 2, 3, 4)}
 rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -293,3 +293,16 @@ def test_eigen_decomposition_against_sympy(drawn):
             for v, mult in sym_ad(alg, s.coords).eigenvals().items()}
     assert eig.values == sorted(want)
     assert {lam: len(eig.spaces[lam]) for lam in eig.values} == want
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(elements(1, borel=True, ranks=(1, 2, 3, 4)))
+def test_eigenbasis_inverse_matches_mat_inverse(drawn):
+    # the inverse read off P^-1 B P is the inverse of the matrix whose
+    # columns are the eigenvectors, in ascending eigenvalue order
+    alg, (coords,) = drawn
+    s, _n = alg.jordan_chevalley(alg.element_from_coords(coords))
+    eig = alg.ad_eigendata(s)
+    cols = [v.coords for lam in eig.values for v in eig.spaces[lam]]
+    p = tuple(tuple(col[i] for col in cols) for i in range(alg.dim))
+    assert eig._p_inv == mat_inverse(p)

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voatwist.errors import DomainError
-from voatwist.fock import PBWVector, series_sum
 from voatwist.scalars import Cyc, binom, int_if_integral
 from voatwist.series import (
     LogSeries,
+    PBWVector,
     branch_shift,
     series_combine,
     series_derivative,
     series_eq,
     series_scale,
+    series_sum,
     value_is_zero,
 )
 

@@ -75,6 +75,20 @@ def test_regraded_weights():
     assert TW.class_of(((e, -1),)) == 1
 
 
+@pytest.mark.parametrize("coeff,kind", [(F(1, 2), int), (F(1, 3), F)],
+                         ids=["h1=1/2", "h1=1/3"])
+def test_grading_follows_the_scalar_rule(coeff, kind):
+    # integral class offsets are ints, so modes built from them are too
+    tw = make_twisted(MOD, MOD.current(sl2.element({"h1": coeff})))
+    offsets, zero_mode, _half_kappa = tw.grading()
+    assert [type(lam) for lam in offsets] == [kind, kind, int]
+    assert type(zero_mode) is int
+    assert type(tw.class_of(((0, -1), (0, -1)))) is kind
+    order = tw.branch_order()
+    assert [type(m) for m in mode_candidates(1, order)] == \
+        [int if t % order == 0 else F for t in range(-order, order + 1)]
+
+
 def test_branch_order_counts_eigen_denominators():
     assert TW.branch_order() == 1
     third = make_twisted(MOD, MOD.current(sl2.element({"h1": F(1, 3)})))
