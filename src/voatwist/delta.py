@@ -19,25 +19,27 @@ denominators, and each term is an integral vector over one int
 denominator.  Each output coefficient is divided once, so the output
 follows the one scalar rule: an integral value is an int
 (``tests/test_shift_golden.py`` pins every type, and checks stages 1 and 2
-against their first forms in Fractions).  Stage 3 sums its terms per
-output key with series.series_sum, like every series built from module
-vectors, so a key that cancels drops and a flagged zero stays, by the one
-rule of series.value_is_zero.  The self-pairing scalar kappa is always
-stored as a Fraction, since callers halve it.  A legacy sign convention
-(kept only so its failure is demonstrable) flips the outer x^(s(0)) and
-log factors and drops the (-1)^m inside the exponential; the two agree on
-the m = 1 term, which is why the difference is easy to miss on small
-examples.
+against their first forms in Fractions), and each divided term is kept
+without a copy.  Stage 3 sums its terms per output key in one LogSeries,
+in the order they come (a relabeled monomial by LogSeries.add_monomial, an
+expanded one by add_term), so a key that cancels drops and a flagged zero
+stays, by the one rule of series.value_is_zero.  The self-pairing scalar
+kappa is always stored as a Fraction, since callers halve it.  A legacy
+sign convention (kept only so its failure is demonstrable) flips the outer
+x^(s(0)) and log factors and drops the (-1)^m inside the exponential; the
+two agree on the m = 1 term, which is why the difference is easy to miss
+on small examples.
 
 make_delta builds one record per module, current and sign convention, kept
 on the module but never referring to it, so a dropped module is freed at
 once.  It holds D(b) for each basis monomial b = {mono: 1} it has met, and
-an unflagged single monomial c b with c an int or a Fraction is served as
-c D(b), which the operator's linearity makes equal in keys, values,
-coefficient types and flags to the image computed afresh
-(``tests/test_delta.py`` checks this).  Other inputs, Cyc multiples
-among them, are computed afresh, since a whole-vector key is unsafe (Cyc
-is unhashable, and 1 == Fraction(1)).
+stage 3's exponent shift of each monomial it has met.  An unflagged single
+monomial c b with c an int or a Fraction is served as c D(b), one scaled
+copy of each term, which the operator's linearity makes equal in keys,
+values, coefficient types and flags to the image computed afresh
+(``tests/test_delta.py`` checks this).  Other inputs, Cyc multiples among
+them, are computed afresh, since a whole-vector key is unsafe (Cyc is
+unhashable, and 1 == Fraction(1)).
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ class DeltaOperator:
     all but the module comes from the module's record (see make_delta)."""
 
     __slots__ = ("module", "a", "a_int", "s", "n", "n_int", "eig", "kappa",
-                 "legacy", "images")
+                 "legacy", "shifts", "images")
 
-    def __init__(self, module, a, a_int, s, n, n_int, eig, kappa, legacy, images):
+    def __init__(self, module, a, a_int, s, n, n_int, eig, kappa, legacy, shifts,
+                 images):
         self.module = module
         self.a = a
         self.a_int = a_int  # (b, d) with a = b/d and b integral
@@ -74,6 +77,7 @@ class DeltaOperator:
         self.eig = eig
         self.kappa = kappa
         self.legacy = legacy
+        self.shifts = shifts  # stage 3's exponent shift of each monomial met
         self.images = images
 
     @property
@@ -127,12 +131,12 @@ def _integral(alg, elt):
 
 @memo
 def _shift_record(module: InducedModule, a, legacy):
-    """(a, a_int, s, n, n_int, eig, kappa, legacy, images), none referring
-    to the module."""
+    """(a, a_int, s, n, n_int, eig, kappa, legacy, shifts, images), none
+    referring to the module."""
     alg = module.algebra
     if a.is_zero():
         eig = alg.ad_eigendata(alg.zero())
-        return a, (a, 1), alg.zero(), alg.zero(), (a, 1), eig, F(0), legacy, {}
+        return a, (a, 1), alg.zero(), alg.zero(), (a, 1), eig, F(0), legacy, {}, {}
 
     u = module.current(a)
     l1u = module.sugawara_mode(1)(u)
@@ -150,20 +154,23 @@ def _shift_record(module: InducedModule, a, legacy):
             raise DomainError("u_(1) u is not a vacuum multiple")
         kappa = F(coeff)
     return (a, _integral(alg, a), s, n, _integral(alg, n), eig, kappa, legacy,
-            {})
+            {}, {})
 
 
 def _exp_current_stage(delta: DeltaOperator, v: PBWVector) -> list:
     """Stage 1: exp of the positive-mode sum, log-free, as [(e, 0, vec,
-    den)]: the x^e term is vec/den, den an int and vec integral (a Cyc,
-    or a Fraction from a non-integral level, is kept as it is).
+    den)]: the x^e term is vec/den, den a nonzero int and vec integral (a
+    Cyc, or a Fraction from a non-integral level, is kept as it is).
 
     The modes a(m) commute, so the x^(-j) term is T_j = (1/j) sum_{m<=j}
     s_m a(m) T_(j-m) with T_0 = v and s_m = (-1)^m (-1 under the legacy
     convention); T_j vanishes past the depth of v.  With a = b/d, b
-    integral, and D the lcm of v's denominators, S_j = j! d^j D T_j is
-    integral:  S_0 = D v,
-        S_j = sum_{m<=j} s_m ((j-1)!/(j-m)!) d^(m-1) b(m) S_(j-m)."""
+    integral, and D the lcm of v's denominators, R_j = (-1)^j j! d^j D T_j
+    is integral:  R_0 = D v,
+        R_j = sum_{m<=j} c_m ((j-1)!/(j-m)!) d^(m-1) b(m) R_(j-m),
+    with c_m = 1 (c_m = (-1)^(m+1) under the legacy convention).  So the
+    sign (-1)^j goes into the denominator, and the m = 1 image, whose
+    factor is 1, starts the sum as it is."""
     module = delta.module
     b, d = delta.a_int
     [cleared], den = clear_denominators([v.c])
@@ -175,10 +182,13 @@ def _exp_current_stage(delta: DeltaOperator, v: PBWVector) -> list:
             if terms[j - m].c:
                 moved = module.apply_mode(b, m, terms[j - m])
                 trunc = trunc or moved.truncated
+                if m == 1:
+                    acc = moved.c
+                    continue
                 k = perm(j - 1, m - 1) * d ** (m - 1)
-                accumulate(acc, moved.c, -k if delta.legacy or m % 2 else k)
-        terms.append(PBWVector(acc, trunc))
-        den *= j * d
+                accumulate(acc, moved.c, -k if delta.legacy and m % 2 == 0 else k)
+        terms.append(PBWVector.adopt(acc, trunc))
+        den *= -j * d
         out.append((-j, 0, terms[-1], den))
     return [term for term in out if not value_is_zero(term[2])]
 
@@ -205,9 +215,13 @@ def _log_stage(delta: DeltaOperator, staged: list) -> list:
 
 
 def _series(staged: list) -> LogSeries:
-    """The LogSeries of a stage's [(e, k, vec, den)] terms."""
-    return LogSeries({(e, k): PBWVector(divided(vec.c, den), vec.truncated)
-                      for e, k, vec, den in staged})
+    """The LogSeries of a stage's [(e, k, vec, den)] terms.  Their keys are
+    distinct and none is an unflagged zero, and each vec is fresh, so its
+    divided dict is kept without a copy."""
+    out = LogSeries()
+    for e, k, vec, den in staged:
+        out.terms[e, k] = PBWVector.adopt(divided(vec.c, den), vec.truncated)
+    return out
 
 
 def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
@@ -224,7 +238,12 @@ def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
                 hit = delta.images[mono] = _shift(delta, PBWVector({mono: 1}))
             if type(c) is int and c == 1:
                 return hit
-            return hit.map_values(lambda vec: c * vec)
+            # c is nonzero, so c D(b) has the keys of D(b): one scaled copy
+            # of each term
+            scaled = LogSeries()
+            for key, vec in hit.terms.items():
+                scaled.terms[key] = c * vec
+            return scaled
     return _shift(delta, v)
 
 
@@ -241,23 +260,33 @@ def _shift(delta: DeltaOperator, v: PBWVector) -> LogSeries:
 
     sign = 1 if delta.legacy else -1
     eigvals = delta.eig.generator_eigenvalues()
-    items = []
+    shifts, cutoff = delta.shifts, module.cutoff
+    # one per-key sum, in the order the terms come: a relabeled monomial is
+    # added as it is, an expanded one as a scaled vector
+    out = LogSeries()
+    add_term, add_monomial = out.add_term, out.add_monomial
     for e, k, vec, den in staged:
+        flag = vec.truncated
         if not vec.c:
             # a flagged zero has nothing to expand: it stays where it is
-            items.append((e, k, {}, None, vec.truncated))
+            add_term(e, k, {}, None, flag)
         for mono, coeff in divided(vec.c, den).items():
-            # inside the cutoff, a monomial of eigenvectors is relabeled
-            lams = [eigvals[gi] for gi, _m in reversed(mono)]
-            if None not in lams and monomial_weight(mono) <= module.cutoff:
-                items.append((e + sign * sum(lams), k, {mono: coeff}, None,
-                              vec.truncated))
+            shift = shifts.get(mono, False)
+            if shift is False:
+                # inside the cutoff, a monomial of eigenvectors is relabeled
+                # (moved by sign times its eigenvalue sum); any other is
+                # expanded (None)
+                lams = [eigvals[gi] for gi, _m in mono]
+                shift = shifts[mono] = (sign * sum(lams) if None not in lams
+                                        and monomial_weight(mono) <= cutoff else None)
+            if shift is not None:
+                add_monomial(e + shift, k, mono, coeff, flag)
                 continue
             for lamsum, expanded in module.expand_monomial(mono, split).items():
                 # the expansion restarts from the vacuum; keep the input's flag
-                items.append((e + sign * lamsum, k, expanded.c, coeff,
-                              expanded.truncated or vec.truncated))
-    return series_sum(items)
+                add_term(e + sign * lamsum, k, expanded.c, coeff,
+                         expanded.truncated or flag)
+    return out.settle()
 
 
 def delta_apply_series(delta: DeltaOperator, series: LogSeries) -> LogSeries:

@@ -149,10 +149,13 @@ class InducedModule:
         out = {}
         trunc = vec.truncated
         # summed inline, not through accumulate: the innermost loop of every
-        # check, where a call per term adds 6% to the calls of a pass
+        # check, where a call per term adds 6% to the calls of a pass; for
+        # the same reason _act's memo dict is read before calling it
+        act, known = self._act, self._act_cache
         for mono, coeff in vec.c.items():
             for gi, cg in coords:
-                sub, t = self._act(gi, m, mono)
+                hit = known.get((gi, m, mono))
+                sub, t = act(gi, m, mono) if hit is None else hit
                 trunc = trunc or t
                 for mono2, c2 in sub.items():
                     cur = out.get(mono2)

@@ -11,14 +11,19 @@ scalars.  Series are stored sparsely as a dict keyed by (e, k).
 Every series is built by one per-key sum: ``series_sum`` runs
 ``LogSeries.add_term`` on a stream of (e, k, coefficient dict, scale,
 flag) items, and ``accumulate`` is the one sum of coefficient dicts under
-it.  ``series_combine`` (add), ``series_scale`` (scalar times a power of
-x), ``series_derivative`` (d/dx), ``LogSeries.map_values`` and
+it; ``LogSeries.settle`` then applies the scalar rule to the sums in
+place.  ``series_combine`` (add), ``series_scale`` (scalar times a power
+of x), ``series_derivative`` (d/dx), ``LogSeries.map_values`` and
 ``branch_shift`` (log x -> log x + T, x^e -> zeta^(D e) x^e, the formal
 substitution that moves between analytic branches) are item streams into
-it.  The one exception is ``LogSeries.from_sums``, for a log-free series
-whose per-key sums are already made over one int denominator: it divides
-each once (``divided``) and keeps it without a copy (``PBWVector.adopt``,
-which also keeps a vector sum built outside a series).
+it.  ``LogSeries.add_monomial`` is add_term for a one-monomial dict that
+is never built, for the shift operator's relabeled monomials.  A series
+whose terms are already known to have distinct keys and no zero is stored
+as it is: ``LogSeries.from_sums`` divides each per-key sum of a log-free
+series once (``divided``) and keeps it without a copy
+(``PBWVector.adopt``, which also keeps a vector sum built outside a
+series), and the shift operator and the twisted reads store such terms
+the same way.
 
 A series may carry a ``ceiling``: coefficients at e > ceiling are unknown
 (dropped, not zero).  ``None`` means the stored terms are the whole truth.
@@ -216,6 +221,37 @@ class LogSeries:
         if value_is_zero(vec):
             del self.terms[key]
 
+    def add_monomial(self, e, k, mono, coeff, flag=False):
+        """add_term of the one-monomial dict {mono: coeff}, summed straight
+        into the x^e log^k coefficient without building that dict."""
+        key = (int_if_integral(e), k)
+        vec = self.terms.get(key)
+        if vec is None:
+            vec = self.terms[key] = PBWVector(None, flag)
+        elif flag:
+            vec.truncated = True
+        c = vec.c
+        cur = c.get(mono)
+        if cur is not None:
+            coeff = cur + coeff
+        if coeff:
+            c[mono] = coeff
+        else:
+            c.pop(mono, None)
+            if value_is_zero(vec):
+                del self.terms[key]
+
+    def settle(self) -> "LogSeries":
+        """Apply the scalar rule to the summed coefficients in place, an
+        integral Fraction becoming an int, and return the series: the last
+        step of every per-key sum."""
+        for vec in self.terms.values():
+            c = vec.c
+            for mono, coeff in c.items():
+                if type(coeff) is Fraction and coeff.denominator == 1:
+                    c[mono] = coeff.numerator
+        return self
+
     @classmethod
     def from_sums(cls, sums: dict, den: int, ceiling=None) -> "LogSeries":
         """The log-free series sum_e (sums[e]/den) x^e, e an int: each
@@ -250,9 +286,7 @@ def series_sum(items, ceiling=None) -> LogSeries:
     add = out.add_term
     for item in items:
         add(*item)
-    for vec in out.terms.values():
-        vec.c = {mono: int_if_integral(c) for mono, c in vec.c.items()}
-    return out
+    return out.settle()
 
 
 def _items(a: LogSeries, scale=None, eshift=0):

@@ -624,6 +624,8 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
                                generatorPair=pair)
                 return
             bracket = alg.bracket(belt, celt)
+            # the bracket's table ops on each state, once per m + n
+            images = {}
             for mi in range(-int(mode_span), int(mode_span) + 1):
                 m = mi + lam_b
                 if abs(m) > mode_span:
@@ -634,7 +636,7 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
                     if abs(n) > mode_span:
                         continue
                     cop, cops = gen_mode(cname, n)
-                    entry_ops = mode_table_entry(twisted, bracket, m + n)[0]
+                    entry = (mode_table_entry(twisted, bracket, m + n)[0], 0)
                     central = 0
                     for (gi, p), bco in bops.items():
                         for (gj, q), cco in cops.items():
@@ -643,9 +645,12 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
                                                    alg._basis_elt(gj))
                                 central += bco * cco * p * pairing * level
                     modes = f"{fmt_rational(m)},{fmt_rational(n)}"
-                    for w, wlabel in states:
+                    for i, (w, wlabel) in enumerate(states):
                         lhs = bop(cop(w)) - cop(bop(w))
-                        rhs = apply_table_entry(module, (entry_ops, central), w)
+                        image = images.get((m + n, i))
+                        if image is None:
+                            image = images[m + n, i] = apply_table_entry(module, entry, w)
+                        rhs = image + central * w if central else image
                         yield _vector_case(alg, lhs, rhs, name, generatorPair=pair,
                                            modes=modes, state=wlabel)
 

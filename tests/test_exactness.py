@@ -13,9 +13,12 @@ whose value is integral, also as a coordinate of a Cyc coefficient.
 Besides ``PBWVector.__init__`` and ``series_sum`` (through
 ``LogSeries.add_term``), coefficients are stored by ``PBWVector.adopt``,
 which keeps a freshly summed dict without a copy (the untwisted
-vertex-operator reads, vector sums, mode actions and the twisted mode
-operators), and series terms by ``LogSeries.from_sums``; both scans hook
-those too.
+vertex-operator reads, vector sums, mode actions, the twisted mode
+operators and the shift operator's stages 1 and 2), and series terms by
+``LogSeries.from_sums`` and by ``LogSeries.add_monomial``, which the shift
+operator's stage 3 sums without a series_sum; both scans hook those too.
+Every per-key sum ends in ``LogSeries.settle``, which the integral-Fraction
+scan reads.
 """
 
 import contextlib
@@ -53,6 +56,7 @@ def float_scan(monkeypatch):
     init = PBWVector.__init__
     adopt = PBWVector.adopt
     add_term = LogSeries.add_term
+    add_monomial = LogSeries.add_monomial
     from_sums = LogSeries.from_sums
     compare = verify._compare_bivariate
 
@@ -87,6 +91,13 @@ def float_scan(monkeypatch):
             scan["floats"].append(("term", e, k, terms, scale))
         add_term(self, e, k, terms, scale, flag)
 
+    def watched_add_monomial(self, e, k, mono, coeff, flag=False):
+        # the relabeled monomials of the shift operator's stage 3
+        scan["watched"] += 1
+        if any(map(_has_float, (e, k, coeff))):
+            scan["floats"].append(("monomial", e, k, mono, coeff))
+        add_monomial(self, e, k, mono, coeff, flag)
+
     def watched_compare(alg, lhs, rhs, scale, ceiling, **fields):
         # shift-conjugation sums both sides in plain dicts that no
         # PBWVector or LogSeries sees, and scales the right one by an int
@@ -102,6 +113,7 @@ def float_scan(monkeypatch):
     monkeypatch.setattr(PBWVector, "__init__", watched_init)
     monkeypatch.setattr(PBWVector, "adopt", staticmethod(watched_adopt))
     monkeypatch.setattr(LogSeries, "add_term", watched_add_term)
+    monkeypatch.setattr(LogSeries, "add_monomial", watched_add_monomial)
     monkeypatch.setattr(LogSeries, "from_sums", staticmethod(watched_from_sums))
     monkeypatch.setattr(verify, "_compare_bivariate", watched_compare)
     return scan
@@ -129,6 +141,27 @@ def test_float_scan_sees_every_series_term(float_scan):
     series_sum(items)
     assert float_scan["floats"] == [("term", e, k, terms, scale)
                                     for e, k, terms, scale, _flag in items]
+
+
+def test_float_scan_sees_every_added_monomial(float_scan):
+    # a float exponent or coefficient of a monomial summed without a dict
+    mono = ((0, -1),)
+    out = LogSeries()
+    out.add_monomial(0.5, 0, mono, 1)
+    out.add_monomial(0, 0, mono, 0.25)
+    assert float_scan["floats"] == [("monomial", 0.5, 0, mono, 1),
+                                    ("monomial", 0, 0, mono, 0.25)]
+
+
+def test_float_scan_watches_the_shift_stages(float_scan):
+    # stage 3 of a semisimple shift relabels through add_monomial
+    alg = build_simple_lie("A", 1)
+    mod = build_module(alg, F(2), 4)
+    d = delta.make_delta(mod, mod.current(alg.element({"h1": F(1, 2)})))
+    seen = float_scan["watched"]
+    delta.delta_apply(d, PBWVector({((0, -1), (1, -1)): F(1, 2), ((2, -2),): 1}))
+    assert float_scan["watched"] > seen
+    assert float_scan["floats"] == []
 
 
 def test_float_scan_sees_the_untwisted_reads(float_scan):
@@ -181,15 +214,20 @@ SERIES_SUM_USERS = (series, delta, twist, verify)
 @pytest.fixture
 def fraction_scan(monkeypatch):
     """Record every integral Fraction that a built PBWVector or LieElt, or
-    a series_sum result, stores; count the stored values read."""
-    scan = {"read": 0, "found": []}
+    a settled or series_sum result, stores; count the stored values read,
+    and note each vector read with its coefficients in place."""
+    scan = {"read": 0, "found": [], "vectors": set()}
     pbw_init = PBWVector.__init__
     pbw_adopt = PBWVector.adopt
     lie_init = LieElt.__init__
     summed = series.series_sum
+    settle = LogSeries.settle
 
     def read_pbw(vec):
         scan["read"] += len(vec.c)
+        if vec.c:
+            # read with its coefficients in place, not as an empty start
+            scan["vectors"].add(id(vec))
         scan["found"].extend(("coefficient", mono, coeff)
                              for mono, coeff in vec.c.items()
                              if _integral_fraction(coeff))
@@ -211,6 +249,14 @@ def fraction_scan(monkeypatch):
             read_pbw(vec)
         return out
 
+    def watched_settle(self):
+        # the end of every per-key sum, series_sum's and the shift
+        # operator's stage 3 alike
+        out = settle(self)
+        for vec in out.terms.values():
+            read_pbw(vec)
+        return out
+
     def watched_lie_init(self, algebra, coords):
         lie_init(self, algebra, coords)
         scan["read"] += len(self.coords)
@@ -219,6 +265,7 @@ def fraction_scan(monkeypatch):
 
     monkeypatch.setattr(PBWVector, "__init__", watched_pbw_init)
     monkeypatch.setattr(PBWVector, "adopt", staticmethod(watched_pbw_adopt))
+    monkeypatch.setattr(LogSeries, "settle", watched_settle)
     monkeypatch.setattr(LieElt, "__init__", watched_lie_init)
     for module in SERIES_SUM_USERS:
         monkeypatch.setattr(module, "series_sum", watched_series_sum)
@@ -236,6 +283,40 @@ def test_fraction_scan_reads_every_series_sum(fraction_scan, module):
     held = sum(len(vec.c) for vec in out.terms.values())
     assert held == 3
     assert fraction_scan["read"] - before >= held
+    assert fraction_scan["found"] == []
+
+
+def test_fraction_scan_reads_every_settled_sum(fraction_scan):
+    # a sum settled outside series_sum, as stage 3 of the shift operator
+    # does, raises read by its coefficients; the scalar rule has run
+    mono, other = ((0, -1),), ((1, -1),)
+    out = LogSeries()
+    out.add_monomial(0, 0, mono, F(1, 2))
+    out.add_monomial(0, 0, mono, F(1, 2))
+    out.add_term(F(2, 2), 0, {other: F(1, 3)}, 3)
+    before = fraction_scan["read"]
+    out.settle()
+    assert [(e, vec.c) for (e, _k), vec in out.terms.items()] == [(0, {mono: 1}),
+                                                                  (1, {other: 1})]
+    assert all(type(c) is int for vec in out.terms.values() for c in vec.c.values())
+    assert fraction_scan["read"] - before == 2
+    assert fraction_scan["found"] == []
+
+
+@pytest.mark.parametrize("coords", [{"h1": F(1, 2)}, {"h1": F(1, 2), "e1": 1}, {"e1": 1}],
+                         ids=["h1=1/2", "h1=1/2+e1", "e1"])
+def test_fraction_scan_reads_the_shift_image(fraction_scan, coords):
+    # every vector of delta_apply's image is read once filled: stage 3's
+    # through settle, those of stages 1 and 2 through adopt, and c D(b)'s
+    # through the constructor
+    alg = build_simple_lie("A", 1)
+    mod = build_module(alg, F(2), 4)
+    d = delta.make_delta(mod, mod.current(alg.element(coords)))
+    for v in (PBWVector({((0, -1), (1, -1)): F(1, 2), ((2, -2),): 1}),
+              PBWVector({((1, -1),): F(3, 2)})):
+        ser = delta.delta_apply(d, v)
+        assert ser.terms
+        assert all(id(vec) in fraction_scan["vectors"] for vec in ser.terms.values())
     assert fraction_scan["found"] == []
 
 

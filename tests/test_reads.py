@@ -12,6 +12,13 @@ flags, for int, Fraction and Cyc coefficients, at an integral and a
 non-integral level, on multi-monomial, flagged and zero vectors.  Checks
 run twice on one TwistedModule must report the same, and leave the shared
 images as they were.
+
+The shift operator's image is checked the same way: ``delta_apply``
+builds each term once (stage 3 sums a relabeled monomial straight into its
+output vector, stages 1 and 2 keep each divided dict, and c D(b) is one
+scaled copy of each term of D(b)), against its first form, in which stage
+3 and c D(b) are per-item sums and stages 1 and 2 go through the LogSeries
+constructor.
 """
 
 from fractions import Fraction as F
@@ -21,10 +28,12 @@ from math import floor
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from voatwist.delta import _exp_current_stage, _log_stage, delta_apply, make_delta
 from voatwist.fock import _integer_exponent, build_module
 from voatwist.lie import build_simple_lie
-from voatwist.scalars import Cyc
-from voatwist.series import PBWVector, accumulate, series_sum
+from voatwist.scalars import Cyc, int_if_integral
+from voatwist.series import (LogSeries, PBWVector, accumulate, divided, monomial_weight,
+                             series_sum)
 from voatwist.twist import make_twisted, mode_candidates
 from voatwist.verify import (
     basis_states,
@@ -248,3 +257,116 @@ def test_checks_repeat_and_leave_shared_images(level):
     assert run() == first
     assert _snapshot(tw) == before
     assert [report["status"] for report in first] == ["pass"] * 4
+
+
+# -- the shift operator ----------------------------------------------------------
+
+
+def first_series_sum(items, ceiling=None):
+    out = LogSeries(ceiling=ceiling)
+    for item in items:
+        out.add_term(*item)
+    for vec in out.terms.values():
+        vec.c = {mono: int_if_integral(c) for mono, c in vec.c.items()}
+    return out
+
+
+def first_shift(delta, v):
+    staged = _log_stage(delta, _exp_current_stage(delta, v))
+    if delta.s.is_zero():
+        return LogSeries({(e, k): PBWVector(divided(vec.c, den), vec.truncated)
+                          for e, k, vec, den in staged})
+    module = delta.module
+
+    def split(gi):
+        return [(lam, None, comp) for lam, comp in
+                delta.eig.decompose(module.algebra._basis_elt(gi)).items()]
+
+    sign = 1 if delta.legacy else -1
+    eigvals = delta.eig.generator_eigenvalues()
+    items = []
+    for e, k, vec, den in staged:
+        if not vec.c:
+            items.append((e, k, {}, None, vec.truncated))
+        for mono, coeff in divided(vec.c, den).items():
+            lams = [eigvals[gi] for gi, _m in reversed(mono)]
+            if None not in lams and monomial_weight(mono) <= module.cutoff:
+                items.append((e + sign * sum(lams), k, {mono: coeff}, None,
+                              vec.truncated))
+                continue
+            for lamsum, expanded in module.expand_monomial(mono, split).items():
+                items.append((e + sign * lamsum, k, expanded.c, coeff,
+                              expanded.truncated or vec.truncated))
+    return first_series_sum(items)
+
+
+def first_delta_apply(delta, v):
+    if delta.is_identity:
+        return LogSeries({(0, 0): v})
+    if len(v.c) == 1 and not v.truncated:
+        [(mono, c)] = v.c.items()
+        if type(c) in (int, F):
+            hit = first_shift(delta, PBWVector({mono: 1}))
+            if type(c) is int and c == 1:
+                return hit
+            return first_series_sum(((e, k, w.c, None, w.truncated)
+                                     for (e, k), w in ((key, c * vec) for key, vec
+                                                       in hit.terms.items())),
+                                    hit.ceiling)
+    return first_shift(delta, v)
+
+
+sl3 = build_simple_lie("A", 2)
+# (algebra, level, cutoff, current): semisimple, nilpotent and mixed, with
+# h1=1/2+e1 relabeling its e1 monomials and expanding the others onto the
+# same keys, and an A2 current whose s and n are both nonzero
+SHIFT_CURRENTS = {
+    "sl2 h1=1/2": (sl2, 2, 3, {"h1": F(1, 2)}),
+    "sl2 e1": (sl2, 2, 3, {"e1": 1}),
+    "sl2 h1=1/3": (sl2, F(1, 2), 3, {"h1": F(1, 3)}),
+    "sl2 h1=1/2+e1": (sl2, 2, 3, {"h1": F(1, 2), "e1": 1}),
+    "A2 (1/3,2/3)": (sl3, 1, 2, {"h1": F(1, 3), "h2": F(2, 3)}),
+    "A2 (h1-h2)/6+e12": (sl3, 1, 2, {"h1": F(1, 6), "h2": F(-1, 6), "e12": 1}),
+}
+
+
+@lru_cache(maxsize=None)
+def shift_operator(current, legacy):
+    alg, level, cutoff, coords = SHIFT_CURRENTS[current]
+    mod = build_module(alg, level, cutoff)
+    return make_delta(mod, mod.current(alg.element(coords)), legacy)
+
+
+@lru_cache(maxsize=None)
+def shift_monomials(alg):
+    # up to one past the cutoff, where a relabeled monomial is expanded instead
+    mod = build_module(alg, 2, 3)
+    top = 4 if alg is sl2 else 3
+    return [mono for w in range(top) for mono in mod.basis(w)] + mod.basis(top)[:6]
+
+
+@st.composite
+def shift_cases(draw):
+    current = draw(st.sampled_from(sorted(SHIFT_CURRENTS)))
+    alg = SHIFT_CURRENTS[current][0]
+    monos = st.sampled_from(shift_monomials(alg))
+    v = draw(st.one_of(
+        # a basis monomial, and an int or Fraction multiple: served from D(b)
+        st.builds(lambda mono: PBWVector({mono: 1}), monos),
+        st.builds(lambda mono, c: PBWVector({mono: c}), monos, scalars),
+        st.builds(PBWVector, st.dictionaries(monos, scalars, max_size=4), st.booleans()),
+    ))
+    return current, draw(st.booleans()), v
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(shift_cases())
+@example(("sl2 h1=1/2+e1", False,
+          PBWVector({((0, -1), (1, -1)): 1, ((2, -1),): F(1, 2), ((0, -2),): 3})))
+@example(("sl2 h1=1/2", False, PBWVector({}, True)))
+@example(("sl2 e1", True, PBWVector({})))
+@example(("A2 (h1-h2)/6+e12", False, PBWVector({((2, -1), (3, -1)): F(-2, 3)})))
+def test_shift_image_matches_its_first_form(case):
+    current, legacy, v = case
+    delta = shift_operator(current, legacy)
+    assert_same_series(delta_apply(delta, v), first_delta_apply(delta, v))
