@@ -286,7 +286,7 @@ class InducedModule:
         # sum 2: -C(m,i) (-x)^(m-i) Y(rest, x) (a(i) mw)
         dw = monomial_weight(mw)
         for i in range(0, dw + 1):
-            moved = self.apply_mode_dict(gi, i, {mw: 1})
+            moved = self._act(gi, i, mw)[0]  # _act's memoized dict: never mutated
             if not moved:
                 continue
             coeff = -binom(m, i) if (m - i) % 2 == 0 else binom(m, i)

@@ -375,23 +375,20 @@ class EigenData:
 class GAutomorphism:
     """An automorphism of the Lie algebra given by its rational matrix."""
 
-    __slots__ = ("algebra", "matrix", "label")
+    __slots__ = ("algebra", "matrix")
 
-    def __init__(self, algebra, matrix, label="auto"):
+    def __init__(self, algebra, matrix):
         self.algebra = algebra
         self.matrix = matrix
-        self.label = label
 
     def __call__(self, elt: LieElt) -> LieElt:
         return LieElt(self.algebra, mat_vec(self.matrix, elt.coords))
 
     def compose(self, other: "GAutomorphism") -> "GAutomorphism":
-        return GAutomorphism(self.algebra, mat_mul(self.matrix, other.matrix),
-                             f"{self.label}*{other.label}")
+        return GAutomorphism(self.algebra, mat_mul(self.matrix, other.matrix))
 
     def inverse(self) -> "GAutomorphism":
-        return GAutomorphism(self.algebra, mat_inverse(self.matrix),
-                             f"{self.label}^-1")
+        return GAutomorphism(self.algebra, mat_inverse(self.matrix))
 
     def check(self):
         """Verify the bracket is preserved on all basis pairs."""
@@ -455,7 +452,7 @@ def diagram_automorphism(algebra: LieAlgebra, perm) -> GAutomorphism:
         cols.append(image_of(name).coords)
     m = tuple(tuple(cols[j][i] for j in range(algebra.dim))
               for i in range(algebra.dim))
-    out = GAutomorphism(algebra, m, label=f"diagram{tuple(perm)}")
+    out = GAutomorphism(algebra, m)
     if not out.check():
         raise InvalidSymmetry("bracket extension failed; not a diagram symmetry")
     return out

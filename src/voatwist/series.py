@@ -42,6 +42,7 @@ __all__ = [
     "LogSeries",
     "PBWVector",
     "branch_shift",
+    "common_ceiling",
     "divided",
     "monomial_weight",
     "series_combine",
@@ -137,13 +138,6 @@ class PBWVector:
         """Largest monomial weight present."""
         return max((monomial_weight(m) for m in self.c), default=0)
 
-    def weight_components(self):
-        out = {}
-        for mono, coeff in self.c.items():
-            w = monomial_weight(mono)
-            out.setdefault(w, {})[mono] = coeff
-        return {w: PBWVector(d, self.truncated) for w, d in sorted(out.items())}
-
     def sorted_items(self):
         return sorted(self.c.items())
 
@@ -183,7 +177,9 @@ def value_is_zero(v) -> bool:
     return v.is_zero() and not v.truncated
 
 
-def _min_ceiling(a, b):
+def common_ceiling(a, b):
+    """The ceiling below which a sum or comparison of series with ceilings
+    a and b is trusted (None: no ceiling)."""
     if a is None:
         return b
     if b is None:
@@ -296,7 +292,7 @@ def _items(a: LogSeries, scale=None, eshift=0):
 
 def series_combine(a: LogSeries, b: LogSeries) -> LogSeries:
     """The sum of two series, trusted below both ceilings."""
-    return series_sum((*_items(a), *_items(b)), _min_ceiling(a.ceiling, b.ceiling))
+    return series_sum((*_items(a), *_items(b)), common_ceiling(a.ceiling, b.ceiling))
 
 
 def series_scale(a: LogSeries, scalar=1, eshift=0) -> LogSeries:
@@ -351,16 +347,17 @@ def series_eq(a: LogSeries, b: LogSeries):
     Returns None when equal, else a witness tuple (e, k, left, right) for
     the first mismatch in (e, k) order, None standing for a missing term
     (a stored term is never an unflagged zero, so it mismatches).  Terms
-    agree when neither is flagged and their canonical dicts are equal.
+    agree when their canonical dicts are equal.  Flags are not read: what a
+    flagged term means is the caller's rule, and a check refuses one before
+    it compares.
     """
-    hi = _min_ceiling(a.ceiling, b.ceiling)
+    hi = common_ceiling(a.ceiling, b.ceiling)
     keys = set(a.terms) | set(b.terms)
     for (e, k) in sorted(keys, key=lambda t: (t[0], t[1])):
         if hi is not None and e > hi:
             continue
         va = a.terms.get((e, k))
         vb = b.terms.get((e, k))
-        if va is None or vb is None or va.truncated or vb.truncated \
-                or va.c != vb.c:
+        if va is None or vb is None or va.c != vb.c:
             return (e, k, va, vb)
     return None

@@ -9,7 +9,9 @@ explicit ceiling.  Everything at or below the ceiling is exact, so a pass
 certifies every compared coefficient and nothing beyond the window; the
 window itself is recorded in the report details.  A check raises
 DomainError rather than compare a truncated vector as if it were exact,
-which is the signal to rebuild the module with a higher cutoff.
+which is the signal to rebuild the module with a higher cutoff; the
+comparison helpers _vector_case and _series_case are where that is decided
+for every compared pair, and series_eq itself reads no flag.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .series import (
     PBWVector,
     accumulate,
     branch_shift,
+    common_ceiling,
     series_combine,
     series_derivative,
     series_eq,
@@ -154,8 +157,15 @@ def _run_cases(name, cases, count_key, pass_details=None,
                        details={count_key: checked, **(pass_details or {})})
 
 
-def _series_case(alg, left, right, **fields):
-    """A counted series comparison; a witness names the first (e, k) apart."""
+def _series_case(alg, left, right, context, **fields):
+    """A counted comparison of two series inside their common ceiling, where
+    a flagged term on either side raises rather than be compared; a witness
+    names the first (e, k) apart."""
+    hi = common_ceiling(left.ceiling, right.ceiling)
+    for ser in (left, right):
+        for (e, _k), vec in ser.terms.items():
+            if hi is None or e <= hi:
+                _ensure_exact(vec, context)
     wit = series_eq(left, right)
     if wit is None:
         return True, None
@@ -221,11 +231,10 @@ def check_shift_finiteness(module: InducedModule, u: PBWVector, states,
         # a state counts once all of its terms are in shape
         for v, label in states:
             ser = _series_exact(delta_apply(delta, v), name)
-            weights = v.weight_components()
-            vw = max(weights) if weights else 0
-            log_bound = max(0, nil_index - 1) * v.depth()
+            vw = v.depth()
+            log_bound = max(0, nil_index - 1) * vw
             for (e, k), vec in ser.sorted_items():
-                if any(w > vw for w in vec.weight_components()):
+                if vec.depth() > vw:
                     bad = "a coefficient outweighs the input state"
                 elif k > log_bound:
                     bad = "log power exceeds the unipotent bound"
@@ -303,7 +312,6 @@ def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw,
     # its dicts may be images that delta_apply shares, never mutated here
     lhs = {}
     for (ey, _k0), vecy in module.vertex_series(v, w, ceiling).terms.items():
-        _ensure_exact(vecy, "conjugation check")
         for (e, k), vec in delta_apply(delta, vecy).terms.items():
             lhs[e, k, ey] = vec.c
 
@@ -311,8 +319,6 @@ def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw,
     for e1, vecv, table in shifted:
         for (ew, kw), vecw in dw:
             sub = module.vertex_series(vecv, vecw, ceiling).terms.items()
-            for (_ey, _k0), vecy in sub:
-                _ensure_exact(vecy, "conjugation check")
             for (j1, p1), c in table.items():
                 for (ey, _k0), vecy in sub:
                     if p1 + ey <= ceiling:
@@ -368,7 +374,7 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
     ceiling = int(inner_ceiling)
     targets = []
     for w, wlabel in target_states:
-        dw = delta_apply(delta, w)
+        dw = _series_exact(delta_apply(delta, w), name)
         coeffs, w_scale = clear_denominators([vec.c for vec in dw.terms.values()])
         targets.append((w, wlabel, list(zip(dw.terms, map(PBWVector, coeffs))),
                         w_scale))
@@ -376,7 +382,7 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
 
     def cases():
         for v, vlabel in arg_states:
-            dv = delta_apply(delta, v)
+            dv = _series_exact(delta_apply(delta, v), name)
             # the inner operator reaches y-exponents as low as minus the
             # total weight, so substitution terms that far above the ceiling
             # still land inside the window and must be kept
@@ -400,40 +406,36 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
 # -- derivation brackets -----------------------------------------------------
 
 
-def check_weight_bracket(module: InducedModule, u: PBWVector, states,
-                         name="weight-bracket") -> CheckReport:
-    """[L(0), D(x)] = x d/dx D(x) + u_0 D(x), state by state."""
+def _virasoro_bracket(module: InducedModule, u: PBWVector, states, n,
+                      name) -> CheckReport:
+    """[L(n), D(x)] = (-1)^n x^(n+1) D'(x) + (n+1) x^n u_0 D(x) for
+    n in {0, -1}, state by state."""
     delta = make_delta(module, u)
-    l0 = module.sugawara_mode(0)
+    ln = module.sugawara_mode(n)
 
     def cases():
         for v, label in states:
-            dv = _series_exact(delta_apply(delta, v), name)
-            left = _series_sub(dv.map_values(l0), delta_apply(delta, l0(v)))
-            right = series_combine(
-                series_scale(series_derivative(dv), eshift=1),
-                dv.map_values(lambda vec: module.apply_mode(delta.a, 0, vec)))
-            yield _series_case(module.algebra, left, right, state=label)
+            dv = delta_apply(delta, v)
+            left = _series_sub(dv.map_values(ln), delta_apply(delta, ln(v)))
+            right = series_scale(series_derivative(dv), 1 if n == 0 else -1, n + 1)
+            if n == 0:
+                right = series_combine(right, dv.map_values(
+                    lambda vec: module.apply_mode(delta.a, 0, vec)))
+            yield _series_case(module.algebra, left, right, name, state=label)
 
     return _run_cases(name, cases(), "statesChecked")
+
+
+def check_weight_bracket(module: InducedModule, u: PBWVector, states,
+                         name="weight-bracket") -> CheckReport:
+    """[L(0), D(x)] = x d/dx D(x) + u_0 D(x), state by state."""
+    return _virasoro_bracket(module, u, states, 0, name)
 
 
 def check_translation_bracket(module: InducedModule, u: PBWVector, states,
                               name="translation-bracket") -> CheckReport:
     """[L(-1), D(x)] = -d/dx D(x), state by state."""
-    delta = make_delta(module, u)
-    lm1 = module.sugawara_mode(-1)
-
-    def cases():
-        for v, label in states:
-            dv = _series_exact(delta_apply(delta, v), name)
-            moved = _ensure_exact(lm1(v), name)
-            left = _series_sub(dv.map_values(lambda vec: _ensure_exact(lm1(vec), name)),
-                               delta_apply(delta, moved))
-            right = series_scale(series_derivative(dv), scalar=F(-1))
-            yield _series_case(module.algebra, left, right, state=label)
-
-    return _run_cases(name, cases(), "statesChecked")
+    return _virasoro_bracket(module, u, states, -1, name)
 
 
 # -- group laws --------------------------------------------------------------
@@ -455,8 +457,8 @@ def check_group_laws(module: InducedModule, u: PBWVector, states,
                 ("inverse-left", delta_apply_series(dinv, delta_apply(d, v))),
             ]
             for law, got in laws:
-                yield _series_case(module.algebra, got, expect, state=label,
-                                   law=law)
+                yield _series_case(module.algebra, got, expect, name,
+                                   state=label, law=law)
 
     return _run_cases(name, cases(), "comparisons")
 
@@ -485,7 +487,7 @@ def check_additivity(module: InducedModule, s_state: PBWVector,
                 ("semisimple-last", delta_apply_series(ds, delta_apply(dn, v))),
                 ("nilpotent-last", delta_apply_series(dn, delta_apply(ds, v))),
             ]:
-                yield _series_case(alg, got, want, state=label, order=order)
+                yield _series_case(alg, got, want, name, state=label, order=order)
 
     return _run_cases(name, cases(), "comparisons")
 
@@ -820,8 +822,7 @@ def check_zero_mode_nilpotency(twisted: TwistedModule, b, weight=3) -> CheckRepo
         cur = w
         power = 0
         while not cur.is_zero():
-            weights = cur.weight_components()
-            if weights and max(weights) > weight:
+            if cur.depth() > weight:
                 escapes += 1
                 if escaped_at is None:
                     escaped_at = {"state": label, "stepsInsideWindow": power}
@@ -879,7 +880,7 @@ def check_twisted_axioms(twisted: TwistedModule, states, target_states,
     def cases():
         for w, wlabel in target_states:
             yield _series_case(alg, twisted.vertex_series(vac, w, ceiling),
-                               LogSeries({(F(0), 0): w}), state=wlabel,
+                               LogSeries({(F(0), 0): w}), name, state=wlabel,
                                axiom="vacuum")
         for v, vlabel in states:
             moved = _ensure_exact(lm1(v), name)
@@ -894,7 +895,7 @@ def check_twisted_axioms(twisted: TwistedModule, states, target_states,
                     "exponent": fmt_rational(F(off)),
                 }
                 yield _series_case(alg, twisted.vertex_series(moved, w, ceiling - 1),
-                                   series_derivative(ser), argument=vlabel,
+                                   series_derivative(ser), name, argument=vlabel,
                                    target=wlabel, axiom="derivative")
 
     return _run_cases(name, cases(), "comparisons",
@@ -940,8 +941,8 @@ def check_equivariance(twisted: TwistedModule, target_states=None,
                 shifted = branch_shift(
                     _monomial_sum_series(twisted, v, w, ceiling, known), 1, order)
                 direct = _monomial_sum_series(twisted, gv, w, ceiling, known)
-                yield _series_case(alg, shifted, direct, argument=vlabel,
-                                   target=wlabel)
+                yield _series_case(alg, shifted, direct, "equivariance",
+                                   argument=vlabel, target=wlabel)
 
     return _run_cases("equivariance", cases(), "comparisons",
                       {"branchOrder": order, "ceiling": int(ceiling)})
@@ -987,8 +988,8 @@ def check_functor_transport(module: InducedModule, u: PBWVector,
     states.append((module.conformal_vector(), "conformal state"))
     targets = basis_states(module, probe_weight + 1)
     cases = (_series_case(alg, round_trip.vertex_series(v, w, ceiling),
-                          module.vertex_series(v, w, ceiling), argument=vlabel,
-                          target=wlabel, law="round-trip")
+                          module.vertex_series(v, w, ceiling), name,
+                          argument=vlabel, target=wlabel, law="round-trip")
              for v, vlabel in states for w, wlabel in targets)
     return _run_cases(name, cases, "roundTripComparisons",
                       {"mapsTransported": len(good), "skewRejected": True})

@@ -176,6 +176,55 @@ def test_main_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "DomainError"
 
 
+def _error_of(tmp_path, capsys, cfg):
+    status = main(["run", write_config(tmp_path, cfg)])
+    return status, json.loads(capsys.readouterr().out)["error"]
+
+
+def _step(kind, **data):
+    return {"kind": kind, "data": data}
+
+
+@pytest.mark.parametrize("rank,chain,status,code,message", [
+    (1, [_step("innerSemisimple", current={"e1": "1"})], 15, "NotSemisimple",
+     "the declared semisimple step carries a nilpotent part"),
+    (1, [_step("innerNilpotent", current={"h1": "1"})], 17, "NotUnipotent",
+     "the declared nilpotent step carries a semisimple part"),
+    (2, [_step("diagramData", permutation=[2, 1])] * 2, 13, "Unsupported",
+     "only one diagram factor per chain"),
+    # h1 = 1 fixes every current, but e1 + f1 does not commute with h1
+    (1, [_step("innerSemisimple", current={"h1": "1"}),
+         _step("innerSemisimple", current={"e1": "1", "f1": "1"})], 13,
+     "Unsupported", "semisimple parts of the automorphisms do not commute"),
+], ids=["semisimple-step-with-nilpotent-part", "nilpotent-step-with-semisimple-part",
+        "two-diagram-steps", "noncommuting-semisimple-steps"])
+def test_chain_steps_the_build_refuses(tmp_path, capsys, rank, chain, status,
+                                       code, message):
+    cfg = base_config(algebra={"type": "A", "rank": rank},
+                      module={"lambda": 0, "cutoff": 2}, twistChain=chain)
+    assert _error_of(tmp_path, capsys, cfg) == (status, {"code": code,
+                                                         "message": message})
+
+
+@pytest.mark.parametrize("over,check", [
+    # the inverse law of e1(-1)^3 |0> reaches past cutoff 2
+    ({"checks": [{"name": "group-laws", "weight": 3}]}, "group-laws"),
+    ({"algebra": {"type": "A", "rank": 2}, "level": 1,
+      "twistChain": [_step("innerSemisimple", current={"h1": "2", "h2": "1"})],
+      "checks": [{"name": "additivity", "semisimpleCurrent": {"h1": "2", "h2": "1"},
+                  "nilpotentCurrent": {"e2": "1"}, "weight": 3}]},
+     "shift-additivity"),
+], ids=["group-laws", "additivity"])
+def test_truncated_series_comparisons_are_window_errors(tmp_path, capsys, over,
+                                                        check):
+    # a truncated term is refused, not compared: a failure read off it would
+    # report the cutoff as a fact about the shift operators
+    cfg = base_config(module={"lambda": 0, "cutoff": 2}, **over)
+    assert _error_of(tmp_path, capsys, cfg) == (19, {
+        "code": "DomainError",
+        "message": f"{check}: the module cutoff is too low for an exact comparison"})
+
+
 def test_main_config_errors(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -6,14 +6,15 @@ from functools import lru_cache
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from voatwist.delta import delta_apply_series
-from voatwist.errors import NeedsFieldExtension, NotFixed, NotIntertwining
+from voatwist.delta import delta_apply_series, make_delta
+from voatwist.errors import NeedsFieldExtension, NotFixed, NotIntertwining, Unsupported
 from voatwist.fock import InducedModule, PBWVector, accumulate, build_module
-from voatwist.lie import build_simple_lie, diagram_automorphism
+from voatwist.lie import AutomorphismData, build_simple_lie, diagram_automorphism
 from voatwist.scalars import Cyc
 from voatwist.series import LogSeries, branch_shift, series_eq
 from voatwist.twist import (
     ModuleMap,
+    _merge_aut,
     apply_lie_matrix,
     apply_table_entry,
     functor_on_map,
@@ -134,6 +135,26 @@ def test_fixedness_is_tested_before_the_jordan_decomposition():
         make_twisted(MOD, u)
     with pytest.raises(NotFixed):
         make_twisted(quarter, u)
+
+
+@pytest.mark.parametrize("parts,current,message", [
+    ({"inner_nilpotent_part": {"e1": 1}}, {"e2": 1},
+     "nilpotent parts of the automorphisms do not commute"),
+    # ad(h1 + h2/2) has eigenvalue 3/2 on e1
+    ({"inner_nilpotent_part": {"e1": 1}}, {"h1": 1, "h2": F(1, 2)},
+     "the new semisimple factor moves the old nilpotent part"),
+    ({"inner_semisimple_part": {"h1": F(1, 2)}}, {"e2": 1},
+     "merged semisimple factor does not fix the merged nilpotent part"),
+], ids=["nilpotent-parts", "new-semisimple-factor", "merged-factors"])
+def test_merge_refuses_parts_it_cannot_combine(parts, current, message):
+    """The refusals of twist._merge_aut that a fixed current cannot reach
+    through make_twisted on a chain with no transport step."""
+    a2 = build_simple_lie("A", 2)
+    mod = build_module(a2, F(1), cutoff=2)
+    aut = AutomorphismData(a2, **{k: a2.element(v) for k, v in parts.items()})
+    delta = make_delta(mod, mod.current(a2.element(current)))
+    with pytest.raises(Unsupported, match=f"^{message}$"):
+        _merge_aut(a2, aut, delta)
 
 
 def test_chain_on_fixed_current_extends():

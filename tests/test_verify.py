@@ -9,6 +9,7 @@ from voatwist.errors import DomainError, VoatwistError
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc
+from voatwist.series import LogSeries
 from voatwist.twist import make_twisted, untwisted_as_twisted
 from voatwist.verify import (
     CheckReport,
@@ -160,6 +161,27 @@ def test_zero_mode_three_outcomes():
     rep = check_zero_mode_nilpotency(TW, "h1", weight=2)
     assert rep.status == "fail"
     assert rep.witness["state"] == "|0>"
+
+
+def test_series_case_refuses_a_flagged_term_in_the_window():
+    """A check never compares a flagged term inside the common ceiling, on
+    either side, whether or not its value matches; above it nothing is
+    read."""
+    e1 = MOD.current("e1")
+    flagged = PBWVector(e1.c, truncated=True)
+    exact = LogSeries({(0, 0): e1})
+    for left, right in [(LogSeries({(0, 0): flagged}), exact),
+                        (exact, LogSeries({(0, 0): flagged})),
+                        (exact, LogSeries({(0, 0): e1, (1, 0): PBWVector({}, True)}))]:
+        with pytest.raises(DomainError, match="^demo-check: the module cutoff"):
+            verify._series_case(sl2, left, right, "demo-check")
+    beyond = LogSeries({(0, 0): e1, (3, 0): flagged}, ceiling=2)
+    assert verify._series_case(sl2, beyond, LogSeries({(0, 0): e1}, ceiling=1),
+                               "demo-check") == (True, None)
+    counted, witness = verify._series_case(sl2, exact, LogSeries(), "demo-check",
+                                           state="s")
+    assert counted and witness == {"state": "s", "exponent": "0", "logPower": 0,
+                                   "left": "(1) e1(-1) |0>", "right": "0"}
 
 
 def test_additivity_preconditions_recomputed():
