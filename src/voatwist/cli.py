@@ -248,6 +248,11 @@ def parse_config(raw) -> dict:
     for key in ("modeSpan", "dimensionWindow", "logMax"):
         if key in out_raw:
             out[key] = _nonneg_int(out_raw[key], f"config.output.{key}")
+    # the module is built up to its cutoff; a window past it is refused
+    # before any work, not enumerated (window 50 lists 3.77e10 monomials)
+    if out.get("dimensionWindow", 0) > cutoff:
+        raise ConfigError("config.output.dimensionWindow must not exceed "
+                          "config.module.cutoff")
 
     return {
         "schemaVersion": 1,

@@ -17,10 +17,17 @@ iterate reconstruction
 
     Y(a(m)v, x) = sum_i C(m,i) [ (-x)^i a(m-i) Y(v,x) - (-x)^(m-i) Y(v,x) a(i) ]
 
-down to Y(1, x) = id, and come back as LogSeries whose ceiling marks the
-last exactly-known exponent.  Each monomial pair is expanded once, at the
-largest ceiling asked for, and a mode reads its single coefficient straight
-from that expansion (coefficient_at) without building a series.
+down to one factor, where it has a closed form:
+
+    Y(a(m)|0>, x) = d^(-m-1) a(x) / (-m-1)!,  so its x^e coefficient is
+    C(e-m-1, -m-1) a(m-e),
+
+read from the memoized mode action.  Series come back as LogSeries whose
+ceiling marks the last exactly-known exponent.  Each monomial pair is
+expanded once, at the largest ceiling asked for.  There is one mode reader,
+vertex_operator_mode (coefficient_at calls it): it reads its single
+coefficient without building a series, a one-factor monomial of v in closed
+form and any other from its pair's expansion.
 
 Both reads are integer sums: v and w are scaled by the lcm of their
 denominators (no work when every coefficient is an int), the memoized
@@ -263,13 +270,25 @@ class InducedModule:
         A coefficient does not depend on the ceiling it was computed at, so
         each pair keeps one memo entry, at the largest ceiling asked for so
         far.  The dict may therefore hold exponents above ceiling: every
-        reader drops them."""
+        reader drops them.  The iterate recursion peels the leftmost factor
+        and ends at one factor, whose coefficients are read from _act's memo
+        in closed form (_one_factor)."""
         key = (mv, mw)
         hit = self._vs_cache.get(key)
         if hit is not None and hit[0] >= ceiling:
             return hit[1]
         if not mv:
             res = {0: {mw: 1}}
+            self._vs_cache[key] = (ceiling, res)
+            return res
+        if len(mv) == 1:
+            (gi, m), = mv
+            # the exponents whose binomial is nonzero, in the order of the two
+            # sums below: 0 up to the ceiling, then m down to m - wt(mw)
+            exps = (*range(ceiling + 1),
+                    *range(min(m, ceiling), m - monomial_weight(mw) - 1, -1))
+            res = {e: bucket for e in exps
+                   if (bucket := self._factor_read(gi, m - e, _one_factor(m, e), mw))}
             self._vs_cache[key] = (ceiling, res)
             return res
         (gi, m), rest = mv[0], mv[1:]
@@ -303,6 +322,13 @@ class InducedModule:
         self._vs_cache[key] = (ceiling, res)
         return res
 
+    def _factor_read(self, gi, mode, c, mw) -> dict:
+        """c b_gi(mode) mw, read from _act's memo: its dict itself when c is
+        1, shared and never mutated."""
+        hit = self._act_cache.get((gi, mode, mw))
+        moved = (self._act(gi, mode, mw) if hit is None else hit)[0]
+        return moved if c == 1 else {k: c * x for k, x in moved.items()}
+
     def apply_mode_dict(self, gi, m, vec_dict):
         out = {}
         for mono, coeff in vec_dict.items():
@@ -335,26 +361,58 @@ class InducedModule:
         return LogSeries.from_sums(sums, dv * dw, ceiling)
 
     def coefficient_at(self, v: PBWVector, w: PBWVector, e) -> PBWVector:
-        """The x^e coefficient of Y(v, x) w, read without building the series
-        and summed over cleared denominators as in vertex_series; flagged
-        when its weight, up to depth(v) + depth(w) + e, passes the cutoff,
-        since the modes that build it lose what lies above."""
-        e = _integer_exponent(e)
-        (vc,), dv = clear_denominators((v.c,))
-        (wc,), dw = clear_denominators((w.c,))
-        out = {}
-        for mv, cv in vc.items():
-            for mw, cw in wc.items():
-                vec = self._vs_mono(mv, mw, e).get(e)
-                if vec is not None:
-                    accumulate(out, vec, cv * cw)
-        deep = bool(vc and wc) and v.depth() + w.depth() + e > self.cutoff
-        return PBWVector.adopt(divided(out, dv * dw), deep or v.truncated or w.truncated)
+        """The x^e coefficient of Y(v, x) w (e an int or a Fraction), read
+        through vertex_operator_mode."""
+        return self.vertex_operator_mode(v, -e - 1)(w)
 
     def vertex_operator_mode(self, v: PBWVector, n):
-        """The mode v_(n): w -> coefficient of x^(-n-1) in Y(v, x) w."""
-        e = -F(n) - 1
-        return lambda w: self.coefficient_at(v, w, e)
+        """The mode v_(n), n an int or a Fraction, as a reader: w -> the
+        x^(-n-1) coefficient of Y(v, x) w.  The one untwisted mode read.
+
+        Its first call clears v's denominators and takes its depth, for
+        every target.  A one-factor monomial a(m)|0> of v is read in closed
+        form from _act's memo, any other from its _vs_mono bucket, and the
+        sum over cleared denominators is divided once, as in vertex_series.
+        The result is flagged when v or w is, or when its weight, up to
+        depth(v) + depth(w) + e, passes the cutoff, since the modes that
+        build it lose what lies above."""
+        plan = None
+
+        def read(w: PBWVector) -> PBWVector:
+            nonlocal plan
+            if plan is None:
+                e = _integer_exponent(-n - 1)
+                (vc,), dv = clear_denominators((v.c,))
+                # (mv, cv, None) reads _vs_mono, (mv, cv, (gi, m - e, C)) _act;
+                # a zero coefficient drops the monomial
+                parts = []
+                for mv, cv in vc.items():
+                    if len(mv) != 1:
+                        if mv or e == 0:  # Y(|0>, x) = id
+                            parts.append((mv, cv, None))
+                    elif c := _one_factor(mv[0][1], e):
+                        parts.append((mv, cv, (mv[0][0], mv[0][1] - e, c)))
+                plan = e, dv, v.depth() if vc else None, parts
+            e, dv, depth, parts = plan
+            (wc,), dw = clear_denominators((w.c,))
+            out = {}
+            for mv, cv, one in parts:
+                for mw, cw in wc.items():
+                    bucket = self._vs_mono(mv, mw, e).get(e) if one is None \
+                        else self._factor_read(*one, mw)
+                    if bucket:
+                        accumulate(out, bucket, cv * cw)
+            deep = depth is not None and bool(wc) and depth + w.depth() + e > self.cutoff
+            return PBWVector.adopt(divided(out, dv * dw),
+                                   deep or v.truncated or w.truncated)
+
+        return read
+
+
+def _one_factor(m: int, e: int) -> int:
+    """C(e-m-1, -m-1), m < 0: the x^e coefficient of Y(a(m)|0>, x) =
+    d^(-m-1) a(x) / (-m-1)! is this binomial times a(m-e)."""
+    return binom(e - m - 1, -m - 1)
 
 
 def _integer_exponent(x) -> int:

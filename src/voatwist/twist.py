@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from math import factorial, floor, lcm
 
 from .delta import DeltaOperator, current_element, delta_apply_series, make_delta
@@ -137,36 +138,29 @@ class TwistedModule:
     def mode(self, v: PBWVector, m, l: int = 0):
         """The (m, l) mode of Y_new(v, x): coefficient of x^(-m-1) log^l.
 
-        The returned operator transforms v along the chain on its first
-        call.  Linear in the target, it keeps the image of each target
-        monomial it has met while held: one base coefficient per chain term
-        of log power l at the integer exponent left over, never a series.
-        A basis target with coefficient int 1 gets that image itself,
-        shared and read-only.  With no such chain term it is zero.  Outputs
-        carry the flags of the coefficients read and of the target."""
-        e = -int_if_integral(m) - 1
-        reads = None
+        On its first call the returned operator transforms v along the
+        chain and builds one base reader (InducedModule.vertex_operator_mode)
+        for each chain term x^e1 log^l whose base mode m + e1 is an integer.
+        Linear in the target, it keeps the image of each target monomial it
+        has met while held: the sum of those readers on the monomial, never
+        a series.  A basis target with coefficient int 1 gets that image
+        itself, shared and read-only.  With no such chain term it is zero.
+        Outputs carry the flags of the coefficients read and of the target."""
+        m = int_if_integral(m)
+        readers = None
         images = {}
 
         def image(mono):
             w = PBWVector({mono: 1})
-            if len(reads) == 1:
-                [(vec1, e2)] = reads
-                return self.base.coefficient_at(vec1, w, e2)
-            out, trunc = {}, False
-            for vec1, e2 in reads:
-                coeff = self.base.coefficient_at(vec1, w, e2)
-                accumulate(out, coeff.c)
-                trunc = trunc or coeff.truncated
-            return PBWVector.adopt(out, trunc)
+            return reduce(PBWVector.__add__, [read(w) for read in readers])
 
         def op(w: PBWVector) -> PBWVector:
-            nonlocal reads
-            if reads is None:
-                reads = [(vec1, e - e1)
-                         for (e1, k1), vec1 in self.chain_transform(v).terms.items()
-                         if k1 == l and (e - e1).denominator == 1]
-            if not reads:
+            nonlocal readers
+            if readers is None:
+                readers = [self.base.vertex_operator_mode(vec1, m + e1)
+                           for (e1, k1), vec1 in self.chain_transform(v).terms.items()
+                           if k1 == l and (m + e1).denominator == 1]
+            if not readers:
                 return PBWVector(None, w.truncated)
             if len(w.c) == 1 and not w.truncated:
                 [(mono, cw)] = w.c.items()

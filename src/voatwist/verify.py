@@ -614,9 +614,15 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
 
     blocked = {}
     offsets = twisted.grading()[0]
+    # the case (c, b, n, m) compares the same two products as (b, c, m, n),
+    # swapped: whichever runs first builds them and keeps them for the
+    # other, so each product is built once and held only until its partner
+    # case has run (b_(m) b_(m) w is its own partner and is built once)
+    kept = {}
 
     def cases():
-        for bname, cname in pairs:
+        for at, (bname, cname) in enumerate(pairs):
+            partner_later = (cname, bname) in pairs[at + 1:]
             pair = f"{bname},{cname}"
             belt, celt = alg.generator(bname), alg.generator(cname)
             lam_b, lam_c = offsets[alg.index[bname]], offsets[alg.index[cname]]
@@ -647,8 +653,21 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
                                                    alg._basis_elt(gj))
                                 central += bco * cco * p * pairing * level
                     modes = f"{fmt_rational(m)},{fmt_rational(n)}"
+                    shared = kept.pop((bname, cname, m, n), None)
+                    keep = partner_later or bname == cname and n > m
+                    if keep:
+                        kept[cname, bname, n, m] = held = []
                     for i, (w, wlabel) in enumerate(states):
-                        lhs = bop(cop(w)) - cop(bop(w))
+                        if shared is None:
+                            bc = bop(cop(w))
+                            cb = bc if bop is cop else cop(bop(w))
+                        else:
+                            # the partner's b_(m) c_(n) w is this case's cb
+                            cb, bc = shared[i]
+                            shared[i] = None
+                        if keep:
+                            held.append((bc, cb))
+                        lhs = bc - cb
                         image = images.get((m + n, i))
                         if image is None:
                             image = images[m + n, i] = apply_table_entry(module, entry, w)

@@ -225,6 +225,17 @@ def test_truncated_series_comparisons_are_window_errors(tmp_path, capsys, over,
         "message": f"{check}: the module cutoff is too low for an exact comparison"})
 
 
+def test_dimension_window_may_reach_the_cutoff_but_not_pass_it(tmp_path, capsys):
+    at = base_config(output={"format": "json", "dimensionWindow": 4})
+    report, status = run_config(parse_config(at), with_checks=False)
+    assert status == 0
+    assert report["gradedDimensions"]["inspectedWindow"] == 4
+    past = base_config(output={"format": "json", "dimensionWindow": 5})
+    assert _error_of(tmp_path, capsys, past) == (64, {
+        "code": "ConfigError",
+        "message": "config.output.dimensionWindow must not exceed config.module.cutoff"})
+
+
 def test_main_config_errors(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -1,17 +1,23 @@
 """Each vertex-operator read against its first form.
 
-The untwisted reads, ``InducedModule.vertex_series`` and
-``coefficient_at``, sum their memoized buckets in one dict per exponent
-with int scales, the denominators of v and w cleared, and divide once at
-the end.  The twisted reads hand out memoized images by reference:
-``TwistedModule.chain_transform`` of a basis monomial with coefficient int
-1, and the mode operator on a basis target with coefficient int 1.  The
-first forms below are the per-item sums these replaced.  Both must agree in
-keys (in their order), values, value types (Cyc coordinates included) and
+The untwisted reads, ``InducedModule.vertex_series`` and the mode reader
+``vertex_operator_mode`` (which ``coefficient_at`` calls), sum their
+memoized buckets in one dict per exponent with int scales, the
+denominators of v and w cleared, and divide once at the end.  The series
+expansion ``_vs_mono`` ends its iterate recursion at one factor, whose
+coefficients it reads in closed form, and the mode reader reads a
+one-factor monomial of v the same way.  The twisted reads hand out
+memoized images by reference: ``TwistedModule.chain_transform`` of a basis
+monomial with coefficient int 1, and the mode operator on a basis target
+with coefficient int 1.  The first forms below are the per-item sums these
+replaced, and the recursion down to the vacuum.  Both must agree in keys
+(in their order), values, value types (Cyc coordinates included) and
 flags, for int, Fraction and Cyc coefficients, at an integral and a
 non-integral level, on multi-monomial, flagged and zero vectors.  Checks
 run twice on one TwistedModule must report the same, and leave the shared
-images as they were.
+images as they were.  The commutator check shares each product between a
+case and its partner, and a witness read from a shared product equals one
+read with fresh operators.
 
 The shift operator's image is checked the same way: ``delta_apply``
 builds each term once (stage 3 sums a relabeled monomial straight into its
@@ -28,10 +34,13 @@ from math import floor
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from unittest import mock
+
+from voatwist import verify
 from voatwist.delta import _exp_current_stage, _log_stage, delta_apply, make_delta
 from voatwist.fock import _integer_exponent, build_module
 from voatwist.lie import build_simple_lie
-from voatwist.scalars import Cyc, int_if_integral
+from voatwist.scalars import Cyc, binom, int_if_integral
 from voatwist.series import (LogSeries, PBWVector, accumulate, divided, monomial_weight,
                              series_sum)
 from voatwist.twist import make_twisted, mode_candidates
@@ -42,6 +51,7 @@ from voatwist.verify import (
     check_mode_tables,
     check_twisted_axioms,
     check_twisted_commutators,
+    format_vector,
 )
 
 sl2 = build_simple_lie("A", 1)
@@ -224,6 +234,119 @@ def test_mode_operator_matches_its_first_form(case, v, data, targets):
         assert typed_vector(op(w)) == typed_vector(first(w))
 
 
+# -- the closed form at one factor and the one mode reader ---------------------
+
+
+def first_vs_mono(mod, mv, mw, ceiling):
+    """The iterate recursion down to Y(|0>, x) = id, unmemoized."""
+    if not mv:
+        return {0: {mw: 1}}
+    (gi, m), rest = mv[0], mv[1:]
+    acc = {}
+    for e2, vec in first_vs_mono(mod, rest, mw, ceiling).items():
+        for i in range(ceiling - e2 + 1):
+            coeff = binom(m, i) if i % 2 == 0 else -binom(m, i)
+            moved = mod.apply_mode_dict(gi, m - i, vec)
+            if moved:
+                accumulate(acc.setdefault(e2 + i, {}), moved, coeff)
+    for i in range(monomial_weight(mw) + 1):
+        coeff = -binom(m, i) if (m - i) % 2 == 0 else binom(m, i)
+        for mono2, c2 in mod._act(gi, i, mw)[0].items():
+            for e2, vec in first_vs_mono(mod, rest, mono2, ceiling - (m - i)).items():
+                if e2 + m - i <= ceiling:
+                    accumulate(acc.setdefault(e2 + m - i, {}), vec, coeff * c2)
+    return {e: bucket for e, bucket in acc.items() if bucket and e <= ceiling}
+
+
+def typed_expansion(res, ceiling):
+    return [((type(e), e), [(mono, _typed(c)) for mono, c in bucket.items()])
+            for e, bucket in res.items() if e <= ceiling]
+
+
+@pytest.mark.parametrize("level", sorted(LEVELS))
+def test_series_expansion_matches_the_recursion_to_the_vacuum(level):
+    # every a(m)|0>, m in -1..-3, and the two-factor states of weight 2,
+    # against targets up to weight 3 at ceilings -4..4, each expanded on a
+    # fresh module, so that the entry compared is the one built at that
+    # ceiling; fresh entries hold no exponent above their ceiling
+    shape = build_module(sl2, 2, 5)
+    states = [((gi, m),) for m in (-1, -2, -3) for gi in range(sl2.dim)]
+    states += [mono for mono in shape.basis(2) if len(mono) == 2]
+    targets = [mono for w in range(4) for mono in shape.basis(w)]
+    for ceiling in range(-4, 5):
+        mod = build_module(sl2, LEVELS[level], 5)
+        for mv in states:
+            for mw in targets:
+                got = mod._vs_mono(mv, mw, ceiling)
+                assert all(e <= ceiling for e in got)
+                assert typed_expansion(got, ceiling) == \
+                    typed_expansion(first_vs_mono(mod, mv, mw, ceiling), ceiling)
+
+
+CUTOFF = 4
+READ_STATES = [
+    PBWVector({((0, -1),): 1}),
+    PBWVector({((2, -2),): F(1, 2)}),
+    PBWVector({((1, -3),): 2, ((0, -1), (1, -1)): F(-1, 3), (): 5}),
+    PBWVector({((2, -1),): Cyc.zeta(3, 1), ((1, -1),): 3}),
+    PBWVector({(): 1}),
+]
+
+
+@pytest.mark.parametrize("level", sorted(LEVELS))
+def test_mode_reader_matches_coefficient_first_form_around_the_cutoff(level):
+    # e with depth(v) + depth(w) + e one below, at and one above the
+    # cutoff, on exact and flagged inputs; one reader serves every target,
+    # twice, so its plan is built once and reused
+    mod = build_module(sl2, LEVELS[level], CUTOFF)
+    targets = [PBWVector({mono: 1}) for w in range(3) for mono in mod.basis(w)]
+    targets += [PBWVector({((0, -1),): F(2, 3), ((1, -2),): 1}),
+                PBWVector({((2, -1), (2, -1)): Cyc.zeta(3, 2)})]
+    for v in READ_STATES + [PBWVector(READ_STATES[2].c, True)]:
+        for w in targets + [PBWVector(targets[3].c, True)]:
+            for past in (-1, 0, 1):
+                e = CUTOFF - v.depth() - w.depth() + past
+                read = mod.vertex_operator_mode(v, -e - 1)
+                want = first_coefficient_at(mod, v, w, e)
+                assert want.truncated == (past > 0 or v.truncated or w.truncated)
+                for _ in range(2):
+                    assert typed_vector(read(w)) == typed_vector(want)
+                assert typed_vector(mod.coefficient_at(v, w, e)) == typed_vector(want)
+
+
+sl3 = build_simple_lie("A", 2)
+# (algebra, level, cutoff, currents of the chain, log power, mode span):
+# the README's semisimple chain, the nilpotent chain at its log power 1,
+# the order-3 chain of perfbench's sl2_branch3 config (Cyc targets), and
+# the two-step chain of tests/configs/a2_two_inner_steps.json
+MODE_CHAINS = {
+    "sl2 h1=1/2": (sl2, 2, 4, [{"h1": F(1, 2)}], 0, 2),
+    "sl2 e1, log 1": (sl2, 2, 4, [{"e1": 1}], 1, 2),
+    "sl2_branch3": (sl2, 2, 4, [{"h1": F(1, 3)}], 0, 1),
+    "A2 two steps": (sl3, 2, 3, [{"h1": F(1, 3), "h2": F(2, 3)}, {"e2": 1}], 0, 1),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(MODE_CHAINS))
+def test_twisted_mode_operators_match_their_first_form(chain):
+    alg, level, cutoff, currents, l, span = MODE_CHAINS[chain]
+    mod = build_module(alg, level, cutoff)
+    tw = mod
+    for coords in currents:
+        tw = make_twisted(tw, mod.current(alg.element(coords)))
+    targets = [PBWVector({mono: 1}) for w in range(2) for mono in mod.basis(w)]
+    targets += [PBWVector({mono: 1}) for mono in mod.basis(2)[:6]]
+    targets += [PBWVector({((0, -1),): Cyc.zeta(3, 1), ((1, -1), (0, -1)): F(1, 2)})]
+    states = [mod.current(alg._basis_elt(gi)) for gi in range(alg.dim)]
+    if alg is sl2:
+        states.append(mod.conformal_vector())
+    for v in states:
+        for m in mode_candidates(span, tw.branch_order()):
+            op, first = tw.mode(v, m, l), first_mode(tw, v, m, l)
+            for w in targets + targets:
+                assert typed_vector(op(w)) == typed_vector(first(w))
+
+
 # -- checks run twice on one module ------------------------------------------
 
 
@@ -257,6 +380,68 @@ def test_checks_repeat_and_leave_shared_images(level):
     assert run() == first
     assert _snapshot(tw) == before
     assert [report["status"] for report in first] == ["pass"] * 4
+
+
+def _commutator_lhs(tw, b, c, m, n, w):
+    bop, cop = tw.gen_mode(b, m), tw.gen_mode(c, n)
+    return bop(cop(w)) - cop(bop(w))
+
+
+def test_partner_case_witness_matches_fresh_operators():
+    # the right side of the pair f1,e1 reads as zero, so the first failure
+    # is a case of the partner pair, whose two products were built and
+    # kept by the pair e1,f1; its left side must equal one read with
+    # operators built afresh
+    tw = twisted("level 2", "h1=1/2")
+    calls = []
+    real = verify.apply_table_entry
+
+    def counted(module, entry, vec):
+        calls.append(None)
+        return real(module, entry, vec)
+
+    with mock.patch.object(verify, "apply_table_entry", counted):
+        alone = check_twisted_commutators(tw, pairs=[("e1", "f1")], mode_span=1,
+                                          weight=2)
+    assert alone.status == "pass"
+    first_pair = len(calls)
+
+    def zero_after_first_pair(module, entry, vec):
+        calls.append(None)
+        return real(module, entry, vec) if len(calls) <= first_pair else PBWVector()
+
+    calls.clear()
+    with mock.patch.object(verify, "apply_table_entry", zero_after_first_pair):
+        report = check_twisted_commutators(tw, pairs=[("e1", "f1"), ("f1", "e1")],
+                                           mode_span=1, weight=2)
+    assert report.status == "fail"
+    witness = report.witness
+    assert witness["generatorPair"] == "f1,e1"
+    assert report.details["comparisons"] > alone.details["comparisons"]
+    n, m = (F(x) for x in witness["modes"].split(","))
+    [w] = [vec for vec, label in basis_states(tw.base, 2) if label == witness["state"]]
+    fresh = _commutator_lhs(tw, "f1", "e1", n, m, w)
+    assert not fresh.is_zero()
+    assert witness["left"] == format_vector(sl2, fresh)
+    assert witness["right"] == "0"
+
+
+@pytest.mark.parametrize("pairs", [[("e1", "f1"), ("h1", "e1")], [("h1", "h1")],
+                                   [("e1", "f1"), ("f1", "e1"), ("e1", "f1")]])
+def test_commutators_pass_with_and_without_partners(pairs):
+    # no partner, a pair that is its own partner, and a pair that comes
+    # back after its partner: every case is counted as before
+    tw = twisted("level 1/2", "h1=1/2")
+    report = check_twisted_commutators(tw, pairs=pairs, mode_span=1, weight=1)
+    offsets = tw.grading()[0]
+
+    def modes(name):
+        lam = offsets[sl2.index[name]]
+        return sum(abs(mi + lam) <= 1 for mi in range(-1, 2))
+
+    cases = sum(modes(b) * modes(c) for b, c in pairs) * len(basis_states(tw.base, 1))
+    assert report.status == "pass"
+    assert report.details == {"comparisons": cases, "modeSpan": 1, "pairs": len(pairs)}
 
 
 # -- the shift operator ----------------------------------------------------------
