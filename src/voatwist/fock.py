@@ -285,10 +285,15 @@ class InducedModule:
             (gi, m), = mv
             # the exponents whose binomial is nonzero, in the order of the two
             # sums below: 0 up to the ceiling, then m down to m - wt(mw)
-            exps = (*range(ceiling + 1),
-                    *range(min(m, ceiling), m - monomial_weight(mw) - 1, -1))
-            res = {e: bucket for e in exps
-                   if (bucket := self._factor_read(gi, m - e, _one_factor(m, e), mw))}
+            res = {}
+            for e in (*range(ceiling + 1),
+                      *range(min(m, ceiling), m - monomial_weight(mw) - 1, -1)):
+                hit = self._act_cache.get((gi, m - e, mw))
+                moved = (self._act(gi, m - e, mw) if hit is None else hit)[0]
+                if moved:
+                    # _act's memo dict itself when the binomial is 1: never mutated
+                    c = _one_factor(m, e)
+                    res[e] = moved if c == 1 else {k: c * x for k, x in moved.items()}
             self._vs_cache[key] = (ceiling, res)
             return res
         (gi, m), rest = mv[0], mv[1:]
@@ -321,13 +326,6 @@ class InducedModule:
         res = {e: bucket for e, bucket in acc.items() if bucket and e <= ceiling}
         self._vs_cache[key] = (ceiling, res)
         return res
-
-    def _factor_read(self, gi, mode, c, mw) -> dict:
-        """c b_gi(mode) mw, read from _act's memo: its dict itself when c is
-        1, shared and never mutated."""
-        hit = self._act_cache.get((gi, mode, mw))
-        moved = (self._act(gi, mode, mw) if hit is None else hit)[0]
-        return moved if c == 1 else {k: c * x for k, x in moved.items()}
 
     def apply_mode_dict(self, gi, m, vec_dict):
         out = {}
@@ -383,23 +381,28 @@ class InducedModule:
             if plan is None:
                 e = _integer_exponent(-n - 1)
                 (vc,), dv = clear_denominators((v.c,))
-                # (mv, cv, None) reads _vs_mono, (mv, cv, (gi, m - e, C)) _act;
-                # a zero coefficient drops the monomial
+                # (mv, cv, None) reads _vs_mono; (mv, C cv, (gi, m - e)) reads
+                # _act's memo dict directly, as apply_mode does; a zero
+                # coefficient drops the monomial
                 parts = []
                 for mv, cv in vc.items():
                     if len(mv) != 1:
                         if mv or e == 0:  # Y(|0>, x) = id
                             parts.append((mv, cv, None))
                     elif c := _one_factor(mv[0][1], e):
-                        parts.append((mv, cv, (mv[0][0], mv[0][1] - e, c)))
+                        parts.append((mv, c * cv, (mv[0][0], mv[0][1] - e)))
                 plan = e, dv, v.depth() if vc else None, parts
             e, dv, depth, parts = plan
             (wc,), dw = clear_denominators((w.c,))
             out = {}
-            for mv, cv, one in parts:
+            known = self._act_cache
+            for mv, cv, act in parts:
                 for mw, cw in wc.items():
-                    bucket = self._vs_mono(mv, mw, e).get(e) if one is None \
-                        else self._factor_read(*one, mw)
+                    if act is None:
+                        bucket = self._vs_mono(mv, mw, e).get(e)
+                    else:
+                        hit = known.get((*act, mw))
+                        bucket = (self._act(*act, mw) if hit is None else hit)[0]
                     if bucket:
                         accumulate(out, bucket, cv * cw)
             deep = depth is not None and bool(wc) and depth + w.depth() + e > self.cutoff

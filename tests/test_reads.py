@@ -295,23 +295,26 @@ READ_STATES = [
 
 @pytest.mark.parametrize("level", sorted(LEVELS))
 def test_mode_reader_matches_coefficient_first_form_around_the_cutoff(level):
-    # e with depth(v) + depth(w) + e one below, at and one above the
-    # cutoff, on exact and flagged inputs; one reader serves every target,
-    # twice, so its plan is built once and reused
+    # every e with depth(v) + depth(w) + e one below, at or one above the
+    # cutoff for some target, on exact and flagged inputs; one reader
+    # serves every target, twice, so its plan is built once and reused
     mod = build_module(sl2, LEVELS[level], CUTOFF)
     targets = [PBWVector({mono: 1}) for w in range(3) for mono in mod.basis(w)]
     targets += [PBWVector({((0, -1),): F(2, 3), ((1, -2),): 1}),
-                PBWVector({((2, -1), (2, -1)): Cyc.zeta(3, 2)})]
+                PBWVector({((2, -1), (2, -1)): Cyc.zeta(3, 2)}),
+                PBWVector(targets[3].c, True)]
+    seen = set()
     for v in READ_STATES + [PBWVector(READ_STATES[2].c, True)]:
-        for w in targets + [PBWVector(targets[3].c, True)]:
-            for past in (-1, 0, 1):
-                e = CUTOFF - v.depth() - w.depth() + past
-                read = mod.vertex_operator_mode(v, -e - 1)
+        for e in range(CUTOFF - v.depth() - 3, CUTOFF - v.depth() + 2):
+            read = mod.vertex_operator_mode(v, -e - 1)
+            for w in targets + targets:
+                past = v.depth() + w.depth() + e - CUTOFF
+                seen.add(past)
                 want = first_coefficient_at(mod, v, w, e)
                 assert want.truncated == (past > 0 or v.truncated or w.truncated)
-                for _ in range(2):
-                    assert typed_vector(read(w)) == typed_vector(want)
+                assert typed_vector(read(w)) == typed_vector(want)
                 assert typed_vector(mod.coefficient_at(v, w, e)) == typed_vector(want)
+    assert {-1, 0, 1} <= seen
 
 
 sl3 = build_simple_lie("A", 2)
