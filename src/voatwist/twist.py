@@ -9,8 +9,8 @@ one applied to the chain-transformed state:
 with the most recent operator acting on v first.  Everything stays exact:
 series come back as LogSeries of PBWVectors trusted up to an explicit
 ceiling.  A mode is read as one coefficient: for each chain term of the
-wanted log power, the base coefficient at the exponent left over, so no
-whole series is built per target.
+wanted log power, the base module's mode reader at the mode left over, so
+no whole series is built per target.
 
 The chain image of a basis monomial and a mode operator's image of a basis
 target are memoized, and a basis input with coefficient int 1 gets that
