@@ -14,7 +14,8 @@ the workload's set-up and one warm-up pass, then prints one JSON line:
                       arithmetic builds its results without __new__, so
                       compare counts taken on one Python version)
   digest_mismatches   ops, over every pass run here, whose output differs
-                      from perfbench/golden.json
+                      from perfbench/golden.json; the script exits 1 when
+                      any does, and 0 otherwise (the counts have no bound)
 
 The counts do not depend on the host's speed or load, so a change can be
 compared with its parent on one run each; a counted pass takes a few
@@ -112,7 +113,7 @@ def main() -> int:
     print(json.dumps({"workload": args.workload, "opcodes_per_pass": opcodes,
                       "fractions_per_pass": fractions,
                       "digest_mismatches": mismatches}))
-    return 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

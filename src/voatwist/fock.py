@@ -25,9 +25,9 @@ down to one factor, where it has a closed form:
 read from the memoized mode action.  Series come back as LogSeries whose
 ceiling marks the last exactly-known exponent.  Each monomial pair is
 expanded once, at the largest ceiling asked for.  There is one mode reader,
-vertex_operator_mode (coefficient_at calls it): it reads its single
-coefficient without building a series, a one-factor monomial of v in closed
-form and any other from its pair's expansion.
+vertex_operator_mode: it reads its single coefficient without building a
+series, a one-factor monomial of v in closed form and any other from its
+pair's expansion.
 
 Both reads are integer sums: v and w are scaled by the lcm of their
 denominators (no work when every coefficient is an int), the memoized
@@ -35,8 +35,8 @@ buckets are summed per exponent with int scales, and each sum is divided
 once at the end, so the stored coefficients follow the scalar rule and are
 kept without a copy (PBWVector.adopt, LogSeries.from_sums).  The buckets
 are shared by every read, which never mutates them.  The Sugawara L(n) is
-linear too: it sums the memoized image of each monomial, scaled by its
-coefficient.
+series.linear_image over the memoized image of each monomial, so L(n) of a
+basis monomial is that image itself, shared and read-only.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from .errors import CriticalLevel, DomainError, Unsupported
 from .lie import LieAlgebra, LieElt
 from .linalg import memo
 from .scalars import binom, clear_denominators, int_if_integral
-from .series import LogSeries, PBWVector, accumulate, divided, monomial_weight, value_is_zero
+from .series import (LogSeries, PBWVector, accumulate, divided, linear_image, monomial_weight,
+                     value_is_zero)
 
 __all__ = [
     "InducedModule",
@@ -210,19 +211,10 @@ class InducedModule:
                 F(1) / (2 * (self.level + self.algebra.dual_coxeter())))
 
     def sugawara_mode(self, n: int):
-        """The Virasoro operator L(n) as a callable on PBWVectors: the sum
-        of the coefficients times the memoized images of the monomials."""
+        """The Virasoro operator L(n) as a callable on PBWVectors, linear
+        over the memoized images of the monomials (series.linear_image)."""
         self._sugawara_pairs()  # at the critical level, raise here
-
-        def act(vec: PBWVector) -> PBWVector:
-            out, trunc = {}, vec.truncated
-            for mono, coeff in vec.c.items():
-                image = self._sugawara_image(n, mono)
-                accumulate(out, image.c, coeff)
-                trunc = trunc or image.truncated
-            return PBWVector.adopt(out, trunc)
-
-        return act
+        return lambda vec: linear_image(vec, lambda mono: self._sugawara_image(n, mono))
 
     @memo
     def _sugawara_image(self, n, mono) -> PBWVector:
@@ -357,11 +349,6 @@ class InducedModule:
                     if not acc:
                         del sums[e]
         return LogSeries.from_sums(sums, dv * dw, ceiling)
-
-    def coefficient_at(self, v: PBWVector, w: PBWVector, e) -> PBWVector:
-        """The x^e coefficient of Y(v, x) w (e an int or a Fraction), read
-        through vertex_operator_mode."""
-        return self.vertex_operator_mode(v, -e - 1)(w)
 
     def vertex_operator_mode(self, v: PBWVector, n):
         """The mode v_(n), n an int or a Fraction, as a reader: w -> the

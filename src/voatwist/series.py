@@ -6,7 +6,10 @@ otherwise, so an integral key costs no Fraction hashing), the log powers k
 are nonnegative integers, and the coefficients c_{e,k} are PBWVectors:
 finite combinations of PBW monomials with an ``is_zero`` test, a
 ``truncated`` flag and scalar action by rationals and cyclotomic-with-T
-scalars.  Series are stored sparsely as a dict keyed by (e, k).
+scalars.  Series are stored sparsely as a dict keyed by (e, k).  A map
+given on basis monomials is extended by ``linear_image`` and
+``linear_series``, the one rule of every linear read: an unflagged
+{b: int 1} gets image(b) itself, shared and read-only.
 
 Every series is built by one per-key sum: ``series_sum`` runs
 ``LogSeries.add_term`` on a stream of (e, k, coefficient dict, scale,
@@ -44,6 +47,8 @@ __all__ = [
     "branch_shift",
     "common_ceiling",
     "divided",
+    "linear_image",
+    "linear_series",
     "monomial_weight",
     "series_combine",
     "series_derivative",
@@ -283,6 +288,37 @@ def series_sum(items, ceiling=None) -> LogSeries:
     for item in items:
         add(*item)
     return out.settle()
+
+
+def _basis_monomial(vec: PBWVector):
+    """b for the unflagged basis input {b: int 1}, else None."""
+    if len(vec.c) == 1 and not vec.truncated:
+        [(mono, c)] = vec.c.items()
+        return mono if type(c) is int and c == 1 else None
+    return None
+
+
+def linear_image(vec: PBWVector, image) -> PBWVector:
+    """vec under the linear map with PBWVector images image(b): a fresh
+    per-key sum of c * image(b), flagged as vec or an image read is."""
+    if (mono := _basis_monomial(vec)) is not None:
+        return image(mono)
+    out, trunc = {}, vec.truncated
+    for mono, c in vec.c.items():
+        img = image(mono)
+        accumulate(out, img.c, c)
+        trunc = trunc or img.truncated
+    return PBWVector.adopt(out, trunc)
+
+
+def linear_series(vec: PBWVector, image, ceiling=None) -> LogSeries:
+    """linear_image for LogSeries images trusted to ceiling: each term of
+    the sum flagged as vec or the image term is."""
+    if (mono := _basis_monomial(vec)) is not None:
+        return image(mono)
+    return series_sum(((e, k, t.c, c, vec.truncated or t.truncated)
+                       for mono, c in vec.c.items()
+                       for (e, k), t in image(mono).terms.items()), ceiling)
 
 
 def _items(a: LogSeries, scale=None, eshift=0):

@@ -13,10 +13,10 @@ wanted log power, the base module's mode reader at the mode left over, so
 no whole series is built per target.
 
 The chain image of a basis monomial and a mode operator's image of a basis
-target are memoized, and a basis input with coefficient int 1 gets that
-image itself: shared and read-only, as delta_apply serves D(b), so no
-caller may mutate what these reads return.  The grading offsets and the
-modes built from them are ints where integral.
+target are memoized and read through series.linear_series and linear_image:
+shared and read-only, as delta_apply serves D(b), so no caller may mutate
+what these reads return.  The grading offsets and the modes built from
+them are ints where integral.
 
 The attached automorphism is tracked as structured data (semisimple part,
 nilpotent part, optional diagram factor and conjugator).  Its action on
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial, floor, lcm
 
 from .delta import DeltaOperator, current_element, delta_apply_series, make_delta
@@ -38,7 +38,8 @@ from .fock import InducedModule
 from .lie import AutomorphismData, GAutomorphism, LieElt
 from .linalg import memo
 from .scalars import Cyc, fmt_rational, int_if_integral
-from .series import LogSeries, PBWVector, accumulate, monomial_weight, series_eq, series_sum
+from .series import (LogSeries, PBWVector, accumulate, linear_image, linear_series,
+                     monomial_weight, series_eq, series_sum)
 
 __all__ = [
     "TwistedModule",
@@ -86,21 +87,14 @@ class TwistedModule:
     def chain_transform(self, v: PBWVector) -> LogSeries:
         """The full shift-chain image of v, an exact finite LogSeries.
 
-        The chain is linear, so an exact nonzero v sums the memoized images
-        of its monomials, and a basis monomial with coefficient int 1 gets
-        its memoized image itself, shared and read-only as delta_apply
-        serves D(b).  A flagged or zero v goes through the chain whole: the
-        flagged zeros that delta_apply keeps depend on how its input is
-        split into monomials, and a sum of images would lose them."""
+        The chain is linear, so an exact nonzero v is linear_series over
+        the memoized images of its monomials.  A flagged or zero v goes
+        through the chain whole: the flagged zeros that delta_apply keeps
+        depend on how its input is split into monomials, and a sum of
+        images would lose them."""
         if v.truncated or not v.c:
             return self._transform_whole(v)
-        if len(v.c) == 1:
-            [(mono, c)] = v.c.items()
-            if type(c) is int and c == 1:
-                return self._chain_image(mono)
-        return series_sum((e, k, vec.c, c, vec.truncated)
-                          for mono, c in v.c.items()
-                          for (e, k), vec in self._chain_image(mono).terms.items())
+        return linear_series(v, self._chain_image)
 
     @memo
     def _chain_image(self, mono) -> LogSeries:
@@ -119,7 +113,8 @@ class TwistedModule:
         """Y_new(v, x) w, exact to ceiling: the base series of each chain
         term, summed per key.  A single chain term x^e1 log^k1 gives its
         base series with the keys moved by (e1, k1), whose fresh vectors
-        are kept as they are."""
+        are kept as they are: summing them instead costs 1.4% of the
+        opcodes of a cli-run pass."""
         ceiling = int_if_integral(ceiling)
         chain = self.chain_transform(v).terms
         reads = ((e1, k1, self.base.vertex_series(vec1, w, floor(ceiling - e1)).terms)
@@ -141,15 +136,14 @@ class TwistedModule:
         On its first call the returned operator transforms v along the
         chain and builds one base reader (InducedModule.vertex_operator_mode)
         for each chain term x^e1 log^l whose base mode m + e1 is an integer.
-        Linear in the target, it keeps the image of each target monomial it
-        has met while held: the sum of those readers on the monomial, never
-        a series.  A basis target with coefficient int 1 gets that image
-        itself, shared and read-only.  With no such chain term it is zero.
+        A target is read through linear_image over the image of each of its
+        monomials, the sum of those readers on it (never a series), kept
+        while the operator is held.  With no such chain term it is zero.
         Outputs carry the flags of the coefficients read and of the target."""
         m = int_if_integral(m)
         readers = None
-        images = {}
 
+        @lru_cache(maxsize=None)
         def image(mono):
             w = PBWVector({mono: 1})
             return reduce(PBWVector.__add__, [read(w) for read in readers])
@@ -162,22 +156,7 @@ class TwistedModule:
                            if k1 == l and (m + e1).denominator == 1]
             if not readers:
                 return PBWVector(None, w.truncated)
-            if len(w.c) == 1 and not w.truncated:
-                [(mono, cw)] = w.c.items()
-                if type(cw) is int and cw == 1:
-                    img = images.get(mono)
-                    if img is None:
-                        img = images[mono] = image(mono)
-                    return img
-            out = {}
-            trunc = w.truncated
-            for mono, cw in w.c.items():
-                img = images.get(mono)
-                if img is None:
-                    img = images[mono] = image(mono)
-                accumulate(out, img.c, cw)
-                trunc = trunc or img.truncated
-            return PBWVector.adopt(out, trunc)
+            return linear_image(w, image)
 
         return op
 
@@ -322,11 +301,9 @@ def apply_lie_matrix(module: InducedModule, matrix, vec: PBWVector) -> PBWVector
         return [(0, matrix[gj][gi], alg._basis_elt(gj))
                 for gj in range(alg.dim) if matrix[gj][gi]]
 
-    total = PBWVector({}, vec.truncated)
-    for mono, coeff in vec.c.items():
-        for image in module.expand_monomial(mono, split).values():
-            total = total + coeff * image
-    return total
+    # every key of split is 0, so each expansion has at most one entry
+    return linear_image(vec, lambda mono: module.expand_monomial(mono, split).get(0)
+                        or PBWVector())
 
 
 def make_twisted(target, u: PBWVector,

@@ -31,11 +31,11 @@ from .series import (
     accumulate,
     branch_shift,
     common_ceiling,
+    linear_series,
     series_combine,
     series_derivative,
     series_eq,
     series_scale,
-    series_sum,
 )
 from .twist import (
     ModuleMap,
@@ -605,12 +605,9 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
     states = basis_states(module, weight)
     # operators are local, not memoized on the module: each keeps its
     # chain-transformed state alive for as long as it is held
-    operators = {}
-
+    @lru_cache(maxsize=None)
     def gen_mode(gname, m):
-        if (gname, m) not in operators:
-            operators[gname, m] = twisted.gen_mode(gname, m)
-        return operators[gname, m], mode_table_entry(twisted, gname, m)[0]
+        return twisted.gen_mode(gname, m), mode_table_entry(twisted, gname, m)[0]
 
     blocked = {}
     offsets = twisted.grading()[0]
@@ -921,19 +918,6 @@ def check_twisted_axioms(twisted: TwistedModule, states, target_states,
                       {"ceiling": ceiling, "branchOrder": order})
 
 
-def _monomial_sum_series(twisted: TwistedModule, v: PBWVector, w: PBWVector,
-                         ceiling, known: dict) -> LogSeries:
-    """Y_new(v, x) w as the sum over the monomials b of v of the coefficient
-    times Y_new(b, x) w, which is computed once and kept in known[b]."""
-    items = []
-    for mono, c in v.c.items():
-        ser = known.get(mono)
-        if ser is None:
-            ser = known[mono] = twisted.vertex_series(PBWVector({mono: 1}), w, ceiling)
-        items.extend((e, k, vec.c, c, vec.truncated) for (e, k), vec in ser.terms.items())
-    return series_sum(items, ceiling)
-
-
 def check_equivariance(twisted: TwistedModule, target_states=None,
                        ceiling=1) -> CheckReport:
     """Moving one analytic branch matches acting by the automorphism.
@@ -941,8 +925,9 @@ def check_equivariance(twisted: TwistedModule, target_states=None,
     branch_shift(Y_new(v, x) w, one step) must equal Y_new(g v, x) w with
     g the attached automorphism; the comparison runs over cyclotomic
     coefficients, so root-of-unity and formal-log factors are both exact.
-    Both sides are sums of Y_new(b, x) w over the monomials b of v and of
-    g v, each computed once per target (Y_new is linear in its argument).
+    Y_new is linear in its argument, so both sides are linear_series over
+    Y_new(b, x) w for the monomials b of v and of g v, each computed once
+    per target.
     """
     module = twisted.base
     alg = twisted.algebra
@@ -950,16 +935,16 @@ def check_equivariance(twisted: TwistedModule, target_states=None,
     states = [(module.current(nm), f"{nm}(-1) |0>") for nm in alg.names]
     if target_states is None:
         target_states = basis_states(module, 2)
-    # local to the check, as the operators of check_twisted_commutators are
-    per_target = [{} for _ in target_states]
+    # one memo per target, local to the check as the commutator operators are
+    images = [lru_cache(maxsize=None)(lambda mono, w=w: twisted.vertex_series(
+        PBWVector({mono: 1}), w, ceiling)) for w, _wlabel in target_states]
 
     def cases():
         for v, vlabel in states:
             gv = twisted.automorphism_apply(v)
-            for (w, wlabel), known in zip(target_states, per_target):
-                shifted = branch_shift(
-                    _monomial_sum_series(twisted, v, w, ceiling, known), 1, order)
-                direct = _monomial_sum_series(twisted, gv, w, ceiling, known)
+            for (w, wlabel), image in zip(target_states, images):
+                shifted = branch_shift(linear_series(v, image, ceiling), 1, order)
+                direct = linear_series(gv, image, ceiling)
                 yield _series_case(alg, shifted, direct, "equivariance",
                                    argument=vlabel, target=wlabel)
 

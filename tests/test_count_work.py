@@ -1,9 +1,13 @@
 """The work counters of scripts/count_work.py on small functions."""
 
 import importlib.util
+import json
 import pathlib
 import sys
+import types
 from fractions import Fraction
+
+import pytest
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "count_work.py"
 spec = importlib.util.spec_from_file_location("count_work", SCRIPT)
@@ -38,3 +42,33 @@ def test_fraction_count_is_the_objects_built_and_the_class_is_restored():
     assert count_work.count_fractions(lambda: 7 * 6)[1] == 0
     assert Fraction.__dict__["__new__"] is new
     assert Fraction(3, 6) == Fraction(1, 2)
+
+
+class _OneOp:
+    """A workload of one op whose output is always "out"."""
+
+    def setup(self):
+        pass
+
+    def new_pass(self):
+        return [("op", lambda: "out")]
+
+    @staticmethod
+    def digest(result):
+        return result
+
+    def cleanup(self):
+        pass
+
+
+@pytest.mark.parametrize("recorded,code", [("out", 0), ("other", 1)])
+def test_a_digest_mismatch_is_exit_1(monkeypatch, tmp_path, capsys, recorded, code):
+    (tmp_path / "golden.json").write_text(json.dumps({"one-op": {"op": recorded}}))
+    monkeypatch.setattr(count_work, "PERFBENCH", str(tmp_path))
+    monkeypatch.setitem(sys.modules, "workloads",
+                        types.SimpleNamespace(WORKLOADS={"one-op": _OneOp}))
+    monkeypatch.setattr(sys, "argv", ["count_work.py", "--workload", "one-op"])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.chdir(tmp_path)  # main changes directory; this restores it
+    assert count_work.main() == code
+    assert json.loads(capsys.readouterr().out)["digest_mismatches"] == 3 * code

@@ -174,14 +174,14 @@ def test_float_scan_sees_the_untwisted_reads(float_scan):
 
 
 def test_float_scan_watches_the_untwisted_reads(float_scan):
-    # vertex_series and coefficient_at store through the hooked points
+    # vertex_series and vertex_operator_mode store through the hooked points
     alg = build_simple_lie("A", 1)
     mod = build_module(alg, F(2), 4)
     v = PBWVector({((0, -1),): F(1, 2)})
     w = PBWVector({((1, -1),): 1})
     mod.vertex_series(v, w, 1)
     seen = float_scan["watched"]
-    mod.coefficient_at(v, w, -1)
+    mod.vertex_operator_mode(v, 0)(w)
     assert seen > 0 and float_scan["watched"] > seen
     assert float_scan["floats"] == []
 
@@ -207,8 +207,9 @@ def _integral_fraction(value) -> bool:
     return type(value) is F and value.denominator == 1
 
 
-# every module that binds series_sum by name, series itself included
-SERIES_SUM_USERS = (series, delta, twist, verify)
+# every module that binds series_sum by name, series itself included (the
+# linear reads of the other modules sum inside series.py)
+SERIES_SUM_USERS = (series, delta, twist)
 
 
 @pytest.fixture
@@ -321,7 +322,7 @@ def test_fraction_scan_reads_the_shift_image(fraction_scan, coords):
 
 
 def test_fraction_scan_reads_the_untwisted_reads(fraction_scan):
-    # every coefficient that vertex_series and coefficient_at keep is read,
+    # every coefficient that vertex_series and vertex_operator_mode keep is read,
     # also at a non-integral level, where the summed buckets are Fractions;
     # both keep their sums through PBWVector.adopt
     alg = build_simple_lie("A", 1)
@@ -333,7 +334,7 @@ def test_fraction_scan_reads_the_untwisted_reads(fraction_scan):
         before = fraction_scan["read"]
         ser = mod.vertex_series(v, w, 1)
         held = sum(len(vec.c) for vec in ser.terms.values())
-        coeff = mod.coefficient_at(v, w, -1)
+        coeff = mod.vertex_operator_mode(v, 0)(w)
         assert held > 0 and coeff.c
         assert fraction_scan["read"] - before >= held + len(coeff.c)
     assert fraction_scan["found"] == []

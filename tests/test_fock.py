@@ -141,11 +141,11 @@ def test_coefficients_past_the_cutoff_are_flagged():
     e1 = tiny.current("e1")
     w = tiny.apply_mode("e1", -1, tiny.current("f1"))
     # e1(-1) w has weight 3, at the cutoff; e1(-2) w would need weight 4
-    assert not tiny.coefficient_at(e1, w, 0).truncated
-    assert tiny.coefficient_at(e1, w, 1).truncated
+    assert not tiny.vertex_operator_mode(e1, -1)(w).truncated
+    assert tiny.vertex_operator_mode(e1, -2)(w).truncated
     # an input flag passes through, and an empty product is exact
-    assert tiny.coefficient_at(e1, PBWVector(w.c, truncated=True), 0).truncated
-    assert not tiny.coefficient_at(PBWVector(), w, 1).truncated
+    assert tiny.vertex_operator_mode(e1, -1)(PBWVector(w.c, truncated=True)).truncated
+    assert not tiny.vertex_operator_mode(PBWVector(), -2)(w).truncated
 
 
 def test_nonvacuum_highest_weight_unsupported():

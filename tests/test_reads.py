@@ -1,15 +1,15 @@
 """Each vertex-operator read against its first form.
 
 The untwisted reads, ``InducedModule.vertex_series`` and the mode reader
-``vertex_operator_mode`` (which ``coefficient_at`` calls), sum their
-memoized buckets in one dict per exponent with int scales, the
-denominators of v and w cleared, and divide once at the end.  The series
-expansion ``_vs_mono`` ends its iterate recursion at one factor, whose
-coefficients it reads in closed form, and the mode reader reads a
-one-factor monomial of v the same way.  The twisted reads hand out
-memoized images by reference: ``TwistedModule.chain_transform`` of a basis
-monomial with coefficient int 1, and the mode operator on a basis target
-with coefficient int 1.  The first forms below are the per-item sums these
+``vertex_operator_mode``, sum their memoized buckets in one dict per
+exponent with int scales, the denominators of v and w cleared, and divide
+once at the end.  The series expansion ``_vs_mono`` ends its iterate
+recursion at one factor, whose coefficients it reads in closed form, and
+the mode reader reads a one-factor monomial of v the same way.  The
+twisted reads and the Sugawara L(n) hand out memoized images by
+reference: ``TwistedModule.chain_transform`` of a basis monomial with
+coefficient int 1, and the mode operator and L(n) on a basis target with
+coefficient int 1.  The first forms below are the per-item sums these
 replaced, and the recursion down to the vacuum.  Both must agree in keys
 (in their order), values, value types (Cyc coordinates included) and
 flags, for int, Fraction and Cyc coefficients, at an integral and a
@@ -43,14 +43,17 @@ from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc, binom, int_if_integral
 from voatwist.series import (LogSeries, PBWVector, accumulate, divided, monomial_weight,
                              series_sum)
-from voatwist.twist import make_twisted, mode_candidates
+from voatwist.twist import make_twisted, mode_candidates, untwisted_as_twisted
 from voatwist.verify import (
     basis_states,
     chain_log_bound,
+    check_conformal_shift,
     check_equivariance,
     check_mode_tables,
+    check_translation_bracket,
     check_twisted_axioms,
     check_twisted_commutators,
+    check_weight_bracket,
     format_vector,
 )
 
@@ -200,7 +203,7 @@ cases = st.tuples(st.sampled_from(sorted(LEVELS)), st.sampled_from(sorted(CHAINS
 def test_untwisted_reads_match_their_first_forms(case, v, w, e):
     mod = twisted(*case).base
     assert_same_series(mod.vertex_series(v, w, e), first_vertex_series(mod, v, w, e))
-    assert typed_vector(mod.coefficient_at(v, w, e)) == \
+    assert typed_vector(mod.vertex_operator_mode(v, -e - 1)(w)) == \
         typed_vector(first_coefficient_at(mod, v, w, e))
 
 
@@ -313,7 +316,7 @@ def test_mode_reader_matches_coefficient_first_form_around_the_cutoff(level):
                 want = first_coefficient_at(mod, v, w, e)
                 assert want.truncated == (past > 0 or v.truncated or w.truncated)
                 assert typed_vector(read(w)) == typed_vector(want)
-                assert typed_vector(mod.coefficient_at(v, w, e)) == typed_vector(want)
+                assert typed_vector(mod.vertex_operator_mode(v, -e - 1)(w)) == typed_vector(want)
     assert {-1, 0, 1} <= seen
 
 
@@ -445,6 +448,71 @@ def test_commutators_pass_with_and_without_partners(pairs):
     cases = sum(modes(b) * modes(c) for b, c in pairs) * len(basis_states(tw.base, 1))
     assert report.status == "pass"
     assert report.details == {"comparisons": cases, "modeSpan": 1, "pairs": len(pairs)}
+
+
+# -- the Sugawara L(n) -----------------------------------------------------------
+
+
+def first_sugawara_mode(mod, n):
+    """L(n) as first written: a fresh per-monomial sum of the images."""
+    def act(vec):
+        out, trunc = {}, vec.truncated
+        for mono, coeff in vec.c.items():
+            image = mod._sugawara_image(n, mono)
+            accumulate(out, image.c, coeff)
+            trunc = trunc or image.truncated
+        return PBWVector.adopt(out, trunc)
+
+    return act
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(LEVELS)), st.integers(-2, 2),
+       st.lists(vectors, min_size=1, max_size=4))
+def test_sugawara_mode_matches_its_first_form(level, n, targets):
+    # at cutoff 3, L(-2) and L(-1) of the weight-2 targets come back flagged;
+    # each target is read twice
+    mod = build_module(sl2, LEVELS[level], 3)
+    ln, first = mod.sugawara_mode(n), first_sugawara_mode(mod, n)
+    for w in targets + targets:
+        got = ln(w)
+        assert typed_vector(got) == typed_vector(first(w))
+        if len(w.c) == 1 and not w.truncated:
+            [(mono, c)] = w.c.items()
+            if type(c) is int and c == 1:
+                assert got is mod._sugawara_image(n, mono)
+
+
+def _sugawara_images(mod):
+    return {key: typed_vector(image) for key, image in mod._sugawara_image_cache.items()}
+
+
+@pytest.mark.parametrize("level", sorted(LEVELS))
+def test_sugawara_checks_leave_the_shared_images(level):
+    """L(n) of a basis monomial is its memoized image itself, so the
+    checks that read L(n) must leave every image as a fresh module builds
+    it, and report the same when run again."""
+    mod = build_module(sl2, LEVELS[level], 4)
+    u = mod.current(sl2.element({"h1": F(1, 2)}))
+    tw = make_twisted(mod, u)
+    states = basis_states(mod, 2)
+
+    def run():
+        return [report.to_dict() for report in (
+            check_twisted_axioms(tw, states, states, ceiling=1),
+            check_weight_bracket(mod, u, states),
+            check_translation_bracket(mod, u, states),
+            check_conformal_shift(untwisted_as_twisted(mod), tw, weight=3),
+        )]
+
+    first = run()
+    before = _sugawara_images(mod)
+    assert before
+    assert run() == first
+    assert _sugawara_images(mod) == before
+    fresh = build_module(sl2, LEVELS[level], 4)
+    assert {key: typed_vector(fresh._sugawara_image(*key)) for key in before} == before
+    assert [report["status"] for report in first] == ["pass"] * 4
 
 
 # -- the shift operator ----------------------------------------------------------

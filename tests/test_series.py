@@ -9,6 +9,8 @@ from voatwist.series import (
     LogSeries,
     PBWVector,
     branch_shift,
+    linear_image,
+    linear_series,
     series_combine,
     series_derivative,
     series_eq,
@@ -284,3 +286,68 @@ def test_series_functions_match_their_first_forms(a, b, scalar, eshift, steps):
     ]
     for new, old in pairs:
         assert shape(new) == shape(old)
+
+
+# -- linear maps given on basis monomials ------------------------------------
+# linear_image and linear_series as first written: vector + of each scaled
+# image, with the input's flag on every term.
+
+
+def first_linear_image(vec, image):
+    total = PBWVector({}, vec.truncated)
+    for mono, c in vec.c.items():
+        total = total + c * image(mono)
+    return total
+
+
+def first_linear_series(vec, image, ceiling):
+    out = LogSeries(ceiling=ceiling)
+    for mono, c in vec.c.items():
+        for (e, k), v in image(mono).terms.items():
+            old_add_term(out, e, k, PBWVector((c * v).c, v.truncated or vec.truncated))
+    return out
+
+
+def typed_vector(v):
+    """Keys in order, values with their types, and the flag."""
+    return [(mono, c, type(c).__name__) for mono, c in v.c.items()], v.truncated
+
+
+def typed_series(s):
+    return s.ceiling, [((e, type(e), k), typed_vector(v)) for (e, k), v in s.terms.items()]
+
+
+def test_a_basis_input_gets_its_image_itself():
+    vimages = {A: vec(F(1, 2), B, truncated=True), B: vec(3)}
+    simages = {A: LogSeries({(1, 0): vec(2)}, ceiling=2), B: LogSeries(ceiling=2)}
+    assert linear_image(PBWVector({A: 1}), vimages.get) is vimages[A]
+    assert linear_series(PBWVector({B: 1}), simages.get, 2) is simages[B]
+    # a Fraction, a Cyc 1, a second monomial or a flag makes a fresh sum
+    for v in (PBWVector({A: F(1, 2)}), PBWVector({A: Cyc.of(1)}),
+              PBWVector({A: 1, B: 1}), PBWVector({A: 1}, truncated=True)):
+        got = linear_image(v, vimages.get)
+        assert got is not vimages[A] and got is not vimages[B]
+        assert typed_vector(got) == typed_vector(first_linear_image(v, vimages.get))
+        ser = linear_series(v, simages.get, 2)
+        assert ser is not simages[A] and ser is not simages[B]
+        assert typed_series(ser) == typed_series(first_linear_series(v, simages.get, 2))
+
+
+@settings(max_examples=300)
+@given(vectors, st.fixed_dictionaries({mono: vectors for mono in MONOS[:3]}),
+       st.fixed_dictionaries({mono: st.dictionaries(st.tuples(exponents, st.integers(0, 2)),
+                                                    vectors, max_size=4)
+                              for mono in MONOS[:3]}),
+       st.one_of(st.none(), exponents))
+def test_linear_reads_match_their_first_forms(v, vimages, sterms, ceiling):
+    """Keys in order, value types and flags (ORed with the input's) agree
+    with the first forms, and no image is changed by a read."""
+    simages = {mono: LogSeries(terms, ceiling) for mono, terms in sterms.items()}
+    before = ([typed_vector(x) for x in vimages.values()],
+              [typed_series(x) for x in simages.values()])
+    got = linear_image(v, vimages.get)
+    assert typed_vector(got) == typed_vector(first_linear_image(v, vimages.get))
+    ser = linear_series(v, simages.get, ceiling)
+    assert typed_series(ser) == typed_series(first_linear_series(v, simages.get, ceiling))
+    assert ([typed_vector(x) for x in vimages.values()],
+            [typed_series(x) for x in simages.values()]) == before

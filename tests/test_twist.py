@@ -404,7 +404,7 @@ def _stored_coefficient_sum(tw, v, m, l, w):
     out, trunc = {}, w.truncated
     for (e1, k1), vec1 in tw.chain_transform(v).terms.items():
         if k1 == l and (e - e1).denominator == 1:
-            coeff = tw.base.coefficient_at(vec1, w, e - e1)
+            coeff = tw.base.vertex_operator_mode(vec1, -(e - e1) - 1)(w)
             accumulate(out, coeff.c)
             trunc = trunc or coeff.truncated
     return PBWVector(out, trunc)
