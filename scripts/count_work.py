@@ -22,6 +22,14 @@ compared with its parent on one run each; a counted pass takes a few
 seconds.  Ops run in the workload's own order, unpermuted, so every run
 counts the same pass (perfbench/run.py's --seed permutes the order, which
 can move memoized work from one op to another).
+
+With ``--parent REV`` the script exports REV's committed files with ``git
+archive`` into a temporary directory, as bench_pairs.py does, counts that
+tree and then the working tree, each in its own interpreter and both with
+this copy of the script, and prints one JSON line holding both sides'
+counts; it exits 1 when either side has a digest mismatch:
+
+    python3 scripts/count_work.py --workload cli-run --parent HEAD~1
 """
 
 from __future__ import annotations
@@ -29,7 +37,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
+import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -79,11 +90,47 @@ def count_fractions(fn):
 def _args():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True)
+    p.add_argument("--parent", help="git revision to count beside the working tree")
     return p.parse_args()
+
+
+def _export(rev: str, dest: str) -> None:
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def count_tree(tree: str, workload: str) -> dict:
+    """The counts of the tree's own script run in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(tree, "scripts", "count_work.py"),
+         "--workload", workload], text=True, capture_output=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        raise RuntimeError(f"counting failed in {tree} ({workload}):\n"
+                           f"{proc.stderr[-2000:]}")
+    counts = json.loads(lines[-1])
+    del counts["workload"]
+    return counts
+
+
+def compare(rev: str, workload: str) -> int:
+    """Count rev and the working tree; 1 if either has a digest mismatch."""
+    with tempfile.TemporaryDirectory(prefix="count-work-") as tmp:
+        _export(rev, tmp)
+        # both sides are counted the same way, whatever rev's script does
+        os.makedirs(os.path.join(tmp, "scripts"), exist_ok=True)
+        shutil.copy(os.path.abspath(__file__), os.path.join(tmp, "scripts", "count_work.py"))
+        sides = {"parent": {"rev": rev, **count_tree(tmp, workload)},
+                 "change": count_tree(ROOT, workload)}
+    print(json.dumps({"workload": workload, **sides}))
+    return 1 if any(side["digest_mismatches"] for side in sides.values()) else 0
 
 
 def main() -> int:
     args = _args()
+    if args.parent is not None:
+        return compare(args.parent, args.workload)
     os.chdir(ROOT)
     sys.path[:0] = [os.path.join(ROOT, "src"), PERFBENCH]
     from workloads import WORKLOADS

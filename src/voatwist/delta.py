@@ -20,15 +20,15 @@ denominator.  Each output coefficient is divided once, so the output
 follows the one scalar rule: an integral value is an int
 (``tests/test_shift_golden.py`` pins every type, and checks stages 1 and 2
 against their first forms in Fractions), and each divided term is kept
-without a copy.  Stage 3 sums its terms per output key in one LogSeries,
-in the order they come (a relabeled monomial by LogSeries.add_monomial, an
-expanded one by add_term), so a key that cancels drops and a flagged zero
-stays, by the one rule of series.value_is_zero.  The self-pairing scalar
-kappa is always stored as a Fraction, since callers halve it.  A legacy
-sign convention (kept only so its failure is demonstrable) flips the outer
-x^(s(0)) and log factors and drops the (-1)^m inside the exponential; the
-two agree on the m = 1 term, which is why the difference is easy to miss
-on small examples.
+without a copy.  Stage 3 sums its terms per output key in one LogSeries
+by LogSeries.add_term, in the order they come (a relabeled monomial as a
+one-monomial dict, an expanded one as a scaled vector), so a key that
+cancels drops and a flagged zero stays, by the one rule of
+series.value_is_zero.  The self-pairing scalar kappa is always stored as
+a Fraction, since callers halve it.  A legacy sign convention (kept only
+so its failure is demonstrable) flips the outer x^(s(0)) and log factors
+and drops the (-1)^m inside the exponential; the two agree on the m = 1
+term, which is why the difference is easy to miss on small examples.
 
 make_delta builds one record per module, current and sign convention, kept
 on the module but never referring to it, so a dropped module is freed at
@@ -264,7 +264,7 @@ def _shift(delta: DeltaOperator, v: PBWVector) -> LogSeries:
     # one per-key sum, in the order the terms come: a relabeled monomial is
     # added as it is, an expanded one as a scaled vector
     out = LogSeries()
-    add_term, add_monomial = out.add_term, out.add_monomial
+    add_term = out.add_term
     for e, k, vec, den in staged:
         flag = vec.truncated
         if not vec.c:
@@ -280,13 +280,13 @@ def _shift(delta: DeltaOperator, v: PBWVector) -> LogSeries:
                 shift = shifts[mono] = (sign * sum(lams) if None not in lams
                                         and monomial_weight(mono) <= cutoff else None)
             if shift is not None:
-                add_monomial(e + shift, k, mono, coeff, flag)
+                add_term(e + shift, k, {mono: coeff}, None, flag)
                 continue
             for lamsum, expanded in module.expand_monomial(mono, split).items():
                 # the expansion restarts from the vacuum; keep the input's flag
                 add_term(e + sign * lamsum, k, expanded.c, coeff,
                          expanded.truncated or flag)
-    return out.settle()
+    return out
 
 
 def delta_apply_series(delta: DeltaOperator, series: LogSeries) -> LogSeries:

@@ -14,16 +14,14 @@ given on basis monomials is extended by ``linear_image`` and
 Every series is built by one per-key sum: ``series_sum`` runs
 ``LogSeries.add_term`` on a stream of (e, k, coefficient dict, scale,
 flag) items, and ``accumulate`` is the one sum of coefficient dicts under
-it; ``LogSeries.settle`` then applies the scalar rule to the sums in
-place.  ``series_combine`` (add), ``series_scale`` (scalar times a power
+it, which stores each sum under the scalar rule (an integral Fraction as
+an int).  ``series_combine`` (add), ``series_scale`` (scalar times a power
 of x), ``series_derivative`` (d/dx), ``LogSeries.map_values`` and
 ``branch_shift`` (log x -> log x + T, x^e -> zeta^(D e) x^e, the formal
 substitution that moves between analytic branches) are item streams into
-it.  ``LogSeries.add_monomial`` is add_term for a one-monomial dict that
-is never built, for the shift operator's relabeled monomials.  A series
-whose terms are already known to have distinct keys and no zero is stored
-as it is: ``LogSeries.from_sums`` divides each per-key sum of a log-free
-series once (``divided``) and keeps it without a copy
+it.  A series whose terms are already known to have distinct keys and no
+zero is stored as it is: ``LogSeries.from_sums`` divides each per-key sum
+of a log-free series once (``divided``) and keeps it without a copy
 (``PBWVector.adopt``, which also keeps a vector sum built outside a
 series), and the shift operator and the twisted reads store such terms
 the same way.
@@ -65,17 +63,19 @@ def monomial_weight(mono) -> int:
 def accumulate(out: dict, terms: dict, scale=None) -> None:
     """Add scale * terms (terms itself if scale is None) into the
     monomial-to-coefficient dict out, dropping the coefficients that
-    cancel."""
+    cancel.  Each sum is stored under the scalar rule, an integral
+    Fraction as an int, so a dict summed here is canonical as it stands."""
     for mono, c in terms.items():
         if scale is not None:
             c = scale * c
-        cur = out.get(mono)
-        if cur is not None:
-            c = cur + c
-        if c:
-            out[mono] = c
-        else:
+        if mono in out:
+            c = out[mono] + c
+        if not c:
             out.pop(mono, None)
+        elif type(c) is Fraction and c.denominator == 1:
+            out[mono] = c.numerator
+        else:
+            out[mono] = c
 
 
 class PBWVector:
@@ -96,12 +96,9 @@ class PBWVector:
 
     @classmethod
     def adopt(cls, c, truncated=False):
-        """The vector whose dict is c itself, with no copy: c holds no zero
-        and is given up by the caller, who has just summed it.  Its integral
-        Fractions become ints in place, so it follows the scalar rule."""
-        for mono, coeff in c.items():
-            if type(coeff) is Fraction and coeff.denominator == 1:
-                c[mono] = coeff.numerator
+        """The vector whose dict is c itself, with no copy: c holds no zero,
+        follows the scalar rule (as a dict summed by accumulate does) and
+        is given up by the caller, who has just built it."""
         vec = cls.__new__(cls)
         vec.c = c
         vec.truncated = truncated
@@ -210,8 +207,7 @@ class LogSeries:
         """Add scale * terms, a monomial-to-coefficient dict, into the
         x^e log^k coefficient, a vector the series owns; flag it if flag
         is set.  A key whose sum value_is_zero drops is removed, and comes
-        back last if hit again.  Sums may hold integral Fractions until
-        series_sum applies the scalar rule."""
+        back last if hit again."""
         key = (int_if_integral(e), k)
         vec = self.terms.get(key)
         if vec is None:
@@ -221,37 +217,6 @@ class LogSeries:
         accumulate(vec.c, terms, scale)
         if value_is_zero(vec):
             del self.terms[key]
-
-    def add_monomial(self, e, k, mono, coeff, flag=False):
-        """add_term of the one-monomial dict {mono: coeff}, summed straight
-        into the x^e log^k coefficient without building that dict."""
-        key = (int_if_integral(e), k)
-        vec = self.terms.get(key)
-        if vec is None:
-            vec = self.terms[key] = PBWVector(None, flag)
-        elif flag:
-            vec.truncated = True
-        c = vec.c
-        cur = c.get(mono)
-        if cur is not None:
-            coeff = cur + coeff
-        if coeff:
-            c[mono] = coeff
-        else:
-            c.pop(mono, None)
-            if value_is_zero(vec):
-                del self.terms[key]
-
-    def settle(self) -> "LogSeries":
-        """Apply the scalar rule to the summed coefficients in place, an
-        integral Fraction becoming an int, and return the series: the last
-        step of every per-key sum."""
-        for vec in self.terms.values():
-            c = vec.c
-            for mono, coeff in c.items():
-                if type(coeff) is Fraction and coeff.denominator == 1:
-                    c[mono] = coeff.numerator
-        return self
 
     @classmethod
     def from_sums(cls, sums: dict, den: int, ceiling=None) -> "LogSeries":
@@ -281,13 +246,12 @@ class LogSeries:
 
 def series_sum(items, ceiling=None) -> LogSeries:
     """The LogSeries of (e, k, terms, scale, flag) items, each added by
-    LogSeries.add_term, with the scalar rule applied to the sums at the
-    end."""
+    LogSeries.add_term."""
     out = LogSeries(ceiling=ceiling)
     add = out.add_term
     for item in items:
         add(*item)
-    return out.settle()
+    return out
 
 
 def _basis_monomial(vec: PBWVector):

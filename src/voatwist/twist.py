@@ -135,7 +135,9 @@ class TwistedModule:
 
         On its first call the returned operator transforms v along the
         chain and builds one base reader (InducedModule.vertex_operator_mode)
-        for each chain term x^e1 log^l whose base mode m + e1 is an integer.
+        for each chain term x^e1 log^l whose base mode m + e1 is an integer,
+        except an unflagged c|0> at a base mode other than -1: Y(|0>, x) is
+        the identity, so that read is exactly zero.
         A target is read through linear_image over the image of each of its
         monomials, the sum of those readers on it (never a series), kept
         while the operator is held.  With no such chain term it is zero.
@@ -153,7 +155,8 @@ class TwistedModule:
             if readers is None:
                 readers = [self.base.vertex_operator_mode(vec1, m + e1)
                            for (e1, k1), vec1 in self.chain_transform(v).terms.items()
-                           if k1 == l and (m + e1).denominator == 1]
+                           if k1 == l and (m + e1).denominator == 1
+                           and (m + e1 == -1 or vec1.truncated or vec1.c.keys() != {()})]
             if not readers:
                 return PBWVector(None, w.truncated)
             return linear_image(w, image)
@@ -238,8 +241,7 @@ class TwistedModule:
                 cur = alg.bracket(step.n, cur)
         if m == 0 and l == 0:
             scalar_total -= alg.form(step.a, elt) * self.level
-        return ({key: int_if_integral(c) for key, c in ops_total.items()},
-                int_if_integral(scalar_total))
+        return ops_total, int_if_integral(scalar_total)
 
 
 def untwisted_as_twisted(module: InducedModule) -> TwistedModule:

@@ -24,7 +24,7 @@ from math import lcm
 from .delta import delta_apply, delta_apply_series, make_delta
 from .errors import DomainError
 from .fock import InducedModule
-from .scalars import Cyc, binom, clear_denominators, fmt_rational, fmt_scalar, int_if_integral
+from .scalars import Cyc, binom, clear_denominators, fmt_rational, fmt_scalar
 from .series import (
     LogSeries,
     PBWVector,
@@ -268,9 +268,8 @@ def _log_shift_powers(max_power: int, ceiling: int):
     for _p in range(max_power):
         prev, nxt = powers[-1], {}
         for i1, c1 in prev.items():
-            for i2, c2 in base.items():
-                if i1 + i2 <= ceiling:
-                    nxt[i1 + i2] = nxt.get(i1 + i2, 0) + c1 * c2
+            accumulate(nxt, {i1 + i2: c2 for i2, c2 in base.items() if i1 + i2 <= ceiling},
+                       c1)
         powers.append(nxt)
     return powers
 
@@ -290,11 +289,9 @@ def _expand_at_sum(e, k, max_p):
     for j in range(k + 1):
         ckj = binom(k, j)
         for il, cl in lpow[k - j].items():
-            for i in range(0, max_p - il + 1):
-                c = ckj * cl * binom(e, i)
-                if c:
-                    out[(j, i + il)] = out.get((j, i + il), 0) + c
-    return {key: int_if_integral(c) for key, c in out.items() if c}
+            accumulate(out, {(j, i + il): binom(e, i) for i in range(max_p - il + 1)},
+                       ckj * cl)
+    return out
 
 
 def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw,

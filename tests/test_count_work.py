@@ -72,3 +72,38 @@ def test_a_digest_mismatch_is_exit_1(monkeypatch, tmp_path, capsys, recorded, co
     monkeypatch.chdir(tmp_path)  # main changes directory; this restores it
     assert count_work.main() == code
     assert json.loads(capsys.readouterr().out)["digest_mismatches"] == 3 * code
+
+
+@pytest.mark.parametrize("mismatches,code", [((0, 0), 0), ((2, 0), 1), ((0, 1), 1)])
+def test_parent_counts_both_trees_in_one_line(monkeypatch, capsys, mismatches, code):
+    exported, counted = [], []
+
+    def export(rev, dest):
+        exported.append(rev)
+
+    def count_tree(tree, workload):
+        side = "change" if tree == count_work.ROOT else "parent"
+        if side == "parent":
+            # the exported tree is counted with this copy of the script
+            assert pathlib.Path(tree, "scripts", "count_work.py").read_bytes() == \
+                SCRIPT.read_bytes()
+        counted.append((side, workload))
+        return {"opcodes_per_pass": {"parent": 10, "change": 9}[side],
+                "fractions_per_pass": 1,
+                "digest_mismatches": mismatches[side == "change"]}
+
+    monkeypatch.setattr(count_work, "_export", export)
+    monkeypatch.setattr(count_work, "count_tree", count_tree)
+    monkeypatch.setattr(sys, "argv", ["count_work.py", "--workload", "one-op",
+                                      "--parent", "abc123"])
+    assert count_work.main() == code
+    assert exported == ["abc123"]
+    assert counted == [("parent", "one-op"), ("change", "one-op")]
+    line = json.loads(capsys.readouterr().out)
+    assert line == {
+        "workload": "one-op",
+        "parent": {"rev": "abc123", "opcodes_per_pass": 10, "fractions_per_pass": 1,
+                   "digest_mismatches": mismatches[0]},
+        "change": {"opcodes_per_pass": 9, "fractions_per_pass": 1,
+                   "digest_mismatches": mismatches[1]},
+    }

@@ -10,15 +10,15 @@ PBWVector and LieElt stores once built, over the CLI runs and the shift
 probes, and every mode-table entry that ``tables`` builds, for a Fraction
 whose value is integral, also as a coordinate of a Cyc coefficient.
 
-Besides ``PBWVector.__init__`` and ``series_sum`` (through
-``LogSeries.add_term``), coefficients are stored by ``PBWVector.adopt``,
-which keeps a freshly summed dict without a copy (the untwisted
-vertex-operator reads, vector sums, mode actions, the twisted mode
-operators and the shift operator's stages 1 and 2), and series terms by
-``LogSeries.from_sums`` and by ``LogSeries.add_monomial``, which the shift
-operator's stage 3 sums without a series_sum; both scans hook those too.
-Every per-key sum ends in ``LogSeries.settle``, which the integral-Fraction
-scan reads.
+Besides ``PBWVector.__init__``, coefficients are stored by
+``PBWVector.adopt``, which keeps a freshly summed dict without a copy (the
+untwisted vertex-operator reads, vector sums, mode actions, the twisted
+mode operators and the shift operator's stages 1 and 2), and series terms
+by ``LogSeries.add_term``, which series_sum and the shift operator's stage
+3 call, and by ``LogSeries.from_sums``; both scans hook those too.  Every
+per-key sum is stored by ``series.accumulate``, which applies the scalar
+rule as it stores, so the integral-Fraction scan reads each value that
+add_term stores as it is stored.
 """
 
 import contextlib
@@ -32,8 +32,8 @@ from test_shift_golden import probe_outputs
 from voatwist import cli, delta, series, twist, verify
 from voatwist.fock import build_module
 from voatwist.lie import LieElt, build_simple_lie
-from voatwist.scalars import Cyc
-from voatwist.series import LogSeries, PBWVector, series_sum
+from voatwist.scalars import Cyc, int_if_integral
+from voatwist.series import LogSeries, PBWVector, accumulate, series_sum
 from voatwist.twist import make_twisted
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -56,7 +56,6 @@ def float_scan(monkeypatch):
     init = PBWVector.__init__
     adopt = PBWVector.adopt
     add_term = LogSeries.add_term
-    add_monomial = LogSeries.add_monomial
     from_sums = LogSeries.from_sums
     compare = verify._compare_bivariate
 
@@ -85,18 +84,12 @@ def float_scan(monkeypatch):
         return from_sums(sums, den, ceiling)
 
     def watched_add_term(self, e, k, terms, scale=None, flag=False):
-        # every series term passes here: series_sum adds each of its items
+        # every series term passes here: series_sum adds each of its items,
+        # and the shift operator's stage 3 each relabeled monomial
         scan["watched"] += 1
         if any(map(_has_float, (e, k, scale, *terms.values()))):
             scan["floats"].append(("term", e, k, terms, scale))
         add_term(self, e, k, terms, scale, flag)
-
-    def watched_add_monomial(self, e, k, mono, coeff, flag=False):
-        # the relabeled monomials of the shift operator's stage 3
-        scan["watched"] += 1
-        if any(map(_has_float, (e, k, coeff))):
-            scan["floats"].append(("monomial", e, k, mono, coeff))
-        add_monomial(self, e, k, mono, coeff, flag)
 
     def watched_compare(alg, lhs, rhs, scale, ceiling, **fields):
         # shift-conjugation sums both sides in plain dicts that no
@@ -113,7 +106,6 @@ def float_scan(monkeypatch):
     monkeypatch.setattr(PBWVector, "__init__", watched_init)
     monkeypatch.setattr(PBWVector, "adopt", staticmethod(watched_adopt))
     monkeypatch.setattr(LogSeries, "add_term", watched_add_term)
-    monkeypatch.setattr(LogSeries, "add_monomial", watched_add_monomial)
     monkeypatch.setattr(LogSeries, "from_sums", staticmethod(watched_from_sums))
     monkeypatch.setattr(verify, "_compare_bivariate", watched_compare)
     return scan
@@ -143,18 +135,19 @@ def test_float_scan_sees_every_series_term(float_scan):
                                     for e, k, terms, scale, _flag in items]
 
 
-def test_float_scan_sees_every_added_monomial(float_scan):
-    # a float exponent or coefficient of a monomial summed without a dict
+def test_float_scan_sees_every_relabeled_monomial(float_scan):
+    # a float exponent or coefficient of a one-monomial term added outside
+    # series_sum, as the shift operator's stage 3 adds a relabeled monomial
     mono = ((0, -1),)
     out = LogSeries()
-    out.add_monomial(0.5, 0, mono, 1)
-    out.add_monomial(0, 0, mono, 0.25)
-    assert float_scan["floats"] == [("monomial", 0.5, 0, mono, 1),
-                                    ("monomial", 0, 0, mono, 0.25)]
+    out.add_term(0.5, 0, {mono: 1}, None, False)
+    out.add_term(0, 0, {mono: 0.25}, None, True)
+    assert float_scan["floats"] == [("term", 0.5, 0, {mono: 1}, None),
+                                    ("term", 0, 0, {mono: 0.25}, None)]
 
 
 def test_float_scan_watches_the_shift_stages(float_scan):
-    # stage 3 of a semisimple shift relabels through add_monomial
+    # stage 3 of a semisimple shift relabels through add_term
     alg = build_simple_lie("A", 1)
     mod = build_module(alg, F(2), 4)
     d = delta.make_delta(mod, mod.current(alg.element({"h1": F(1, 2)})))
@@ -214,15 +207,16 @@ SERIES_SUM_USERS = (series, delta, twist)
 
 @pytest.fixture
 def fraction_scan(monkeypatch):
-    """Record every integral Fraction that a built PBWVector or LieElt, or
-    a settled or series_sum result, stores; count the stored values read,
-    and note each vector read with its coefficients in place."""
+    """Record every integral Fraction that a built PBWVector or LieElt, a
+    series term as add_term stores it, or a series_sum result stores; count
+    the stored values read, and note each vector read with its coefficients
+    in place."""
     scan = {"read": 0, "found": [], "vectors": set()}
     pbw_init = PBWVector.__init__
     pbw_adopt = PBWVector.adopt
     lie_init = LieElt.__init__
     summed = series.series_sum
-    settle = LogSeries.settle
+    add_term = LogSeries.add_term
 
     def read_pbw(vec):
         scan["read"] += len(vec.c)
@@ -250,13 +244,19 @@ def fraction_scan(monkeypatch):
             read_pbw(vec)
         return out
 
-    def watched_settle(self):
-        # the end of every per-key sum, series_sum's and the shift
-        # operator's stage 3 alike
-        out = settle(self)
-        for vec in out.terms.values():
-            read_pbw(vec)
-        return out
+    def watched_add_term(self, e, k, terms, scale=None, flag=False):
+        # the storing point of every per-key sum, series_sum's and the
+        # shift operator's stage 3 alike: read each value it has just stored
+        add_term(self, e, k, terms, scale, flag)
+        vec = self.terms.get((int_if_integral(e), k))
+        if vec is None:
+            return
+        stored = [(mono, vec.c[mono]) for mono in terms if mono in vec.c]
+        scan["read"] += len(stored)
+        if stored:
+            scan["vectors"].add(id(vec))
+        scan["found"].extend(("coefficient", mono, coeff) for mono, coeff in stored
+                             if _integral_fraction(coeff))
 
     def watched_lie_init(self, algebra, coords):
         lie_init(self, algebra, coords)
@@ -266,7 +266,7 @@ def fraction_scan(monkeypatch):
 
     monkeypatch.setattr(PBWVector, "__init__", watched_pbw_init)
     monkeypatch.setattr(PBWVector, "adopt", staticmethod(watched_pbw_adopt))
-    monkeypatch.setattr(LogSeries, "settle", watched_settle)
+    monkeypatch.setattr(LogSeries, "add_term", watched_add_term)
     monkeypatch.setattr(LieElt, "__init__", watched_lie_init)
     for module in SERIES_SUM_USERS:
         monkeypatch.setattr(module, "series_sum", watched_series_sum)
@@ -287,20 +287,21 @@ def test_fraction_scan_reads_every_series_sum(fraction_scan, module):
     assert fraction_scan["found"] == []
 
 
-def test_fraction_scan_reads_every_settled_sum(fraction_scan):
-    # a sum settled outside series_sum, as stage 3 of the shift operator
-    # does, raises read by its coefficients; the scalar rule has run
+def test_fraction_scan_reads_every_added_term(fraction_scan):
+    # a sum built outside series_sum, as stage 3 of the shift operator
+    # builds it, raises read by each value stored, as it is stored; the
+    # scalar rule has run at each store
     mono, other = ((0, -1),), ((1, -1),)
     out = LogSeries()
-    out.add_monomial(0, 0, mono, F(1, 2))
-    out.add_monomial(0, 0, mono, F(1, 2))
-    out.add_term(F(2, 2), 0, {other: F(1, 3)}, 3)
     before = fraction_scan["read"]
-    out.settle()
+    out.add_term(0, 0, {mono: F(1, 2)})
+    out.add_term(0, 0, {mono: F(1, 2)})
+    out.add_term(F(2, 2), 0, {other: F(1, 3)}, 3)
     assert [(e, vec.c) for (e, _k), vec in out.terms.items()] == [(0, {mono: 1}),
                                                                   (1, {other: 1})]
     assert all(type(c) is int for vec in out.terms.values() for c in vec.c.values())
-    assert fraction_scan["read"] - before == 2
+    assert fraction_scan["read"] - before == 3
+    assert {id(vec) for vec in out.terms.values()} <= fraction_scan["vectors"]
     assert fraction_scan["found"] == []
 
 
@@ -308,7 +309,7 @@ def test_fraction_scan_reads_every_settled_sum(fraction_scan):
                          ids=["h1=1/2", "h1=1/2+e1", "e1"])
 def test_fraction_scan_reads_the_shift_image(fraction_scan, coords):
     # every vector of delta_apply's image is read once filled: stage 3's
-    # through settle, those of stages 1 and 2 through adopt, and c D(b)'s
+    # through add_term, those of stages 1 and 2 through adopt, and c D(b)'s
     # through the constructor
     alg = build_simple_lie("A", 1)
     mod = build_module(alg, F(2), 4)
@@ -338,9 +339,11 @@ def test_fraction_scan_reads_the_untwisted_reads(fraction_scan):
         assert held > 0 and coeff.c
         assert fraction_scan["read"] - before >= held + len(coeff.c)
     assert fraction_scan["found"] == []
-    # adopt keeps the dict it is given, with an integral Fraction made an int
+    # accumulate stores an integral Fraction sum as an int, and adopt keeps
+    # the dict it is given
     before = fraction_scan["read"]
-    terms = {mono: F(2), ((1, -1),): F(1, 2)}
+    terms = {}
+    accumulate(terms, {mono: F(2, 3), ((1, -1),): F(1, 6)}, 3)
     vec = PBWVector.adopt(terms)
     assert vec.c is terms and terms == {mono: 2, ((1, -1),): F(1, 2)}
     assert type(terms[mono]) is int

@@ -148,6 +148,25 @@ def test_coefficients_past_the_cutoff_are_flagged():
     assert not tiny.vertex_operator_mode(PBWVector(), -2)(w).truncated
 
 
+def test_vertex_series_carries_the_input_flags():
+    # a flagged v: every exponent from -(depth(v) + depth(w)) to the ceiling
+    # holds a term equal to the mode read there, in value and flag, a
+    # flagged zero where nothing was summed
+    mod = build_module(sl2, F(2), cutoff=4)
+    v = PBWVector(mod.current("e1").c, truncated=True)
+    w = mod.current("f1")
+    ser = mod.vertex_series(v, w, 4)
+    lowest = -v.depth() - w.depth()
+    assert sorted(e for e, _k in ser.terms) == list(range(lowest, 5))
+    for e in range(lowest, 5):
+        got, want = ser.terms[e, 0], mod.vertex_operator_mode(v, -e - 1)(w)
+        assert got.c == want.c and got.truncated and want.truncated
+    # the same pair unflagged keeps only the summed terms, none flagged
+    exact = mod.vertex_series(mod.current("e1"), w, 4)
+    assert not any(vec.truncated for vec in exact.terms.values())
+    assert all(ser.terms[key].c == vec.c for key, vec in exact.terms.items())
+
+
 def test_nonvacuum_highest_weight_unsupported():
     with pytest.raises(Unsupported):
         build_module(sl2, F(2), cutoff=2, lam=1)

@@ -38,7 +38,7 @@ from unittest import mock
 
 from voatwist import verify
 from voatwist.delta import _exp_current_stage, _log_stage, delta_apply, make_delta
-from voatwist.fock import _integer_exponent, build_module
+from voatwist.fock import InducedModule, _integer_exponent, build_module
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc, binom, int_if_integral
 from voatwist.series import (LogSeries, PBWVector, accumulate, divided, monomial_weight,
@@ -71,6 +71,10 @@ def first_vertex_series(mod, v, w, ceiling):
             items.extend((e, 0, vec, scale, False)
                          for e, vec in mod._vs_mono(mv, mw, ceiling).items()
                          if e <= ceiling)
+    if v.truncated or w.truncated:
+        # a flagged input flags every exponent from the lowest weight up
+        items.extend((e, 0, {}, None, True)
+                     for e in range(-v.depth() - w.depth(), ceiling + 1))
     return series_sum(items, ceiling)
 
 
@@ -351,6 +355,36 @@ def test_twisted_mode_operators_match_their_first_form(chain):
             op, first = tw.mode(v, m, l), first_mode(tw, v, m, l)
             for w in targets + targets:
                 assert typed_vector(op(w)) == typed_vector(first(w))
+
+
+@pytest.mark.parametrize("chain", ["sl2 h1=1/2", "sl2 e1, log 1"])
+def test_current_modes_read_a_vacuum_chain_term_only_at_base_mode_minus_one(
+        monkeypatch, chain):
+    # Y(|0>, x) = id, so a chain term c|0> has a coefficient only at base
+    # mode -1: no reader is built for it at any other mode, and the outputs
+    # still match the first form, which reads every chain term
+    alg, level, cutoff, currents, l_max, span = MODE_CHAINS[chain]
+    mod = build_module(alg, level, cutoff)
+    tw = mod
+    for coords in currents:
+        tw = make_twisted(tw, mod.current(alg.element(coords)))
+    built = []
+    real = InducedModule.vertex_operator_mode
+
+    def watched(self, v, n):
+        built.append((v, n))
+        return real(self, v, n)
+
+    monkeypatch.setattr(InducedModule, "vertex_operator_mode", watched)
+    targets = [PBWVector({mono: 1}) for w in range(3) for mono in mod.basis(w)]
+    for v in (mod.current(alg._basis_elt(gi)) for gi in range(alg.dim)):
+        for m in mode_candidates(span, tw.branch_order()):
+            for l in range(l_max + 1):
+                op, first = tw.mode(v, m, l), first_mode(tw, v, m, l)
+                for w in targets:
+                    assert typed_vector(op(w)) == typed_vector(first(w))
+    vacuum_modes = {n for v, n in built if v.c.keys() == {()}}
+    assert vacuum_modes == {-1}
 
 
 # -- checks run twice on one module ------------------------------------------

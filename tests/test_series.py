@@ -1,13 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from voatwist.errors import DomainError
 from voatwist.scalars import Cyc, binom, int_if_integral
 from voatwist.series import (
     LogSeries,
     PBWVector,
+    accumulate,
     branch_shift,
     linear_image,
     linear_series,
@@ -286,6 +287,50 @@ def test_series_functions_match_their_first_forms(a, b, scalar, eshift, steps):
     ]
     for new, old in pairs:
         assert shape(new) == shape(old)
+
+
+# -- the one sum step ---------------------------------------------------------
+
+
+def old_accumulate(out, terms, scale=None):
+    """accumulate as first written, storing raw sums; the scalar rule was
+    applied to the finished dict afterwards (settle)."""
+    for mono, c in terms.items():
+        if scale is not None:
+            c = scale * c
+        cur = out.get(mono)
+        if cur is not None:
+            c = cur + c
+        if c:
+            out[mono] = c
+        else:
+            out.pop(mono, None)
+
+
+def settle(out):
+    for mono, c in out.items():
+        if type(c) is F and c.denominator == 1:
+            out[mono] = c.numerator
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.dictionaries(st.sampled_from(MONOS), scalars, max_size=4),
+                          st.one_of(st.none(), scalars)), max_size=6))
+# integral Fraction sums: 1/2 + 1/2, 3 * (2/3), 1/2 + 1/2 - 1 (dropped) then a
+# re-hit key, and a Cyc added to an integral sum
+@example([({A: F(1, 2), B: F(2, 3)}, None), ({A: F(1, 2)}, None), ({B: F(2, 3)}, 2),
+          ({A: -1}, None), ({A: F(3, 3)}, Cyc.zeta(3, 1)), ({B: F(1, 4)}, 4)])
+def test_accumulate_stores_each_sum_under_the_scalar_rule(adds):
+    """No integral Fraction is stored, and the dict equals the old
+    sum-then-settle form in keys (in their order), values and value types."""
+    got, want = {}, {}
+    for terms, scale in adds:
+        accumulate(got, terms, scale)
+        assert not any(type(c) is F and c.denominator == 1 for c in got.values())
+        old_accumulate(want, terms, scale)
+    settle(want)
+    assert [(mono, c, type(c).__name__) for mono, c in got.items()] == \
+        [(mono, c, type(c).__name__) for mono, c in want.items()]
 
 
 # -- linear maps given on basis monomials ------------------------------------
