@@ -30,11 +30,25 @@ this copy of the script, and prints one JSON line holding both sides'
 counts; it exits 1 when either side has a digest mismatch:
 
     python3 scripts/count_work.py --workload cli-run --parent HEAD~1
+
+With ``--config PATH`` in place of ``--workload`` the script counts one
+in-process ``voatwist run PATH --format json`` instead, after one warm-up
+run of the same config, and prints ``opcodes_per_run``,
+``fractions_per_run`` and ``golden_mismatches``: the counted runs whose
+exit code or stdout differs from the config's recording under
+tests/golden/ (``<stem>.run.json`` and its entry in cli_exit_codes.json),
+exiting 1 when any does.  A config with no recording is refused.
+``--parent`` works the same way; the parent tree reads its own copy of a
+config that lies inside the repository:
+
+    python3 scripts/count_work.py --config configs/not_fixed.json --parent HEAD~1
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -89,7 +103,9 @@ def count_fractions(fn):
 
 def _args():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--workload", required=True)
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--workload")
+    target.add_argument("--config", help="a config with a recording under tests/golden/")
     p.add_argument("--parent", help="git revision to count beside the working tree")
     return p.parse_args()
 
@@ -100,35 +116,83 @@ def _export(rev: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def count_tree(tree: str, workload: str) -> dict:
-    """The counts of the tree's own script run in a fresh interpreter."""
+def count_tree(tree: str, target: str, kind: str = "workload") -> dict:
+    """The counts of the tree's own script run in a fresh interpreter on a
+    workload (kind "workload") or a config path (kind "config")."""
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "scripts", "count_work.py"),
-         "--workload", workload], text=True, capture_output=True)
+         f"--{kind}", target], text=True, capture_output=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
-        raise RuntimeError(f"counting failed in {tree} ({workload}):\n"
+        raise RuntimeError(f"counting failed in {tree} ({target}):\n"
                            f"{proc.stderr[-2000:]}")
     counts = json.loads(lines[-1])
-    del counts["workload"]
+    del counts[kind]
     return counts
 
 
-def compare(rev: str, workload: str) -> int:
-    """Count rev and the working tree; 1 if either has a digest mismatch."""
+def compare(rev: str, target: str, kind: str = "workload") -> int:
+    """Count rev and the working tree; 1 if either has a mismatch."""
     with tempfile.TemporaryDirectory(prefix="count-work-") as tmp:
         _export(rev, tmp)
         # both sides are counted the same way, whatever rev's script does
         os.makedirs(os.path.join(tmp, "scripts"), exist_ok=True)
         shutil.copy(os.path.abspath(__file__), os.path.join(tmp, "scripts", "count_work.py"))
-        sides = {"parent": {"rev": rev, **count_tree(tmp, workload)},
-                 "change": count_tree(ROOT, workload)}
-    print(json.dumps({"workload": workload, **sides}))
-    return 1 if any(side["digest_mismatches"] for side in sides.values()) else 0
+        parent_target, extra = target, ()
+        if kind == "config":
+            extra = (kind,)
+            rel = os.path.relpath(target, ROOT)
+            if not rel.startswith(os.pardir):
+                parent_target = os.path.join(tmp, rel)
+        sides = {"parent": {"rev": rev, **count_tree(tmp, parent_target, *extra)},
+                 "change": count_tree(ROOT, target, *extra)}
+    print(json.dumps({kind: target if kind == "workload" else os.path.relpath(target),
+                      **sides}))
+    return 1 if any(value for side in sides.values() for key, value in side.items()
+                    if key.endswith("_mismatches")) else 0
+
+
+def count_config(path: str) -> int:
+    """Count one warm in-process ``voatwist run PATH --format json`` and
+    compare every run with the config's recording."""
+    golden = os.path.join(ROOT, "tests", "golden")
+    name = os.path.splitext(os.path.basename(path))[0] + ".run.json"
+    with open(os.path.join(golden, "cli_exit_codes.json"), encoding="utf-8") as fh:
+        codes = json.load(fh)
+    if name not in codes:
+        sys.exit(f"count_work.py: no recording tests/golden/{name} for {path}")
+    with open(os.path.join(golden, name), "rb") as fh:
+        want = (codes[name], fh.read())
+    sys.path[:0] = [os.path.join(ROOT, "src")]
+    from voatwist.cli import main as cli_main
+
+    argv = ["run", path, "--format", "json"]
+    mismatches = 0
+
+    def counted(count):
+        """Count one run, and compare its exit code and stdout outside the count."""
+        nonlocal mismatches
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code, n = count(lambda: cli_main(argv))
+        mismatches += (code, out.getvalue().encode("utf-8")) != want
+        return n
+
+    counted(lambda fn: (fn(), 0))  # warm-up
+    opcodes = counted(count_opcodes)
+    fractions = counted(count_fractions)
+    print(json.dumps({"config": os.path.relpath(path), "opcodes_per_run": opcodes,
+                      "fractions_per_run": fractions, "golden_mismatches": mismatches}))
+    return 1 if mismatches else 0
 
 
 def main() -> int:
     args = _args()
+    if args.config is not None:
+        path = os.path.abspath(args.config)
+        if args.parent is not None:
+            return compare(args.parent, path, "config")
+        return count_config(path)
     if args.parent is not None:
         return compare(args.parent, args.workload)
     os.chdir(ROOT)

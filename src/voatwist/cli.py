@@ -28,7 +28,7 @@ import time
 from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction as F
-from math import floor, lcm
+from math import lcm
 
 from .errors import (
     ConfigError,
@@ -80,10 +80,12 @@ EXIT_CODES = {
 _STEP_KINDS = ("innerSemisimple", "innerNilpotent", "diagramData", "transportTau")
 
 # Larger ranks are refused before anything is built.  With no chain and no
-# checks a run takes 0.02 s at ranks 4 and 5 and 0.04 s at rank 6 (2-core
-# x86, Python 3.11; the dual Coxeter number is now the closed form rank + 1),
-# but what chains and checks cost above rank 4 is unmeasured, and a higher
-# cap would change which configs are accepted.
+# checks a run takes 0.002 s at rank 4, 0.003 s at rank 5 and 0.007 s at
+# rank 6, and with the diagram flip as its chain (cutoff 2, mode span 1)
+# 0.010 s, 0.017 s and 0.050 s (best of five in-process runs with the cap
+# lifted, 2-core x86 Xeon, Python 3.11), but what inner chains and checks
+# cost above rank 4 is unmeasured, and a higher cap would change which
+# configs are accepted.
 MAX_RANK = 4
 
 
@@ -521,19 +523,36 @@ def run_checks(run: BuiltRun, calls):
 
 
 def _graded_dimension_rows(run: BuiltRun, window: int):
-    module = run.module
+    """Count the basis up to the window by (weight, class mod 1), as
+    TwistedModule.weight_of and class_of grade it.  Both are counted in
+    ints times the lcm of the denominators of the grading data, the class
+    offsets, the zero mode and kappa/2, and divided back only in the rows."""
+    module, twisted = run.module, run.twisted
     monos = [()]
     for w in range(1, window + 1):
         monos.extend(module.basis(w))
-    half_kappa = run.twisted.grading()[2]
+    offsets, zero_mode, half_kappa = twisted.grading()
+    scale = lcm(zero_mode.denominator, half_kappa.denominator,
+                *(lam.denominator for lam in offsets if lam is not None))
+
+    def scaled(q):
+        return q.numerator * (scale // q.denominator)
+
+    lattice = [None if lam is None else scaled(lam) for lam in offsets]
+    base, kappa = -scaled(zero_mode), scaled(half_kappa)
     counts = {}
     for mono in monos:
-        # TwistedModule.weight_of, reusing the class
-        cls = run.twisted.class_of(mono)
-        key = (monomial_weight(mono) - cls + half_kappa, cls - floor(cls))
+        cls = base
+        for gi, _m in mono:
+            lam = lattice[gi]
+            if lam is None:
+                twisted.class_of(mono)  # raises the Unsupported that says why
+            cls += lam
+        key = (monomial_weight(mono) * scale - cls + kappa, cls % scale)
         counts[key] = counts.get(key, 0) + 1
     return [
-        {"weight": fmt_rational(w), "class": fmt_rational(c), "dimension": n}
+        {"weight": fmt_rational(F(w, scale)), "class": fmt_rational(F(c, scale)),
+         "dimension": n}
         for (w, c), n in sorted(counts.items())
     ]
 

@@ -372,8 +372,10 @@ class InducedModule:
         form from _act's memo, any other from its _vs_mono bucket, and the
         sum over cleared denominators is divided once, as in vertex_series.
         The result is flagged when v or w is, or when its weight, up to
-        depth(v) + depth(w) + e, passes the cutoff, since the modes that
-        build it lose what lies above."""
+        d + depth(w) + e with d the largest weight of a non-vacuum
+        monomial of v, passes the cutoff, since the modes that build it
+        lose what lies above; the vacuum part of v reads w exactly, as
+        Y(|0>, x) = id."""
         plan = None
 
         def read(w: PBWVector) -> PBWVector:
@@ -391,7 +393,8 @@ class InducedModule:
                             parts.append((mv, cv, None))
                     elif c := _one_factor(mv[0][1], e):
                         parts.append((mv, c * cv, (mv[0][0], mv[0][1] - e)))
-                plan = e, dv, v.depth() if vc else None, parts
+                depth = max((monomial_weight(mv) for mv in vc if mv), default=None)
+                plan = e, dv, depth, parts
             e, dv, depth, parts = plan
             (wc,), dw = clear_denominators((w.c,))
             out = {}

@@ -3,10 +3,13 @@
 The algebra sl(n+1) is realized by traceless (n+1)-by-(n+1) rational
 matrices.  The stored basis is a Chevalley basis: root vectors E_ij for
 every ordered pair (named e1, e12, ..., f1, ...) and the simple coroots
-h_k = E_kk - E_(k+1)(k+1).  The structure constants are tabulated once, on
-first use, from the matrix commutators of the basis, and the invariant form
-from the defining-representation trace form, which for type A is already
-normalized (long roots have squared length 2).
+h_k = E_kk - E_(k+1)(k+1).  Each basis matrix has one or two int entries,
+and the structure constants are tabulated once, on first use, from the
+commutators of these sparse matrices, in ints, and the invariant form from
+the defining-representation trace form, which for type A is already
+normalized (long roots have squared length 2).  Coordinates are ints
+where integral, and the constructors, the bracket and an automorphism's
+action sum from int 0.
 
 The spectral data of an element comes from one generalized eigenbasis of
 its defining matrix: the Jordan-Chevalley split reads the semisimple part
@@ -52,6 +55,7 @@ __all__ = [
 F = Fraction
 _0 = F(0)
 _1 = F(1)
+_INT = {int}
 
 
 def build_simple_lie(family: str, rank: int) -> "LieAlgebra":
@@ -71,8 +75,12 @@ class LieElt:
 
     def __init__(self, algebra, coords):
         self.algebra = algebra
-        self.coords = tuple(int_if_integral(c if isinstance(c, (int, F)) else F(c))
-                            for c in coords)
+        coords = tuple(coords)
+        # all-int coordinates, the common case, are kept with no per-coordinate step
+        if set(map(type, coords)) != _INT:
+            coords = tuple(c if type(c) is int else int_if_integral(
+                c if type(c) is F else F(c)) for c in coords)
+        self.coords = coords
         self._terms = None
 
     def is_zero(self):
@@ -120,43 +128,39 @@ class LieAlgebra:
             key=lambda p: (p[1] - p[0], p[0]),
         )
         self.pos_pairs = pos_pairs
-        names, mats = [], []
-        for (i, j) in pos_pairs:
-            names.append("e" + "".join(str(k) for k in range(i + 1, j + 1)))
-            mats.append(self._unit(i, j))
-        for (i, j) in pos_pairs:
-            names.append("f" + "".join(str(k) for k in range(i + 1, j + 1)))
-            mats.append(self._unit(j, i))
-        for k in range(1, n1):
-            names.append(f"h{k}")
-            m = [[0] * n1 for _ in range(n1)]
-            m[k - 1][k - 1] = 1
-            m[k][k] = -1
-            mats.append(tuple(tuple(r) for r in m))
+        names = [prefix + "".join(str(k) for k in range(i + 1, j + 1))
+                 for prefix in "ef" for (i, j) in pos_pairs]
+        names += [f"h{k}" for k in range(1, n1)]
+        # the nonzero (row, column, value) entries of each basis matrix
+        entries = [((i, j, 1),) for (i, j) in pos_pairs]
+        entries += [((j, i, 1),) for (i, j) in pos_pairs]
+        entries += [((k - 1, k - 1, 1), (k, k, -1)) for k in range(1, n1)]
         self.names = names
-        self.basis_mats = mats
-        self.dim = len(mats)
+        self.basis_entries = entries
+        self.basis_mats = [self._dense(e) for e in entries]
+        self.dim = len(entries)
         self.index = {n: i for i, n in enumerate(names)}
         self._cartan_start = 2 * len(pos_pairs)
 
-    def _unit(self, i, j):
+    def _dense(self, entries):
         n1 = self.rank + 1
         m = [[0] * n1 for _ in range(n1)]
-        m[i][j] = 1
+        for r, c, v in entries:
+            m[r][c] = v
         return tuple(tuple(r) for r in m)
 
     # -- element constructors -----------------------------------------
 
     def zero(self):
-        return LieElt(self, [_0] * self.dim)
+        return LieElt(self, [0] * self.dim)
 
     def generator(self, name: str) -> LieElt:
-        coords = [_0] * self.dim
-        coords[self.index[name]] = _1
+        coords = [0] * self.dim
+        coords[self.index[name]] = 1
         return LieElt(self, coords)
 
     def element(self, named_coords: dict) -> LieElt:
-        coords = [_0] * self.dim
+        coords = [0] * self.dim
         for name, c in named_coords.items():
             if name not in self.index:
                 raise UnsupportedAlgebra(f"no generator named {name!r}")
@@ -169,7 +173,7 @@ class LieAlgebra:
     def from_matrix(self, m) -> LieElt:
         """Coordinates of a traceless matrix in the Chevalley basis."""
         n1 = self.rank + 1
-        coords = [_0] * self.dim
+        coords = [0] * self.dim
         for idx, (i, j) in enumerate(self.pos_pairs):
             coords[idx] = m[i][j]
             coords[idx + len(self.pos_pairs)] = m[j][i]
@@ -180,44 +184,61 @@ class LieAlgebra:
         return LieElt(self, coords)
 
     def to_matrix(self, x: LieElt):
-        """The traceless matrix of x (from_matrix inverts it)."""
-        n1, mats = self.rank + 1, self.basis_mats
-        return tuple(tuple(sum((c * mats[i][r][k] for i, c in x.terms()), _0)
-                           for k in range(n1)) for r in range(n1))
+        """The traceless matrix of x (from_matrix inverts it), summed from
+        int 0 over the entries of the basis matrices x touches."""
+        n1 = self.rank + 1
+        m = [[0] * n1 for _ in range(n1)]
+        for i, c in x.terms():
+            for r, k, v in self.basis_entries[i]:
+                m[r][k] += c * v
+        return tuple(map(tuple, m))
 
     # -- structure ------------------------------------------------------
 
     @memo
     def _tables(self):
         """(struct, gram) of the basis: struct[i][j] lists the nonzero
-        (k, c) of [b_i, b_j] and gram[i][j] is the trace form (b_i, b_j).
-        The basis matrices hold int entries, multiplied here in ints."""
-        mats = self.basis_mats
-        prods = [[tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*y))
-                        for row in x) for y in mats] for x in mats]
-        n1 = self.rank + 1
-        gram = tuple(tuple(sum(p[k][k] for k in range(n1)) for p in row)
-                     for row in prods)
+        (k, c) of [b_i, b_j] in ascending k and gram[i][j] is the trace
+        form (b_i, b_j), all ints.  Each product of two basis matrices is
+        summed over their matching entries, and a commutator's coordinates
+        are read off its entries as from_matrix reads a matrix: an
+        off-diagonal (r, c) entry is the coordinate of E_rc, and a diagonal
+        (r, r) one adds to the coordinate of every h_k with k > r."""
+        entries, n1, start = self.basis_entries, self.rank + 1, self._cartan_start
+        slot = {}
+        for idx, (i, j) in enumerate(self.pos_pairs):
+            slot[i, j], slot[j, i] = idx, idx + len(self.pos_pairs)
+        gram = tuple(tuple(sum(a * b for r, k, a in x for k2, c, b in y
+                               if k == k2 and c == r) for y in entries)
+                     for x in entries)
 
-        def commutator(i, j):
-            br = self.from_matrix(mat_sub(prods[i][j], prods[j][i]))
-            return tuple((k, c) for k, c in enumerate(br.coords) if c)
+        def commutator(x, y):
+            diff = {}  # the entries of x y - y x
+            for r, k, a in x:
+                for r2, c, b in y:
+                    if k == r2:
+                        diff[r, c] = diff.get((r, c), 0) + a * b
+                    if c == r:
+                        diff[r2, k] = diff.get((r2, k), 0) - a * b
+            coords = {}
+            for (p, q), v in diff.items():
+                for idx in (slot[p, q],) if p != q else range(start + p, start + n1 - 1):
+                    coords[idx] = coords.get(idx, 0) + v
+            return tuple(sorted((idx, c) for idx, c in coords.items() if c))
 
-        struct = tuple(tuple(commutator(i, j) for j in range(self.dim))
-                       for i in range(self.dim))
+        struct = tuple(tuple(commutator(x, y) for y in entries) for x in entries)
         return struct, gram
 
     def bracket(self, a: LieElt, b: LieElt) -> LieElt:
         struct, _gram = self._tables()
-        out = [_0] * self.dim
-        for i, ca in enumerate(a.coords):
-            if ca:
-                row = struct[i]
-                for j, cb in enumerate(b.coords):
-                    if cb:
-                        cab = ca * cb
-                        for k, c in row[j]:
-                            out[k] += cab * c
+        out = [0] * self.dim
+        b_terms = b.terms()
+        for i, ca in a.terms():
+            row = struct[i]
+            for j, cb in b_terms:
+                cab = ca * cb
+                for k, c in row[j]:
+                    out[k] += cab * c
         return LieElt(self, out)
 
     def form(self, a: LieElt, b: LieElt) -> Fraction:
@@ -240,7 +261,7 @@ class LieAlgebra:
 
     @memo
     def _basis_elt(self, i):
-        return LieElt(self, [_1 if j == i else _0 for j in range(self.dim)])
+        return LieElt(self, [1 if j == i else 0 for j in range(self.dim)])
 
     def basis(self):
         return [self._basis_elt(i) for i in range(self.dim)]
@@ -375,14 +396,27 @@ class EigenData:
 class GAutomorphism:
     """An automorphism of the Lie algebra given by its rational matrix."""
 
-    __slots__ = ("algebra", "matrix")
+    __slots__ = ("algebra", "matrix", "_columns")
 
     def __init__(self, algebra, matrix):
         self.algebra = algebra
         self.matrix = matrix
+        self._columns = None
 
     def __call__(self, elt: LieElt) -> LieElt:
-        return LieElt(self.algebra, mat_vec(self.matrix, elt.coords))
+        """The image of elt, summed from int 0 over the nonzero entries
+        (ints where integral) of the matrix columns that elt touches."""
+        cols = self._columns
+        if cols is None:
+            cols = self._columns = tuple(
+                tuple((i, int_if_integral(row[j])) for i, row in enumerate(self.matrix)
+                      if row[j])
+                for j in range(self.algebra.dim))
+        out = [0] * self.algebra.dim
+        for j, c in elt.terms():
+            for i, a in cols[j]:
+                out[i] += a * c
+        return LieElt(self.algebra, out)
 
     def compose(self, other: "GAutomorphism") -> "GAutomorphism":
         return GAutomorphism(self.algebra, mat_mul(self.matrix, other.matrix))

@@ -50,7 +50,8 @@ def fmt_rational(q: Fraction) -> str:
     """Format a rational as "p/q", or "n" when the denominator is 1."""
     if type(q) is int:
         return str(q)
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -161,12 +162,9 @@ class Cyc:
 
     @staticmethod
     def zeta(order: int, power) -> "Cyc":
-        """zeta_order ** power, power an integer (negatives reduced mod order)."""
-        k = int(power) % order
-        deg = len(cyclotomic_poly(order)) - 1
-        vec = [0] * max(k + 1, deg)
-        vec[k] = 1
-        return Cyc(order, {0: _vec_reduce(vec, order)})
+        """zeta_order ** power, power an integer (negatives reduced mod
+        order); one shared element per (order, power mod order)."""
+        return _zeta(order, int(power) % order)
 
     @staticmethod
     def t_power(k: int) -> "Cyc":
@@ -326,6 +324,16 @@ class Cyc:
                     factors.append(f"T^{t}")
                 parts.append("*".join(factors))
         return " + ".join(parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _zeta(order: int, k: int) -> Cyc:
+    """zeta_order ** k for 0 <= k < order, memoized as cyclotomic_poly is;
+    a Cyc is never mutated, so the element is shared."""
+    deg = len(cyclotomic_poly(order)) - 1
+    vec = [0] * max(k + 1, deg)
+    vec[k] = 1
+    return Cyc(order, {0: _vec_reduce(vec, order)})
 
 
 def fmt_scalar(c) -> str:

@@ -207,13 +207,20 @@ class LogSeries:
         """Add scale * terms, a monomial-to-coefficient dict, into the
         x^e log^k coefficient, a vector the series owns; flag it if flag
         is set.  A key whose sum value_is_zero drops is removed, and comes
-        back last if hit again."""
-        key = (int_if_integral(e), k)
-        vec = self.terms.get(key)
-        if vec is None:
-            vec = self.terms[key] = PBWVector(None, flag)
-        elif flag:
-            vec.truncated = True
+        back last if hit again.  A Fraction exponent costs a Python-level
+        hash, so its key is looked up and stored by one setdefault."""
+        if type(e) is int:
+            key = (e, k)
+            vec = self.terms.get(key)
+            if vec is None:
+                vec = self.terms[key] = PBWVector(None, flag)
+            elif flag:
+                vec.truncated = True
+        else:
+            key = (int_if_integral(e), k)
+            vec = self.terms.setdefault(key, PBWVector.adopt({}, flag))
+            if flag:
+                vec.truncated = True
         accumulate(vec.c, terms, scale)
         if value_is_zero(vec):
             del self.terms[key]
@@ -323,11 +330,16 @@ def branch_shift(a: LogSeries, steps: int, order: int) -> LogSeries:
     """
     def items():
         for (e, k), v in a.terms.items():
-            scaled = e * order
-            if scaled.denominator != 1:
-                raise DomainError(
-                    f"exponent {e} is not on the 1/{order} lattice")
-            zfac = Cyc.zeta(order, int(scaled) * steps)
+            if type(e) is int:
+                scaled = e * order
+            else:
+                # e is in lowest terms: on the lattice iff its denominator divides
+                q, r = divmod(order, e.denominator)
+                if r:
+                    raise DomainError(
+                        f"exponent {e} is not on the 1/{order} lattice")
+                scaled = e.numerator * q
+            zfac = Cyc.zeta(order, scaled * steps)
             if not k:
                 yield e, 0, v.c, zfac, v.truncated
                 continue
@@ -351,6 +363,9 @@ def series_eq(a: LogSeries, b: LogSeries):
     flagged term means is the caller's rule, and a check refuses one before
     it compares.
     """
+    if a.terms == b.terms:
+        # compares each key by its stored hash, and values as below
+        return None
     hi = common_ceiling(a.ceiling, b.ceiling)
     keys = set(a.terms) | set(b.terms)
     for (e, k) in sorted(keys, key=lambda t: (t[0], t[1])):

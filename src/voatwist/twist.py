@@ -153,10 +153,10 @@ class TwistedModule:
         def op(w: PBWVector) -> PBWVector:
             nonlocal readers
             if readers is None:
-                readers = [self.base.vertex_operator_mode(vec1, m + e1)
+                readers = [self.base.vertex_operator_mode(vec1, n)
                            for (e1, k1), vec1 in self.chain_transform(v).terms.items()
-                           if k1 == l and (m + e1).denominator == 1
-                           and (m + e1 == -1 or vec1.truncated or vec1.c.keys() != {()})]
+                           if k1 == l and (n := m + e1).denominator == 1
+                           and (n == -1 or vec1.truncated or vec1.c.keys() != {()})]
             if not readers:
                 return PBWVector(None, w.truncated)
             return linear_image(w, image)
@@ -230,12 +230,14 @@ class TwistedModule:
         ops_total = {}
         scalar_total = 0
         for lam, comp in step.eig.decompose(elt).items():
+            # an integral eigenvalue as an int keeps an int mode an int key
+            sub_m = m - int_if_integral(lam)
             cur = comp
             for lp in range(0, l + 1):
                 if cur.is_zero():
                     break
-                c = F((-1) ** lp, factorial(lp))
-                sub_ops, sub_scalar = self._fold_mode(j - 1, cur, m - lam, l - lp)
+                c = (-1) ** lp if lp < 2 else F((-1) ** lp, factorial(lp))
+                sub_ops, sub_scalar = self._fold_mode(j - 1, cur, sub_m, l - lp)
                 accumulate(ops_total, sub_ops, c)
                 scalar_total += c * sub_scalar
                 cur = alg.bracket(step.n, cur)
@@ -483,7 +485,7 @@ def mode_table_rows(twisted: TwistedModule, modes, l_max: int) -> list:
                     "logPower": l,
                     "ops": [
                         {"generator": alg.names[gj],
-                         "mode": fmt_rational(F(mm)),
+                         "mode": fmt_rational(mm),
                          "coefficient": fmt_rational(c)}
                         for (gj, mm), c in sorted(ops.items())
                     ],

@@ -552,10 +552,11 @@ def _single_step_mismatch(twisted, belt, bname, m, entry):
     if lam is None:
         return None
     expected_ops = {}
-    if (m - lam).denominator == 1:
+    shifted = m - lam
+    if shifted.denominator == 1:
         for gi, c in enumerate(belt.coords):
             if c:
-                expected_ops[(gi, int(m - lam))] = c
+                expected_ops[(gi, int(shifted))] = c
     expected_scalar = 0
     if m == 0:
         expected_scalar = -alg.form(step.a, belt) * twisted.level

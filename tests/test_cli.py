@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 import time
+from math import floor
 
 import pytest
 
@@ -17,7 +18,9 @@ from voatwist.cli import (
     render_json,
     run_config,
 )
-from voatwist.errors import ConfigError
+from voatwist.errors import ConfigError, Unsupported
+from voatwist.scalars import fmt_rational
+from voatwist.series import monomial_weight
 from voatwist.verify import CheckReport
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -467,3 +470,58 @@ def test_tables_refuses_the_check_entries_that_run_refuses(tmp_path, capsys):
         errors.append(json.loads(capsys.readouterr().out)["error"])
     assert errors == [{"code": "ConfigError",
                        "message": "zero-mode check: unknown generator 'x1'"}] * 2
+
+
+# -- graded dimensions against their first form -------------------------------
+
+
+def first_graded_rows(run, window):
+    """The Fraction count: each monomial keyed by its weight and its class
+    mod 1, as TwistedModule.weight_of and class_of give them."""
+    monos = [()] + [mono for w in range(1, window + 1) for mono in run.module.basis(w)]
+    half_kappa = run.twisted.grading()[2]
+    counts = {}
+    for mono in monos:
+        cls = run.twisted.class_of(mono)
+        key = (monomial_weight(mono) - cls + half_kappa, cls - floor(cls))
+        counts[key] = counts.get(key, 0) + 1
+    return [{"weight": fmt_rational(w), "class": fmt_rational(c), "dimension": n}
+            for (w, c), n in sorted(counts.items())]
+
+
+# (rank, level, chain, branch order): two semisimple steps give a nonzero
+# zero-mode scalar; a step whose semisimple part has no generator as an
+# eigenvector leaves the grading undefined
+GRADED_CHAINS = {
+    "order 1, nilpotent": (1, "2", [_step("innerNilpotent", current={"e1": "1"})], 1),
+    "order 2": (1, "2", [_step("innerSemisimple", current={"h1": "1/4"})], 2),
+    "order 3": (1, "1/2", [_step("innerSemisimple", current={"h1": "1/3"})], 3),
+    "order 6, two steps": (2, "3/2", [_step("innerSemisimple", current={"h1": "1/2"}),
+                                      _step("innerSemisimple", current={"h2": "1/3"})], 6),
+    "order 1, semisimple then nilpotent": (
+        2, "2", [_step("innerSemisimple", current={"h1": "1/3", "h2": "2/3"}),
+                 _step("innerNilpotent", current={"e2": "1"})], 1),
+    "no grading": (1, "2", [_step("innerSemisimple", current={"e1": "1", "f1": "1"})], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_CHAINS))
+def test_graded_rows_match_the_fraction_count(name):
+    rank, level, chain, order = GRADED_CHAINS[name]
+    config = parse_config(base_config(algebra={"type": "A", "rank": rank}, level=level,
+                                      module={"lambda": 0, "cutoff": 3},
+                                      twistChain=chain))
+    run = cli.build_chain(config)
+    assert run.twisted.branch_order() == order
+    try:
+        want = first_graded_rows(run, 3)
+    except Unsupported as exc:
+        with pytest.raises(Unsupported) as got:
+            cli._graded_dimension_rows(run, 3)
+        assert str(got.value) == str(exc)
+        report, _status = run_config(config, with_checks=False)
+        assert report["gradedDimensions"] is None
+        assert f"graded dimensions omitted: {exc}" in report["truncationNotices"]
+        return
+    assert name != "no grading"
+    assert cli._graded_dimension_rows(run, 3) == want

@@ -107,3 +107,63 @@ def test_parent_counts_both_trees_in_one_line(monkeypatch, capsys, mismatches, c
         "change": {"opcodes_per_pass": 9, "fractions_per_pass": 1,
                    "digest_mismatches": mismatches[1]},
     }
+
+
+def test_config_counts_a_warm_run_against_its_recording(monkeypatch, capsys):
+    config = SCRIPT.parent.parent / "configs" / "not_fixed.json"
+    monkeypatch.setattr(sys, "argv", ["count_work.py", "--config", str(config)])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert count_work.main() == 0
+    line = json.loads(capsys.readouterr().out)
+    assert line["golden_mismatches"] == 0
+    assert line["opcodes_per_run"] > 0 and line["fractions_per_run"] > 0
+    assert line["config"].endswith("not_fixed.json")
+
+
+@pytest.mark.parametrize("code,stdout,mismatches", [
+    (0, "out", 0), (0, "other", 3), (2, "out", 3)])
+def test_a_config_run_apart_from_its_recording_is_exit_1(monkeypatch, tmp_path, capsys,
+                                                         code, stdout, mismatches):
+    golden = tmp_path / "tests" / "golden"
+    golden.mkdir(parents=True)
+    (golden / "cfg.run.json").write_text("out")
+    (golden / "cli_exit_codes.json").write_text(json.dumps({"cfg.run.json": 0}))
+    ran = []
+
+    def fake_main(argv):
+        ran.append(argv)
+        print(stdout, end="")
+        return code
+
+    monkeypatch.setattr(count_work, "ROOT", str(tmp_path))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr("voatwist.cli.main", fake_main)
+    monkeypatch.setattr(sys, "argv", ["count_work.py", "--config", "cfg.json"])
+    assert count_work.main() == (1 if mismatches else 0)
+    assert json.loads(capsys.readouterr().out)["golden_mismatches"] == mismatches
+    # a warm-up run, then the opcode and the Fraction counts
+    assert ran == [["run", str(pathlib.Path("cfg.json").resolve()), "--format", "json"]] * 3
+    monkeypatch.setattr(sys, "argv", ["count_work.py", "--config", "unrecorded.json"])
+    with pytest.raises(SystemExit, match="no recording"):
+        count_work.main()
+
+
+def test_parent_counts_a_config_inside_each_tree(monkeypatch, capsys):
+    counted = []
+
+    def count_tree(tree, target, kind="workload"):
+        counted.append((tree == count_work.ROOT, target, kind))
+        return {"opcodes_per_run": 5, "fractions_per_run": 1, "golden_mismatches": 0}
+
+    monkeypatch.setattr(count_work, "_export", lambda rev, dest: None)
+    monkeypatch.setattr(count_work, "count_tree", count_tree)
+    config = pathlib.Path(count_work.ROOT, "configs", "not_fixed.json")
+    monkeypatch.setattr(sys, "argv", ["count_work.py", "--config", str(config),
+                                      "--parent", "abc123"])
+    assert count_work.main() == 0
+    (parent, parent_target, kind), change = counted
+    assert not parent and kind == "config"
+    assert parent_target.endswith("configs/not_fixed.json") and parent_target != str(config)
+    assert change == (True, str(config), "config")
+    line = json.loads(capsys.readouterr().out)
+    assert line["parent"]["rev"] == "abc123" and "change" in line

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from voatwist.errors import (InvalidSymmetry, NeedsFieldExtension, NotSemisimple,
                              UnsupportedAlgebra)
 from voatwist.lie import build_simple_lie, diagram_automorphism
-from voatwist.linalg import charpoly, mat_inverse
+from voatwist.linalg import charpoly, mat_inverse, mat_sub, mat_vec
 
 sl2 = build_simple_lie("A", 1)
 sl3 = build_simple_lie("A", 2)
@@ -306,3 +307,111 @@ def test_eigenbasis_inverse_matches_mat_inverse(drawn):
     cols = [v.coords for lam in eig.values for v in eig.spaces[lam]]
     p = tuple(tuple(col[i] for col in cols) for i in range(alg.dim))
     assert eig._p_inv == mat_inverse(p)
+
+
+# -- the sparse tables and the automorphism action against their first forms --
+
+
+@lru_cache(maxsize=None)
+def first_tables(alg):
+    """(struct, gram) from every dense product of two basis matrices."""
+    mats = alg.basis_mats
+    prods = [[tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*y))
+                    for row in x) for y in mats] for x in mats]
+    n1 = alg.rank + 1
+    gram = tuple(tuple(sum(p[k][k] for k in range(n1)) for p in row) for row in prods)
+
+    def commutator(i, j):
+        br = alg.from_matrix(mat_sub(prods[i][j], prods[j][i]))
+        return tuple((k, c) for k, c in enumerate(br.coords) if c)
+
+    struct = tuple(tuple(commutator(i, j) for j in range(alg.dim)) for i in range(alg.dim))
+    return struct, gram
+
+
+def first_bracket(alg, a, b):
+    struct, _gram = first_tables(alg)
+    out = [F(0)] * alg.dim
+    for i, ca in enumerate(a.coords):
+        for j, cb in enumerate(b.coords):
+            if ca and cb:
+                for k, c in struct[i][j]:
+                    out[k] += ca * cb * c
+    return alg.element_from_coords(out)
+
+
+def first_apply(aut, elt):
+    """The dense mat_vec action, summed from Fraction 0."""
+    return aut.algebra.element_from_coords(mat_vec(aut.matrix, elt.coords))
+
+
+def first_check(aut):
+    alg = aut.algebra
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            a, b = alg._basis_elt(i), alg._basis_elt(j)
+            if first_apply(aut, first_bracket(alg, a, b)) != \
+                    first_bracket(alg, first_apply(aut, a), first_apply(aut, b)):
+                return False
+    return True
+
+
+def first_diagram_matrix(alg, perm):
+    """diagram_automorphism's matrix, its images built with first_bracket."""
+    n = alg.rank
+    images = {f"{x}{k}": alg.generator(f"{x}{perm[k - 1]}")
+              for k in range(1, n + 1) for x in "efh"}
+
+    def image_of(name):
+        if name not in images:
+            first, rest = name[:2], name[0] + name[2:]
+            a, b = image_of(first), image_of(rest)
+            images[name] = first_bracket(alg, a, b) if name[0] == "e" \
+                else first_bracket(alg, b, a)
+        return images[name]
+
+    cols = [image_of(name).coords for name in alg.names]
+    return tuple(tuple(cols[j][i] for j in range(alg.dim)) for i in range(alg.dim))
+
+
+def typed(x):
+    if isinstance(x, tuple):
+        return tuple(typed(y) for y in x)
+    return type(x), x
+
+
+def probe_elements(alg):
+    """Every basis element, and mixed int and Fraction coordinates."""
+    yield from alg.basis()
+    yield alg.element_from_coords([F(k + 1, 3) * (-1) ** k for k in range(alg.dim)])
+    yield alg.element_from_coords([k % 3 - 1 for k in range(alg.dim)])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_sparse_tables_match_the_dense_products(rank):
+    alg = build_simple_lie("A", rank)
+    assert typed(alg._tables()) == typed(first_tables(alg))
+    probes = list(probe_elements(alg))
+    for a in probes:
+        for b in probes[-3:]:
+            got = alg.bracket(a, b)
+            assert typed(got.coords) == typed(first_bracket(alg, a, b).coords)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_automorphisms_act_as_the_dense_matrix_product(rank):
+    alg = build_simple_lie("A", rank)
+    flips = [list(range(1, rank + 1)), list(range(rank, 0, -1))]
+    for perm in flips:
+        aut = diagram_automorphism(alg, perm)
+        assert typed(aut.matrix) == typed(first_diagram_matrix(alg, perm))
+        # the inverse and a composite hold Fraction entries; twice every
+        # entry, or a sheared (not symmetric) matrix, is no automorphism
+        doubled = type(aut)(alg, tuple(tuple(2 * c for c in row) for row in aut.matrix))
+        sheared = type(aut)(alg, tuple(
+            tuple(c + F(1, 2) if (i, j) == (0, alg.dim - 1) else c for j, c in enumerate(row))
+            for i, row in enumerate(aut.matrix)))
+        for g in (aut, aut.inverse(), aut.compose(aut.inverse()), doubled, sheared):
+            for x in probe_elements(alg):
+                assert typed(g(x).coords) == typed(first_apply(g, x).coords)
+            assert g.check() is first_check(g) is (g not in (doubled, sheared))

@@ -87,8 +87,15 @@ def first_coefficient_at(mod, v, w, e):
             if vec is None:
                 continue
             accumulate(out, vec, cv * cw)
-    deep = bool(v.c and w.c) and v.depth() + w.depth() + e > mod.cutoff
+    # Y(|0>, x) = id: only v's non-vacuum monomials can reach past the cutoff
+    depth = non_vacuum_depth(v)
+    deep = depth is not None and bool(w.c) and depth + w.depth() + e > mod.cutoff
     return PBWVector(out, deep or v.truncated or w.truncated)
+
+
+def non_vacuum_depth(v):
+    """The largest weight of a non-vacuum monomial of v (None if none)."""
+    return max((monomial_weight(mono) for mono in v.c if mono), default=None)
 
 
 def first_chain_transform(tw, v):
@@ -318,10 +325,32 @@ def test_mode_reader_matches_coefficient_first_form_around_the_cutoff(level):
                 past = v.depth() + w.depth() + e - CUTOFF
                 seen.add(past)
                 want = first_coefficient_at(mod, v, w, e)
-                assert want.truncated == (past > 0 or v.truncated or w.truncated)
+                deep = non_vacuum_depth(v) is not None and past > 0
+                assert want.truncated == (deep or v.truncated or w.truncated)
                 assert typed_vector(read(w)) == typed_vector(want)
                 assert typed_vector(mod.vertex_operator_mode(v, -e - 1)(w)) == typed_vector(want)
     assert {-1, 0, 1} <= seen
+
+
+def test_vacuum_reads_are_exact_past_the_cutoff():
+    # Y(|0>, x) w = w: the vacuum's modes read w at x^0 and zero elsewhere,
+    # unflagged however far depth(w) + e lies past the cutoff; a non-vacuum
+    # monomial beside the vacuum still flags a read that passes it
+    mod = build_module(sl2, 2, CUTOFF)
+    vacuum = mod.vacuum()
+    for weight in range(CUTOFF + 1):
+        for mono in mod.basis(weight):
+            w = PBWVector({mono: 1})
+            assert typed_vector(mod.vertex_operator_mode(vacuum, -1)(w)) == \
+                typed_vector(w)
+            for e in range(1, CUTOFF + 2):
+                read = mod.vertex_operator_mode(PBWVector({(): 3}), -e - 1)(w)
+                assert typed_vector(read) == typed_vector(PBWVector())
+    w = PBWVector({mod.basis(2)[0]: 1})
+    assert not mod.vertex_operator_mode(vacuum, -4)(w).truncated
+    mixed = PBWVector({(): 1, ((0, -1),): 1})
+    assert not mod.vertex_operator_mode(mixed, -2)(w).truncated
+    assert mod.vertex_operator_mode(mixed, -3)(w).truncated
 
 
 sl3 = build_simple_lie("A", 2)
