@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     InvalidSymmetry,
@@ -56,6 +57,7 @@ F = Fraction
 _0 = F(0)
 _1 = F(1)
 _INT = {int}
+_COORD = itemgetter(1)
 
 
 def build_simple_lie(family: str, rank: int) -> "LieAlgebra":
@@ -90,7 +92,7 @@ class LieElt:
         """The nonzero (index, coordinate) pairs; computed on first use and
         kept, since an element never changes."""
         if self._terms is None:
-            self._terms = tuple((i, c) for i, c in enumerate(self.coords) if c)
+            self._terms = tuple(filter(_COORD, enumerate(self.coords)))
         return self._terms
 
     def __add__(self, other):
@@ -278,24 +280,13 @@ class LieAlgebra:
         the defining matrix X of x, grouped by eigenvalue in ascending
         order, and mus lists the eigenvalue of each column.  X is traceless,
         so ad(x) has rational spectrum exactly when X has
-        (NeedsFieldExtension otherwise)."""
+        (NeedsFieldExtension otherwise).  An element of the Cartan
+        subalgebra has a diagonal X, whose eigenbasis is read off its
+        diagonal."""
         a = self.to_matrix(x)
-        roots, rem = rational_roots(charpoly(a))
-        if len(rem) > 1:
-            raise NeedsFieldExtension(
-                "semisimple part would have irrational spectrum")
-        cols, mus = [], []
-        for mu in sorted(set(roots)):
-            shifted = tuple(tuple(c - mu if r == k else c for k, c in enumerate(row))
-                            for r, row in enumerate(a))
-            power = shifted
-            for _ in range(roots.count(mu) - 1):
-                power = mat_mul(power, shifted)
-            vecs = kernel_basis(power)
-            cols.extend(vecs)
-            mus.extend([mu] * len(vecs))
-        p = tuple(zip(*cols))
-        return p, mat_inverse(p), mus
+        if all(i >= self._cartan_start for i, _c in x.terms()):
+            return _diagonal_spectrum(a)
+        return _spectrum_of(a)
 
     @memo
     def jordan_chevalley(self, x: LieElt):
@@ -344,6 +335,39 @@ class LieAlgebra:
                               for y in reads)
                         for lam in sorted(slots) for i, j in slots[lam])
         return EigenData(self, s, spaces, inverse)
+
+
+def _spectrum_of(a):
+    """LieAlgebra._spectrum of the defining matrix a, from the rational
+    roots of its characteristic polynomial and the kernels of powers of
+    a - mu."""
+    roots, rem = rational_roots(charpoly(a))
+    if len(rem) > 1:
+        raise NeedsFieldExtension(
+            "semisimple part would have irrational spectrum")
+    cols, mus = [], []
+    for mu in sorted(set(roots)):
+        shifted = tuple(tuple(c - mu if r == k else c for k, c in enumerate(row))
+                        for r, row in enumerate(a))
+        power = shifted
+        for _ in range(roots.count(mu) - 1):
+            power = mat_mul(power, shifted)
+        vecs = kernel_basis(power)
+        cols.extend(vecs)
+        mus.extend([mu] * len(vecs))
+    p = tuple(zip(*cols))
+    return p, mat_inverse(p), mus
+
+
+def _diagonal_spectrum(a):
+    """_spectrum_of a diagonal matrix, in the same values and types: the
+    columns of P are the unit vectors, ordered by (eigenvalue, index) as
+    the kernel bases of _spectrum_of order them, and P^-1 is P
+    transposed."""
+    n1 = len(a)
+    order = sorted(range(n1), key=lambda k: (a[k][k], k))
+    p_inv = tuple(tuple(_1 if r == k else _0 for r in range(n1)) for k in order)
+    return tuple(zip(*p_inv)), p_inv, [F(a[k][k]) for k in order]
 
 
 class EigenData:

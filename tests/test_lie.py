@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from voatwist.errors import (InvalidSymmetry, NeedsFieldExtension, NotSemisimple,
                              UnsupportedAlgebra)
-from voatwist.lie import build_simple_lie, diagram_automorphism
+from voatwist.lie import _diagonal_spectrum, _spectrum_of, build_simple_lie, diagram_automorphism
 from voatwist.linalg import charpoly, mat_inverse, mat_sub, mat_vec
 
 sl2 = build_simple_lie("A", 1)
@@ -415,3 +415,21 @@ def test_automorphisms_act_as_the_dense_matrix_product(rank):
             for x in probe_elements(alg):
                 assert typed(g(x).coords) == typed(first_apply(g, x).coords)
             assert g.check() is first_check(g) is (g not in (doubled, sheared))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda rank: st.lists(
+    st.sampled_from([0, 1, -2, F(1, 2), F(-1, 3)]), min_size=rank, max_size=rank)))
+def test_a_cartan_spectrum_is_read_off_the_diagonal(hs):
+    # repeated, zero, int and Fraction eigenvalues; the general path on the
+    # same diagonal matrix is the first form
+    alg = build_simple_lie("A", len(hs))
+    x = alg.element({f"h{k}": c for k, c in enumerate(hs, start=1)})
+    got = alg._spectrum(x)
+    assert typed_spectrum(got) == typed_spectrum(_spectrum_of(alg.to_matrix(x)))
+    assert got == _diagonal_spectrum(alg.to_matrix(x))
+
+
+def typed_spectrum(spectrum):
+    p, p_inv, mus = spectrum
+    return typed(p), typed(p_inv), typed(tuple(mus))
