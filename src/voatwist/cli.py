@@ -524,30 +524,16 @@ def run_checks(run: BuiltRun, calls):
 
 def _graded_dimension_rows(run: BuiltRun, window: int):
     """Count the basis up to the window by (weight, class mod 1), as
-    TwistedModule.weight_of and class_of grade it.  Both are counted in
-    ints times the lcm of the denominators of the grading data, the class
-    offsets, the zero mode and kappa/2, and divided back only in the rows."""
+    TwistedModule.weight_of and class_of grade it, in ints on the lattice
+    of TwistedModule.lattice_grading, divided back only in the rows."""
     module, twisted = run.module, run.twisted
     monos = [()]
     for w in range(1, window + 1):
         monos.extend(module.basis(w))
-    offsets, zero_mode, half_kappa = twisted.grading()
-    scale = lcm(zero_mode.denominator, half_kappa.denominator,
-                *(lam.denominator for lam in offsets if lam is not None))
-
-    def scaled(q):
-        return q.numerator * (scale // q.denominator)
-
-    lattice = [None if lam is None else scaled(lam) for lam in offsets]
-    base, kappa = -scaled(zero_mode), scaled(half_kappa)
+    scale, _offsets, _base, kappa = twisted.lattice_grading()
     counts = {}
     for mono in monos:
-        cls = base
-        for gi, _m in mono:
-            lam = lattice[gi]
-            if lam is None:
-                twisted.class_of(mono)  # raises the Unsupported that says why
-            cls += lam
+        cls = twisted.scaled_class(mono)
         key = (monomial_weight(mono) * scale - cls + kappa, cls % scale)
         counts[key] = counts.get(key, 0) + 1
     return [

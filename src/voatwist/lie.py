@@ -139,12 +139,12 @@ class LieAlgebra:
         entries += [((k - 1, k - 1, 1), (k, k, -1)) for k in range(1, n1)]
         self.names = names
         self.basis_entries = entries
-        self.basis_mats = [self._dense(e) for e in entries]
         self.dim = len(entries)
         self.index = {n: i for i, n in enumerate(names)}
         self._cartan_start = 2 * len(pos_pairs)
 
     def _dense(self, entries):
+        """The basis matrix with these nonzero entries, as a dense tuple."""
         n1 = self.rank + 1
         m = [[0] * n1 for _ in range(n1)]
         for r, c, v in entries:
@@ -330,7 +330,7 @@ class LieAlgebra:
                         self.from_matrix(mat_sub(outer(i, i), outer(i + 1, i + 1)))
                         for i, j in labels]
                   for lam, labels in slots.items()}
-        reads = [mat_mul(mat_mul(p_inv, b), p) for b in self.basis_mats]
+        reads = [mat_mul(mat_mul(p_inv, self._dense(b)), p) for b in self.basis_entries]
         inverse = tuple(tuple(y[i][j] if j is not None else sum(y[t][t] for t in range(i + 1))
                               for y in reads)
                         for lam in sorted(slots) for i, j in slots[lam])

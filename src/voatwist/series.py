@@ -207,20 +207,13 @@ class LogSeries:
         """Add scale * terms, a monomial-to-coefficient dict, into the
         x^e log^k coefficient, a vector the series owns; flag it if flag
         is set.  A key whose sum value_is_zero drops is removed, and comes
-        back last if hit again.  A Fraction exponent costs a Python-level
-        hash, so its key is looked up and stored by one setdefault."""
-        if type(e) is int:
-            key = (e, k)
-            vec = self.terms.get(key)
-            if vec is None:
-                vec = self.terms[key] = PBWVector(None, flag)
-            elif flag:
-                vec.truncated = True
-        else:
-            key = (int_if_integral(e), k)
-            vec = self.terms.setdefault(key, PBWVector.adopt({}, flag))
-            if flag:
-                vec.truncated = True
+        back last if hit again."""
+        key = (int_if_integral(e), k)
+        vec = self.terms.get(key)
+        if vec is None:
+            vec = self.terms[key] = PBWVector(None, flag)
+        elif flag:
+            vec.truncated = True
         accumulate(vec.c, terms, scale)
         if value_is_zero(vec):
             del self.terms[key]

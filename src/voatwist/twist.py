@@ -185,14 +185,36 @@ class TwistedModule:
         return (offsets, int_if_integral(zero_mode),
                 int_if_integral(sum(F(step.kappa, 2) for step in steps)))
 
+    @memo
+    def lattice_grading(self):
+        """grading() on an integer lattice: (scale, offsets, base, kappa),
+        where scale is the lcm of the denominators of the class offsets, the
+        zero mode and kappa/2, offsets are the class offsets times scale
+        (None where grading() has None), base is -zero_mode times scale and
+        kappa is kappa/2 times scale, all ints."""
+        offsets, zero_mode, half_kappa = self.grading()
+        scale = lcm(zero_mode.denominator, half_kappa.denominator,
+                    *(lam.denominator for lam in offsets if lam is not None))
+
+        def scaled(q):
+            return q.numerator * (scale // q.denominator)
+
+        return (scale, [None if lam is None else scaled(lam) for lam in offsets],
+                -scaled(zero_mode), scaled(half_kappa))
+
     def weight_of(self, mono) -> Fraction:
         """Conformal weight of a monomial in the fully twisted grading."""
-        return monomial_weight(mono) - self.class_of(mono) + self.grading()[2]
+        scale, _offsets, _base, kappa = self.lattice_grading()
+        return int_if_integral(
+            F(monomial_weight(mono) * scale - self.scaled_class(mono) + kappa, scale))
 
     def class_of(self, mono) -> Fraction:
         """Accumulated grading-class offset of a monomial (exact, not mod 1)."""
-        offsets, zero_mode, _half_kappa = self.grading()
-        cls = -zero_mode
+        return int_if_integral(F(self.scaled_class(mono), self.lattice_grading()[0]))
+
+    def scaled_class(self, mono) -> int:
+        """class_of(mono) times the scale of lattice_grading(), an int."""
+        _scale, offsets, cls, _kappa = self.lattice_grading()
         for gi, _m in mono:
             lam = offsets[gi]
             if lam is None:

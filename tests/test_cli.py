@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 import time
+from fractions import Fraction as F
 from math import floor
 
 import pytest
@@ -475,14 +476,30 @@ def test_tables_refuses_the_check_entries_that_run_refuses(tmp_path, capsys):
 # -- graded dimensions against their first form -------------------------------
 
 
+def window_monomials(run, window):
+    return [()] + [mono for w in range(1, window + 1) for mono in run.module.basis(w)]
+
+
+def first_class(twisted, mono):
+    """The class of a monomial as a Fraction sum: minus the zero mode plus
+    the class offset of each factor, from TwistedModule.grading."""
+    offsets, zero_mode, _half_kappa = twisted.grading()
+    cls = -zero_mode
+    for gi, _m in mono:
+        if offsets[gi] is None:
+            raise Unsupported("grading needs every generator to be an eigenvector "
+                              "of each step's semisimple part")
+        cls += offsets[gi]
+    return cls
+
+
 def first_graded_rows(run, window):
     """The Fraction count: each monomial keyed by its weight and its class
-    mod 1, as TwistedModule.weight_of and class_of give them."""
-    monos = [()] + [mono for w in range(1, window + 1) for mono in run.module.basis(w)]
+    mod 1, the weight being its PBW weight minus its class plus kappa/2."""
     half_kappa = run.twisted.grading()[2]
     counts = {}
-    for mono in monos:
-        cls = run.twisted.class_of(mono)
+    for mono in window_monomials(run, window):
+        cls = first_class(run.twisted, mono)
         key = (monomial_weight(mono) - cls + half_kappa, cls - floor(cls))
         counts[key] = counts.get(key, 0) + 1
     return [{"weight": fmt_rational(w), "class": fmt_rational(c), "dimension": n}
@@ -525,3 +542,12 @@ def test_graded_rows_match_the_fraction_count(name):
         return
     assert name != "no grading"
     assert cli._graded_dimension_rows(run, 3) == want
+    # class_of and weight_of read the same lattice, and follow the scalar rule
+    half_kappa = run.twisted.grading()[2]
+    for mono in window_monomials(run, 3):
+        cls = first_class(run.twisted, mono)
+        weight = monomial_weight(mono) - cls + half_kappa
+        for got, value in ((run.twisted.class_of(mono), cls),
+                           (run.twisted.weight_of(mono), weight)):
+            assert got == value
+            assert type(got) is (int if F(value).denominator == 1 else F)

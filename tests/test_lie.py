@@ -191,9 +191,25 @@ def sym_rational(c):
     return sympy.Rational(c.numerator, c.denominator)
 
 
+def basis_mats(alg):
+    """The Chevalley basis matrices by their definition: E_ij and E_ji for
+    each positive pair (i, j) in alg.pos_pairs, then E_(k-1)(k-1) - E_kk."""
+    n1 = alg.rank + 1
+
+    def matrix(*entries):
+        m = [[0] * n1 for _ in range(n1)]
+        for r, c, v in entries:
+            m[r][c] = v
+        return tuple(map(tuple, m))
+
+    return ([matrix((i, j, 1)) for i, j in alg.pos_pairs]
+            + [matrix((j, i, 1)) for i, j in alg.pos_pairs]
+            + [matrix((k - 1, k - 1, 1), (k, k, -1)) for k in range(1, n1)])
+
+
 def sym_matrix(alg, coords):
     m = sympy.zeros(alg.rank + 1, alg.rank + 1)
-    for c, bm in zip(coords, alg.basis_mats):
+    for c, bm in zip(coords, basis_mats(alg)):
         m += sym_rational(c) * sympy.Matrix([[sym_rational(x) for x in row] for row in bm])
     return m
 
@@ -241,7 +257,7 @@ def sym_ad(alg, coords):
     """ad(x) on the Chevalley basis, computed in sympy from the defining
     representation: column j holds the coordinates of [x, b_j]."""
     basis = [sympy.Matrix([[sym_rational(c) for c in row] for row in bm])
-             for bm in alg.basis_mats]
+             for bm in basis_mats(alg)]
     flat = sympy.Matrix.hstack(*(b.reshape(len(b), 1) for b in basis))
     x = sym_matrix(alg, coords)
     cols = []
@@ -315,7 +331,7 @@ def test_eigenbasis_inverse_matches_mat_inverse(drawn):
 @lru_cache(maxsize=None)
 def first_tables(alg):
     """(struct, gram) from every dense product of two basis matrices."""
-    mats = alg.basis_mats
+    mats = basis_mats(alg)
     prods = [[tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*y))
                     for row in x) for y in mats] for x in mats]
     n1 = alg.rank + 1
