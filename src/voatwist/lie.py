@@ -13,9 +13,10 @@ action sum from int 0.
 
 The spectral data of an element comes from one generalized eigenbasis of
 its defining matrix: the Jordan-Chevalley split reads the semisimple part
-off it, and the ad-eigenbasis of a semisimple s is conjugated from the
-matrix units, with no ad matrix built.  Tables, spectra, eigendata and
-splits are memoized per algebra (``memo``).
+off it, and the ad(s)-eigencomponents of an element are read off its
+defining matrix conjugated by that eigenbasis, with no ad matrix and no
+dim-square table built.  The dual basis is closed form.  Tables, spectra,
+eigendata and splits are memoized per algebra (``memo``).
 
 Other families are not implemented and raise UnsupportedAlgebra.
 """
@@ -37,8 +38,6 @@ from .linalg import (
     kernel_basis,
     mat_inverse,
     mat_mul,
-    mat_sub,
-    mat_vec,
     memo,
     rational_roots,
 )
@@ -142,14 +141,6 @@ class LieAlgebra:
         self.dim = len(entries)
         self.index = {n: i for i, n in enumerate(names)}
         self._cartan_start = 2 * len(pos_pairs)
-
-    def _dense(self, entries):
-        """The basis matrix with these nonzero entries, as a dense tuple."""
-        n1 = self.rank + 1
-        m = [[0] * n1 for _ in range(n1)]
-        for r, c, v in entries:
-            m[r][c] = v
-        return tuple(tuple(r) for r in m)
 
     # -- element constructors -----------------------------------------
 
@@ -255,11 +246,16 @@ class LieAlgebra:
         return total
 
     def dual_basis(self):
-        """Basis dual to the Chevalley basis with respect to the form."""
-        _struct, gram = self._tables()
-        inv = mat_inverse(gram)
-        return [LieElt(self, mat_vec(inv, [_1 if k == i else _0 for k in range(self.dim)]))
-                for i in range(self.dim)]
+        """Basis dual to the Chevalley basis with respect to the form: E_ij
+        pairs with E_ji (e with f), and h_k with the fundamental coweight,
+        whose h_m coordinate is the inverse Cartan matrix entry
+        min(k, m) (rank + 1 - max(k, m)) / (rank + 1)."""
+        npos, n1 = len(self.pos_pairs), self.rank + 1
+        duals = [self._basis_elt((i + npos) % (2 * npos)) for i in range(2 * npos)]
+        return duals + [
+            LieElt(self, [0] * (2 * npos) + [F(min(k, m) * (n1 - max(k, m)), n1)
+                                             for m in range(1, n1)])
+            for k in range(1, n1)]
 
     @memo
     def _basis_elt(self, i):
@@ -301,40 +297,11 @@ class LieAlgebra:
 
     @memo
     def ad_eigendata(self, s: LieElt) -> "EigenData":
-        """Eigenvalues and eigenbasis of ad(s); s must act semisimply with
-        rational spectrum (NotSemisimple / NeedsFieldExtension otherwise).
-        With S = P diag(mus) P^-1, ad(s) sends P E_ij P^-1 to
-        (mu_i - mu_j) P E_ij P^-1, and the P (E_kk - E_(k+1)(k+1)) P^-1
-        span the rest of its kernel.  Any y is sum_ij Y'_ij P E_ij P^-1 with
-        Y' = P^-1 Y P, so its weight on P E_ij P^-1 is Y'_ij, and on the
-        k-th kernel vector (Y is traceless) the sum of Y'_tt over t <= k:
-        the inverse of the eigenbasis is read off P^-1 B P for each basis
-        matrix B, with no dim-square inversion."""
+        """The ad(s)-eigen-decomposition; s must act semisimply with
+        rational spectrum (NotSemisimple / NeedsFieldExtension otherwise)."""
         if not self.jordan_chevalley(s)[1].is_zero():
             raise NotSemisimple("element does not act semisimply on the algebra")
-        p, p_inv, mus = self._spectrum(s)
-        n1 = len(mus)
-
-        def outer(i, j):
-            # P E_ij P^-1
-            return tuple(tuple(p[r][i] * p_inv[j][c] for c in range(n1)) for r in range(n1))
-
-        # (i, j) labels the vector P E_ij P^-1, (k, None) the k-th kernel one
-        slots = {}
-        for i in range(n1):
-            for j in range(n1):
-                if i != j:
-                    slots.setdefault(mus[i] - mus[j], []).append((i, j))
-        slots.setdefault(_0, []).extend((k, None) for k in range(n1 - 1))
-        spaces = {lam: [self.from_matrix(outer(i, j)) if j is not None else
-                        self.from_matrix(mat_sub(outer(i, i), outer(i + 1, i + 1)))
-                        for i, j in labels]
-                  for lam, labels in slots.items()}
-        reads = [mat_mul(mat_mul(p_inv, self._dense(b)), p) for b in self.basis_entries]
-        inverse = tuple(tuple(y[i][j] if j is not None else sum(y[t][t] for t in range(i + 1))
-                              for y in reads)
-                        for lam in sorted(slots) for i, j in slots[lam])
-        return EigenData(self, s, spaces, inverse)
+        return EigenData(self, self._spectrum(s))
 
 
 def _spectrum_of(a):
@@ -370,28 +337,42 @@ def _diagonal_spectrum(a):
     return tuple(zip(*p_inv)), p_inv, [F(a[k][k]) for k in order]
 
 
-class EigenData:
-    """Rational eigen-decomposition of ad(s) with exact projections."""
+def _nonzero(rows):
+    """The nonzero (column, entry) pairs of each row."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in rows)
 
-    def __init__(self, algebra, s, spaces, p_inv):
-        """spaces maps each eigenvalue to its eigenvectors; p_inv is the
-        inverse of the matrix whose columns are their coordinates, taken
-        in ascending eigenvalue order."""
+
+def _product(a_cols, m, b_rows):
+    """A M B, summed from int 0 over nonzero entries alone: A is given by
+    the _nonzero pairs of its columns and B by those of its rows."""
+    out = [[0] * len(m) for _ in m]
+    for r, row in enumerate(m):
+        for c, v in enumerate(row):
+            if v:
+                for i, a in a_cols[r]:
+                    for j, b in b_rows[c]:
+                        out[i][j] += a * v * b
+    return out
+
+
+class EigenData:
+    """Rational eigen-decomposition of ad(s), read through the spectrum
+    (P, P^-1, mus) of the defining matrix S = P diag(mus) P^-1 of s: ad(s)
+    sends P E_ij P^-1 to (mu_i - mu_j) P E_ij P^-1, and these span gl(n),
+    so nothing here depends on the type of the algebra."""
+
+    def __init__(self, algebra, spectrum):
         self.algebra = algebra
-        self.s = s
-        self.spaces = spaces
-        self.values = sorted(spaces)
-        self._p_inv = p_inv
+        p, p_inv, self._mus = spectrum
+        self.values = sorted({a - b for a in self._mus for b in self._mus})
+        # the nonzero (index, entry) pairs of each row and column of P and P^-1
+        self._p_rows, self._p_cols = _nonzero(p), _nonzero(zip(*p))
+        self._inv_rows, self._inv_cols = _nonzero(p_inv), _nonzero(zip(*p_inv))
 
     def eigenvalue_of(self, elt: LieElt):
         """The single eigenvalue of an eigenvector (None if mixed)."""
         comps = self.decompose(elt)
-        nonzero = [lam for lam, part in comps.items() if not part.is_zero()]
-        if len(nonzero) == 1:
-            return nonzero[0]
-        if not nonzero:
-            return F(0)
-        return None
+        return next(iter(comps), _0) if len(comps) < 2 else None
 
     @memo
     def generator_eigenvalues(self) -> list:
@@ -400,27 +381,24 @@ class EigenData:
 
     @memo
     def decompose(self, elt: LieElt) -> dict:
-        """Split elt into its ad(s)-eigencomponents, keyed by eigenvalue.
+        """Split elt into its ad(s)-eigencomponents, keyed by eigenvalue in
+        ascending order.  Y = sum_ij Y'_ij P E_ij P^-1 with Y' = P^-1 Y P, so
+        the lambda-component of Y is P Y'_lambda P^-1, where Y'_lambda keeps
+        the entries of Y' with mu_i - mu_j = lambda.
 
         The dict is shared between callers, who must not mutate it."""
-        weights = mat_vec(self._p_inv, elt.coords)
-        out = {}
-        idx = 0
-        for lam in self.values:
-            acc = self.algebra.zero()
-            for v in self.spaces[lam]:
-                if weights[idx]:
-                    acc = acc + weights[idx] * v
-                idx += 1
-            if not acc.is_zero():
-                out[lam] = acc
-        return out
+        alg, mus = self.algebra, self._mus
+        parts = {}
+        for i, row in enumerate(_product(self._inv_cols, alg.to_matrix(elt), self._p_rows)):
+            for j, w in enumerate(row):
+                if w:
+                    parts.setdefault(mus[i] - mus[j], [[0] * len(mus) for _ in mus])[i][j] = w
+        return {lam: alg.from_matrix(_product(self._p_cols, parts[lam], self._inv_rows))
+                for lam in sorted(parts)}
 
 
 class GAutomorphism:
     """An automorphism of the Lie algebra given by its rational matrix."""
-
-    __slots__ = ("algebra", "matrix", "_columns")
 
     def __init__(self, algebra, matrix):
         self.algebra = algebra
@@ -445,6 +423,7 @@ class GAutomorphism:
     def compose(self, other: "GAutomorphism") -> "GAutomorphism":
         return GAutomorphism(self.algebra, mat_mul(self.matrix, other.matrix))
 
+    @memo
     def inverse(self) -> "GAutomorphism":
         return GAutomorphism(self.algebra, mat_inverse(self.matrix))
 

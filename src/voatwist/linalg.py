@@ -5,8 +5,9 @@ or tuples of Fractions in ascending powers.  Everything here is small and
 exact; no pivoting heuristics, no floats.  The Lie layer needs row
 reduction (kernels, inverses), characteristic polynomials and their
 rational roots; scalars needs polynomial division and divisors.  Products
-skip zero entries, as automorphism matrices and inverse eigenbases on Lie
-coordinates are mostly zeros, and still return Fractions.  The ``memo``
+skip zero entries, as automorphism matrices and eigenbases are mostly
+zeros, and still return Fractions; ``mat_vec`` has no caller in the
+package, and stays as a layer name perfbench's tracer reads.  The ``memo``
 method decorator lives here too, below every class whose results it
 caches.
 """
@@ -21,7 +22,6 @@ __all__ = [
     "kernel_basis",
     "mat_inverse",
     "mat_mul",
-    "mat_sub",
     "mat_vec",
     "memo",
     "poly_divmod",
@@ -40,10 +40,6 @@ _1 = F(1)
 def zeros(n, m):
     """n-by-m zero matrix."""
     return tuple(tuple(_0 for _ in range(m)) for _ in range(n))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_mul(a, b):

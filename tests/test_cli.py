@@ -8,7 +8,7 @@ from math import floor
 
 import pytest
 
-from voatwist import cli
+from voatwist import cli, lie
 from voatwist.cli import (
     EXIT_CODES,
     _perm_order,
@@ -145,6 +145,23 @@ def test_transport_alone_keeps_branch_order_one():
         twistChain=[{"kind": "transportTau", "data": {"permutation": [2, 1]}}]))
     report, _ = run_config(cfg, with_checks=False)
     assert report["branchOrder"] == 1
+
+
+def test_a_transported_run_inverts_its_conjugator_once(monkeypatch):
+    # the conjugator's inverse is memoized: the chain images and the
+    # equivariance check's generator matrices all reuse one mat_inverse
+    calls = []
+    inverse = lie.mat_inverse
+    monkeypatch.setattr(lie, "mat_inverse", lambda m: calls.append(m) or inverse(m))
+    cfg = parse_config(base_config(
+        algebra={"type": "A", "rank": 2}, module={"lambda": 0, "cutoff": 2},
+        twistChain=[
+            {"kind": "innerSemisimple", "data": {"current": {"h1": "1/3", "h2": "2/3"}}},
+            {"kind": "transportTau", "data": {"permutation": [2, 1]}}],
+        checks=[{"name": "equivariance", "weight": 1}]))
+    report, status = run_config(cfg, with_checks=True)
+    assert status == 0 and report["checks"][0]["status"] == "pass"
+    assert len(calls) == 1 and len(calls[0]) == 8
 
 
 def test_commutators_past_the_cutoff_are_a_window_error(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from voatwist.errors import (InvalidSymmetry, NeedsFieldExtension, NotSemisimple,
                              UnsupportedAlgebra)
 from voatwist.lie import _diagonal_spectrum, _spectrum_of, build_simple_lie, diagram_automorphism
-from voatwist.linalg import charpoly, mat_inverse, mat_sub, mat_vec
+from voatwist.linalg import charpoly, mat_inverse, mat_vec, rref
 
 sl2 = build_simple_lie("A", 1)
 sl3 = build_simple_lie("A", 2)
@@ -297,7 +297,8 @@ def test_jordan_chevalley_parts_in_sympy(drawn):
 @given(elements(2, borel=True))
 def test_eigen_decomposition_against_sympy(drawn):
     # the parts of decompose(y) sum to y and are ad(s)-eigenvectors of their
-    # eigenvalue, and the eigenvalues are sympy's, with their multiplicities
+    # eigenvalue, the eigenvalues are sympy's, and the lambda-parts of the
+    # basis span a space of sympy's multiplicity
     alg, (a, b) = drawn
     s, _n = alg.jordan_chevalley(alg.element_from_coords(a))
     eig = alg.ad_eigendata(s)
@@ -309,23 +310,96 @@ def test_eigen_decomposition_against_sympy(drawn):
     want = {F(int(v.p), int(v.q)): mult
             for v, mult in sym_ad(alg, s.coords).eigenvals().items()}
     assert eig.values == sorted(want)
-    assert {lam: len(eig.spaces[lam]) for lam in eig.values} == want
+    for lam, mult in want.items():
+        span = [eig.decompose(x)[lam].coords for x in alg.basis() if lam in eig.decompose(x)]
+        assert len(rref(span)[1]) == mult
+
+
+def first_eigendata(alg, s):
+    """(spaces, inverse): the eigenvectors of ad(s) by eigenvalue, P E_ij P^-1
+    for i != j with eigenvalue mu_i - mu_j and P (E_kk - E_(k+1)(k+1)) P^-1
+    in the kernel, and mat_inverse of the matrix whose columns are their
+    coordinates in ascending eigenvalue order."""
+    p, p_inv, mus = alg._spectrum(s)
+    n1 = len(mus)
+
+    def outer(i, j):
+        return tuple(tuple(p[r][i] * p_inv[j][c] for c in range(n1)) for r in range(n1))
+
+    spaces = {}
+    for i in range(n1):
+        for j in range(n1):
+            if i != j:
+                spaces.setdefault(mus[i] - mus[j], []).append(alg.from_matrix(outer(i, j)))
+    spaces.setdefault(F(0), []).extend(
+        alg.from_matrix(mat_sub(outer(k, k), outer(k + 1, k + 1))) for k in range(n1 - 1))
+    cols = [v.coords for lam in sorted(spaces) for v in spaces[lam]]
+    return spaces, mat_inverse(tuple(zip(*cols)))
+
+
+def first_decompose(alg, first, y):
+    """The nonzero sums of each eigenvalue's eigenvectors times their
+    weights in y, in ascending eigenvalue order."""
+    spaces, inverse = first
+    weights = iter(mat_vec(inverse, y.coords))
+    out = {}
+    for lam in sorted(spaces):
+        acc = alg.zero()
+        for v in spaces[lam]:
+            w = next(weights)
+            if w:
+                acc = acc + w * v
+        if not acc.is_zero():
+            out[lam] = acc
+    return out
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(elements(1, borel=True, ranks=(1, 2, 3, 4)))
-def test_eigenbasis_inverse_matches_mat_inverse(drawn):
-    # the inverse read off P^-1 B P is the inverse of the matrix whose
-    # columns are the eigenvectors, in ascending eigenvalue order
-    alg, (coords,) = drawn
-    s, _n = alg.jordan_chevalley(alg.element_from_coords(coords))
-    eig = alg.ad_eigendata(s)
-    cols = [v.coords for lam in eig.values for v in eig.spaces[lam]]
-    p = tuple(tuple(col[i] for col in cols) for i in range(alg.dim))
-    assert eig._p_inv == mat_inverse(p)
+@given(elements(2, borel=True, ranks=(1, 2, 3, 4)), st.booleans())
+def test_decompose_matches_the_eigenvector_list(drawn, cartan):
+    # a Cartan s takes the diagonal spectrum, any other the general one
+    alg, (a, b) = drawn
+    if cartan:
+        a = [F(0)] * (alg.dim - alg.rank) + a[alg.dim - alg.rank:]
+    s, _n = alg.jordan_chevalley(alg.element_from_coords(a))
+    eig, first = alg.ad_eigendata(s), first_eigendata(alg, s)
+    assert eig.values == sorted(first[0])
+    for y in (alg.element_from_coords(b), *probe_elements(alg)):
+        got, want = eig.decompose(y), first_decompose(alg, first, y)
+        assert [(typed(lam), typed(part.coords)) for lam, part in got.items()] == \
+            [(typed(lam), typed(part.coords)) for lam, part in want.items()]
+
+
+def test_decompose_covers_non_cartan_semisimple_parts():
+    # e1 + h1 on sl3 is semisimple, its defining matrix having eigenvalues
+    # 1, -1 and 0, and outside the Cartan, so its eigenbasis is not diagonal
+    s = sl3.element({"e1": 1, "h1": 1})
+    assert sl3.jordan_chevalley(s)[0] == s
+    eig, first = sl3.ad_eigendata(s), first_eigendata(sl3, s)
+    for y in probe_elements(sl3):
+        got, want = eig.decompose(y), first_decompose(sl3, first, y)
+        assert [(typed(lam), typed(part.coords)) for lam, part in got.items()] == \
+            [(typed(lam), typed(part.coords)) for lam, part in want.items()]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_dual_basis_matches_the_gram_inverse(rank):
+    alg = build_simple_lie("A", rank)
+    _struct, gram = first_tables(alg)
+    inv = mat_inverse(gram)
+    want = [mat_vec(inv, [F(k == i) for k in range(alg.dim)]) for i in range(alg.dim)]
+    got = alg.dual_basis()
+    assert [typed(x.coords) for x in got] == \
+        [typed(alg.element_from_coords(w).coords) for w in want]
+    for i, x in enumerate(alg.basis()):
+        assert [alg.form(x, y) for y in got] == [int(i == j) for j in range(alg.dim)]
 
 
 # -- the sparse tables and the automorphism action against their first forms --
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 @lru_cache(maxsize=None)
