@@ -35,7 +35,6 @@ from .series import (
     series_scale,
 )
 from .lie import (
-    AutomorphismData,
     GAutomorphism,
     LieAlgebra,
     LieElt,
@@ -58,7 +57,6 @@ from .verify import CheckReport, format_monomial, format_vector
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutomorphismData",
     "CheckReport",
     "ConfigError",
     "CriticalLevel",

@@ -26,7 +26,6 @@ import os
 import sys
 import time
 from collections import namedtuple
-from dataclasses import replace
 from fractions import Fraction as F
 from math import lcm
 
@@ -346,10 +345,9 @@ class BuiltRun:
                 tau = diagram_automorphism(alg, data["permutation"])
                 prev = self.twisted
                 if kind == "diagramData":
-                    if prev.aut.diagram_part is not None:
+                    if prev.diagram is not None:
                         raise Unsupported("only one diagram factor per chain")
-                    tw = TwistedModule(prev.base, prev.steps,
-                                       replace(prev.aut, diagram_part=tau))
+                    tw = TwistedModule(prev.base, prev.steps, tau, prev.conjugator)
                     self.diagram_order = _perm_order(data["permutation"])
                 else:
                     # conjugating by tau leaves the automorphism's order alone
@@ -360,7 +358,7 @@ class BuiltRun:
 
     @property
     def has_diagram_part(self):
-        return self.twisted.aut.diagram_part is not None
+        return self.twisted.diagram is not None
 
     def last_inner_boundary(self):
         """(previous, new) twisted modules around the last inner step."""
@@ -585,8 +583,7 @@ def build_report(run: BuiltRun, reports) -> dict:
             report["gradedDimensions"] = None
 
     if run.twisted.conjugator is not None:
-        notices.append("mode tables omitted: the chain ends in a "
-                       "transported (conjugated) module")
+        notices.append("mode tables omitted: the chain has a transport step")
         report["modeTables"] = []
     else:
         span = out.get("modeSpan", 2)

@@ -23,7 +23,6 @@ Other families are not implemented and raise UnsupportedAlgebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -44,7 +43,6 @@ from .linalg import (
 from .scalars import int_if_integral
 
 __all__ = [
-    "AutomorphismData",
     "GAutomorphism",
     "LieAlgebra",
     "LieElt",
@@ -493,25 +491,3 @@ def diagram_automorphism(algebra: LieAlgebra, perm) -> GAutomorphism:
     if not out.check():
         raise InvalidSymmetry("bracket extension failed; not a diagram symmetry")
     return out
-
-
-@dataclass
-class AutomorphismData:
-    """Canonical description of the automorphism a twisted module carries.
-
-    The automorphism is tau o (diagram o inner) o tau^-1 where the inner
-    part is exp(-2 pi i a(0)) for a = inner_semisimple_part +
-    inner_nilpotent_part, the two inner pieces commuting with each other in
-    the exponent (the nilpotent part must be fixed by the semisimple
-    factor).  Any field may be None, meaning that factor is trivial.
-    """
-
-    algebra: LieAlgebra
-    diagram_part: GAutomorphism | None = None
-    inner_semisimple_part: LieElt | None = None
-    inner_nilpotent_part: LieElt | None = None
-    conjugator: GAutomorphism | None = None
-
-    @staticmethod
-    def identity(algebra):
-        return AutomorphismData(algebra)

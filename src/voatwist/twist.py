@@ -18,24 +18,23 @@ shared and read-only, as delta_apply serves D(b), so no caller may mutate
 what these reads return.  The grading offsets and the modes built from
 them are ints where integral.
 
-The attached automorphism is tracked as structured data (semisimple part,
-nilpotent part, optional diagram factor and conjugator).  Its action on
-module vectors uses cyclotomic scalars: an eigencomponent of eigenvalue
-lam picks up zeta_D^(-D lam), and the unipotent factor expands in the
-formal 2*pi*i symbol carried by Cyc.
+The attached automorphism is read off the chain itself: the product of the
+steps' factors exp(-2 pi i ad u_j), with an optional diagram factor and
+conjugator.  Its action on module vectors uses cyclotomic scalars: an
+eigencomponent of eigenvalue lam picks up zeta_D^(-D lam), and a unipotent
+factor expands in the formal 2*pi*i symbol carried by Cyc.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, floor, lcm
 
-from .delta import DeltaOperator, current_element, delta_apply_series, make_delta
+from .delta import current_element, delta_apply_series, make_delta
 from .errors import DomainError, NotFixed, NotIntertwining, Unsupported
 from .fock import InducedModule
-from .lie import AutomorphismData, GAutomorphism, LieElt
+from .lie import GAutomorphism, LieElt
 from .linalg import memo
 from .scalars import Cyc, fmt_rational, int_if_integral
 from .series import (LogSeries, PBWVector, accumulate, linear_image, linear_series,
@@ -55,16 +54,16 @@ F = Fraction
 
 
 class TwistedModule:
-    """A chain of shift operators over an untwisted vacuum module."""
+    """A chain of shift operators over an untwisted vacuum module, with an
+    optional diagram factor and an optional conjugator tau (both
+    GAutomorphisms).  The steps live in the untransported frame: the
+    vertex operator feeds tau^(-1) v to the chain."""
 
-    def __init__(self, base: InducedModule, steps, aut: AutomorphismData):
+    def __init__(self, base: InducedModule, steps, diagram=None, conjugator=None):
         self.base = base
         self.steps = tuple(steps)
-        self.aut = aut
-
-    @property
-    def conjugator(self):
-        return self.aut.conjugator
+        self.diagram = diagram
+        self.conjugator = conjugator
 
     @property
     def algebra(self):
@@ -228,9 +227,40 @@ class TwistedModule:
 
     @memo
     def automorphism_matrix(self):
-        """Coordinate matrix of the attached automorphism, with Cyc entries
-        wherever a root of unity or the formal 2*pi*i symbol is needed."""
-        return _aut_coord_matrix(self.algebra, self.aut, self.branch_order())
+        """Coordinate matrix of the attached automorphism
+        tau o (diagram o prod_j exp(-2 pi i ad u_j)) o tau^-1, rows indexed by
+        target generator, with Cyc entries wherever a root of unity or the
+        formal 2*pi*i symbol is needed.  Each current is fixed by the
+        automorphism before its step, so its factor commutes with that
+        automorphism; the factors apply from the most recent step."""
+        alg, order, conj = self.algebra, self.branch_order(), self.conjugator
+        cols = []
+        for gi in range(alg.dim):
+            elt = alg._basis_elt(gi)
+            pieces = [(F(1), elt if conj is None else conj.inverse()(elt))]
+            for step in reversed(self.steps):
+                if not step.s.is_zero():
+                    # eigencomponent lam of s scales by zeta^(-D lam)
+                    pieces = [(scale * Cyc.zeta(order, -lam * order), comp)
+                              for scale, piece in pieces
+                              for lam, comp in step.eig.decompose(piece).items()]
+                if not step.n.is_zero():
+                    # the unipotent factor: sum_k (-T)^k ad_n^k / k!
+                    pieces = [(scale * (Cyc.t_power(k) * F((-1) ** k, factorial(k))), comp)
+                              for scale, piece in pieces
+                              for k, comp in enumerate(_ad_powers(alg, step.n, piece))]
+            # the diagram factor and the conjugator on the way out
+            col = [F(0)] * alg.dim
+            for scale, comp in pieces:
+                if self.diagram is not None:
+                    comp = self.diagram(comp)
+                if conj is not None:
+                    comp = conj(comp)
+                for gj, c in enumerate(comp.coords):
+                    if c:
+                        col[gj] = col[gj] + scale * c
+            cols.append(col)
+        return [[cols[src][dst] for src in range(alg.dim)] for dst in range(alg.dim)]
 
     def automorphism_apply(self, vec: PBWVector) -> PBWVector:
         return apply_lie_matrix(self.base, self.automorphism_matrix(), vec)
@@ -269,54 +299,14 @@ class TwistedModule:
 
 
 def untwisted_as_twisted(module: InducedModule) -> TwistedModule:
-    return TwistedModule(module, (), AutomorphismData.identity(module.algebra))
+    return TwistedModule(module, ())
 
 
-def _aut_coord_matrix(alg, aut: AutomorphismData, order: int):
-    dim = alg.dim
-    cols = []
-    semi = aut.inner_semisimple_part
-    nil = aut.inner_nilpotent_part
-    eig = alg.ad_eigendata(semi) if semi is not None and not semi.is_zero() else None
-    for gi in range(dim):
-        elt = alg._basis_elt(gi)
-        if aut.conjugator is not None:
-            elt = aut.conjugator.inverse()(elt)
-        # semisimple factor: eigencomponent lam scales by zeta^(-D lam)
-        pieces = []
-        if eig is not None:
-            for lam, comp in eig.decompose(elt).items():
-                dl = F(lam) * order
-                if dl.denominator != 1:
-                    raise DomainError("branch order does not clear an eigenvalue")
-                pieces.append((Cyc.zeta(order, -int(dl)), comp))
-        else:
-            pieces.append((F(1), elt))
-        # unipotent factor: sum_k (-T)^k ad_nil^k / k!
-        expanded = []
-        for scale, comp in pieces:
-            if nil is not None and not nil.is_zero():
-                cur, k = comp, 0
-                while not cur.is_zero():
-                    tfac = Cyc.t_power(k) * F((-1) ** k, factorial(k))
-                    expanded.append((scale * tfac, cur))
-                    cur = alg.bracket(nil, cur)
-                    k += 1
-            else:
-                expanded.append((scale, comp))
-        # diagram factor and the conjugator on the way out
-        col = [F(0)] * dim
-        for scale, comp in expanded:
-            if aut.diagram_part is not None:
-                comp = aut.diagram_part(comp)
-            if aut.conjugator is not None:
-                comp = aut.conjugator(comp)
-            for gj, c in enumerate(comp.coords):
-                if c:
-                    col[gj] = col[gj] + scale * c
-        cols.append(col)
-    # rows indexed by target generator, columns by source
-    return [[cols[src][dst] for src in range(dim)] for dst in range(dim)]
+def _ad_powers(alg, n: LieElt, elt: LieElt):
+    """elt, [n, elt], [n, [n, elt]], ... up to the last nonzero one."""
+    while not elt.is_zero():
+        yield elt
+        elt = alg.bracket(n, elt)
 
 
 def apply_lie_matrix(module: InducedModule, matrix, vec: PBWVector) -> PBWVector:
@@ -337,9 +327,9 @@ def make_twisted(target, u: PBWVector,
     """Extend a (possibly already twisted) module by one shift operator.
 
     The current vector u must be fixed by the attached automorphism of the
-    target, otherwise NotFixed is raised.  The automorphism data of the
-    result is the merged product; combinations the structured data cannot
-    express raise Unsupported.
+    target, otherwise NotFixed is raised.  Behind a conjugator tau the new
+    step holds tau^(-1) u, since tau Delta_u tau^(-1) = Delta_(tau u); the
+    attached automorphism of the result is read off its chain.
     """
     if isinstance(target, InducedModule):
         target = untwisted_as_twisted(target)
@@ -359,37 +349,11 @@ def make_twisted(target, u: PBWVector,
         if not diff.is_zero():
             raise NotFixed(
                 "the current vector is not fixed by the attached automorphism")
+    if target.conjugator is not None:
+        u = apply_lie_matrix(target.base, target.conjugator.inverse().matrix, u)
     delta = make_delta(target.base, u, legacy_sign_convention)
-    aut = _merge_aut(target.algebra, target.aut, delta)
-    return TwistedModule(target.base, target.steps + (delta,), aut)
-
-
-def _merge_aut(alg, aut: AutomorphismData, delta: DeltaOperator) -> AutomorphismData:
-    s_u, n_u = delta.s, delta.n
-    h = aut.inner_semisimple_part if aut.inner_semisimple_part is not None else alg.zero()
-    n = aut.inner_nilpotent_part if aut.inner_nilpotent_part is not None else alg.zero()
-
-    if not alg.bracket(h, s_u).is_zero():
-        raise Unsupported("semisimple parts of the automorphisms do not commute")
-    if not alg.bracket(n, n_u).is_zero():
-        raise Unsupported("nilpotent parts of the automorphisms do not commute")
-    # the exponentiated semisimple factor of the new step must fix the old
-    # nilpotent part: every eigencomponent needs an integer eigenvalue
-    if not n.is_zero() and not s_u.is_zero():
-        for lam, comp in alg.ad_eigendata(s_u).decompose(n).items():
-            if not comp.is_zero() and F(lam).denominator != 1:
-                raise Unsupported(
-                    "the new semisimple factor moves the old nilpotent part")
-    h2 = h + s_u
-    n2 = n + n_u
-    if not n2.is_zero() and not h2.is_zero():
-        for lam, comp in alg.ad_eigendata(h2).decompose(n2).items():
-            if not comp.is_zero() and F(lam).denominator != 1:
-                raise Unsupported(
-                    "merged semisimple factor does not fix the merged nilpotent part")
-    return replace(aut,
-                   inner_semisimple_part=None if h2.is_zero() else h2,
-                   inner_nilpotent_part=None if n2.is_zero() else n2)
+    return TwistedModule(target.base, target.steps + (delta,), target.diagram,
+                         target.conjugator)
 
 
 def transport_tau(twisted: TwistedModule, tau: GAutomorphism) -> TwistedModule:
@@ -399,9 +363,8 @@ def transport_tau(twisted: TwistedModule, tau: GAutomorphism) -> TwistedModule:
     the attached automorphism is conjugated accordingly.
     """
     old = twisted.conjugator
-    new_conj = tau if old is None else tau.compose(old)
-    return TwistedModule(twisted.base, twisted.steps,
-                         replace(twisted.aut, conjugator=new_conj))
+    return TwistedModule(twisted.base, twisted.steps, twisted.diagram,
+                         tau if old is None else tau.compose(old))
 
 
 # -- graded module maps and their transport --------------------------------

@@ -40,6 +40,7 @@ from .series import (
 from .twist import (
     ModuleMap,
     TwistedModule,
+    apply_lie_matrix,
     apply_table_entry,
     functor_on_map,
     make_twisted,
@@ -699,6 +700,9 @@ def check_conformal_shift(prev: TwistedModule, new: TwistedModule,
     alg = new.algebra
     omega = module.conformal_vector()
     uvec = module.current(step.a)
+    if new.conjugator is not None:
+        # the step holds tau^-1 u; the identities read u in prev's frame
+        uvec = apply_lie_matrix(module, new.conjugator.matrix, uvec)
     kappa = step.kappa
     states = basis_states(module, weight)
     new_log, new_l0, new_lm1 = (new.mode(omega, 1, 1), new.mode(omega, 1),

@@ -1,20 +1,23 @@
 import gc
+import json
+import pathlib
 import weakref
 from fractions import Fraction as F
 from functools import lru_cache
+from math import factorial
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from voatwist.delta import delta_apply_series, make_delta
-from voatwist.errors import NeedsFieldExtension, NotFixed, NotIntertwining, Unsupported
+from voatwist.cli import build_chain, parse_config
+from voatwist.delta import delta_apply_series
+from voatwist.errors import NeedsFieldExtension, NotFixed, NotIntertwining
 from voatwist.fock import InducedModule, PBWVector, accumulate, build_module
-from voatwist.lie import AutomorphismData, build_simple_lie, diagram_automorphism
+from voatwist.lie import build_simple_lie, diagram_automorphism
 from voatwist.scalars import Cyc
 from voatwist.series import LogSeries, branch_shift, series_eq
 from voatwist.twist import (
     ModuleMap,
-    _merge_aut,
     apply_lie_matrix,
     apply_table_entry,
     functor_on_map,
@@ -135,26 +138,6 @@ def test_fixedness_is_tested_before_the_jordan_decomposition():
         make_twisted(MOD, u)
     with pytest.raises(NotFixed):
         make_twisted(quarter, u)
-
-
-@pytest.mark.parametrize("parts,current,message", [
-    ({"inner_nilpotent_part": {"e1": 1}}, {"e2": 1},
-     "nilpotent parts of the automorphisms do not commute"),
-    # ad(h1 + h2/2) has eigenvalue 3/2 on e1
-    ({"inner_nilpotent_part": {"e1": 1}}, {"h1": 1, "h2": F(1, 2)},
-     "the new semisimple factor moves the old nilpotent part"),
-    ({"inner_semisimple_part": {"h1": F(1, 2)}}, {"e2": 1},
-     "merged semisimple factor does not fix the merged nilpotent part"),
-], ids=["nilpotent-parts", "new-semisimple-factor", "merged-factors"])
-def test_merge_refuses_parts_it_cannot_combine(parts, current, message):
-    """The refusals of twist._merge_aut that a fixed current cannot reach
-    through make_twisted on a chain with no transport step."""
-    a2 = build_simple_lie("A", 2)
-    mod = build_module(a2, F(1), cutoff=2)
-    aut = AutomorphismData(a2, **{k: a2.element(v) for k, v in parts.items()})
-    delta = make_delta(mod, mod.current(a2.element(current)))
-    with pytest.raises(Unsupported, match=f"^{message}$"):
-        _merge_aut(a2, aut, delta)
 
 
 def test_chain_on_fixed_current_extends():
@@ -435,3 +418,81 @@ def test_mode_outputs_match_the_stored_chain_coefficients(chain):
                     assert got.truncated == want.truncated, (v, m, l, w)
                     flagged += got.truncated and not w.truncated
     assert stored_fractions == 0 and flagged
+
+
+# -- the attached automorphism: the product of the steps' factors ----------
+
+
+def _merged_matrix(tw):
+    """The attached automorphism in its merged form: the conjugator around
+    the diagram factor after exp(-2 pi i ad(sum_j s_j + sum_j n_j)), with one
+    ad_eigendata for the summed semisimple parts."""
+    alg, order, conj = tw.algebra, tw.branch_order(), tw.conjugator
+    semi, nil = alg.zero(), alg.zero()
+    for step in tw.steps:
+        semi, nil = semi + step.s, nil + step.n
+    eig = None if semi.is_zero() else alg.ad_eigendata(semi)
+    cols = []
+    for gi in range(alg.dim):
+        elt = alg._basis_elt(gi)
+        if conj is not None:
+            elt = conj.inverse()(elt)
+        pieces = [(F(1), elt)] if eig is None else [
+            (Cyc.zeta(order, -lam * order), comp)
+            for lam, comp in eig.decompose(elt).items()]
+        col = [F(0)] * alg.dim
+        for scale, comp in pieces:
+            k = 0
+            while not comp.is_zero():
+                image = comp if tw.diagram is None else tw.diagram(comp)
+                image = image if conj is None else conj(image)
+                fac = scale if nil.is_zero() else \
+                    scale * (Cyc.t_power(k) * F((-1) ** k, factorial(k)))
+                for gj, c in enumerate(image.coords):
+                    if c:
+                        col[gj] = col[gj] + fac * c
+                if nil.is_zero():
+                    break
+                comp, k = alg.bracket(nil, comp), k + 1
+        cols.append(col)
+    return [[cols[src][dst] for src in range(alg.dim)] for dst in range(alg.dim)]
+
+
+TEST_CONFIGS = pathlib.Path(__file__).resolve().parent / "configs"
+
+
+def _config_chain(stem):
+    path = TEST_CONFIGS / f"{stem}.json"
+    return build_chain(parse_config(json.loads(path.read_text(encoding="utf-8")))).twisted
+
+
+MERGED_CHAINS = {
+    **{name: lambda name=name: _oracle_chain(MOD, steps)
+       for name, steps in ORACLE_CHAINS.items()},
+    "h1=1/3,h1=1/6": lambda: _oracle_chain(MOD, [{"h1": F(1, 3)}, {"h1": F(1, 6)}]),
+    "a2_two_inner_steps": lambda: _config_chain("a2_two_inner_steps"),
+    "A2 h1=1/2 then the flip": lambda: _transported_chain(
+        build_module(build_simple_lie("A", 2), F(2), cutoff=3)),
+    "a2_diagram": lambda: _config_chain("a2_diagram"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGED_CHAINS))
+def test_the_product_of_the_steps_matches_the_merged_form(name):
+    # with one semisimple and one nilpotent part overall, the steps' product
+    # and the exp of their summed currents agree entry by entry, in type too
+    tw = MERGED_CHAINS[name]()
+    got, want = tw.automorphism_matrix(), _merged_matrix(tw)
+    assert got == want
+    assert [[type(c) for c in row] for row in got] == \
+        [[type(c) for c in row] for row in want]
+
+
+def test_cancelling_semisimple_steps_give_the_identity_in_cyc_entries():
+    # the merged form saw no semisimple part and gave Fractions; the
+    # product multiplies roots of unity back to 1
+    tw = _oracle_chain(MOD, [{"h1": F(1, 2)}, {"h1": F(-1, 2)}])
+    got = tw.automorphism_matrix()
+    assert got == _merged_matrix(tw)
+    assert got == [[F(int(i == j)) for j in range(3)] for i in range(3)]
+    assert any(isinstance(c, Cyc) for row in got for c in row)

@@ -277,4 +277,5 @@ def test_equivariance_sums_equal_the_direct_series():
                     assert got.terms[key].c == vec.c, (path.stem, name, key)
                     assert got.terms[key].truncated == vec.truncated
     assert built == ["sl2_nilpotent", "sl2_semisimple", "a2_diagram",
-                     "a2_two_inner_steps", "a3_diagram", "a4_diagram", "sl2_branch3"]
+                     "a2_transport_then_inner", "a2_two_inner_steps", "a3_diagram",
+                     "a4_diagram", "sl2_branch3"]
