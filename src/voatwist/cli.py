@@ -19,7 +19,6 @@ configs, bad command lines and report paths that cannot be written exit 64.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -625,6 +624,8 @@ def render_csv(report: dict) -> str:
     Three record kinds share the column layout; nested values (witness,
     details, ops) are embedded as compact JSON so nothing is lost.
     """
+    import csv  # only this output format needs it: no import on every run
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["record", "field1", "field2", "field3", "field4", "field5"])

@@ -428,8 +428,13 @@ def mode_table_entry(twisted: TwistedModule, b, m, l: int = 0):
     coefficient} and scalar the accumulated multiple of the identity, so
 
         b_(m, l)  =  sum ops[gi, mode] * b_gi(mode)  +  scalar * Id.
+
+    Behind a conjugator tau the table is that of tau^-1 b: the transported
+    b_(m, l) is the untransported (tau^-1 b)_(m, l).
     """
     elt = twisted.base._as_elt(b)
+    if twisted.conjugator is not None:
+        elt = twisted.conjugator.inverse()(elt)
     return twisted._fold_mode(len(twisted.steps), elt, int_if_integral(m), int(l))
 
 

@@ -16,7 +16,6 @@ for every compared pair, and series_eq itself reads no flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -77,19 +76,34 @@ F = Fraction
 # -- reports ----------------------------------------------------------------
 
 
-@dataclass
 class CheckReport:
     """Outcome of one named check.
 
     status is "pass", "fail", or "uncertifiable".  A fail always carries a
     witness dict pointing at the first offending coefficient; uncertifiable
     reports describe the inspected window instead of claiming either side.
+    A plain slotted record: importing dataclasses would load inspect and
+    a dozen more modules on every run.
     """
 
-    name: str
-    status: str
-    witness: dict | None = None
-    details: dict = field(default_factory=dict)
+    __slots__ = ("name", "status", "witness", "details")
+
+    def __init__(self, name: str, status: str, witness: dict | None = None,
+                 details: dict | None = None):
+        self.name = name
+        self.status = status
+        self.witness = witness
+        self.details = {} if details is None else details
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.status, self.witness, self.details)
+                == (other.name, other.status, other.witness, other.details))
+
+    def __repr__(self):
+        return (f"CheckReport(name={self.name!r}, status={self.status!r}, "
+                f"witness={self.witness!r}, details={self.details!r})")
 
     def to_dict(self) -> dict:
         return {
@@ -521,6 +535,9 @@ def check_mode_tables(twisted: TwistedModule, mode_span=3, weight=3,
     def cases():
         for b in alg.names:
             belt = alg.generator(b)
+            if twisted.conjugator is not None:
+                # the table of b is that of tau^-1 b
+                belt = twisted.conjugator.inverse()(belt)
             for m in mode_candidates(mode_span, order):
                 mode = fmt_rational(m)
                 for l in range(0, int(log_max) + 2):
@@ -610,6 +627,11 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
 
     blocked = {}
     offsets = twisted.grading()[0]
+    if twisted.conjugator is not None:
+        # offsets are in the steps' frame: behind a conjugator tau, b has
+        # the class of the generator that tau^-1 b is a multiple of
+        offsets = [offsets[terms[0][0]] if len(terms := elt.terms()) == 1 else None
+                   for elt in map(twisted.conjugator.inverse(), alg.basis())]
     # the case (c, b, n, m) compares the same two products as (b, c, m, n),
     # swapped: whichever runs first builds them and keeps them for the
     # other, so each product is built once and held only until its partner

@@ -284,13 +284,33 @@ def test_the_conformal_shift_reads_the_current_in_the_previous_frame():
     assert status == 0 and report["checks"][0]["status"] == "pass"
 
 
-@pytest.mark.xfail(strict=True, reason="mode_table_entry and grading() ignore "
-                   "the conjugator")
 def test_twisted_commutators_after_a_transport():
     cfg = _transported_chain(*_TRANSPORTED_SEMISIMPLE, 6,
                              [{"name": "commutator", "modeSpan": 1, "weight": 1}])
     report, _ = run_config(cfg, with_checks=True)
     assert report["checks"][0]["status"] == "pass"
+
+
+_FLIP = _step("transportTau", permutation=[2, 1])
+
+
+@pytest.mark.parametrize("chain", [
+    [_FLIP],
+    [_step("innerSemisimple", current={"h1": "1/2", "h2": "1/2"}), _FLIP],
+    [_FLIP, _step("innerSemisimple", current={"h1": "1/3", "h2": "2/3"})],
+], ids=["flip", "semisimple-then-flip", "flip-then-semisimple"])
+def test_mode_tables_and_commutators_read_a_transported_generator(chain):
+    # the transported b_(m) is the untransported (tau^-1 b)_(m): the table,
+    # the class of b and the relabeling formula must all read tau^-1 b, or
+    # both checks fail at e1 on |0>
+    cfg = parse_config(base_config(
+        algebra={"type": "A", "rank": 2}, level=1, twistChain=chain,
+        checks=[{"name": "tables", "modeSpan": 1, "weight": 1},
+                {"name": "commutator", "modeSpan": 1, "weight": 1}]))
+    report, status = run_config(cfg, with_checks=True)
+    assert status == 0
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("mode-tables", "pass"), ("twisted-commutators", "pass")]
 
 
 @pytest.mark.parametrize("over,check", [

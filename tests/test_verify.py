@@ -223,6 +223,23 @@ def test_report_dict_is_order_independent():
     assert keys == sorted(keys)
 
 
+def test_reports_keep_the_dataclass_contract():
+    # details defaults to a fresh dict for each report, as a dataclass
+    # default_factory gives it: a shared default would leak between reports
+    a, b = CheckReport("demo", "pass"), CheckReport("demo", "pass")
+    a.details["comparisons"] = 1
+    assert b.details == {} and a.witness is None
+    # == compares all four fields, and only between reports
+    assert CheckReport("demo", "pass") == CheckReport("demo", "pass", None, {})
+    for other in [CheckReport("other", "pass"), CheckReport("demo", "fail"),
+                  CheckReport("demo", "pass", witness={}),
+                  CheckReport("demo", "pass", details={"comparisons": 1}),
+                  ("demo", "pass", None, {})]:
+        assert CheckReport("demo", "pass") != other
+    assert repr(a) == ("CheckReport(name='demo', status='pass', witness=None, "
+                       "details={'comparisons': 1})")
+
+
 @pytest.mark.parametrize("e", [0, 1, -2, F(1, 2), F(-1, 3)], ids=str)
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_substitution_tables_match_sympy_series(e, k):
@@ -277,5 +294,5 @@ def test_equivariance_sums_equal_the_direct_series():
                     assert got.terms[key].c == vec.c, (path.stem, name, key)
                     assert got.terms[key].truncated == vec.truncated
     assert built == ["sl2_nilpotent", "sl2_semisimple", "a2_diagram",
-                     "a2_transport_then_inner", "a2_two_inner_steps", "a3_diagram",
-                     "a4_diagram", "sl2_branch3"]
+                     "a2_transport_tables", "a2_transport_then_inner",
+                     "a2_two_inner_steps", "a3_diagram", "a4_diagram", "sl2_branch3"]
