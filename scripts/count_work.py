@@ -13,6 +13,10 @@ the workload's set-up and one warm-up pass, then prints one JSON line:
                       opcodes are counted (from Python 3.12 on, Fraction
                       arithmetic builds its results without __new__, so
                       compare counts taken on one Python version)
+  heap_peak_bytes_per_pass
+                      the tracemalloc peak over one more warm pass, above
+                      the traced heap at its start: the most memory the
+                      pass's own allocations held at once
   digest_mismatches   ops, over every pass run here, whose output differs
                       from perfbench/golden.json; the script exits 1 when
                       any does, and 0 otherwise (the counts have no bound)
@@ -34,7 +38,8 @@ counts; it exits 1 when either side has a digest mismatch:
 With ``--config PATH`` in place of ``--workload`` the script counts one
 in-process ``voatwist run PATH --format json`` instead, after one warm-up
 run of the same config, and prints ``opcodes_per_run``,
-``fractions_per_run`` and ``golden_mismatches``: the counted runs whose
+``fractions_per_run``, ``heap_peak_bytes_per_run`` and
+``golden_mismatches``: the counted runs whose
 exit code or stdout differs from the config's recording under
 tests/golden/ (``<stem>.run.json`` and its entry in cli_exit_codes.json),
 exiting 1 when any does.  A config with no recording is refused.
@@ -55,6 +60,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -99,6 +105,23 @@ def count_fractions(fn):
     finally:
         Fraction.__new__ = original
     return result, count
+
+
+def count_heap(fn):
+    """(fn(), the tracemalloc peak while it ran above the traced heap at
+    its start).  Tracing is started for the call only if it was off."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak - start
 
 
 def _args():
@@ -181,8 +204,10 @@ def count_config(path: str) -> int:
     counted(lambda fn: (fn(), 0))  # warm-up
     opcodes = counted(count_opcodes)
     fractions = counted(count_fractions)
+    heap = counted(count_heap)
     print(json.dumps({"config": os.path.relpath(path), "opcodes_per_run": opcodes,
-                      "fractions_per_run": fractions, "golden_mismatches": mismatches}))
+                      "fractions_per_run": fractions, "heap_peak_bytes_per_run": heap,
+                      "golden_mismatches": mismatches}))
     return 1 if mismatches else 0
 
 
@@ -219,10 +244,11 @@ def main() -> int:
         counted(lambda fn: (fn(), 0))  # warm-up
         opcodes = counted(count_opcodes)
         fractions = counted(count_fractions)
+        heap = counted(count_heap)
     finally:
         wl.cleanup()
     print(json.dumps({"workload": args.workload, "opcodes_per_pass": opcodes,
-                      "fractions_per_pass": fractions,
+                      "fractions_per_pass": fractions, "heap_peak_bytes_per_pass": heap,
                       "digest_mismatches": mismatches}))
     return 1 if mismatches else 0
 

@@ -581,15 +581,11 @@ def build_report(run: BuiltRun, reports) -> dict:
             notices.append(f"graded dimensions omitted: {exc}")
             report["gradedDimensions"] = None
 
-    if run.twisted.conjugator is not None:
-        notices.append("mode tables omitted: the chain has a transport step")
-        report["modeTables"] = []
-    else:
-        span = out.get("modeSpan", 2)
-        log_max = out.get("logMax", verify.chain_log_bound(run.twisted))
-        report["modeTables"] = mode_table_rows(
-            run.twisted, mode_candidates(span, order), log_max)
-        report["modeTableWindow"] = {"modeSpan": span, "logMax": log_max}
+    span = out.get("modeSpan", 2)
+    log_max = out.get("logMax", verify.chain_log_bound(run.twisted))
+    report["modeTables"] = mode_table_rows(
+        run.twisted, mode_candidates(span, order), log_max)
+    report["modeTableWindow"] = {"modeSpan": span, "logMax": log_max}
 
     report["checks"] = [r.to_dict() for r in reports]
     statuses = [r.status for r in reports]

@@ -12,8 +12,12 @@ central terms are ints, so the integral case pays for no Fraction product.
 
 The module tracks a weight cutoff.  Results that would need monomials
 beyond the cutoff get their ``truncated`` flag set; everything below the
-cutoff is exact.  Vertex operator series are computed through the standard
-iterate reconstruction
+cutoff is exact.  The memoized mode action b(m) on one monomial is the
+image dict alone: every monomial of b(m) mono has weight wt(mono) - m, so
+the cutoff keeps all of an image or none of it.  An image above the cutoff
+is the shared read-only LOST, an exact zero the shared read-only ZERO, and
+apply_mode flags its output when it reads LOST.  Vertex operator series are
+computed through the standard iterate reconstruction
 
     Y(a(m)v, x) = sum_i C(m,i) [ (-x)^i a(m-i) Y(v,x) - (-x)^(m-i) Y(v,x) a(i) ]
 
@@ -42,6 +46,7 @@ basis monomial is that image itself, shared and read-only.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import CriticalLevel, DomainError, Unsupported
 from .lie import LieAlgebra, LieElt
@@ -56,6 +61,10 @@ __all__ = [
 ]
 
 F = Fraction
+
+# the images _act shares: every exact zero, and every image above the cutoff
+ZERO = MappingProxyType({})
+LOST = MappingProxyType({})
 
 
 def _canonical_key(gen, mode):
@@ -123,32 +132,34 @@ class InducedModule:
 
     @memo
     def _act(self, gi: int, m: int, mono):
-        """b_gi(m) applied to one monomial: (dict mono->coeff, truncated)."""
+        """b_gi(m) applied to one monomial of weight at most the cutoff, as
+        a dict mono -> coeff: the shared LOST when its weight wt(mono) - m
+        passes the cutoff, the shared ZERO when it is an exact zero."""
         if not mono:
             if m >= 0:
-                return {}, False
-            return ({}, True) if -m > self.cutoff else ({((gi, m),): 1}, False)
+                return ZERO
+            return LOST if -m > self.cutoff else {((gi, m),): 1}
         g1, m1 = mono[0]
         if m < 0 and _canonical_key(gi, m) <= _canonical_key(g1, m1):
             new = ((gi, m),) + mono
-            if monomial_weight(new) > self.cutoff:
-                return {}, True
-            return {new: 1}, False
+            return LOST if monomial_weight(new) > self.cutoff else {new: 1}
         rest = mono[1:]
         acc = {}
-        inner, trunc = self._act(gi, m, rest)
+        inner = self._act(gi, m, rest)
+        lost = inner is LOST
         for mono2, c2 in inner.items():
-            sub, t2 = self._act(g1, m1, mono2)
-            trunc = trunc or t2
+            sub = self._act(g1, m1, mono2)
+            lost = lost or sub is LOST
             accumulate(acc, sub, c2)
         struct, gram = self.algebra._tables()
         for k, ck in struct[gi][g1]:
-            sub, t3 = self._act(k, m + m1, rest)
-            trunc = trunc or t3
+            sub = self._act(k, m + m1, rest)
+            lost = lost or sub is LOST
             accumulate(acc, sub, ck)
         if m + m1 == 0 and m and gram[gi][g1]:
             accumulate(acc, {rest: int_if_integral(m * gram[gi][g1] * self.level)})
-        return acc, trunc
+        # every term has one weight, so a lost term leaves acc empty
+        return LOST if lost else acc or ZERO
 
     def apply_mode(self, x, m: int, vec: PBWVector) -> PBWVector:
         """x(m) vec for x in the algebra (name, LieElt) and integer mode m."""
@@ -165,8 +176,9 @@ class InducedModule:
         for mono, coeff in vec.c.items():
             for gi, cg in coords:
                 hit = known.get((gi, m, mono))
-                sub, t = act(gi, m, mono) if hit is None else hit
-                trunc = trunc or t
+                sub = act(gi, m, mono) if hit is None else hit
+                if sub is LOST:
+                    trunc = True
                 for mono2, c2 in sub.items():
                     s = out[mono2] + (cg * c2) * coeff if mono2 in out else (cg * c2) * coeff
                     if not s:
@@ -284,7 +296,7 @@ class InducedModule:
             for e in (*range(ceiling + 1),
                       *range(min(m, ceiling), m - monomial_weight(mw) - 1, -1)):
                 hit = self._act_cache.get((gi, m - e, mw))
-                moved = (self._act(gi, m - e, mw) if hit is None else hit)[0]
+                moved = self._act(gi, m - e, mw) if hit is None else hit
                 if moved:
                     # _act's memo dict itself when the binomial is 1: never mutated
                     c = _one_factor(m, e)
@@ -308,7 +320,7 @@ class InducedModule:
         # sum 2: -C(m,i) (-x)^(m-i) Y(rest, x) (a(i) mw)
         dw = monomial_weight(mw)
         for i in range(0, dw + 1):
-            moved = self._act(gi, i, mw)[0]  # _act's memoized dict: never mutated
+            moved = self._act(gi, i, mw)  # _act's memoized dict: never mutated
             if not moved:
                 continue
             coeff = -binom(m, i) if (m - i) % 2 == 0 else binom(m, i)
@@ -328,8 +340,7 @@ class InducedModule:
     def apply_mode_dict(self, gi, m, vec_dict):
         out = {}
         for mono, coeff in vec_dict.items():
-            sub, _t = self._act(gi, int(m), mono)
-            accumulate(out, sub, coeff)
+            accumulate(out, self._act(gi, int(m), mono), coeff)
         return out
 
     def vertex_series(self, v: PBWVector, w: PBWVector, ceiling) -> LogSeries:
@@ -405,7 +416,7 @@ class InducedModule:
                         bucket = self._vs_mono(mv, mw, e).get(e)
                     else:
                         hit = known.get((*act, mw))
-                        bucket = (self._act(*act, mw) if hit is None else hit)[0]
+                        bucket = self._act(*act, mw) if hit is None else hit
                     if bucket:
                         accumulate(out, bucket, cv * cw)
             deep = depth is not None and bool(wc) and depth + w.depth() + e > self.cutoff

@@ -633,9 +633,10 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
         offsets = [offsets[terms[0][0]] if len(terms := elt.terms()) == 1 else None
                    for elt in map(twisted.conjugator.inverse(), alg.basis())]
     # the case (c, b, n, m) compares the same two products as (b, c, m, n),
-    # swapped: whichever runs first builds them and keeps them for the
-    # other, so each product is built once and held only until its partner
-    # case has run (b_(m) b_(m) w is its own partner and is built once)
+    # swapped, and its right side is minus the other's ([c, b] = -[b, c],
+    # and the central term flips sign): whichever runs first builds them
+    # and keeps them for the other, so each is built once and held only
+    # until its partner case has run (b_(m) b_(m) w is its own partner)
     kept = {}
 
     def cases():
@@ -662,16 +663,17 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
                     if abs(n) > mode_span:
                         continue
                     cop, cops = gen_mode(cname, n)
-                    entry = (mode_table_entry(twisted, bracket, m + n)[0], 0)
-                    central = 0
-                    for (gi, p), bco in bops.items():
-                        for (gj, q), cco in cops.items():
-                            if p + q == 0:
-                                pairing = alg.form(alg._basis_elt(gi),
-                                                   alg._basis_elt(gj))
-                                central += bco * cco * p * pairing * level
                     modes = f"{fmt_rational(m)},{fmt_rational(n)}"
                     shared = kept.pop((bname, cname, m, n), None)
+                    if shared is None:
+                        entry = (mode_table_entry(twisted, bracket, m + n)[0], 0)
+                        central = 0
+                        for (gi, p), bco in bops.items():
+                            for (gj, q), cco in cops.items():
+                                if p + q == 0:
+                                    pairing = alg.form(alg._basis_elt(gi),
+                                                       alg._basis_elt(gj))
+                                    central += bco * cco * p * pairing * level
                     keep = partner_later or bname == cname and n > m
                     if keep:
                         kept[cname, bname, n, m] = held = []
@@ -679,17 +681,19 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
                         if shared is None:
                             bc = bop(cop(w))
                             cb = bc if bop is cop else cop(bop(w))
+                            image = images.get((m + n, i))
+                            if image is None:
+                                image = images[m + n, i] = apply_table_entry(module, entry, w)
+                            rhs = image + central * w if central else image
                         else:
-                            # the partner's b_(m) c_(n) w is this case's cb
-                            cb, bc = shared[i]
+                            # the partner's b_(m) c_(n) w is this case's cb, and
+                            # this case's right side is minus the partner's
+                            cb, bc, rhs = shared[i]
+                            rhs = -rhs
                             shared[i] = None
                         if keep:
-                            held.append((bc, cb))
+                            held.append((bc, cb, rhs))
                         lhs = bc - cb
-                        image = images.get((m + n, i))
-                        if image is None:
-                            image = images[m + n, i] = apply_table_entry(module, entry, w)
-                        rhs = image + central * w if central else image
                         yield _vector_case(alg, lhs, rhs, name, generatorPair=pair,
                                            modes=modes, state=wlabel)
 

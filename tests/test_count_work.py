@@ -4,6 +4,7 @@ import importlib.util
 import json
 import pathlib
 import sys
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -44,6 +45,25 @@ def test_fraction_count_is_the_objects_built_and_the_class_is_restored():
     assert Fraction(3, 6) == Fraction(1, 2)
 
 
+def test_heap_count_is_the_peak_above_the_start_and_tracing_is_restored():
+    assert not tracemalloc.is_tracing()
+    result, held = count_work.count_heap(lambda: len(bytearray(1_000_000)))
+    assert result == 1_000_000
+    assert 1_000_000 <= held < 1_010_000
+    assert count_work.count_heap(lambda: len(bytearray(1_000_000)))[1] == held
+    assert not tracemalloc.is_tracing()
+    # inside a caller's tracing the count starts from what is already traced
+    tracemalloc.start()
+    try:
+        kept = bytearray(2_000_000)
+        inside = count_work.count_heap(lambda: len(bytearray(1_000_000)))[1]
+        assert 1_000_000 <= inside < 1_010_000
+        assert tracemalloc.is_tracing()
+    finally:
+        tracemalloc.stop()
+    del kept
+
+
 class _OneOp:
     """A workload of one op whose output is always "out"."""
 
@@ -71,7 +91,7 @@ def test_a_digest_mismatch_is_exit_1(monkeypatch, tmp_path, capsys, recorded, co
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.chdir(tmp_path)  # main changes directory; this restores it
     assert count_work.main() == code
-    assert json.loads(capsys.readouterr().out)["digest_mismatches"] == 3 * code
+    assert json.loads(capsys.readouterr().out)["digest_mismatches"] == 4 * code
 
 
 @pytest.mark.parametrize("mismatches,code", [((0, 0), 0), ((2, 0), 1), ((0, 1), 1)])
@@ -117,11 +137,12 @@ def test_config_counts_a_warm_run_against_its_recording(monkeypatch, capsys):
     line = json.loads(capsys.readouterr().out)
     assert line["golden_mismatches"] == 0
     assert line["opcodes_per_run"] > 0 and line["fractions_per_run"] > 0
+    assert line["heap_peak_bytes_per_run"] > 0
     assert line["config"].endswith("not_fixed.json")
 
 
 @pytest.mark.parametrize("code,stdout,mismatches", [
-    (0, "out", 0), (0, "other", 3), (2, "out", 3)])
+    (0, "out", 0), (0, "other", 4), (2, "out", 4)])
 def test_a_config_run_apart_from_its_recording_is_exit_1(monkeypatch, tmp_path, capsys,
                                                          code, stdout, mismatches):
     golden = tmp_path / "tests" / "golden"
@@ -141,8 +162,8 @@ def test_a_config_run_apart_from_its_recording_is_exit_1(monkeypatch, tmp_path, 
     monkeypatch.setattr(sys, "argv", ["count_work.py", "--config", "cfg.json"])
     assert count_work.main() == (1 if mismatches else 0)
     assert json.loads(capsys.readouterr().out)["golden_mismatches"] == mismatches
-    # a warm-up run, then the opcode and the Fraction counts
-    assert ran == [["run", str(pathlib.Path("cfg.json").resolve()), "--format", "json"]] * 3
+    # a warm-up run, then the opcode, the Fraction and the heap counts
+    assert ran == [["run", str(pathlib.Path("cfg.json").resolve()), "--format", "json"]] * 4
     monkeypatch.setattr(sys, "argv", ["count_work.py", "--config", "unrecorded.json"])
     with pytest.raises(SystemExit, match="no recording"):
         count_work.main()

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voatwist.errors import CriticalLevel, DomainError, Unsupported
-from voatwist.fock import PBWVector, build_module, monomial_weight
+from voatwist.fock import LOST, ZERO, PBWVector, build_module, monomial_weight
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc, int_if_integral
-from voatwist.series import value_is_zero
+from voatwist.series import accumulate, value_is_zero
 from voatwist.verify import basis_states
 
 sl2 = build_simple_lie("A", 1)
@@ -262,11 +262,11 @@ def _act_through_bracket(mod, gi, m, g1, m1):
         return {((gi, m), (g1, m1)): 1}
     acc = {}
     if m < 0:
-        acc = dict(mod._act(g1, m1, ((gi, m),))[0])
+        acc = dict(mod._act(g1, m1, ((gi, m),)))
     br = alg.bracket(alg._basis_elt(gi), alg._basis_elt(g1))
     for k, ck in enumerate(br.coords):
         if ck:
-            for mono2, c2 in mod._act(k, m + m1, ())[0].items():
+            for mono2, c2 in mod._act(k, m + m1, ()).items():
                 acc[mono2] = acc.get(mono2, 0) + int_if_integral(ck) * c2
     if m + m1 == 0 and m:
         pair = alg.form(alg._basis_elt(gi), alg._basis_elt(g1))
@@ -283,10 +283,67 @@ def test_mode_action_reads_the_structure_table(level):
         for g1 in range(sl3.dim):
             for m in modes:
                 for m1 in modes:
-                    got, trunc = mod._act(gi, m, ((g1, m1),))
+                    got = mod._act(gi, m, ((g1, m1),))
+                    trunc = got is LOST
                     want = _act_through_bracket(mod, gi, m, g1, m1)
                     assert _typed(got) == _typed(want), (gi, m, g1, m1)
                     assert not trunc
+
+
+def _first_act(mod, known, gi, m, mono):
+    """b_gi(m) on one monomial as the (dict, truncated) pair of the recursion
+    that preceded the shared LOST and ZERO images, memoized in known."""
+    key = (gi, m, mono)
+    if key in known:
+        return known[key]
+    if not mono:
+        out = ({}, False) if m >= 0 else \
+            ({}, True) if -m > mod.cutoff else ({((gi, m),): 1}, False)
+    elif m < 0 and (-m, gi) <= (-mono[0][1], mono[0][0]):
+        new = ((gi, m),) + mono
+        out = ({}, True) if monomial_weight(new) > mod.cutoff else ({new: 1}, False)
+    else:
+        (g1, m1), rest = mono[0], mono[1:]
+        acc = {}
+        inner, trunc = _first_act(mod, known, gi, m, rest)
+        for mono2, c2 in inner.items():
+            sub, t2 = _first_act(mod, known, g1, m1, mono2)
+            trunc = trunc or t2
+            accumulate(acc, sub, c2)
+        struct, gram = mod.algebra._tables()
+        for k, ck in struct[gi][g1]:
+            sub, t3 = _first_act(mod, known, k, m + m1, rest)
+            trunc = trunc or t3
+            accumulate(acc, sub, ck)
+        if m + m1 == 0 and m and gram[gi][g1]:
+            accumulate(acc, {rest: int_if_integral(m * gram[gi][g1] * mod.level)})
+        out = acc, trunc
+    known[key] = out
+    return out
+
+
+@pytest.mark.parametrize("rank", [1, 2], ids=["A1", "A2"])
+def test_mode_action_images_match_the_flagged_recursion(rank):
+    alg = build_simple_lie("A", rank)
+    lost = 0
+    for cutoff in (2, 3, 4):
+        mod = build_module(alg, F(1), cutoff=cutoff)
+        known = {}
+        monos = [mono for w in range(cutoff + 1) for mono in mod.basis(w)]
+        for gi in range(alg.dim):
+            for m in range(-3, 4):
+                for mono in monos:
+                    got = mod._act(gi, m, mono)
+                    want, flagged = _first_act(mod, known, gi, m, mono)
+                    assert _typed(got) == _typed(want), (gi, m, mono)
+                    assert (got is LOST) == flagged, (gi, m, mono)
+                    assert (got is ZERO) == (not want and not flagged), (gi, m, mono)
+                    lost += flagged
+    assert lost
+    for shared in (ZERO, LOST):
+        with pytest.raises(TypeError):
+            shared[()] = 1
+    assert ZERO is not LOST
 
 
 def _sugawara_loop(mod, n, vec):

@@ -265,7 +265,7 @@ def first_vs_mono(mod, mv, mw, ceiling):
                 accumulate(acc.setdefault(e2 + i, {}), moved, coeff)
     for i in range(monomial_weight(mw) + 1):
         coeff = -binom(m, i) if (m - i) % 2 == 0 else binom(m, i)
-        for mono2, c2 in mod._act(gi, i, mw)[0].items():
+        for mono2, c2 in mod._act(gi, i, mw).items():
             for e2, vec in first_vs_mono(mod, rest, mono2, ceiling - (m - i)).items():
                 if e2 + m - i <= ceiling:
                     accumulate(acc.setdefault(e2 + m - i, {}), vec, coeff * c2)
@@ -458,29 +458,14 @@ def _commutator_lhs(tw, b, c, m, n, w):
 
 def test_partner_case_witness_matches_fresh_operators():
     # the right side of the pair f1,e1 reads as zero, so the first failure
-    # is a case of the partner pair, whose two products were built and
-    # kept by the pair e1,f1; its left side must equal one read with
-    # operators built afresh
+    # is a case of the partner pair, whose two products and right side
+    # were built and kept by the pair e1,f1; its left side must equal one
+    # read with operators built afresh
     tw = twisted("level 2", "h1=1/2")
-    calls = []
-    real = verify.apply_table_entry
-
-    def counted(module, entry, vec):
-        calls.append(None)
-        return real(module, entry, vec)
-
-    with mock.patch.object(verify, "apply_table_entry", counted):
-        alone = check_twisted_commutators(tw, pairs=[("e1", "f1")], mode_span=1,
-                                          weight=2)
+    alone = check_twisted_commutators(tw, pairs=[("e1", "f1")], mode_span=1, weight=2)
     assert alone.status == "pass"
-    first_pair = len(calls)
-
-    def zero_after_first_pair(module, entry, vec):
-        calls.append(None)
-        return real(module, entry, vec) if len(calls) <= first_pair else PBWVector()
-
-    calls.clear()
-    with mock.patch.object(verify, "apply_table_entry", zero_after_first_pair):
+    # the partner negates the kept right side: read that as zero
+    with mock.patch.object(PBWVector, "__neg__", lambda vec: PBWVector()):
         report = check_twisted_commutators(tw, pairs=[("e1", "f1"), ("f1", "e1")],
                                            mode_span=1, weight=2)
     assert report.status == "fail"
@@ -511,6 +496,30 @@ def test_commutators_pass_with_and_without_partners(pairs):
     cases = sum(modes(b) * modes(c) for b, c in pairs) * len(basis_states(tw.base, 1))
     assert report.status == "pass"
     assert report.details == {"comparisons": cases, "modeSpan": 1, "pairs": len(pairs)}
+
+
+def test_a_pair_after_its_partner_builds_no_right_side():
+    # the right side of (c, b, n, m) is minus that of (b, c, m, n), read
+    # from the partner's kept cases: every pair calls the tables as often as
+    # the pairs whose partner does not come earlier
+    tw = twisted("level 2", "h1=1/2")
+    real = verify.apply_table_entry
+    calls = []
+
+    def counted(module, entry, vec):
+        calls.append(None)
+        return real(module, entry, vec)
+
+    every = [(b, c) for b in sl2.names for c in sl2.names]
+    first = [(b, c) for at, (b, c) in enumerate(every) if (c, b) not in every[:at]]
+    counts = []
+    for pairs in (every, first):
+        calls.clear()
+        with mock.patch.object(verify, "apply_table_entry", counted):
+            report = check_twisted_commutators(tw, pairs=pairs, mode_span=1, weight=2)
+        assert report.status == "pass"
+        counts.append(len(calls))
+    assert len(first) == 6 and counts[0] == counts[1] > 0
 
 
 # -- the Sugawara L(n) -----------------------------------------------------------

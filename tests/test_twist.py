@@ -167,6 +167,52 @@ def test_transport_by_diagram_flip():
     assert series_eq(moved.chain_transform(v), tw3.chain_transform(pre)) is None
 
 
+def _relabeling_pair():
+    """A2, level 1, cutoff 7, the flip tau: the chain [u1, tau, u2] and the
+    chain [tau u1, u2], with u1 = h1/3 + 2 h2/3 and u2 = h1/2."""
+    sl3 = build_simple_lie("A", 2)
+    mod3 = build_module(sl3, F(1), cutoff=7)
+    tau = diagram_automorphism(sl3, [2, 1])
+    u1 = mod3.current(sl3.element({"h1": F(1, 3), "h2": F(2, 3)}))
+    u2 = mod3.current(sl3.element({"h1": F(1, 2)}))
+    chain_a = make_twisted(transport_tau(make_twisted(mod3, u1), tau), u2)
+    chain_b = make_twisted(make_twisted(mod3, apply_lie_matrix(mod3, tau.matrix, u1)), u2)
+    return mod3, tau, chain_a, chain_b
+
+
+def test_a_transported_chain_is_its_relabeled_chain():
+    # the transport is an isomorphism through tau acting on W:
+    # Y_B(v, x) tau w = tau(Y_A(v, x) w), series by series and mode by mode
+    mod3, tau, chain_a, chain_b = _relabeling_pair()
+
+    def moved(vec):
+        return apply_lie_matrix(mod3, tau.matrix, vec)
+
+    targets = basis_states(mod3, 1)
+    states = [v for v, _label in basis_states(mod3, 2) if v.depth() >= 1]
+    pairs = [(v, w) for v in states for w, _label in targets]
+    assert len(pairs) == 468
+    for v, w in pairs:
+        want = chain_a.vertex_series(v, w, 1)
+        want = LogSeries({key: moved(vec) for key, vec in want.terms.items()}, 1)
+        got = chain_b.vertex_series(v, moved(w), 1)
+        assert not any(vec.truncated for vec in got.terms.values())
+        assert series_eq(got, want) is None, (v, w)
+    nonzero = 0
+    for name in mod3.algebra.names:
+        for m in mode_candidates(1, 6):
+            op_a, op_b = chain_a.gen_mode(name, m), chain_b.gen_mode(name, m)
+            for w, _label in targets:
+                got = op_b(moved(w))
+                assert (got - moved(op_a(w))).is_zero(), (name, m, w)
+                nonzero += not got.is_zero()
+    assert nonzero == 106
+    # negative control: the identity in place of tau
+    apart = sum(series_eq(chain_b.vertex_series(v, w, 1), chain_a.vertex_series(v, w, 1))
+                is not None for v, w in pairs if v.depth() == 1)
+    assert apart == 66
+
+
 def test_functor_transports_scalar_maps():
     # a scalar map commutes with every vertex operator, so no probe fails
     assert functor_on_map(TW, [ModuleMap(default=F(3))], probe_weight=2) == [None]
