@@ -20,6 +20,11 @@ the workload's set-up and one warm-up pass, then prints one JSON line:
   digest_mismatches   ops, over every pass run here, whose output differs
                       from perfbench/golden.json; the script exits 1 when
                       any does, and 0 otherwise (the counts have no bound)
+  compile_peak_bytes  the largest tracemalloc peak of compile() over the
+                      counted tree's src/voatwist/*.py, each file compiled
+                      in a fresh interpreter: a run that starts without
+                      bytecode (PYTHONDONTWRITEBYTECODE, or a tree with no
+                      __pycache__) compiles every module it imports
 
 The counts do not depend on the host's speed or load, so a change can be
 compared with its parent on one run each; a counted pass takes a few
@@ -38,8 +43,8 @@ counts; it exits 1 when either side has a digest mismatch:
 With ``--config PATH`` in place of ``--workload`` the script counts one
 in-process ``voatwist run PATH --format json`` instead, after one warm-up
 run of the same config, and prints ``opcodes_per_run``,
-``fractions_per_run``, ``heap_peak_bytes_per_run`` and
-``golden_mismatches``: the counted runs whose
+``fractions_per_run``, ``heap_peak_bytes_per_run``, ``compile_peak_bytes``
+and ``golden_mismatches``: the counted runs whose
 exit code or stdout differs from the config's recording under
 tests/golden/ (``<stem>.run.json`` and its entry in cli_exit_codes.json),
 exiting 1 when any does.  A config with no recording is refused.
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import glob
 import io
 import json
 import os
@@ -122,6 +128,31 @@ def count_heap(fn):
         if not tracing:
             tracemalloc.stop()
     return result, peak - start
+
+
+# one compile() of the file sys.argv[1], its tracemalloc peak printed
+_COMPILE_PEAK = """
+import sys, tracemalloc
+with open(sys.argv[1], encoding="utf-8") as fh:
+    source = fh.read()
+tracemalloc.start()
+compile(source, sys.argv[1], "exec")
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def compile_peak(paths) -> int:
+    """The largest tracemalloc peak of compile() over the source files
+    paths, each compiled in a fresh isolated interpreter: within one
+    process the peak depends on what ran before it (a rebuild of the
+    interned-string table added 16% to verify.py's second compile)."""
+    return max((int(subprocess.run([sys.executable, "-I", "-S", "-c", _COMPILE_PEAK, path],
+                                   check=True, capture_output=True, text=True).stdout)
+                for path in paths), default=0)
+
+
+def _package_compile_peak() -> int:
+    return compile_peak(sorted(glob.glob(os.path.join(ROOT, "src", "voatwist", "*.py"))))
 
 
 def _args():
@@ -207,6 +238,7 @@ def count_config(path: str) -> int:
     heap = counted(count_heap)
     print(json.dumps({"config": os.path.relpath(path), "opcodes_per_run": opcodes,
                       "fractions_per_run": fractions, "heap_peak_bytes_per_run": heap,
+                      "compile_peak_bytes": _package_compile_peak(),
                       "golden_mismatches": mismatches}))
     return 1 if mismatches else 0
 
@@ -249,6 +281,7 @@ def main() -> int:
         wl.cleanup()
     print(json.dumps({"workload": args.workload, "opcodes_per_pass": opcodes,
                       "fractions_per_pass": fractions, "heap_peak_bytes_per_pass": heap,
+                      "compile_peak_bytes": _package_compile_peak(),
                       "digest_mismatches": mismatches}))
     return 1 if mismatches else 0
 

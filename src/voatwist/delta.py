@@ -186,7 +186,7 @@ def _exp_current_stage(delta: DeltaOperator, v: PBWVector) -> list:
                     acc = moved.c
                     continue
                 k = perm(j - 1, m - 1) * d ** (m - 1)
-                accumulate(acc, moved.c, -k if delta.legacy and m % 2 == 0 else k)
+                accumulate(acc, moved.c.items(), -k if delta.legacy and m % 2 == 0 else k)
         terms.append(PBWVector.adopt(acc, trunc))
         den *= -j * d
         out.append((-j, 0, terms[-1], den))

@@ -12,12 +12,25 @@ central terms are ints, so the integral case pays for no Fraction product.
 
 The module tracks a weight cutoff.  Results that would need monomials
 beyond the cutoff get their ``truncated`` flag set; everything below the
-cutoff is exact.  The memoized mode action b(m) on one monomial is the
-image dict alone: every monomial of b(m) mono has weight wt(mono) - m, so
-the cutoff keeps all of an image or none of it.  An image above the cutoff
-is the shared read-only LOST, an exact zero the shared read-only ZERO, and
-apply_mode flags its output when it reads LOST.  Vertex operator series are
-computed through the standard iterate reconstruction
+cutoff is exact.  The memoized mode action b(m) on one monomial is its
+image alone, frozen as a tuple of (monomial, coefficient) pairs in the
+order its sum produced them: every monomial of b(m) mono has weight
+wt(mono) - m, so the cutoff keeps all of an image or none of it.  An image
+above the cutoff is the shared LOST, which reads as no terms, an exact
+zero the empty tuple ZERO, and apply_mode flags its output when it reads
+LOST.
+
+One table per module shares memo values by content: every frozen image,
+every _vs_mono bucket and every monomial the mode action creates is one
+object, so an equal value is stored once and a dict hit on it compares by
+identity.  Sharing by content is sound only because every stored
+coefficient follows the scalar rule, an integral one stored as an int: 1
+and Fraction(1) are equal and hash alike, so without the rule an image
+holding one could be handed out for the other, and a type-sensitive report
+would change.
+
+Vertex operator series are computed through the standard iterate
+reconstruction
 
     Y(a(m)v, x) = sum_i C(m,i) [ (-x)^i a(m-i) Y(v,x) - (-x)^(m-i) Y(v,x) a(i) ]
 
@@ -37,16 +50,14 @@ Both reads are integer sums: v and w are scaled by the lcm of their
 denominators (no work when every coefficient is an int), the memoized
 buckets are summed per exponent with int scales, and each sum is divided
 once at the end, so the stored coefficients follow the scalar rule and are
-kept without a copy (PBWVector.adopt, LogSeries.from_sums).  The buckets
-are shared by every read, which never mutates them.  The Sugawara L(n) is
-series.linear_image over the memoized image of each monomial, so L(n) of a
-basis monomial is that image itself, shared and read-only.
+kept without a copy (PBWVector.adopt, LogSeries.from_sums).  The Sugawara
+L(n) is series.linear_image over the memoized image of each monomial, so
+L(n) of a basis monomial is that image itself, shared and read-only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from types import MappingProxyType
 
 from .errors import CriticalLevel, DomainError, Unsupported
 from .lie import LieAlgebra, LieElt
@@ -62,9 +73,16 @@ __all__ = [
 
 F = Fraction
 
+
+class _Lost(tuple):
+    """An image with no terms that is not ZERO: its weight passed the cutoff."""
+
+    __slots__ = ()
+
+
 # the images _act shares: every exact zero, and every image above the cutoff
-ZERO = MappingProxyType({})
-LOST = MappingProxyType({})
+ZERO = ()
+LOST = _Lost()
 
 
 def _canonical_key(gen, mode):
@@ -84,6 +102,7 @@ class InducedModule:
         # read on a module that never acted
         self._act_cache = {}
         self._vs_cache = {}
+        self._shared = {}
 
     # -- basic vectors --------------------------------------------------
 
@@ -130,36 +149,54 @@ class InducedModule:
 
     # -- mode action ------------------------------------------------------
 
+    def _share(self, value):
+        """The module's one object equal to value: a monomial, or a frozen
+        image or bucket."""
+        return self._shared.setdefault(value, value)
+
+    def _freeze(self, terms: dict):
+        """The pairs of the coefficient dict terms, in its order, as the
+        module's one tuple of them (ZERO when terms is empty)."""
+        return self._share(tuple(terms.items())) if terms else ZERO
+
     @memo
     def _act(self, gi: int, m: int, mono):
-        """b_gi(m) applied to one monomial of weight at most the cutoff, as
-        a dict mono -> coeff: the shared LOST when its weight wt(mono) - m
-        passes the cutoff, the shared ZERO when it is an exact zero."""
+        """b_gi(m) applied to one monomial of weight at most the cutoff: a
+        frozen image shared by content (_freeze), as is each monomial it
+        creates (the prepended monomial and the suffix rest), LOST at the
+        first term whose weight wt(mono) - m passes the cutoff (every term
+        has that weight), ZERO for an exact zero.  Sharing is sound because
+        accumulate stores an integral coefficient as an int, so 1 and
+        Fraction(1), equal and of one hash, never meet in the table."""
         if not mono:
             if m >= 0:
                 return ZERO
-            return LOST if -m > self.cutoff else {((gi, m),): 1}
+            return LOST if -m > self.cutoff else self._freeze({self._share(((gi, m),)): 1})
         g1, m1 = mono[0]
         if m < 0 and _canonical_key(gi, m) <= _canonical_key(g1, m1):
             new = ((gi, m),) + mono
-            return LOST if monomial_weight(new) > self.cutoff else {new: 1}
-        rest = mono[1:]
-        acc = {}
+            if monomial_weight(new) > self.cutoff:
+                return LOST
+            return self._freeze({self._share(new): 1})
+        rest = self._share(mono[1:])
         inner = self._act(gi, m, rest)
-        lost = inner is LOST
-        for mono2, c2 in inner.items():
+        if inner is LOST:
+            return LOST
+        acc = {}
+        for mono2, c2 in inner:
             sub = self._act(g1, m1, mono2)
-            lost = lost or sub is LOST
+            if sub is LOST:
+                return LOST
             accumulate(acc, sub, c2)
         struct, gram = self.algebra._tables()
         for k, ck in struct[gi][g1]:
             sub = self._act(k, m + m1, rest)
-            lost = lost or sub is LOST
+            if sub is LOST:
+                return LOST
             accumulate(acc, sub, ck)
         if m + m1 == 0 and m and gram[gi][g1]:
-            accumulate(acc, {rest: int_if_integral(m * gram[gi][g1] * self.level)})
-        # every term has one weight, so a lost term leaves acc empty
-        return LOST if lost else acc or ZERO
+            accumulate(acc, ((rest, int_if_integral(m * gram[gi][g1] * self.level)),))
+        return self._freeze(acc)
 
     def apply_mode(self, x, m: int, vec: PBWVector) -> PBWVector:
         """x(m) vec for x in the algebra (name, LieElt) and integer mode m."""
@@ -179,7 +216,7 @@ class InducedModule:
                 sub = act(gi, m, mono) if hit is None else hit
                 if sub is LOST:
                     trunc = True
-                for mono2, c2 in sub.items():
+                for mono2, c2 in sub:
                     s = out[mono2] + (cg * c2) * coeff if mono2 in out else (cg * c2) * coeff
                     if not s:
                         out.pop(mono2, None)
@@ -271,8 +308,9 @@ class InducedModule:
     # -- vertex operators ---------------------------------------------------
 
     def _vs_mono(self, mv, mw, ceiling):
-        """Series dict {int exponent: {mono: coeff}} for Y(mv, x) mw, exact
-        for exponents <= ceiling.
+        """Series dict {int exponent: bucket} for Y(mv, x) mw, exact for
+        exponents <= ceiling, each bucket a frozen tuple of (monomial,
+        coefficient) pairs shared by content as _act's images are.
 
         A coefficient does not depend on the ceiling it was computed at, so
         each pair keeps one memo entry, at the largest ceiling asked for so
@@ -285,7 +323,7 @@ class InducedModule:
         if hit is not None and hit[0] >= ceiling:
             return hit[1]
         if not mv:
-            res = {0: {mw: 1}}
+            res = {0: self._freeze({self._share(mw): 1})}
             self._vs_cache[key] = (ceiling, res)
             return res
         if len(mv) == 1:
@@ -298,12 +336,14 @@ class InducedModule:
                 hit = self._act_cache.get((gi, m - e, mw))
                 moved = self._act(gi, m - e, mw) if hit is None else hit
                 if moved:
-                    # _act's memo dict itself when the binomial is 1: never mutated
+                    # _act's image itself when the binomial is 1
                     c = _one_factor(m, e)
                     if c == 1:
                         res[e] = moved
                     else:
-                        accumulate(res.setdefault(e, {}), moved, c)
+                        bucket = {}
+                        accumulate(bucket, moved, c)
+                        res[e] = self._freeze(bucket)
             self._vs_cache[key] = (ceiling, res)
             return res
         (gi, m), rest = mv[0], mv[1:]
@@ -316,30 +356,31 @@ class InducedModule:
                 if coeff:
                     moved = self.apply_mode_dict(gi, m - i, vec)
                     if moved:
-                        accumulate(acc.setdefault(e2 + i, {}), moved, coeff)
+                        accumulate(acc.setdefault(e2 + i, {}), moved.items(), coeff)
         # sum 2: -C(m,i) (-x)^(m-i) Y(rest, x) (a(i) mw)
         dw = monomial_weight(mw)
         for i in range(0, dw + 1):
-            moved = self._act(gi, i, mw)  # _act's memoized dict: never mutated
+            moved = self._act(gi, i, mw)
             if not moved:
                 continue
             coeff = -binom(m, i) if (m - i) % 2 == 0 else binom(m, i)
             if not coeff:
                 continue
-            for mono2, c2 in moved.items():
+            for mono2, c2 in moved:
                 sub2 = self._vs_mono(rest, mono2, ceiling - (m - i))
                 for e2, vec in sub2.items():
                     e = e2 + (m - i)
                     if e > ceiling:
                         continue
                     accumulate(acc.setdefault(e, {}), vec, coeff * c2)
-        res = {e: bucket for e, bucket in acc.items() if bucket and e <= ceiling}
+        res = {e: self._freeze(bucket) for e, bucket in acc.items() if bucket and e <= ceiling}
         self._vs_cache[key] = (ceiling, res)
         return res
 
-    def apply_mode_dict(self, gi, m, vec_dict):
+    def apply_mode_dict(self, gi, m, terms):
+        """b_gi(m) on the (monomial, coefficient) pairs terms, as a fresh dict."""
         out = {}
-        for mono, coeff in vec_dict.items():
+        for mono, coeff in terms:
             accumulate(out, self._act(gi, int(m), mono), coeff)
         return out
 

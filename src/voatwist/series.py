@@ -13,9 +13,9 @@ given on basis monomials is extended by ``linear_image`` and
 
 Every series is built by one per-key sum: ``series_sum`` runs
 ``LogSeries.add_term`` on a stream of (e, k, coefficient dict, scale,
-flag) items, and ``accumulate`` is the one sum of coefficient dicts under
-it, which stores each sum under the scalar rule (an integral Fraction as
-an int).  ``series_combine`` (add), ``series_scale`` (scalar times a power
+flag) items, and ``accumulate`` is the one sum of (monomial, coefficient)
+pairs under it, which stores each sum under the scalar rule (an integral
+Fraction as an int).  ``series_combine`` (add), ``series_scale`` (scalar times a power
 of x), ``series_derivative`` (d/dx), ``LogSeries.map_values`` and
 ``branch_shift`` (log x -> log x + T, x^e -> zeta^(D e) x^e, the formal
 substitution that moves between analytic branches) are item streams into
@@ -60,12 +60,13 @@ def monomial_weight(mono) -> int:
     return -sum(m for _g, m in mono)
 
 
-def accumulate(out: dict, terms: dict, scale=None) -> None:
-    """Add scale * terms (terms itself if scale is None) into the
+def accumulate(out: dict, terms, scale=None) -> None:
+    """Add scale * terms (terms itself if scale is None), an iterable of
+    (monomial, coefficient) pairs such as a dict's items(), into the
     monomial-to-coefficient dict out, dropping the coefficients that
     cancel.  Each sum is stored under the scalar rule, an integral
     Fraction as an int, so a dict summed here is canonical as it stands."""
-    for mono, c in terms.items():
+    for mono, c in terms:
         if scale is not None:
             c = scale * c
         if mono in out:
@@ -109,7 +110,7 @@ class PBWVector:
 
     def _plus(self, other, scale):
         out = dict(self.c)
-        accumulate(out, other.c, scale)
+        accumulate(out, other.c.items(), scale)
         return PBWVector.adopt(out, self.truncated or other.truncated)
 
     def __add__(self, other):
@@ -214,7 +215,7 @@ class LogSeries:
             vec = self.terms[key] = PBWVector(None, flag)
         elif flag:
             vec.truncated = True
-        accumulate(vec.c, terms, scale)
+        accumulate(vec.c, terms.items(), scale)
         if value_is_zero(vec):
             del self.terms[key]
 
@@ -270,7 +271,7 @@ def linear_image(vec: PBWVector, image) -> PBWVector:
     out, trunc = {}, vec.truncated
     for mono, c in vec.c.items():
         img = image(mono)
-        accumulate(out, img.c, c)
+        accumulate(out, img.c.items(), c)
         trunc = trunc or img.truncated
     return PBWVector.adopt(out, trunc)
 

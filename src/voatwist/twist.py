@@ -290,7 +290,7 @@ class TwistedModule:
                     break
                 c = (-1) ** lp if lp < 2 else F((-1) ** lp, factorial(lp))
                 sub_ops, sub_scalar = self._fold_mode(j - 1, cur, sub_m, l - lp)
-                accumulate(ops_total, sub_ops, c)
+                accumulate(ops_total, sub_ops.items(), c)
                 scalar_total += c * sub_scalar
                 cur = alg.bracket(step.n, cur)
         if m == 0 and l == 0:
@@ -442,11 +442,11 @@ def apply_table_entry(module: InducedModule, entry, vec: PBWVector) -> PBWVector
     ops, scalar = entry
     out = {}
     if scalar:
-        accumulate(out, vec.c, scalar)
+        accumulate(out, vec.c.items(), scalar)
     trunc = vec.truncated
     for (gi, mode), coeff in ops.items():
         moved = module.apply_mode(module.algebra._basis_elt(gi), mode, vec)
-        accumulate(out, moved.c, coeff)
+        accumulate(out, moved.c.items(), coeff)
         trunc = trunc or moved.truncated
     return PBWVector.adopt(out, trunc)
 

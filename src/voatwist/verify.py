@@ -283,7 +283,7 @@ def _log_shift_powers(max_power: int, ceiling: int):
     for _p in range(max_power):
         prev, nxt = powers[-1], {}
         for i1, c1 in prev.items():
-            accumulate(nxt, {i1 + i2: c2 for i2, c2 in base.items() if i1 + i2 <= ceiling},
+            accumulate(nxt, ((i1 + i2, c2) for i2, c2 in base.items() if i1 + i2 <= ceiling),
                        c1)
         powers.append(nxt)
     return powers
@@ -304,7 +304,7 @@ def _expand_at_sum(e, k, max_p):
     for j in range(k + 1):
         ckj = binom(k, j)
         for il, cl in lpow[k - j].items():
-            accumulate(out, {(j, i + il): binom(e, i) for i in range(max_p - il + 1)},
+            accumulate(out, (((j, i + il), binom(e, i)) for i in range(max_p - il + 1)),
                        ckj * cl)
     return out
 
@@ -335,7 +335,7 @@ def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw,
                 for (ey, _k0), vecy in sub:
                     if p1 + ey <= ceiling:
                         key = (e1 - p1 + ew, j1 + kw, p1 + ey)
-                        accumulate(rhs.setdefault(key, {}), vecy.c, c)
+                        accumulate(rhs.setdefault(key, {}), vecy.c.items(), c)
     return lhs, rhs
 
 
@@ -348,26 +348,24 @@ def _scaled_eq(a: dict, scale: int, b: dict) -> bool:
 
 def _compare_bivariate(alg, lhs, rhs, scale, ceiling, **fields):
     """The first (e, k, j) key, in (j, e, k) order, where rhs is not scale
-    times lhs, as a witness that shows rhs divided by scale."""
-    keys = sorted(set(lhs) | set(rhs), key=lambda t: (t[2], t[0], t[1]))
-    for key in keys:
-        if key[2] > ceiling:
-            continue
-        a = lhs.get(key, {})
-        b = rhs.get(key, {})
-        if not _scaled_eq(a, scale, b):
-            e, k, j = key
-            return {
-                **fields,
-                "outerExponent": fmt_rational(F(e)),
-                "logPower": int(k),
-                "innerExponent": fmt_rational(F(j)),
-                "left": format_vector(alg, PBWVector(a)),
-                "right": format_vector(alg, PBWVector(
-                    {m: c / scale if isinstance(c, Cyc) else F(c, scale)
-                     for m, c in b.items()})),
-            }
-    return None
+    times lhs, as a witness that shows rhs divided by scale.  The keys are
+    compared unsorted: only a failing pair's mismatches are ordered."""
+    bad = [key for key in {*lhs, *rhs} if key[2] <= ceiling
+           and not _scaled_eq(lhs.get(key, {}), scale, rhs.get(key, {}))]
+    if not bad:
+        return None
+    key = min(bad, key=lambda t: (t[2], t[0], t[1]))
+    e, k, j = key
+    return {
+        **fields,
+        "outerExponent": fmt_rational(F(e)),
+        "logPower": int(k),
+        "innerExponent": fmt_rational(F(j)),
+        "left": format_vector(alg, PBWVector(lhs.get(key, {}))),
+        "right": format_vector(alg, PBWVector(
+            {m: c / scale if isinstance(c, Cyc) else F(c, scale)
+             for m, c in rhs.get(key, {}).items()})),
+    }
 
 
 def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,

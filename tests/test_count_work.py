@@ -64,6 +64,19 @@ def test_heap_count_is_the_peak_above_the_start_and_tracing_is_restored():
     del kept
 
 
+def test_compile_peak_is_the_largest_file_and_repeats(tmp_path):
+    small, large = tmp_path / "small.py", tmp_path / "large.py"
+    small.write_text("x = 1\n")
+    large.write_text("".join(f"def f{i}(a, b):\n    return [a * k + b for k in range({i})]\n"
+                             for i in range(200)))
+    one = count_work.compile_peak([str(small)])
+    both = count_work.compile_peak([str(large), str(small)])
+    assert 0 < one < both
+    assert both == count_work.compile_peak([str(large)])
+    assert count_work.compile_peak([str(large), str(small)]) == both
+    assert count_work.compile_peak([]) == 0
+
+
 class _OneOp:
     """A workload of one op whose output is always "out"."""
 
@@ -137,7 +150,7 @@ def test_config_counts_a_warm_run_against_its_recording(monkeypatch, capsys):
     line = json.loads(capsys.readouterr().out)
     assert line["golden_mismatches"] == 0
     assert line["opcodes_per_run"] > 0 and line["fractions_per_run"] > 0
-    assert line["heap_peak_bytes_per_run"] > 0
+    assert line["heap_peak_bytes_per_run"] > 0 and line["compile_peak_bytes"] > 0
     assert line["config"].endswith("not_fixed.json")
 
 

@@ -343,7 +343,7 @@ def test_fraction_scan_reads_the_untwisted_reads(fraction_scan):
     # the dict it is given
     before = fraction_scan["read"]
     terms = {}
-    accumulate(terms, {mono: F(2, 3), ((1, -1),): F(1, 6)}, 3)
+    accumulate(terms, {mono: F(2, 3), ((1, -1),): F(1, 6)}.items(), 3)
     vec = PBWVector.adopt(terms)
     assert vec.c is terms and terms == {mono: 2, ((1, -1),): F(1, 2)}
     assert type(terms[mono]) is int

@@ -1,10 +1,15 @@
+import contextlib
 import gc
+import io
+import pathlib
 import weakref
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voatwist import cli
 from voatwist.errors import CriticalLevel, DomainError, Unsupported
 from voatwist.fock import LOST, ZERO, PBWVector, build_module, monomial_weight
 from voatwist.lie import build_simple_lie
@@ -266,7 +271,7 @@ def _act_through_bracket(mod, gi, m, g1, m1):
     br = alg.bracket(alg._basis_elt(gi), alg._basis_elt(g1))
     for k, ck in enumerate(br.coords):
         if ck:
-            for mono2, c2 in mod._act(k, m + m1, ()).items():
+            for mono2, c2 in dict(mod._act(k, m + m1, ())).items():
                 acc[mono2] = acc.get(mono2, 0) + int_if_integral(ck) * c2
     if m + m1 == 0 and m:
         pair = alg.form(alg._basis_elt(gi), alg._basis_elt(g1))
@@ -286,7 +291,7 @@ def test_mode_action_reads_the_structure_table(level):
                     got = mod._act(gi, m, ((g1, m1),))
                     trunc = got is LOST
                     want = _act_through_bracket(mod, gi, m, g1, m1)
-                    assert _typed(got) == _typed(want), (gi, m, g1, m1)
+                    assert _typed(dict(got)) == _typed(want), (gi, m, g1, m1)
                     assert not trunc
 
 
@@ -309,14 +314,14 @@ def _first_act(mod, known, gi, m, mono):
         for mono2, c2 in inner.items():
             sub, t2 = _first_act(mod, known, g1, m1, mono2)
             trunc = trunc or t2
-            accumulate(acc, sub, c2)
+            accumulate(acc, sub.items(), c2)
         struct, gram = mod.algebra._tables()
         for k, ck in struct[gi][g1]:
             sub, t3 = _first_act(mod, known, k, m + m1, rest)
             trunc = trunc or t3
-            accumulate(acc, sub, ck)
+            accumulate(acc, sub.items(), ck)
         if m + m1 == 0 and m and gram[gi][g1]:
-            accumulate(acc, {rest: int_if_integral(m * gram[gi][g1] * mod.level)})
+            accumulate(acc, {rest: int_if_integral(m * gram[gi][g1] * mod.level)}.items())
         out = acc, trunc
     known[key] = out
     return out
@@ -335,7 +340,7 @@ def test_mode_action_images_match_the_flagged_recursion(rank):
                 for mono in monos:
                     got = mod._act(gi, m, mono)
                     want, flagged = _first_act(mod, known, gi, m, mono)
-                    assert _typed(got) == _typed(want), (gi, m, mono)
+                    assert _typed(dict(got)) == _typed(want), (gi, m, mono)
                     assert (got is LOST) == flagged, (gi, m, mono)
                     assert (got is ZERO) == (not want and not flagged), (gi, m, mono)
                     lost += flagged
@@ -344,6 +349,63 @@ def test_mode_action_images_match_the_flagged_recursion(rank):
         with pytest.raises(TypeError):
             shared[()] = 1
     assert ZERO is not LOST
+
+
+@pytest.fixture(scope="module")
+def nilpotent_memo(tmp_path_factory):
+    """The modules built by one run of configs/sl2_nilpotent.json, and
+    every image and bucket their memos hold (LOST included)."""
+    built = []
+    inner = cli.build_module
+
+    def recording(*args, **kwargs):
+        built.append(inner(*args, **kwargs))
+        return built[-1]
+
+    config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "sl2_nilpotent.json"
+    out = tmp_path_factory.mktemp("run") / "report.json"
+    with mock.patch.object(cli, "build_module", recording), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["run", str(config), "--output", str(out)]) == 0
+    images = [(mod, img) for mod in built for img in mod._act_cache.values()]
+    buckets = [(mod, bucket) for mod in built
+               for _ceiling, res in mod._vs_cache.values() for bucket in res.values()]
+    assert images and buckets
+    return images, buckets
+
+
+def test_memo_values_are_tuples_or_lost(nilpotent_memo):
+    images, buckets = nilpotent_memo
+    for _mod, value in images + buckets:
+        assert type(value) is tuple or value is LOST
+
+
+def test_equal_memo_values_are_one_object(nilpotent_memo):
+    images, buckets = nilpotent_memo
+    first = {}
+    for mod, value in images + buckets:
+        if value is not LOST:
+            assert first.setdefault((id(mod), value), value) is value, value
+    # some image is stored under more than one key
+    assert len(first) < sum(value is not LOST for _mod, value in images + buckets)
+
+
+def test_memo_monomials_are_the_modules_own(nilpotent_memo):
+    images, buckets = nilpotent_memo
+    for mod, value in images + buckets:
+        for mono, _c in value:
+            assert mod._shared.get(mono) is mono, mono
+
+
+def test_memo_coefficients_keep_the_scalar_rule(nilpotent_memo):
+    # what makes sharing by content sound: an int 1 and a Fraction(1) are
+    # equal and hash alike, so no stored coefficient may be an integral
+    # Fraction
+    images, buckets = nilpotent_memo
+    for _mod, value in images + buckets:
+        for _mono, c in value:
+            assert type(c) is int or (type(c) is F and c.denominator > 1), c
 
 
 def _sugawara_loop(mod, n, vec):

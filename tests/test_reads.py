@@ -68,7 +68,7 @@ def first_vertex_series(mod, v, w, ceiling):
     for mv, cv in v.c.items():
         for mw, cw in w.c.items():
             scale = cv * cw
-            items.extend((e, 0, vec, scale, False)
+            items.extend((e, 0, dict(vec), scale, False)
                          for e, vec in mod._vs_mono(mv, mw, ceiling).items()
                          if e <= ceiling)
     if v.truncated or w.truncated:
@@ -128,7 +128,7 @@ def first_mode(tw, v, m, l):
         out, trunc = {}, False
         for vec1, e2 in reads:
             coeff = first_coefficient_at(tw.base, vec1, w, e2)
-            accumulate(out, coeff.c)
+            accumulate(out, coeff.c.items())
             trunc = trunc or coeff.truncated
         return PBWVector(out, trunc)
 
@@ -141,7 +141,7 @@ def first_mode(tw, v, m, l):
             img = images.get(mono)
             if img is None:
                 img = images[mono] = image(mono)
-            accumulate(out, img.c, cw)
+            accumulate(out, img.c.items(), cw)
             trunc = trunc or img.truncated
         return PBWVector(out, trunc)
 
@@ -260,20 +260,20 @@ def first_vs_mono(mod, mv, mw, ceiling):
     for e2, vec in first_vs_mono(mod, rest, mw, ceiling).items():
         for i in range(ceiling - e2 + 1):
             coeff = binom(m, i) if i % 2 == 0 else -binom(m, i)
-            moved = mod.apply_mode_dict(gi, m - i, vec)
+            moved = mod.apply_mode_dict(gi, m - i, vec.items())
             if moved:
-                accumulate(acc.setdefault(e2 + i, {}), moved, coeff)
+                accumulate(acc.setdefault(e2 + i, {}), moved.items(), coeff)
     for i in range(monomial_weight(mw) + 1):
         coeff = -binom(m, i) if (m - i) % 2 == 0 else binom(m, i)
-        for mono2, c2 in mod._act(gi, i, mw).items():
+        for mono2, c2 in dict(mod._act(gi, i, mw)).items():
             for e2, vec in first_vs_mono(mod, rest, mono2, ceiling - (m - i)).items():
                 if e2 + m - i <= ceiling:
-                    accumulate(acc.setdefault(e2 + m - i, {}), vec, coeff * c2)
+                    accumulate(acc.setdefault(e2 + m - i, {}), vec.items(), coeff * c2)
     return {e: bucket for e, bucket in acc.items() if bucket and e <= ceiling}
 
 
 def typed_expansion(res, ceiling):
-    return [((type(e), e), [(mono, _typed(c)) for mono, c in bucket.items()])
+    return [((type(e), e), [(mono, _typed(c)) for mono, c in dict(bucket).items()])
             for e, bucket in res.items() if e <= ceiling]
 
 
@@ -425,7 +425,7 @@ def _snapshot(tw):
     chain = {mono: typed_series(ser) for mono, ser in tw._chain_image_cache.items()}
     shifts = [{mono: typed_series(ser) for mono, ser in step.images.items()}
               for step in tw.steps]
-    buckets = {key: (ceiling, {e: list(b.items()) for e, b in res.items()})
+    buckets = {key: (ceiling, {e: list(dict(b).items()) for e, b in res.items()})
                for key, (ceiling, res) in tw.base._vs_cache.items()}
     return chain, shifts, buckets
 
@@ -531,7 +531,7 @@ def first_sugawara_mode(mod, n):
         out, trunc = {}, vec.truncated
         for mono, coeff in vec.c.items():
             image = mod._sugawara_image(n, mono)
-            accumulate(out, image.c, coeff)
+            accumulate(out, image.c.items(), coeff)
             trunc = trunc or image.truncated
         return PBWVector.adopt(out, trunc)
 

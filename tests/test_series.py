@@ -325,7 +325,7 @@ def test_accumulate_stores_each_sum_under_the_scalar_rule(adds):
     sum-then-settle form in keys (in their order), values and value types."""
     got, want = {}, {}
     for terms, scale in adds:
-        accumulate(got, terms, scale)
+        accumulate(got, terms.items(), scale)
         assert not any(type(c) is F and c.denominator == 1 for c in got.values())
         old_accumulate(want, terms, scale)
     settle(want)

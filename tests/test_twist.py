@@ -434,7 +434,7 @@ def _stored_coefficient_sum(tw, v, m, l, w):
     for (e1, k1), vec1 in tw.chain_transform(v).terms.items():
         if k1 == l and (e - e1).denominator == 1:
             coeff = tw.base.vertex_operator_mode(vec1, -(e - e1) - 1)(w)
-            accumulate(out, coeff.c)
+            accumulate(out, coeff.c.items())
             trunc = trunc or coeff.truncated
     return PBWVector(out, trunc)
 

@@ -110,6 +110,20 @@ def test_scaled_witness_prints_the_unscaled_right_side():
                    "right": "(2/3) e1(-1) |0> + (1/2*z3^1) h1(-1) |0>"}
 
 
+def test_bivariate_witness_is_the_first_mismatch_in_j_e_k_order():
+    # mismatching keys inserted against (j, e, k) order, one past the ceiling
+    lhs = {(0, 0, 3): {E1: 1}, (0, 0, 1): {E1: 1}, (5, 1, 0): {E1: 2},
+           (3, 0, 0): {H1: 1}, (-1, 0, 0): {E1: 1}}
+    rhs = {(3, 0, 0): {H1: 1}, (-1, 0, 0): {E1: 1}, (-1, 1, 0): {H1: 4}}
+    wit = verify._compare_bivariate(sl2, lhs, rhs, 1, 2, argument="a")
+    assert wit == {"argument": "a", "outerExponent": "-1", "logPower": 1,
+                   "innerExponent": "0", "left": "0", "right": "(4) h1(-1) |0>"}
+    del rhs[-1, 1, 0]
+    wit = verify._compare_bivariate(sl2, lhs, rhs, 1, 2)
+    assert (wit["outerExponent"], wit["logPower"], wit["innerExponent"]) == ("5", 1, "0")
+    assert verify._compare_bivariate(sl2, {(0, 0, 3): {E1: 1}}, {}, 1, 2) is None
+
+
 def test_grading_restriction_trichotomy():
     # integer shift 1 on e repeats a graded piece under mod-1 classes
     rep = check_grading_restriction(TW)
