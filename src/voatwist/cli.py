@@ -11,8 +11,8 @@ Subcommands:
     voatwist tables <config>   emit grading and mode tables, no checks
 
 Exit status: 0 all checks passed, 2 at least one check failed, 3 no
-failures but at least one check was uncertifiable at the configured
-cutoff.  Library errors map to dedicated codes (see EXIT_CODES); bad
+failures but at least one check was uncertifiable in its inspected
+window.  Library errors map to dedicated codes (see EXIT_CODES); bad
 configs, bad command lines and report paths that cannot be written exit 64.
 """
 
@@ -248,8 +248,9 @@ def parse_config(raw) -> dict:
     for key in ("modeSpan", "dimensionWindow", "logMax"):
         if key in out_raw:
             out[key] = _nonneg_int(out_raw[key], f"config.output.{key}")
-    # the module is built up to its cutoff; a window past it is refused
-    # before any work, not enumerated (window 50 lists 3.77e10 monomials)
+    # the declared cutoff bounds the graded-dimension window: a window past
+    # it is refused before any work, not enumerated (window 50 lists
+    # 3.77e10 monomials)
     if out.get("dimensionWindow", 0) > cutoff:
         raise ConfigError("config.output.dimensionWindow must not exceed "
                           "config.module.cutoff")

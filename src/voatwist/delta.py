@@ -9,9 +9,9 @@ For u = a(-1)|0> the operator acts on a module vector v in three stages:
      part of a: the j-th power of n(0) on a stage-1 term lands at log
      power j (nothing to do for n = 0).  For s = 0 this is the result;
   3. the diagonalizable factor x^(-s(0)), s the semisimple part of a: a
-     monomial of ad(s)-eigenvectors inside the cutoff is relabeled by
-     minus its eigenvalue sum; any other goes through expand_monomial,
-     and each of its ad(s)-eigenpieces moves by minus its eigenvalue sum.
+     monomial of ad(s)-eigenvectors is relabeled by minus its eigenvalue
+     sum; any other goes through expand_monomial, and each of its
+     ad(s)-eigenpieces moves by minus its eigenvalue sum.
 
 Stages 1 and 2 run in integers: a and n act as b/d and n'/d_n with b and
 n' integral (kept on the record), v is scaled by the lcm of its
@@ -23,20 +23,21 @@ against their first forms in Fractions), and each divided term is kept
 without a copy.  Stage 3 sums its terms per output key in one LogSeries
 by LogSeries.add_term, in the order they come (a relabeled monomial as a
 one-monomial dict, an expanded one as a scaled vector), so a key that
-cancels drops and a flagged zero stays, by the one rule of
-series.value_is_zero.  The self-pairing scalar kappa is always stored as
-a Fraction, since callers halve it.  A legacy sign convention (kept only
-so its failure is demonstrable) flips the outer x^(s(0)) and log factors
-and drops the (-1)^m inside the exponential; the two agree on the m = 1
-term, which is why the difference is easy to miss on small examples.
+cancels drops.  Every output coefficient is exact, whatever the weight of
+the monomials it passes through: no stage reads the module's cutoff.  The
+self-pairing scalar kappa is always stored as a Fraction, since callers
+halve it.  A legacy sign convention (kept only so its failure is
+demonstrable) flips the outer x^(s(0)) and log factors and drops the
+(-1)^m inside the exponential; the two agree on the m = 1 term, which is
+why the difference is easy to miss on small examples.
 
 make_delta builds one record per module, current and sign convention, kept
 on the module but never referring to it, so a dropped module is freed at
 once.  It holds D(b) for each basis monomial b = {mono: 1} it has met, and
-stage 3's exponent shift of each monomial it has met.  An unflagged single
-monomial c b with c an int or a Fraction is served as c D(b), one scaled
-copy of each term, which the operator's linearity makes equal in keys,
-values, coefficient types and flags to the image computed afresh
+stage 3's exponent shift of each monomial it has met.  A single monomial
+c b with c an int or a Fraction is served as c D(b), one scaled copy of
+each term, which the operator's linearity makes equal in keys, values and
+coefficient types to the image computed afresh
 (``tests/test_delta.py`` checks this).  Other inputs go through the stages
 whole, the one exception to series.linear_series: summing memoized
 per-monomial images made the conjugation pass 2.4 times slower.
@@ -51,8 +52,7 @@ from .errors import DomainError, NotQuasiPrimary
 from .fock import InducedModule
 from .linalg import memo
 from .scalars import clear_denominators
-from .series import (LogSeries, PBWVector, accumulate, divided, monomial_weight,
-                     series_sum, value_is_zero)
+from .series import LogSeries, PBWVector, accumulate, divided, series_sum
 
 __all__ = ["DeltaOperator", "make_delta", "delta_apply", "delta_apply_series"]
 
@@ -174,23 +174,22 @@ def _exp_current_stage(delta: DeltaOperator, v: PBWVector) -> list:
     module = delta.module
     b, d = delta.a_int
     [cleared], den = clear_denominators([v.c])
-    terms = [PBWVector(cleared, v.truncated)]
+    terms = [PBWVector(cleared)]
     out = [(0, 0, terms[0], den)]
     for j in range(1, v.depth() + 1):
-        acc, trunc = {}, False
+        acc = {}
         for m in range(1, j + 1):
             if terms[j - m].c:
                 moved = module.apply_mode(b, m, terms[j - m])
-                trunc = trunc or moved.truncated
                 if m == 1:
                     acc = moved.c
                     continue
                 k = perm(j - 1, m - 1) * d ** (m - 1)
                 accumulate(acc, moved.c.items(), -k if delta.legacy and m % 2 == 0 else k)
-        terms.append(PBWVector.adopt(acc, trunc))
+        terms.append(PBWVector.adopt(acc))
         den *= -j * d
         out.append((-j, 0, terms[-1], den))
-    return [term for term in out if not value_is_zero(term[2])]
+    return [term for term in out if term[2].c]
 
 
 def _log_stage(delta: DeltaOperator, staged: list) -> list:
@@ -216,11 +215,11 @@ def _log_stage(delta: DeltaOperator, staged: list) -> list:
 
 def _series(staged: list) -> LogSeries:
     """The LogSeries of a stage's [(e, k, vec, den)] terms.  Their keys are
-    distinct and none is an unflagged zero, and each vec is fresh, so its
-    divided dict is kept without a copy."""
+    distinct and none is zero, and each vec is fresh, so its divided dict
+    is kept without a copy."""
     out = LogSeries()
     for e, k, vec, den in staged:
-        out.terms[e, k] = PBWVector.adopt(divided(vec.c, den), vec.truncated)
+        out.terms[e, k] = PBWVector.adopt(divided(vec.c, den))
     return out
 
 
@@ -230,7 +229,7 @@ def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
     a result."""
     if delta.is_identity:
         return LogSeries({(0, 0): v})
-    if len(v.c) == 1 and not v.truncated:
+    if len(v.c) == 1:
         [(mono, c)] = v.c.items()
         if type(c) in (int, Fraction):
             hit = delta.images.get(mono)
@@ -260,32 +259,24 @@ def _shift(delta: DeltaOperator, v: PBWVector) -> LogSeries:
 
     sign = 1 if delta.legacy else -1
     eigvals = delta.eig.generator_eigenvalues()
-    shifts, cutoff = delta.shifts, module.cutoff
+    shifts = delta.shifts
     # one per-key sum, in the order the terms come: a relabeled monomial is
     # added as it is, an expanded one as a scaled vector
     out = LogSeries()
     add_term = out.add_term
     for e, k, vec, den in staged:
-        flag = vec.truncated
-        if not vec.c:
-            # a flagged zero has nothing to expand: it stays where it is
-            add_term(e, k, {}, None, flag)
         for mono, coeff in divided(vec.c, den).items():
             shift = shifts.get(mono, False)
             if shift is False:
-                # inside the cutoff, a monomial of eigenvectors is relabeled
-                # (moved by sign times its eigenvalue sum); any other is
-                # expanded (None)
+                # a monomial of eigenvectors is relabeled (moved by sign
+                # times its eigenvalue sum); any other is expanded (None)
                 lams = [eigvals[gi] for gi, _m in mono]
-                shift = shifts[mono] = (sign * sum(lams) if None not in lams
-                                        and monomial_weight(mono) <= cutoff else None)
+                shift = shifts[mono] = sign * sum(lams) if None not in lams else None
             if shift is not None:
-                add_term(e + shift, k, {mono: coeff}, None, flag)
+                add_term(e + shift, k, {mono: coeff})
                 continue
             for lamsum, expanded in module.expand_monomial(mono, split).items():
-                # the expansion restarts from the vacuum; keep the input's flag
-                add_term(e + sign * lamsum, k, expanded.c, coeff,
-                         expanded.truncated or flag)
+                add_term(e + sign * lamsum, k, expanded.c, coeff)
     return out
 
 
@@ -298,6 +289,6 @@ def delta_apply_series(delta: DeltaOperator, series: LogSeries) -> LogSeries:
     """
     if series.ceiling is not None:
         raise DomainError("termwise application needs an exact series")
-    return series_sum((e + e2, k + k2, vec2.c, None, vec2.truncated)
+    return series_sum((e + e2, k + k2, vec2.c)
                       for (e, k), vec in series.terms.items()
                       for (e2, k2), vec2 in delta_apply(delta, vec).terms.items())

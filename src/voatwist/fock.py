@@ -10,15 +10,13 @@ scalars once an automorphism or branch shift has acted.  Mode actions read
 the algebra's structure table, whose integral structure constants and
 central terms are ints, so the integral case pays for no Fraction product.
 
-The module tracks a weight cutoff.  Results that would need monomials
-beyond the cutoff get their ``truncated`` flag set; everything below the
-cutoff is exact.  The memoized mode action b(m) on one monomial is its
-image alone, frozen as a tuple of (monomial, coefficient) pairs in the
-order its sum produced them: every monomial of b(m) mono has weight
-wt(mono) - m, so the cutoff keeps all of an image or none of it.  An image
-above the cutoff is the shared LOST, which reads as no terms, an exact
-zero the empty tuple ZERO, and apply_mode flags its output when it reads
-LOST.
+Every value is exact: the module is the whole vacuum module, and a mode
+action, vertex-operator read or Sugawara mode builds every monomial it
+needs, whatever its weight.  The module keeps the weight cutoff it was
+declared with, but no value depends on it.  The memoized mode action b(m)
+on one monomial is its image alone, frozen as a tuple of (monomial,
+coefficient) pairs in the order its sum produced them; an exact zero is
+the shared empty tuple ZERO.
 
 One table per module shares memo values by content: every frozen image,
 every _vs_mono bucket and every monomial the mode action creates is one
@@ -63,8 +61,7 @@ from .errors import CriticalLevel, DomainError, Unsupported
 from .lie import LieAlgebra, LieElt
 from .linalg import memo
 from .scalars import binom, clear_denominators, int_if_integral
-from .series import (LogSeries, PBWVector, accumulate, divided, linear_image, monomial_weight,
-                     value_is_zero)
+from .series import LogSeries, PBWVector, accumulate, divided, linear_image, monomial_weight
 
 __all__ = [
     "InducedModule",
@@ -74,15 +71,8 @@ __all__ = [
 F = Fraction
 
 
-class _Lost(tuple):
-    """An image with no terms that is not ZERO: its weight passed the cutoff."""
-
-    __slots__ = ()
-
-
-# the images _act shares: every exact zero, and every image above the cutoff
+# the image _act shares for every exact zero
 ZERO = ()
-LOST = _Lost()
 
 
 def _canonical_key(gen, mode):
@@ -90,7 +80,8 @@ def _canonical_key(gen, mode):
 
 
 class InducedModule:
-    """Level-ell vacuum module for an affine algebra, up to a weight cutoff."""
+    """Level-ell vacuum module for an affine algebra.  The declared weight
+    cutoff is kept as cutoff; no value depends on it."""
 
     def __init__(self, algebra: LieAlgebra, level, cutoff, lam=0):
         self.algebra = algebra
@@ -161,39 +152,23 @@ class InducedModule:
 
     @memo
     def _act(self, gi: int, m: int, mono):
-        """b_gi(m) applied to one monomial of weight at most the cutoff: a
-        frozen image shared by content (_freeze), as is each monomial it
-        creates (the prepended monomial and the suffix rest), LOST at the
-        first term whose weight wt(mono) - m passes the cutoff (every term
-        has that weight), ZERO for an exact zero.  Sharing is sound because
-        accumulate stores an integral coefficient as an int, so 1 and
-        Fraction(1), equal and of one hash, never meet in the table."""
+        """b_gi(m) applied to one monomial: a frozen image shared by content
+        (_freeze), as is each monomial it creates (the prepended monomial
+        and the suffix rest), ZERO for an exact zero.  Sharing is sound
+        because accumulate stores an integral coefficient as an int, so 1
+        and Fraction(1), equal and of one hash, never meet in the table."""
         if not mono:
-            if m >= 0:
-                return ZERO
-            return LOST if -m > self.cutoff else self._freeze({self._share(((gi, m),)): 1})
+            return ZERO if m >= 0 else self._freeze({self._share(((gi, m),)): 1})
         g1, m1 = mono[0]
         if m < 0 and _canonical_key(gi, m) <= _canonical_key(g1, m1):
-            new = ((gi, m),) + mono
-            if monomial_weight(new) > self.cutoff:
-                return LOST
-            return self._freeze({self._share(new): 1})
+            return self._freeze({self._share(((gi, m),) + mono): 1})
         rest = self._share(mono[1:])
-        inner = self._act(gi, m, rest)
-        if inner is LOST:
-            return LOST
         acc = {}
-        for mono2, c2 in inner:
-            sub = self._act(g1, m1, mono2)
-            if sub is LOST:
-                return LOST
-            accumulate(acc, sub, c2)
+        for mono2, c2 in self._act(gi, m, rest):
+            accumulate(acc, self._act(g1, m1, mono2), c2)
         struct, gram = self.algebra._tables()
         for k, ck in struct[gi][g1]:
-            sub = self._act(k, m + m1, rest)
-            if sub is LOST:
-                return LOST
-            accumulate(acc, sub, ck)
+            accumulate(acc, self._act(k, m + m1, rest), ck)
         if m + m1 == 0 and m and gram[gi][g1]:
             accumulate(acc, ((rest, int_if_integral(m * gram[gi][g1] * self.level)),))
         return self._freeze(acc)
@@ -203,7 +178,6 @@ class InducedModule:
         coords = self._as_elt(x).terms()
         m = int(m)
         out = {}
-        trunc = vec.truncated
         # summed inline under accumulate's scalar rule, the one sum kept
         # outside it: this is the innermost loop of every check, and one
         # accumulate call per monomial and generator costs the conjugation
@@ -214,8 +188,6 @@ class InducedModule:
             for gi, cg in coords:
                 hit = known.get((gi, m, mono))
                 sub = act(gi, m, mono) if hit is None else hit
-                if sub is LOST:
-                    trunc = True
                 for mono2, c2 in sub:
                     s = out[mono2] + (cg * c2) * coeff if mono2 in out else (cg * c2) * coeff
                     if not s:
@@ -224,7 +196,7 @@ class InducedModule:
                         out[mono2] = s.numerator
                     else:
                         out[mono2] = s
-        return PBWVector.adopt(out, trunc)
+        return PBWVector.adopt(out)
 
     def expand_monomial(self, mono, split) -> dict:
         """Rebuild mono from the vacuum, rightmost factor first, with each
@@ -239,13 +211,13 @@ class InducedModule:
         for key, vec in self.expand_monomial(rest, split).items():
             for k2, scalar, x in parts:
                 moved = self.apply_mode(x, m, vec)
-                if value_is_zero(moved):
+                if not moved.c:
                     continue
                 if scalar is not None:
                     moved = scalar * moved
                 k = key + k2
                 out[k] = out[k] + moved if k in out else moved
-        return {key: vec for key, vec in out.items() if not value_is_zero(vec)}
+        return {key: vec for key, vec in out.items() if vec.c}
 
     # -- Sugawara Virasoro ------------------------------------------------
 
@@ -286,7 +258,7 @@ class InducedModule:
                 else:
                     inner, im, outer, om = ui, p, udi, q
                 tmp = self.apply_mode(inner, im, one)
-                if value_is_zero(tmp):
+                if not tmp.c:
                     continue
                 acc = acc + self.apply_mode(outer, om, tmp)
         return scale * acc
@@ -389,10 +361,7 @@ class InducedModule:
 
         The buckets of each exponent are summed in one dict with the int
         scales of v and w cleared of denominators, in the order and with
-        the drops of a per-key sum, and divided once at the end.  When v or
-        w is flagged, every exponent from -(depth(v) + depth(w)) up to the
-        ceiling holds a flagged term (a flagged zero where nothing was
-        summed), as vertex_operator_mode reads it."""
+        the drops of a per-key sum, and divided once at the end."""
         ceiling = _integer_exponent(ceiling)
         (vc,), dv = clear_denominators((v.c,))
         (wc,), dw = clear_denominators((w.c,))
@@ -409,25 +378,16 @@ class InducedModule:
                     accumulate(acc, bucket, scale)
                     if not acc:
                         del sums[e]
-        out = LogSeries.from_sums(sums, dv * dw, ceiling)
-        if v.truncated or w.truncated:
-            for e in range(-v.depth() - w.depth(), ceiling + 1):
-                out.add_term(e, 0, {}, None, True)
-        return out
+        return LogSeries.from_sums(sums, dv * dw, ceiling)
 
     def vertex_operator_mode(self, v: PBWVector, n):
         """The mode v_(n), n an int or a Fraction, as a reader: w -> the
         x^(-n-1) coefficient of Y(v, x) w.  The one untwisted mode read.
 
-        Its first call clears v's denominators and takes its depth, for
-        every target.  A one-factor monomial a(m)|0> of v is read in closed
-        form from _act's memo, any other from its _vs_mono bucket, and the
-        sum over cleared denominators is divided once, as in vertex_series.
-        The result is flagged when v or w is, or when its weight, up to
-        d + depth(w) + e with d the largest weight of a non-vacuum
-        monomial of v, passes the cutoff, since the modes that build it
-        lose what lies above; the vacuum part of v reads w exactly, as
-        Y(|0>, x) = id."""
+        Its first call clears v's denominators, for every target.  A
+        one-factor monomial a(m)|0> of v is read in closed form from _act's
+        memo, any other from its _vs_mono bucket, and the sum over cleared
+        denominators is divided once, as in vertex_series."""
         plan = None
 
         def read(w: PBWVector) -> PBWVector:
@@ -445,9 +405,8 @@ class InducedModule:
                             parts.append((mv, cv, None))
                     elif c := _one_factor(mv[0][1], e):
                         parts.append((mv, c * cv, (mv[0][0], mv[0][1] - e)))
-                depth = max((monomial_weight(mv) for mv in vc if mv), default=None)
-                plan = e, dv, depth, parts
-            e, dv, depth, parts = plan
+                plan = e, dv, parts
+            e, dv, parts = plan
             (wc,), dw = clear_denominators((w.c,))
             out = {}
             known = self._act_cache
@@ -460,9 +419,7 @@ class InducedModule:
                         bucket = self._act(*act, mw) if hit is None else hit
                     if bucket:
                         accumulate(out, bucket, cv * cw)
-            deep = depth is not None and bool(wc) and depth + w.depth() + e > self.cutoff
-            return PBWVector.adopt(divided(out, dv * dw),
-                                   deep or v.truncated or w.truncated)
+            return PBWVector.adopt(divided(out, dv * dw))
 
         return read
 

@@ -4,16 +4,17 @@ A LogSeries is a finite sum sum_{(e,k)} c_{e,k} x^e (log x)^k where the
 exponents e are rationals (stored as ints when integral, Fractions
 otherwise, so an integral key costs no Fraction hashing), the log powers k
 are nonnegative integers, and the coefficients c_{e,k} are PBWVectors:
-finite combinations of PBW monomials with an ``is_zero`` test, a
-``truncated`` flag and scalar action by rationals and cyclotomic-with-T
-scalars.  Series are stored sparsely as a dict keyed by (e, k).  A map
-given on basis monomials is extended by ``linear_image`` and
-``linear_series``, the one rule of every linear read: an unflagged
-{b: int 1} gets image(b) itself, shared and read-only.
+finite combinations of PBW monomials with an ``is_zero`` test and scalar
+action by rationals and cyclotomic-with-T scalars.  Every stored
+coefficient is exact.  Series are stored sparsely as a dict keyed by
+(e, k).  A map given on basis
+monomials is extended by ``linear_image`` and ``linear_series``, the one
+rule of every linear read: {b: int 1} gets image(b) itself, shared and
+read-only.
 
 Every series is built by one per-key sum: ``series_sum`` runs
-``LogSeries.add_term`` on a stream of (e, k, coefficient dict, scale,
-flag) items, and ``accumulate`` is the one sum of (monomial, coefficient)
+``LogSeries.add_term`` on a stream of (e, k, coefficient dict, scale)
+items, and ``accumulate`` is the one sum of (monomial, coefficient)
 pairs under it, which stores each sum under the scalar rule (an integral
 Fraction as an int).  ``series_combine`` (add), ``series_scale`` (scalar times a power
 of x), ``series_derivative`` (d/dx), ``LogSeries.map_values`` and
@@ -26,8 +27,9 @@ of a log-free series once (``divided``) and keeps it without a copy
 series), and the shift operator and the twisted reads store such terms
 the same way.
 
-A series may carry a ``ceiling``: coefficients at e > ceiling are unknown
-(dropped, not zero).  ``None`` means the stored terms are the whole truth.
+A series may carry a ``ceiling``: coefficients at e > ceiling were not
+computed (dropped, not zero).  ``None`` means the stored terms are the
+whole truth.
 A sum is trusted only below both ceilings, and ``series_eq`` compares
 only inside the common ceiling.
 """
@@ -85,24 +87,22 @@ class PBWVector:
     The constructor stores each coefficient nonzero, and a rational one as
     an int where integral."""
 
-    __slots__ = ("c", "truncated")
+    __slots__ = ("c",)
 
-    def __init__(self, c=None, truncated=False):
+    def __init__(self, c=None):
         self.c = {}
         if c:
             for mono, coeff in c.items():
                 if coeff:
                     self.c[mono] = int_if_integral(coeff)
-        self.truncated = truncated
 
     @classmethod
-    def adopt(cls, c, truncated=False):
+    def adopt(cls, c):
         """The vector whose dict is c itself, with no copy: c holds no zero,
         follows the scalar rule (as a dict summed by accumulate does) and
         is given up by the caller, who has just built it."""
         vec = cls.__new__(cls)
         vec.c = c
-        vec.truncated = truncated
         return vec
 
     def is_zero(self):
@@ -111,7 +111,7 @@ class PBWVector:
     def _plus(self, other, scale):
         out = dict(self.c)
         accumulate(out, other.c.items(), scale)
-        return PBWVector.adopt(out, self.truncated or other.truncated)
+        return PBWVector.adopt(out)
 
     def __add__(self, other):
         return self._plus(other, None)
@@ -124,15 +124,14 @@ class PBWVector:
 
     def __rmul__(self, scalar):
         if not scalar:
-            return PBWVector({}, self.truncated)
-        return PBWVector({m: scalar * coeff for m, coeff in self.c.items()},
-                         self.truncated)
+            return PBWVector()
+        return PBWVector({m: scalar * coeff for m, coeff in self.c.items()})
 
     __mul__ = __rmul__
 
     def __eq__(self, other):
         # every stored coefficient is nonzero, so equal dicts mean a zero
-        # difference; flags are not compared
+        # difference
         if not isinstance(other, PBWVector):
             return NotImplemented
         return self.c == other.c
@@ -151,8 +150,7 @@ class PBWVector:
         for mono, coeff in self.sorted_items()[:6]:
             body = "".join(f"[{g}:{m}]" for g, m in mono) or "vac"
             bits.append(f"{coeff}*{body}")
-        flag = " (truncated)" if self.truncated else ""
-        return "PBW(" + " + ".join(bits) + (" ..." if len(self.c) > 6 else "") + f"){flag}"
+        return "PBW(" + " + ".join(bits) + (" ..." if len(self.c) > 6 else "") + ")"
 
 
 def divided(terms: dict, den: int) -> dict:
@@ -169,15 +167,6 @@ def divided(terms: dict, den: int) -> dict:
         else:
             out[mono] = int_if_integral(c / den)
     return out
-
-
-def value_is_zero(v) -> bool:
-    """Whether a series drops the module vector v as a zero term.
-
-    A vector flagged as truncated is never zero: its flag says that part
-    of it lies beyond the module cutoff, so a series must keep it.  This
-    is the one place that decides whether a flagged zero is kept."""
-    return v.is_zero() and not v.truncated
 
 
 def common_ceiling(a, b):
@@ -199,24 +188,21 @@ class LogSeries:
         self.terms = {}
         self.ceiling = ceiling
         for (e, k), v in (terms or {}).items():
-            self.add_term(e, k, v.c, None, v.truncated)
+            self.add_term(e, k, v.c)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def add_term(self, e, k, terms, scale=None, flag=False):
+    def add_term(self, e, k, terms, scale=None):
         """Add scale * terms, a monomial-to-coefficient dict, into the
-        x^e log^k coefficient, a vector the series owns; flag it if flag
-        is set.  A key whose sum value_is_zero drops is removed, and comes
-        back last if hit again."""
+        x^e log^k coefficient, a vector the series owns.  A key whose sum
+        cancels is removed, and comes back last if hit again."""
         key = (int_if_integral(e), k)
         vec = self.terms.get(key)
         if vec is None:
-            vec = self.terms[key] = PBWVector(None, flag)
-        elif flag:
-            vec.truncated = True
+            vec = self.terms[key] = PBWVector()
         accumulate(vec.c, terms.items(), scale)
-        if value_is_zero(vec):
+        if not vec.c:
             del self.terms[key]
 
     @classmethod
@@ -232,7 +218,7 @@ class LogSeries:
     def map_values(self, fn) -> "LogSeries":
         """Apply fn to every coefficient (dropping zero results)."""
         images = ((key, fn(v)) for key, v in self.terms.items())
-        return series_sum(((e, k, w.c, None, w.truncated) for (e, k), w in images),
+        return series_sum(((e, k, w.c) for (e, k), w in images),
                           self.ceiling)
 
     def sorted_items(self):
@@ -246,8 +232,8 @@ class LogSeries:
 
 
 def series_sum(items, ceiling=None) -> LogSeries:
-    """The LogSeries of (e, k, terms, scale, flag) items, each added by
-    LogSeries.add_term."""
+    """The LogSeries of (e, k, terms) and (e, k, terms, scale) items, each
+    added by LogSeries.add_term."""
     out = LogSeries(ceiling=ceiling)
     add = out.add_term
     for item in items:
@@ -256,8 +242,8 @@ def series_sum(items, ceiling=None) -> LogSeries:
 
 
 def _basis_monomial(vec: PBWVector):
-    """b for the unflagged basis input {b: int 1}, else None."""
-    if len(vec.c) == 1 and not vec.truncated:
+    """b for the basis input {b: int 1}, else None."""
+    if len(vec.c) == 1:
         [(mono, c)] = vec.c.items()
         return mono if type(c) is int and c == 1 else None
     return None
@@ -265,30 +251,27 @@ def _basis_monomial(vec: PBWVector):
 
 def linear_image(vec: PBWVector, image) -> PBWVector:
     """vec under the linear map with PBWVector images image(b): a fresh
-    per-key sum of c * image(b), flagged as vec or an image read is."""
+    per-key sum of c * image(b)."""
     if (mono := _basis_monomial(vec)) is not None:
         return image(mono)
-    out, trunc = {}, vec.truncated
+    out = {}
     for mono, c in vec.c.items():
-        img = image(mono)
-        accumulate(out, img.c.items(), c)
-        trunc = trunc or img.truncated
-    return PBWVector.adopt(out, trunc)
+        accumulate(out, image(mono).c.items(), c)
+    return PBWVector.adopt(out)
 
 
 def linear_series(vec: PBWVector, image, ceiling=None) -> LogSeries:
-    """linear_image for LogSeries images trusted to ceiling: each term of
-    the sum flagged as vec or the image term is."""
+    """linear_image for LogSeries images trusted to ceiling."""
     if (mono := _basis_monomial(vec)) is not None:
         return image(mono)
-    return series_sum(((e, k, t.c, c, vec.truncated or t.truncated)
+    return series_sum(((e, k, t.c, c)
                        for mono, c in vec.c.items()
                        for (e, k), t in image(mono).terms.items()), ceiling)
 
 
 def _items(a: LogSeries, scale=None, eshift=0):
     """a's terms as series_sum items, scaled and moved by x^eshift."""
-    return ((e + eshift, k, v.c, scale, v.truncated) for (e, k), v in a.terms.items())
+    return ((e + eshift, k, v.c, scale) for (e, k), v in a.terms.items())
 
 
 def series_combine(a: LogSeries, b: LogSeries) -> LogSeries:
@@ -307,9 +290,9 @@ def series_derivative(a: LogSeries) -> LogSeries:
     def items():
         for (e, k), v in a.terms.items():
             if e:
-                yield e - 1, k, v.c, e, v.truncated
+                yield e - 1, k, v.c, e
             if k:
-                yield e - 1, k - 1, v.c, k, v.truncated
+                yield e - 1, k - 1, v.c, k
 
     return series_sum(items(), None if a.ceiling is None else a.ceiling - 1)
 
@@ -335,14 +318,14 @@ def branch_shift(a: LogSeries, steps: int, order: int) -> LogSeries:
                 scaled = e.numerator * q
             zfac = Cyc.zeta(order, scaled * steps)
             if not k:
-                yield e, 0, v.c, zfac, v.truncated
+                yield e, 0, v.c, zfac
                 continue
             for j in range(k + 1):
                 # (log x + steps*T)^k: keep j log-powers, k-j copies of steps*T
                 tpart = Cyc.of(1)
                 for _ in range(k - j):
                     tpart = tpart * Cyc.t_power(1) * steps
-                yield e, j, v.c, zfac * binom(k, j) * tpart, v.truncated
+                yield e, j, v.c, zfac * binom(k, j) * tpart
 
     return series_sum(items(), a.ceiling)
 
@@ -352,10 +335,8 @@ def series_eq(a: LogSeries, b: LogSeries):
 
     Returns None when equal, else a witness tuple (e, k, left, right) for
     the first mismatch in (e, k) order, None standing for a missing term
-    (a stored term is never an unflagged zero, so it mismatches).  Terms
-    agree when their canonical dicts are equal.  Flags are not read: what a
-    flagged term means is the caller's rule, and a check refuses one before
-    it compares.
+    (a stored term is never zero, so it mismatches).  Terms agree when
+    their canonical dicts are equal.
     """
     if a.terms == b.terms:
         # compares each key by its stored hash, and values as below

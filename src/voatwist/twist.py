@@ -32,7 +32,7 @@ from functools import lru_cache, reduce
 from math import factorial, floor, lcm
 
 from .delta import current_element, delta_apply_series, make_delta
-from .errors import DomainError, NotFixed, NotIntertwining, Unsupported
+from .errors import NotFixed, NotIntertwining, Unsupported
 from .fock import InducedModule
 from .lie import GAutomorphism, LieElt
 from .linalg import memo
@@ -84,23 +84,15 @@ class TwistedModule:
     # -- vertex operators ------------------------------------------------
 
     def chain_transform(self, v: PBWVector) -> LogSeries:
-        """The full shift-chain image of v, an exact finite LogSeries.
-
-        The chain is linear, so an exact nonzero v is linear_series over
-        the memoized images of its monomials.  A flagged or zero v goes
-        through the chain whole: the flagged zeros that delta_apply keeps
-        depend on how its input is split into monomials, and a sum of
-        images would lose them."""
-        if v.truncated or not v.c:
-            return self._transform_whole(v)
+        """The full shift-chain image of v, an exact finite LogSeries: the
+        chain is linear, so it is linear_series over the memoized images of
+        v's monomials."""
         return linear_series(v, self._chain_image)
 
     @memo
     def _chain_image(self, mono) -> LogSeries:
-        return self._transform_whole(PBWVector({mono: 1}))
-
-    def _transform_whole(self, v: PBWVector) -> LogSeries:
         """The conjugator, then every step from the most recent one."""
+        v = PBWVector({mono: 1})
         if self.conjugator is not None:
             v = apply_lie_matrix(self.base, self.conjugator.inverse().matrix, v)
         ser = LogSeries({(0, 0): v})
@@ -124,7 +116,7 @@ class TwistedModule:
             for (e2, _k2), vec2 in terms.items():
                 out.terms[int_if_integral(e1 + e2), k1] = vec2
             return out
-        return series_sum(((e1 + e2, k1, vec2.c, None, vec2.truncated)
+        return series_sum(((e1 + e2, k1, vec2.c)
                            for e1, k1, terms in reads
                            for (e2, _k2), vec2 in terms.items()),
                           ceiling)
@@ -135,12 +127,11 @@ class TwistedModule:
         On its first call the returned operator transforms v along the
         chain and builds one base reader (InducedModule.vertex_operator_mode)
         for each chain term x^e1 log^l whose base mode m + e1 is an integer,
-        except an unflagged c|0> at a base mode other than -1: Y(|0>, x) is
-        the identity, so that read is exactly zero.
+        except c|0> at a base mode other than -1: Y(|0>, x) is the
+        identity, so that read is exactly zero.
         A target is read through linear_image over the image of each of its
         monomials, the sum of those readers on it (never a series), kept
-        while the operator is held.  With no such chain term it is zero.
-        Outputs carry the flags of the coefficients read and of the target."""
+        while the operator is held.  With no such chain term it is zero."""
         m = int_if_integral(m)
         readers = None
 
@@ -155,9 +146,9 @@ class TwistedModule:
                 readers = [self.base.vertex_operator_mode(vec1, n)
                            for (e1, k1), vec1 in self.chain_transform(v).terms.items()
                            if k1 == l and (n := m + e1).denominator == 1
-                           and (n == -1 or vec1.truncated or vec1.c.keys() != {()})]
+                           and (n == -1 or vec1.c.keys() != {()})]
             if not readers:
-                return PBWVector(None, w.truncated)
+                return PBWVector()
             return linear_image(w, image)
 
         return op
@@ -334,19 +325,13 @@ def make_twisted(target, u: PBWVector,
     if isinstance(target, InducedModule):
         target = untwisted_as_twisted(target)
     # the cheap rejections run first: the shape of u (DomainError), the
-    # critical level, then fixedness (DomainError if the image is truncated,
-    # else NotFixed).  The errors of make_delta's Jordan decomposition and
-    # self-pairing (NeedsFieldExtension, NotSemisimple, DomainError) come
-    # after them, so a current that is neither fixed nor split raises NotFixed
+    # critical level, then fixedness (NotFixed).  The errors of make_delta's
+    # Jordan decomposition and self-pairing (NeedsFieldExtension,
+    # NotSemisimple, DomainError) come after them, so a current that is
+    # neither fixed nor split raises NotFixed
     if not current_element(target.base, u).is_zero():
         target.base.require_noncritical()
-        image = target.automorphism_apply(u)
-        diff = image - u
-        if diff.truncated:
-            raise DomainError(
-                "the automorphism image of the current vector is truncated; "
-                "raise the module cutoff")
-        if not diff.is_zero():
+        if not (target.automorphism_apply(u) - u).is_zero():
             raise NotFixed(
                 "the current vector is not fixed by the attached automorphism")
     if target.conjugator is not None:
@@ -382,7 +367,7 @@ class ModuleMap:
 
     def apply(self, vec: PBWVector) -> PBWVector:
         return PBWVector({mono: self.scalar_at(monomial_weight(mono)) * c
-                          for mono, c in vec.c.items()}, vec.truncated)
+                          for mono, c in vec.c.items()})
 
 
 def functor_on_map(twisted: TwistedModule, mappings,
@@ -409,8 +394,8 @@ def functor_on_map(twisted: TwistedModule, mappings,
                         continue
                     mapped = mapping.apply(bv)
                     # an equal input has an equal image: no read needed
-                    left = unmapped if mapped.c == bv.c and not mapped.truncated \
-                        else twisted.vertex_series(v, mapped, ceiling)
+                    left = (unmapped if mapped.c == bv.c
+                            else twisted.vertex_series(v, mapped, ceiling))
                     witness = series_eq(left, unmapped.map_values(mapping.apply))
                     if witness is not None:
                         failures[i] = NotIntertwining(
@@ -443,12 +428,10 @@ def apply_table_entry(module: InducedModule, entry, vec: PBWVector) -> PBWVector
     out = {}
     if scalar:
         accumulate(out, vec.c.items(), scalar)
-    trunc = vec.truncated
     for (gi, mode), coeff in ops.items():
         moved = module.apply_mode(module.algebra._basis_elt(gi), mode, vec)
         accumulate(out, moved.c.items(), coeff)
-        trunc = trunc or moved.truncated
-    return PBWVector.adopt(out, trunc)
+    return PBWVector.adopt(out)
 
 
 def mode_candidates(span: int, order: int):

@@ -7,11 +7,10 @@ details are strings and small integers, ready for deterministic JSON.
 Two-variable identities are expanded in the inner variable only up to an
 explicit ceiling.  Everything at or below the ceiling is exact, so a pass
 certifies every compared coefficient and nothing beyond the window; the
-window itself is recorded in the report details.  A check raises
-DomainError rather than compare a truncated vector as if it were exact,
-which is the signal to rebuild the module with a higher cutoff; the
-comparison helpers _vector_case and _series_case are where that is decided
-for every compared pair, and series_eq itself reads no flag.
+window itself is recorded in the report details.  Every vector and series
+term a check compares is exact, whatever the module's declared cutoff: the
+module computes each coefficient in full, so the comparison helpers
+_vector_case and _series_case compare values and nothing else.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .series import (
     PBWVector,
     accumulate,
     branch_shift,
-    common_ceiling,
     linear_series,
     series_combine,
     series_derivative,
@@ -138,19 +136,6 @@ def basis_states(module: InducedModule, max_weight: int):
     return out
 
 
-def _ensure_exact(vec: PBWVector, context: str):
-    if vec.truncated:
-        raise DomainError(
-            f"{context}: the module cutoff is too low for an exact comparison")
-    return vec
-
-
-def _series_exact(ser: LogSeries, context: str):
-    for vec in ser.terms.values():
-        _ensure_exact(vec, context)
-    return ser
-
-
 def _series_sub(a: LogSeries, b: LogSeries) -> LogSeries:
     return series_combine(a, series_scale(b, scalar=F(-1)))
 
@@ -172,15 +157,9 @@ def _run_cases(name, cases, count_key, pass_details=None,
                        details={count_key: checked, **(pass_details or {})})
 
 
-def _series_case(alg, left, right, context, **fields):
-    """A counted comparison of two series inside their common ceiling, where
-    a flagged term on either side raises rather than be compared; a witness
-    names the first (e, k) apart."""
-    hi = common_ceiling(left.ceiling, right.ceiling)
-    for ser in (left, right):
-        for (e, _k), vec in ser.terms.items():
-            if hi is None or e <= hi:
-                _ensure_exact(vec, context)
+def _series_case(alg, left, right, **fields):
+    """A counted comparison of two series inside their common ceiling; a
+    witness names the first (e, k) apart."""
     wit = series_eq(left, right)
     if wit is None:
         return True, None
@@ -194,10 +173,8 @@ def _series_case(alg, left, right, context, **fields):
     }
 
 
-def _vector_case(alg, left, right, context, keys=("left", "right"), **fields):
-    """A counted comparison of two exact vectors, named by keys in a witness."""
-    _ensure_exact(left, context)
-    _ensure_exact(right, context)
+def _vector_case(alg, left, right, keys=("left", "right"), **fields):
+    """A counted comparison of two vectors, named by keys in a witness."""
     if left.c == right.c:
         return True, None
     return True, {**fields, keys[0]: format_vector(alg, left),
@@ -245,7 +222,7 @@ def check_shift_finiteness(module: InducedModule, u: PBWVector, states,
     def cases():
         # a state counts once all of its terms are in shape
         for v, label in states:
-            ser = _series_exact(delta_apply(delta, v), name)
+            ser = delta_apply(delta, v)
             vw = v.depth()
             log_bound = max(0, nil_index - 1) * vw
             for (e, k), vec in ser.sorted_items():
@@ -384,7 +361,7 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
     ceiling = int(inner_ceiling)
     targets = []
     for w, wlabel in target_states:
-        dw = _series_exact(delta_apply(delta, w), name)
+        dw = delta_apply(delta, w)
         coeffs, w_scale = clear_denominators([vec.c for vec in dw.terms.values()])
         targets.append((w, wlabel, list(zip(dw.terms, map(PBWVector, coeffs))),
                         w_scale))
@@ -392,7 +369,7 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
 
     def cases():
         for v, vlabel in arg_states:
-            dv = _series_exact(delta_apply(delta, v), name)
+            dv = delta_apply(delta, v)
             # the inner operator reaches y-exponents as low as minus the
             # total weight, so substitution terms that far above the ceiling
             # still land inside the window and must be kept
@@ -431,7 +408,7 @@ def _virasoro_bracket(module: InducedModule, u: PBWVector, states, n,
             if n == 0:
                 right = series_combine(right, dv.map_values(
                     lambda vec: module.apply_mode(delta.a, 0, vec)))
-            yield _series_case(module.algebra, left, right, name, state=label)
+            yield _series_case(module.algebra, left, right, state=label)
 
     return _run_cases(name, cases(), "statesChecked")
 
@@ -467,8 +444,7 @@ def check_group_laws(module: InducedModule, u: PBWVector, states,
                 ("inverse-left", delta_apply_series(dinv, delta_apply(d, v))),
             ]
             for law, got in laws:
-                yield _series_case(module.algebra, got, expect, name,
-                                   state=label, law=law)
+                yield _series_case(module.algebra, got, expect, state=label, law=law)
 
     return _run_cases(name, cases(), "comparisons")
 
@@ -497,7 +473,7 @@ def check_additivity(module: InducedModule, s_state: PBWVector,
                 ("semisimple-last", delta_apply_series(ds, delta_apply(dn, v))),
                 ("nilpotent-last", delta_apply_series(dn, delta_apply(ds, v))),
             ]:
-                yield _series_case(alg, got, want, name, state=label, order=order)
+                yield _series_case(alg, got, want, state=label, order=order)
 
     return _run_cases(name, cases(), "comparisons")
 
@@ -543,7 +519,7 @@ def check_mode_tables(twisted: TwistedModule, mode_span=3, weight=3,
                     op = twisted.gen_mode(b, m, l)
                     for w, wlabel in states:
                         yield _vector_case(alg, apply_table_entry(module, entry, w),
-                                           op(w), name, ("table", "series"),
+                                           op(w), ("table", "series"),
                                            generator=b, mode=mode, logPower=l,
                                            state=wlabel)
                     if single_semisimple and l == 0:
@@ -692,7 +668,7 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
                         if keep:
                             held.append((bc, cb, rhs))
                         lhs = bc - cb
-                        yield _vector_case(alg, lhs, rhs, name, generatorPair=pair,
+                        yield _vector_case(alg, lhs, rhs, generatorPair=pair,
                                            modes=modes, state=wlabel)
 
     # a pair that cannot be certified ends the run unless an earlier one failed
@@ -744,9 +720,9 @@ def check_conformal_shift(prev: TwistedModule, new: TwistedModule,
             }
             yield _vector_case(alg, new_l0(w),
                                prev_l0(w) - prev_u0(w) + F(kappa, 2) * w,
-                               name, state=label, mode="weight-mode")
+                               state=label, mode="weight-mode")
             yield _vector_case(alg, new_lm1(w), prev_lm1(w) - prev_um1(w),
-                               name, state=label, mode="translation-mode")
+                               state=label, mode="translation-mode")
 
     return _run_cases(name, cases(), "statesChecked",
                       {"selfPairingScalar": fmt_rational(kappa)})
@@ -843,7 +819,7 @@ def check_zero_mode_nilpotency(twisted: TwistedModule, b, weight=3) -> CheckRepo
                       inspected states (no window caveat on those).
       uncertifiable   some orbit leaves the window still alive.  The
                       details certify what the window does show: no orbit
-                      cycles inside it, so the report is a cutoff-relative
+                      cycles inside it, so the report is a window-relative
                       certificate rather than a module-wide claim.
       fail            an orbit survives inside the window for more steps
                       than the window's dimension.  Its span is an
@@ -879,7 +855,7 @@ def check_zero_mode_nilpotency(twisted: TwistedModule, b, weight=3) -> CheckRepo
                                "an invariant subspace the mode is not "
                                "nilpotent on"),
                 }, details={"inspectedWeight": weight})
-            cur = _ensure_exact(op(cur), name)
+            cur = op(cur)
             power += 1
         worst = max(worst, power)
     if escapes:
@@ -922,12 +898,12 @@ def check_twisted_axioms(twisted: TwistedModule, states, target_states,
     def cases():
         for w, wlabel in target_states:
             yield _series_case(alg, twisted.vertex_series(vac, w, ceiling),
-                               LogSeries({(F(0), 0): w}), name, state=wlabel,
+                               LogSeries({(F(0), 0): w}), state=wlabel,
                                axiom="vacuum")
         for v, vlabel in states:
-            moved = _ensure_exact(lm1(v), name)
+            moved = lm1(v)
             for w, wlabel in target_states:
-                ser = _series_exact(twisted.vertex_series(v, w, ceiling), name)
+                ser = twisted.vertex_series(v, w, ceiling)
                 off = next((e for (e, _k) in ser.terms
                             if (F(e) * order).denominator != 1), None)
                 yield False, None if off is None else {
@@ -937,7 +913,7 @@ def check_twisted_axioms(twisted: TwistedModule, states, target_states,
                     "exponent": fmt_rational(F(off)),
                 }
                 yield _series_case(alg, twisted.vertex_series(moved, w, ceiling - 1),
-                                   series_derivative(ser), name, argument=vlabel,
+                                   series_derivative(ser), argument=vlabel,
                                    target=wlabel, axiom="derivative")
 
     return _run_cases(name, cases(), "comparisons",
@@ -971,8 +947,7 @@ def check_equivariance(twisted: TwistedModule, target_states=None,
             for (w, wlabel), image in zip(target_states, images):
                 shifted = branch_shift(linear_series(v, image, ceiling), 1, order)
                 direct = linear_series(gv, image, ceiling)
-                yield _series_case(alg, shifted, direct, "equivariance",
-                                   argument=vlabel, target=wlabel)
+                yield _series_case(alg, shifted, direct, argument=vlabel, target=wlabel)
 
     return _run_cases("equivariance", cases(), "comparisons",
                       {"branchOrder": order, "ceiling": int(ceiling)})
@@ -1018,7 +993,7 @@ def check_functor_transport(module: InducedModule, u: PBWVector,
     states.append((module.conformal_vector(), "conformal state"))
     targets = basis_states(module, probe_weight + 1)
     cases = (_series_case(alg, round_trip.vertex_series(v, w, ceiling),
-                          module.vertex_series(v, w, ceiling), name,
+                          module.vertex_series(v, w, ceiling),
                           argument=vlabel, target=wlabel, law="round-trip")
              for v, vlabel in states for w, wlabel in targets)
     return _run_cases(name, cases, "roundTripComparisons",

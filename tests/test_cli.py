@@ -164,13 +164,31 @@ def test_a_transported_run_inverts_its_conjugator_once(monkeypatch):
     assert len(calls) == 1 and len(calls[0]) == 8
 
 
+def _checks_at(tmp_path, capsys, cfg, cutoff):
+    """The exit status and the checks array of cfg run at the given cutoff."""
+    status = main(["run", write_config(tmp_path, {**cfg, "module": {"lambda": 0,
+                                                                   "cutoff": cutoff}})])
+    return status, json.loads(capsys.readouterr().out)["checks"]
+
+
 def test_commutators_past_the_cutoff_are_a_window_error(tmp_path, capsys):
     # at cutoff 3, e1(-2) applied to a weight-2 state reaches weight 4: the
-    # mode output is truncated, so the check must not report a failure
-    cfg = base_config(module={"lambda": 0, "cutoff": 3}, twistChain=[],
-                      checks=["commutator"])
-    assert main(["run", write_config(tmp_path, cfg)]) == 19
-    assert json.loads(capsys.readouterr().out)["error"]["code"] == "DomainError"
+    # mode output is computed in full, so the run reports what cutoff 6 does
+    cfg = base_config(twistChain=[], checks=["commutator"])
+    want = _checks_at(tmp_path, capsys, cfg, 6)
+    assert want[0] == 0
+    assert _checks_at(tmp_path, capsys, cfg, 3) == want
+
+
+@pytest.mark.parametrize("cutoff", [3, 5])
+def test_delta_checks_do_not_depend_on_the_cutoff(tmp_path, capsys, cutoff):
+    # the shift images of the weight-0 delta checks reach monomials past
+    # cutoffs 3 and 5, whose coefficients must not read as zero: each run
+    # passes and reports what cutoff 6 does
+    cfg = base_config(checks=[{"name": "delta", "weight": 0}])
+    want = _checks_at(tmp_path, capsys, cfg, 6)
+    assert want[0] == 0
+    assert _checks_at(tmp_path, capsys, cfg, cutoff) == want
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -189,12 +207,21 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, diagram)]) == 13
     capsys.readouterr()
 
-    # the automorphism image of the current is cut off at cutoff 0: that is
-    # a window too small to decide, not a current the automorphism moves
+    # the automorphism image of the current is computed in full at cutoff 0,
+    # so the chain is built as at cutoff 6
     shallow = base_config(algebra={"type": "A", "rank": 2},
-                          module={"lambda": 0, "cutoff": 0})
-    assert main(["run", write_config(tmp_path, shallow)]) == 19
-    assert json.loads(capsys.readouterr().out)["error"]["code"] == "DomainError"
+                          checks=[{"name": "equivariance", "weight": 1}])
+    want = _checks_at(tmp_path, capsys, shallow, 6)
+    assert want[0] == 0
+    assert _checks_at(tmp_path, capsys, shallow, 0) == want
+
+    # additivity of currents whose parts do not commute is undefined
+    noncommuting = base_config(checks=[{"name": "additivity",
+                                        "semisimpleCurrent": {"h1": "1"},
+                                        "nilpotentCurrent": {"e1": "1"}}])
+    assert main(["run", write_config(tmp_path, noncommuting)]) == 19
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "code": "DomainError", "message": "additivity needs commuting current parts"}
 
 
 def _error_of(tmp_path, capsys, cfg):
@@ -324,12 +351,12 @@ def test_mode_tables_and_commutators_read_a_transported_generator(chain):
 ], ids=["group-laws", "additivity"])
 def test_truncated_series_comparisons_are_window_errors(tmp_path, capsys, over,
                                                         check):
-    # a truncated term is refused, not compared: a failure read off it would
-    # report the cutoff as a fact about the shift operators
-    cfg = base_config(module={"lambda": 0, "cutoff": 2}, **over)
-    assert _error_of(tmp_path, capsys, cfg) == (19, {
-        "code": "DomainError",
-        "message": f"{check}: the module cutoff is too low for an exact comparison"})
+    # every term is computed in full, so the comparison at cutoff 2 reports
+    # what it reports at cutoff 6
+    cfg = base_config(**over)
+    want = _checks_at(tmp_path, capsys, cfg, 6)
+    assert want[0] == 0 and [c["name"] for c in want[1]] == [check]
+    assert _checks_at(tmp_path, capsys, cfg, 2) == want
 
 
 def test_dimension_window_may_reach_the_cutoff_but_not_pass_it(tmp_path, capsys):
@@ -546,8 +573,8 @@ _UNKNOWN_GENERATOR_CASES = [case for case in CHECK_CONFIG_ERRORS if case[0] in (
                          ids=[case[0] for case in _UNKNOWN_GENERATOR_CASES])
 def test_check_generators_are_checked_before_any_check(tmp_path, capsys,
                                                        monkeypatch, over, message):
-    # commutator at cutoff 3 raises DomainError (exit 19) when it runs, so
-    # a bad generator in a later entry must be found before it runs
+    # the commutator check runs before the bad entry, so the bad generator
+    # must be found before any check runs
     cfg = base_config(module={"lambda": 0, "cutoff": 3}, twistChain=[],
                       checks=["commutator", *over["checks"]])
     path = write_config(tmp_path, cfg)

@@ -165,30 +165,24 @@ def test_weights_are_respected():
 
 @pytest.mark.parametrize("d", [DS, DN], ids=["semisimple", "nilpotent"])
 def test_truncated_input_keeps_its_flag(d):
-    from voatwist.fock import PBWVector
-
+    # no value depends on the declared cutoff: on a module declared with
+    # cutoff 0 every shift equals the one at cutoff 8, term by term
+    tiny = build_module(sl2, F(2), cutoff=0)
+    d0 = make_delta(tiny, tiny.current(d.a))
     quadratic = MOD.apply_mode("e1", -1, MOD.current("f1"))
     for state in (MOD.current("f1"), MOD.current("h1"), quadratic):
         exact = delta_apply(d, state)
-        got = delta_apply(d, PBWVector(state.c, truncated=True))
-        assert set(exact.terms) <= set(got.terms)
+        got = delta_apply(d0, PBWVector(state.c))
+        assert set(exact.terms) == set(got.terms)
         for key, term in got.terms.items():
-            assert term.truncated, key
-            if key in exact.terms:
-                assert (term - exact.terms[key]).is_zero()
-            else:
-                # only the flag of a part lost to the cutoff lands here
-                assert term.is_zero(), key
+            assert (term - exact.terms[key]).is_zero()
 
 
 def test_truncated_zero_input_keeps_its_flag():
-    from voatwist.fock import PBWVector
-
+    # the zero vector shifts to the empty series, whatever the cutoff
     small = build_module(sl2, F(2), cutoff=3)
     d = make_delta(small, small.current(sl2.element({"h1": F(1, 2)})))
-    got = delta_apply(d, PBWVector({}, truncated=True))
-    assert got.terms
-    assert all(term.truncated for term in got.terms.values())
+    assert not delta_apply(d, PBWVector()).terms
 
 
 @pytest.mark.parametrize("rank, coeffs", [
@@ -216,7 +210,6 @@ def test_eigen_monomials_expand_to_themselves(rank, coeffs):
             assert [(k, type(k)) for k in got] == [(lamsum, type(lamsum))], mono
             vec = got[lamsum]
             assert vec.c == {mono: 1} and type(vec.c[mono]) is int, mono
-            assert not vec.truncated, mono
 
 
 def test_mixed_generators_keep_the_rebuild():
@@ -228,20 +221,20 @@ def test_mixed_generators_keep_the_rebuild():
 
 
 def test_relabeling_stops_at_the_cutoff():
-    # a monomial past the cutoff is rebuilt, so it comes back as a flagged
-    # zero just as every factor past the cutoff does, not as an exact term
-    from voatwist.fock import PBWVector
-
+    # a monomial of weight past the cutoff is relabeled like any other, and
+    # its whole shift equals the one on a module declared with a cutoff
+    # above its weight
     small = build_module(sl2, F(2), cutoff=3)
     d = make_delta(small, small.current(sl2.element({"h1": F(1, 2)})))
     deep = PBWVector({mono(("e1", -2), ("e1", -2)): 1})
-    moved = delta_apply(d, deep).terms[(-2, 0)]
-    assert moved.is_zero() and moved.truncated
+    got = delta_apply(d, deep)
+    assert got.terms[(-2, 0)].c == {mono(("e1", -2), ("e1", -2)): 1}
+    assert canonical(got) == canonical(delta_apply(DS, deep))
 
 
 def canonical(ser):
-    """Keys, values, coefficient types and flags of a series of vectors."""
-    return [(key, vec.truncated, [(m, type(c), c) for m, c in vec.sorted_items()])
+    """Keys, values and coefficient types of a series of vectors."""
+    return [(key, [(m, type(c), c) for m, c in vec.sorted_items()])
             for key, vec in ser.sorted_items()]
 
 
@@ -336,10 +329,7 @@ def test_other_inputs_are_computed_afresh(monkeypatch):
 
     monkeypatch.setattr(delta, "_shift", recording)
     b = MOD.current("f1")
-    inputs = [Cyc.zeta(3, 1) * b, Cyc.of(2) * b,
-              PBWVector(b.c, truncated=True),
-              PBWVector({mono(("f1", -1)): F(1, 2)}, truncated=True),
-              b + MOD.current("h1")]
+    inputs = [Cyc.zeta(3, 1) * b, Cyc.of(2) * b, b + MOD.current("h1")]
     for d in (DS, DN):
         for v in inputs:
             reached.clear()

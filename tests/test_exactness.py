@@ -59,20 +59,20 @@ def float_scan(monkeypatch):
     from_sums = LogSeries.from_sums
     compare = verify._compare_bivariate
 
-    def watched_init(self, c=None, truncated=False):
+    def watched_init(self, c=None):
         for mono, coeff in (c or {}).items():
             scan["watched"] += 1
             if _has_float(coeff):
                 scan["floats"].append(("coefficient", mono, coeff))
-        init(self, c, truncated)
+        init(self, c)
 
-    def watched_adopt(c, truncated=False):
+    def watched_adopt(c):
         # sums kept without __init__
         for mono, coeff in c.items():
             scan["watched"] += 1
             if _has_float(coeff):
                 scan["floats"].append(("coefficient", mono, coeff))
-        return adopt(c, truncated)
+        return adopt(c)
 
     def watched_from_sums(sums, den, ceiling=None):
         # the exponents of the log-free series that bypass add_term; their
@@ -83,13 +83,13 @@ def float_scan(monkeypatch):
                 scan["floats"].append(("exponent", e, den))
         return from_sums(sums, den, ceiling)
 
-    def watched_add_term(self, e, k, terms, scale=None, flag=False):
+    def watched_add_term(self, e, k, terms, scale=None):
         # every series term passes here: series_sum adds each of its items,
         # and the shift operator's stage 3 each relabeled monomial
         scan["watched"] += 1
         if any(map(_has_float, (e, k, scale, *terms.values()))):
             scan["floats"].append(("term", e, k, terms, scale))
-        add_term(self, e, k, terms, scale, flag)
+        add_term(self, e, k, terms, scale)
 
     def watched_compare(alg, lhs, rhs, scale, ceiling, **fields):
         # shift-conjugation sums both sides in plain dicts that no
@@ -128,11 +128,10 @@ def test_cli_creates_no_float(float_scan, tmp_path, command, config):
 def test_float_scan_sees_every_series_term(float_scan):
     # a float exponent, coefficient or scale in any series_sum item is seen
     mono = ((0, -1),)
-    items = [(0.5, 0, {mono: 1}, None, False), (0, 0, {mono: 0.25}, None, False),
-             (1, 0, {mono: 1}, 2.0, False)]
+    items = [(0.5, 0, {mono: 1}, None), (0, 0, {mono: 0.25}, None),
+             (1, 0, {mono: 1}, 2.0)]
     series_sum(items)
-    assert float_scan["floats"] == [("term", e, k, terms, scale)
-                                    for e, k, terms, scale, _flag in items]
+    assert float_scan["floats"] == [("term", *item) for item in items]
 
 
 def test_float_scan_sees_every_relabeled_monomial(float_scan):
@@ -140,8 +139,8 @@ def test_float_scan_sees_every_relabeled_monomial(float_scan):
     # series_sum, as the shift operator's stage 3 adds a relabeled monomial
     mono = ((0, -1),)
     out = LogSeries()
-    out.add_term(0.5, 0, {mono: 1}, None, False)
-    out.add_term(0, 0, {mono: 0.25}, None, True)
+    out.add_term(0.5, 0, {mono: 1})
+    out.add_term(0, 0, {mono: 0.25})
     assert float_scan["floats"] == [("term", 0.5, 0, {mono: 1}, None),
                                     ("term", 0, 0, {mono: 0.25}, None)]
 
@@ -227,13 +226,13 @@ def fraction_scan(monkeypatch):
                              for mono, coeff in vec.c.items()
                              if _integral_fraction(coeff))
 
-    def watched_pbw_init(self, c=None, truncated=False):
-        pbw_init(self, c, truncated)
+    def watched_pbw_init(self, c=None):
+        pbw_init(self, c)
         read_pbw(self)
 
-    def watched_pbw_adopt(c, truncated=False):
+    def watched_pbw_adopt(c):
         # sums kept without __init__
-        vec = pbw_adopt(c, truncated)
+        vec = pbw_adopt(c)
         read_pbw(vec)
         return vec
 
@@ -244,10 +243,10 @@ def fraction_scan(monkeypatch):
             read_pbw(vec)
         return out
 
-    def watched_add_term(self, e, k, terms, scale=None, flag=False):
+    def watched_add_term(self, e, k, terms, scale=None):
         # the storing point of every per-key sum, series_sum's and the
         # shift operator's stage 3 alike: read each value it has just stored
-        add_term(self, e, k, terms, scale, flag)
+        add_term(self, e, k, terms, scale)
         vec = self.terms.get((int_if_integral(e), k))
         if vec is None:
             return
@@ -277,8 +276,8 @@ def fraction_scan(monkeypatch):
 def test_fraction_scan_reads_every_series_sum(fraction_scan, module):
     # a series_sum whose output holds n coefficients raises read by n or more
     mono, other = ((0, -1),), ((1, -1),)
-    items = [(0, 0, {mono: 1, other: F(1, 2)}, None, False),
-             (1, 0, {mono: F(3, 2)}, 2, False)]
+    items = [(0, 0, {mono: 1, other: F(1, 2)}),
+             (1, 0, {mono: F(3, 2)}, 2)]
     before = fraction_scan["read"]
     out = module.series_sum(items)
     held = sum(len(vec.c) for vec in out.terms.values())

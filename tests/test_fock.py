@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from voatwist import cli
 from voatwist.errors import CriticalLevel, DomainError, Unsupported
-from voatwist.fock import LOST, ZERO, PBWVector, build_module, monomial_weight
+from voatwist.fock import ZERO, PBWVector, build_module, monomial_weight
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc, int_if_integral
-from voatwist.series import accumulate, value_is_zero
+from voatwist.series import accumulate
 from voatwist.verify import basis_states
 
 sl2 = build_simple_lie("A", 1)
@@ -74,7 +74,6 @@ def test_affine_commutation_relation(xn, yn, m, n, si):
     if m + n == 0:
         rhs = rhs + (F(m) * sl2.form(x, y) * MOD.level) * v
     assert (lhs - rhs).is_zero()
-    assert not lhs.truncated and not rhs.truncated
 
 
 def test_central_charge_value():
@@ -136,40 +135,39 @@ def test_current_recovers_state_from_conformal_vector():
 
 
 def test_truncation_is_flagged_not_silent():
+    # a mode past the declared cutoff builds its monomial all the same
     tiny = build_module(sl2, F(2), cutoff=2)
     deep = tiny.apply_mode("e1", -3, tiny.vacuum())
-    assert deep.truncated
+    assert deep.c == MOD.apply_mode("e1", -3, MOD.vacuum()).c != {}
 
 
 def test_coefficients_past_the_cutoff_are_flagged():
+    # e1(-1) w has weight 3, at the cutoff, and e1(-2) w weight 4, past it:
+    # both read the values of a module declared with cutoff 8
     tiny = build_module(sl2, F(2), cutoff=3)
     e1 = tiny.current("e1")
     w = tiny.apply_mode("e1", -1, tiny.current("f1"))
-    # e1(-1) w has weight 3, at the cutoff; e1(-2) w would need weight 4
-    assert not tiny.vertex_operator_mode(e1, -1)(w).truncated
-    assert tiny.vertex_operator_mode(e1, -2)(w).truncated
-    # an input flag passes through, and an empty product is exact
-    assert tiny.vertex_operator_mode(e1, -1)(PBWVector(w.c, truncated=True)).truncated
-    assert not tiny.vertex_operator_mode(PBWVector(), -2)(w).truncated
+    for n in (-1, -2):
+        got = tiny.vertex_operator_mode(e1, n)(w)
+        assert got.c == MOD.vertex_operator_mode(e1, n)(w).c != {}
+    # an empty product is zero
+    assert tiny.vertex_operator_mode(PBWVector(), -2)(w).is_zero()
 
 
 def test_vertex_series_carries_the_input_flags():
-    # a flagged v: every exponent from -(depth(v) + depth(w)) to the ceiling
-    # holds a term equal to the mode read there, in value and flag, a
-    # flagged zero where nothing was summed
-    mod = build_module(sl2, F(2), cutoff=4)
-    v = PBWVector(mod.current("e1").c, truncated=True)
-    w = mod.current("f1")
-    ser = mod.vertex_series(v, w, 4)
-    lowest = -v.depth() - w.depth()
-    assert sorted(e for e, _k in ser.terms) == list(range(lowest, 5))
-    for e in range(lowest, 5):
-        got, want = ser.terms[e, 0], mod.vertex_operator_mode(v, -e - 1)(w)
-        assert got.c == want.c and got.truncated and want.truncated
-    # the same pair unflagged keeps only the summed terms, none flagged
-    exact = mod.vertex_series(mod.current("e1"), w, 4)
-    assert not any(vec.truncated for vec in exact.terms.values())
-    assert all(ser.terms[key].c == vec.c for key, vec in exact.terms.items())
+    # at a low declared cutoff every term of a series equals the mode read
+    # there and the series of a module declared with cutoff 8: at cutoff 2
+    # the x^0 term of Y(e1(-1)|0>, x) f1(-2)|0> needs weight 3, and is kept
+    for cutoff, v, w in ((4, MOD.current("e1"), MOD.current("f1")),
+                         (2, MOD.current("e1"), MOD.apply_mode("f1", -2, MOD.vacuum()))):
+        mod = build_module(sl2, F(2), cutoff=cutoff)
+        ser = mod.vertex_series(v, w, 4)
+        for (e, _k), got in ser.terms.items():
+            assert got.c == mod.vertex_operator_mode(v, -e - 1)(w).c
+        want = MOD.vertex_series(v, w, 4)
+        assert {key: vec.c for key, vec in ser.terms.items()} == \
+            {key: vec.c for key, vec in want.terms.items()}
+        assert (0, 0) in ser.terms
 
 
 def test_nonvacuum_highest_weight_unsupported():
@@ -243,16 +241,12 @@ def test_module_is_collected_after_del():
 
 def test_subtraction_is_one_pass_and_keeps_flags():
     v = 2 * MOD.current("e1") + F(1, 3) * MOD.current("h1")
-    assert (v - v).is_zero() and not (v - v).truncated
+    assert (v - v).is_zero()
     w = MOD.current("h1")
     diff = v - w
     assert diff.c == {((0, -1),): 2, ((2, -1),): F(-2, 3)}
     assert (w - v).c == {mono: -c for mono, c in diff.c.items()}
-    flagged = PBWVector(w.c, truncated=True)
-    assert (v - flagged).truncated
-    assert (flagged - v).truncated
-    assert (flagged - flagged).is_zero() and (flagged - flagged).truncated
-    assert not (v - w).truncated
+    assert (w - w).is_zero()
 
 
 def _typed(terms):
@@ -289,48 +283,39 @@ def test_mode_action_reads_the_structure_table(level):
             for m in modes:
                 for m1 in modes:
                     got = mod._act(gi, m, ((g1, m1),))
-                    trunc = got is LOST
                     want = _act_through_bracket(mod, gi, m, g1, m1)
                     assert _typed(dict(got)) == _typed(want), (gi, m, g1, m1)
-                    assert not trunc
 
 
 def _first_act(mod, known, gi, m, mono):
-    """b_gi(m) on one monomial as the (dict, truncated) pair of the recursion
-    that preceded the shared LOST and ZERO images, memoized in known."""
+    """b_gi(m) on one monomial as the dict of the plain recursion that
+    preceded the frozen, shared images, memoized in known."""
     key = (gi, m, mono)
     if key in known:
         return known[key]
     if not mono:
-        out = ({}, False) if m >= 0 else \
-            ({}, True) if -m > mod.cutoff else ({((gi, m),): 1}, False)
+        out = {} if m >= 0 else {((gi, m),): 1}
     elif m < 0 and (-m, gi) <= (-mono[0][1], mono[0][0]):
-        new = ((gi, m),) + mono
-        out = ({}, True) if monomial_weight(new) > mod.cutoff else ({new: 1}, False)
+        out = {((gi, m),) + mono: 1}
     else:
         (g1, m1), rest = mono[0], mono[1:]
-        acc = {}
-        inner, trunc = _first_act(mod, known, gi, m, rest)
-        for mono2, c2 in inner.items():
-            sub, t2 = _first_act(mod, known, g1, m1, mono2)
-            trunc = trunc or t2
-            accumulate(acc, sub.items(), c2)
+        out = {}
+        for mono2, c2 in _first_act(mod, known, gi, m, rest).items():
+            accumulate(out, _first_act(mod, known, g1, m1, mono2).items(), c2)
         struct, gram = mod.algebra._tables()
         for k, ck in struct[gi][g1]:
-            sub, t3 = _first_act(mod, known, k, m + m1, rest)
-            trunc = trunc or t3
-            accumulate(acc, sub.items(), ck)
+            accumulate(out, _first_act(mod, known, k, m + m1, rest).items(), ck)
         if m + m1 == 0 and m and gram[gi][g1]:
-            accumulate(acc, {rest: int_if_integral(m * gram[gi][g1] * mod.level)}.items())
-        out = acc, trunc
+            accumulate(out, {rest: int_if_integral(m * gram[gi][g1] * mod.level)}.items())
     known[key] = out
     return out
 
 
 @pytest.mark.parametrize("rank", [1, 2], ids=["A1", "A2"])
 def test_mode_action_images_match_the_flagged_recursion(rank):
+    # the images match the plain recursion, past the declared cutoff too
     alg = build_simple_lie("A", rank)
-    lost = 0
+    beyond = 0
     for cutoff in (2, 3, 4):
         mod = build_module(alg, F(1), cutoff=cutoff)
         known = {}
@@ -339,22 +324,19 @@ def test_mode_action_images_match_the_flagged_recursion(rank):
             for m in range(-3, 4):
                 for mono in monos:
                     got = mod._act(gi, m, mono)
-                    want, flagged = _first_act(mod, known, gi, m, mono)
+                    want = _first_act(mod, known, gi, m, mono)
                     assert _typed(dict(got)) == _typed(want), (gi, m, mono)
-                    assert (got is LOST) == flagged, (gi, m, mono)
-                    assert (got is ZERO) == (not want and not flagged), (gi, m, mono)
-                    lost += flagged
-    assert lost
-    for shared in (ZERO, LOST):
-        with pytest.raises(TypeError):
-            shared[()] = 1
-    assert ZERO is not LOST
+                    assert (got is ZERO) == (not want), (gi, m, mono)
+                    beyond += bool(want) and monomial_weight(mono) - m > cutoff
+    assert beyond
+    with pytest.raises(TypeError):
+        ZERO[()] = 1
 
 
 @pytest.fixture(scope="module")
 def nilpotent_memo(tmp_path_factory):
     """The modules built by one run of configs/sl2_nilpotent.json, and
-    every image and bucket their memos hold (LOST included)."""
+    every image and bucket their memos hold."""
     built = []
     inner = cli.build_module
 
@@ -378,17 +360,16 @@ def nilpotent_memo(tmp_path_factory):
 def test_memo_values_are_tuples_or_lost(nilpotent_memo):
     images, buckets = nilpotent_memo
     for _mod, value in images + buckets:
-        assert type(value) is tuple or value is LOST
+        assert type(value) is tuple
 
 
 def test_equal_memo_values_are_one_object(nilpotent_memo):
     images, buckets = nilpotent_memo
     first = {}
     for mod, value in images + buckets:
-        if value is not LOST:
-            assert first.setdefault((id(mod), value), value) is value, value
+        assert first.setdefault((id(mod), value), value) is value, value
     # some image is stored under more than one key
-    assert len(first) < sum(value is not LOST for _mod, value in images + buckets)
+    assert len(first) < len(images + buckets)
 
 
 def test_memo_monomials_are_the_modules_own(nilpotent_memo):
@@ -412,7 +393,7 @@ def _sugawara_loop(mod, n, vec):
     """L(n) vec by the per-vector loop that preceded the memoized monomial
     images, kept as their oracle."""
     pairs, scale = mod._sugawara_pairs()
-    total = PBWVector({}, vec.truncated)
+    total = PBWVector()
     for mono, coeff in vec.c.items():
         d = monomial_weight(mono)
         one = PBWVector({mono: coeff})
@@ -425,7 +406,7 @@ def _sugawara_loop(mod, n, vec):
                 else:
                     inner, im, outer, om = ui, p, udi, q
                 tmp = mod.apply_mode(inner, im, one)
-                if value_is_zero(tmp):
+                if tmp.is_zero():
                     continue
                 acc = acc + mod.apply_mode(outer, om, tmp)
         total = total + scale * acc
@@ -433,7 +414,7 @@ def _sugawara_loop(mod, n, vec):
 
 
 def _canonical_vector(vec):
-    return vec.truncated, [(m, type(c), c) for m, c in vec.sorted_items()]
+    return [(m, type(c), c) for m, c in vec.sorted_items()]
 
 
 def test_sugawara_images_match_the_vector_loop():
@@ -444,8 +425,7 @@ def test_sugawara_images_match_the_vector_loop():
     for i in range(0, len(monos) - 2, 3):
         vectors.append(PBWVector({monos[i + j]: scalars[(i + j) % len(scalars)]
                                   for j in range(3)}))
-    vectors += [PBWVector(v.c, truncated=True) for v in vectors[::7]]
-    vectors += [PBWVector(), PBWVector({}, truncated=True)]
+    vectors.append(PBWVector())
     assert any(type(c) is Cyc for v in vectors for c in v.c.values())
     for n in range(-1, 3):
         ln = small.sugawara_mode(n)
@@ -453,5 +433,7 @@ def test_sugawara_images_match_the_vector_loop():
             got = ln(v)
             assert _canonical_vector(got) == \
                 _canonical_vector(_sugawara_loop(small, n, v)), (n, v)
-    # L(-1) of a monomial at the cutoff loses its image to the cutoff
-    assert small.sugawara_mode(-1)(vectors[len(monos) - 1]).truncated
+    # L(-1) of a monomial at the cutoff raises it past the cutoff, exactly
+    top = vectors[len(monos) - 1]
+    assert _canonical_vector(small.sugawara_mode(-1)(top)) == \
+        _canonical_vector(MOD.sugawara_mode(-1)(top)) != []

@@ -11,9 +11,9 @@ reference: ``TwistedModule.chain_transform`` of a basis monomial with
 coefficient int 1, and the mode operator and L(n) on a basis target with
 coefficient int 1.  The first forms below are the per-item sums these
 replaced, and the recursion down to the vacuum.  Both must agree in keys
-(in their order), values, value types (Cyc coordinates included) and
-flags, for int, Fraction and Cyc coefficients, at an integral and a
-non-integral level, on multi-monomial, flagged and zero vectors.  Checks
+(in their order), values and value types (Cyc coordinates included), for
+int, Fraction and Cyc coefficients, at an integral and a non-integral
+level, on multi-monomial and zero vectors.  Checks
 run twice on one TwistedModule must report the same, and leave the shared
 images as they were.  The commutator check shares each product between a
 case and its partner, and a witness read from a shared product equals one
@@ -68,13 +68,9 @@ def first_vertex_series(mod, v, w, ceiling):
     for mv, cv in v.c.items():
         for mw, cw in w.c.items():
             scale = cv * cw
-            items.extend((e, 0, dict(vec), scale, False)
+            items.extend((e, 0, dict(vec), scale)
                          for e, vec in mod._vs_mono(mv, mw, ceiling).items()
                          if e <= ceiling)
-    if v.truncated or w.truncated:
-        # a flagged input flags every exponent from the lowest weight up
-        items.extend((e, 0, {}, None, True)
-                     for e in range(-v.depth() - w.depth(), ceiling + 1))
     return series_sum(items, ceiling)
 
 
@@ -87,21 +83,11 @@ def first_coefficient_at(mod, v, w, e):
             if vec is None:
                 continue
             accumulate(out, vec, cv * cw)
-    # Y(|0>, x) = id: only v's non-vacuum monomials can reach past the cutoff
-    depth = non_vacuum_depth(v)
-    deep = depth is not None and bool(w.c) and depth + w.depth() + e > mod.cutoff
-    return PBWVector(out, deep or v.truncated or w.truncated)
-
-
-def non_vacuum_depth(v):
-    """The largest weight of a non-vacuum monomial of v (None if none)."""
-    return max((monomial_weight(mono) for mono in v.c if mono), default=None)
+    return PBWVector(out)
 
 
 def first_chain_transform(tw, v):
-    if v.truncated or not v.c:
-        return tw._transform_whole(v)
-    return series_sum((e, k, vec.c, c, vec.truncated)
+    return series_sum((e, k, vec.c, c)
                       for mono, c in v.c.items()
                       for (e, k), vec in tw._chain_image(mono).terms.items())
 
@@ -111,8 +97,7 @@ def first_twisted_vertex_series(tw, v, w, ceiling):
     items = []
     for (e1, k1), vec1 in first_chain_transform(tw, v).terms.items():
         base_ser = first_vertex_series(tw.base, vec1, w, floor(ceiling - e1))
-        items.extend((e1 + e2, k1, vec2.c, None, vec2.truncated)
-                     for (e2, _k2), vec2 in base_ser.terms.items())
+        items.extend((e1 + e2, k1, vec2.c) for (e2, _k2), vec2 in base_ser.terms.items())
     return series_sum(items, ceiling)
 
 
@@ -125,30 +110,24 @@ def first_mode(tw, v, m, l):
 
     def image(mono):
         w = PBWVector({mono: 1})
-        out, trunc = {}, False
+        out = {}
         for vec1, e2 in reads:
-            coeff = first_coefficient_at(tw.base, vec1, w, e2)
-            accumulate(out, coeff.c.items())
-            trunc = trunc or coeff.truncated
-        return PBWVector(out, trunc)
+            accumulate(out, first_coefficient_at(tw.base, vec1, w, e2).c.items())
+        return PBWVector(out)
 
     def op(w):
-        if not reads:
-            return PBWVector(None, w.truncated)
         out = {}
-        trunc = w.truncated
         for mono, cw in w.c.items():
             img = images.get(mono)
             if img is None:
                 img = images[mono] = image(mono)
             accumulate(out, img.c.items(), cw)
-            trunc = trunc or img.truncated
-        return PBWVector(out, trunc)
+        return PBWVector(out)
 
     return op
 
 
-# -- equality in keys, values, types and flags --------------------------------
+# -- equality in keys, values and types -----------------------------------------
 
 
 def _typed(c):
@@ -159,7 +138,7 @@ def _typed(c):
 
 
 def typed_vector(vec):
-    return [(mono, _typed(c)) for mono, c in vec.c.items()], vec.truncated
+    return [(mono, _typed(c)) for mono, c in vec.c.items()]
 
 
 def typed_series(ser):
@@ -200,8 +179,7 @@ scalars = st.one_of(
 vectors = st.one_of(
     # a basis monomial with coefficient 1, the shared-image case
     st.builds(lambda mono: PBWVector({mono: 1}), st.sampled_from(MONOS)),
-    st.builds(PBWVector, st.dictionaries(st.sampled_from(MONOS), scalars, max_size=4),
-              st.booleans()),
+    st.builds(PBWVector, st.dictionaries(st.sampled_from(MONOS), scalars, max_size=4)),
 )
 cases = st.tuples(st.sampled_from(sorted(LEVELS)), st.sampled_from(sorted(CHAINS)))
 
@@ -310,32 +288,32 @@ READ_STATES = [
 @pytest.mark.parametrize("level", sorted(LEVELS))
 def test_mode_reader_matches_coefficient_first_form_around_the_cutoff(level):
     # every e with depth(v) + depth(w) + e one below, at or one above the
-    # cutoff for some target, on exact and flagged inputs; one reader
-    # serves every target, twice, so its plan is built once and reused
+    # cutoff for some target; one reader serves every target, twice, so its
+    # plan is built once and reused.  Past the cutoff the reads equal those
+    # of a module declared with a cutoff above every weight reached
     mod = build_module(sl2, LEVELS[level], CUTOFF)
+    high = build_module(sl2, LEVELS[level], CUTOFF + 4)
     targets = [PBWVector({mono: 1}) for w in range(3) for mono in mod.basis(w)]
     targets += [PBWVector({((0, -1),): F(2, 3), ((1, -2),): 1}),
-                PBWVector({((2, -1), (2, -1)): Cyc.zeta(3, 2)}),
-                PBWVector(targets[3].c, True)]
+                PBWVector({((2, -1), (2, -1)): Cyc.zeta(3, 2)})]
     seen = set()
-    for v in READ_STATES + [PBWVector(READ_STATES[2].c, True)]:
+    for v in READ_STATES:
         for e in range(CUTOFF - v.depth() - 3, CUTOFF - v.depth() + 2):
             read = mod.vertex_operator_mode(v, -e - 1)
             for w in targets + targets:
-                past = v.depth() + w.depth() + e - CUTOFF
-                seen.add(past)
+                seen.add(v.depth() + w.depth() + e - CUTOFF)
                 want = first_coefficient_at(mod, v, w, e)
-                deep = non_vacuum_depth(v) is not None and past > 0
-                assert want.truncated == (deep or v.truncated or w.truncated)
                 assert typed_vector(read(w)) == typed_vector(want)
                 assert typed_vector(mod.vertex_operator_mode(v, -e - 1)(w)) == typed_vector(want)
+                assert typed_vector(want) == \
+                    typed_vector(high.vertex_operator_mode(v, -e - 1)(w))
     assert {-1, 0, 1} <= seen
 
 
 def test_vacuum_reads_are_exact_past_the_cutoff():
     # Y(|0>, x) w = w: the vacuum's modes read w at x^0 and zero elsewhere,
-    # unflagged however far depth(w) + e lies past the cutoff; a non-vacuum
-    # monomial beside the vacuum still flags a read that passes it
+    # however far depth(w) + e lies past the cutoff; a non-vacuum monomial
+    # beside the vacuum reads what a module with a higher cutoff reads
     mod = build_module(sl2, 2, CUTOFF)
     vacuum = mod.vacuum()
     for weight in range(CUTOFF + 1):
@@ -347,10 +325,13 @@ def test_vacuum_reads_are_exact_past_the_cutoff():
                 read = mod.vertex_operator_mode(PBWVector({(): 3}), -e - 1)(w)
                 assert typed_vector(read) == typed_vector(PBWVector())
     w = PBWVector({mod.basis(2)[0]: 1})
-    assert not mod.vertex_operator_mode(vacuum, -4)(w).truncated
+    assert mod.vertex_operator_mode(vacuum, -4)(w).is_zero()
+    high = build_module(sl2, 2, CUTOFF + 4)
     mixed = PBWVector({(): 1, ((0, -1),): 1})
-    assert not mod.vertex_operator_mode(mixed, -2)(w).truncated
-    assert mod.vertex_operator_mode(mixed, -3)(w).truncated
+    for n in (-2, -3):
+        got = mod.vertex_operator_mode(mixed, n)(w)
+        assert typed_vector(got) == typed_vector(high.vertex_operator_mode(mixed, n)(w))
+        assert not got.is_zero()
 
 
 sl3 = build_simple_lie("A", 2)
@@ -528,12 +509,10 @@ def test_a_pair_after_its_partner_builds_no_right_side():
 def first_sugawara_mode(mod, n):
     """L(n) as first written: a fresh per-monomial sum of the images."""
     def act(vec):
-        out, trunc = {}, vec.truncated
+        out = {}
         for mono, coeff in vec.c.items():
-            image = mod._sugawara_image(n, mono)
-            accumulate(out, image.c.items(), coeff)
-            trunc = trunc or image.truncated
-        return PBWVector.adopt(out, trunc)
+            accumulate(out, mod._sugawara_image(n, mono).c.items(), coeff)
+        return PBWVector.adopt(out)
 
     return act
 
@@ -542,14 +521,14 @@ def first_sugawara_mode(mod, n):
 @given(st.sampled_from(sorted(LEVELS)), st.integers(-2, 2),
        st.lists(vectors, min_size=1, max_size=4))
 def test_sugawara_mode_matches_its_first_form(level, n, targets):
-    # at cutoff 3, L(-2) and L(-1) of the weight-2 targets come back flagged;
-    # each target is read twice
+    # at cutoff 3, L(-2) of the weight-2 targets reaches weight 4, past the
+    # cutoff; each target is read twice
     mod = build_module(sl2, LEVELS[level], 3)
     ln, first = mod.sugawara_mode(n), first_sugawara_mode(mod, n)
     for w in targets + targets:
         got = ln(w)
         assert typed_vector(got) == typed_vector(first(w))
-        if len(w.c) == 1 and not w.truncated:
+        if len(w.c) == 1:
             [(mono, c)] = w.c.items()
             if type(c) is int and c == 1:
                 assert got is mod._sugawara_image(n, mono)
@@ -602,7 +581,7 @@ def first_series_sum(items, ceiling=None):
 def first_shift(delta, v):
     staged = _log_stage(delta, _exp_current_stage(delta, v))
     if delta.s.is_zero():
-        return LogSeries({(e, k): PBWVector(divided(vec.c, den), vec.truncated)
+        return LogSeries({(e, k): PBWVector(divided(vec.c, den))
                           for e, k, vec, den in staged})
     module = delta.module
 
@@ -614,30 +593,26 @@ def first_shift(delta, v):
     eigvals = delta.eig.generator_eigenvalues()
     items = []
     for e, k, vec, den in staged:
-        if not vec.c:
-            items.append((e, k, {}, None, vec.truncated))
         for mono, coeff in divided(vec.c, den).items():
             lams = [eigvals[gi] for gi, _m in reversed(mono)]
-            if None not in lams and monomial_weight(mono) <= module.cutoff:
-                items.append((e + sign * sum(lams), k, {mono: coeff}, None,
-                              vec.truncated))
+            if None not in lams:
+                items.append((e + sign * sum(lams), k, {mono: coeff}))
                 continue
             for lamsum, expanded in module.expand_monomial(mono, split).items():
-                items.append((e + sign * lamsum, k, expanded.c, coeff,
-                              expanded.truncated or vec.truncated))
+                items.append((e + sign * lamsum, k, expanded.c, coeff))
     return first_series_sum(items)
 
 
 def first_delta_apply(delta, v):
     if delta.is_identity:
         return LogSeries({(0, 0): v})
-    if len(v.c) == 1 and not v.truncated:
+    if len(v.c) == 1:
         [(mono, c)] = v.c.items()
         if type(c) in (int, F):
             hit = first_shift(delta, PBWVector({mono: 1}))
             if type(c) is int and c == 1:
                 return hit
-            return first_series_sum(((e, k, w.c, None, w.truncated)
+            return first_series_sum(((e, k, w.c)
                                      for (e, k), w in ((key, c * vec) for key, vec
                                                        in hit.terms.items())),
                                     hit.ceiling)
@@ -667,7 +642,7 @@ def shift_operator(current, legacy):
 
 @lru_cache(maxsize=None)
 def shift_monomials(alg):
-    # up to one past the cutoff, where a relabeled monomial is expanded instead
+    # up to one past the cutoff, where a monomial is relabeled all the same
     mod = build_module(alg, 2, 3)
     top = 4 if alg is sl2 else 3
     return [mono for w in range(top) for mono in mod.basis(w)] + mod.basis(top)[:6]
@@ -682,7 +657,7 @@ def shift_cases(draw):
         # a basis monomial, and an int or Fraction multiple: served from D(b)
         st.builds(lambda mono: PBWVector({mono: 1}), monos),
         st.builds(lambda mono, c: PBWVector({mono: c}), monos, scalars),
-        st.builds(PBWVector, st.dictionaries(monos, scalars, max_size=4), st.booleans()),
+        st.builds(PBWVector, st.dictionaries(monos, scalars, max_size=4)),
     ))
     return current, draw(st.booleans()), v
 
@@ -691,7 +666,7 @@ def shift_cases(draw):
 @given(shift_cases())
 @example(("sl2 h1=1/2+e1", False,
           PBWVector({((0, -1), (1, -1)): 1, ((2, -1),): F(1, 2), ((0, -2),): 3})))
-@example(("sl2 h1=1/2", False, PBWVector({}, True)))
+@example(("sl2 h1=1/2", False, PBWVector({})))
 @example(("sl2 e1", True, PBWVector({})))
 @example(("A2 (h1-h2)/6+e12", False, PBWVector({((2, -1), (3, -1)): F(-2, 3)})))
 def test_shift_image_matches_its_first_form(case):

@@ -17,7 +17,6 @@ from voatwist.series import (
     series_eq,
     series_scale,
     series_sum,
-    value_is_zero,
 )
 
 # two weight-one monomials, e(-1)|0> and f(-1)|0> of sl2; no module is needed
@@ -25,8 +24,8 @@ A = ((0, -1),)
 B = ((1, -1),)
 
 
-def vec(c, mono=A, truncated=False):
-    return PBWVector({mono: c}, truncated)
+def vec(c, mono=A):
+    return PBWVector({mono: c})
 
 
 def test_add_term_accumulates_and_cancels():
@@ -37,10 +36,10 @@ def test_add_term_accumulates_and_cancels():
     s.add_term(0, 1, {A: 2})
     s.add_term(0, 1, {A: 5})
     assert s.terms[(F(0), 1)].c == {A: 7}
-    # a sum that cancels to a flagged zero stays, flagged
+    # a sum that cancels drops its key
     s.add_term(1, 0, {A: 1})
-    s.add_term(1, 0, {A: -1}, flag=True)
-    assert s.terms[(1, 0)].is_zero() and s.terms[(1, 0)].truncated
+    s.add_term(1, 0, {A: -1})
+    assert (1, 0) not in s.terms
 
 
 def test_combine_add_intersects_windows():
@@ -98,20 +97,19 @@ def test_series_eq_reports_first_mismatch():
     a = LogSeries({(F(0), 0): vec(1), (F(1), 0): vec(2)})
     b = LogSeries({(F(0), 0): vec(1), (F(1), 0): vec(3)})
     assert series_eq(a, b) == (F(1), 0, vec(2), vec(3))
-    # a missing term reads as None and never matches, not even a flagged zero
+    # a missing term reads as None and never matches; a zero is never stored
     assert series_eq(a, LogSeries({(F(0), 0): vec(1)})) == (F(1), 0, vec(2), None)
-    flagged_zero = LogSeries({(F(0), 0): PBWVector({}, truncated=True)})
-    assert series_eq(LogSeries(), flagged_zero)[:2] == (F(0), 0)
+    assert series_eq(LogSeries(), LogSeries({(F(0), 0): PBWVector()})) is None
 
 
 def test_series_eq_compares_values_not_flags():
-    # what a flagged term means is decided by the check that compares it
-    a = LogSeries({(F(0), 0): vec(1), (F(1), 0): vec(2, truncated=True)})
+    # terms compare by value, whatever scalar type holds it
+    a = LogSeries({(F(0), 0): vec(1), (F(1), 0): vec(Cyc.of(2))})
     b = LogSeries({(F(0), 0): vec(1), (F(1), 0): vec(2)})
     assert series_eq(a, b) is None and series_eq(b, a) is None
     assert series_eq(a, a) is None
     assert series_eq(a, LogSeries({(F(0), 0): vec(1)})) == (
-        F(1), 0, vec(2, truncated=True), None)
+        F(1), 0, vec(Cyc.of(2)), None)
 
 
 def test_series_eq_ignores_untrusted_region():
@@ -121,24 +119,23 @@ def test_series_eq_ignores_untrusted_region():
 
 
 def test_series_sum_drops_cancelled_keys_and_keeps_flagged_zeros():
+    # every zero is dropped: a cancelled sum and an empty item alike
     ser = series_sum([
-        (0, 0, {A: 1}, None, False),
-        (-1, 0, {A: 2}, None, False),
-        (1, 0, {A: F(1, 2)}, None, False),
-        (0, 0, {A: 1}, -1, False),           # cancels: (0, 0) is dropped
-        (-1, 0, {A: 1}, -2, False),          # cancels and is never hit again
-        (F(2), 1, {}, None, True),           # a flagged zero is kept
-        (3, 0, {A: 1}, None, False),
-        (3, 0, {A: 1}, -1, True),            # cancelled by a flagged item: kept
-        (1, 0, {A: F(1, 2)}, None, False),   # 1/2 + 1/2 is stored as an int
-        (0, 0, {B: 3}, None, False),         # a re-hit key comes back last
+        (0, 0, {A: 1}),
+        (-1, 0, {A: 2}),
+        (1, 0, {A: F(1, 2)}),
+        (0, 0, {A: 1}, -1),           # cancels: (0, 0) is dropped
+        (-1, 0, {A: 1}, -2),          # cancels and is never hit again
+        (F(2), 1, {}),                # an empty item is dropped
+        (3, 0, {A: 1}),
+        (3, 0, {A: 1}, -1),           # cancels: (3, 0) is dropped
+        (1, 0, {A: F(1, 2)}),         # 1/2 + 1/2 is stored as an int
+        (0, 0, {B: 3}),               # a re-hit key comes back last
     ], ceiling=4)
-    assert list(ser.terms) == [(1, 0), (2, 1), (3, 0), (0, 0)]
+    assert list(ser.terms) == [(1, 0), (0, 0)]
     assert all(type(e) is int for e, _k in ser.terms)
     assert ser.terms[(1, 0)].c == {A: 1} and type(ser.terms[(1, 0)].c[A]) is int
-    for key in ((2, 1), (3, 0)):
-        assert ser.terms[key].is_zero() and ser.terms[key].truncated
-    assert ser.terms[(0, 0)].c == {B: 3} and not ser.terms[(0, 0)].truncated
+    assert ser.terms[(0, 0)].c == {B: 3}
     assert ser.ceiling == 4
 
 
@@ -163,9 +160,7 @@ classes = st.lists(st.integers(-1, len(EQUAL_FORMS) - 1),
 def test_vector_equality_is_a_zero_difference(data):
     """a == b, read off the coefficient dicts, holds exactly when a - b is
     zero, over coefficients that are equal in different representations;
-    series_eq agrees with the subtraction rule on values.  Flags are not
-    compared: tests/test_verify.py's gate test covers what a check does
-    with a flagged term."""
+    series_eq agrees with the subtraction rule on values."""
     left = data.draw(classes)
     right = list(left)
     for _ in range(data.draw(st.integers(0, 2))):
@@ -174,8 +169,7 @@ def test_vector_equality_is_a_zero_difference(data):
 
     def draw_vector(picks):
         return PBWVector({mono: data.draw(st.sampled_from(EQUAL_FORMS[k]))
-                          for mono, k in zip(MONOS, picks) if k >= 0},
-                         data.draw(st.booleans()))
+                          for mono, k in zip(MONOS, picks) if k >= 0})
 
     a, b = draw_vector(left), draw_vector(right)
     assert (a == b) == (a - b).is_zero() == (left == right)
@@ -195,7 +189,7 @@ def old_add_term(s, e, k, value):
     key = (int_if_integral(e), int(k))
     cur = s.terms.get(key)
     new = value if cur is None else cur + value
-    if value_is_zero(new):
+    if new.is_zero():
         s.terms.pop(key, None)
     else:
         s.terms[key] = new
@@ -249,9 +243,9 @@ def old_branch_shift(a, steps, order):
 
 
 def shape(s):
-    """Ceiling, keys in order with their types, values with their types,
-    and flags."""
-    return s.ceiling, [((e, type(e), k), v.truncated,
+    """Ceiling, keys in order with their types, and values with their
+    types."""
+    return s.ceiling, [((e, type(e), k),
                         sorted((mono, c, type(c).__name__) for mono, c in v.c.items()))
                        for (e, k), v in s.terms.items()]
 
@@ -264,9 +258,8 @@ scalars = st.one_of(
     st.builds(lambda n: Cyc.t_power(1) * n + 1, st.integers(-1, 1)))
 # few exponents and log powers, so that the outputs hit keys again
 exponents = st.builds(F, st.integers(-3, 3), st.sampled_from([1, ORDER]))
-vectors = st.builds(lambda c, flag: PBWVector(c, flag),
-                    st.dictionaries(st.sampled_from(MONOS[:3]), scalars, max_size=3),
-                    st.booleans())
+vectors = st.builds(PBWVector,
+                    st.dictionaries(st.sampled_from(MONOS[:3]), scalars, max_size=3))
 series = st.builds(LogSeries,
                    st.dictionaries(st.tuples(exponents, st.integers(0, 2)), vectors,
                                    max_size=6),
@@ -335,11 +328,11 @@ def test_accumulate_stores_each_sum_under_the_scalar_rule(adds):
 
 # -- linear maps given on basis monomials ------------------------------------
 # linear_image and linear_series as first written: vector + of each scaled
-# image, with the input's flag on every term.
+# image.
 
 
 def first_linear_image(vec, image):
-    total = PBWVector({}, vec.truncated)
+    total = PBWVector()
     for mono, c in vec.c.items():
         total = total + c * image(mono)
     return total
@@ -349,13 +342,13 @@ def first_linear_series(vec, image, ceiling):
     out = LogSeries(ceiling=ceiling)
     for mono, c in vec.c.items():
         for (e, k), v in image(mono).terms.items():
-            old_add_term(out, e, k, PBWVector((c * v).c, v.truncated or vec.truncated))
+            old_add_term(out, e, k, c * v)
     return out
 
 
 def typed_vector(v):
-    """Keys in order, values with their types, and the flag."""
-    return [(mono, c, type(c).__name__) for mono, c in v.c.items()], v.truncated
+    """Keys in order and values with their types."""
+    return [(mono, c, type(c).__name__) for mono, c in v.c.items()]
 
 
 def typed_series(s):
@@ -363,13 +356,13 @@ def typed_series(s):
 
 
 def test_a_basis_input_gets_its_image_itself():
-    vimages = {A: vec(F(1, 2), B, truncated=True), B: vec(3)}
+    vimages = {A: vec(F(1, 2), B), B: vec(3)}
     simages = {A: LogSeries({(1, 0): vec(2)}, ceiling=2), B: LogSeries(ceiling=2)}
     assert linear_image(PBWVector({A: 1}), vimages.get) is vimages[A]
     assert linear_series(PBWVector({B: 1}), simages.get, 2) is simages[B]
-    # a Fraction, a Cyc 1, a second monomial or a flag makes a fresh sum
+    # a Fraction, a Cyc 1 or a second monomial makes a fresh sum
     for v in (PBWVector({A: F(1, 2)}), PBWVector({A: Cyc.of(1)}),
-              PBWVector({A: 1, B: 1}), PBWVector({A: 1}, truncated=True)):
+              PBWVector({A: 1, B: 1})):
         got = linear_image(v, vimages.get)
         assert got is not vimages[A] and got is not vimages[B]
         assert typed_vector(got) == typed_vector(first_linear_image(v, vimages.get))
@@ -385,8 +378,7 @@ def test_a_basis_input_gets_its_image_itself():
                               for mono in MONOS[:3]}),
        st.one_of(st.none(), exponents))
 def test_linear_reads_match_their_first_forms(v, vimages, sterms, ceiling):
-    """Keys in order, value types and flags (ORed with the input's) agree
-    with the first forms, and no image is changed by a read."""
+    """Keys in order and value types agree with the first forms, and no image is changed by a read."""
     simages = {mono: LogSeries(terms, ceiling) for mono, terms in sterms.items()}
     before = ([typed_vector(x) for x in vimages.values()],
               [typed_series(x) for x in simages.values()])

@@ -3,9 +3,8 @@
 The probes run ``delta_apply`` (both sign conventions), ``chain_transform``
 and ``automorphism_apply`` over sl2 and A2 currents and chains, on basis
 states, mixed-coefficient states (int, Fraction and Cyc coefficients,
-``Cyc(1)`` included) and flagged inputs.  Each output is written in a
-canonical form that keeps every key, value, coefficient type and
-truncation flag.  The outputs are hashed in groups (one function, one
+``Cyc(1)`` included) and the zero vector.  Each output is written in a
+canonical form that keeps every key, value and coefficient type.  The outputs are hashed in groups (one function, one
 current or chain, all states) and each digest is compared with the
 recorded one, so a refactor of these layers has to reproduce them exactly.
 On the same probes, stages 1 and 2 of ``delta_apply`` (integer
@@ -35,7 +34,7 @@ from voatwist.delta import (
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie, diagram_automorphism
 from voatwist.scalars import Cyc, int_if_integral
-from voatwist.series import LogSeries, series_sum, value_is_zero
+from voatwist.series import LogSeries, series_sum
 from voatwist.twist import make_twisted, transport_tau
 from voatwist.verify import basis_states
 
@@ -73,7 +72,7 @@ def fmt_coeff(c) -> str:
 
 def fmt_vector(vec: PBWVector) -> str:
     terms = ",".join(f"{mono}:{fmt_coeff(c)}" for mono, c in vec.sorted_items())
-    return f"{'T' if vec.truncated else 'E'}[{terms}]"
+    return f"[{terms}]"
 
 
 def fmt_series(ser) -> str:
@@ -82,8 +81,8 @@ def fmt_series(ser) -> str:
 
 
 def probe_states(module, max_weight, seed):
-    """(label, vector) pairs: the basis, mixed-coefficient combinations,
-    flagged copies of some of them, and the two zero vectors."""
+    """(label, vector) pairs: the basis, mixed-coefficient combinations
+    and the zero vector."""
     rnd = random.Random(seed)
     basis = [w for w, _label in basis_states(module, max_weight)]
     monos = [mono for w in basis for mono in w.c]
@@ -94,11 +93,7 @@ def probe_states(module, max_weight, seed):
         picks = rnd.sample(monos, rnd.randint(2, 4))
         out.append((f"mixed{i}", PBWVector(
             {mono: rnd.choice(scalars) for mono in picks})))
-    flagged = [(f"flagged-{label}", PBWVector(v.c, truncated=True))
-               for label, v in out[1:len(basis):5] + out[len(basis)::3]]
-    out += flagged
     out.append(("zero", PBWVector()))
-    out.append(("flagged-zero", PBWVector({}, truncated=True)))
     return out
 
 
@@ -178,19 +173,18 @@ def powers_of_the_sum(delta, v):
     recursion: the k-th power of sum_m c_m a(m) x^(-m), over k!, summed
     term by term until a power vanishes."""
     cur = LogSeries({(0, 0): v})
-    powers = [(0, 0, v.c, None, v.truncated)]
+    powers = [(0, 0, v.c)]
     k = 1
     while cur.terms:
         nxt = LogSeries()
         for (e, _k), vec in cur.terms.items():
             for m in range(1, vec.depth() + 1):
                 moved = delta.module.apply_mode(delta.a, m, vec)
-                if value_is_zero(moved):
+                if moved.is_zero():
                     continue
                 c = F(1, m) if m % 2 == 0 and not delta.legacy else F(-1, m)
-                nxt.add_term(e - m, 0, moved.c, int_if_integral(c / k), moved.truncated)
-        powers.extend((e, 0, vec.c, None, vec.truncated)
-                      for (e, _k), vec in nxt.terms.items())
+                nxt.add_term(e - m, 0, moved.c, int_if_integral(c / k))
+        powers.extend((e, 0, vec.c) for (e, _k), vec in nxt.terms.items())
         cur = nxt
         k += 1
     # series_sum adds the terms of every power and stores the sums by the
@@ -221,7 +215,7 @@ def zero_mode_powers(delta, staged):
     for (e, _k), cur in staged.terms.items():
         j = 0
         while j == 0 or not cur.is_zero():
-            out.add_term(e, j, cur.c, None, cur.truncated)
+            out.add_term(e, j, cur.c)
             j += 1
             cur = F(sign, j) * delta.module.apply_mode(delta.n, 0, cur)
     return out

@@ -196,7 +196,6 @@ def test_a_transported_chain_is_its_relabeled_chain():
         want = chain_a.vertex_series(v, w, 1)
         want = LogSeries({key: moved(vec) for key, vec in want.terms.items()}, 1)
         got = chain_b.vertex_series(v, moved(w), 1)
-        assert not any(vec.truncated for vec in got.terms.values())
         assert series_eq(got, want) is None, (v, w)
     nonzero = 0
     for name in mod3.algebra.names:
@@ -301,11 +300,10 @@ def _direct_chain_transform(tw, v):
 
 
 def assert_same_terms(got, want):
-    """The same keys, values and truncation flags, term by term."""
+    """The same keys and values, term by term."""
     assert set(got.terms) == set(want.terms)
     for key, vec in got.terms.items():
         assert (vec - want.terms[key]).is_zero(), key
-        assert vec.truncated == want.terms[key].truncated, key
 
 
 def _oracle_mode(tw, v, m, l, w):
@@ -320,15 +318,6 @@ def _oracle_mode(tw, v, m, l, w):
     return out
 
 
-def _reads_past_cutoff(tw, v, m, l, w):
-    """Whether the (m, l) mode of v on w reads a base coefficient whose
-    weight, chain term depth + target depth + exponent, passes the cutoff."""
-    e = -F(m) - 1
-    return any(vec1.depth() + w.depth() + (e - e1) > tw.base.cutoff
-               for (e1, k1), vec1 in tw.chain_transform(v).terms.items()
-               if k1 == l and (e - e1).denominator == 1)
-
-
 def _transported_chain(module):
     sl3 = module.algebra
     tw = make_twisted(module, module.current(sl3.element({"h1": F(1, 2)})))
@@ -340,13 +329,14 @@ IMAGE_CHAINS = sorted(ORACLE_CHAINS) + ["h1=1/2 moved by the A2 flip"]
 
 @lru_cache(maxsize=None)
 def _image_chain(name):
-    """(twisted module, oracle twin on a separate base) for a chain name."""
+    """(twisted module, oracle twin on a separate base declared with a
+    cutoff 4 higher) for a chain name."""
     if name in ORACLE_CHAINS:
-        return tuple(_oracle_chain(build_module(sl2, F(2), cutoff=5),
-                                   ORACLE_CHAINS[name]) for _ in range(2))
+        return tuple(_oracle_chain(build_module(sl2, F(2), cutoff=cutoff),
+                                   ORACLE_CHAINS[name]) for cutoff in (5, 9))
     sl3 = build_simple_lie("A", 2)
-    return tuple(_transported_chain(build_module(sl3, F(2), cutoff=3))
-                 for _ in range(2))
+    return tuple(_transported_chain(build_module(sl3, F(2), cutoff=cutoff))
+                 for cutoff in (3, 7))
 
 
 nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3])
@@ -379,10 +369,8 @@ def test_mode_images_match_oracle_coefficients(data):
             op = tw.mode(v, m, l)
             for w in targets:
                 got = op(w)
-                # flagged exactly when a base coefficient it reads can have
-                # weight past the cutoff (the A2 chain reaches weight 4 at
-                # cutoff 3)
-                assert got.truncated == _reads_past_cutoff(tw, v, m, l, w)
+                # the A2 chain reads weight 4 at cutoff 3, where its oracle
+                # is inside its cutoff
                 assert (got - _oracle_mode(oracle, v, m, l, w)).is_zero()
                 nonzero_reads += bool(got.c)
     event("some image nonzero" if nonzero_reads else "every image zero")
@@ -401,16 +389,6 @@ def test_chain_transform_sums_monomial_images(chain):
         got = tw.chain_transform(v)
         want = _direct_chain_transform(tw, v)
         assert_same_terms(got, want)
-        assert not any(vec.truncated for vec in got.terms.values())
-        # a flagged input flags every term, and keeps the flagged zeros of
-        # the whole-vector pipeline
-        flagged = PBWVector(v.c, truncated=True)
-        got = tw.chain_transform(flagged)
-        assert_same_terms(got, _direct_chain_transform(tw, flagged))
-        assert got.terms and all(vec.truncated for vec in got.terms.values())
-    flagged_zero = tw.chain_transform(PBWVector({}, truncated=True))
-    assert list(flagged_zero.terms) == [(0, 0)]
-    assert flagged_zero.terms[(0, 0)].truncated
     assert tw.chain_transform(PBWVector()).is_zero()
 
 
@@ -430,26 +408,23 @@ def _stored_coefficient_sum(tw, v, m, l, w):
     """The (m, l) mode of v on w summed from the chain image's terms with
     their coefficients as stored."""
     e = -F(m) - 1
-    out, trunc = {}, w.truncated
+    out = {}
     for (e1, k1), vec1 in tw.chain_transform(v).terms.items():
         if k1 == l and (e - e1).denominator == 1:
             coeff = tw.base.vertex_operator_mode(vec1, -(e - e1) - 1)(w)
             accumulate(out, coeff.c.items())
-            trunc = trunc or coeff.truncated
-    return PBWVector(out, trunc)
+    return PBWVector(out)
 
 
 @pytest.mark.parametrize("chain", ["h1=1/2", "e1", "h1=1/3"])
 def test_mode_outputs_match_the_stored_chain_coefficients(chain):
     # the chain image stores no integral Fraction, so the operator reads
     # its terms as stored
-    # at cutoff 4 some reads pass the cutoff, so outputs are flagged too
     tw = _oracle_chain(build_module(sl2, F(2), cutoff=4), ORACLE_CHAINS[chain])
     mod = tw.base
     states = [mod.current(n) for n in sl2.names] + [mod.conformal_vector()]
     targets = [w for w, _label in basis_states(mod, 2)]
-    targets.append(PBWVector(targets[-1].c, truncated=True))
-    stored_fractions = flagged = 0
+    stored_fractions = 0
     for v in states:
         stored_fractions += sum(type(c) is F and c.denominator == 1
                                 for vec in tw.chain_transform(v).terms.values()
@@ -461,9 +436,7 @@ def test_mode_outputs_match_the_stored_chain_coefficients(chain):
                     got = op(w)
                     want = _stored_coefficient_sum(tw, v, m, l, w)
                     assert (got - want).is_zero(), (v, m, l, w)
-                    assert got.truncated == want.truncated, (v, m, l, w)
-                    flagged += got.truncated and not w.truncated
-    assert stored_fractions == 0 and flagged
+    assert stored_fractions == 0
 
 
 # -- the attached automorphism: the product of the steps' factors ----------
