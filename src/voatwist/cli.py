@@ -26,7 +26,6 @@ import sys
 import time
 from collections import namedtuple
 from fractions import Fraction as F
-from math import lcm
 
 from .errors import (
     ConfigError,
@@ -46,7 +45,6 @@ from .errors import (
 from .fock import build_module
 from .lie import diagram_automorphism, build_simple_lie
 from .scalars import fmt_rational, parse_rational
-from .series import monomial_weight
 from .twist import (
     TwistedModule,
     make_twisted,
@@ -291,21 +289,6 @@ def _lie_element(alg, table, prefix):
         raise ConfigError(f"{prefix}: {exc}") from exc
 
 
-def _perm_order(perm) -> int:
-    order = 1
-    seen = set()
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        length, node = 0, start
-        while node not in seen:
-            seen.add(node)
-            node = perm[node] - 1
-            length += 1
-        order = lcm(order, length)
-    return order
-
-
 class BuiltRun:
     """Everything a report needs, assembled once from a canonical config."""
 
@@ -319,9 +302,10 @@ class BuiltRun:
                                    parse_rational(config["module"]["lambda"]))
         self.twisted = untwisted_as_twisted(self.module)
         self.currents = []          # inner-step currents, in order
-        self._last_inner = None     # (previous, new) modules around the last inner step
+        # (previous, new) twisted modules around the last inner step; None
+        # without one, and then parse_config has refused the checks using it
+        self.last_inner = None
         self.chain_echo = []
-        self.diagram_order = 1
         for step in config["twistChain"]:
             kind, data = step["kind"], step["data"]
             entry = {"kind": kind}
@@ -338,7 +322,7 @@ class BuiltRun:
                 u = self.module.current(elt)
                 tw = make_twisted(self.twisted, u)
                 self.currents.append(u)
-                self._last_inner = (self.twisted, tw)
+                self.last_inner = (self.twisted, tw)
                 entry["current"] = dict(data["current"])
                 entry["selfPairingScalar"] = fmt_rational(tw.steps[-1].kappa)
             else:
@@ -348,7 +332,6 @@ class BuiltRun:
                     if prev.diagram is not None:
                         raise Unsupported("only one diagram factor per chain")
                     tw = TwistedModule(prev.base, prev.steps, tau, prev.conjugator)
-                    self.diagram_order = _perm_order(data["permutation"])
                 else:
                     # conjugating by tau leaves the automorphism's order alone
                     tw = transport_tau(prev, tau)
@@ -359,12 +342,6 @@ class BuiltRun:
     @property
     def has_diagram_part(self):
         return self.twisted.diagram is not None
-
-    def last_inner_boundary(self):
-        """(previous, new) twisted modules around the last inner step."""
-        if self._last_inner is None:
-            raise ConfigError("no inner twist step in the chain")
-        return self._last_inner
 
 
 def build_chain(config) -> BuiltRun:
@@ -393,17 +370,14 @@ def _run_delta(run, p):
     reports = []
     for i, u in enumerate(run.currents, start=1):
         tag = f":step{i}" if len(run.currents) > 1 else ""
-        reports.append(verify.check_shift_finiteness(
-            module, u, states, name=f"shift-finiteness{tag}"))
-        reports.append(verify.check_weight_bracket(
-            module, u, states, name=f"weight-bracket{tag}"))
-        reports.append(verify.check_translation_bracket(
-            module, u, states, name=f"translation-bracket{tag}"))
-        reports.append(verify.check_group_laws(
-            module, u, states, name=f"group-laws{tag}"))
-        reports.append(verify.check_shift_conjugation(
-            module, u, args, targets, inner_ceiling=p["innerCeiling"],
-            name=f"shift-conjugation{tag}"))
+        for report in (verify.check_shift_finiteness(module, u, states),
+                       verify.check_weight_bracket(module, u, states),
+                       verify.check_translation_bracket(module, u, states),
+                       verify.check_group_laws(module, u, states),
+                       verify.check_shift_conjugation(module, u, args, targets,
+                                                      inner_ceiling=p["innerCeiling"])):
+            report.name += tag
+            reports.append(report)
     return reports
 
 def _run_tables(run, p):
@@ -415,7 +389,7 @@ def _run_commutator(run, p):
                                              weight=p["weight"])]
 
 def _run_conformal(run, p):
-    prev, new = run.last_inner_boundary()
+    prev, new = run.last_inner
     return [verify.check_conformal_shift(prev, new, weight=p["weight"])]
 
 def _run_weights(run, p):
@@ -521,18 +495,17 @@ def run_checks(run: BuiltRun, calls):
 
 
 def _graded_dimension_rows(run: BuiltRun, window: int):
-    """Count the basis up to the window by (weight, class mod 1), as
-    TwistedModule.weight_of and class_of grade it, in ints on the lattice
-    of TwistedModule.lattice_grading, divided back only in the rows."""
+    """Count the basis up to the window by (weight, class mod 1), in the
+    ints of TwistedModule.lattice_grade, divided back only in the rows."""
     module, twisted = run.module, run.twisted
     monos = [()]
     for w in range(1, window + 1):
         monos.extend(module.basis(w))
-    scale, _offsets, _base, kappa = twisted.lattice_grading()
+    scale = twisted.lattice_grading()[0]
     counts = {}
     for mono in monos:
-        cls = twisted.scaled_class(mono)
-        key = (monomial_weight(mono) * scale - cls + kappa, cls % scale)
+        weight, cls = twisted.lattice_grade(mono)
+        key = (weight, cls % scale)
         counts[key] = counts.get(key, 0) + 1
     return [
         {"weight": fmt_rational(F(w, scale)), "class": fmt_rational(F(c, scale)),
@@ -547,7 +520,7 @@ def build_report(run: BuiltRun, reports) -> dict:
     notices = []
     alg = run.algebra
 
-    order = lcm(run.twisted.branch_order(), run.diagram_order)
+    order = run.twisted.branch_order()
     report = {
         "schemaVersion": 1,
         "config": config,

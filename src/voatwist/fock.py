@@ -264,10 +264,8 @@ class InducedModule:
         return scale * acc
 
     def central_charge(self) -> Fraction:
-        h_vee = self.algebra.dual_coxeter()
-        if self.level == -h_vee:
-            raise CriticalLevel("no conformal structure at the critical level")
-        return self.level * self.algebra.dim / (self.level + h_vee)
+        self.require_noncritical()
+        return self.level * self.algebra.dim / (self.level + self.algebra.dual_coxeter())
 
     @memo
     def conformal_vector(self) -> PBWVector:
@@ -384,29 +382,24 @@ class InducedModule:
         """The mode v_(n), n an int or a Fraction, as a reader: w -> the
         x^(-n-1) coefficient of Y(v, x) w.  The one untwisted mode read.
 
-        Its first call clears v's denominators, for every target.  A
-        one-factor monomial a(m)|0> of v is read in closed form from _act's
-        memo, any other from its _vs_mono bucket, and the sum over cleared
+        v's denominators are cleared once, for every target.  A one-factor
+        monomial a(m)|0> of v is read in closed form from _act's memo, any
+        other from its _vs_mono bucket, and the sum over cleared
         denominators is divided once, as in vertex_series."""
-        plan = None
+        e = _integer_exponent(-n - 1)
+        (vc,), dv = clear_denominators((v.c,))
+        # (mv, cv, None) reads _vs_mono; (mv, C cv, (gi, m - e)) reads _act's
+        # memo dict directly, as apply_mode does; a zero coefficient drops
+        # the monomial
+        parts = []
+        for mv, cv in vc.items():
+            if len(mv) != 1:
+                if mv or e == 0:  # Y(|0>, x) = id
+                    parts.append((mv, cv, None))
+            elif c := _one_factor(mv[0][1], e):
+                parts.append((mv, c * cv, (mv[0][0], mv[0][1] - e)))
 
         def read(w: PBWVector) -> PBWVector:
-            nonlocal plan
-            if plan is None:
-                e = _integer_exponent(-n - 1)
-                (vc,), dv = clear_denominators((v.c,))
-                # (mv, cv, None) reads _vs_mono; (mv, C cv, (gi, m - e)) reads
-                # _act's memo dict directly, as apply_mode does; a zero
-                # coefficient drops the monomial
-                parts = []
-                for mv, cv in vc.items():
-                    if len(mv) != 1:
-                        if mv or e == 0:  # Y(|0>, x) = id
-                            parts.append((mv, cv, None))
-                    elif c := _one_factor(mv[0][1], e):
-                        parts.append((mv, c * cv, (mv[0][0], mv[0][1] - e)))
-                plan = e, dv, parts
-            e, dv, parts = plan
             (wc,), dw = clear_denominators((w.c,))
             out = {}
             known = self._act_cache

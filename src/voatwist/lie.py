@@ -425,6 +425,17 @@ class GAutomorphism:
     def inverse(self) -> "GAutomorphism":
         return GAutomorphism(self.algebra, mat_inverse(self.matrix))
 
+    @memo
+    def order(self) -> int:
+        """The least k >= 1 with self^k the identity, read off the basis
+        images; only called on an automorphism of finite order, such as a
+        diagram automorphism."""
+        basis = self.algebra.basis()
+        images, k = list(map(self, basis)), 1
+        while images != basis:
+            images, k = list(map(self, images)), k + 1
+        return k
+
     def check(self):
         """Verify the bracket is preserved on all basis pairs."""
         alg = self.algebra

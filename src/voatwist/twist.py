@@ -74,12 +74,24 @@ class TwistedModule:
         return self.base.level
 
     def branch_order(self) -> int:
-        """Smallest D with all mode classes in (1/D) * integers."""
-        d = 1
+        """D with all mode classes in (1/D) * integers: the lcm of the
+        diagram factor's order and the steps' eigenvalue denominators."""
+        d = 1 if self.diagram is None else self.diagram.order()
         for step in self.steps:
             for lam in step.eig.values:
                 d = lcm(d, F(lam).denominator)
         return d
+
+    # -- the conjugator's frame -------------------------------------------
+
+    def to_step_frame(self, elt: LieElt) -> LieElt:
+        """tau^-1 elt: a Lie element of the transported frame in the
+        frame the steps live in (elt itself without a conjugator)."""
+        return elt if self.conjugator is None else self.conjugator.inverse()(elt)
+
+    def from_step_frame(self, elt: LieElt) -> LieElt:
+        """tau elt, the inverse of to_step_frame."""
+        return elt if self.conjugator is None else self.conjugator(elt)
 
     # -- vertex operators ------------------------------------------------
 
@@ -124,34 +136,29 @@ class TwistedModule:
     def mode(self, v: PBWVector, m, l: int = 0):
         """The (m, l) mode of Y_new(v, x): coefficient of x^(-m-1) log^l.
 
-        On its first call the returned operator transforms v along the
-        chain and builds one base reader (InducedModule.vertex_operator_mode)
-        for each chain term x^e1 log^l whose base mode m + e1 is an integer,
-        except c|0> at a base mode other than -1: Y(|0>, x) is the
-        identity, so that read is exactly zero.
-        A target is read through linear_image over the image of each of its
-        monomials, the sum of those readers on it (never a series), kept
-        while the operator is held.  With no such chain term it is zero."""
+        Transforms v along the chain and builds one base reader
+        (InducedModule.vertex_operator_mode) for each chain term
+        x^e1 log^l whose base mode m + e1 is an integer, except c|0> at a
+        base mode other than -1: Y(|0>, x) is the identity, so that read
+        is exactly zero.
+        The returned operator reads a target through linear_image over the
+        image of each of its monomials, the sum of those readers on it
+        (never a series), kept while the operator is held.  With no such
+        chain term it is zero."""
         m = int_if_integral(m)
-        readers = None
+        readers = [self.base.vertex_operator_mode(vec1, n)
+                   for (e1, k1), vec1 in self.chain_transform(v).terms.items()
+                   if k1 == l and (n := m + e1).denominator == 1
+                   and (n == -1 or vec1.c.keys() != {()})]
+        if not readers:
+            return lambda w: PBWVector()
 
         @lru_cache(maxsize=None)
         def image(mono):
             w = PBWVector({mono: 1})
             return reduce(PBWVector.__add__, [read(w) for read in readers])
 
-        def op(w: PBWVector) -> PBWVector:
-            nonlocal readers
-            if readers is None:
-                readers = [self.base.vertex_operator_mode(vec1, n)
-                           for (e1, k1), vec1 in self.chain_transform(v).terms.items()
-                           if k1 == l and (n := m + e1).denominator == 1
-                           and (n == -1 or vec1.c.keys() != {()})]
-            if not readers:
-                return PBWVector()
-            return linear_image(w, image)
-
-        return op
+        return lambda w: linear_image(w, image)
 
     def gen_mode(self, b, m, l: int = 0):
         return self.mode(self.base.current(self.base._as_elt(b)), m, l)
@@ -192,19 +199,10 @@ class TwistedModule:
         return (scale, [None if lam is None else scaled(lam) for lam in offsets],
                 -scaled(zero_mode), scaled(half_kappa))
 
-    def weight_of(self, mono) -> Fraction:
-        """Conformal weight of a monomial in the fully twisted grading."""
-        scale, _offsets, _base, kappa = self.lattice_grading()
-        return int_if_integral(
-            F(monomial_weight(mono) * scale - self.scaled_class(mono) + kappa, scale))
-
-    def class_of(self, mono) -> Fraction:
-        """Accumulated grading-class offset of a monomial (exact, not mod 1)."""
-        return int_if_integral(F(self.scaled_class(mono), self.lattice_grading()[0]))
-
-    def scaled_class(self, mono) -> int:
-        """class_of(mono) times the scale of lattice_grading(), an int."""
-        _scale, offsets, cls, _kappa = self.lattice_grading()
+    def lattice_grade(self, mono) -> tuple:
+        """(weight_of(mono), class_of(mono)) times the scale of
+        lattice_grading(), both ints."""
+        scale, offsets, cls, kappa = self.lattice_grading()
         for gi, _m in mono:
             lam = offsets[gi]
             if lam is None:
@@ -212,7 +210,15 @@ class TwistedModule:
                     "grading needs every generator to be an eigenvector of each "
                     "step's semisimple part")
             cls += lam
-        return cls
+        return monomial_weight(mono) * scale - cls + kappa, cls
+
+    def weight_of(self, mono) -> Fraction:
+        """Conformal weight of a monomial in the fully twisted grading."""
+        return int_if_integral(F(self.lattice_grade(mono)[0], self.lattice_grading()[0]))
+
+    def class_of(self, mono) -> Fraction:
+        """Accumulated grading-class offset of a monomial (exact, not mod 1)."""
+        return int_if_integral(F(self.lattice_grade(mono)[1], self.lattice_grading()[0]))
 
     # -- the attached automorphism ----------------------------------------
 
@@ -224,11 +230,10 @@ class TwistedModule:
         formal 2*pi*i symbol is needed.  Each current is fixed by the
         automorphism before its step, so its factor commutes with that
         automorphism; the factors apply from the most recent step."""
-        alg, order, conj = self.algebra, self.branch_order(), self.conjugator
+        alg, order = self.algebra, self.branch_order()
         cols = []
         for gi in range(alg.dim):
-            elt = alg._basis_elt(gi)
-            pieces = [(F(1), elt if conj is None else conj.inverse()(elt))]
+            pieces = [(F(1), self.to_step_frame(alg._basis_elt(gi)))]
             for step in reversed(self.steps):
                 if not step.s.is_zero():
                     # eigencomponent lam of s scales by zeta^(-D lam)
@@ -245,9 +250,7 @@ class TwistedModule:
             for scale, comp in pieces:
                 if self.diagram is not None:
                     comp = self.diagram(comp)
-                if conj is not None:
-                    comp = conj(comp)
-                for gj, c in enumerate(comp.coords):
+                for gj, c in enumerate(self.from_step_frame(comp).coords):
                     if c:
                         col[gj] = col[gj] + scale * c
             cols.append(col)
@@ -329,13 +332,13 @@ def make_twisted(target, u: PBWVector,
     # Jordan decomposition and self-pairing (NeedsFieldExtension,
     # NotSemisimple, DomainError) come after them, so a current that is
     # neither fixed nor split raises NotFixed
-    if not current_element(target.base, u).is_zero():
+    a = current_element(target.base, u)
+    if not a.is_zero():
         target.base.require_noncritical()
         if not (target.automorphism_apply(u) - u).is_zero():
             raise NotFixed(
                 "the current vector is not fixed by the attached automorphism")
-    if target.conjugator is not None:
-        u = apply_lie_matrix(target.base, target.conjugator.inverse().matrix, u)
+    u = target.base.current(target.to_step_frame(a))
     delta = make_delta(target.base, u, legacy_sign_convention)
     return TwistedModule(target.base, target.steps + (delta,), target.diagram,
                          target.conjugator)
@@ -417,9 +420,7 @@ def mode_table_entry(twisted: TwistedModule, b, m, l: int = 0):
     Behind a conjugator tau the table is that of tau^-1 b: the transported
     b_(m, l) is the untransported (tau^-1 b)_(m, l).
     """
-    elt = twisted.base._as_elt(b)
-    if twisted.conjugator is not None:
-        elt = twisted.conjugator.inverse()(elt)
+    elt = twisted.to_step_frame(twisted.base._as_elt(b))
     return twisted._fold_mode(len(twisted.steps), elt, int_if_integral(m), int(l))
 
 

@@ -37,7 +37,6 @@ from .series import (
 from .twist import (
     ModuleMap,
     TwistedModule,
-    apply_lie_matrix,
     apply_table_entry,
     functor_on_map,
     make_twisted,
@@ -198,8 +197,7 @@ def _nilpotency_index(alg, n) -> int:
 # -- output shape of the shift operator -------------------------------------
 
 
-def check_shift_finiteness(module: InducedModule, u: PBWVector, states,
-                           name="shift-finiteness") -> CheckReport:
+def check_shift_finiteness(module: InducedModule, u: PBWVector, states) -> CheckReport:
     """The shift of every state is a finite series with bounded shape.
 
     Checked per state: coefficients never exceed the state's weight, log
@@ -245,7 +243,7 @@ def check_shift_finiteness(module: InducedModule, u: PBWVector, states,
                                             len(ser.terms))
             yield True, None
 
-    return _run_cases(name, cases(), "statesChecked", details)
+    return _run_cases("shift-finiteness", cases(), "statesChecked", details)
 
 
 # -- the conjugation identity in two variables ------------------------------
@@ -346,8 +344,7 @@ def _compare_bivariate(alg, lhs, rhs, scale, ceiling, **fields):
 
 
 def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
-                            target_states, inner_ceiling=2, legacy=False,
-                            name="shift-conjugation") -> CheckReport:
+                            target_states, inner_ceiling=2, legacy=False) -> CheckReport:
     """Conjugating a vertex operator by the shift re-centers its argument.
 
     Compares D(x) Y(v, y) w against Y(D(x+y) v, y) D(x) w coefficient by
@@ -387,7 +384,7 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
                     argument=vlabel, target=wlabel)
 
     window = {"innerCeiling": ceiling}
-    return _run_cases(name, cases(), "pairsChecked", window, window)
+    return _run_cases("shift-conjugation", cases(), "pairsChecked", window, window)
 
 
 # -- derivation brackets -----------------------------------------------------
@@ -413,23 +410,20 @@ def _virasoro_bracket(module: InducedModule, u: PBWVector, states, n,
     return _run_cases(name, cases(), "statesChecked")
 
 
-def check_weight_bracket(module: InducedModule, u: PBWVector, states,
-                         name="weight-bracket") -> CheckReport:
+def check_weight_bracket(module: InducedModule, u: PBWVector, states) -> CheckReport:
     """[L(0), D(x)] = x d/dx D(x) + u_0 D(x), state by state."""
-    return _virasoro_bracket(module, u, states, 0, name)
+    return _virasoro_bracket(module, u, states, 0, "weight-bracket")
 
 
-def check_translation_bracket(module: InducedModule, u: PBWVector, states,
-                              name="translation-bracket") -> CheckReport:
+def check_translation_bracket(module: InducedModule, u: PBWVector, states) -> CheckReport:
     """[L(-1), D(x)] = -d/dx D(x), state by state."""
-    return _virasoro_bracket(module, u, states, -1, name)
+    return _virasoro_bracket(module, u, states, -1, "translation-bracket")
 
 
 # -- group laws --------------------------------------------------------------
 
 
-def check_group_laws(module: InducedModule, u: PBWVector, states,
-                     name="group-laws") -> CheckReport:
+def check_group_laws(module: InducedModule, u: PBWVector, states) -> CheckReport:
     """The zero shift is the identity and opposite currents invert."""
     d = make_delta(module, u)
     dinv = make_delta(module, F(-1) * u)
@@ -446,7 +440,7 @@ def check_group_laws(module: InducedModule, u: PBWVector, states,
             for law, got in laws:
                 yield _series_case(module.algebra, got, expect, state=label, law=law)
 
-    return _run_cases(name, cases(), "comparisons")
+    return _run_cases("group-laws", cases(), "comparisons")
 
 
 def check_additivity(module: InducedModule, s_state: PBWVector,
@@ -508,10 +502,8 @@ def check_mode_tables(twisted: TwistedModule, mode_span=3, weight=3,
 
     def cases():
         for b in alg.names:
-            belt = alg.generator(b)
-            if twisted.conjugator is not None:
-                # the table of b is that of tau^-1 b
-                belt = twisted.conjugator.inverse()(belt)
+            # the table of b is that of b in the steps' frame
+            belt = twisted.to_step_frame(alg.generator(b))
             for m in mode_candidates(mode_span, order):
                 mode = fmt_rational(m)
                 for l in range(0, int(log_max) + 2):
@@ -600,12 +592,11 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
         return twisted.gen_mode(gname, m), mode_table_entry(twisted, gname, m)[0]
 
     blocked = {}
+    # offsets are in the steps' frame: b has the class of the generator
+    # that b is a multiple of there
     offsets = twisted.grading()[0]
-    if twisted.conjugator is not None:
-        # offsets are in the steps' frame: behind a conjugator tau, b has
-        # the class of the generator that tau^-1 b is a multiple of
-        offsets = [offsets[terms[0][0]] if len(terms := elt.terms()) == 1 else None
-                   for elt in map(twisted.conjugator.inverse(), alg.basis())]
+    offsets = [offsets[terms[0][0]] if len(terms := elt.terms()) == 1 else None
+               for elt in map(twisted.to_step_frame, alg.basis())]
     # the case (c, b, n, m) compares the same two products as (b, c, m, n),
     # swapped, and its right side is minus the other's ([c, b] = -[b, c],
     # and the central term flips sign): whichever runs first builds them
@@ -699,10 +690,8 @@ def check_conformal_shift(prev: TwistedModule, new: TwistedModule,
     module = new.base
     alg = new.algebra
     omega = module.conformal_vector()
-    uvec = module.current(step.a)
-    if new.conjugator is not None:
-        # the step holds tau^-1 u; the identities read u in prev's frame
-        uvec = apply_lie_matrix(module, new.conjugator.matrix, uvec)
+    # the step holds u in the steps' frame; the identities read it in prev's
+    uvec = module.current(new.from_step_frame(step.a))
     kappa = step.kappa
     states = basis_states(module, weight)
     new_log, new_l0, new_lm1 = (new.mode(omega, 1, 1), new.mode(omega, 1),

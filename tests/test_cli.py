@@ -11,7 +11,6 @@ import pytest
 from voatwist import cli, lie
 from voatwist.cli import (
     EXIT_CODES,
-    _perm_order,
     exit_status,
     main,
     parse_config,
@@ -109,13 +108,6 @@ def test_value_validation():
     with pytest.raises(ConfigError):
         parse_config(base_config(checks=[{"name": "grading",
                                           "classConvention": "modular"}]))
-
-
-def test_perm_order():
-    assert _perm_order([1]) == 1
-    assert _perm_order([2, 1]) == 2
-    assert _perm_order([2, 3, 1]) == 3
-    assert _perm_order([2, 1, 4, 3]) == 2
 
 
 def test_double_run_is_byte_identical():

@@ -138,6 +138,14 @@ def test_diagram_flip_preserves_form():
     assert sl3.form(tau(x), tau(y)) == sl3.form(x, y)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_diagram_order_is_read_off_the_automorphism(rank):
+    alg = build_simple_lie("A", rank)
+    assert diagram_automorphism(alg, list(range(1, rank + 1))).order() == 1
+    if rank > 1:
+        assert diagram_automorphism(alg, list(range(rank, 0, -1))).order() == 2
+
+
 def test_diagram_rejects_non_permutation():
     with pytest.raises(InvalidSymmetry):
         diagram_automorphism(sl3, [1, 1])

@@ -18,6 +18,7 @@ from voatwist.scalars import Cyc
 from voatwist.series import LogSeries, branch_shift, series_eq
 from voatwist.twist import (
     ModuleMap,
+    TwistedModule,
     apply_lie_matrix,
     apply_table_entry,
     functor_on_map,
@@ -150,6 +151,14 @@ def test_chain_on_fixed_current_extends():
     assert again.branch_order() == 3
     quarter = make_twisted(third, MOD.current(sl2.element({"h1": F(1, 4)})))
     assert quarter.branch_order() == 6
+
+
+def test_branch_order_counts_the_diagram_factor():
+    # the flip alone has integral eigenvalue data but order 2, so its
+    # twisted modes live on the 1/2 lattice
+    sl3 = build_simple_lie("A", 2)
+    flip = diagram_automorphism(sl3, [2, 1])
+    assert TwistedModule(build_module(sl3, F(1), cutoff=2), (), flip).branch_order() == 2
 
 
 def test_transport_by_diagram_flip():
