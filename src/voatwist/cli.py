@@ -54,7 +54,7 @@ from .twist import (
     untwisted_as_twisted,
 )
 from . import verify
-from .verify import basis_states
+from .verify import basis_states, current_states
 
 __all__ = ["main", "load_config", "build_chain", "run_config", "EXIT_CODES"]
 
@@ -351,21 +351,16 @@ def build_chain(config) -> BuiltRun:
 # -- checks ------------------------------------------------------------------
 
 
-def _gen_current_states(module):
-    return [(module.current(name), name) for name in module.algebra.names]
-
-
 def _run_axioms(run, p):
     targets = basis_states(run.module, p["weight"])
     return [verify.check_twisted_axioms(run.twisted,
-                                        _gen_current_states(run.module),
+                                        current_states(run.module),
                                         targets, ceiling=p["ceiling"])]
 
 def _run_delta(run, p):
     module = run.module
     states = basis_states(module, p["weight"])
-    args = _gen_current_states(module)
-    args.append((module.conformal_vector(), "conformal"))
+    args = current_states(module, conformal=True)
     targets = basis_states(module, p["targetWeight"])
     reports = []
     for i, u in enumerate(run.currents, start=1):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .delta import delta_apply, delta_apply_series, make_delta
 from .errors import DomainError
@@ -49,6 +48,7 @@ __all__ = [
     "format_monomial",
     "format_vector",
     "basis_states",
+    "current_states",
     "chain_log_bound",
     "check_shift_finiteness",
     "check_shift_conjugation",
@@ -135,6 +135,16 @@ def basis_states(module: InducedModule, max_weight: int):
     return out
 
 
+def current_states(module: InducedModule, conformal=False):
+    """Every generator's current b(-1)|0>, in the order of the algebra's
+    names and labelled as basis_states labels them, then the conformal
+    state when asked for."""
+    states = basis_states(module, 1)[1:]
+    if conformal:
+        states.append((module.conformal_vector(), "conformal state"))
+    return states
+
+
 def _series_sub(a: LogSeries, b: LogSeries) -> LogSeries:
     return series_combine(a, series_scale(b, scalar=F(-1)))
 
@@ -208,9 +218,7 @@ def check_shift_finiteness(module: InducedModule, u: PBWVector, states) -> Check
     delta = make_delta(module, u)
     alg = module.algebra
     nil_index = _nilpotency_index(alg, delta.n)
-    lattice = 1
-    for lam in delta.eig.values:
-        lattice = lcm(lattice, F(lam).denominator)
+    lattice = TwistedModule(module, (delta,)).branch_order()
     details = {
         "largestSupport": 0,
         "logPowerBoundPerFactor": max(0, nil_index - 1),
@@ -480,7 +488,7 @@ def chain_log_bound(twisted: TwistedModule) -> int:
                for step in twisted.steps)
 
 
-def check_mode_tables(twisted: TwistedModule, mode_span=3, weight=3,
+def check_mode_tables(twisted: TwistedModule, mode_span, weight,
                       log_max=None) -> CheckReport:
     """Closed-form mode tables agree with series-extracted twisted modes.
 
@@ -566,8 +574,8 @@ def _fmt_table_entry(alg, entry) -> str:
     return " + ".join(parts) or "0"
 
 
-def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
-                              weight=3) -> CheckReport:
+def check_twisted_commutators(twisted: TwistedModule, mode_span, weight,
+                              pairs=None) -> CheckReport:
     """Twisted mode commutators reproduce the shifted current relations.
 
     [b_(m), c_(n)] applied through series-extracted modes must equal the
@@ -597,69 +605,54 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
     offsets = twisted.grading()[0]
     offsets = [offsets[terms[0][0]] if len(terms := elt.terms()) == 1 else None
                for elt in map(twisted.to_step_frame, alg.basis())]
-    # the case (c, b, n, m) compares the same two products as (b, c, m, n),
-    # swapped, and its right side is minus the other's ([c, b] = -[b, c],
-    # and the central term flips sign): whichever runs first builds them
-    # and keeps them for the other, so each is built once and held only
-    # until its partner case has run (b_(m) b_(m) w is its own partner)
-    kept = {}
+
+    def span(lam):
+        return [mi + lam for mi in range(-int(mode_span), int(mode_span) + 1)
+                if abs(mi + lam) <= mode_span]
 
     def cases():
         for at, (bname, cname) in enumerate(pairs):
-            partner_later = (cname, bname) in pairs[at + 1:]
             pair = f"{bname},{cname}"
-            belt, celt = alg.generator(bname), alg.generator(cname)
             lam_b, lam_c = offsets[alg.index[bname]], offsets[alg.index[cname]]
             if lam_b is None or lam_c is None:
                 blocked.update(reason=("a probed generator is not an "
                                        "eigenvector of the chain"),
                                generatorPair=pair)
                 return
-            bracket = alg.bracket(belt, celt)
+            # the case (c, b, n, m) is (b, c, m, n) with both sides negated,
+            # and the run reaches it only once that case has passed: it is
+            # counted per state and nothing is built for it.  Every case of
+            # a pair whose reverse ran earlier is such a partner, and so is
+            # b = c with n < m
+            reversed_ran = (cname, bname) in pairs[:at]
+            bracket = alg.bracket(alg.generator(bname), alg.generator(cname))
             # the bracket's table ops on each state, once per m + n
             images = {}
-            for mi in range(-int(mode_span), int(mode_span) + 1):
-                m = mi + lam_b
-                if abs(m) > mode_span:
-                    continue
-                bop, bops = gen_mode(bname, m)
-                for ni in range(-int(mode_span), int(mode_span) + 1):
-                    n = ni + lam_c
-                    if abs(n) > mode_span:
+            for m in span(lam_b):
+                for n in span(lam_c):
+                    if reversed_ran or bname == cname and n < m:
+                        for _ in states:
+                            yield True, None
                         continue
+                    bop, bops = gen_mode(bname, m)
                     cop, cops = gen_mode(cname, n)
+                    entry = (mode_table_entry(twisted, bracket, m + n)[0], 0)
+                    central = 0
+                    for (gi, p), bco in bops.items():
+                        for (gj, q), cco in cops.items():
+                            if p + q == 0:
+                                pairing = alg.form(alg._basis_elt(gi),
+                                                   alg._basis_elt(gj))
+                                central += bco * cco * p * pairing * level
                     modes = f"{fmt_rational(m)},{fmt_rational(n)}"
-                    shared = kept.pop((bname, cname, m, n), None)
-                    if shared is None:
-                        entry = (mode_table_entry(twisted, bracket, m + n)[0], 0)
-                        central = 0
-                        for (gi, p), bco in bops.items():
-                            for (gj, q), cco in cops.items():
-                                if p + q == 0:
-                                    pairing = alg.form(alg._basis_elt(gi),
-                                                       alg._basis_elt(gj))
-                                    central += bco * cco * p * pairing * level
-                    keep = partner_later or bname == cname and n > m
-                    if keep:
-                        kept[cname, bname, n, m] = held = []
                     for i, (w, wlabel) in enumerate(states):
-                        if shared is None:
-                            bc = bop(cop(w))
-                            cb = bc if bop is cop else cop(bop(w))
-                            image = images.get((m + n, i))
-                            if image is None:
-                                image = images[m + n, i] = apply_table_entry(module, entry, w)
-                            rhs = image + central * w if central else image
-                        else:
-                            # the partner's b_(m) c_(n) w is this case's cb, and
-                            # this case's right side is minus the partner's
-                            cb, bc, rhs = shared[i]
-                            rhs = -rhs
-                            shared[i] = None
-                        if keep:
-                            held.append((bc, cb, rhs))
-                        lhs = bc - cb
-                        yield _vector_case(alg, lhs, rhs, generatorPair=pair,
+                        bc = bop(cop(w))
+                        cb = bc if bop is cop else cop(bop(w))
+                        image = images.get((m + n, i))
+                        if image is None:
+                            image = images[m + n, i] = apply_table_entry(module, entry, w)
+                        rhs = image + central * w if central else image
+                        yield _vector_case(alg, bc - cb, rhs, generatorPair=pair,
                                            modes=modes, state=wlabel)
 
     # a pair that cannot be certified ends the run unless an earlier one failed
@@ -674,7 +667,7 @@ def check_twisted_commutators(twisted: TwistedModule, pairs=None, mode_span=3,
 
 
 def check_conformal_shift(prev: TwistedModule, new: TwistedModule,
-                          weight=4) -> CheckReport:
+                          weight) -> CheckReport:
     """The regraded Virasoro modes shift by the current's modes.
 
     With D the last step's shift operator (current u, self-pairing kappa):
@@ -798,7 +791,7 @@ def check_grading_restriction(twisted: TwistedModule,
     return CheckReport(name, "uncertifiable", details=details)
 
 
-def check_zero_mode_nilpotency(twisted: TwistedModule, b, weight=3) -> CheckReport:
+def check_zero_mode_nilpotency(twisted: TwistedModule, b, weight) -> CheckReport:
     """Nilpotency certificate for a twisted zero mode, relative to a window.
 
     Applies the (0, 0) twisted mode of the current b repeatedly to every
@@ -923,7 +916,7 @@ def check_equivariance(twisted: TwistedModule, target_states=None,
     module = twisted.base
     alg = twisted.algebra
     order = twisted.branch_order()
-    states = [(module.current(nm), f"{nm}(-1) |0>") for nm in alg.names]
+    states = current_states(module)
     if target_states is None:
         target_states = basis_states(module, 2)
     # one memo per target, local to the check as the commutator operators are
@@ -978,8 +971,7 @@ def check_functor_transport(module: InducedModule, u: PBWVector,
             "reason": "a non-intertwining map was accepted",
         }, details={})
     round_trip = make_twisted(tw, F(-1) * u)
-    states = [(module.current(nm), f"{nm}(-1) |0>") for nm in alg.names]
-    states.append((module.conformal_vector(), "conformal state"))
+    states = current_states(module, conformal=True)
     targets = basis_states(module, probe_weight + 1)
     cases = (_series_case(alg, round_trip.vertex_series(v, w, ceiling),
                           module.vertex_series(v, w, ceiling),

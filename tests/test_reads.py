@@ -15,9 +15,9 @@ replaced, and the recursion down to the vacuum.  Both must agree in keys
 int, Fraction and Cyc coefficients, at an integral and a non-integral
 level, on multi-monomial and zero vectors.  Checks
 run twice on one TwistedModule must report the same, and leave the shared
-images as they were.  The commutator check shares each product between a
-case and its partner, and a witness read from a shared product equals one
-read with fresh operators.
+images as they were.  The commutator check only counts a case whose
+partner, the same identity negated, has passed; every case built afresh,
+partners included, holds, and their number is the report's.
 
 The shift operator's image is checked the same way: ``delta_apply``
 builds each term once (stage 3 sums a relabeled monomial straight into its
@@ -31,19 +31,22 @@ from fractions import Fraction as F
 from functools import lru_cache
 from math import floor
 
+import pathlib
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from unittest import mock
 
-from voatwist import verify
+from voatwist import cli, verify
 from voatwist.delta import _exp_current_stage, _log_stage, delta_apply, make_delta
 from voatwist.fock import InducedModule, _integer_exponent, build_module
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc, binom, int_if_integral
 from voatwist.series import (LogSeries, PBWVector, accumulate, divided, monomial_weight,
                              series_sum)
-from voatwist.twist import make_twisted, mode_candidates, untwisted_as_twisted
+from voatwist.twist import (apply_table_entry, make_twisted, mode_candidates,
+                            mode_table_entry, untwisted_as_twisted)
 from voatwist.verify import (
     basis_states,
     chain_log_bound,
@@ -57,6 +60,7 @@ from voatwist.verify import (
     format_vector,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 sl2 = build_simple_lie("A", 1)
 
 # -- the first forms ---------------------------------------------------------
@@ -437,28 +441,62 @@ def _commutator_lhs(tw, b, c, m, n, w):
     return bop(cop(w)) - cop(bop(w))
 
 
-def test_partner_case_witness_matches_fresh_operators():
-    # the right side of the pair f1,e1 reads as zero, so the first failure
-    # is a case of the partner pair, whose two products and right side
-    # were built and kept by the pair e1,f1; its left side must equal one
-    # read with operators built afresh
-    tw = twisted("level 2", "h1=1/2")
-    alone = check_twisted_commutators(tw, pairs=[("e1", "f1")], mode_span=1, weight=2)
-    assert alone.status == "pass"
-    # the partner negates the kept right side: read that as zero
-    with mock.patch.object(PBWVector, "__neg__", lambda vec: PBWVector()):
-        report = check_twisted_commutators(tw, pairs=[("e1", "f1"), ("f1", "e1")],
-                                           mode_span=1, weight=2)
-    assert report.status == "fail"
-    witness = report.witness
-    assert witness["generatorPair"] == "f1,e1"
-    assert report.details["comparisons"] > alone.details["comparisons"]
-    n, m = (F(x) for x in witness["modes"].split(","))
-    [w] = [vec for vec, label in basis_states(tw.base, 2) if label == witness["state"]]
-    fresh = _commutator_lhs(tw, "f1", "e1", n, m, w)
-    assert not fresh.is_zero()
-    assert witness["left"] == format_vector(sl2, fresh)
-    assert witness["right"] == "0"
+def _window_modes(tw, b, span):
+    """b's modes in the commutator window: on its class, within span of
+    both 0 and its class offset (read in the steps' frame)."""
+    [(gi, _c)] = tw.to_step_frame(tw.algebra.generator(b)).terms()
+    lam = tw.grading()[0][gi]
+    return [m for m in mode_candidates(span, tw.branch_order())
+            if (m - lam).denominator == 1 and abs(m - lam) <= span]
+
+
+def commutator_oracle(tw, mode_span, weight):
+    """Every case of the commutator window built afresh, each pair's partner
+    cases included: [b_(m), c_(n)] w against the bracket's table at m + n
+    plus the pairing scalar summed over the two tables.  Returns the number
+    of identities that hold and the number of cases."""
+    alg, module = tw.algebra, tw.base
+    states = basis_states(module, weight)
+    modes = {b: _window_modes(tw, b, mode_span) for b in alg.names}
+    tables = {(b, m): mode_table_entry(tw, b, m)[0] for b in alg.names for m in modes[b]}
+    ops = {key: tw.gen_mode(*key) for key in tables}
+    held = cases = 0
+    for b in alg.names:
+        for c in alg.names:
+            bracket = alg.bracket(alg.generator(b), alg.generator(c))
+            for m in modes[b]:
+                for n in modes[c]:
+                    central = sum(bco * cco * p * alg.form(alg._basis_elt(gi),
+                                                           alg._basis_elt(gj))
+                                  for (gi, p), bco in tables[b, m].items()
+                                  for (gj, q), cco in tables[c, n].items()
+                                  if p + q == 0) * tw.level
+                    entry = (mode_table_entry(tw, bracket, m + n)[0], central)
+                    bop, cop = ops[b, m], ops[c, n]
+                    for w, _label in states:
+                        lhs = bop(cop(w)) - cop(bop(w))
+                        held += lhs.c == apply_table_entry(module, entry, w).c
+                        cases += 1
+    return held, cases
+
+
+@pytest.mark.parametrize("chain, mode_span, weight, cases", [
+    ("h1=1/2", 1, 2, 637),
+    ("e1", 1, 2, 1053),
+    ("a2_transport_tables", 1, 1, 5184),
+])
+def test_commutator_cases_hold_built_afresh(chain, mode_span, weight, cases):
+    # the check builds nothing for a partner case; building every case
+    # afresh, each identity holds and the count is the report's
+    if chain == "a2_transport_tables":
+        path = ROOT / "tests" / "configs" / "a2_transport_tables.json"
+        tw = cli.build_chain(cli.load_config(str(path))).twisted
+    else:
+        tw = twisted("level 2", chain)
+    report = check_twisted_commutators(tw, mode_span=mode_span, weight=weight)
+    assert report.status == "pass"
+    assert commutator_oracle(tw, mode_span, weight) == (cases, cases)
+    assert report.details["comparisons"] == cases
 
 
 @pytest.mark.parametrize("pairs", [[("e1", "f1"), ("h1", "e1")], [("h1", "h1")],
@@ -480,9 +518,9 @@ def test_commutators_pass_with_and_without_partners(pairs):
 
 
 def test_a_pair_after_its_partner_builds_no_right_side():
-    # the right side of (c, b, n, m) is minus that of (b, c, m, n), read
-    # from the partner's kept cases: every pair calls the tables as often as
-    # the pairs whose partner does not come earlier
+    # a pair whose reverse ran earlier is only counted, so the whole square
+    # of pairs calls the tables as often as the pairs whose reverse does
+    # not come earlier
     tw = twisted("level 2", "h1=1/2")
     real = verify.apply_table_entry
     calls = []

@@ -21,6 +21,7 @@ from voatwist.verify import (
     check_regraded_weights,
     check_shift_conjugation,
     check_zero_mode_nilpotency,
+    current_states,
 )
 
 sl2 = build_simple_lie("A", 1)
@@ -29,6 +30,17 @@ TW = make_twisted(MOD, MOD.current(sl2.element({"h1": F(1, 2)})))
 U_S = MOD.current(sl2.element({"h1": F(1, 2)}))
 ARGS = [(MOD.current("e1"), "e1(-1) |0>")]
 TARGETS = basis_states(MOD, 1)
+
+
+def test_current_states_are_the_generators_currents():
+    # the checks' argument states: each generator's current in the order of
+    # the names, labelled as basis_states labels it, then the conformal state
+    states = current_states(MOD, conformal=True)
+    assert [vec for vec, _label in states[:-1]] == [MOD.current(nm) for nm in sl2.names]
+    assert [label for _vec, label in states] == ["e1(-1) |0>", "f1(-1) |0>",
+                                                  "h1(-1) |0>", "conformal state"]
+    assert states[-1][0] == MOD.conformal_vector()
+    assert current_states(MOD) == states[:-1]
 
 
 def test_shift_conjugation_passes():
