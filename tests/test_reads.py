@@ -30,7 +30,6 @@ constructor.
 from fractions import Fraction as F
 from functools import lru_cache
 from math import floor
-
 import pathlib
 
 import pytest
@@ -57,7 +56,6 @@ from voatwist.verify import (
     check_twisted_axioms,
     check_twisted_commutators,
     check_weight_bracket,
-    format_vector,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -434,11 +432,6 @@ def test_checks_repeat_and_leave_shared_images(level):
     assert run() == first
     assert _snapshot(tw) == before
     assert [report["status"] for report in first] == ["pass"] * 4
-
-
-def _commutator_lhs(tw, b, c, m, n, w):
-    bop, cop = tw.gen_mode(b, m), tw.gen_mode(c, n)
-    return bop(cop(w)) - cop(bop(w))
 
 
 def _window_modes(tw, b, span):
