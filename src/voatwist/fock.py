@@ -18,6 +18,11 @@ on one monomial is its image alone, frozen as a tuple of (monomial,
 coefficient) pairs in the order its sum produced them; an exact zero is
 the shared empty tuple ZERO.
 
+That memo is kept by hand in rows, _act_cache[gi, m] mapping the module's
+shared monomial to the image of b_gi(m) on it: unlike linalg.memo, it
+keeps no (gi, m, mono) key tuple per entry, and a reader fetches a row
+once per (generator, mode) and reads it with row.get(mono).
+
 One table per module shares memo values by content: every frozen image,
 every _vs_mono bucket and every monomial the mode action creates is one
 object, so an equal value is stored once and a dict hit on it compares by
@@ -89,7 +94,9 @@ class InducedModule:
         self.cutoff = int_if_integral(F(cutoff))
         if F(lam) != 0:
             raise Unsupported("only the vacuum highest weight (lambda = 0) is built")
-        # memo fills _act_cache; it is created here so that its size can be
+        # the mode action's structure table, read on every memo miss
+        self._struct, self._gram = algebra._tables()
+        # _act fills _act_cache; it is created here so that its size can be
         # read on a module that never acted
         self._act_cache = {}
         self._vs_cache = {}
@@ -150,8 +157,19 @@ class InducedModule:
         module's one tuple of them (ZERO when terms is empty)."""
         return self._share(tuple(terms.items())) if terms else ZERO
 
-    @memo
     def _act(self, gi: int, m: int, mono):
+        """b_gi(m) applied to one monomial, read from its memo row
+        _act_cache[gi, m], which maps the module's shared monomial to its
+        frozen image; on a miss the image is computed (_image) and stored."""
+        try:
+            return self._act_cache[gi, m][mono]
+        except KeyError:
+            pass
+        image = self._image(gi, m, mono)
+        self._act_cache.setdefault((gi, m), {})[self._shared.setdefault(mono, mono)] = image
+        return image
+
+    def _image(self, gi: int, m: int, mono):
         """b_gi(m) applied to one monomial: a frozen image shared by content
         (_freeze), as is each monomial it creates (the prepended monomial
         and the suffix rest), ZERO for an exact zero.  Sharing is sound
@@ -166,11 +184,10 @@ class InducedModule:
         acc = {}
         for mono2, c2 in self._act(gi, m, rest):
             accumulate(acc, self._act(g1, m1, mono2), c2)
-        struct, gram = self.algebra._tables()
-        for k, ck in struct[gi][g1]:
+        for k, ck in self._struct[gi][g1]:
             accumulate(acc, self._act(k, m + m1, rest), ck)
-        if m + m1 == 0 and m and gram[gi][g1]:
-            accumulate(acc, ((rest, int_if_integral(m * gram[gi][g1] * self.level)),))
+        if m + m1 == 0 and m and self._gram[gi][g1]:
+            accumulate(acc, ((rest, int_if_integral(m * self._gram[gi][g1] * self.level)),))
         return self._freeze(acc)
 
     def apply_mode(self, x, m: int, vec: PBWVector) -> PBWVector:
@@ -182,12 +199,17 @@ class InducedModule:
         # outside it: this is the innermost loop of every check, and one
         # accumulate call per monomial and generator costs the conjugation
         # workload 3.5% more opcodes per pass (18.35 M against 17.72 M); for
-        # the same reason _act's memo dict is read before calling it
-        act, known = self._act, self._act_cache
+        # the same reason each generator's memo row is fetched once and read
+        # directly.  The sum runs monomial by monomial, each through every
+        # generator: summed generator by generator instead, an intermediate
+        # sum that cancels changes which scalar type a coefficient is stored as
+        known = self._act_cache
+        rows = [(known.setdefault((gi, m), {}), gi, cg) for gi, cg in coords]
         for mono, coeff in vec.c.items():
-            for gi, cg in coords:
-                hit = known.get((gi, m, mono))
-                sub = act(gi, m, mono) if hit is None else hit
+            for row, gi, cg in rows:
+                sub = row.get(mono)
+                if sub is None:
+                    sub = self._act(gi, m, mono)
                 for mono2, c2 in sub:
                     s = out[mono2] + (cg * c2) * coeff if mono2 in out else (cg * c2) * coeff
                     if not s:
@@ -303,8 +325,7 @@ class InducedModule:
             res = {}
             for e in (*range(ceiling + 1),
                       *range(min(m, ceiling), m - monomial_weight(mw) - 1, -1)):
-                hit = self._act_cache.get((gi, m - e, mw))
-                moved = self._act(gi, m - e, mw) if hit is None else hit
+                moved = self._act(gi, m - e, mw)
                 if moved:
                     # _act's image itself when the binomial is 1
                     c = _one_factor(m, e)
@@ -388,9 +409,9 @@ class InducedModule:
         denominators is divided once, as in vertex_series."""
         e = _integer_exponent(-n - 1)
         (vc,), dv = clear_denominators((v.c,))
-        # (mv, cv, None) reads _vs_mono; (mv, C cv, (gi, m - e)) reads _act's
-        # memo dict directly, as apply_mode does; a zero coefficient drops
-        # the monomial
+        # (mv, cv, None) reads _vs_mono; (mv, C cv, (gi, m - e)) reads the
+        # memo row of b_gi(m - e) directly, as apply_mode does; a zero
+        # coefficient drops the monomial
         parts = []
         for mv, cv in vc.items():
             if len(mv) != 1:
@@ -402,14 +423,15 @@ class InducedModule:
         def read(w: PBWVector) -> PBWVector:
             (wc,), dw = clear_denominators((w.c,))
             out = {}
-            known = self._act_cache
             for mv, cv, act in parts:
+                row = None if act is None else self._act_cache.setdefault(act, {})
                 for mw, cw in wc.items():
-                    if act is None:
+                    if row is None:
                         bucket = self._vs_mono(mv, mw, e).get(e)
                     else:
-                        hit = known.get((*act, mw))
-                        bucket = self._act(*act, mw) if hit is None else hit
+                        bucket = row.get(mw)
+                        if bucket is None:
+                            bucket = self._act(*act, mw)
                     if bucket:
                         accumulate(out, bucket, cv * cw)
             return PBWVector.adopt(divided(out, dv * dw))

@@ -47,6 +47,7 @@ __all__ = [
     "branch_shift",
     "common_ceiling",
     "divided",
+    "lattice_point",
     "linear_image",
     "linear_series",
     "monomial_weight",
@@ -297,6 +298,14 @@ def series_derivative(a: LogSeries) -> LogSeries:
     return series_sum(items(), None if a.ceiling is None else a.ceiling - 1)
 
 
+def lattice_point(e, order: int):
+    """order * e as an int when the rational e (an int or a Fraction) lies
+    on the 1/order lattice, None when it does not."""
+    # e is in lowest terms: on the lattice iff its denominator divides order
+    q, r = divmod(order, e.denominator)
+    return None if r else e.numerator * q
+
+
 def branch_shift(a: LogSeries, steps: int, order: int) -> LogSeries:
     """Move ``steps`` analytic branches: log x -> log x + steps*T and
     x^e -> zeta_order^(order*e*steps) x^e.
@@ -307,15 +316,9 @@ def branch_shift(a: LogSeries, steps: int, order: int) -> LogSeries:
     """
     def items():
         for (e, k), v in a.terms.items():
-            if type(e) is int:
-                scaled = e * order
-            else:
-                # e is in lowest terms: on the lattice iff its denominator divides
-                q, r = divmod(order, e.denominator)
-                if r:
-                    raise DomainError(
-                        f"exponent {e} is not on the 1/{order} lattice")
-                scaled = e.numerator * q
+            scaled = lattice_point(e, order)
+            if scaled is None:
+                raise DomainError(f"exponent {e} is not on the 1/{order} lattice")
             zfac = Cyc.zeta(order, scaled * steps)
             if not k:
                 yield e, 0, v.c, zfac

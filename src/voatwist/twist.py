@@ -278,15 +278,12 @@ class TwistedModule:
         for lam, comp in step.eig.decompose(elt).items():
             # an integral eigenvalue as an int keeps an int mode an int key
             sub_m = m - int_if_integral(lam)
-            cur = comp
-            for lp in range(0, l + 1):
-                if cur.is_zero():
-                    break
+            # zip stops at lp = l before taking one more bracket
+            for lp, cur in zip(range(l + 1), _ad_powers(alg, step.n, comp)):
                 c = (-1) ** lp if lp < 2 else F((-1) ** lp, factorial(lp))
                 sub_ops, sub_scalar = self._fold_mode(j - 1, cur, sub_m, l - lp)
                 accumulate(ops_total, sub_ops.items(), c)
                 scalar_total += c * sub_scalar
-                cur = alg.bracket(step.n, cur)
         if m == 0 and l == 0:
             scalar_total -= alg.form(step.a, elt) * self.level
         return ops_total, int_if_integral(scalar_total)

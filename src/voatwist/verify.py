@@ -27,6 +27,7 @@ from .series import (
     PBWVector,
     accumulate,
     branch_shift,
+    lattice_point,
     linear_series,
     series_combine,
     series_derivative,
@@ -36,6 +37,7 @@ from .series import (
 from .twist import (
     ModuleMap,
     TwistedModule,
+    _ad_powers,
     apply_table_entry,
     functor_on_map,
     make_twisted,
@@ -191,16 +193,17 @@ def _vector_case(alg, left, right, keys=("left", "right"), **fields):
 
 
 def _nilpotency_index(alg, n) -> int:
-    """Smallest p with ad(n)^p = 0 (0 for n = 0)."""
+    """Smallest p with ad(n)^p = 0 (0 for n = 0): the longest ad-power walk
+    from a basis element."""
     if n is None or n.is_zero():
         return 0
-    cur = list(alg.basis())
     p = 0
-    while any(not x.is_zero() for x in cur):
-        cur = [alg.bracket(n, x) for x in cur]
-        p += 1
-        if p > alg.dim + 1:
-            raise DomainError("the nilpotent part is not actually nilpotent")
+    for x in alg.basis():
+        for depth, _power in enumerate(_ad_powers(alg, n, x), 1):
+            # a nilpotent ad(n) has ad(n)^dim = 0
+            if depth > alg.dim:
+                raise DomainError("the nilpotent part is not actually nilpotent")
+            p = max(p, depth)
     return p
 
 
@@ -236,7 +239,7 @@ def check_shift_finiteness(module: InducedModule, u: PBWVector, states) -> Check
                     bad = "a coefficient outweighs the input state"
                 elif k > log_bound:
                     bad = "log power exceeds the unipotent bound"
-                elif (F(e) * lattice).denominator != 1:
+                elif lattice_point(e, lattice) is None:
                     bad = "exponent leaves the eigenvalue lattice"
                 else:
                     continue
@@ -887,7 +890,7 @@ def check_twisted_axioms(twisted: TwistedModule, states, target_states,
             for w, wlabel in target_states:
                 ser = twisted.vertex_series(v, w, ceiling)
                 off = next((e for (e, _k) in ser.terms
-                            if (F(e) * order).denominator != 1), None)
+                            if lattice_point(e, order) is None), None)
                 yield False, None if off is None else {
                     "argument": vlabel,
                     "target": wlabel,

@@ -335,9 +335,8 @@ def test_mode_action_images_match_the_flagged_recursion(rank):
 
 
 @pytest.fixture(scope="module")
-def nilpotent_memo(tmp_path_factory):
-    """The modules built by one run of configs/sl2_nilpotent.json, and
-    every image and bucket their memos hold."""
+def nilpotent_modules(tmp_path_factory):
+    """The modules built by one run of configs/sl2_nilpotent.json."""
     built = []
     inner = cli.build_module
 
@@ -351,11 +350,45 @@ def nilpotent_memo(tmp_path_factory):
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["run", str(config), "--output", str(out)]) == 0
-    images = [(mod, img) for mod in built for img in mod._act_cache.values()]
-    buckets = [(mod, bucket) for mod in built
+    assert built
+    return built
+
+
+@pytest.fixture(scope="module")
+def nilpotent_memo(nilpotent_modules):
+    """Every image and bucket the memos of nilpotent_modules hold."""
+    images = [(mod, img) for mod in nilpotent_modules
+              for row in mod._act_cache.values() for img in row.values()]
+    buckets = [(mod, bucket) for mod in nilpotent_modules
                for _ceiling, res in mod._vs_cache.values() for bucket in res.values()]
     assert images and buckets
     return images, buckets
+
+
+def test_mode_action_memo_is_kept_in_rows(nilpotent_modules):
+    # one row per (generator, mode), keyed by the module's own monomials
+    for mod in nilpotent_modules:
+        assert mod._act_cache
+        for key, row in mod._act_cache.items():
+            assert len(key) == 2 and all(type(k) is int for k in key), key
+            for mono in row:
+                assert mod._shared.get(mono) is mono, mono
+    # every reader hands on the image its row holds: a marker planted in
+    # the row of a fresh module comes out of each
+    ran = nilpotent_modules[0]
+    (gi, m), row = next((key, row) for key, row in ran._act_cache.items()
+                        if key[1] < 0 and row)
+    mono = next(iter(row))
+    mod = build_module(ran.algebra, ran.level, ran.cutoff)
+    marker = ((mod._share(((gi, -9),)), 5),)
+    mod._act(gi, m, mono)
+    mod._act_cache[gi, m][mono] = marker
+    assert mod.apply_mode(mod.algebra._basis_elt(gi), m, PBWVector({mono: 1})).c == \
+        {((gi, -9),): 5}
+    # Y(b(m)|0>, x) at x^0 is b(m) itself, with binomial 1
+    assert mod._vs_mono(((gi, m),), mono, 0)[0] is marker
+    read = mod.vertex_operator_mode(PBWVector({((gi, m),): 1}), -1)
+    assert read(PBWVector({mono: 1})).c == {((gi, -9),): 5}
 
 
 def test_memo_values_are_tuples_or_lost(nilpotent_memo):

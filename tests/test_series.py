@@ -10,6 +10,7 @@ from voatwist.series import (
     PBWVector,
     accumulate,
     branch_shift,
+    lattice_point,
     linear_image,
     linear_series,
     series_combine,
@@ -89,8 +90,17 @@ def test_branch_shift_turns_log_into_log_plus_t():
 
 
 def test_branch_shift_rejects_off_lattice_exponent():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^exponent 1/2 is not on the 1/3 lattice$"):
         branch_shift(LogSeries({(F(1, 2), 0): vec(1)}), 1, 3)
+
+
+def test_lattice_point_is_the_scaled_exponent_or_none():
+    for order in (1, 2, 3, 6):
+        for e in (0, 2, -3, F(4), F(1, 2), F(-5, 3), F(7, 6), F(1, 4)):
+            on = (F(e) * order).denominator == 1
+            got = lattice_point(e, order)
+            assert got == (int(F(e) * order) if on else None), (e, order)
+            assert got is None or type(got) is int
 
 
 def test_series_eq_reports_first_mismatch():

@@ -32,6 +32,15 @@ ARGS = [(MOD.current("e1"), "e1(-1) |0>")]
 TARGETS = basis_states(MOD, 1)
 
 
+def test_nilpotency_index_walks_ad_powers():
+    assert verify._nilpotency_index(sl2, None) == 0
+    assert verify._nilpotency_index(sl2, sl2.element({})) == 0
+    # ad(e1): f1 -> h1 -> e1 -> 0
+    assert verify._nilpotency_index(sl2, sl2.element({"e1": 1})) == 3
+    with pytest.raises(DomainError, match="not actually nilpotent"):
+        verify._nilpotency_index(sl2, sl2.element({"h1": 1}))
+
+
 def test_current_states_are_the_generators_currents():
     # the checks' argument states: each generator's current in the order of
     # the names, labelled as basis_states labels it, then the conformal state
