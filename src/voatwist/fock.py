@@ -20,8 +20,7 @@ the shared empty tuple ZERO.
 
 That memo is kept by hand in rows, _act_cache[gi, m] mapping the module's
 shared monomial to the image of b_gi(m) on it: unlike linalg.memo, it
-keeps no (gi, m, mono) key tuple per entry, and a reader fetches a row
-once per (generator, mode) and reads it with row.get(mono).
+keeps no (gi, m, mono) key tuple per entry.
 
 One table per module shares memo values by content: every frozen image,
 every _vs_mono bucket and every monomial the mode action creates is one
@@ -94,8 +93,6 @@ class InducedModule:
         self.cutoff = int_if_integral(F(cutoff))
         if F(lam) != 0:
             raise Unsupported("only the vacuum highest weight (lambda = 0) is built")
-        # the mode action's structure table, read on every memo miss
-        self._struct, self._gram = algebra._tables()
         # _act fills _act_cache; it is created here so that its size can be
         # read on a module that never acted
         self._act_cache = {}
@@ -184,10 +181,11 @@ class InducedModule:
         acc = {}
         for mono2, c2 in self._act(gi, m, rest):
             accumulate(acc, self._act(g1, m1, mono2), c2)
-        for k, ck in self._struct[gi][g1]:
+        struct, gram = self.algebra._tables()
+        for k, ck in struct[gi][g1]:
             accumulate(acc, self._act(k, m + m1, rest), ck)
-        if m + m1 == 0 and m and self._gram[gi][g1]:
-            accumulate(acc, ((rest, int_if_integral(m * self._gram[gi][g1] * self.level)),))
+        if m + m1 == 0 and m and gram[gi][g1]:
+            accumulate(acc, ((rest, int_if_integral(m * gram[gi][g1] * self.level)),))
         return self._freeze(acc)
 
     def apply_mode(self, x, m: int, vec: PBWVector) -> PBWVector:
@@ -199,16 +197,20 @@ class InducedModule:
         # outside it: this is the innermost loop of every check, and one
         # accumulate call per monomial and generator costs the conjugation
         # workload 3.5% more opcodes per pass (18.35 M against 17.72 M); for
-        # the same reason each generator's memo row is fetched once and read
-        # directly.  The sum runs monomial by monomial, each through every
-        # generator: summed generator by generator instead, an intermediate
-        # sum that cancels changes which scalar type a coefficient is stored as
+        # the same reason the memo row is indexed here, _act called only on a
+        # miss.  A list of the generators' rows, built once per call, costs
+        # more than the (gi, m) key of each lookup where x has one coordinate,
+        # as on both workloads (16.80 M against 16.41 M opcodes per
+        # conjugation pass).  The sum runs monomial by monomial, each through
+        # every generator: summed generator by generator instead, an
+        # intermediate sum that cancels changes which scalar type a
+        # coefficient is stored as
         known = self._act_cache
-        rows = [(known.setdefault((gi, m), {}), gi, cg) for gi, cg in coords]
         for mono, coeff in vec.c.items():
-            for row, gi, cg in rows:
-                sub = row.get(mono)
-                if sub is None:
+            for gi, cg in coords:
+                try:
+                    sub = known[gi, m][mono]
+                except KeyError:
                     sub = self._act(gi, m, mono)
                 for mono2, c2 in sub:
                     s = out[mono2] + (cg * c2) * coeff if mono2 in out else (cg * c2) * coeff
