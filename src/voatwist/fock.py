@@ -163,7 +163,7 @@ class InducedModule:
         except KeyError:
             pass
         image = self._image(gi, m, mono)
-        self._act_cache.setdefault((gi, m), {})[self._shared.setdefault(mono, mono)] = image
+        self._act_cache.setdefault((gi, m), {})[self._share(mono)] = image
         return image
 
     def _image(self, gi: int, m: int, mono):
@@ -197,14 +197,10 @@ class InducedModule:
         # outside it: this is the innermost loop of every check, and one
         # accumulate call per monomial and generator costs the conjugation
         # workload 3.5% more opcodes per pass (18.35 M against 17.72 M); for
-        # the same reason the memo row is indexed here, _act called only on a
-        # miss.  A list of the generators' rows, built once per call, costs
-        # more than the (gi, m) key of each lookup where x has one coordinate,
-        # as on both workloads (16.80 M against 16.41 M opcodes per
-        # conjugation pass).  The sum runs monomial by monomial, each through
-        # every generator: summed generator by generator instead, an
-        # intermediate sum that cancels changes which scalar type a
-        # coefficient is stored as
+        # the same reason the memo row is indexed here (a list of the rows
+        # built once per call costs 2.4% more) and _act called on a miss.
+        # Monomial by monomial, since summing generator by generator changes
+        # the scalar type an intermediate cancellation stores
         known = self._act_cache
         for mono, coeff in vec.c.items():
             for gi, cg in coords:
