@@ -13,18 +13,22 @@ For u = a(-1)|0> the operator acts on a module vector v in three stages:
      sum; any other goes through expand_monomial, and each of its
      ad(s)-eigenpieces moves by minus its eigenvalue sum.
 
-Stages 1 and 2 run in integers: a and n act as b/d and n'/d_n with b and
-n' integral (kept on the record), v is scaled by the lcm of its
-denominators, and each term is an integral vector over one int
-denominator.  Each output coefficient is divided once, so the output
-follows the one scalar rule: an integral value is an int
+All three stages run in integers, and _stages is their one integral
+reader: D(v) as [(e, k, terms, den)], distinct keys, each coefficient
+terms/den with den a positive int.  Stages 1 and 2 act by -a = b/d and by
+the signed nilpotent part n'/d_n with b and n' integral (kept on the
+record), so every stage denominator is positive; v is scaled by the lcm of
+its denominators, and each term is an integral dict over one int
+denominator.  Stage 3 sums its terms per output key in ints over the lcm
+of the stage denominators, in the order they come (a relabeled monomial
+inline, an expanded one as a scaled vector), so a key that cancels drops,
+as in LogSeries.add_term.  delta_apply divides each key once (_shift), so
+the output follows the one scalar rule: an integral value is an int
 (``tests/test_shift_golden.py`` pins every type, and checks stages 1 and 2
 against their first forms in Fractions), and each divided term is kept
-without a copy.  Stage 3 sums its terms per output key in one LogSeries
-by LogSeries.add_term, in the order they come (a relabeled monomial as a
-one-monomial dict, an expanded one as a scaled vector), so a key that
-cancels drops.  Every output coefficient is exact, whatever the weight of
-the monomials it passes through: no stage reads the module's cutoff.  The
+without a copy.  The shift-conjugation check reads _stages undivided.
+Every output coefficient is exact, whatever the weight of the monomials it
+passes through: no stage reads the module's cutoff.  The
 self-pairing scalar kappa is always stored as a Fraction, since callers
 halve it.  A legacy sign convention (kept only so its failure is
 demonstrable) flips the outer x^(s(0)) and log factors and drops the
@@ -33,8 +37,8 @@ why the difference is easy to miss on small examples.
 
 make_delta builds one record per module, current and sign convention, kept
 on the module but never referring to it, so a dropped module is freed at
-once.  It holds D(b) for each basis monomial b = {mono: 1} it has met, and
-stage 3's exponent shift of each monomial it has met.  A single monomial
+once.  It holds D(b) for each basis monomial b = {mono: 1} it has met
+(_basis_image), and stage 3's exponent shift of each monomial it has met.  A single monomial
 c b with c an int or a Fraction is served as c D(b), one scaled copy of
 each term, which the operator's linearity makes equal in keys, values and
 coefficient types to the image computed afresh
@@ -46,12 +50,12 @@ per-monomial images made the conjugation pass 2.4 times slower.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import lcm, perm
 
 from .errors import DomainError, NotQuasiPrimary
 from .fock import InducedModule
 from .linalg import memo
-from .scalars import clear_denominators
+from .scalars import clear_denominators, int_if_integral
 from .series import LogSeries, PBWVector, accumulate, divided, series_sum
 
 __all__ = ["DeltaOperator", "make_delta", "delta_apply", "delta_apply_series"]
@@ -70,10 +74,10 @@ class DeltaOperator:
                  images):
         self.module = module
         self.a = a
-        self.a_int = a_int  # (b, d) with a = b/d and b integral
+        self.a_int = a_int  # (b, d) with -a = b/d and b integral: stage 1
         self.s = s
         self.n = n
-        self.n_int = n_int  # the same for n
+        self.n_int = n_int  # the same for -n (n, legacy convention): stage 2
         self.eig = eig
         self.kappa = kappa
         self.legacy = legacy
@@ -123,10 +127,11 @@ def make_delta(module: InducedModule, u: PBWVector,
     return DeltaOperator(module, *_shift_record(module, a, bool(legacy_sign_convention)))
 
 
-def _integral(alg, elt):
-    """(b, d) with elt = b/d, d a positive int and b of integral coordinates."""
+def _integral(alg, elt, sign):
+    """(b, d) with sign * elt = b/d, d a positive int and b of integral
+    coordinates."""
     [coords], d = clear_denominators([dict(elt.terms())])
-    return alg.element_from_coords([coords.get(i, 0) for i in range(alg.dim)]), d
+    return alg.element_from_coords([sign * coords.get(i, 0) for i in range(alg.dim)]), d
 
 
 @memo
@@ -153,29 +158,29 @@ def _shift_record(module: InducedModule, a, legacy):
         if mono != ():
             raise DomainError("u_(1) u is not a vacuum multiple")
         kappa = F(coeff)
-    return (a, _integral(alg, a), s, n, _integral(alg, n), eig, kappa, legacy,
-            {}, {})
+    return (a, _integral(alg, a, -1), s, n, _integral(alg, n, 1 if legacy else -1),
+            eig, kappa, legacy, {}, {})
 
 
 def _exp_current_stage(delta: DeltaOperator, v: PBWVector) -> list:
-    """Stage 1: exp of the positive-mode sum, log-free, as [(e, 0, vec,
-    den)]: the x^e term is vec/den, den a nonzero int and vec integral (a
-    Cyc, or a Fraction from a non-integral level, is kept as it is).
+    """Stage 1: exp of the positive-mode sum, log-free, as [(e, 0, terms,
+    den)]: the x^e term is terms/den, den a positive int and terms a
+    nonempty integral coefficient dict (a Cyc, or a Fraction from a
+    non-integral level, is kept as it is).
 
     The modes a(m) commute, so the x^(-j) term is T_j = (1/j) sum_{m<=j}
     s_m a(m) T_(j-m) with T_0 = v and s_m = (-1)^m (-1 under the legacy
-    convention); T_j vanishes past the depth of v.  With a = b/d, b
-    integral, and D the lcm of v's denominators, R_j = (-1)^j j! d^j D T_j
-    is integral:  R_0 = D v,
+    convention); T_j vanishes past the depth of v.  With -a = b/d, b
+    integral, and D the lcm of v's denominators, R_j = j! d^j D T_j is
+    integral:  R_0 = D v,
         R_j = sum_{m<=j} c_m ((j-1)!/(j-m)!) d^(m-1) b(m) R_(j-m),
-    with c_m = 1 (c_m = (-1)^(m+1) under the legacy convention).  So the
-    sign (-1)^j goes into the denominator, and the m = 1 image, whose
-    factor is 1, starts the sum as it is."""
+    with c_m = (-1)^(m+1) (c_m = 1 under the legacy convention).  So the
+    m = 1 image, whose factor is 1, starts the sum as it is."""
     module = delta.module
     b, d = delta.a_int
     [cleared], den = clear_denominators([v.c])
     terms = [PBWVector(cleared)]
-    out = [(0, 0, terms[0], den)]
+    out = [(0, 0, terms[0].c, den)]
     for j in range(1, v.depth() + 1):
         acc = {}
         for m in range(1, j + 1):
@@ -185,42 +190,117 @@ def _exp_current_stage(delta: DeltaOperator, v: PBWVector) -> list:
                     acc = moved.c
                     continue
                 k = perm(j - 1, m - 1) * d ** (m - 1)
-                accumulate(acc, moved.c.items(), -k if delta.legacy and m % 2 == 0 else k)
+                accumulate(acc, moved.c.items(),
+                           -k if m % 2 == 0 and not delta.legacy else k)
         terms.append(PBWVector.adopt(acc))
-        den *= -j * d
-        out.append((-j, 0, terms[-1], den))
-    return [term for term in out if term[2].c]
+        den *= j * d
+        out.append((-j, 0, acc, den))
+    return [term for term in out if term[2]]
 
 
 def _log_stage(delta: DeltaOperator, staged: list) -> list:
     """Stage 2: the unipotent zero-mode factor, applied until it gives 0,
-    as [(e, k, vec, den)].  With n = n'/d_n, n' integral, the log^i term
-    of vec/den is n'(0)^i vec / (den i! (sign d_n)^i), the sign going into
-    the denominator."""
+    as [(e, k, terms, den)].  The factor is exp(n'(0) log x / d_n), n'
+    integral (n' = -d_n n, or d_n n under the legacy convention), so the
+    log^i term of terms/den is n'(0)^i terms / (den i! d_n^i)."""
     if delta.n.is_zero():
         return staged
     module = delta.module
     n, dn = delta.n_int
-    step = dn if delta.legacy else -dn
     out = []
-    for e, _k, cur, den in staged:
+    for e, _k, terms, den in staged:
+        cur = PBWVector.adopt(terms)
         i = 0
         while i == 0 or cur.c:
-            out.append((e, i, cur, den))
+            out.append((e, i, cur.c, den))
             i += 1
             cur = module.apply_mode(n, 0, cur)
-            den *= i * step
+            den *= i * dn
     return out
 
 
-def _series(staged: list) -> LogSeries:
-    """The LogSeries of a stage's [(e, k, vec, den)] terms.  Their keys are
-    distinct and none is zero, and each vec is fresh, so its divided dict
-    is kept without a copy."""
+def _stages(delta: DeltaOperator, v: PBWVector) -> list:
+    """The integral form of D(v), for any operator: [(e, k, terms, den)]
+    with distinct keys (e, k), the x^e (log x)^k coefficient being
+    terms/den, den a positive int and terms a nonempty coefficient dict,
+    integral as stage 1's are.  The dicts are fresh; a caller may keep them.
+
+    Without a semisimple part this is stage 2's list as it is.  Otherwise
+    stage 3 sums every term in one dict per output key over the lcm of the
+    stage denominators, in the order the terms come: a relabeled monomial
+    inline, an expanded one as a scaled vector.  A key whose sum cancels
+    drops, and comes back last if hit again, as in LogSeries.add_term: its
+    first entry is left empty and filtered out."""
+    staged = _log_stage(delta, _exp_current_stage(delta, v))
+    if delta.s.is_zero():
+        return staged
+    module = delta.module
+    decompose, basis_elt = delta.eig.decompose, module.algebra._basis_elt
+
+    def split(gi):
+        return [(lam, None, comp) for lam, comp in decompose(basis_elt(gi)).items()]
+
+    sign = 1 if delta.legacy else -1
+    eigvals = delta.eig.generator_eigenvalues()
+    shifts = delta.shifts
+    den = lcm(*[term[3] for term in staged])
+    sums, out = {}, []
+    for e, k, terms, d in staged:
+        q = den // d
+        for mono, coeff in terms.items():
+            shift = shifts.get(mono, False)
+            if shift is False:
+                # a monomial of eigenvectors is relabeled (moved by sign
+                # times its eigenvalue sum); any other is expanded (None)
+                lams = [eigvals[gi] for gi, _m in mono]
+                shift = shifts[mono] = (int_if_integral(sign * sum(lams))
+                                        if None not in lams else None)
+            if shift is None:
+                for lamsum, expanded in module.expand_monomial(mono, split).items():
+                    key = (int_if_integral(e + sign * lamsum), k)
+                    acc = sums.get(key)
+                    if acc is None:
+                        acc = sums[key] = {}
+                        out.append((*key, acc, den))
+                    accumulate(acc, expanded.c.items(), coeff * q)
+                    if not acc:
+                        del sums[key]
+                continue
+            # summed inline under accumulate's scalar rule: one accumulate
+            # call per relabeled monomial costs more than the sum itself
+            key = (e + shift, k)
+            acc = sums.get(key)
+            if acc is None:
+                acc = sums[key] = {}
+                out.append((*key, acc, den))
+            c = acc[mono] + coeff * q if mono in acc else coeff * q
+            if not c:
+                del acc[mono]
+                if not acc:
+                    del sums[key]
+            elif type(c) is Fraction and c.denominator == 1:
+                acc[mono] = c.numerator
+            else:
+                acc[mono] = c
+    return out if len(out) == len(sums) else [term for term in out if term[2]]
+
+
+def _shift(delta: DeltaOperator, v: PBWVector) -> LogSeries:
+    """D(v) as a LogSeries: each term of _stages divided once and kept
+    without a copy."""
     out = LogSeries()
-    for e, k, vec, den in staged:
-        out.terms[e, k] = PBWVector.adopt(divided(vec.c, den))
+    for e, k, terms, den in _stages(delta, v):
+        out.terms[e, k] = PBWVector.adopt(divided(terms, den))
     return out
+
+
+def _basis_image(delta: DeltaOperator, mono) -> LogSeries:
+    """D(b) for the basis monomial b = {mono: 1}, memoized on the record;
+    shared with every later caller, so never mutated."""
+    hit = delta.images.get(mono)
+    if hit is None:
+        hit = delta.images[mono] = _shift(delta, PBWVector({mono: 1}))
+    return hit
 
 
 def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
@@ -232,9 +312,7 @@ def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
     if len(v.c) == 1:
         [(mono, c)] = v.c.items()
         if type(c) in (int, Fraction):
-            hit = delta.images.get(mono)
-            if hit is None:
-                hit = delta.images[mono] = _shift(delta, PBWVector({mono: 1}))
+            hit = _basis_image(delta, mono)
             if type(c) is int and c == 1:
                 return hit
             # c is nonzero, so c D(b) has the keys of D(b): one scaled copy
@@ -244,40 +322,6 @@ def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
                 scaled.terms[key] = c * vec
             return scaled
     return _shift(delta, v)
-
-
-def _shift(delta: DeltaOperator, v: PBWVector) -> LogSeries:
-    """The three stages of a non-identity operator."""
-    staged = _log_stage(delta, _exp_current_stage(delta, v))
-    if delta.s.is_zero():
-        return _series(staged)
-    module = delta.module
-    decompose, basis_elt = delta.eig.decompose, module.algebra._basis_elt
-
-    def split(gi):
-        return [(lam, None, comp) for lam, comp in decompose(basis_elt(gi)).items()]
-
-    sign = 1 if delta.legacy else -1
-    eigvals = delta.eig.generator_eigenvalues()
-    shifts = delta.shifts
-    # one per-key sum, in the order the terms come: a relabeled monomial is
-    # added as it is, an expanded one as a scaled vector
-    out = LogSeries()
-    add_term = out.add_term
-    for e, k, vec, den in staged:
-        for mono, coeff in divided(vec.c, den).items():
-            shift = shifts.get(mono, False)
-            if shift is False:
-                # a monomial of eigenvectors is relabeled (moved by sign
-                # times its eigenvalue sum); any other is expanded (None)
-                lams = [eigvals[gi] for gi, _m in mono]
-                shift = shifts[mono] = sign * sum(lams) if None not in lams else None
-            if shift is not None:
-                add_term(e + shift, k, {mono: coeff})
-                continue
-            for lamsum, expanded in module.expand_monomial(mono, split).items():
-                add_term(e + sign * lamsum, k, expanded.c, coeff)
-    return out
 
 
 def delta_apply_series(delta: DeltaOperator, series: LogSeries) -> LogSeries:

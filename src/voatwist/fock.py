@@ -52,7 +52,10 @@ Both reads are integer sums: v and w are scaled by the lcm of their
 denominators (no work when every coefficient is an int), the memoized
 buckets are summed per exponent with int scales, and each sum is divided
 once at the end, so the stored coefficients follow the scalar rule and are
-kept without a copy (PBWVector.adopt, LogSeries.from_sums).  The Sugawara
+kept without a copy (PBWVector.adopt, LogSeries.from_sums).  The series'
+sum is its own integral reader, vertex_sums, which takes the cleared
+coefficient dicts and returns the sums undivided; the shift-conjugation
+check reads it directly.  The Sugawara
 L(n) is series.linear_image over the memoized image of each monomial, so
 L(n) of a basis monomial is that image itself, shared and read-only.
 """
@@ -373,15 +376,14 @@ class InducedModule:
             accumulate(out, self._act(gi, int(m), mono), coeff)
         return out
 
-    def vertex_series(self, v: PBWVector, w: PBWVector, ceiling) -> LogSeries:
-        """Y(v, x) w as a log-free LogSeries of PBWVectors, exact to ceiling.
+    def vertex_sums(self, vc: dict, wc: dict, ceiling: int) -> dict:
+        """The undivided sums of vertex_series: {e: {monomial: coefficient}}
+        for Y(v, x) w at each int exponent e <= ceiling, v and w given by
+        their coefficient dicts vc and wc (integral ones give integral sums).
 
-        The buckets of each exponent are summed in one dict with the int
-        scales of v and w cleared of denominators, in the order and with
-        the drops of a per-key sum, and divided once at the end."""
-        ceiling = _integer_exponent(ceiling)
-        (vc,), dv = clear_denominators((v.c,))
-        (wc,), dw = clear_denominators((w.c,))
+        The memoized buckets are summed per exponent with the scales
+        cv * cw, in the order and with the drops of a per-key sum; each sum
+        is nonempty and fresh, and the caller may keep it."""
         sums = {}
         for mv, cv in vc.items():
             for mw, cw in wc.items():
@@ -395,7 +397,16 @@ class InducedModule:
                     accumulate(acc, bucket, scale)
                     if not acc:
                         del sums[e]
-        return LogSeries.from_sums(sums, dv * dw, ceiling)
+        return sums
+
+    def vertex_series(self, v: PBWVector, w: PBWVector, ceiling) -> LogSeries:
+        """Y(v, x) w as a log-free LogSeries of PBWVectors, exact to ceiling:
+        the vertex_sums of v and w cleared of denominators, each divided
+        once."""
+        ceiling = _integer_exponent(ceiling)
+        (vc,), dv = clear_denominators((v.c,))
+        (wc,), dw = clear_denominators((w.c,))
+        return LogSeries.from_sums(self.vertex_sums(vc, wc, ceiling), dv * dw, ceiling)
 
     def vertex_operator_mode(self, v: PBWVector, n):
         """The mode v_(n), n an int or a Fraction, as a reader: w -> the

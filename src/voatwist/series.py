@@ -25,7 +25,8 @@ zero is stored as it is: ``LogSeries.from_sums`` divides each per-key sum
 of a log-free series once (``divided``) and keeps it without a copy
 (``PBWVector.adopt``, which also keeps a vector sum built outside a
 series), and the shift operator and the twisted reads store such terms
-the same way.
+the same way.  ``expand_at_sum`` is the other formal substitution,
+x -> x + y in x^e (log x)^k, as a memoized table of scalars.
 
 A series may carry a ``ceiling``: coefficients at e > ceiling were not
 computed (dropped, not zero).  ``None`` means the stored terms are the
@@ -37,6 +38,7 @@ only inside the common ceiling.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
 from .scalars import Cyc, binom, int_if_integral
@@ -47,6 +49,7 @@ __all__ = [
     "branch_shift",
     "common_ceiling",
     "divided",
+    "expand_at_sum",
     "lattice_point",
     "linear_image",
     "linear_series",
@@ -331,6 +334,42 @@ def branch_shift(a: LogSeries, steps: int, order: int) -> LogSeries:
                 yield e, j, v.c, zfac * binom(k, j) * tpart
 
     return series_sum(items(), a.ceiling)
+
+
+def _log_shift_powers(max_power: int, ceiling: int):
+    # powers of log(x+y) - log(x) = sum_{i>=1} (-1)^(i+1) (y/x)^i / i,
+    # each stored as {y-exponent: coefficient}; the x-exponent is minus
+    # the y-exponent throughout
+    powers = [{0: 1}]
+    base = {i: Fraction((-1) ** (i + 1), i) for i in range(1, max(int(ceiling), 0) + 1)}
+    for _p in range(max_power):
+        prev, nxt = powers[-1], {}
+        for i1, c1 in prev.items():
+            accumulate(nxt, ((i1 + i2, c2) for i2, c2 in base.items() if i1 + i2 <= ceiling),
+                       c1)
+        powers.append(nxt)
+    return powers
+
+
+@lru_cache(maxsize=None)
+def expand_at_sum(e, k, max_p):
+    """x^e (log x)^k with x replaced by x + y.
+
+    Returns {(j, p): scalar} for x^(e - p) (log x)^j y^p, exact for
+    p <= max_p.  Binomial expansion handles x^e, the alternating series
+    for log(x+y) - log(x) (from _log_shift_powers) handles the log
+    powers.  A pure function of its key, so each table is built once and
+    shared: callers must not mutate it.  The shift-conjugation check reads
+    D(x+y) v through it.
+    """
+    lpow = _log_shift_powers(k, max_p)
+    out = {}
+    for j in range(k + 1):
+        ckj = binom(k, j)
+        for il, cl in lpow[k - j].items():
+            accumulate(out, (((j, i + il), binom(e, i)) for i in range(max_p - il + 1)),
+                       ckj * cl)
+    return out
 
 
 def series_eq(a: LogSeries, b: LogSeries):

@@ -356,11 +356,13 @@ def transport_tau(twisted: TwistedModule, tau: GAutomorphism) -> TwistedModule:
 
 
 class ModuleMap:
-    """A weight-diagonal linear map of the underlying space."""
+    """A weight-diagonal linear map of the underlying space; its scalars are
+    stored under the scalar rule, an integral one as an int."""
 
-    def __init__(self, default=F(1), weight_scalars=None):
-        self.default = default
-        self.weight_scalars = dict(weight_scalars or {})
+    def __init__(self, default=1, weight_scalars=None):
+        self.default = int_if_integral(default)
+        self.weight_scalars = {w: int_if_integral(c)
+                               for w, c in (weight_scalars or {}).items()}
 
     def scalar_at(self, weight):
         return self.weight_scalars.get(int(weight), self.default)
@@ -387,7 +389,7 @@ def functor_on_map(twisted: TwistedModule, mappings,
     for v in probes:
         for w in range(probe_weight + 1):
             for mono in base.basis(w):
-                bv = PBWVector({mono: F(1)})
+                bv = PBWVector({mono: 1})
                 unmapped = twisted.vertex_series(v, bv, ceiling)
                 for i, mapping in enumerate(mappings):
                     if failures[i] is not None:

@@ -18,15 +18,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .delta import delta_apply, delta_apply_series, make_delta
+from .delta import _basis_image, _stages, delta_apply, delta_apply_series, make_delta
 from .errors import DomainError
 from .fock import InducedModule
-from .scalars import Cyc, binom, clear_denominators, fmt_rational, fmt_scalar
+from .scalars import clear_denominators, fmt_rational, fmt_scalar
 from .series import (
     LogSeries,
     PBWVector,
-    accumulate,
     branch_shift,
+    divided,
+    expand_at_sum,
     lattice_point,
     linear_series,
     series_combine,
@@ -148,7 +149,7 @@ def current_states(module: InducedModule, conformal=False):
 
 
 def _series_sub(a: LogSeries, b: LogSeries) -> LogSeries:
-    return series_combine(a, series_scale(b, scalar=F(-1)))
+    return series_combine(a, series_scale(b, scalar=-1))
 
 
 def _run_cases(name, cases, count_key, pass_details=None,
@@ -260,97 +261,82 @@ def check_shift_finiteness(module: InducedModule, u: PBWVector, states) -> Check
 # -- the conjugation identity in two variables ------------------------------
 
 
-def _log_shift_powers(max_power: int, ceiling: int):
-    # powers of log(x+y) - log(x) = sum_{i>=1} (-1)^(i+1) (y/x)^i / i,
-    # each stored as {y-exponent: coefficient}; the x-exponent is minus
-    # the y-exponent throughout
-    powers = [{0: 1}]
-    base = {i: F((-1) ** (i + 1), i) for i in range(1, max(int(ceiling), 0) + 1)}
-    for _p in range(max_power):
-        prev, nxt = powers[-1], {}
-        for i1, c1 in prev.items():
-            accumulate(nxt, ((i1 + i2, c2) for i2, c2 in base.items() if i1 + i2 <= ceiling),
-                       c1)
-        powers.append(nxt)
-    return powers
-
-
-@lru_cache(maxsize=None)
-def _expand_at_sum(e, k, max_p):
-    """x^e (log x)^k with x replaced by x + y.
-
-    Returns {(j, p): scalar} for x^(e - p) (log x)^j y^p, exact for
-    p <= max_p.  Binomial expansion handles x^e, the alternating series
-    for log(x+y) - log(x) (from _log_shift_powers) handles the log
-    powers.  A pure function of its key, so each table is built once and
-    shared: callers must not mutate it.
-    """
-    lpow = _log_shift_powers(k, max_p)
-    out = {}
-    for j in range(k + 1):
-        ckj = binom(k, j)
-        for il, cl in lpow[k - j].items():
-            accumulate(out, (((j, i + il), binom(e, i)) for i in range(max_p - il + 1)),
-                       ckj * cl)
-    return out
-
-
-def _conjugated_sides(delta, v: PBWVector, w: PBWVector, shifted, dw,
+def _conjugated_sides(delta, vc: dict, wc: dict, yden: int, shifted, dw,
                       ceiling: int):
-    """Both sides of D(x) Y(v, y) w = Y(D(x+y) v, y) D(x) w.
+    """Both sides of D(x) Y(v, y) w = Y(D(x+y) v, y) D(x) w, keyed (e, k, j)
+    by x^e (log x)^k y^j, exact for j <= ceiling.
 
-    shifted lists (e, D(v) coefficient, _expand_at_sum table) for every
-    term of D(v), and dw the ((e, k), coefficient) terms of D(w), all three
-    scaled by the caller to clear denominators.  Returned as {(e, k, j):
-    {mono: coeff}} keyed by x^e (log x)^k y^j, exact for j <= ceiling.
+    The left side maps a key to (terms, den), the coefficient terms/den: D
+    of each y-coefficient of Y(v, y) w, summed from v's and w's cleared
+    coefficients vc and wc over yden, as the shift's stage output, or as
+    c D(b) for one monomial c b.  The right side maps a key to a sum:
+    shifted lists (e, D(v) coefficient, expand_at_sum table) for every term
+    of D(v), and dw the ((e, k), coefficient) terms of D(w), all cleared.
     """
     module = delta.module
-
-    # each (e, k, ey) key comes once, so D(Y(v, y) w) is read by reference:
-    # its dicts may be images that delta_apply shares, never mutated here
+    # a left dict may be an image that _basis_image shares: never mutated
     lhs = {}
-    for (ey, _k0), vecy in module.vertex_series(v, w, ceiling).terms.items():
-        for (e, k), vec in delta_apply(delta, vecy).terms.items():
-            lhs[e, k, ey] = vec.c
+    for ey, terms in module.vertex_sums(vc, wc, ceiling).items():
+        if len(terms) == 1:
+            [(mono, c)] = terms.items()
+            for (e, k), vec in _basis_image(delta, mono).terms.items():
+                lhs[e, k, ey] = (vec.c if c == 1 else {m: c * x for m, x in vec.c.items()},
+                                 yden)
+        else:
+            for e, k, sub, den in _stages(delta, PBWVector.adopt(terms)):
+                lhs[e, k, ey] = (sub, den * yden)
 
+    # summed inline; compared and never stored, so not held to the scalar rule
     rhs = {}
     for e1, vecv, table in shifted:
         for (ew, kw), vecw in dw:
-            sub = module.vertex_series(vecv, vecw, ceiling).terms.items()
+            sub = module.vertex_sums(vecv, vecw, ceiling).items()
             for (j1, p1), c in table.items():
-                for (ey, _k0), vecy in sub:
+                for ey, terms in sub:
                     if p1 + ey <= ceiling:
                         key = (e1 - p1 + ew, j1 + kw, p1 + ey)
-                        accumulate(rhs.setdefault(key, {}), vecy.c.items(), c)
+                        acc = rhs.get(key)
+                        if acc is None:
+                            rhs[key] = {mono: c * x for mono, x in terms.items()}
+                            continue
+                        for mono, x in terms.items():
+                            x = acc[mono] + c * x if mono in acc else c * x
+                            if x:
+                                acc[mono] = x
+                            else:
+                                del acc[mono]
     return lhs, rhs
 
 
-def _scaled_eq(a: dict, scale: int, b: dict) -> bool:
-    """scale * a == b, cross-multiplied so that no Fraction is made."""
-    return a.keys() == b.keys() and all(
-        c * scale == b[m] if isinstance(c, Cyc)
-        else c.numerator * scale == b[m] * c.denominator for m, c in a.items())
-
-
 def _compare_bivariate(alg, lhs, rhs, scale, ceiling, **fields):
-    """The first (e, k, j) key, in (j, e, k) order, where rhs is not scale
-    times lhs, as a witness that shows rhs divided by scale.  The keys are
-    compared unsorted: only a failing pair's mismatches are ordered."""
-    bad = [key for key in {*lhs, *rhs} if key[2] <= ceiling
-           and not _scaled_eq(lhs.get(key, {}), scale, rhs.get(key, {}))]
+    """The first (e, k, j) key, in (j, e, k) order, where lhs's terms/den is
+    not rhs's sum over scale, cross-multiplied (c * scale == r * den), as a
+    witness showing both divided.  Only a failing pair's keys are sorted."""
+    bad = []
+    for key in {*lhs, *rhs}:
+        left, den = lhs.get(key, ({}, 1))
+        right = rhs.get(key, {})
+        if key[2] > ceiling:
+            continue
+        if left.keys() != right.keys():
+            bad.append(key)
+            continue
+        for m, c in left.items():
+            if c * scale != right[m] * den:
+                bad.append(key)
+                break
     if not bad:
         return None
     key = min(bad, key=lambda t: (t[2], t[0], t[1]))
     e, k, j = key
+    left, den = lhs.get(key, ({}, 1))
     return {
         **fields,
         "outerExponent": fmt_rational(F(e)),
         "logPower": int(k),
         "innerExponent": fmt_rational(F(j)),
-        "left": format_vector(alg, PBWVector(lhs.get(key, {}))),
-        "right": format_vector(alg, PBWVector(
-            {m: c / scale if isinstance(c, Cyc) else F(c, scale)
-             for m, c in rhs.get(key, {}).items()})),
+        "left": format_vector(alg, PBWVector(divided(left, den))),
+        "right": format_vector(alg, PBWVector(divided(rhs.get(key, {}), scale))),
     }
 
 
@@ -359,21 +345,24 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
     """Conjugating a vertex operator by the shift re-centers its argument.
 
     Compares D(x) Y(v, y) w against Y(D(x+y) v, y) D(x) w coefficient by
-    coefficient in both variables, exactly up to the inner ceiling.  D(w)
-    is computed once per target and D(x+y) v once per argument, each with
-    its denominators cleared, so the right side is summed in ints and
-    compared with the left side times the common denominator.
+    coefficient in both variables, exactly up to the inner ceiling, an
+    integer (else DomainError).  Both sides are read in integers, the left
+    one over a positive int den per key, the right one from D(x+y) v and
+    D(w) cleared once per argument and target; only a witness is divided.
     """
     delta = make_delta(module, u, legacy_sign_convention=legacy)
     alg = module.algebra
+    if type(inner_ceiling) not in (int, F) or inner_ceiling.denominator != 1:
+        raise DomainError(f"the inner ceiling must be an integer, not {inner_ceiling!r}")
     ceiling = int(inner_ceiling)
     targets = []
     for w, wlabel in target_states:
         dw = delta_apply(delta, w)
         coeffs, w_scale = clear_denominators([vec.c for vec in dw.terms.values()])
-        targets.append((w, wlabel, list(zip(dw.terms, map(PBWVector, coeffs))),
+        [wc], w_den = clear_denominators([w.c])
+        targets.append((w.depth(), wc, w_den, wlabel, list(zip(dw.terms, coeffs)),
                         w_scale))
-    reach_w = max((w.depth() for w, *_rest in targets), default=0)
+    reach_w = max((target[0] for target in targets), default=0)
 
     def cases():
         for v, vlabel in arg_states:
@@ -383,13 +372,14 @@ def check_shift_conjugation(module: InducedModule, u: PBWVector, arg_states,
             # still land inside the window and must be kept
             max_p = ceiling + v.depth() + reach_w
             coeffs, v_scale = clear_denominators([vec.c for vec in dv.terms.values()])
-            tables, t_scale = clear_denominators([_expand_at_sum(e, k, max_p)
+            tables, t_scale = clear_denominators([expand_at_sum(e, k, max_p)
                                                   for (e, k) in dv.terms])
-            shifted = [(e, PBWVector(c), table) for (e, _k), c, table
+            shifted = [(e, c, table) for (e, _k), c, table
                        in zip(dv.terms, coeffs, tables)]
-            for w, wlabel, dw_terms, w_scale in targets:
-                lhs, rhs = _conjugated_sides(delta, v, w, shifted, dw_terms,
-                                             ceiling)
+            [vc], v_den = clear_denominators([v.c])
+            for _depth, wc, w_den, wlabel, dw_terms, w_scale in targets:
+                lhs, rhs = _conjugated_sides(delta, vc, wc, v_den * w_den, shifted,
+                                             dw_terms, ceiling)
                 yield True, _compare_bivariate(
                     alg, lhs, rhs, v_scale * t_scale * w_scale, ceiling,
                     argument=vlabel, target=wlabel)

@@ -13,7 +13,7 @@ from voatwist.errors import DomainError, NeedsFieldExtension
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc
-from voatwist.series import LogSeries, series_eq
+from voatwist.series import LogSeries, divided, series_eq
 from voatwist.verify import basis_states, check_shift_conjugation
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -236,6 +236,41 @@ def canonical(ser):
     """Keys, values and coefficient types of a series of vectors."""
     return [(key, [(m, type(c), c) for m, c in vec.sorted_items()])
             for key, vec in ser.sorted_items()]
+
+
+def ordered(ser):
+    """Keys in their order with their types, and each term's monomials in
+    their order with values and coefficient types."""
+    return [((type(e), e, k), [(m, type(c), c) for m, c in vec.c.items()])
+            for (e, k), vec in ser.terms.items()]
+
+
+STAGE_STATES = [v for v, _label in basis_states(MOD, 3)] + [
+    vec((mono(("e1", -1)), 3)),
+    vec((mono(("f1", -1)), F(-2, 3))),
+    vec((mono(("e1", -1), ("f1", -1)), F(1, 2)), (mono(("h1", -2)), 3),
+        (mono(("f1", -1)), F(-5, 4))),
+    Cyc.zeta(3, 1) * MOD.current("f1") + MOD.current("h1"),
+    PBWVector(),
+]
+
+
+@pytest.mark.parametrize("legacy", [False, True], ids=["sign", "legacy sign"])
+@pytest.mark.parametrize("coords", [{"h1": F(1, 2)}, {"e1": 1}, {"h1": F(1, 2), "e1": 1}],
+                         ids=["h1=1/2", "e1", "h1=1/2+e1"])
+def test_shift_is_its_divided_stage_output(coords, legacy):
+    # delta_apply, from its memoized images or afresh, is the integral stage
+    # output with each key divided by its positive int den, in keys, order,
+    # values and types; f1 is mixed under h1=1/2+e1, so that current reaches
+    # expand_monomial
+    d = make_delta(MOD, MOD.current(sl2.element(coords)), legacy)
+    for v in STAGE_STATES:
+        stages = delta._stages(d, v)
+        assert all(terms and type(den) is int and den > 0
+                   for _e, _k, terms, den in stages), v
+        want = [((type(e), e, k), [(m, type(c), c) for m, c in divided(terms, den).items()])
+                for e, k, terms, den in stages]
+        assert ordered(delta_apply(d, v)) == want, v
 
 
 def test_stored_basis_images_match_fresh_ones(monkeypatch, tmp_path):

@@ -13,12 +13,14 @@ whose value is integral, also as a coordinate of a Cyc coefficient.
 Besides ``PBWVector.__init__``, coefficients are stored by
 ``PBWVector.adopt``, which keeps a freshly summed dict without a copy (the
 untwisted vertex-operator reads, vector sums, mode actions, the twisted
-mode operators and the shift operator's stages 1 and 2), and series terms
-by ``LogSeries.add_term``, which series_sum and the shift operator's stage
-3 call, and by ``LogSeries.from_sums``; both scans hook those too.  Every
-per-key sum is stored by ``series.accumulate``, which applies the scalar
-rule as it stores, so the integral-Fraction scan reads each value that
-add_term stores as it is stored.
+mode operators and each divided key of the shift operator), and series
+terms by ``LogSeries.add_term``, which series_sum calls, and by
+``LogSeries.from_sums``; both scans hook those too.  The float scan also
+reads the shift operator's integral output (``delta._stages``), whose keys
+become series terms without add_term.  Every
+stored per-key sum follows ``series.accumulate``'s scalar rule as it
+stores, so the integral-Fraction scan reads each value that add_term
+stores as it is stored.
 """
 
 import contextlib
@@ -57,6 +59,7 @@ def float_scan(monkeypatch):
     adopt = PBWVector.adopt
     add_term = LogSeries.add_term
     from_sums = LogSeries.from_sums
+    stages = delta._stages
     compare = verify._compare_bivariate
 
     def watched_init(self, c=None):
@@ -83,9 +86,19 @@ def float_scan(monkeypatch):
                 scan["floats"].append(("exponent", e, den))
         return from_sums(sums, den, ceiling)
 
+    def watched_stages(d, v):
+        # the shift's integral output, [(e, k, terms, den)]: _shift divides
+        # each item into a series term without add_term
+        out = stages(d, v)
+        for e, k, terms, den in out:
+            scan["watched"] += 1
+            if (_has_float(e) or type(den) is not int or den <= 0
+                    or any(map(_has_float, terms.values()))):
+                scan["floats"].append(("stage", e, k, terms, den))
+        return out
+
     def watched_add_term(self, e, k, terms, scale=None):
-        # every series term passes here: series_sum adds each of its items,
-        # and the shift operator's stage 3 each relabeled monomial
+        # every series_sum item passes here
         scan["watched"] += 1
         if any(map(_has_float, (e, k, scale, *terms.values()))):
             scan["floats"].append(("term", e, k, terms, scale))
@@ -93,20 +106,25 @@ def float_scan(monkeypatch):
 
     def watched_compare(alg, lhs, rhs, scale, ceiling, **fields):
         # shift-conjugation sums both sides in plain dicts that no
-        # PBWVector or LogSeries sees, and scales the right one by an int
+        # PBWVector or LogSeries sees: the left one's terms over a positive
+        # int den per key, the right one's over the int scale
         scan["compared"] += 1
         if type(scale) is not int:
             scan["floats"].append(("scale", scale))
-        for side in (lhs, rhs):
-            for key, bucket in side.items():
-                if any(map(_has_float, key)) or any(map(_has_float, bucket.values())):
-                    scan["floats"].append(("conjugation", key, bucket))
+        for key, (bucket, den) in lhs.items():
+            if type(den) is not int or den <= 0:
+                scan["floats"].append(("den", key, den))
+        for key, bucket in [*((key, bucket) for key, (bucket, _den) in lhs.items()),
+                            *rhs.items()]:
+            if any(map(_has_float, key)) or any(map(_has_float, bucket.values())):
+                scan["floats"].append(("conjugation", key, bucket))
         return compare(alg, lhs, rhs, scale, ceiling, **fields)
 
     monkeypatch.setattr(PBWVector, "__init__", watched_init)
     monkeypatch.setattr(PBWVector, "adopt", staticmethod(watched_adopt))
     monkeypatch.setattr(LogSeries, "add_term", watched_add_term)
     monkeypatch.setattr(LogSeries, "from_sums", staticmethod(watched_from_sums))
+    monkeypatch.setattr(delta, "_stages", watched_stages)
     monkeypatch.setattr(verify, "_compare_bivariate", watched_compare)
     return scan
 
@@ -134,9 +152,9 @@ def test_float_scan_sees_every_series_term(float_scan):
     assert float_scan["floats"] == [("term", *item) for item in items]
 
 
-def test_float_scan_sees_every_relabeled_monomial(float_scan):
+def test_float_scan_sees_every_added_term(float_scan):
     # a float exponent or coefficient of a one-monomial term added outside
-    # series_sum, as the shift operator's stage 3 adds a relabeled monomial
+    # series_sum
     mono = ((0, -1),)
     out = LogSeries()
     out.add_term(0.5, 0, {mono: 1})
@@ -146,13 +164,18 @@ def test_float_scan_sees_every_relabeled_monomial(float_scan):
 
 
 def test_float_scan_watches_the_shift_stages(float_scan):
-    # stage 3 of a semisimple shift relabels through add_term
+    # every key of a semisimple shift's integral output is read, with its
+    # den and coefficients
     alg = build_simple_lie("A", 1)
     mod = build_module(alg, F(2), 4)
     d = delta.make_delta(mod, mod.current(alg.element({"h1": F(1, 2)})))
     seen = float_scan["watched"]
-    delta.delta_apply(d, PBWVector({((0, -1), (1, -1)): F(1, 2), ((2, -2),): 1}))
-    assert float_scan["watched"] > seen
+    v = PBWVector({((0, -1), (1, -1)): F(1, 2), ((2, -2),): 1})
+    keys = len(delta._stages(d, v))
+    assert keys and float_scan["watched"] - seen >= keys
+    seen = float_scan["watched"]
+    delta.delta_apply(d, v)
+    assert float_scan["watched"] - seen >= keys
     assert float_scan["floats"] == []
 
 
@@ -244,8 +267,8 @@ def fraction_scan(monkeypatch):
         return out
 
     def watched_add_term(self, e, k, terms, scale=None):
-        # the storing point of every per-key sum, series_sum's and the
-        # shift operator's stage 3 alike: read each value it has just stored
+        # the storing point of every series_sum item and of any other
+        # per-key sum into a series: read each value it has just stored
         add_term(self, e, k, terms, scale)
         vec = self.terms.get((int_if_integral(e), k))
         if vec is None:
@@ -287,9 +310,8 @@ def test_fraction_scan_reads_every_series_sum(fraction_scan, module):
 
 
 def test_fraction_scan_reads_every_added_term(fraction_scan):
-    # a sum built outside series_sum, as stage 3 of the shift operator
-    # builds it, raises read by each value stored, as it is stored; the
-    # scalar rule has run at each store
+    # a sum built outside series_sum raises read by each value stored, as
+    # it is stored; the scalar rule has run at each store
     mono, other = ((0, -1),), ((1, -1),)
     out = LogSeries()
     before = fraction_scan["read"]
@@ -307,9 +329,9 @@ def test_fraction_scan_reads_every_added_term(fraction_scan):
 @pytest.mark.parametrize("coords", [{"h1": F(1, 2)}, {"h1": F(1, 2), "e1": 1}, {"e1": 1}],
                          ids=["h1=1/2", "h1=1/2+e1", "e1"])
 def test_fraction_scan_reads_the_shift_image(fraction_scan, coords):
-    # every vector of delta_apply's image is read once filled: stage 3's
-    # through add_term, those of stages 1 and 2 through adopt, and c D(b)'s
-    # through the constructor
+    # every vector of delta_apply's image is read once filled: each
+    # divided key of the shift through adopt, and c D(b)'s through the
+    # constructor
     alg = build_simple_lie("A", 1)
     mod = build_module(alg, F(2), 4)
     d = delta.make_delta(mod, mod.current(alg.element(coords)))

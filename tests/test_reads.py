@@ -20,11 +20,11 @@ partner, the same identity negated, has passed; every case built afresh,
 partners included, holds, and their number is the report's.
 
 The shift operator's image is checked the same way: ``delta_apply``
-builds each term once (stage 3 sums a relabeled monomial straight into its
-output vector, stages 1 and 2 keep each divided dict, and c D(b) is one
-scaled copy of each term of D(b)), against its first form, in which stage
-3 and c D(b) are per-item sums and stages 1 and 2 go through the LogSeries
-constructor.
+divides each key of one integral stage output once (stage 3 sums every
+term over the lcm of the stage denominators), and c D(b) is one scaled
+copy of each term of D(b), against its first form, in which stage 3 and
+c D(b) are per-item sums of divided terms and stages 1 and 2 go through
+the LogSeries constructor.
 """
 
 from fractions import Fraction as F
@@ -41,7 +41,7 @@ from voatwist import cli, verify
 from voatwist.delta import _exp_current_stage, _log_stage, delta_apply, make_delta
 from voatwist.fock import InducedModule, _integer_exponent, build_module
 from voatwist.lie import build_simple_lie
-from voatwist.scalars import Cyc, binom, int_if_integral
+from voatwist.scalars import Cyc, binom, clear_denominators, int_if_integral
 from voatwist.series import (LogSeries, PBWVector, accumulate, divided, monomial_weight,
                              series_sum)
 from voatwist.twist import (apply_table_entry, make_twisted, mode_candidates,
@@ -196,6 +196,27 @@ def test_untwisted_reads_match_their_first_forms(case, v, w, e):
     assert_same_series(mod.vertex_series(v, w, e), first_vertex_series(mod, v, w, e))
     assert typed_vector(mod.vertex_operator_mode(v, -e - 1)(w)) == \
         typed_vector(first_coefficient_at(mod, v, w, e))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cases, vectors, vectors, st.integers(-3, 2))
+def test_vertex_series_divides_its_integral_reader(case, v, w, e):
+    # vertex_series is vertex_sums of the cleared coefficients, each sum
+    # divided by the input scales dv * dw; the sums are ints at an integral
+    # level with rational inputs, and none is empty
+    level, _chain = case
+    mod = twisted(*case).base
+    (vc,), dv = clear_denominators((v.c,))
+    (wc,), dw = clear_denominators((w.c,))
+    sums = mod.vertex_sums(vc, wc, e)
+    assert all(terms and exponent <= e for exponent, terms in sums.items())
+    if level == "level 2" and all(type(c) in (int, F) for c in (*v.c.values(),
+                                                                *w.c.values())):
+        assert all(type(c) is int for terms in sums.values() for c in terms.values())
+    want = LogSeries(ceiling=e)
+    for exponent, terms in sums.items():
+        want.terms[exponent, 0] = PBWVector(divided(terms, dv * dw))
+    assert_same_series(mod.vertex_series(v, w, e), want)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -612,8 +633,8 @@ def first_series_sum(items, ceiling=None):
 def first_shift(delta, v):
     staged = _log_stage(delta, _exp_current_stage(delta, v))
     if delta.s.is_zero():
-        return LogSeries({(e, k): PBWVector(divided(vec.c, den))
-                          for e, k, vec, den in staged})
+        return LogSeries({(e, k): PBWVector(divided(terms, den))
+                          for e, k, terms, den in staged})
     module = delta.module
 
     def split(gi):
@@ -623,8 +644,8 @@ def first_shift(delta, v):
     sign = 1 if delta.legacy else -1
     eigvals = delta.eig.generator_eigenvalues()
     items = []
-    for e, k, vec, den in staged:
-        for mono, coeff in divided(vec.c, den).items():
+    for e, k, terms, den in staged:
+        for mono, coeff in divided(terms, den).items():
             lams = [eigvals[gi] for gi, _m in reversed(mono)]
             if None not in lams:
                 items.append((e + sign * sum(lams), k, {mono: coeff}))

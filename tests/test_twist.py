@@ -237,6 +237,19 @@ def test_functor_rejects_skew_map():
     assert str(both[1]) == str(alone[0])
 
 
+def test_module_map_scalars_follow_the_scalar_rule():
+    # an integral scalar is stored as an int, so apply multiplies no Fraction
+    # into an integral coefficient
+    m = ModuleMap(default=F(3), weight_scalars={2: F(5), 1: F(1, 2)})
+    assert (m.default, type(m.default)) == (3, int)
+    assert [(w, c, type(c)) for w, c in m.weight_scalars.items()] == [
+        (2, 5, int), (1, F(1, 2), F)]
+    assert type(ModuleMap().default) is int
+    e, f = sl2.index["e1"], sl2.index["f1"]
+    out = m.apply(PBWVector({((e, -1), (f, -1)): 2, ((e, -1),): 4, ((e, -3),): 1}))
+    assert [(c, type(c)) for c in out.c.values()] == [(10, int), (2, int), (3, int)]
+
+
 def test_untwisted_wrapper_is_plain_module():
     plain = untwisted_as_twisted(MOD)
     assert plain.branch_order() == 1

@@ -10,7 +10,7 @@ from voatwist.errors import DomainError, VoatwistError
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc
-from voatwist.series import LogSeries, linear_series
+from voatwist.series import LogSeries, expand_at_sum, linear_series
 from voatwist.twist import make_twisted, untwisted_as_twisted
 from voatwist.verify import (
     CheckReport,
@@ -105,36 +105,47 @@ E1 = ((sl2.names.index("e1"), -1),)
 H1 = ((sl2.names.index("h1"), -1),)
 
 
-@pytest.mark.parametrize("left, scale, right, equal", [
-    ({E1: F(1, 2), H1: 3}, 6, {E1: 3, H1: 18}, True),
-    ({E1: F(1, 2), H1: 3}, 6, {E1: 4, H1: 18}, False),
-    ({E1: F(1, 2), H1: 3}, 6, {E1: 3}, False),
-    ({E1: F(1, 2)}, 6, {E1: 3, H1: 18}, False),
-    ({}, 6, {}, True),
-    ({E1: Cyc.zeta(3, 1) / 2}, 4, {E1: 2 * Cyc.zeta(3, 1)}, True),
-    ({E1: Cyc.zeta(3, 1) / 2}, 4, {E1: 2 * Cyc.zeta(3, 1) + 1}, False),
+@pytest.mark.parametrize("left, den, scale, right, equal", [
+    ({E1: F(1, 2), H1: 3}, 1, 6, {E1: 3, H1: 18}, True),
+    ({E1: F(1, 2), H1: 3}, 1, 6, {E1: 4, H1: 18}, False),
+    ({E1: F(1, 2), H1: 3}, 1, 6, {E1: 3}, False),
+    ({E1: F(1, 2)}, 1, 6, {E1: 3, H1: 18}, False),
+    ({}, 1, 6, {}, True),
+    ({E1: Cyc.zeta(3, 1) / 2}, 1, 4, {E1: 2 * Cyc.zeta(3, 1)}, True),
+    ({E1: Cyc.zeta(3, 1) / 2}, 1, 4, {E1: 2 * Cyc.zeta(3, 1) + 1}, False),
+    # an integral left side over its denominator: 1/2 and -2/3 on both sides
+    ({E1: 3, H1: -4}, 6, 12, {E1: 6, H1: -8}, True),
+    ({E1: 3, H1: -4}, 6, 12, {E1: 6, H1: 8}, False),
+    # Fraction values on either side, with den != 1
+    ({E1: F(3, 2)}, 3, 4, {E1: 2}, True),
+    ({E1: 1}, 2, 1, {E1: F(1, 2)}, True),
+    ({E1: F(3, 2)}, 3, 4, {E1: F(5, 2)}, False),
+    ({E1: Cyc.zeta(3, 1)}, 2, 4, {E1: 2 * Cyc.zeta(3, 1)}, True),
 ], ids=["equal", "numerator-off-by-one", "missing-key", "extra-key", "empty",
-        "cyc-equal", "cyc-differs"])
-def test_scaled_comparison_cross_multiplies(left, scale, right, equal):
-    assert verify._scaled_eq(left, scale, right) is equal
-    wit = verify._compare_bivariate(sl2, {(0, 0, 0): left}, {(0, 0, 0): right},
+        "cyc-equal", "cyc-differs", "den-equal", "den-sign-differs",
+        "fraction-left", "fraction-right", "fraction-differs", "cyc-den-equal"])
+def test_scaled_comparison_cross_multiplies(left, den, scale, right, equal):
+    # left/den against right/scale
+    wit = verify._compare_bivariate(sl2, {(0, 0, 0): (left, den)}, {(0, 0, 0): right},
                                     scale, 0)
     assert (wit is None) is equal
 
 
 def test_scaled_witness_prints_the_unscaled_right_side():
-    wit = verify._compare_bivariate(
-        sl2, {(F(-1, 3), 1, 0): {E1: F(-2, 3)}},
-        {(F(-1, 3), 1, 0): {E1: 12, H1: Cyc.zeta(3, 1) * 9}}, 18, 2)
-    assert wit == {"outerExponent": "-1/3", "logPower": 1, "innerExponent": "0",
-                   "left": "(-2/3) e1(-1) |0>",
-                   "right": "(2/3) e1(-1) |0> + (1/2*z3^1) h1(-1) |0>"}
+    # both sides divided, the left one by its den
+    for left, den in (({E1: F(-2, 3)}, 1), ({E1: -4}, 6), ({E1: F(-4, 3)}, 2)):
+        wit = verify._compare_bivariate(
+            sl2, {(F(-1, 3), 1, 0): (left, den)},
+            {(F(-1, 3), 1, 0): {E1: 12, H1: Cyc.zeta(3, 1) * 9}}, 18, 2)
+        assert wit == {"outerExponent": "-1/3", "logPower": 1, "innerExponent": "0",
+                       "left": "(-2/3) e1(-1) |0>",
+                       "right": "(2/3) e1(-1) |0> + (1/2*z3^1) h1(-1) |0>"}
 
 
 def test_bivariate_witness_is_the_first_mismatch_in_j_e_k_order():
     # mismatching keys inserted against (j, e, k) order, one past the ceiling
-    lhs = {(0, 0, 3): {E1: 1}, (0, 0, 1): {E1: 1}, (5, 1, 0): {E1: 2},
-           (3, 0, 0): {H1: 1}, (-1, 0, 0): {E1: 1}}
+    lhs = {(0, 0, 3): ({E1: 1}, 1), (0, 0, 1): ({E1: 1}, 1), (5, 1, 0): ({E1: 2}, 1),
+           (3, 0, 0): ({H1: 2}, 2), (-1, 0, 0): ({E1: 1}, 1)}
     rhs = {(3, 0, 0): {H1: 1}, (-1, 0, 0): {E1: 1}, (-1, 1, 0): {H1: 4}}
     wit = verify._compare_bivariate(sl2, lhs, rhs, 1, 2, argument="a")
     assert wit == {"argument": "a", "outerExponent": "-1", "logPower": 1,
@@ -142,7 +153,18 @@ def test_bivariate_witness_is_the_first_mismatch_in_j_e_k_order():
     del rhs[-1, 1, 0]
     wit = verify._compare_bivariate(sl2, lhs, rhs, 1, 2)
     assert (wit["outerExponent"], wit["logPower"], wit["innerExponent"]) == ("5", 1, "0")
-    assert verify._compare_bivariate(sl2, {(0, 0, 3): {E1: 1}}, {}, 1, 2) is None
+    assert verify._compare_bivariate(sl2, {(0, 0, 3): ({E1: 1}, 1)}, {}, 1, 2) is None
+
+
+@pytest.mark.parametrize("ceiling", [F(5, 2), 2.9, 2.0, "2"])
+def test_conjugation_refuses_a_non_integral_inner_ceiling(ceiling):
+    # int() would truncate F(5, 2) and 2.9 to 2 and check a window not asked for
+    with pytest.raises(DomainError, match="inner ceiling must be an integer"):
+        check_shift_conjugation(MOD, U_S, ARGS, TARGETS, inner_ceiling=ceiling)
+    # an integral Fraction is the int it equals
+    rep = check_shift_conjugation(MOD, U_S, ARGS, TARGETS, inner_ceiling=F(2))
+    assert rep == check_shift_conjugation(MOD, U_S, ARGS, TARGETS, inner_ceiling=2)
+    assert type(rep.details["innerCeiling"]) is int
 
 
 def test_grading_restriction_trichotomy():
@@ -291,7 +313,7 @@ def test_substitution_tables_match_sympy_series(e, k):
             if c:
                 assert c.is_Rational, (p, j, c)
                 want[(j, p)] = F(int(c.p), int(c.q))
-    assert verify._expand_at_sum(e, k, max_p) == want
+    assert expand_at_sum(e, k, max_p) == want
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
