@@ -16,7 +16,9 @@ the workload's set-up and one warm-up pass, then prints one JSON line:
   heap_peak_bytes_per_pass
                       the tracemalloc peak over one more warm pass, above
                       the traced heap at its start: the most memory the
-                      pass's own allocations held at once
+                      pass's own allocations held at once; a full
+                      collection runs first, so garbage left by earlier
+                      code is neither counted nor freed inside the pass
   digest_mismatches   ops, over every pass run here, whose output differs
                       from perfbench/golden.json; the script exits 1 when
                       any does, and 0 otherwise (the counts have no bound)
@@ -28,7 +30,10 @@ the workload's set-up and one warm-up pass, then prints one JSON line:
 
 The counts do not depend on the host's speed or load, so a change can be
 compared with its parent on one run each; a counted pass takes a few
-seconds.  Ops run in the workload's own order, unpermuted, so every run
+seconds.  Opcodes count the interpreter's own steps only: the work of a
+C-level call (hashing a dict key, comparing two keys, a str or tuple
+operation) is one opcode whatever it costs, so a change that moves time
+into or out of that work shows in wall time and not here.  Ops run in the workload's own order, unpermuted, so every run
 counts the same pass (perfbench/run.py's --seed permutes the order, which
 can move memoized work from one op to another).
 
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import glob
 import io
 import json
@@ -115,7 +121,11 @@ def count_fractions(fn):
 
 def count_heap(fn):
     """(fn(), the tracemalloc peak while it ran above the traced heap at
-    its start).  Tracing is started for the call only if it was off."""
+    its start).  A full collection runs first: cyclic garbage left before
+    the call would otherwise sit in the start and, freed by a collection
+    inside the call, lower the peak by whatever it held.  Tracing is
+    started for the call only if it was off."""
+    gc.collect()
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()

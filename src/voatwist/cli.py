@@ -45,6 +45,7 @@ from .errors import (
 from .fock import build_module
 from .lie import diagram_automorphism, build_simple_lie
 from .scalars import fmt_rational, parse_rational
+from .series import factor_code
 from .twist import (
     TwistedModule,
     make_twisted,
@@ -390,7 +391,7 @@ def _run_conformal(run, p):
 def _run_weights(run, p):
     gi = run.algebra.names.index(p["generator"])
     want = parse_rational(p["expected"])
-    expectations = [(((gi, -1),) * k, want) for k in range(p["count"] + 1)]
+    expectations = [(factor_code(gi, -1) * k, want) for k in range(p["count"] + 1)]
     return [verify.check_regraded_weights(run.twisted, expectations)]
 
 def _run_grading(run, p):
@@ -493,7 +494,7 @@ def _graded_dimension_rows(run: BuiltRun, window: int):
     """Count the basis up to the window by (weight, class mod 1), in the
     ints of TwistedModule.lattice_grade, divided back only in the rows."""
     module, twisted = run.module, run.twisted
-    monos = [()]
+    monos = [""]
     for w in range(1, window + 1):
         monos.extend(module.basis(w))
     scale = twisted.lattice_grading()[0]

@@ -56,7 +56,7 @@ from .errors import DomainError, NotQuasiPrimary
 from .fock import InducedModule
 from .linalg import memo
 from .scalars import clear_denominators, int_if_integral
-from .series import LogSeries, PBWVector, accumulate, divided, series_sum
+from .series import LogSeries, PBWVector, accumulate, divided, factor, factors, series_sum
 
 __all__ = ["DeltaOperator", "make_delta", "delta_apply", "delta_apply_series"]
 
@@ -101,9 +101,9 @@ def current_element(module: InducedModule, u: PBWVector):
     alg = module.algebra
     coords = [0] * alg.dim
     for mono, coeff in u.c.items():
-        if len(mono) != 1 or mono[0][1] != -1:
+        if len(mono) != 1 or factor(mono)[1] != -1:
             raise DomainError("expected a weight-one current vector a(-1)|0>")
-        gi = mono[0][0]
+        gi = factor(mono)[0]
         if not isinstance(coeff, (int, Fraction)):
             if hasattr(coeff, "is_rational") and coeff.is_rational():
                 coeff = coeff.rational_value()
@@ -155,7 +155,7 @@ def _shift_record(module: InducedModule, a, legacy):
     y1 = module.vertex_operator_mode(u, 1)(u)
     kappa = F(0)
     for mono, coeff in y1.c.items():
-        if mono != ():
+        if mono:
             raise DomainError("u_(1) u is not a vacuum multiple")
         kappa = F(coeff)
     return (a, _integral(alg, a, -1), s, n, _integral(alg, n, 1 if legacy else -1),
@@ -252,7 +252,7 @@ def _stages(delta: DeltaOperator, v: PBWVector) -> list:
             if shift is False:
                 # a monomial of eigenvectors is relabeled (moved by sign
                 # times its eigenvalue sum); any other is expanded (None)
-                lams = [eigvals[gi] for gi, _m in mono]
+                lams = [eigvals[gi] for gi, _m in factors(mono)]
                 shift = shifts[mono] = (int_if_integral(sign * sum(lams))
                                         if None not in lams else None)
             if shift is None:

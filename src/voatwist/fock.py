@@ -1,10 +1,13 @@
 """Vacuum modules for affine Lie algebras, with exact vertex operators.
 
-A monomial is a tuple of (generator index, mode) pairs acting on the
-highest-weight vector, kept in canonical order: modes weakly decreasing
+A monomial is a codec str (series.py), one code point per factor
+(generator index, mode) acting on the highest-weight vector, with "" the
+vacuum.  Its factors are kept in canonical order: modes weakly decreasing
 left to right (so a(-1) before b(-2)), ties broken by generator index.
-A PBWVector (series.py, beside the series it is the coefficient of) is a
-finite linear combination of such monomials; it stores each rational
+A mode action prepends a factor's code or peels the leftmost one
+(mono[1:]), and only the codec decodes a factor.  A PBWVector (series.py,
+beside the series it is the coefficient of) is a finite linear
+combination of such monomials; it stores each rational
 coefficient as an int where integral and a Fraction otherwise, and Cyc
 scalars once an automorphism or branch shift has acted.  Mode actions read
 the algebra's structure table, whose integral structure constants and
@@ -68,7 +71,8 @@ from .errors import CriticalLevel, DomainError, Unsupported
 from .lie import LieAlgebra, LieElt
 from .linalg import memo
 from .scalars import binom, clear_denominators, int_if_integral
-from .series import LogSeries, PBWVector, accumulate, divided, linear_image, monomial_weight
+from .series import (LogSeries, PBWVector, accumulate, divided, factor, factor_code,
+                     linear_image, monomial_weight)
 
 __all__ = [
     "InducedModule",
@@ -105,12 +109,12 @@ class InducedModule:
     # -- basic vectors --------------------------------------------------
 
     def vacuum(self) -> PBWVector:
-        return PBWVector({(): 1})
+        return PBWVector({"": 1})
 
     def current(self, name_or_elt) -> PBWVector:
         """The weight-one vector a(-1)|0> for a in the algebra."""
         elt = self._as_elt(name_or_elt)
-        return PBWVector({((gi, -1),): c for gi, c in enumerate(elt.coords)})
+        return PBWVector({factor_code(gi, -1): c for gi, c in enumerate(elt.coords)})
 
     def _as_elt(self, x) -> LieElt:
         if isinstance(x, LieElt):
@@ -121,25 +125,21 @@ class InducedModule:
     def basis(self, weight) -> list:
         """All canonical monomials of the given weight, deterministic order."""
         weight = int(weight)
-        letters = []
-        for m in range(-1, -weight - 1, -1):
-            for gi in range(self.algebra.dim):
-                letters.append((gi, m))
-        letters.sort(key=lambda p: _canonical_key(*p))
+        # each factor's code and weight, in canonical order
+        letters = [(factor_code(gi, -d), d) for d in range(1, weight + 1)
+                   for gi in range(self.algebra.dim)]
         out = []
 
         def rec(prefix, start, rem):
             if rem == 0:
-                out.append(tuple(prefix))
+                out.append(prefix)
                 return
             for idx in range(start, len(letters)):
-                gi, m = letters[idx]
-                if -m <= rem:
-                    prefix.append((gi, m))
-                    rec(prefix, idx, rem - (-m))
-                    prefix.pop()
+                code, d = letters[idx]
+                if d <= rem:
+                    rec(prefix + code, idx, rem - d)
 
-        rec([], 0, weight)
+        rec("", 0, weight)
         return out
 
     def graded_dimension(self, weight) -> int:
@@ -176,10 +176,10 @@ class InducedModule:
         because accumulate stores an integral coefficient as an int, so 1
         and Fraction(1), equal and of one hash, never meet in the table."""
         if not mono:
-            return ZERO if m >= 0 else self._freeze({self._share(((gi, m),)): 1})
-        g1, m1 = mono[0]
+            return ZERO if m >= 0 else self._freeze({self._share(factor_code(gi, m)): 1})
+        g1, m1 = factor(mono[0])
         if m < 0 and _canonical_key(gi, m) <= _canonical_key(g1, m1):
-            return self._freeze({self._share(((gi, m),) + mono): 1})
+            return self._freeze({self._share(factor_code(gi, m) + mono): 1})
         rest = self._share(mono[1:])
         acc = {}
         for mono2, c2 in self._act(gi, m, rest):
@@ -228,7 +228,7 @@ class InducedModule:
         without the keys whose vector cancels to an exact zero."""
         if not mono:
             return {0: self.vacuum()}
-        (gi, m), rest = mono[0], mono[1:]
+        (gi, m), rest = factor(mono[0]), mono[1:]
         parts = split(gi)
         out = {}
         for key, vec in self.expand_monomial(rest, split).items():
@@ -320,7 +320,7 @@ class InducedModule:
             self._vs_cache[key] = (ceiling, res)
             return res
         if len(mv) == 1:
-            (gi, m), = mv
+            gi, m = factor(mv)
             # the exponents whose binomial is nonzero, in the order of the two
             # sums below: 0 up to the ceiling, then m down to m - wt(mw)
             res = {}
@@ -338,7 +338,7 @@ class InducedModule:
                         res[e] = self._freeze(bucket)
             self._vs_cache[key] = (ceiling, res)
             return res
-        (gi, m), rest = mv[0], mv[1:]
+        (gi, m), rest = factor(mv[0]), mv[1:]
         acc = {}
         # sum 1: C(m,i) (-x)^i a(m-i) applied to Y(rest, x) mw
         sub = self._vs_mono(rest, mw, ceiling)
@@ -426,8 +426,10 @@ class InducedModule:
             if len(mv) != 1:
                 if mv or e == 0:  # Y(|0>, x) = id
                     parts.append((mv, cv, None))
-            elif c := _one_factor(mv[0][1], e):
-                parts.append((mv, c * cv, (mv[0][0], mv[0][1] - e)))
+                continue
+            gi, m = factor(mv)
+            if c := _one_factor(m, e):
+                parts.append((mv, c * cv, (gi, m - e)))
 
         def read(w: PBWVector) -> PBWVector:
             (wc,), dw = clear_denominators((w.c,))

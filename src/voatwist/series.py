@@ -1,4 +1,14 @@
-"""Finite formal series in x^e (log x)^k of module vectors.
+"""PBW monomials, and finite formal series in x^e (log x)^k of module
+vectors.
+
+A PBW monomial is a str with one code point per factor (generator index
+gi, mode m), m < 0: chr(BASE + gi*SPAN + m + SPAN - 1).  The code is
+monotone in (gi, m), so str order is the order of the (gi, m) pairs, and a
+str caches its hash, so a shared monomial is hashed once and compared by
+identity or memcmp in every dict it keys.  The empty str is the vacuum, a
+prefix is mono[1:] and a prepend is code + mono.  The codec (factor_code,
+monomial, factor, factors, monomial_weight) is the only code that knows
+the layout; decoding goes through a table filled once per code.
 
 A LogSeries is a finite sum sum_{(e,k)} c_{e,k} x^e (log x)^k where the
 exponents e are rationals (stored as ints when integral, Fractions
@@ -50,9 +60,13 @@ __all__ = [
     "common_ceiling",
     "divided",
     "expand_at_sum",
+    "factor",
+    "factor_code",
+    "factors",
     "lattice_point",
     "linear_image",
     "linear_series",
+    "monomial",
     "monomial_weight",
     "series_combine",
     "series_derivative",
@@ -62,8 +76,54 @@ __all__ = [
 ]
 
 
+# BASE starts above the surrogate block, so every code is a character that
+# encodes; a mode runs from 1 - SPAN to -1 and a generator index from 0 to
+# (0x110000 - BASE) // SPAN - 1 (1031, every generator of sl_32)
+BASE = 0xE000
+SPAN = 1024
+_GENERATORS = (0x110000 - BASE) // SPAN
+
+
+def factor_code(gi: int, m: int) -> str:
+    """The one-character monomial gi(m)|0>, m < 0."""
+    if not (0 <= gi < _GENERATORS and 1 - SPAN <= m < 0):
+        raise DomainError(f"no PBW factor code for generator {gi} at mode {m}: "
+                          f"generators run from 0 to {_GENERATORS - 1}, "
+                          f"modes from {1 - SPAN} to -1")
+    return chr(BASE + gi * SPAN + m + SPAN - 1)
+
+
+def monomial(*pairs) -> str:
+    """The monomial of the (gi, m) factors pairs, in the order given."""
+    return "".join([factor_code(gi, m) for gi, m in pairs])
+
+
+class _Factors(dict):
+    """(gi, m) of each factor code, decoded on its first lookup."""
+
+    def __missing__(self, code):
+        gi, r = divmod(ord(code) - BASE, SPAN)
+        pair = self[code] = (gi, r + 1 - SPAN)
+        return pair
+
+
+_FACTORS = _Factors()
+factor = _FACTORS.__getitem__  # (gi, m) of a one-factor monomial
+
+
+def factors(mono) -> tuple:
+    """The (gi, m) pairs of mono, left to right."""
+    return tuple(map(factor, mono))
+
+
 def monomial_weight(mono) -> int:
-    return -sum(m for _g, m in mono)
+    return -sum([factor(code)[1] for code in mono])
+
+
+def _as_monomial(mono) -> str:
+    """mono, or the monomial of a tuple of (gi, m) pairs: the one place a
+    monomial spelled as pairs is taken in."""
+    return monomial(*mono) if type(mono) is tuple else mono
 
 
 def accumulate(out: dict, terms, scale=None) -> None:
@@ -86,10 +146,11 @@ def accumulate(out: dict, terms, scale=None) -> None:
 
 
 class PBWVector:
-    """Linear combination of canonical PBW monomials: a tuple of
-    (generator index, mode) pairs acting on the highest-weight vector.
-    The constructor stores each coefficient nonzero, and a rational one as
-    an int where integral."""
+    """Linear combination of canonical PBW monomials, each a codec str
+    acting on the highest-weight vector ("" is the vacuum).  The
+    constructor stores each coefficient nonzero, and a rational one as an
+    int where integral; a monomial given as a tuple of (generator index,
+    mode) pairs is encoded."""
 
     __slots__ = ("c",)
 
@@ -98,7 +159,7 @@ class PBWVector:
         if c:
             for mono, coeff in c.items():
                 if coeff:
-                    self.c[mono] = int_if_integral(coeff)
+                    self.c[_as_monomial(mono)] = int_if_integral(coeff)
 
     @classmethod
     def adopt(cls, c):
@@ -152,7 +213,7 @@ class PBWVector:
             return "PBW(0)"
         bits = []
         for mono, coeff in self.sorted_items()[:6]:
-            body = "".join(f"[{g}:{m}]" for g, m in mono) or "vac"
+            body = "".join(f"[{g}:{m}]" for g, m in factors(mono)) or "vac"
             bits.append(f"{coeff}*{body}")
         return "PBW(" + " + ".join(bits) + (" ..." if len(self.c) > 6 else "") + ")"
 

@@ -37,7 +37,7 @@ from .fock import InducedModule
 from .lie import GAutomorphism, LieElt
 from .linalg import memo
 from .scalars import Cyc, fmt_rational, int_if_integral
-from .series import (LogSeries, PBWVector, accumulate, linear_image, linear_series,
+from .series import (LogSeries, PBWVector, accumulate, factors, linear_image, linear_series,
                      monomial_weight, series_eq, series_sum)
 
 __all__ = [
@@ -149,7 +149,7 @@ class TwistedModule:
         readers = [self.base.vertex_operator_mode(vec1, n)
                    for (e1, k1), vec1 in self.chain_transform(v).terms.items()
                    if k1 == l and (n := m + e1).denominator == 1
-                   and (n == -1 or vec1.c.keys() != {()})]
+                   and (n == -1 or vec1.c.keys() != {""})]
         if not readers:
             return lambda w: PBWVector()
 
@@ -203,7 +203,7 @@ class TwistedModule:
         """(weight_of(mono), class_of(mono)) times the scale of
         lattice_grading(), both ints."""
         scale, offsets, cls, kappa = self.lattice_grading()
-        for gi, _m in mono:
+        for gi, _m in factors(mono):
             lam = offsets[gi]
             if lam is None:
                 raise Unsupported(

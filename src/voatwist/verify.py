@@ -25,9 +25,11 @@ from .scalars import clear_denominators, fmt_rational, fmt_scalar
 from .series import (
     LogSeries,
     PBWVector,
+    _as_monomial,
     branch_shift,
     divided,
     expand_at_sum,
+    factors,
     lattice_point,
     linear_series,
     series_combine,
@@ -118,7 +120,7 @@ class CheckReport:
 def format_monomial(alg, mono) -> str:
     if not mono:
         return "|0>"
-    return " ".join(f"{alg.names[gi]}({m})" for gi, m in mono) + " |0>"
+    return " ".join(f"{alg.names[gi]}({m})" for gi, m in factors(mono)) + " |0>"
 
 
 def format_vector(alg, vec) -> str:
@@ -706,12 +708,15 @@ def check_conformal_shift(prev: TwistedModule, new: TwistedModule,
 def check_regraded_weights(twisted: TwistedModule, expectations) -> CheckReport:
     """Monomial weights in the regraded module match stated values.
 
-    expectations: iterable of (monomial, expected weight).  Weights are
-    pure arithmetic on the chain data, so this needs no module cutoff.
+    expectations: iterable of (monomial, expected weight), a monomial
+    given as a codec str or a tuple of (generator index, mode) pairs.
+    Weights are pure arithmetic on the chain data, so this needs no module
+    cutoff.
     """
 
     def cases():
         for mono, want in expectations:
+            mono = _as_monomial(mono)
             got = twisted.weight_of(mono)
             yield True, None if got == F(want) else {
                 "monomial": format_monomial(twisted.algebra, mono),

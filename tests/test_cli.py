@@ -20,7 +20,7 @@ from voatwist.cli import (
 )
 from voatwist.errors import ConfigError, Unsupported
 from voatwist.scalars import fmt_rational
-from voatwist.series import monomial_weight
+from voatwist.series import factors, monomial_weight
 from voatwist.verify import CheckReport
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -599,7 +599,7 @@ def test_tables_refuses_the_check_entries_that_run_refuses(tmp_path, capsys):
 
 
 def window_monomials(run, window):
-    return [()] + [mono for w in range(1, window + 1) for mono in run.module.basis(w)]
+    return [""] + [mono for w in range(1, window + 1) for mono in run.module.basis(w)]
 
 
 def first_class(twisted, mono):
@@ -607,7 +607,7 @@ def first_class(twisted, mono):
     the class offset of each factor, from TwistedModule.grading."""
     offsets, zero_mode, _half_kappa = twisted.grading()
     cls = -zero_mode
-    for gi, _m in mono:
+    for gi, _m in factors(mono):
         if offsets[gi] is None:
             raise Unsupported("grading needs every generator to be an eigenvector "
                               "of each step's semisimple part")

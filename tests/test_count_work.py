@@ -1,5 +1,6 @@
 """The work counters of scripts/count_work.py on small functions."""
 
+import gc
 import importlib.util
 import json
 import pathlib
@@ -62,6 +63,29 @@ def test_heap_count_is_the_peak_above_the_start_and_tracing_is_restored():
     finally:
         tracemalloc.stop()
     del kept
+
+
+def test_heap_count_leaves_out_garbage_made_before_the_call():
+    # cyclic garbage left before the call is collected first: a collection
+    # inside the call would otherwise free it there, and the call's own
+    # allocations would hide in the room it left
+    def collects_then_allocates():
+        gc.collect()
+        return len(bytearray(1_000_000))
+
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        cycle = [bytearray(2_000_000)]
+        cycle.append(cycle)
+        del cycle
+        held = count_work.count_heap(collects_then_allocates)[1]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert 1_000_000 <= held < 1_010_000
 
 
 def test_compile_peak_is_the_largest_file_and_repeats(tmp_path):

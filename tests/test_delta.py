@@ -13,7 +13,7 @@ from voatwist.errors import DomainError, NeedsFieldExtension
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc
-from voatwist.series import LogSeries, divided, series_eq
+from voatwist.series import LogSeries, divided, factors, monomial, series_eq
 from voatwist.verify import basis_states, check_shift_conjugation
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -29,7 +29,7 @@ DN = make_delta(MOD, U_N)
 
 def mono(*letters):
     name_to_idx = {n: i for i, n in enumerate(sl2.names)}
-    return tuple((name_to_idx[n], m) for n, m in letters)
+    return monomial(*[(name_to_idx[n], m) for n, m in letters])
 
 
 def vec(*pairs):
@@ -65,7 +65,7 @@ def test_semisimple_shift_of_cartan_current():
     expect(
         DS,
         MOD.current("h1"),
-        {(0, 0): vec((mono(("h1", -1)), 1)), (-1, 0): vec(((), -2))},
+        {(0, 0): vec((mono(("h1", -1)), 1)), (-1, 0): vec(("", -2))},
     )
 
 
@@ -86,7 +86,7 @@ def test_semisimple_shift_of_quadratic_state():
         {
             (0, 0): vec((mono(("e1", -1), ("f1", -1)), 1)),
             (-1, 0): vec((mono(("h1", -1)), -1)),
-            (-2, 0): vec(((), 2)),
+            (-2, 0): vec(("", 2)),
         },
     )
 
@@ -98,7 +98,7 @@ def test_semisimple_shift_of_conformal_vector():
         {
             (0, 0): MOD.conformal_vector(),
             (-1, 0): vec((mono(("h1", -1)), F(-1, 2))),
-            (-2, 0): vec(((), F(1, 2))),
+            (-2, 0): vec(("", F(1, 2))),
         },
     )
 
@@ -111,7 +111,7 @@ def test_nilpotent_shift_of_lowering_current():
             (0, 0): vec((mono(("f1", -1)), 1)),
             (0, 1): vec((mono(("h1", -1)), -1)),
             (0, 2): vec((mono(("e1", -1)), -1)),
-            (-1, 0): vec(((), -2)),
+            (-1, 0): vec(("", -2)),
         },
     )
 
@@ -204,7 +204,7 @@ def test_eigen_monomials_expand_to_themselves(rank, coeffs):
     for weight in range(4):
         for mono in mod.basis(weight):
             lamsum = 0
-            for gi, _m in reversed(mono):
+            for gi, _m in reversed(factors(mono)):
                 lamsum += d.eig.eigenvalue_of(alg._basis_elt(gi))
             got = mod.expand_monomial(mono, split)
             assert [(k, type(k)) for k in got] == [(lamsum, type(lamsum))], mono

@@ -27,7 +27,7 @@ from voatwist.delta import delta_apply, make_delta
 from voatwist.errors import NotIntertwining
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
-from voatwist.series import LogSeries, series_combine, series_eq, series_scale
+from voatwist.series import LogSeries, monomial, series_combine, series_eq, series_scale
 from voatwist.twist import (
     TwistedModule,
     make_twisted,
@@ -54,7 +54,7 @@ def twisted(coords):
 
 
 def is_vacuum(v):
-    return list(v.c) == [()]
+    return list(v.c) == [""]
 
 
 def legacy_make_delta(module, u):
@@ -228,7 +228,7 @@ def conformal_log_admixture():
 
 def regraded_wrong():
     e1 = sl2.names.index("e1")
-    good = ((e1, -1),)
+    good = monomial((e1, -1))
     return verify.check_regraded_weights(twisted({"h1": F(1, 2)}),
                                          [(good, F(1, 2)), (good, F(1))])
 

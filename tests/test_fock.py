@@ -14,7 +14,7 @@ from voatwist.errors import CriticalLevel, DomainError, Unsupported
 from voatwist.fock import ZERO, PBWVector, build_module, monomial_weight
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc, int_if_integral
-from voatwist.series import accumulate
+from voatwist.series import accumulate, factor, factor_code, monomial
 from voatwist.verify import basis_states
 
 sl2 = build_simple_lie("A", 1)
@@ -34,7 +34,7 @@ def pbw_character(dim_g, upto):
 
 def test_graded_dimensions_match_generating_function():
     want = pbw_character(3, 6)
-    assert MOD.basis(0) == [()]
+    assert MOD.basis(0) == [""]
     for n in range(7):
         assert MOD.graded_dimension(n) == want[n]
         assert len(MOD.basis(n)) == want[n]
@@ -245,7 +245,7 @@ def test_subtraction_is_one_pass_and_keeps_flags():
     assert (v - v).is_zero()
     w = MOD.current("h1")
     diff = v - w
-    assert diff.c == {((0, -1),): 2, ((2, -1),): F(-2, 3)}
+    assert diff.c == {monomial((0, -1)): 2, monomial((2, -1)): F(-2, 3)}
     assert (w - v).c == {mono: -c for mono, c in diff.c.items()}
     assert (w - w).is_zero()
 
@@ -255,22 +255,22 @@ def _typed(terms):
 
 
 def _act_through_bracket(mod, gi, m, g1, m1):
-    """b_gi(m) on the one-factor monomial ((g1, m1),), with the structure
+    """b_gi(m) on the one-factor monomial g1(m1)|0>, with the structure
     constant and the pairing computed through alg.bracket and alg.form."""
     alg = mod.algebra
     if m < 0 and (-m, gi) <= (-m1, g1):
-        return {((gi, m), (g1, m1)): 1}
+        return {monomial((gi, m), (g1, m1)): 1}
     acc = {}
     if m < 0:
-        acc = dict(mod._act(g1, m1, ((gi, m),)))
+        acc = dict(mod._act(g1, m1, factor_code(gi, m)))
     br = alg.bracket(alg._basis_elt(gi), alg._basis_elt(g1))
     for k, ck in enumerate(br.coords):
         if ck:
-            for mono2, c2 in dict(mod._act(k, m + m1, ())).items():
+            for mono2, c2 in dict(mod._act(k, m + m1, "")).items():
                 acc[mono2] = acc.get(mono2, 0) + int_if_integral(ck) * c2
     if m + m1 == 0 and m:
         pair = alg.form(alg._basis_elt(gi), alg._basis_elt(g1))
-        acc[()] = acc.get((), 0) + int_if_integral(m * pair * mod.level)
+        acc[""] = acc.get("", 0) + int_if_integral(m * pair * mod.level)
     return {mono: c for mono, c in acc.items() if c}
 
 
@@ -278,12 +278,14 @@ def _act_through_bracket(mod, gi, m, g1, m1):
 def test_mode_action_reads_the_structure_table(level):
     sl3 = build_simple_lie("A", 2)
     mod = build_module(sl3, level, cutoff=8)
-    modes = range(-2, 3)
+    # a monomial factor has a negative mode; m1 down to -3 keeps every
+    # central term (m + m1 = 0 at m = 1, 2) and every bracket at modes
+    # -5..1
     for gi in range(sl3.dim):
         for g1 in range(sl3.dim):
-            for m in modes:
-                for m1 in modes:
-                    got = mod._act(gi, m, ((g1, m1),))
+            for m in range(-2, 3):
+                for m1 in range(-3, 0):
+                    got = mod._act(gi, m, factor_code(g1, m1))
                     want = _act_through_bracket(mod, gi, m, g1, m1)
                     assert _typed(dict(got)) == _typed(want), (gi, m, g1, m1)
 
@@ -295,11 +297,11 @@ def _first_act(mod, known, gi, m, mono):
     if key in known:
         return known[key]
     if not mono:
-        out = {} if m >= 0 else {((gi, m),): 1}
-    elif m < 0 and (-m, gi) <= (-mono[0][1], mono[0][0]):
-        out = {((gi, m),) + mono: 1}
+        out = {} if m >= 0 else {factor_code(gi, m): 1}
+    elif m < 0 and (-m, gi) <= (-factor(mono[0])[1], factor(mono[0])[0]):
+        out = {factor_code(gi, m) + mono: 1}
     else:
-        (g1, m1), rest = mono[0], mono[1:]
+        (g1, m1), rest = factor(mono[0]), mono[1:]
         out = {}
         for mono2, c2 in _first_act(mod, known, gi, m, rest).items():
             accumulate(out, _first_act(mod, known, g1, m1, mono2).items(), c2)
@@ -380,15 +382,15 @@ def test_mode_action_memo_is_kept_in_rows(nilpotent_modules):
                         if key[1] < 0 and row)
     mono = next(iter(row))
     mod = build_module(ran.algebra, ran.level, ran.cutoff)
-    marker = ((mod._share(((gi, -9),)), 5),)
+    marker = ((mod._share(factor_code(gi, -9)), 5),)
     mod._act(gi, m, mono)
     mod._act_cache[gi, m][mono] = marker
     assert mod.apply_mode(mod.algebra._basis_elt(gi), m, PBWVector({mono: 1})).c == \
-        {((gi, -9),): 5}
+        {factor_code(gi, -9): 5}
     # Y(b(m)|0>, x) at x^0 is b(m) itself, with binomial 1
-    assert mod._vs_mono(((gi, m),), mono, 0)[0] is marker
-    read = mod.vertex_operator_mode(PBWVector({((gi, m),): 1}), -1)
-    assert read(PBWVector({mono: 1})).c == {((gi, -9),): 5}
+    assert mod._vs_mono(factor_code(gi, m), mono, 0)[0] is marker
+    read = mod.vertex_operator_mode(PBWVector({factor_code(gi, m): 1}), -1)
+    assert read(PBWVector({mono: 1})).c == {factor_code(gi, -9): 5}
 
 
 def test_memo_values_are_tuples_or_lost(nilpotent_memo):

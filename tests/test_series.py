@@ -5,14 +5,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from voatwist.errors import DomainError
 from voatwist.scalars import Cyc, binom, int_if_integral
+from voatwist import series as codec
 from voatwist.series import (
     LogSeries,
     PBWVector,
     accumulate,
     branch_shift,
+    factor,
+    factor_code,
+    factors,
     lattice_point,
     linear_image,
     linear_series,
+    monomial,
+    monomial_weight,
     series_combine,
     series_derivative,
     series_eq,
@@ -21,8 +27,8 @@ from voatwist.series import (
 )
 
 # two weight-one monomials, e(-1)|0> and f(-1)|0> of sl2; no module is needed
-A = ((0, -1),)
-B = ((1, -1),)
+A = monomial((0, -1))
+B = monomial((1, -1))
 
 
 def vec(c, mono=A):
@@ -160,7 +166,7 @@ EQUAL_FORMS = [
     [Cyc.t_power(1), Cyc.t_power(1) * Cyc.zeta(5, 0)],
     [Cyc.t_power(2) * Cyc.zeta(4, 1) + 1, 1 + Cyc.zeta(4, 1) * Cyc.t_power(2)],
 ]
-MONOS = [A, B, ((2, -1),), ((0, -2),), ((0, -1), (1, -1))]
+MONOS = [A, B, monomial((2, -1)), monomial((0, -2)), monomial((0, -1), (1, -1))]
 classes = st.lists(st.integers(-1, len(EQUAL_FORMS) - 1),
                    min_size=len(MONOS), max_size=len(MONOS))
 
@@ -398,3 +404,41 @@ def test_linear_reads_match_their_first_forms(v, vimages, sterms, ceiling):
     assert typed_series(ser) == typed_series(first_linear_series(v, simages.get, ceiling))
     assert ([typed_vector(x) for x in vimages.values()],
             [typed_series(x) for x in simages.values()]) == before
+
+
+# -- the monomial codec -------------------------------------------------------
+
+pairs = st.lists(st.tuples(st.integers(0, codec._GENERATORS - 1),
+                           st.integers(1 - codec.SPAN, -1)), max_size=5)
+
+
+@settings(max_examples=300)
+@given(pairs, pairs)
+@example([(0, -1)], [(0, -1), (0, -1)])
+@example([(0, -2)], [(0, -1)])
+@example([(0, -1)], [(1, -1023)])
+def test_monomial_order_is_the_order_of_its_factor_pairs(a, b):
+    """Encoded monomials compare as their (gi, m) tuples do, so sorted()
+    keeps the order of a tuple spelling, and the codec round-trips."""
+    ma, mb = monomial(*a), monomial(*b)
+    assert (ma < mb) == (a < b) and (ma == mb) == (a == b)
+    assert factors(ma) == tuple(a) and [factor(code) for code in mb] == b
+    assert len(ma) == len(a) and monomial_weight(ma) == -sum(m for _g, m in a)
+    assert ma.encode("utf-8").decode("utf-8") == ma
+
+
+def test_factor_codes_stay_off_the_surrogates_and_refuse_what_does_not_fit():
+    # the largest generator index is that of sl_32 (dim 1023); every code
+    # lies above the surrogate block and below the last code point
+    assert 32 ** 2 - 1 <= codec._GENERATORS < 33 ** 2 - 1
+    low, high = factor_code(0, 1 - codec.SPAN), factor_code(codec._GENERATORS - 1, -1)
+    assert 0xDFFF < ord(low) < ord(high) <= 0x10FFFF
+    assert factor(high) == (codec._GENERATORS - 1, -1)
+    for gi, m in ((-1, -1), (codec._GENERATORS, -1), (0, 0), (0, 1),
+                  (0, -codec.SPAN), (2, 5)):
+        with pytest.raises(DomainError):
+            factor_code(gi, m)
+    # the vacuum is the empty monomial, and a pair tuple is encoded only by
+    # the vector constructor
+    assert monomial() == "" and monomial_weight("") == 0
+    assert PBWVector({((0, -1), (1, -1)): 2}).c == {monomial((0, -1), (1, -1)): 2}

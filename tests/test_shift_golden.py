@@ -28,7 +28,7 @@ from voatwist.delta import _exp_current_stage, _log_stage, delta_apply, make_del
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie, diagram_automorphism
 from voatwist.scalars import Cyc, int_if_integral
-from voatwist.series import LogSeries, divided, series_sum
+from voatwist.series import LogSeries, divided, factors, series_sum
 from voatwist.twist import make_twisted, transport_tau
 from voatwist.verify import basis_states
 
@@ -65,7 +65,7 @@ def fmt_coeff(c) -> str:
 
 
 def fmt_vector(vec: PBWVector) -> str:
-    terms = ",".join(f"{mono}:{fmt_coeff(c)}" for mono, c in vec.sorted_items())
+    terms = ",".join(f"{factors(mono)}:{fmt_coeff(c)}" for mono, c in vec.sorted_items())
     return f"[{terms}]"
 
 

@@ -15,7 +15,7 @@ from voatwist.errors import NeedsFieldExtension, NotFixed, NotIntertwining
 from voatwist.fock import InducedModule, PBWVector, accumulate, build_module
 from voatwist.lie import build_simple_lie, diagram_automorphism
 from voatwist.scalars import Cyc
-from voatwist.series import LogSeries, branch_shift, series_eq
+from voatwist.series import LogSeries, branch_shift, monomial, series_eq
 from voatwist.twist import (
     ModuleMap,
     TwistedModule,
@@ -70,14 +70,14 @@ def test_mode_table_matches_series_route():
 
 
 def test_regraded_weights():
-    assert TW.weight_of(()) == F(1, 2)
+    assert TW.weight_of("") == F(1, 2)
     name_idx = {n: i for i, n in enumerate(sl2.names)}
     e, f, h = name_idx["e1"], name_idx["f1"], name_idx["h1"]
-    assert TW.weight_of(((e, -1),)) == F(1, 2)
-    assert TW.weight_of(((e, -1), (e, -1))) == F(1, 2)
-    assert TW.weight_of(((f, -1),)) == F(5, 2)
-    assert TW.weight_of(((h, -1),)) == F(3, 2)
-    assert TW.class_of(((e, -1),)) == 1
+    assert TW.weight_of(monomial((e, -1))) == F(1, 2)
+    assert TW.weight_of(monomial((e, -1), (e, -1))) == F(1, 2)
+    assert TW.weight_of(monomial((f, -1))) == F(5, 2)
+    assert TW.weight_of(monomial((h, -1))) == F(3, 2)
+    assert TW.class_of(monomial((e, -1))) == 1
 
 
 @pytest.mark.parametrize("coeff,kind", [(F(1, 2), int), (F(1, 3), F)],
@@ -88,7 +88,7 @@ def test_grading_follows_the_scalar_rule(coeff, kind):
     offsets, zero_mode, _half_kappa = tw.grading()
     assert [type(lam) for lam in offsets] == [kind, kind, int]
     assert type(zero_mode) is int
-    assert type(tw.class_of(((0, -1), (0, -1)))) is kind
+    assert type(tw.class_of(monomial((0, -1), (0, -1)))) is kind
     order = tw.branch_order()
     assert [type(m) for m in mode_candidates(1, order)] == \
         [int if t % order == 0 else F for t in range(-order, order + 1)]
@@ -246,14 +246,14 @@ def test_module_map_scalars_follow_the_scalar_rule():
         (2, 5, int), (1, F(1, 2), F)]
     assert type(ModuleMap().default) is int
     e, f = sl2.index["e1"], sl2.index["f1"]
-    out = m.apply(PBWVector({((e, -1), (f, -1)): 2, ((e, -1),): 4, ((e, -3),): 1}))
+    out = m.apply(PBWVector({monomial((e, -1), (f, -1)): 2, monomial((e, -1)): 4, monomial((e, -3)): 1}))
     assert [(c, type(c)) for c in out.c.values()] == [(10, int), (2, int), (3, int)]
 
 
 def test_untwisted_wrapper_is_plain_module():
     plain = untwisted_as_twisted(MOD)
     assert plain.branch_order() == 1
-    assert plain.weight_of(()) == 0
+    assert plain.weight_of("") == 0
     v = MOD.current("h1")
     assert (plain.gen_mode("h1", -1)(MOD.vacuum()) - v).is_zero()
 

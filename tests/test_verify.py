@@ -10,7 +10,7 @@ from voatwist.errors import DomainError, VoatwistError
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc
-from voatwist.series import LogSeries, expand_at_sum, linear_series
+from voatwist.series import LogSeries, expand_at_sum, linear_series, monomial
 from voatwist.twist import make_twisted, untwisted_as_twisted
 from voatwist.verify import (
     CheckReport,
@@ -101,8 +101,8 @@ def test_shift_conjugation_passes_on_fraction_combinations(coords):
     assert legacy.status == "fail"
 
 
-E1 = ((sl2.names.index("e1"), -1),)
-H1 = ((sl2.names.index("h1"), -1),)
+E1 = monomial((sl2.names.index("e1"), -1))
+H1 = monomial((sl2.names.index("h1"), -1))
 
 
 @pytest.mark.parametrize("left, den, scale, right, equal", [
@@ -250,7 +250,7 @@ def test_additivity_preconditions_recomputed():
 
 def test_regraded_weight_mismatch_is_reported():
     name_idx = {n: i for i, n in enumerate(sl2.names)}
-    good = ((name_idx["e1"], -1),)
+    good = monomial((name_idx["e1"], -1))
     rep = check_regraded_weights(TW, [(good, F(1, 2))])
     assert rep.status == "pass"
     rep = check_regraded_weights(TW, [(good, F(1))])
