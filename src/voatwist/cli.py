@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -45,7 +46,7 @@ from .errors import (
 from .fock import build_module
 from .lie import diagram_automorphism, build_simple_lie
 from .scalars import fmt_rational, parse_rational
-from .series import factor_code
+from .series import MAX_WEIGHT, factor_code
 from .twist import (
     TwistedModule,
     make_twisted,
@@ -178,7 +179,22 @@ def _canon_check(entry, where):
     for key, param in params.items():
         if param.default is _REQUIRED and key not in canon:
             raise ConfigError(f"{where} needs '{key}'")
+    _check_reach(canon, 0, where)
     return canon
+
+
+def _check_reach(entry, shift, where):
+    """Refuse a canonical check entry whose weight and mode parameters,
+    plus the chain's largest eigenvalue shift, add up past MAX_REACH."""
+    params = _CHECKS[entry["name"]].params
+    keys = [key for key in _REACH if key in params]
+    reach = sum(entry.get(key, params[key].default) for key in keys) + shift
+    if shift:
+        keys.append("the chain's eigenvalue shift")
+    if reach > MAX_REACH:
+        raise ConfigError(f"{where}: {' + '.join(keys)} is {reach}, past {MAX_REACH}: a "
+                          "check builds states of about twice that weight, "
+                          f"and a module state has weight at most {MAX_WEIGHT}")
 
 
 def parse_config(raw) -> dict:
@@ -443,6 +459,16 @@ _Param = namedtuple("_Param", "canon default resolve",
 _Check = namedtuple("_Check", "run params inner_step", defaults=(False,))
 
 
+# The parameters that set how far up a check's states and modes reach.  With
+# the chain's largest eigenvalue shift added, a check builds states of up to
+# about twice their sum in weight (a vertex operator of a state of the given
+# weight, read to the ceiling, on another such state; a mode-span commutator
+# on it), and a module state has weight at most MAX_WEIGHT (series.py), so a
+# sum past half of it is refused before any check runs.
+_REACH = ("weight", "targetWeight", "probeWeight", "ceiling", "innerCeiling",
+          "modeSpan")
+MAX_REACH = MAX_WEIGHT // 2
+
 def _ints(**defaults):
     return {key: _Param(_nonneg_int, d) for key, d in defaults.items()}
 
@@ -669,6 +695,9 @@ def run_config(config: dict, with_checks: bool) -> tuple[dict, int]:
             "diagram-twisted base; such bases enter only as exported tables")
     # every entry is resolved before the first check runs, so a bad
     # generator name is reported without spending any check time
+    shift = math.ceil(sum(step.eig.values[-1] for step in run.twisted.steps))
+    for i, entry in enumerate(config["checks"]):
+        _check_reach(entry, shift, f"config.checks[{i}]")
     calls = [(_CHECKS[entry["name"]].run, _check_params(entry, run))
              for entry in config["checks"]]
     reports = run_checks(run, calls) if with_checks else []

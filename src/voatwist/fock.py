@@ -71,8 +71,8 @@ from .errors import CriticalLevel, DomainError, Unsupported
 from .lie import LieAlgebra, LieElt
 from .linalg import memo
 from .scalars import binom, clear_denominators, int_if_integral
-from .series import (LogSeries, PBWVector, accumulate, divided, factor, factor_code,
-                     linear_image, monomial_weight)
+from .series import (MAX_GENERATORS, LogSeries, PBWVector, accumulate,
+                     divided, factor, factor_code, linear_image, monomial_weight)
 
 __all__ = [
     "InducedModule",
@@ -100,6 +100,10 @@ class InducedModule:
         self.cutoff = int_if_integral(F(cutoff))
         if F(lam) != 0:
             raise Unsupported("only the vacuum highest weight (lambda = 0) is built")
+        if algebra.dim > MAX_GENERATORS:
+            raise DomainError(f"a module's monomials encode {MAX_GENERATORS} "
+                              f"generators, not the {algebra.dim} of this "
+                              "algebra: type A up to rank 31")
         # _act fills _act_cache; it is created here so that its size can be
         # read on a module that never acted
         self._act_cache = {}
@@ -468,6 +472,12 @@ def _integer_exponent(x) -> int:
 
 
 def build_module(algebra: LieAlgebra, level, cutoff, lam=0) -> InducedModule:
-    """Public constructor for the level-``level`` vacuum module."""
+    """Public constructor for the level-``level`` vacuum module.
+
+    Monomials are codec strs (series.py), which bounds two things: the
+    algebra has at most MAX_GENERATORS generators (type A up to rank 31,
+    else DomainError here), and a state has weight at most MAX_WEIGHT
+    (1023): a mode action that would make a factor of mode below -1023
+    raises DomainError."""
     return InducedModule(algebra, level, cutoff, lam)
 

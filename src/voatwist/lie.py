@@ -58,7 +58,10 @@ _COORD = itemgetter(1)
 
 
 def build_simple_lie(family: str, rank: int) -> "LieAlgebra":
-    """Construct a simple Lie algebra; only type A (any rank >= 1) is supported."""
+    """Construct a simple Lie algebra; only type A (any rank >= 1) is supported.
+
+    A vacuum module over it (fock.build_module) encodes at most 1032
+    generators, so modules are built up to rank 31 (sl_32)."""
     family = family.upper()
     if family != "A":
         raise UnsupportedAlgebra(f"type {family} is not implemented, only type A")

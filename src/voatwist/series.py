@@ -8,7 +8,10 @@ str caches its hash, so a shared monomial is hashed once and compared by
 identity or memcmp in every dict it keys.  The empty str is the vacuum, a
 prefix is mono[1:] and a prepend is code + mono.  The codec (factor_code,
 monomial, factor, factors, monomial_weight) is the only code that knows
-the layout; decoding goes through a table filled once per code.
+the layout; decoding goes through a table filled once per code.  It
+encodes generator indices below MAX_GENERATORS (1032, up to sl_32) and
+modes down to -MAX_WEIGHT (-1023), so every monomial of weight up to 1023;
+factor_code raises DomainError past either limit.
 
 A LogSeries is a finite sum sum_{(e,k)} c_{e,k} x^e (log x)^k where the
 exponents e are rationals (stored as ints when integral, Fractions
@@ -54,6 +57,8 @@ from .errors import DomainError
 from .scalars import Cyc, binom, int_if_integral
 
 __all__ = [
+    "MAX_GENERATORS",
+    "MAX_WEIGHT",
     "LogSeries",
     "PBWVector",
     "branch_shift",
@@ -78,18 +83,21 @@ __all__ = [
 
 # BASE starts above the surrogate block, so every code is a character that
 # encodes; a mode runs from 1 - SPAN to -1 and a generator index from 0 to
-# (0x110000 - BASE) // SPAN - 1 (1031, every generator of sl_32)
+# MAX_GENERATORS - 1 (1031: the 1023 generators of sl_32 fit, not those of
+# sl_33).  Every factor of a monomial of weight w has a mode of -w or above,
+# so every monomial of weight up to MAX_WEIGHT (1023) encodes.
 BASE = 0xE000
 SPAN = 1024
-_GENERATORS = (0x110000 - BASE) // SPAN
+MAX_GENERATORS = (0x110000 - BASE) // SPAN
+MAX_WEIGHT = SPAN - 1
 
 
 def factor_code(gi: int, m: int) -> str:
     """The one-character monomial gi(m)|0>, m < 0."""
-    if not (0 <= gi < _GENERATORS and 1 - SPAN <= m < 0):
+    if not (0 <= gi < MAX_GENERATORS and -MAX_WEIGHT <= m < 0):
         raise DomainError(f"no PBW factor code for generator {gi} at mode {m}: "
-                          f"generators run from 0 to {_GENERATORS - 1}, "
-                          f"modes from {1 - SPAN} to -1")
+                          f"generators run from 0 to {MAX_GENERATORS - 1}, "
+                          f"modes from {-MAX_WEIGHT} to -1")
     return chr(BASE + gi * SPAN + m + SPAN - 1)
 
 
@@ -120,12 +128,6 @@ def monomial_weight(mono) -> int:
     return -sum([factor(code)[1] for code in mono])
 
 
-def _as_monomial(mono) -> str:
-    """mono, or the monomial of a tuple of (gi, m) pairs: the one place a
-    monomial spelled as pairs is taken in."""
-    return monomial(*mono) if type(mono) is tuple else mono
-
-
 def accumulate(out: dict, terms, scale=None) -> None:
     """Add scale * terms (terms itself if scale is None), an iterable of
     (monomial, coefficient) pairs such as a dict's items(), into the
@@ -149,8 +151,7 @@ class PBWVector:
     """Linear combination of canonical PBW monomials, each a codec str
     acting on the highest-weight vector ("" is the vacuum).  The
     constructor stores each coefficient nonzero, and a rational one as an
-    int where integral; a monomial given as a tuple of (generator index,
-    mode) pairs is encoded."""
+    int where integral."""
 
     __slots__ = ("c",)
 
@@ -159,7 +160,7 @@ class PBWVector:
         if c:
             for mono, coeff in c.items():
                 if coeff:
-                    self.c[_as_monomial(mono)] = int_if_integral(coeff)
+                    self.c[mono] = int_if_integral(coeff)
 
     @classmethod
     def adopt(cls, c):

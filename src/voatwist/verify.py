@@ -25,13 +25,13 @@ from .scalars import clear_denominators, fmt_rational, fmt_scalar
 from .series import (
     LogSeries,
     PBWVector,
-    _as_monomial,
     branch_shift,
     divided,
     expand_at_sum,
     factors,
     lattice_point,
     linear_series,
+    monomial,
     series_combine,
     series_derivative,
     series_eq,
@@ -716,7 +716,8 @@ def check_regraded_weights(twisted: TwistedModule, expectations) -> CheckReport:
 
     def cases():
         for mono, want in expectations:
-            mono = _as_monomial(mono)
+            if type(mono) is tuple:
+                mono = monomial(*mono)
             got = twisted.weight_of(mono)
             yield True, None if got == F(want) else {
                 "monomial": format_monomial(twisted.algebra, mono),

@@ -11,6 +11,7 @@ import pytest
 from voatwist import cli, lie
 from voatwist.cli import (
     EXIT_CODES,
+    MAX_REACH,
     exit_status,
     main,
     parse_config,
@@ -20,7 +21,7 @@ from voatwist.cli import (
 )
 from voatwist.errors import ConfigError, Unsupported
 from voatwist.scalars import fmt_rational
-from voatwist.series import factors, monomial_weight
+from voatwist.series import MAX_WEIGHT, factors, monomial_weight
 from voatwist.verify import CheckReport
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -108,6 +109,37 @@ def test_value_validation():
     with pytest.raises(ConfigError):
         parse_config(base_config(checks=[{"name": "grading",
                                           "classConvention": "modular"}]))
+
+
+def test_check_reach_past_the_largest_state_weight_is_refused(tmp_path, capsys):
+    # a module state has weight at most MAX_WEIGHT and a check builds states
+    # of about twice its weights, mode span and chain shift added up, so a
+    # sum past MAX_REACH is a config error, not a DomainError part-way
+    # through the run
+    assert 2 * MAX_REACH + 1 == MAX_WEIGHT
+    for entry in ({"name": "tables", "modeSpan": MAX_WEIGHT + 1, "weight": 0},
+                  {"name": "tables", "modeSpan": MAX_REACH - 1},
+                  {"name": "commutator", "modeSpan": 1024},
+                  {"name": "axioms", "weight": MAX_REACH},
+                  {"name": "delta", "targetWeight": 2000}):
+        with pytest.raises(ConfigError, match="past 511"):
+            parse_config(base_config(checks=[entry]))
+    cfg = parse_config(base_config(checks=[
+        {"name": "tables", "modeSpan": MAX_REACH - 2},
+        {"name": "weights", "generator": "e1", "expected": "1", "count": 5000}]))
+    assert cfg["checks"][0]["modeSpan"] == MAX_REACH - 2
+    # the chain's eigenvalue shift counts too, once the chain is built: e1
+    # and f1 shift by 2 * 600 under h1 = 600, so a weight-0 table at mode
+    # span 1 would apply f1(-1201) to the vacuum
+    cfg = base_config(twistChain=[{"kind": "innerSemisimple",
+                                   "data": {"current": {"h1": "600"}}}],
+                      checks=[{"name": "tables", "modeSpan": 1, "weight": 0}])
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "tables"):
+        assert main([command, path]) == EXIT_CODES[ConfigError]
+        assert "the chain's eigenvalue shift is 1201" in capsys.readouterr().out
+    cfg["twistChain"][0]["data"]["current"] = {"h1": "100"}
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
 
 
 def test_double_run_is_byte_identical():

@@ -14,7 +14,8 @@ from voatwist.errors import CriticalLevel, DomainError, Unsupported
 from voatwist.fock import ZERO, PBWVector, build_module, monomial_weight
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc, int_if_integral
-from voatwist.series import accumulate, factor, factor_code, monomial
+from voatwist.series import (MAX_GENERATORS, MAX_WEIGHT, accumulate, factor, factor_code,
+                             monomial)
 from voatwist.verify import basis_states
 
 sl2 = build_simple_lie("A", 1)
@@ -473,3 +474,18 @@ def test_sugawara_images_match_the_vector_loop():
     top = vectors[len(monos) - 1]
     assert _canonical_vector(small.sugawara_mode(-1)(top)) == \
         _canonical_vector(MOD.sugawara_mode(-1)(top)) != []
+
+
+def test_module_limits_are_those_of_the_monomial_codec():
+    # the generator indices of a module must encode: sl_32 does, and an
+    # algebra with more generators is refused before anything is built
+    assert build_simple_lie("A", 31).dim <= MAX_GENERATORS
+    too_big = mock.Mock(dim=MAX_GENERATORS + 1)
+    with pytest.raises(DomainError, match="generators"):
+        build_module(too_big, F(2), cutoff=2)
+    # a state of weight MAX_WEIGHT is built; one factor deeper is refused
+    module = build_module(sl2, F(2), cutoff=2)
+    deepest = module.apply_mode("e1", -MAX_WEIGHT, module.vacuum())
+    assert deepest.c == {factor_code(sl2.index["e1"], -MAX_WEIGHT): 1}
+    with pytest.raises(DomainError, match="mode"):
+        module.apply_mode("e1", -MAX_WEIGHT - 1, module.vacuum())

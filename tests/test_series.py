@@ -408,7 +408,7 @@ def test_linear_reads_match_their_first_forms(v, vimages, sterms, ceiling):
 
 # -- the monomial codec -------------------------------------------------------
 
-pairs = st.lists(st.tuples(st.integers(0, codec._GENERATORS - 1),
+pairs = st.lists(st.tuples(st.integers(0, codec.MAX_GENERATORS - 1),
                            st.integers(1 - codec.SPAN, -1)), max_size=5)
 
 
@@ -430,15 +430,15 @@ def test_monomial_order_is_the_order_of_its_factor_pairs(a, b):
 def test_factor_codes_stay_off_the_surrogates_and_refuse_what_does_not_fit():
     # the largest generator index is that of sl_32 (dim 1023); every code
     # lies above the surrogate block and below the last code point
-    assert 32 ** 2 - 1 <= codec._GENERATORS < 33 ** 2 - 1
-    low, high = factor_code(0, 1 - codec.SPAN), factor_code(codec._GENERATORS - 1, -1)
+    assert 32 ** 2 - 1 <= codec.MAX_GENERATORS < 33 ** 2 - 1
+    low, high = factor_code(0, 1 - codec.SPAN), factor_code(codec.MAX_GENERATORS - 1, -1)
     assert 0xDFFF < ord(low) < ord(high) <= 0x10FFFF
-    assert factor(high) == (codec._GENERATORS - 1, -1)
-    for gi, m in ((-1, -1), (codec._GENERATORS, -1), (0, 0), (0, 1),
+    assert factor(high) == (codec.MAX_GENERATORS - 1, -1)
+    for gi, m in ((-1, -1), (codec.MAX_GENERATORS, -1), (0, 0), (0, 1),
                   (0, -codec.SPAN), (2, 5)):
         with pytest.raises(DomainError):
             factor_code(gi, m)
-    # the vacuum is the empty monomial, and a pair tuple is encoded only by
-    # the vector constructor
+    # the deepest mode is that of a one-factor monomial of weight MAX_WEIGHT
+    assert factor(factor_code(0, -codec.MAX_WEIGHT)) == (0, -codec.MAX_WEIGHT)
+    # the vacuum is the empty monomial
     assert monomial() == "" and monomial_weight("") == 0
-    assert PBWVector({((0, -1), (1, -1)): 2}).c == {monomial((0, -1), (1, -1)): 2}
