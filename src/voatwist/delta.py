@@ -325,14 +325,14 @@ def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
 
 
 def delta_apply_series(delta: DeltaOperator, series: LogSeries) -> LogSeries:
-    """Apply the operator termwise to an exact LogSeries of PBWVectors.
+    """Apply the operator termwise to a LogSeries of PBWVectors.
 
-    Only exact inputs (no ceiling) are accepted; the shift operator moves
-    exponents both ways, so a partial window would need conservative
-    re-clipping that no caller wants.
+    The input must hold every one of its terms: each caller passes a
+    shift output or the identity series (TwistedModule._chain_image, the
+    group-law and additivity checks), never a read cut at a ceiling, since
+    the shift operator moves exponents both ways and would carry the cut
+    into the terms it keeps.
     """
-    if series.ceiling is not None:
-        raise DomainError("termwise application needs an exact series")
     return series_sum((e + e2, k + k2, vec2.c)
                       for (e, k), vec in series.terms.items()
                       for (e2, k2), vec2 in delta_apply(delta, vec).terms.items())

@@ -44,8 +44,8 @@ down to one factor, where it has a closed form:
     Y(a(m)|0>, x) = d^(-m-1) a(x) / (-m-1)!,  so its x^e coefficient is
     C(e-m-1, -m-1) a(m-e),
 
-read from the memoized mode action.  Series come back as LogSeries whose
-ceiling marks the last exactly-known exponent.  Each monomial pair is
+read from the memoized mode action.  A read to ceiling c comes back as a
+LogSeries holding exactly its terms at or below c.  Each monomial pair is
 expanded once, at the largest ceiling asked for.  There is one mode reader,
 vertex_operator_mode: it reads its single coefficient without building a
 series, a one-factor monomial of v in closed form and any other from its
@@ -410,7 +410,7 @@ class InducedModule:
         ceiling = _integer_exponent(ceiling)
         (vc,), dv = clear_denominators((v.c,))
         (wc,), dw = clear_denominators((w.c,))
-        return LogSeries.from_sums(self.vertex_sums(vc, wc, ceiling), dv * dw, ceiling)
+        return LogSeries.from_sums(self.vertex_sums(vc, wc, ceiling), dv * dw)
 
     def vertex_operator_mode(self, v: PBWVector, n):
         """The mode v_(n), n an int or a Fraction, as a reader: w -> the

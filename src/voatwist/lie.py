@@ -457,8 +457,11 @@ def diagram_automorphism(algebra: LieAlgebra, perm) -> GAutomorphism:
 
     ``perm`` lists the image of each simple root, 1-based: [2, 1] is the
     order-two flip of the rank-2 diagram.  The permutation must preserve
-    the Cartan matrix (InvalidSymmetry otherwise); images of non-simple
-    root vectors are built from iterated brackets of simple ones.
+    the Cartan matrix (InvalidSymmetry otherwise), so it is the identity
+    or the flip k -> n + 1 - k.  The flip is X -> -J X^T J^-1 with J the
+    antidiagonal matrix of signs (-1)^r: it sends the matrix unit E_rc to
+    (-1)^(r+c+1) E_(n-c)(n-r), 0-based with n the rank, and each basis
+    image is read back through from_matrix.
     """
     n = algebra.rank
     if sorted(perm) != list(range(1, n + 1)):
@@ -474,31 +477,14 @@ def diagram_automorphism(algebra: LieAlgebra, perm) -> GAutomorphism:
             if cartan(perm[i - 1], perm[j - 1]) != cartan(i, j):
                 raise InvalidSymmetry("permutation does not preserve the Cartan matrix")
 
-    images = {}
-    for k in range(1, n + 1):
-        images[f"e{k}"] = algebra.generator(f"e{perm[k - 1]}")
-        images[f"f{k}"] = algebra.generator(f"f{perm[k - 1]}")
-        images[f"h{k}"] = algebra.generator(f"h{perm[k - 1]}")
-
-    def image_of(name):
-        if name in images:
-            return images[name]
-        if name[0] in "ef":
-            digits = [int(d) for d in name[1:]]
-            first, rest = name[0] + str(digits[0]), name[0] + "".join(
-                str(d) for d in digits[1:])
-            a, b = image_of(first), image_of(rest)
-            if name[0] == "e":
-                out = algebra.bracket(a, b)
-            else:
-                out = algebra.bracket(b, a)
-            images[name] = out
-            return out
-        raise InvalidSymmetry(f"cannot extend to generator {name}")
-
+    flip = list(perm) != list(range(1, n + 1))
     cols = []
-    for name in algebra.names:
-        cols.append(image_of(name).coords)
+    for b in algebra.basis():
+        x = algebra.to_matrix(b)
+        if flip:
+            x = [[(-1) ** (i + j + 1) * x[n - j][n - i] for j in range(n + 1)]
+                 for i in range(n + 1)]
+        cols.append(algebra.from_matrix(x).coords)
     m = tuple(tuple(cols[j][i] for j in range(algebra.dim))
               for i in range(algebra.dim))
     out = GAutomorphism(algebra, m)

@@ -40,12 +40,6 @@ of a log-free series once (``divided``) and keeps it without a copy
 series), and the shift operator and the twisted reads store such terms
 the same way.  ``expand_at_sum`` is the other formal substitution,
 x -> x + y in x^e (log x)^k, as a memoized table of scalars.
-
-A series may carry a ``ceiling``: coefficients at e > ceiling were not
-computed (dropped, not zero).  ``None`` means the stored terms are the
-whole truth.
-A sum is trusted only below both ceilings, and ``series_eq`` compares
-only inside the common ceiling.
 """
 
 from __future__ import annotations
@@ -62,7 +56,6 @@ __all__ = [
     "LogSeries",
     "PBWVector",
     "branch_shift",
-    "common_ceiling",
     "divided",
     "expand_at_sum",
     "factor",
@@ -235,24 +228,13 @@ def divided(terms: dict, den: int) -> dict:
     return out
 
 
-def common_ceiling(a, b):
-    """The ceiling below which a sum or comparison of series with ceilings
-    a and b is trusted (None: no ceiling)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class LogSeries:
-    """A finite x^e (log x)^k series trusted up to an optional ceiling."""
+    """A finite x^e (log x)^k series."""
 
-    __slots__ = ("terms", "ceiling")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, ceiling=None):
+    def __init__(self, terms=None):
         self.terms = {}
-        self.ceiling = ceiling
         for (e, k), v in (terms or {}).items():
             self.add_term(e, k, v.c)
 
@@ -272,11 +254,11 @@ class LogSeries:
             del self.terms[key]
 
     @classmethod
-    def from_sums(cls, sums: dict, den: int, ceiling=None) -> "LogSeries":
+    def from_sums(cls, sums: dict, den: int) -> "LogSeries":
         """The log-free series sum_e (sums[e]/den) x^e, e an int: each
         sums[e] is a nonempty coefficient dict that the caller gives up,
         divided by den under the scalar rule and held without a copy."""
-        out = cls(ceiling=ceiling)
+        out = cls()
         for e, terms in sums.items():
             out.terms[e, 0] = PBWVector.adopt(divided(terms, den))
         return out
@@ -284,8 +266,7 @@ class LogSeries:
     def map_values(self, fn) -> "LogSeries":
         """Apply fn to every coefficient (dropping zero results)."""
         images = ((key, fn(v)) for key, v in self.terms.items())
-        return series_sum(((e, k, w.c) for (e, k), w in images),
-                          self.ceiling)
+        return series_sum((e, k, w.c) for (e, k), w in images)
 
     def sorted_items(self):
         """Terms in deterministic (e, k) order."""
@@ -293,14 +274,13 @@ class LogSeries:
 
     def __repr__(self):
         parts = [f"x^{e}" + (f"*log^{k}" if k else "") for (e, k), _ in self.sorted_items()]
-        win = f" ceiling={self.ceiling}"
-        return f"LogSeries({len(self.terms)} terms: {', '.join(parts[:6])}...{win})"
+        return f"LogSeries({len(self.terms)} terms: {', '.join(parts[:6])}...)"
 
 
-def series_sum(items, ceiling=None) -> LogSeries:
+def series_sum(items) -> LogSeries:
     """The LogSeries of (e, k, terms) and (e, k, terms, scale) items, each
     added by LogSeries.add_term."""
-    out = LogSeries(ceiling=ceiling)
+    out = LogSeries()
     add = out.add_term
     for item in items:
         add(*item)
@@ -326,13 +306,13 @@ def linear_image(vec: PBWVector, image) -> PBWVector:
     return PBWVector.adopt(out)
 
 
-def linear_series(vec: PBWVector, image, ceiling=None) -> LogSeries:
-    """linear_image for LogSeries images trusted to ceiling."""
+def linear_series(vec: PBWVector, image) -> LogSeries:
+    """linear_image for LogSeries images."""
     if (mono := _basis_monomial(vec)) is not None:
         return image(mono)
     return series_sum(((e, k, t.c, c)
                        for mono, c in vec.c.items()
-                       for (e, k), t in image(mono).terms.items()), ceiling)
+                       for (e, k), t in image(mono).terms.items()))
 
 
 def _items(a: LogSeries, scale=None, eshift=0):
@@ -341,14 +321,13 @@ def _items(a: LogSeries, scale=None, eshift=0):
 
 
 def series_combine(a: LogSeries, b: LogSeries) -> LogSeries:
-    """The sum of two series, trusted below both ceilings."""
-    return series_sum((*_items(a), *_items(b)), common_ceiling(a.ceiling, b.ceiling))
+    """The sum of two series."""
+    return series_sum((*_items(a), *_items(b)))
 
 
 def series_scale(a: LogSeries, scalar=1, eshift=0) -> LogSeries:
-    """scalar * x^eshift * a; the ceiling moves up by eshift."""
-    return series_sum(_items(a, scalar, eshift),
-                      None if a.ceiling is None else a.ceiling + eshift)
+    """scalar * x^eshift * a."""
+    return series_sum(_items(a, scalar, eshift))
 
 
 def series_derivative(a: LogSeries) -> LogSeries:
@@ -360,7 +339,7 @@ def series_derivative(a: LogSeries) -> LogSeries:
             if k:
                 yield e - 1, k - 1, v.c, k
 
-    return series_sum(items(), None if a.ceiling is None else a.ceiling - 1)
+    return series_sum(items())
 
 
 def lattice_point(e, order: int):
@@ -395,7 +374,7 @@ def branch_shift(a: LogSeries, steps: int, order: int) -> LogSeries:
                     tpart = tpart * Cyc.t_power(1) * steps
                 yield e, j, v.c, zfac * binom(k, j) * tpart
 
-    return series_sum(items(), a.ceiling)
+    return series_sum(items())
 
 
 def _log_shift_powers(max_power: int, ceiling: int):
@@ -435,7 +414,7 @@ def expand_at_sum(e, k, max_p):
 
 
 def series_eq(a: LogSeries, b: LogSeries):
-    """Exact comparison inside the common ceiling.
+    """Exact comparison.
 
     Returns None when equal, else a witness tuple (e, k, left, right) for
     the first mismatch in (e, k) order, None standing for a missing term
@@ -445,11 +424,8 @@ def series_eq(a: LogSeries, b: LogSeries):
     if a.terms == b.terms:
         # compares each key by its stored hash, and values as below
         return None
-    hi = common_ceiling(a.ceiling, b.ceiling)
     keys = set(a.terms) | set(b.terms)
     for (e, k) in sorted(keys, key=lambda t: (t[0], t[1])):
-        if hi is not None and e > hi:
-            continue
         va = a.terms.get((e, k))
         vb = b.terms.get((e, k))
         if va is None or vb is None or va.c != vb.c:

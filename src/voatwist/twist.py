@@ -7,10 +7,11 @@ one applied to the chain-transformed state:
     Y_new(v, x) w  =  Y(D_1(x) ... D_k(x) v, x) w,
 
 with the most recent operator acting on v first.  Everything stays exact:
-series come back as LogSeries of PBWVectors trusted up to an explicit
-ceiling.  A mode is read as one coefficient: for each chain term of the
-wanted log power, the base module's mode reader at the mode left over, so
-no whole series is built per target.
+a series read to an explicit ceiling comes back as a LogSeries of
+PBWVectors holding exactly its terms at or below it.  A mode is read as
+one coefficient: for each chain term of the wanted log power, the base
+module's mode reader at the mode left over, so no whole series is built
+per target.
 
 The chain image of a basis monomial and a mode operator's image of a basis
 target are memoized and read through series.linear_series and linear_image:
@@ -114,24 +115,13 @@ class TwistedModule:
 
     def vertex_series(self, v: PBWVector, w: PBWVector, ceiling) -> LogSeries:
         """Y_new(v, x) w, exact to ceiling: the base series of each chain
-        term, summed per key.  A single chain term x^e1 log^k1 gives its
-        base series with the keys moved by (e1, k1), whose fresh vectors
-        are kept as they are: summing them instead costs 1.4% of the
-        opcodes of a cli-run pass."""
-        ceiling = int_if_integral(ceiling)
-        chain = self.chain_transform(v).terms
+        term x^e1 log^k1, read to ceiling - e1 and moved by (e1, k1),
+        summed per key."""
         reads = ((e1, k1, self.base.vertex_series(vec1, w, floor(ceiling - e1)).terms)
-                 for (e1, k1), vec1 in chain.items())
-        if len(chain) == 1:
-            [(e1, k1, terms)] = reads
-            out = LogSeries(ceiling=ceiling)
-            for (e2, _k2), vec2 in terms.items():
-                out.terms[int_if_integral(e1 + e2), k1] = vec2
-            return out
-        return series_sum(((e1 + e2, k1, vec2.c)
-                           for e1, k1, terms in reads
-                           for (e2, _k2), vec2 in terms.items()),
-                          ceiling)
+                 for (e1, k1), vec1 in self.chain_transform(v).terms.items())
+        return series_sum((e1 + e2, k1, vec2.c)
+                          for e1, k1, terms in reads
+                          for (e2, _k2), vec2 in terms.items())
 
     def mode(self, v: PBWVector, m, l: int = 0):
         """The (m, l) mode of Y_new(v, x): coefficient of x^(-m-1) log^l.

@@ -172,8 +172,9 @@ def _run_cases(name, cases, count_key, pass_details=None,
 
 
 def _series_case(alg, left, right, **fields):
-    """A counted comparison of two series inside their common ceiling; a
-    witness names the first (e, k) apart."""
+    """A counted comparison of two series, every term of each; the caller
+    reads both to one ceiling, the check's window.  A witness names the
+    first (e, k) apart."""
     wit = series_eq(left, right)
     if wit is None:
         return True, None
@@ -926,8 +927,8 @@ def check_equivariance(twisted: TwistedModule, target_states=None,
         for v, vlabel in states:
             gv = twisted.automorphism_apply(v)
             for (w, wlabel), image in zip(target_states, images):
-                shifted = branch_shift(linear_series(v, image, ceiling), 1, order)
-                direct = linear_series(gv, image, ceiling)
+                shifted = branch_shift(linear_series(v, image), 1, order)
+                direct = linear_series(gv, image)
                 yield _series_case(alg, shifted, direct, argument=vlabel, target=wlabel)
 
     return _run_cases("equivariance", cases(), "comparisons",

@@ -77,14 +77,14 @@ def float_scan(monkeypatch):
                 scan["floats"].append(("coefficient", mono, coeff))
         return adopt(c)
 
-    def watched_from_sums(sums, den, ceiling=None):
+    def watched_from_sums(sums, den):
         # the exponents of the log-free series that bypass add_term; their
         # coefficients go through adopt
         for e in sums:
             scan["watched"] += 1
             if _has_float(e) or _has_float(den):
                 scan["floats"].append(("exponent", e, den))
-        return from_sums(sums, den, ceiling)
+        return from_sums(sums, den)
 
     def watched_stages(d, v):
         # the shift's integral output, [(e, k, terms, den)]: _shift divides
@@ -259,9 +259,9 @@ def fraction_scan(monkeypatch):
         read_pbw(vec)
         return vec
 
-    def watched_series_sum(items, ceiling=None):
+    def watched_series_sum(items):
         # series_sum fills its vectors after PBWVector.__init__ has run
-        out = summed(items, ceiling)
+        out = summed(items)
         for vec in out.terms.values():
             read_pbw(vec)
         return out

@@ -146,6 +146,18 @@ def test_diagram_order_is_read_off_the_automorphism(rank):
         assert diagram_automorphism(alg, list(range(rank, 0, -1))).order() == 2
 
 
+def test_diagram_flip_past_rank_nine():
+    # from rank 10 on generator names run past one digit per node (e1011 is
+    # E_(9)(11)); the flip is built from matrix units, not from the names
+    alg = build_simple_lie("A", 11)
+    tau = diagram_automorphism(alg, list(range(11, 0, -1)))
+    assert tau.check() and tau.order() == 2
+    for x, y in [("e1", "e11"), ("f1", "f11"), ("h1", "h11"), ("h5", "h7")]:
+        assert tau(alg.generator(x)) == alg.generator(y)
+        assert tau(alg.generator(y)) == alg.generator(x)
+    assert tau(alg.generator("e12")) == -alg.generator("e1011")
+
+
 def test_diagram_rejects_non_permutation():
     with pytest.raises(InvalidSymmetry):
         diagram_automorphism(sl3, [1, 1])

@@ -73,7 +73,7 @@ def first_vertex_series(mod, v, w, ceiling):
             items.extend((e, 0, dict(vec), scale)
                          for e, vec in mod._vs_mono(mv, mw, ceiling).items()
                          if e <= ceiling)
-    return series_sum(items, ceiling)
+    return series_sum(items)
 
 
 def first_coefficient_at(mod, v, w, e):
@@ -100,7 +100,7 @@ def first_twisted_vertex_series(tw, v, w, ceiling):
     for (e1, k1), vec1 in first_chain_transform(tw, v).terms.items():
         base_ser = first_vertex_series(tw.base, vec1, w, floor(ceiling - e1))
         items.extend((e1 + e2, k1, vec2.c) for (e2, _k2), vec2 in base_ser.terms.items())
-    return series_sum(items, ceiling)
+    return series_sum(items)
 
 
 def first_mode(tw, v, m, l):
@@ -149,7 +149,6 @@ def typed_series(ser):
 
 def assert_same_series(got, want):
     assert typed_series(got) == typed_series(want)
-    assert got.ceiling == want.ceiling
 
 
 # -- inputs --------------------------------------------------------------------
@@ -213,7 +212,7 @@ def test_vertex_series_divides_its_integral_reader(case, v, w, e):
     if level == "level 2" and all(type(c) in (int, F) for c in (*v.c.values(),
                                                                 *w.c.values())):
         assert all(type(c) is int for terms in sums.values() for c in terms.values())
-    want = LogSeries(ceiling=e)
+    want = LogSeries()
     for exponent, terms in sums.items():
         want.terms[exponent, 0] = PBWVector(divided(terms, dv * dw))
     assert_same_series(mod.vertex_series(v, w, e), want)
@@ -230,8 +229,8 @@ def test_twisted_reads_match_their_first_forms(case, v, w, ceiling):
     assert_same_series(tw.chain_transform(v), first_chain_transform(tw, v))
     got = tw.vertex_series(v, w, ceiling)
     assert_same_series(got, first_twisted_vertex_series(tw, v, w, ceiling))
-    # the ceiling follows the scalar rule
-    assert type(got.ceiling) is int
+    # a read to the ceiling holds no term above it
+    assert all(e <= ceiling for e, _k in got.terms)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -621,8 +620,8 @@ def test_sugawara_checks_leave_the_shared_images(level):
 # -- the shift operator ----------------------------------------------------------
 
 
-def first_series_sum(items, ceiling=None):
-    out = LogSeries(ceiling=ceiling)
+def first_series_sum(items):
+    out = LogSeries()
     for item in items:
         out.add_term(*item)
     for vec in out.terms.values():
@@ -666,8 +665,7 @@ def first_delta_apply(delta, v):
                 return hit
             return first_series_sum(((e, k, w.c)
                                      for (e, k), w in ((key, c * vec) for key, vec
-                                                       in hit.terms.items())),
-                                    hit.ceiling)
+                                                       in hit.terms.items())))
     return first_shift(delta, v)
 
 

@@ -49,21 +49,18 @@ def test_add_term_accumulates_and_cancels():
     assert (1, 0) not in s.terms
 
 
-def test_combine_add_intersects_windows():
-    a = LogSeries({(F(0), 0): vec(1)}, ceiling=F(3))
-    b = LogSeries({(F(1), 0): vec(1, B)}, ceiling=F(5))
+def test_combine_add_keeps_the_terms_of_both():
+    a = LogSeries({(F(0), 0): vec(1)})
+    b = LogSeries({(F(1), 0): vec(1, B)})
     out = series_combine(a, b)
-    assert out.ceiling == F(3)
-    assert series_combine(b, LogSeries()).ceiling == F(5)
     assert out.terms[(F(0), 0)] == vec(1) and out.terms[(F(1), 0)] == vec(1, B)
 
 
-def test_combine_scale_shifts_window():
-    a = LogSeries({(F(2), 1): vec(3)}, ceiling=F(4))
+def test_combine_scale_shifts_exponents():
+    a = LogSeries({(F(2), 1): vec(3)})
     out = series_scale(a, scalar=F(2), eshift=F(-1))
     assert out.terms == {(F(1), 1): vec(6)}
     assert type(out.terms[(1, 1)].c[A]) is int
-    assert out.ceiling == F(3)
 
 
 def test_derivative_of_pure_power():
@@ -128,12 +125,6 @@ def test_series_eq_compares_values_not_flags():
         F(1), 0, vec(Cyc.of(2)), None)
 
 
-def test_series_eq_ignores_untrusted_region():
-    a = LogSeries({(F(5), 0): vec(9)}, ceiling=F(2))
-    b = LogSeries({}, ceiling=F(2))
-    assert series_eq(a, b) is None
-
-
 def test_series_sum_drops_cancelled_keys_and_keeps_flagged_zeros():
     # every zero is dropped: a cancelled sum and an empty item alike
     ser = series_sum([
@@ -147,12 +138,11 @@ def test_series_sum_drops_cancelled_keys_and_keeps_flagged_zeros():
         (3, 0, {A: 1}, -1),           # cancels: (3, 0) is dropped
         (1, 0, {A: F(1, 2)}),         # 1/2 + 1/2 is stored as an int
         (0, 0, {B: 3}),               # a re-hit key comes back last
-    ], ceiling=4)
+    ])
     assert list(ser.terms) == [(1, 0), (0, 0)]
     assert all(type(e) is int for e, _k in ser.terms)
     assert ser.terms[(1, 0)].c == {A: 1} and type(ser.terms[(1, 0)].c[A]) is int
     assert ser.terms[(0, 0)].c == {B: 3}
-    assert ser.ceiling == 4
 
 
 # each row holds one value written in several ways: int, integral Fraction,
@@ -212,29 +202,28 @@ def old_add_term(s, e, k, value):
 
 
 def old_map_values(a, fn):
-    out = LogSeries(ceiling=a.ceiling)
+    out = LogSeries()
     for (e, k), v in a.terms.items():
         old_add_term(out, e, k, fn(v))
     return out
 
 
 def old_combine(a, b):
-    out = LogSeries(ceiling=min((c for c in (a.ceiling, b.ceiling) if c is not None),
-                               default=None))
+    out = LogSeries()
     for key, v in (*a.terms.items(), *b.terms.items()):
         old_add_term(out, key[0], key[1], v)
     return out
 
 
 def old_scale(a, scalar=1, eshift=0):
-    out = LogSeries(ceiling=None if a.ceiling is None else a.ceiling + eshift)
+    out = LogSeries()
     for (e, k), v in a.terms.items():
         old_add_term(out, e + eshift, k, scalar * v)
     return out
 
 
 def old_derivative(a):
-    out = LogSeries(ceiling=None if a.ceiling is None else a.ceiling - 1)
+    out = LogSeries()
     for (e, k), v in a.terms.items():
         if e:
             old_add_term(out, e - 1, k, e * v)
@@ -244,7 +233,7 @@ def old_derivative(a):
 
 
 def old_branch_shift(a, steps, order):
-    out = LogSeries(ceiling=a.ceiling)
+    out = LogSeries()
     for (e, k), v in a.terms.items():
         zfac = Cyc.zeta(order, int(e * order) * steps)
         if not k:
@@ -259,11 +248,10 @@ def old_branch_shift(a, steps, order):
 
 
 def shape(s):
-    """Ceiling, keys in order with their types, and values with their
-    types."""
-    return s.ceiling, [((e, type(e), k),
-                        sorted((mono, c, type(c).__name__) for mono, c in v.c.items()))
-                       for (e, k), v in s.terms.items()]
+    """Keys in order with their types, and values with their types."""
+    return [((e, type(e), k),
+             sorted((mono, c, type(c).__name__) for mono, c in v.c.items()))
+            for (e, k), v in s.terms.items()]
 
 
 ORDER = 3
@@ -278,8 +266,7 @@ vectors = st.builds(PBWVector,
                     st.dictionaries(st.sampled_from(MONOS[:3]), scalars, max_size=3))
 series = st.builds(LogSeries,
                    st.dictionaries(st.tuples(exponents, st.integers(0, 2)), vectors,
-                                   max_size=6),
-                   st.one_of(st.none(), exponents))
+                                   max_size=6))
 
 
 @settings(max_examples=300)
@@ -354,8 +341,8 @@ def first_linear_image(vec, image):
     return total
 
 
-def first_linear_series(vec, image, ceiling):
-    out = LogSeries(ceiling=ceiling)
+def first_linear_series(vec, image):
+    out = LogSeries()
     for mono, c in vec.c.items():
         for (e, k), v in image(mono).terms.items():
             old_add_term(out, e, k, c * v)
@@ -368,40 +355,39 @@ def typed_vector(v):
 
 
 def typed_series(s):
-    return s.ceiling, [((e, type(e), k), typed_vector(v)) for (e, k), v in s.terms.items()]
+    return [((e, type(e), k), typed_vector(v)) for (e, k), v in s.terms.items()]
 
 
 def test_a_basis_input_gets_its_image_itself():
     vimages = {A: vec(F(1, 2), B), B: vec(3)}
-    simages = {A: LogSeries({(1, 0): vec(2)}, ceiling=2), B: LogSeries(ceiling=2)}
+    simages = {A: LogSeries({(1, 0): vec(2)}), B: LogSeries()}
     assert linear_image(PBWVector({A: 1}), vimages.get) is vimages[A]
-    assert linear_series(PBWVector({B: 1}), simages.get, 2) is simages[B]
+    assert linear_series(PBWVector({B: 1}), simages.get) is simages[B]
     # a Fraction, a Cyc 1 or a second monomial makes a fresh sum
     for v in (PBWVector({A: F(1, 2)}), PBWVector({A: Cyc.of(1)}),
               PBWVector({A: 1, B: 1})):
         got = linear_image(v, vimages.get)
         assert got is not vimages[A] and got is not vimages[B]
         assert typed_vector(got) == typed_vector(first_linear_image(v, vimages.get))
-        ser = linear_series(v, simages.get, 2)
+        ser = linear_series(v, simages.get)
         assert ser is not simages[A] and ser is not simages[B]
-        assert typed_series(ser) == typed_series(first_linear_series(v, simages.get, 2))
+        assert typed_series(ser) == typed_series(first_linear_series(v, simages.get))
 
 
 @settings(max_examples=300)
 @given(vectors, st.fixed_dictionaries({mono: vectors for mono in MONOS[:3]}),
        st.fixed_dictionaries({mono: st.dictionaries(st.tuples(exponents, st.integers(0, 2)),
                                                     vectors, max_size=4)
-                              for mono in MONOS[:3]}),
-       st.one_of(st.none(), exponents))
-def test_linear_reads_match_their_first_forms(v, vimages, sterms, ceiling):
+                              for mono in MONOS[:3]}))
+def test_linear_reads_match_their_first_forms(v, vimages, sterms):
     """Keys in order and value types agree with the first forms, and no image is changed by a read."""
-    simages = {mono: LogSeries(terms, ceiling) for mono, terms in sterms.items()}
+    simages = {mono: LogSeries(terms) for mono, terms in sterms.items()}
     before = ([typed_vector(x) for x in vimages.values()],
               [typed_series(x) for x in simages.values()])
     got = linear_image(v, vimages.get)
     assert typed_vector(got) == typed_vector(first_linear_image(v, vimages.get))
-    ser = linear_series(v, simages.get, ceiling)
-    assert typed_series(ser) == typed_series(first_linear_series(v, simages.get, ceiling))
+    ser = linear_series(v, simages.get)
+    assert typed_series(ser) == typed_series(first_linear_series(v, simages.get))
     assert ([typed_vector(x) for x in vimages.values()],
             [typed_series(x) for x in simages.values()]) == before
 

@@ -203,7 +203,7 @@ def test_a_transported_chain_is_its_relabeled_chain():
     assert len(pairs) == 468
     for v, w in pairs:
         want = chain_a.vertex_series(v, w, 1)
-        want = LogSeries({key: moved(vec) for key, vec in want.terms.items()}, 1)
+        want = LogSeries({key: moved(vec) for key, vec in want.terms.items()})
         got = chain_b.vertex_series(v, moved(w), 1)
         assert series_eq(got, want) is None, (v, w)
     nonzero = 0

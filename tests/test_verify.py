@@ -222,8 +222,7 @@ def test_zero_mode_three_outcomes():
 
 
 def test_series_case_refuses_a_flagged_term_in_the_window():
-    """A check compares the values inside the common ceiling, on either
-    side; above it nothing is read."""
+    """A check compares the values of every term, on either side."""
     e1 = MOD.current("e1")
     exact = LogSeries({(0, 0): e1})
     for left, right in [(LogSeries({(0, 0): 2 * e1}), exact),
@@ -231,8 +230,6 @@ def test_series_case_refuses_a_flagged_term_in_the_window():
                         (exact, LogSeries({(0, 0): e1, (1, 0): e1}))]:
         counted, witness = verify._series_case(sl2, left, right)
         assert counted and witness is not None
-    beyond = LogSeries({(0, 0): e1, (3, 0): 2 * e1}, ceiling=2)
-    assert verify._series_case(sl2, beyond, LogSeries({(0, 0): e1}, ceiling=1)) == (True, None)
     counted, witness = verify._series_case(sl2, exact, LogSeries(), state="s")
     assert counted and witness == {"state": "s", "exponent": "0", "logPower": 0,
                                    "left": "(1) e1(-1) |0>", "right": "0"}
@@ -340,7 +337,7 @@ def test_equivariance_sums_equal_the_direct_series():
                 lambda mono, w=w: tw.vertex_series(PBWVector({mono: 1}), w, 1))
             for name in module.algebra.names:
                 gv = tw.automorphism_apply(module.current(name))
-                got = linear_series(gv, image, 1)
+                got = linear_series(gv, image)
                 want = tw.vertex_series(gv, w, 1)
                 assert set(got.terms) == set(want.terms), (path.stem, name)
                 for key, vec in want.terms.items():
@@ -348,3 +345,35 @@ def test_equivariance_sums_equal_the_direct_series():
     assert built == ["sl2_nilpotent", "sl2_semisimple", "a2_diagram",
                      "a2_transport_tables", "a2_transport_then_inner",
                      "a2_two_inner_steps", "a3_diagram", "a4_diagram", "sl2_branch3"]
+
+
+def test_shipped_checks_compare_reads_of_one_window(monkeypatch, tmp_path):
+    """Every series that twisted-axioms, equivariance and functor-transport
+    compare holds no term above the check's ceiling, as recorded in the
+    report's details (functor-transport records none, so its ceiling
+    argument stands in), on every chain the shipped and test configs
+    build through the command line."""
+    exponents, compared = [], {}
+    series_case = verify._series_case
+
+    def watched_series_case(alg, left, right, **fields):
+        exponents.extend(e for ser in (left, right) for e, _k in ser.terms)
+        return series_case(alg, left, right, **fields)
+
+    def watched(check):
+        def run(*args, **kwargs):
+            exponents.clear()
+            report = check(*args, **kwargs)
+            window = report.details.get("ceiling", kwargs["ceiling"])
+            assert max(exponents, default=window) <= window, (report.name, window)
+            compared[report.name] = compared.get(report.name, 0) + len(exponents)
+            return report
+        return run
+
+    monkeypatch.setattr(verify, "_series_case", watched_series_case)
+    for name in ("check_twisted_axioms", "check_equivariance", "check_functor_transport"):
+        monkeypatch.setattr(verify, name, watched(getattr(verify, name)))
+    for path in CHAIN_CONFIGS:
+        cli.main(["run", str(path), "--output", str(tmp_path / path.stem)])
+    assert sorted(compared) == ["equivariance", "functor-transport", "twisted-axioms"]
+    assert all(compared.values()), compared
