@@ -10,8 +10,10 @@ beside the series it is the coefficient of) is a finite linear
 combination of such monomials; it stores each rational
 coefficient as an int where integral and a Fraction otherwise, and Cyc
 scalars once an automorphism or branch shift has acted.  Mode actions read
-the algebra's structure table, whose integral structure constants and
-central terms are ints, so the integral case pays for no Fraction product.
+the algebra's structure table, taken once per module, whose integral
+structure constants and central terms are ints, so the integral case pays
+for no Fraction product.  add_mode is the one kernel that sums a mode
+action into a coefficient dict.
 
 Every value is exact: the module is the whole vacuum module, and a mode
 action, vertex-operator read or Sugawara mode builds every monomial it
@@ -58,7 +60,8 @@ once at the end, so the stored coefficients follow the scalar rule and are
 kept without a copy (PBWVector.adopt, LogSeries.from_sums).  The series'
 sum is its own integral reader, vertex_sums, which takes the cleared
 coefficient dicts and returns the sums undivided; the shift-conjugation
-check reads it directly.  The Sugawara
+check reads it for its left side, and sums its right side straight from
+the _vs_mono buckets.  The Sugawara
 L(n) is series.linear_image over the memoized image of each monomial, so
 L(n) of a basis monomial is that image itself, shared and read-only.
 """
@@ -86,10 +89,6 @@ F = Fraction
 ZERO = ()
 
 
-def _canonical_key(gen, mode):
-    return (-mode, gen)
-
-
 class InducedModule:
     """Level-ell vacuum module for an affine algebra.  The declared weight
     cutoff is kept as cutoff; no value depends on it."""
@@ -109,6 +108,8 @@ class InducedModule:
         self._act_cache = {}
         self._vs_cache = {}
         self._shared = {}
+        # the algebra's (struct, gram), read on the first reordering miss
+        self._lie_tables = None
 
     # -- basic vectors --------------------------------------------------
 
@@ -182,34 +183,44 @@ class InducedModule:
         if not mono:
             return ZERO if m >= 0 else self._freeze({self._share(factor_code(gi, m)): 1})
         g1, m1 = factor(mono[0])
-        if m < 0 and _canonical_key(gi, m) <= _canonical_key(g1, m1):
+        # canonical order: gi(m) goes first when its mode is larger, or
+        # equal with gi no larger
+        if m < 0 and (m > m1 or m == m1 and gi <= g1):
             return self._freeze({self._share(factor_code(gi, m) + mono): 1})
         rest = self._share(mono[1:])
         acc = {}
         for mono2, c2 in self._act(gi, m, rest):
             accumulate(acc, self._act(g1, m1, mono2), c2)
-        struct, gram = self.algebra._tables()
+        if self._lie_tables is None:
+            self._lie_tables = self.algebra._tables()
+        struct, gram = self._lie_tables
         for k, ck in struct[gi][g1]:
             accumulate(acc, self._act(k, m + m1, rest), ck)
         if m + m1 == 0 and m and gram[gi][g1]:
             accumulate(acc, ((rest, int_if_integral(m * gram[gi][g1] * self.level)),))
         return self._freeze(acc)
 
-    def apply_mode(self, x, m: int, vec: PBWVector) -> PBWVector:
-        """x(m) vec for x in the algebra (name, LieElt) and integer mode m."""
-        coords = self._as_elt(x).terms()
-        m = int(m)
-        out = {}
-        # summed inline under accumulate's scalar rule, the one sum kept
-        # outside it: this is the innermost loop of every check, and one
-        # accumulate call per monomial and generator costs the conjugation
-        # workload 3.5% more opcodes per pass (18.35 M against 17.72 M); for
-        # the same reason the memo row is indexed here (a list of the rows
-        # built once per call costs 2.4% more) and _act called on a miss.
-        # Monomial by monomial, since summing generator by generator changes
-        # the scalar type an intermediate cancellation stores
+    def add_mode(self, out: dict, coords, m: int, terms, scale=None) -> dict:
+        """Add scale * x(m) terms into out and return out: x given by its
+        nonzero (generator index, coordinate) pairs coords, m an int, terms
+        (monomial, coefficient) pairs such as a dict's items(), and no
+        scale meaning 1 (so nothing is multiplied by it).  Each sum is
+        stored under accumulate's scalar rule.  The one mode-action kernel:
+        apply_mode, apply_mode_dict and the shift stages (delta.py) all sum
+        through it.
+
+        Summed inline, not through accumulate: this is the innermost loop
+        of every check, and one accumulate call per monomial and generator
+        costs the conjugation workload 5.5% more opcodes per pass (12.34 M
+        against 11.70 M); for the same reason the memo row is indexed here
+        (a list of the rows built once per call costs 3.5% more, since most
+        calls act on one monomial) and _act called on a miss.  Monomial by
+        monomial, since summing generator by generator changes the scalar
+        type an intermediate cancellation stores."""
         known = self._act_cache
-        for mono, coeff in vec.c.items():
+        for mono, coeff in terms:
+            if scale is not None:
+                coeff = coeff * scale
             for gi, cg in coords:
                 try:
                     sub = known[gi, m][mono]
@@ -223,7 +234,12 @@ class InducedModule:
                         out[mono2] = s.numerator
                     else:
                         out[mono2] = s
-        return PBWVector.adopt(out)
+        return out
+
+    def apply_mode(self, x, m: int, vec: PBWVector) -> PBWVector:
+        """x(m) vec for x in the algebra (name, LieElt) and integer mode m."""
+        coords = self._as_elt(x).terms()
+        return PBWVector.adopt(self.add_mode({}, coords, int(m), vec.c.items()))
 
     def expand_monomial(self, mono, split) -> dict:
         """Rebuild mono from the vacuum, rightmost factor first, with each
@@ -375,10 +391,7 @@ class InducedModule:
 
     def apply_mode_dict(self, gi, m, terms):
         """b_gi(m) on the (monomial, coefficient) pairs terms, as a fresh dict."""
-        out = {}
-        for mono, coeff in terms:
-            accumulate(out, self._act(gi, int(m), mono), coeff)
-        return out
+        return self.add_mode({}, ((gi, 1),), int(m), terms)
 
     def vertex_sums(self, vc: dict, wc: dict, ceiling: int) -> dict:
         """The undivided sums of vertex_series: {e: {monomial: coefficient}}

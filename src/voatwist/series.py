@@ -117,7 +117,11 @@ def factors(mono) -> tuple:
     return tuple(map(factor, mono))
 
 
+@lru_cache(maxsize=1 << 14)
 def monomial_weight(mono) -> int:
+    """The weight of mono, minus the sum of its modes: decoded once per
+    monomial, in a bounded memo, so the monomials of a freed module are
+    not kept alive by it."""
     return -sum([factor(code)[1] for code in mono])
 
 
@@ -197,7 +201,7 @@ class PBWVector:
 
     def depth(self):
         """Largest monomial weight present."""
-        return max((monomial_weight(m) for m in self.c), default=0)
+        return max(map(monomial_weight, self.c), default=0)
 
     def sorted_items(self):
         return sorted(self.c.items())
@@ -397,11 +401,12 @@ def expand_at_sum(e, k, max_p):
     """x^e (log x)^k with x replaced by x + y.
 
     Returns {(j, p): scalar} for x^(e - p) (log x)^j y^p, exact for
-    p <= max_p.  Binomial expansion handles x^e, the alternating series
-    for log(x+y) - log(x) (from _log_shift_powers) handles the log
-    powers.  A pure function of its key, so each table is built once and
-    shared: callers must not mutate it.  The shift-conjugation check reads
-    D(x+y) v through it.
+    p <= max_p, its keys in ascending p (so a reader bounded in p stops at
+    the first key past its bound).  Binomial expansion handles x^e, the
+    alternating series for log(x+y) - log(x) (from _log_shift_powers)
+    handles the log powers.  A pure function of its key, so each table is
+    built once and shared: callers must not mutate it.  The
+    shift-conjugation check reads D(x+y) v through it.
     """
     lpow = _log_shift_powers(k, max_p)
     out = {}
@@ -410,7 +415,7 @@ def expand_at_sum(e, k, max_p):
         for il, cl in lpow[k - j].items():
             accumulate(out, (((j, i + il), binom(e, i)) for i in range(max_p - il + 1)),
                        ckj * cl)
-    return out
+    return dict(sorted(out.items(), key=lambda item: item[0][1]))
 
 
 def series_eq(a: LogSeries, b: LogSeries):

@@ -289,25 +289,35 @@ def _conjugated_sides(delta, vc: dict, wc: dict, yden: int, shifted, dw,
             for e, k, sub, den in _stages(delta, PBWVector.adopt(terms)):
                 lhs[e, k, ey] = (sub, den * yden)
 
-    # summed inline; compared and never stored, so not held to the scalar rule
+    # summed inline straight from the memoized _vs_mono buckets of each
+    # monomial pair; compared and never stored, so not held to the scalar
+    # rule, and a key may be left with an empty dict.  A table's keys come
+    # in ascending p, so its read stops at the first p past ceiling - ey
     rhs = {}
+    vs_mono = module._vs_mono
     for e1, vecv, table in shifted:
+        entries = table.items()
         for (ew, kw), vecw in dw:
-            sub = module.vertex_sums(vecv, vecw, ceiling).items()
-            for (j1, p1), c in table.items():
-                for ey, terms in sub:
-                    if p1 + ey <= ceiling:
-                        key = (e1 - p1 + ew, j1 + kw, p1 + ey)
-                        acc = rhs.get(key)
-                        if acc is None:
-                            rhs[key] = {mono: c * x for mono, x in terms.items()}
-                            continue
-                        for mono, x in terms.items():
-                            x = acc[mono] + c * x if mono in acc else c * x
-                            if x:
-                                acc[mono] = x
-                            else:
-                                del acc[mono]
+            for mv, cv in vecv.items():
+                for mw, cw in vecw.items():
+                    cvw = cv * cw
+                    for ey, bucket in vs_mono(mv, mw, ceiling).items():
+                        top = ceiling - ey
+                        for (j1, p1), c in entries:
+                            if p1 > top:
+                                break
+                            key = (e1 - p1 + ew, j1 + kw, p1 + ey)
+                            scale = c * cvw
+                            acc = rhs.get(key)
+                            if acc is None:
+                                rhs[key] = {mono: scale * x for mono, x in bucket}
+                                continue
+                            for mono, x in bucket:
+                                x = acc[mono] + scale * x if mono in acc else scale * x
+                                if x:
+                                    acc[mono] = x
+                                else:
+                                    del acc[mono]
     return lhs, rhs
 
 

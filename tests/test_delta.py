@@ -370,3 +370,13 @@ def test_other_inputs_are_computed_afresh(monkeypatch):
             reached.clear()
             delta_apply(d, v)
             assert reached == [v]
+
+
+@pytest.mark.parametrize("d", [DS, DN], ids=["h1=1/2", "e1"])
+def test_stage_one_keeps_no_dict_of_its_input(d):
+    # with no denominators to clear, clear_denominators hands back the
+    # input's own dict: stage 1's x^0 term, and so _stages', must be a copy
+    for v in (MOD.current("e1"), MOD.apply_mode("e1", -1, MOD.current("f1"))):
+        [(e, k, terms, den), *_rest] = delta._exp_current_stage(d, v)
+        assert (e, k, den) == (0, 0, 1) and terms == v.c and terms is not v.c
+        assert all(terms is not v.c for _e, _k, terms, _den in delta._stages(d, v))

@@ -428,3 +428,17 @@ def test_factor_codes_stay_off_the_surrogates_and_refuse_what_does_not_fit():
     assert factor(factor_code(0, -codec.MAX_WEIGHT)) == (0, -codec.MAX_WEIGHT)
     # the vacuum is the empty monomial
     assert monomial() == "" and monomial_weight("") == 0
+
+
+def test_monomial_weights_are_their_decoded_sums():
+    # monomial_weight is memoized per monomial: each weight it hands out is
+    # the decoded sum of the modes, on every A2 basis monomial up to weight 5
+    from voatwist.fock import build_module
+    from voatwist.lie import build_simple_lie
+
+    mod = build_module(build_simple_lie("A", 2), 1, 5)
+    for weight in range(6):
+        for mono in mod.basis(weight):
+            assert monomial_weight(mono) == -sum(m for _g, m in factors(mono)) == weight
+            assert PBWVector({mono: 1}).depth() == weight
+    assert PBWVector().depth() == 0

@@ -313,6 +313,68 @@ def test_substitution_tables_match_sympy_series(e, k):
     assert expand_at_sum(e, k, max_p) == want
 
 
+@pytest.mark.parametrize("e, k, max_p", [(F(-1, 2), 1, 4), (0, 2, 5), (3, 1, 6),
+                                         (F(1, 3), 3, 3), (-2, 0, 4)], ids=str)
+def test_substitution_tables_come_in_ascending_y_power(e, k, max_p):
+    # the right side of the conjugation check stops reading a table at the
+    # first y-power past its bound, so the keys must come sorted by p
+    powers = [p for _j, p in expand_at_sum(e, k, max_p)]
+    assert powers == sorted(powers) and powers[-1] == max_p
+
+
+def first_right_side(module, shifted, dw, ceiling):
+    """The right side of _conjugated_sides in its first form: every pair's
+    vertex_sums, then every table entry with p1 + ey <= ceiling."""
+    rhs = {}
+    for e1, vecv, table in shifted:
+        for (ew, kw), vecw in dw:
+            sub = module.vertex_sums(vecv, vecw, ceiling).items()
+            for (j1, p1), c in table.items():
+                for ey, terms in sub:
+                    if p1 + ey <= ceiling:
+                        key = (e1 - p1 + ew, j1 + kw, p1 + ey)
+                        acc = rhs.get(key)
+                        if acc is None:
+                            rhs[key] = {mono: c * x for mono, x in terms.items()}
+                            continue
+                        for mono, x in terms.items():
+                            x = acc[mono] + c * x if mono in acc else c * x
+                            if x:
+                                acc[mono] = x
+                            else:
+                                del acc[mono]
+    return rhs
+
+
+@pytest.mark.parametrize("legacy", [False, True], ids=["sign", "legacy sign"])
+@pytest.mark.parametrize("coords", [{"h1": F(1, 2)}, {"e1": 1}], ids=["h1=1/2", "e1"])
+def test_right_side_read_from_the_buckets_is_its_first_form(monkeypatch, coords, legacy):
+    """The right side, summed straight from the _vs_mono buckets of each
+    monomial pair, equals its vertex_sums form with empty sums dropped, on
+    every pair of basis states up to weight 2 (the conjugation benchmark's
+    pairs, on its module)."""
+    mod = build_module(sl2, F(2), 9)
+    u = mod.current(sl2.element(coords))
+    real = verify._conjugated_sides
+    seen = []
+
+    def watched(delta, vc, wc, yden, shifted, dw, ceiling):
+        lhs, rhs = real(delta, vc, wc, yden, shifted, dw, ceiling)
+        want = first_right_side(delta.module, shifted, dw, ceiling)
+        assert ({key: sub for key, sub in rhs.items() if sub}
+                == {key: sub for key, sub in want.items() if sub})
+        seen.append(len(want))
+        return lhs, rhs
+
+    monkeypatch.setattr(verify, "_conjugated_sides", watched)
+    states = basis_states(mod, 2)
+    assert len(states) == 13
+    for v in states:
+        for w in states:
+            check_shift_conjugation(mod, u, [v], [w], legacy=legacy)
+    assert len(seen) == 13 * 13 and sum(seen) > 0
+
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CHAIN_CONFIGS = (sorted((ROOT / "configs").glob("*.json"))
                  + sorted((ROOT / "tests" / "configs").glob("*.json"))
