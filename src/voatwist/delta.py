@@ -189,13 +189,13 @@ def _exp_current_stage(delta: DeltaOperator, v: PBWVector) -> list:
         # each b(m) R_(j-m) is summed on its own, then merged in m order: a
         # push of every image straight into R_j reorders the sums, and
         # changes the scalar type a cancellation stores
-        acc = add_mode({}, coords, 1, terms[j - 1].items()) if terms[j - 1] else {}
+        acc = add_mode(coords, 1, terms[j - 1].items()) if terms[j - 1] else {}
         for m in range(2, j + 1):
             if terms[j - m]:
                 k = perm(j - 1, m - 1) * d ** (m - 1)
                 if m % 2 == 0 and not delta.legacy:
                     k = -k
-                accumulate(acc, add_mode({}, coords, m, terms[j - m].items(), k).items())
+                accumulate(acc, add_mode(coords, m, terms[j - m].items(), k).items())
         terms.append(acc)
         den *= j * d
         out.append((-j, 0, acc, den))
@@ -218,7 +218,7 @@ def _log_stage(delta: DeltaOperator, staged: list) -> list:
         while i == 0 or cur:
             out.append((e, i, cur, den))
             i += 1
-            cur = add_mode({}, coords, 0, cur.items())
+            cur = add_mode(coords, 0, cur.items())
             den *= i * dn
     return out
 

@@ -108,7 +108,10 @@ class InducedModule:
         self._act_cache = {}
         self._vs_cache = {}
         self._shared = {}
-        # the algebra's (struct, gram), read on the first reordering miss
+        # the algebra's (struct, gram), read on the first reordering miss:
+        # going through the algebra's memo on every such miss instead costs
+        # 0.3% more opcodes per warm pass (conjugation 11.74 M against
+        # 11.70 M, cli-run 12.37 M against 12.32 M)
         self._lie_tables = None
 
     # -- basic vectors --------------------------------------------------
@@ -200,14 +203,13 @@ class InducedModule:
             accumulate(acc, ((rest, int_if_integral(m * gram[gi][g1] * self.level)),))
         return self._freeze(acc)
 
-    def add_mode(self, out: dict, coords, m: int, terms, scale=None) -> dict:
-        """Add scale * x(m) terms into out and return out: x given by its
-        nonzero (generator index, coordinate) pairs coords, m an int, terms
+    def add_mode(self, coords, m: int, terms, scale=None) -> dict:
+        """scale * x(m) terms as a fresh dict: x given by its nonzero
+        (generator index, coordinate) pairs coords, m an int, terms
         (monomial, coefficient) pairs such as a dict's items(), and no
         scale meaning 1 (so nothing is multiplied by it).  Each sum is
         stored under accumulate's scalar rule.  The one mode-action kernel:
-        apply_mode, apply_mode_dict and the shift stages (delta.py) all sum
-        through it.
+        apply_mode and the shift stages (delta.py) sum through it.
 
         Summed inline, not through accumulate: this is the innermost loop
         of every check, and one accumulate call per monomial and generator
@@ -218,6 +220,7 @@ class InducedModule:
         monomial, since summing generator by generator changes the scalar
         type an intermediate cancellation stores."""
         known = self._act_cache
+        out = {}
         for mono, coeff in terms:
             if scale is not None:
                 coeff = coeff * scale
@@ -239,7 +242,7 @@ class InducedModule:
     def apply_mode(self, x, m: int, vec: PBWVector) -> PBWVector:
         """x(m) vec for x in the algebra (name, LieElt) and integer mode m."""
         coords = self._as_elt(x).terms()
-        return PBWVector.adopt(self.add_mode({}, coords, int(m), vec.c.items()))
+        return PBWVector.adopt(self.add_mode(coords, int(m), vec.c.items()))
 
     def expand_monomial(self, mono, split) -> dict:
         """Rebuild mono from the vacuum, rightmost factor first, with each
@@ -390,8 +393,13 @@ class InducedModule:
         return res
 
     def apply_mode_dict(self, gi, m, terms):
-        """b_gi(m) on the (monomial, coefficient) pairs terms, as a fresh dict."""
-        return self.add_mode({}, ((gi, 1),), int(m), terms)
+        """b_gi(m) on the (monomial, coefficient) pairs terms, as a fresh dict.
+        Summed through accumulate rather than add_mode, whose coordinate
+        product 1 * c2 would build one more Fraction per Fraction term."""
+        out = {}
+        for mono, coeff in terms:
+            accumulate(out, self._act(gi, int(m), mono), coeff)
+        return out
 
     def vertex_sums(self, vc: dict, wc: dict, ceiling: int) -> dict:
         """The undivided sums of vertex_series: {e: {monomial: coefficient}}
