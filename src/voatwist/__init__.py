@@ -2,8 +2,8 @@
 
 The package keeps every computation in closed form: scalars are rationals
 or small cyclotomic combinations, module vectors are finite sums of PBW
-monomials, and vertex-operator series are finite collections of
-coefficients trusted inside an explicit exponent window.  Nothing is
+monomials, and vertex-operator series are finite collections of exact
+coefficients, each read stopping at the ceiling it asks for.  Nothing is
 floated and nothing is sampled, so an equality reported by the check
 suite is an identity of the printed coefficients, not an approximation.
 """

@@ -120,10 +120,14 @@ def make_delta(module: InducedModule, u: PBWVector,
     """Validate the current vector u = a(-1)|0> and build its operator.
 
     Raises DomainError if u is not a weight-one current vector,
-    NotQuasiPrimary if L(1)u != 0 (the Sugawara L(1) is used, so
-    CriticalLevel propagates from there at level -h_vee), and
-    NeedsFieldExtension or NotSemisimple from the Jordan decomposition
-    of the underlying Lie algebra element.
+    NotQuasiPrimary if L(1)u != 0 (L(1) is omega_(2), the mode of the
+    Sugawara conformal vector, so CriticalLevel propagates from there at
+    level -h_vee), and NeedsFieldExtension or NotSemisimple from the
+    Jordan decomposition of the underlying Lie algebra element.
+
+    In a vacuum module L(1)a(-1)|0> = a(0)|0> = 0, so NotQuasiPrimary
+    cannot fire for any module built today; the gate is kept for a vertex
+    algebra whose weight-one space is not quasi-primary.
     """
     a = current_element(module, u)
     return DeltaOperator(module, *_shift_record(module, a, bool(legacy_sign_convention)))

@@ -10,7 +10,7 @@ beside the series it is the coefficient of) is a finite linear
 combination of such monomials; it stores each rational
 coefficient as an int where integral and a Fraction otherwise, and Cyc
 scalars once an automorphism or branch shift has acted.  Mode actions read
-the algebra's structure table, taken once per module, whose integral
+the algebra's memoized structure table (LieAlgebra._tables), whose integral
 structure constants and central terms are ints, so the integral case pays
 for no Fraction product.  add_mode is the one kernel that sums a mode
 action into a coefficient dict.
@@ -23,18 +23,10 @@ on one monomial is its image alone, frozen as a tuple of (monomial,
 coefficient) pairs in the order its sum produced them; an exact zero is
 the shared empty tuple ZERO.
 
-That memo is kept by hand in rows, _act_cache[gi, m] mapping the module's
-shared monomial to the image of b_gi(m) on it: unlike linalg.memo, it
-keeps no (gi, m, mono) key tuple per entry.
-
-One table per module shares memo values by content: every frozen image,
-every _vs_mono bucket and every monomial the mode action creates is one
-object, so an equal value is stored once and a dict hit on it compares by
-identity.  Sharing by content is sound only because every stored
-coefficient follows the scalar rule, an integral one stored as an int: 1
-and Fraction(1) are equal and hash alike, so without the rule an image
-holding one could be handed out for the other, and a type-sensitive report
-would change.
+That memo is kept by hand in rows, _act_cache[gi, m] mapping a monomial
+to the image of b_gi(m) on it: unlike linalg.memo, it keeps no (gi, m,
+mono) key tuple per entry.  It and _vs_cache, the vertex-operator memo,
+are the module's whole memo.
 
 Vertex operator series are computed through the standard iterate
 reconstruction
@@ -61,9 +53,8 @@ kept without a copy (PBWVector.adopt, LogSeries.from_sums).  The series'
 sum is its own integral reader, vertex_sums, which takes the cleared
 coefficient dicts and returns the sums undivided; the shift-conjugation
 check reads it for its left side, and sums its right side straight from
-the _vs_mono buckets.  The Sugawara
-L(n) is series.linear_image over the memoized image of each monomial, so
-L(n) of a basis monomial is that image itself, shared and read-only.
+the _vs_mono buckets.  The Sugawara L(n) is the mode omega_(n+1) of the
+conformal vector, read by vertex_operator_mode like any other.
 """
 
 from __future__ import annotations
@@ -75,7 +66,7 @@ from .lie import LieAlgebra, LieElt
 from .linalg import memo
 from .scalars import binom, clear_denominators, int_if_integral
 from .series import (MAX_GENERATORS, LogSeries, PBWVector, accumulate,
-                     divided, factor, factor_code, linear_image, monomial_weight)
+                     divided, factor, factor_code, monomial_weight)
 
 __all__ = [
     "InducedModule",
@@ -107,12 +98,6 @@ class InducedModule:
         # read on a module that never acted
         self._act_cache = {}
         self._vs_cache = {}
-        self._shared = {}
-        # the algebra's (struct, gram), read on the first reordering miss:
-        # going through the algebra's memo on every such miss instead costs
-        # 0.3% more opcodes per warm pass (conjugation 11.74 M against
-        # 11.70 M, cli-run 12.37 M against 12.32 M)
-        self._lie_tables = None
 
     # -- basic vectors --------------------------------------------------
 
@@ -155,48 +140,38 @@ class InducedModule:
 
     # -- mode action ------------------------------------------------------
 
-    def _share(self, value):
-        """The module's one object equal to value: a monomial, or a frozen
-        image or bucket."""
-        return self._shared.setdefault(value, value)
-
     def _freeze(self, terms: dict):
-        """The pairs of the coefficient dict terms, in its order, as the
-        module's one tuple of them (ZERO when terms is empty)."""
-        return self._share(tuple(terms.items())) if terms else ZERO
+        """The pairs of the coefficient dict terms, in its order, as a tuple
+        (ZERO when terms is empty)."""
+        return tuple(terms.items()) if terms else ZERO
 
     def _act(self, gi: int, m: int, mono):
         """b_gi(m) applied to one monomial, read from its memo row
-        _act_cache[gi, m], which maps the module's shared monomial to its
-        frozen image; on a miss the image is computed (_image) and stored."""
+        _act_cache[gi, m], which maps a monomial to its frozen image; on a
+        miss the image is computed (_image) and stored."""
         try:
             return self._act_cache[gi, m][mono]
         except KeyError:
             pass
         image = self._image(gi, m, mono)
-        self._act_cache.setdefault((gi, m), {})[self._share(mono)] = image
+        self._act_cache.setdefault((gi, m), {})[mono] = image
         return image
 
     def _image(self, gi: int, m: int, mono):
-        """b_gi(m) applied to one monomial: a frozen image shared by content
-        (_freeze), as is each monomial it creates (the prepended monomial
-        and the suffix rest), ZERO for an exact zero.  Sharing is sound
-        because accumulate stores an integral coefficient as an int, so 1
-        and Fraction(1), equal and of one hash, never meet in the table."""
+        """b_gi(m) applied to one monomial: a frozen image (_freeze), ZERO
+        for an exact zero."""
         if not mono:
-            return ZERO if m >= 0 else self._freeze({self._share(factor_code(gi, m)): 1})
+            return ZERO if m >= 0 else self._freeze({factor_code(gi, m): 1})
         g1, m1 = factor(mono[0])
         # canonical order: gi(m) goes first when its mode is larger, or
         # equal with gi no larger
         if m < 0 and (m > m1 or m == m1 and gi <= g1):
-            return self._freeze({self._share(factor_code(gi, m) + mono): 1})
-        rest = self._share(mono[1:])
+            return self._freeze({factor_code(gi, m) + mono: 1})
+        rest = mono[1:]
         acc = {}
         for mono2, c2 in self._act(gi, m, rest):
             accumulate(acc, self._act(g1, m1, mono2), c2)
-        if self._lie_tables is None:
-            self._lie_tables = self.algebra._tables()
-        struct, gram = self._lie_tables
+        struct, gram = self.algebra._tables()
         for k, ck in struct[gi][g1]:
             accumulate(acc, self._act(k, m + m1, rest), ck)
         if m + m1 == 0 and m and gram[gi][g1]:
@@ -273,41 +248,10 @@ class InducedModule:
             raise CriticalLevel(
                 f"level {self.level} equals minus the dual Coxeter number")
 
-    @memo
-    def _sugawara_pairs(self):
-        self.require_noncritical()
-        dual = self.algebra.dual_basis()
-        return (list(zip(self.algebra.basis(), dual)),
-                F(1) / (2 * (self.level + self.algebra.dual_coxeter())))
-
     def sugawara_mode(self, n: int):
-        """The Virasoro operator L(n) as a callable on PBWVectors, linear
-        over the memoized images of the monomials (series.linear_image)."""
-        self._sugawara_pairs()  # at the critical level, raise here
-        return lambda vec: linear_image(vec, lambda mono: self._sugawara_image(n, mono))
-
-    @memo
-    def _sugawara_image(self, n, mono) -> PBWVector:
-        """L(n) of one monomial: the scaled sum of the normally ordered
-        products u_i(p) u^i(n - p) over the modes that can act on it."""
-        pairs, scale = self._sugawara_pairs()
-        one = PBWVector({mono: 1})
-        d = monomial_weight(mono)
-        acc = PBWVector()
-        for j in range(n - d, d + 1):
-            p, q = j, n - j
-            for ui, udi in pairs:
-                # normal order: smaller mode on the left, so the
-                # larger-mode factor acts first
-                if p <= q:
-                    inner, im, outer, om = udi, q, ui, p
-                else:
-                    inner, im, outer, om = ui, p, udi, q
-                tmp = self.apply_mode(inner, im, one)
-                if not tmp.c:
-                    continue
-                acc = acc + self.apply_mode(outer, om, tmp)
-        return scale * acc
+        """The Virasoro operator L(n) = omega_(n+1), the mode of the
+        conformal vector, as a reader on PBWVectors (vertex_operator_mode)."""
+        return self.vertex_operator_mode(self.conformal_vector(), n + 1)
 
     def central_charge(self) -> Fraction:
         self.require_noncritical()
@@ -315,18 +259,22 @@ class InducedModule:
 
     @memo
     def conformal_vector(self) -> PBWVector:
-        pairs, scale = self._sugawara_pairs()
+        """The Sugawara vector
+        omega = 1/(2(k + h_vee)) sum_i u_i(-1) u^i(-1)|0>
+        over a basis u_i and its dual basis u^i."""
+        self.require_noncritical()
+        alg = self.algebra
         acc = PBWVector()
-        for ui, udi in pairs:
+        for ui, udi in zip(alg.basis(), alg.dual_basis()):
             acc = acc + self.apply_mode(ui, -1, self.apply_mode(udi, -1, self.vacuum()))
-        return scale * acc
+        return F(1) / (2 * (self.level + alg.dual_coxeter())) * acc
 
     # -- vertex operators ---------------------------------------------------
 
     def _vs_mono(self, mv, mw, ceiling):
         """Series dict {int exponent: bucket} for Y(mv, x) mw, exact for
         exponents <= ceiling, each bucket a frozen tuple of (monomial,
-        coefficient) pairs shared by content as _act's images are.
+        coefficient) pairs, as _act's images are.
 
         A coefficient does not depend on the ceiling it was computed at, so
         each pair keeps one memo entry, at the largest ceiling asked for so
@@ -339,7 +287,7 @@ class InducedModule:
         if hit is not None and hit[0] >= ceiling:
             return hit[1]
         if not mv:
-            res = {0: self._freeze({self._share(mw): 1})}
+            res = {0: self._freeze({mw: 1})}
             self._vs_cache[key] = (ceiling, res)
             return res
         if len(mv) == 1:

@@ -130,7 +130,11 @@ class LieAlgebra:
             key=lambda p: (p[1] - p[0], p[0]),
         )
         self.pos_pairs = pos_pairs
-        names = [prefix + "".join(str(k) for k in range(i + 1, j + 1))
+        # E_ij is e followed by its nodes i+1..j run together while every
+        # node is one digit (e12 for E_02), else by its first and last node
+        # joined by "_" (e12_12 for E_(11)(12)), so names are injective
+        names = [prefix + ("".join(map(str, range(i + 1, j + 1))) if j < 10
+                           else f"{i + 1}_{j}")
                  for prefix in "ef" for (i, j) in pos_pairs]
         names += [f"h{k}" for k in range(1, n1)]
         # the nonzero (row, column, value) entries of each basis matrix

@@ -147,15 +147,48 @@ def test_diagram_order_is_read_off_the_automorphism(rank):
 
 
 def test_diagram_flip_past_rank_nine():
-    # from rank 10 on generator names run past one digit per node (e1011 is
-    # E_(9)(11)); the flip is built from matrix units, not from the names
+    # from rank 10 on a root through a two-digit node is named by its first
+    # and last node (e10_11 is E_(9)(11)); the flip is built from matrix
+    # units, not from the names
     alg = build_simple_lie("A", 11)
     tau = diagram_automorphism(alg, list(range(11, 0, -1)))
     assert tau.check() and tau.order() == 2
-    for x, y in [("e1", "e11"), ("f1", "f11"), ("h1", "h11"), ("h5", "h7")]:
+    for x, y in [("e1", "e11_11"), ("f1", "f11_11"), ("h1", "h11"), ("h5", "h7")]:
         assert tau(alg.generator(x)) == alg.generator(y)
         assert tau(alg.generator(y)) == alg.generator(x)
-    assert tau(alg.generator("e12")) == -alg.generator("e1011")
+    assert tau(alg.generator("e12")) == -alg.generator("e10_11")
+
+
+def _digit_names(rank):
+    """The names of sl(rank+1) as spelled for one-digit nodes: each root's
+    nodes run together."""
+    alg = build_simple_lie("A", rank)
+    return [prefix + "".join(str(k) for k in range(i + 1, j + 1))
+            for prefix in "ef" for (i, j) in alg.pos_pairs] + \
+        [f"h{k}" for k in range(1, rank + 1)]
+
+
+@pytest.mark.parametrize("rank", range(1, 10))
+def test_names_up_to_rank_nine_run_the_nodes_together(rank):
+    assert build_simple_lie("A", rank).names == _digit_names(rank)
+
+
+@pytest.mark.parametrize("rank", [12, 23])
+def test_names_are_injective_past_rank_nine(rank):
+    alg = build_simple_lie("A", rank)
+    # the one-digit spelling collides here (e12 is both E_02 and E_(11)(12))
+    assert len(set(_digit_names(rank))) < alg.dim
+    assert len(set(alg.names)) == alg.dim
+    for i, name in enumerate(alg.names):
+        unit = [0] * alg.dim
+        unit[i] = 1
+        assert alg.index[name] == i
+        assert alg.generator(name).coords == tuple(unit)
+        assert alg.element({name: 1}) == alg.generator(name)
+    assert alg.names[:3] == ["e1", "e2", "e3"]
+    assert alg.names[rank - 1] == f"e{rank}_{rank}"
+    assert alg.index["e12"] == alg.pos_pairs.index((0, 2))
+    assert alg.index["e12_12"] == alg.pos_pairs.index((11, 12))
 
 
 def test_diagram_rejects_non_permutation():

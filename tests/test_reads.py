@@ -6,14 +6,16 @@ exponent with int scales, the denominators of v and w cleared, and divide
 once at the end.  The series expansion ``_vs_mono`` ends its iterate
 recursion at one factor, whose coefficients it reads in closed form, and
 the mode reader reads a one-factor monomial of v the same way.  The
-twisted reads and the Sugawara L(n) hand out memoized images by
-reference: ``TwistedModule.chain_transform`` of a basis monomial with
-coefficient int 1, and the mode operator and L(n) on a basis target with
-coefficient int 1.  The first forms below are the per-item sums these
-replaced, and the recursion down to the vacuum.  Both must agree in keys
-(in their order), values and value types (Cyc coordinates included), for
-int, Fraction and Cyc coefficients, at an integral and a non-integral
-level, on multi-monomial and zero vectors.  Checks
+twisted reads hand out memoized images by reference:
+``TwistedModule.chain_transform`` of a basis monomial with coefficient
+int 1, and the mode operator on a basis target with coefficient int 1.
+The first forms below are the per-item sums these replaced, and the
+recursion down to the vacuum.  Both must agree in keys (in their order),
+values and value types (Cyc coordinates included), for int, Fraction and
+Cyc coefficients, at an integral and a non-integral level, on
+multi-monomial and zero vectors.  The Sugawara L(n), the mode of the
+conformal vector, is checked against the normally ordered Sugawara sum in
+sorted order, since the two sum in different orders.  Checks
 run twice on one TwistedModule must report the same, and leave the shared
 images as they were.  The commutator check only counts a case whose
 partner, the same identity negated, has passed; every case built afresh,
@@ -46,6 +48,7 @@ from voatwist.series import (LogSeries, PBWVector, accumulate, divided, factor,
                              factors, monomial, monomial_weight, series_sum)
 from voatwist.twist import (apply_table_entry, make_twisted, mode_candidates,
                             mode_table_entry, untwisted_as_twisted)
+from test_fock import _canonical_vector, _sugawara_loop
 from voatwist.verify import (
     basis_states,
     chain_log_bound,
@@ -557,43 +560,37 @@ def test_a_pair_after_its_partner_builds_no_right_side():
 # -- the Sugawara L(n) -----------------------------------------------------------
 
 
-def first_sugawara_mode(mod, n):
-    """L(n) as first written: a fresh per-monomial sum of the images."""
-    def act(vec):
-        out = {}
-        for mono, coeff in vec.c.items():
-            accumulate(out, mod._sugawara_image(n, mono).c.items(), coeff)
-        return PBWVector.adopt(out)
-
-    return act
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(LEVELS)), st.integers(-2, 2),
        st.lists(vectors, min_size=1, max_size=4))
 def test_sugawara_mode_matches_its_first_form(level, n, targets):
     # at cutoff 3, L(-2) of the weight-2 targets reaches weight 4, past the
-    # cutoff; each target is read twice
+    # cutoff; each target is read twice, and the reads agree in order
     mod = build_module(sl2, LEVELS[level], 3)
-    ln, first = mod.sugawara_mode(n), first_sugawara_mode(mod, n)
-    for w in targets + targets:
-        got = ln(w)
-        assert typed_vector(got) == typed_vector(first(w))
-        if len(w.c) == 1:
-            [(mono, c)] = w.c.items()
-            if type(c) is int and c == 1:
-                assert got is mod._sugawara_image(n, mono)
+    ln = mod.sugawara_mode(n)
+    firsts = [ln(w) for w in targets]
+    for w, first in zip(targets, firsts):
+        assert _canonical_vector(first) == _canonical_vector(_sugawara_loop(mod, n, w))
+        assert typed_vector(ln(w)) == typed_vector(first)
 
 
-def _sugawara_images(mod):
-    return {key: typed_vector(image) for key, image in mod._sugawara_image_cache.items()}
+def _memo(mod):
+    """Typed copies of the images and buckets the module's memo shares."""
+    def typed(pairs):
+        return [(mono, _typed(c)) for mono, c in pairs]
+
+    rows = {key: {mono: typed(image) for mono, image in row.items()}
+            for key, row in mod._act_cache.items()}
+    buckets = {key: (ceiling, {e: typed(b) for e, b in res.items()})
+               for key, (ceiling, res) in mod._vs_cache.items()}
+    return rows, buckets
 
 
 @pytest.mark.parametrize("level", sorted(LEVELS))
 def test_sugawara_checks_leave_the_shared_images(level):
-    """L(n) of a basis monomial is its memoized image itself, so the
-    checks that read L(n) must leave every image as a fresh module builds
-    it, and report the same when run again."""
+    """L(n) reads the module's memoized images and buckets, so the checks
+    that read it must leave them as they were, and report the same when
+    run again."""
     mod = build_module(sl2, LEVELS[level], 4)
     u = mod.current(sl2.element({"h1": F(1, 2)}))
     tw = make_twisted(mod, u)
@@ -608,12 +605,10 @@ def test_sugawara_checks_leave_the_shared_images(level):
         )]
 
     first = run()
-    before = _sugawara_images(mod)
-    assert before
+    before = _memo(mod)
+    assert before[0] and before[1]
     assert run() == first
-    assert _sugawara_images(mod) == before
-    fresh = build_module(sl2, LEVELS[level], 4)
-    assert {key: typed_vector(fresh._sugawara_image(*key)) for key in before} == before
+    assert _memo(mod) == before
     assert [report["status"] for report in first] == ["pass"] * 4
 
 
