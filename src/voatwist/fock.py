@@ -26,7 +26,7 @@ the shared empty tuple ZERO.
 That memo is kept by hand in rows, _act_cache[gi, m] mapping a monomial
 to the image of b_gi(m) on it: unlike linalg.memo, it keeps no (gi, m,
 mono) key tuple per entry.  It and _vs_cache, the vertex-operator memo,
-are the module's whole memo.
+hold every mode action and vertex-operator series the module keeps.
 
 Vertex operator series are computed through the standard iterate
 reconstruction

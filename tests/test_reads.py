@@ -36,6 +36,7 @@ import pathlib
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_fock import _canonical_vector, _sugawara_loop
 
 from unittest import mock
 
@@ -48,7 +49,6 @@ from voatwist.series import (LogSeries, PBWVector, accumulate, divided, factor,
                              factors, monomial, monomial_weight, series_sum)
 from voatwist.twist import (apply_table_entry, make_twisted, mode_candidates,
                             mode_table_entry, untwisted_as_twisted)
-from test_fock import _canonical_vector, _sugawara_loop
 from voatwist.verify import (
     basis_states,
     chain_log_bound,
