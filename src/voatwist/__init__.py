@@ -15,8 +15,6 @@ from .errors import (
     InvalidSymmetry,
     NeedsFieldExtension,
     NotFixed,
-    NotIntertwining,
-    NotQuasiPrimary,
     NotSemisimple,
     NotUnipotent,
     Unsupported,
@@ -72,8 +70,6 @@ __all__ = [
     "ModuleMap",
     "NeedsFieldExtension",
     "NotFixed",
-    "NotIntertwining",
-    "NotQuasiPrimary",
     "NotSemisimple",
     "NotUnipotent",
     "PBWVector",

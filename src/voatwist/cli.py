@@ -35,8 +35,6 @@ from .errors import (
     InvalidSymmetry,
     NeedsFieldExtension,
     NotFixed,
-    NotIntertwining,
-    NotQuasiPrimary,
     NotSemisimple,
     NotUnipotent,
     Unsupported,
@@ -69,9 +67,7 @@ EXIT_CODES = {
     NotSemisimple: 15,
     InvalidSymmetry: 16,
     NotUnipotent: 17,
-    NotQuasiPrimary: 18,
     DomainError: 19,
-    NotIntertwining: 19,
     ConfigError: 64,
 }
 
@@ -466,7 +462,7 @@ _Check = namedtuple("_Check", "run params inner_step", defaults=(False,))
 # on it), and a module state has weight at most MAX_WEIGHT (series.py), so a
 # sum past half of it is refused before any check runs.
 _REACH = ("weight", "targetWeight", "probeWeight", "ceiling", "innerCeiling",
-          "modeSpan")
+          "modeSpan", "count")
 MAX_REACH = MAX_WEIGHT // 2
 
 def _ints(**defaults):

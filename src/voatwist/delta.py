@@ -28,12 +28,12 @@ the output follows the one scalar rule: an integral value is an int
 against their first forms in Fractions), and each divided term is kept
 without a copy.  The shift-conjugation check reads _stages undivided.
 Every output coefficient is exact, whatever the weight of the monomials it
-passes through: no stage reads the module's cutoff.  The
-self-pairing scalar kappa is always stored as a Fraction, since callers
-halve it.  A legacy sign convention (kept only so its failure is
-demonstrable) flips the outer x^(s(0)) and log factors and drops the
-(-1)^m inside the exponential; the two agree on the m = 1 term, which is
-why the difference is easy to miss on small examples.
+passes through: no stage reads the module's cutoff.  The self-pairing
+scalar kappa = k (a, a), with u_(1) u = kappa |0>, is always stored as a
+Fraction, since callers halve it.  A legacy sign convention (kept only so
+its failure is demonstrable) flips the outer x^(s(0)) and log factors and
+drops the (-1)^m inside the exponential; the two agree on the m = 1 term,
+which is why the difference is easy to miss on small examples.
 
 make_delta builds one record per module, current and sign convention, kept
 on the module but never referring to it, so a dropped module is freed at
@@ -54,7 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, perm
 
-from .errors import DomainError, NotQuasiPrimary
+from .errors import DomainError
 from .fock import InducedModule
 from .linalg import memo
 from .scalars import clear_denominators, int_if_integral
@@ -120,14 +120,9 @@ def make_delta(module: InducedModule, u: PBWVector,
     """Validate the current vector u = a(-1)|0> and build its operator.
 
     Raises DomainError if u is not a weight-one current vector,
-    NotQuasiPrimary if L(1)u != 0 (L(1) is omega_(2), the mode of the
-    Sugawara conformal vector, so CriticalLevel propagates from there at
-    level -h_vee), and NeedsFieldExtension or NotSemisimple from the
-    Jordan decomposition of the underlying Lie algebra element.
-
-    In a vacuum module L(1)a(-1)|0> = a(0)|0> = 0, so NotQuasiPrimary
-    cannot fire for any module built today; the gate is kept for a vertex
-    algebra whose weight-one space is not quasi-primary.
+    CriticalLevel at level -h_vee for a nonzero u, and NeedsFieldExtension
+    or NotSemisimple from the Jordan decomposition of the underlying Lie
+    algebra element.
     """
     a = current_element(module, u)
     return DeltaOperator(module, *_shift_record(module, a, bool(legacy_sign_convention)))
@@ -149,21 +144,12 @@ def _shift_record(module: InducedModule, a, legacy):
         eig = alg.ad_eigendata(alg.zero())
         return a, (a, 1), alg.zero(), alg.zero(), (a, 1), eig, F(0), legacy, {}, {}
 
-    u = module.current(a)
-    l1u = module.sugawara_mode(1)(u)
-    if not l1u.is_zero():
-        raise NotQuasiPrimary("L(1) does not annihilate the current vector")
-
+    module.require_noncritical()
     s, n = alg.jordan_chevalley(a)
     eig = alg.ad_eigendata(s)
-
-    # self-pairing scalar through the module: u_(1) u = kappa |0>
-    y1 = module.vertex_operator_mode(u, 1)(u)
-    kappa = F(0)
-    for mono, coeff in y1.c.items():
-        if mono:
-            raise DomainError("u_(1) u is not a vacuum multiple")
-        kappa = F(coeff)
+    # u_(1) u = a(1) a(-1)|0> = k (a, a)|0>: in a vacuum module every current
+    # is primary, and its self-pairing scalar is the level times the form
+    kappa = module.level * alg.form(a, a)
     return (a, _integral(alg, a, -1), s, n, _integral(alg, n, 1 if legacy else -1),
             eig, kappa, legacy, {}, {})
 

@@ -30,7 +30,7 @@ class InvalidSymmetry(VoatwistError):
 
 
 class NotUnipotent(VoatwistError):
-    """Logarithm requested of an operator that is not unipotent."""
+    """A twist step declared nilpotent has a current with a semisimple part."""
 
 
 class CriticalLevel(VoatwistError):
@@ -41,16 +41,8 @@ class Unsupported(VoatwistError):
     """The input is outside the supported fragment (a documented limitation)."""
 
 
-class NotQuasiPrimary(VoatwistError):
-    """The twisting vector is not a weight-one current killed by L(1)."""
-
-
 class NotFixed(VoatwistError):
     """The twisting vector is not fixed by the automorphism already acting."""
-
-
-class NotIntertwining(VoatwistError):
-    """A map declared to intertwine module structures fails to do so."""
 
 
 class ConfigError(VoatwistError):

@@ -33,7 +33,7 @@ from functools import lru_cache, reduce
 from math import factorial, floor, lcm
 
 from .delta import current_element, delta_apply_series, make_delta
-from .errors import NotFixed, NotIntertwining, Unsupported
+from .errors import NotFixed, Unsupported
 from .fock import InducedModule
 from .lie import GAutomorphism, LieElt
 from .linalg import memo
@@ -371,7 +371,7 @@ def functor_on_map(twisted: TwistedModule, mappings,
     twisted action.  Probes run over current vectors against the basis up
     to probe_weight, and the unmapped side of each probe is computed once
     for all the maps.  Returns one entry per map: None if it intertwines,
-    else the NotIntertwining error naming its first failing series key.
+    else its first failing series key (e, k).
     """
     base, alg = twisted.base, twisted.algebra
     probes = [base.current(alg._basis_elt(gi)) for gi in range(alg.dim)]
@@ -390,8 +390,7 @@ def functor_on_map(twisted: TwistedModule, mappings,
                             else twisted.vertex_series(v, mapped, ceiling))
                     witness = series_eq(left, unmapped.map_values(mapping.apply))
                     if witness is not None:
-                        failures[i] = NotIntertwining(
-                            f"map fails to intertwine at series key {witness[:2]}")
+                        failures[i] = witness[:2]
     return failures
 
 

@@ -969,11 +969,11 @@ def check_functor_transport(module: InducedModule, u: PBWVector,
     *rejected, skew_rejected = functor_on_map(
         tw, [mp for _label, mp in good] + [skew],
         probe_weight=probe_weight, ceiling=ceiling)
-    for (label, _mp), exc in zip(good, rejected):
-        if exc is not None:
+    for (label, _mp), key in zip(good, rejected):
+        if key is not None:
             return CheckReport(name, "fail", witness={
                 "map": label,
-                "reason": f"rejected: {exc}",
+                "reason": f"rejected: map fails to intertwine at series key {key}",
             }, details={})
     if skew_rejected is None:
         return CheckReport(name, "fail", witness={

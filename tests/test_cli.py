@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -8,7 +9,7 @@ from math import floor
 
 import pytest
 
-from voatwist import cli, lie
+from voatwist import cli, errors, lie
 from voatwist.cli import (
     EXIT_CODES,
     MAX_REACH,
@@ -121,12 +122,12 @@ def test_check_reach_past_the_largest_state_weight_is_refused(tmp_path, capsys):
                   {"name": "tables", "modeSpan": MAX_REACH - 1},
                   {"name": "commutator", "modeSpan": 1024},
                   {"name": "axioms", "weight": MAX_REACH},
-                  {"name": "delta", "targetWeight": 2000}):
+                  {"name": "delta", "targetWeight": 2000},
+                  {"name": "weights", "generator": "e1", "expected": "1", "count": 5000}):
         with pytest.raises(ConfigError, match="past 511"):
             parse_config(base_config(checks=[entry]))
     cfg = parse_config(base_config(checks=[
-        {"name": "tables", "modeSpan": MAX_REACH - 2},
-        {"name": "weights", "generator": "e1", "expected": "1", "count": 5000}]))
+        {"name": "tables", "modeSpan": MAX_REACH - 2}]))
     assert cfg["checks"][0]["modeSpan"] == MAX_REACH - 2
     # the chain's eigenvalue shift counts too, once the chain is built: e1
     # and f1 shift by 2 * 600 under h1 = 600, so a weight-0 table at mode
@@ -140,6 +141,45 @@ def test_check_reach_past_the_largest_state_weight_is_refused(tmp_path, capsys):
         assert "the chain's eigenvalue shift is 1201" in capsys.readouterr().out
     cfg["twistChain"][0]["data"]["current"] = {"h1": "100"}
     assert main(["run", write_config(tmp_path, cfg)]) == 0
+
+
+def test_every_exit_code_is_one_a_run_can_end_with():
+    # a class in EXIT_CODES that the package never raises documents an exit
+    # code no run reaches, and an error class missing from it exits 1
+    raised = set()
+    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert [cls.__name__ for cls in EXIT_CODES if cls.__name__ not in raised] == []
+    classes = [cls for cls in vars(errors).values() if isinstance(cls, type)
+               and issubclass(cls, errors.VoatwistError) and cls is not errors.VoatwistError]
+    assert [cls.__name__ for cls in classes if cls not in EXIT_CODES] == []
+
+
+def test_weights_count_counts_toward_the_reach(tmp_path, capsys):
+    # the weights check builds e1(-1)^k|0> for every k up to count, so an
+    # oversized count is refused before any check, at parse time and, with
+    # the chain's eigenvalue shift added, at run_config
+    weights = {"name": "weights", "generator": "e1", "expected": "1"}
+    with pytest.raises(ConfigError, match="count is 512, past 511"):
+        parse_config(base_config(checks=[{**weights, "count": MAX_REACH + 1}]))
+    # h1 = 1/2 shifts e1 by 1
+    cfg = base_config(checks=[{**weights, "count": MAX_REACH}])
+    assert parse_config(cfg)["checks"][0]["count"] == MAX_REACH
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "tables"):
+        assert main([command, path]) == EXIT_CODES[ConfigError]
+        assert ("count + the chain's eigenvalue shift is 512, past 511"
+                in capsys.readouterr().out)
+    # the default count (6) still runs: under h1 = 1/2 every e1(-1)^k|0> has
+    # weight kappa/2 = 1/2
+    cfg = parse_config(base_config(checks=[{**weights, "expected": "1/2"}]))
+    assert "count" not in cfg["checks"][0]
+    report, status = run_config(cfg, with_checks=True)
+    assert status == 0
+    assert report["checks"][0]["details"] == {"monomialsChecked": 7}
 
 
 def test_double_run_is_byte_identical():

@@ -9,7 +9,7 @@ import pytest
 
 from voatwist import cli, delta
 from voatwist.delta import delta_apply, delta_apply_series, make_delta
-from voatwist.errors import DomainError, NeedsFieldExtension
+from voatwist.errors import CriticalLevel, DomainError, NeedsFieldExtension
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc
@@ -47,6 +47,44 @@ def expect(d, state, terms):
 def test_self_pairing_scalars():
     assert DS.kappa == 1
     assert DN.kappa == 0
+
+
+def _generic(alg, keep):
+    return alg.element_from_coords([F((-1) ** i * (i + 1), i + 2) if keep(i) else 0
+                                    for i in range(alg.dim)])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("level", [F(2), F(1, 2), F(-1), F(7, 3)])
+def test_self_pairing_scalar_is_the_module_read(rank, level):
+    # kappa is k (a, a) in closed form; the oracle is the read through the
+    # module, u_(1) u = kappa |0>.  A Borel element has a rational Jordan
+    # decomposition, so make_delta accepts it; a generic element of the
+    # whole algebra is refused there, and only its read is compared
+    alg = build_simple_lie("A", rank)
+    mod = build_module(alg, level, cutoff=2)
+    npos = len(alg.pos_pairs)
+    borel = [_generic(alg, lambda i: not npos <= i < 2 * npos),
+             _generic(alg, lambda i: i >= npos)]
+    accepted = [alg.generator(name) for name in alg.names] + borel
+    for a in [*accepted, _generic(alg, lambda i: True)]:
+        u = mod.current(a)
+        read = mod.vertex_operator_mode(u, 1)(u)
+        assert set(read.c) <= {""}, a
+        assert read.c.get("", 0) == level * alg.form(a, a), a
+        if a in accepted:
+            kappa = make_delta(mod, u).kappa
+            assert kappa == read.c.get("", 0) and type(kappa) is F, a
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_critical_level_refuses_a_nonzero_current(rank):
+    alg = build_simple_lie("A", rank)
+    mod = build_module(alg, -alg.dual_coxeter(), cutoff=2)
+    for a in ("e1", "h1", _generic(alg, lambda i: i >= 2 * len(alg.pos_pairs))):
+        with pytest.raises(CriticalLevel):
+            make_delta(mod, mod.current(a))
+    assert make_delta(mod, 0 * mod.vacuum()).is_identity
 
 
 # The literal expansions below were worked out by hand from the three

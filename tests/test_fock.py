@@ -135,7 +135,7 @@ def test_sugawara_operators_refuse_the_critical_level(rank, level):
 @pytest.mark.parametrize("level", [F(2), F(1, 2)])
 def test_l1_kills_every_current(rank, level):
     # L(1) a(-1)|0> = a(0)|0> = 0: the weight-one space is quasi-primary,
-    # so make_delta's NotQuasiPrimary cannot fire on a vacuum module
+    # so make_delta needs no L(1) gate on a vacuum module
     alg = build_simple_lie("A", rank)
     mod = build_module(alg, level, cutoff=2)
     l1 = mod.sugawara_mode(1)
