@@ -30,12 +30,17 @@ the workload's set-up and one warm-up pass, then prints one JSON line:
 
 The counts do not depend on the host's speed or load, so a change can be
 compared with its parent on one run each; a counted pass takes a few
-seconds.  Opcodes count the interpreter's own steps only: the work of a
-C-level call (hashing a dict key, comparing two keys, a str or tuple
-operation) is one opcode whatever it costs, so a change that moves time
-into or out of that work shows in wall time and not here.  Ops run in the workload's own order, unpermuted, so every run
-counts the same pass (perfbench/run.py's --seed permutes the order, which
-can move memoized work from one op to another).
+seconds.  Every count runs under PYTHONHASHSEED=0, as perfbench/run.py's
+workers do (the command re-executes itself under it, and each counted
+tree's interpreter gets it): monomials and generator names are str, whose
+salted hashes order sets and dicts, and so move the traced heap by a few
+hundred bytes on cli-run.  Opcodes count the interpreter's own steps only:
+the work of a C-level call (hashing a dict key, comparing two keys, a str
+or tuple operation) is one opcode whatever it costs, so a change that
+moves time into or out of that work shows in wall time and not here.  Ops
+run in the workload's own order, unpermuted, so every run counts the same
+pass (perfbench/run.py's --seed permutes the order, which can move
+memoized work from one op to another).
 
 With ``--parent REV`` the script exports REV's committed files with ``git
 archive`` into a temporary directory, as bench_pairs.py does, counts that
@@ -180,12 +185,18 @@ def _export(rev: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
+def _seeded_env() -> dict:
+    """This environment with the str hash seed pinned to 0."""
+    return {**os.environ, "PYTHONHASHSEED": "0"}
+
+
 def count_tree(tree: str, target: str, kind: str = "workload") -> dict:
-    """The counts of the tree's own script run in a fresh interpreter on a
-    workload (kind "workload") or a config path (kind "config")."""
+    """The counts of the tree's own script run in a fresh interpreter,
+    under PYTHONHASHSEED=0, on a workload (kind "workload") or a config
+    path (kind "config")."""
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "scripts", "count_work.py"),
-         f"--{kind}", target], text=True, capture_output=True)
+         f"--{kind}", target], text=True, capture_output=True, env=_seeded_env())
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
         raise RuntimeError(f"counting failed in {tree} ({target}):\n"
@@ -297,4 +308,6 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(sys.executable, sys.orig_argv, _seeded_env())
     sys.exit(main())

@@ -37,16 +37,16 @@ which is why the difference is easy to miss on small examples.
 
 make_delta builds one record per module, current and sign convention, kept
 on the module but never referring to it, so a dropped module is freed at
-once.  It holds D(b) for each basis monomial b = {mono: 1} it has met
-(_basis_image), and stage 3's exponent shift of each monomial it has met.  A single monomial
-c b with c an int or a Fraction is served as c D(b), one scaled copy of
-each term, which the operator's linearity makes equal in keys, values and
-coefficient types to the image computed afresh
-(``tests/test_delta.py`` checks this).  Other inputs go through the stages
-whole, the one exception to series.linear_series: summing memoized
-per-monomial images for the conjugation check's left side makes its pass
-1.3 times slower, with 30% more opcodes and 13 times the Fractions.
-Stages 1 and 2 act through the module's one kernel, InducedModule.add_mode.
+once.  It holds D(b) for each basis state b = {mono: 1} passed to
+delta_apply, and stage 3's exponent shift of each monomial it has met.
+Every other input, a scaled basis state c b included, goes through the
+stages whole (_shift), and so does every y-coefficient the
+shift-conjugation check reads: the memo holds only what callers pass.  The
+operator is never summed from per-monomial images, the one exception to
+series.linear_series: doing so for the conjugation check's left side made
+its pass 1.3 times slower, with 30% more opcodes and 13 times the
+Fractions.  Stages 1 and 2 act through the module's one kernel,
+InducedModule.add_mode.
 """
 
 from __future__ import annotations
@@ -288,33 +288,19 @@ def _shift(delta: DeltaOperator, v: PBWVector) -> LogSeries:
     return out
 
 
-def _basis_image(delta: DeltaOperator, mono) -> LogSeries:
-    """D(b) for the basis monomial b = {mono: 1}, memoized on the record;
-    shared with every later caller, so never mutated."""
-    hit = delta.images.get(mono)
-    if hit is None:
-        hit = delta.images[mono] = _shift(delta, PBWVector({mono: 1}))
-    return hit
-
-
 def delta_apply(delta: DeltaOperator, v: PBWVector) -> LogSeries:
     """Apply the operator to a module vector.  Exact, finite output; the
-    image of a basis input is shared with later callers, so never mutate
-    a result."""
+    image of a basis input {b: 1} is memoized on the record and shared with
+    later callers, so never mutate a result."""
     if delta.is_identity:
         return LogSeries({(0, 0): v})
     if len(v.c) == 1:
         [(mono, c)] = v.c.items()
-        if type(c) in (int, Fraction):
-            hit = _basis_image(delta, mono)
-            if type(c) is int and c == 1:
-                return hit
-            # c is nonzero, so c D(b) has the keys of D(b): one scaled copy
-            # of each term
-            scaled = LogSeries()
-            for key, vec in hit.terms.items():
-                scaled.terms[key] = c * vec
-            return scaled
+        if type(c) is int and c == 1:
+            hit = delta.images.get(mono)
+            if hit is None:
+                hit = delta.images[mono] = _shift(delta, v)
+            return hit
     return _shift(delta, v)
 
 

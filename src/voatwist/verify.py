@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .delta import _basis_image, _stages, delta_apply, delta_apply_series, make_delta
+from .delta import _stages, delta_apply, delta_apply_series, make_delta
 from .errors import DomainError
 from .fock import InducedModule
 from .scalars import clear_denominators, fmt_rational, fmt_scalar
@@ -271,23 +271,16 @@ def _conjugated_sides(delta, vc: dict, wc: dict, yden: int, shifted, dw,
 
     The left side maps a key to (terms, den), the coefficient terms/den: D
     of each y-coefficient of Y(v, y) w, summed from v's and w's cleared
-    coefficients vc and wc over yden, as the shift's stage output, or as
-    c D(b) for one monomial c b.  The right side maps a key to a sum:
-    shifted lists (e, D(v) coefficient, expand_at_sum table) for every term
-    of D(v), and dw the ((e, k), coefficient) terms of D(w), all cleared.
+    coefficients vc and wc over yden, as the shift's stage output.  The
+    right side maps a key to a sum: shifted lists (e, D(v) coefficient,
+    expand_at_sum table) for every term of D(v), and dw the ((e, k),
+    coefficient) terms of D(w), all cleared.
     """
     module = delta.module
-    # a left dict may be an image that _basis_image shares: never mutated
     lhs = {}
     for ey, terms in module.vertex_sums(vc, wc, ceiling).items():
-        if len(terms) == 1:
-            [(mono, c)] = terms.items()
-            for (e, k), vec in _basis_image(delta, mono).terms.items():
-                lhs[e, k, ey] = (vec.c if c == 1 else {m: c * x for m, x in vec.c.items()},
-                                 yden)
-        else:
-            for e, k, sub, den in _stages(delta, PBWVector.adopt(terms)):
-                lhs[e, k, ey] = (sub, den * yden)
+        for e, k, sub, den in _stages(delta, PBWVector.adopt(terms)):
+            lhs[e, k, ey] = (sub, den * yden)
 
     # summed inline straight from the memoized _vs_mono buckets of each
     # monomial pair; compared and never stored, so not held to the scalar

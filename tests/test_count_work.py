@@ -225,3 +225,20 @@ def test_parent_counts_a_config_inside_each_tree(monkeypatch, capsys):
     assert change == (True, str(config), "config")
     line = json.loads(capsys.readouterr().out)
     assert line["parent"]["rev"] == "abc123" and "change" in line
+
+
+def test_a_counted_tree_runs_under_the_pinned_hash_seed(monkeypatch):
+    # str hashes order the monomial sets and dicts, and so the traced heap
+    spawned = []
+
+    def run(argv, **kwargs):
+        spawned.append((argv, kwargs["env"]))
+        return types.SimpleNamespace(returncode=0, stderr="",
+                                     stdout='{"workload": "w", "opcodes_per_pass": 3}\n')
+
+    monkeypatch.setenv("PYTHONHASHSEED", "12345")
+    monkeypatch.setattr(count_work.subprocess, "run", run)
+    assert count_work.count_tree("/tree", "w") == {"opcodes_per_pass": 3}
+    [(argv, env)] = spawned
+    assert argv[1:] == [str(pathlib.Path("/tree", "scripts", "count_work.py")), "--workload", "w"]
+    assert env["PYTHONHASHSEED"] == "0"

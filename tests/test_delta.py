@@ -14,7 +14,7 @@ from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
 from voatwist.scalars import Cyc
 from voatwist.series import LogSeries, divided, factors, monomial, series_eq
-from voatwist.verify import basis_states, check_shift_conjugation
+from voatwist.verify import basis_states, check_shift_conjugation, current_states
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -359,7 +359,7 @@ def test_filled_records_do_not_keep_their_module_alive():
         gc.enable()
 
 
-# -- linearity: a scaled basis input is served from the stored D(b) ---------
+# -- the D(b) memo: only basis inputs {b: 1} are read from it or fill it ---
 
 LINEAR_CURRENTS = [
     (1, 3, {"h1": F(1, 2)}),
@@ -381,6 +381,9 @@ LINEAR_MODULES = {rank: build_module(build_simple_lie("A", rank), F(2), cutoff)
 @pytest.mark.parametrize("rank, max_weight, coords", LINEAR_CURRENTS,
                          ids=[f"A{r} {c}" for r, _w, c in LINEAR_CURRENTS])
 def test_scaled_basis_inputs_match_fresh_images(rank, max_weight, coords, legacy):
+    # a scaled basis input c b, c != 1, goes through the stages and leaves
+    # the memo as it was; the basis input b itself fills it (PBWVector
+    # stores F(1) as the int 1, so that input is b)
     mod = LINEAR_MODULES[rank]
     d = make_delta(mod, mod.current(mod.algebra.element(coords)), legacy)
     for v, label in basis_states(mod, max_weight):
@@ -389,7 +392,20 @@ def test_scaled_basis_inputs_match_fresh_images(rank, max_weight, coords, legacy
             scaled = PBWVector({mono: c})
             got = delta_apply(d, scaled)
             assert canonical(got) == canonical(delta._shift(d, scaled)), (label, c)
-        assert mono in d.images
+            assert (mono in d.images) == (c == 1), (label, c)
+        assert delta_apply(d, v) is d.images[mono], label
+
+
+@pytest.mark.parametrize("coords", [{"h1": F(1, 2)}, {"e1": F(1)}], ids=["h1=1/2", "e1"])
+def test_the_memo_holds_only_the_states_callers_pass(coords):
+    # the conjugation check reads its y-coefficients through the stages, so
+    # after it the memo holds D(b) for the 13 basis states it was handed
+    mod = build_module(sl2, F(2), cutoff=4)
+    u = mod.current(sl2.element(coords))
+    states = basis_states(mod, 2)
+    assert len(states) == 13
+    check_shift_conjugation(mod, u, current_states(mod, conformal=True), states)
+    assert set(make_delta(mod, u).images) == {mono for v, _label in states for mono in v.c}
 
 
 def test_other_inputs_are_computed_afresh(monkeypatch):

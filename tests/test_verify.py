@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 
 from voatwist import cli, verify
+from voatwist.delta import _stages, delta_apply
 from voatwist.errors import DomainError, VoatwistError
 from voatwist.fock import PBWVector, build_module
 from voatwist.lie import build_simple_lie
@@ -363,6 +364,56 @@ def test_right_side_read_from_the_buckets_is_its_first_form(monkeypatch, coords,
         want = first_right_side(delta.module, shifted, dw, ceiling)
         assert ({key: sub for key, sub in rhs.items() if sub}
                 == {key: sub for key, sub in want.items() if sub})
+        seen.append(len(want))
+        return lhs, rhs
+
+    monkeypatch.setattr(verify, "_conjugated_sides", watched)
+    states = basis_states(mod, 2)
+    assert len(states) == 13
+    for v in states:
+        for w in states:
+            check_shift_conjugation(mod, u, [v], [w], legacy=legacy)
+    assert len(seen) == 13 * 13 and sum(seen) > 0
+
+
+def first_left_side(delta, vc, wc, yden, ceiling):
+    """The left side of _conjugated_sides in its first form: a
+    single-monomial y-coefficient c b read as c D(b) from the record's D(b)
+    memo, any other through _stages."""
+    lhs = {}
+    for ey, terms in delta.module.vertex_sums(vc, wc, ceiling).items():
+        if len(terms) == 1:
+            [(mono, c)] = terms.items()
+            for (e, k), vec in delta_apply(delta, PBWVector({mono: 1})).terms.items():
+                lhs[e, k, ey] = ({m: c * x for m, x in vec.c.items()}, yden)
+        else:
+            for e, k, sub, den in _stages(delta, PBWVector.adopt(terms)):
+                lhs[e, k, ey] = (sub, den * yden)
+    return lhs
+
+
+def _divided(side):
+    return {key: {m: c / F(den) for m, c in terms.items()}
+            for key, (terms, den) in side.items() if terms}
+
+
+@pytest.mark.parametrize("legacy", [False, True], ids=["sign", "legacy sign"])
+@pytest.mark.parametrize("coords", [{"h1": F(1, 2)}, {"e1": 1}], ids=["h1=1/2", "e1"])
+@pytest.mark.parametrize("level, cutoff", [(F(2), 9), (F(1, 2), 4)], ids=["k=2", "k=1/2"])
+def test_left_side_read_through_the_stages_is_its_first_form(monkeypatch, level, cutoff,
+                                                              coords, legacy):
+    """The left side, every y-coefficient read through _stages, equals its
+    first form, where a single monomial was read from the D(b) memo, on
+    every pair of basis states up to weight 2."""
+    mod = build_module(sl2, level, cutoff)
+    u = mod.current(sl2.element(coords))
+    real = verify._conjugated_sides
+    seen = []
+
+    def watched(delta, vc, wc, yden, shifted, dw, ceiling):
+        lhs, rhs = real(delta, vc, wc, yden, shifted, dw, ceiling)
+        want = first_left_side(delta, vc, wc, yden, ceiling)
+        assert _divided(lhs) == _divided(want)
         seen.append(len(want))
         return lhs, rhs
 
