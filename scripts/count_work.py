@@ -33,14 +33,15 @@ compared with its parent on one run each; a counted pass takes a few
 seconds.  Every count runs under PYTHONHASHSEED=0, as perfbench/run.py's
 workers do (the command re-executes itself under it, and each counted
 tree's interpreter gets it): monomials and generator names are str, whose
-salted hashes order sets and dicts, and so move the traced heap by a few
-hundred bytes on cli-run.  Opcodes count the interpreter's own steps only:
-the work of a C-level call (hashing a dict key, comparing two keys, a str
-or tuple operation) is one opcode whatever it costs, so a change that
-moves time into or out of that work shows in wall time and not here.  Ops
-run in the workload's own order, unpermuted, so every run counts the same
-pass (perfbench/run.py's --seed permutes the order, which can move
-memoized work from one op to another).
+salted hashes order sets and dicts, and so move the traced heap.  The
+address layout moves it too, so cli-run's heap still reads up to about
+1.3 kB apart between runs of one tree.  Opcodes count the interpreter's
+own steps only: the work of a C-level call (hashing a dict key, comparing
+two keys, a str or tuple operation) is one opcode whatever it costs, so a
+change that moves time into or out of that work shows in wall time and
+not here.  Ops run in the workload's own order, unpermuted, so every run
+counts the same pass (perfbench/run.py's --seed permutes the order, which
+can move memoized work from one op to another).
 
 With ``--parent REV`` the script exports REV's committed files with ``git
 archive`` into a temporary directory, as bench_pairs.py does, counts that
